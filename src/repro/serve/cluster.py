@@ -320,21 +320,39 @@ class ServiceCostTable:
     :class:`ChipService` object the slow path returns — same floats, same
     cache, just a cheaper probe.
 
+    With ``decode=True`` the table prices decode iterations instead: the
+    row's sequence length is the page-rounded context and misses delegate
+    to :meth:`Cluster.decode_service`.
+
     ``uniform`` is True when every hosting chip shares one cost key — the
     homogeneous case where cost-aware routing provably degenerates to the
-    lowest free chip id and per-chip pricing can be skipped entirely.
+    lowest free chip id and per-chip pricing can be skipped entirely.  A
+    decode table looks only at the decode-side hosts and also requires
+    one KV capacity, since a decode price adds the KV bytes that overflow
+    the chip.
     """
 
-    def __init__(self, cluster: "Cluster", model: str) -> None:
+    def __init__(
+        self, cluster: "Cluster", model: str, decode: bool = False
+    ) -> None:
         self._cluster = cluster
         self._model = model
+        self._decode = decode
         distinct: Dict[ChipKey, int] = {}
         self._key_of = tuple(
             distinct.setdefault(key, len(distinct))
             for key in cluster._chip_keys
         )
+        hosts = cluster.chips_for(model)
+        kv_uniform = True
+        if decode:
+            decode_chips = set(cluster.decode_chips)
+            hosts = tuple(c for c in hosts if c in decode_chips)
+            kv_uniform = (
+                len({cluster.kv_capacity_bytes(c) for c in hosts}) == 1
+            )
         self.uniform = (
-            len({self._key_of[c] for c in cluster.chips_for(model)}) == 1
+            kv_uniform and len({self._key_of[c] for c in hosts}) == 1
         )
         self._rows: Dict[Tuple[int, int], List[Optional[ChipService]]] = {}
 
@@ -351,7 +369,12 @@ class ServiceCostTable:
     def _fill(
         self, chip_id: int, batch_size: int, seq_len: int
     ) -> ChipService:
-        cost = self._cluster.service(chip_id, self._model, batch_size, seq_len)
+        fill = (
+            self._cluster.decode_service
+            if self._decode
+            else self._cluster.service
+        )
+        cost = fill(chip_id, self._model, batch_size, seq_len)
         key = (self._key_of[chip_id], seq_len)
         row = self._rows.get(key)
         if row is None:
@@ -458,6 +481,7 @@ class Cluster:
         # model's KV bytes per cached token.
         self._decode_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
         self._decode_cache: Dict[Tuple[ChipKey, str, int, int], ChipService] = {}
+        self._decode_tables: Dict[str, ServiceCostTable] = {}
         self._kv_per_token: Dict[str, int] = {}
 
     # -- accessors -----------------------------------------------------------------
@@ -712,6 +736,20 @@ class Cluster:
                 raise ValueError(f"cluster does not host model {model!r}")
             table = ServiceCostTable(self, model)
             self._service_tables[model] = table
+        return table
+
+    def decode_table(self, model: str) -> ServiceCostTable:
+        """Flat memoized view of :meth:`decode_service` for one model.
+
+        Rows are keyed by (cost key, page-rounded context) and indexed by
+        batch size; cached per model like :meth:`service_table`.
+        """
+        table = self._decode_tables.get(model)
+        if table is None:
+            if model not in self._workloads:
+                raise ValueError(f"cluster does not host model {model!r}")
+            table = ServiceCostTable(self, model, decode=True)
+            self._decode_tables[model] = table
         return table
 
     def reference_latency_ns(self, model: str, seq_len: int = 0) -> float:

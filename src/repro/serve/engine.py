@@ -62,6 +62,7 @@ from repro.serve.cluster import ChipService, Cluster
 from repro.serve.config import (
     MSG_DECODE_CLIENTS,
     MSG_DECODE_STREAM,
+    MSG_TENANTS_CLIENTS,
     ROUTING_POLICIES,
     validate_engine,
 )
@@ -658,11 +659,7 @@ class ServingEngine:
                 raise ValueError(MSG_DECODE_STREAM)
         tenancy = self._tenancy
         if clients is not None and tenancy is not None:
-            raise ValueError(
-                "multi-tenant serving is open-loop for now: closed-loop "
-                "client sessions generate untagged requests and cannot "
-                "belong to a tenant; pass a tenant-tagged trace instead"
-            )
+            raise ValueError(MSG_TENANTS_CLIENTS)
         driver: Optional[ClosedLoopDriver] = None
         if clients is not None:
             unknown = [m for m in clients.models if m not in cluster.models]
@@ -849,6 +846,7 @@ class ServingEngine:
         # clusters run both phases on every chip.  Tenancy, clients and
         # elastic fleets are banned with decode (one rule table), so the
         # decode path never interacts with those branches.
+        routing = self._routing
         decode_on = decode_cfg is not None
         n_pslots = len(slots)
         if decode_on:
@@ -900,6 +898,17 @@ class ServingEngine:
                 m: len(d_hosts[m]) for m in model_order
             }
             d_rr_next: Dict[str, int] = {m: 0 for m in model_order}
+            # Flat decode cost rows.  A uniform decode host set — one cost
+            # key, one KV capacity — prices every candidate identically,
+            # so cost-aware routing takes the lowest free decode host
+            # unpriced, as prefill's fast_route does.  Throttle state is
+            # per fleet group and a cost key names one group, so a power
+            # cap cannot break the tie either.
+            d_tables = {m: cluster.decode_table(m) for m in model_order}
+            d_fast: Dict[str, bool] = {
+                m: routing != "round-robin" and d_tables[m].uniform
+                for m in model_order
+            }
         n_decode_iters = 0
         n_decode_tokens = 0
         kv_total = 0.0
@@ -994,7 +1003,6 @@ class ServingEngine:
         # tuple-keyed dict probe of cluster.service on the dispatch path;
         # ``uniform`` models short-circuit cost-aware routing entirely.
         tables = {m: cluster.service_table(m) for m in model_order}
-        routing = self._routing
         fast_route: Dict[str, bool] = {
             # On a single-cost-key (homogeneous) host set the cost-aware
             # policies tie on every chip and their documented tiebreak is
@@ -1237,8 +1245,10 @@ class ServingEngine:
                         return chip
                 raise RuntimeError("no free chip among hosts")  # unreachable
 
+            table = d_tables[model]
+
             def price(c: int) -> Tuple[float, float]:
-                svc = cluster.decode_service(c, model, size, ctx_pad)
+                svc = table.get(c, size, ctx_pad)
                 over = total_kv - kv_cap[c]
                 if over > 0:
                     spill = cluster.kv_overflow_service(c, over)
@@ -1255,9 +1265,12 @@ class ServingEngine:
 
             if routing == "fastest":
                 return min(free, key=lambda c: (price(c)[0], c))
-            return min(
-                free, key=lambda c: (price(c)[1], price(c)[0], c)
-            )
+
+            def energy_key(c: int) -> tuple:
+                lat, energy = price(c)
+                return (energy, lat, c)
+
+            return min(free, key=energy_key)
 
         def dispatch_decode(mi: int, now: float) -> None:
             """Form and commit one decode iteration for model ``mi``.
@@ -1280,9 +1293,14 @@ class ServingEngine:
                 per_tok * page_round(e.ctx, page) for e in entries
             )
             total_kv = float(sum(footprints))
-            free = [c for c in d_hosts[model] if is_free[c]]
-            chip = pick_decode_chip(model, free, take, ctx_pad, total_kv)
-            svc = cluster.decode_service(chip, model, take, ctx_pad)
+            if d_fast[model]:
+                # Uniform decode hosts tie on every price: the lowest
+                # free host id wins, unpriced.
+                chip = next(c for c in d_hosts[model] if is_free[c])
+            else:
+                free = [c for c in d_hosts[model] if is_free[c]]
+                chip = pick_decode_chip(model, free, take, ctx_pad, total_kv)
+            svc = d_tables[model].get(chip, take, ctx_pad)
             overflow = total_kv - kv_cap[chip]
             if overflow > 0:
                 spill = cluster.kv_overflow_service(chip, overflow)

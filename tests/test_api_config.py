@@ -27,6 +27,7 @@ import pytest
 from repro.cli import build_parser, serve_config_from_args
 from repro.models.zoo import get_workload
 from repro.serve import (
+    ClientPopulation,
     Cluster,
     DecodeConfig,
     FleetConfig,
@@ -265,6 +266,16 @@ class TestEngineDoor:
             ServingEngine(
                 cluster, elastic=parse_autoscale("1:2"), decode=DecodeConfig()
             )
+
+    def test_tenancy_with_clients_at_run(self, cluster):
+        engine = ServingEngine(
+            cluster, tenancy=TenancyConfig(parse_tenants(TENANTS))
+        )
+        clients = ClientPopulation(models=("mobilebert",), n_clients=2)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_TENANTS_CLIENTS)}$"
+        ):
+            engine.run(clients=clients)
 
     def test_preempt_with_power(self, cluster):
         tenancy = TenancyConfig(parse_tenants(TENANTS), preemption=True)

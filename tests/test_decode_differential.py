@@ -1,0 +1,163 @@
+"""Golden guard for the autoregressive decode loop.
+
+The decode loop routes every iteration to a free decode-side chip and
+prices it from the cluster's decode cost rows.  These scenarios pin its
+results byte for byte (the formatted report) and bit for bit (a sha256
+digest over every served request's decode journey), across each routing
+branch the loop takes:
+
+* uniform fleets under ``fastest`` and ``cheapest-energy``, where every
+  decode host ties and routing reduces to the lowest free chip id;
+* a mixed ``yoco:2,isaac:2`` fleet, unified and ``prefill-decode``,
+  where each candidate chip is priced;
+* ``gpt_large`` on ``yoco:2``, whose KV cache spills off-chip;
+* power-capped runs, uniform and mixed, where routing prices the
+  throttle-stretched latency.
+
+Regenerate the goldens only on an intentional behaviour change::
+
+    PYTHONPATH=src python tests/test_decode_differential.py --write
+"""
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from repro.serve import DecodeConfig, format_serving, simulate_serving
+from repro.serve.config import FleetConfig, ServingConfig, WorkloadConfig
+
+DATA = pathlib.Path(__file__).parent / "data"
+DIGESTS = DATA / "golden_decode_digests.json"
+
+DECODE = DecodeConfig(dist="lognormal", mean_tokens=16)
+
+#: scenario -> (WorkloadConfig kwargs, FleetConfig kwargs).
+SCENARIOS = {
+    "yoco8_fastest": (
+        dict(models=["mobilebert"], rps=6000.0, duration_s=0.05),
+        dict(fleet="yoco:8"),
+    ),
+    "yoco4_energy": (
+        dict(models=["mobilebert"], rps=3000.0, duration_s=0.05),
+        dict(fleet="yoco:4", routing="cheapest-energy"),
+    ),
+    "hetero_fastest": (
+        dict(models=["mobilebert"], rps=16000.0, duration_s=0.02),
+        dict(fleet="yoco:2,isaac:2"),
+    ),
+    "hetero_pd_energy": (
+        dict(models=["mobilebert"], rps=2000.0, duration_s=0.02),
+        dict(
+            fleet="yoco:2,isaac:2",
+            placement="prefill-decode",
+            routing="cheapest-energy",
+        ),
+    ),
+    "gpt_large_overflow": (
+        dict(models=["gpt_large"], rps=40.0, duration_s=0.05),
+        dict(fleet="yoco:2"),
+    ),
+    "yoco4_power_capped": (
+        dict(models=["mobilebert"], rps=3000.0, duration_s=0.02),
+        dict(fleet="yoco:4", power_cap_w=0.2),
+    ),
+    "hetero_power_capped_energy": (
+        dict(models=["mobilebert"], rps=8000.0, duration_s=0.02),
+        dict(
+            fleet="yoco:2,isaac:2",
+            routing="cheapest-energy",
+            power_cap_w=0.5,
+        ),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _run(scenario: str):
+    workload, fleet = SCENARIOS[scenario]
+    return simulate_serving(
+        config=ServingConfig(
+            workload=WorkloadConfig(**workload),
+            fleet=FleetConfig(**fleet),
+            decode=DECODE,
+        )
+    )
+
+
+def decode_digest(result) -> str:
+    """Bit-exact fingerprint of every request's decode journey.
+
+    ``repr`` keeps every float at full precision, so one ULP of drift in
+    routing, pricing or KV accounting changes the digest.
+    """
+    lines = [
+        f"{s.request.request_id} {s.request.model} {s.chip_id} "
+        f"{s.dispatch_ns!r} {s.finish_ns!r} {s.energy_pj!r} "
+        f"{s.first_token_ns!r} {s.decode_tokens} {s.kv_bytes!r} "
+        f"{s.kv_overflow_bytes!r}"
+        for s in result.served
+    ]
+    lines.append(f"iters {result.n_decode_iters}")
+    lines.append("busy " + " ".join(repr(b) for b in result.chip_busy_ns))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _golden_path(scenario: str) -> pathlib.Path:
+    return DATA / f"golden_decode_{scenario}.txt"
+
+
+@pytest.fixture(scope="module")
+def golden_digests():
+    with open(DIGESTS) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_decode_run_reproduces_golden(scenario, golden_digests):
+    report, result = _run(scenario)
+    assert result.has_decode
+    golden = _golden_path(scenario).read_text().rstrip("\n")
+    assert format_serving(report) == golden
+    assert decode_digest(result) == golden_digests[scenario]
+
+
+class TestScenariosCoverTheirBranch:
+    """Each golden exercises the branch its name claims."""
+
+    def test_mixed_fleet_decodes_on_both_chip_types(self):
+        _, result = _run("hetero_fastest")
+        assert {s.chip_id for s in result.served} == {0, 1, 2, 3}
+
+    def test_prefill_decode_finishes_on_the_decode_group(self):
+        _, result = _run("hetero_pd_energy")
+        assert {s.chip_id for s in result.served} <= {2, 3}
+
+    def test_gpt_large_spills_its_kv(self):
+        _, result = _run("gpt_large_overflow")
+        assert result.kv_overflow == 1.0
+
+    @pytest.mark.parametrize(
+        "scenario", ["yoco4_power_capped", "hetero_power_capped_energy"]
+    )
+    def test_power_cap_binds(self, scenario):
+        _, result = _run(scenario)
+        assert result.power.total_stall_ns > 0
+
+
+def _write() -> None:
+    digests = {}
+    for scenario in sorted(SCENARIOS):
+        report, result = _run(scenario)
+        _golden_path(scenario).write_text(format_serving(report) + "\n")
+        digests[scenario] = decode_digest(result)
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_decode_differential.py --write")
+    _write()

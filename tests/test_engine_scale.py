@@ -1,6 +1,6 @@
 """Engine hot-path scaling: guard-rails, streaming mode, turbo path.
 
-Four suites around the million-request refactor:
+Five suites around the million-request refactor:
 
 * the generator-trace regression — ``run`` used to iterate its trace
   twice (validate, then fill), so a generator validated fine and then
@@ -8,6 +8,8 @@ Four suites around the million-request refactor:
 * counter-instrumented scaling guard-rails — :class:`EngineStats` work
   counters (no wall clock anywhere) pin the dispatch scan to linear in
   the event count and strictly below the old events x slots product;
+* the decode pricing guard-rails — counted ``Cluster.decode_service``
+  calls pin decode pricing to one call per distinct cost row;
 * the streaming differential — a run with ``stream=StreamingMetrics()``
   must report bit-identical latency percentiles to the retained run,
   and its rolling p99 must equal the retained p99 exactly;
@@ -23,12 +25,17 @@ from repro.serve import (
     BatchingPolicy,
     ChromeTraceSink,
     Cluster,
+    DecodeConfig,
+    FleetConfig,
     JsonlTraceSink,
+    ServingConfig,
     ServingEngine,
     StreamingMetrics,
+    WorkloadConfig,
     diurnal_trace,
     merge_traces,
     poisson_trace,
+    simulate_serving,
     summarize,
 )
 
@@ -131,6 +138,62 @@ class TestScalingGuardRails:
         n = len(trace)
         assert stats.n_events <= 2 * n + 2 * stats.n_batches + 2
         assert stats.n_slot_scans <= stats.n_events
+
+
+class TestDecodePricingGuardRails:
+    """Decode prices each distinct cost row once, however long the run.
+
+    A counting wrapper on :meth:`Cluster.decode_service` (no wall clock)
+    sees every miss of the flat decode rows.  Each miss must fill a new
+    row, so the call count equals the number of distinct rows, and it
+    grows with the set of (batch size, page-rounded context) shapes the
+    run visits — not with the number of decode iterations.
+    """
+
+    def _decode_run(self, monkeypatch, fleet, duration_s, rps=6000.0):
+        calls = []
+        original = Cluster.decode_service
+
+        def counting(self, chip_id, model, batch_size, context_len):
+            # One cost key per chip type on the fleets below, so the chip
+            # type stands in for it.
+            calls.append(
+                (self.chip_type(chip_id), model, batch_size, context_len)
+            )
+            return original(self, chip_id, model, batch_size, context_len)
+
+        monkeypatch.setattr(Cluster, "decode_service", counting)
+        config = ServingConfig(
+            workload=WorkloadConfig(
+                models=["mobilebert"], rps=rps, duration_s=duration_s
+            ),
+            fleet=FleetConfig(fleet=fleet),
+            decode=DecodeConfig(dist="lognormal", mean_tokens=32),
+        )
+        _, result = simulate_serving(config=config)
+        return calls, result
+
+    def test_uniform_fleet_prices_each_row_once(self, monkeypatch):
+        calls, result = self._decode_run(monkeypatch, "yoco:8", 0.1)
+        assert result.n_decode_iters > 100 * len(calls)
+        assert len(calls) == len(set(calls))
+
+    def test_decode_pricing_flat_in_the_horizon(self, monkeypatch):
+        """2x the horizon => ~2x the iterations, nearly the same rows."""
+        small_calls, small = self._decode_run(monkeypatch, "yoco:8", 0.1)
+        big_calls, big = self._decode_run(monkeypatch, "yoco:8", 0.2)
+        assert 1.8 * small.n_decode_iters <= big.n_decode_iters
+        assert big.n_decode_iters <= 2.4 * small.n_decode_iters
+        assert len(big_calls) == len(set(big_calls))
+        assert len(big_calls) <= 1.3 * len(small_calls)
+
+    def test_priced_path_prices_each_row_once(self, monkeypatch):
+        """Mixed decode hosts are priced per candidate, still once per row."""
+        calls, result = self._decode_run(
+            monkeypatch, "yoco:2,isaac:2", 0.1, rps=4000.0
+        )
+        assert {c[0] for c in calls} == {"yoco", "isaac"}
+        assert len(calls) == len(set(calls))
 
 
 class _CollectingProgress:
