@@ -81,7 +81,7 @@ from repro.serve.tenancy import (
     deadline_ns,
     make_scheduler,
 )
-from repro.serve.traces import Request
+from repro.serve.traces import Request, TraceColumns, as_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serve.streaming import StreamingMetrics
@@ -499,6 +499,38 @@ class ServingResult:
         )
 
 
+def _check_request(
+    request: Request,
+    cluster: Cluster,
+    tenancy: Optional[TenancyConfig],
+    decode_cfg: Optional[DecodeConfig],
+) -> None:
+    """Raise the input error for one trace request the engine cannot serve."""
+    known = cluster.models
+    if request.model not in known:
+        raise ValueError(
+            f"trace request for {request.model!r} but cluster hosts {sorted(known)}"
+        )
+    if tenancy is not None and request.tenant not in tenancy.names:
+        raise ValueError(
+            f"trace request tagged {request.tenant!r} but the "
+            f"tenancy config declares {tenancy.names}"
+        )
+    if request.decode_tokens:
+        if decode_cfg is None:
+            raise ValueError(
+                "trace request carries decode_tokens but the "
+                "engine has no decode loop; pass decode= (a "
+                "DecodeConfig)"
+            )
+        if cluster.native_seq_len(request.model) == 0:
+            raise ValueError(
+                f"decode request for {request.model!r} but the "
+                "workload has no token axis; autoregressive "
+                "decode needs a transformer workload"
+            )
+
+
 class ServingEngine:
     """Run request traces against a :class:`Cluster` under one policy.
 
@@ -642,11 +674,12 @@ class ServingEngine:
                     "stream_metrics progress period must be a positive "
                     f"request count, got {every!r}"
                 )
-        # Materialize exactly once.  The old code iterated ``trace`` twice
-        # (validation, then heap fill): a generator trace validated fine
-        # and then silently simulated zero requests.
-        trace = tuple(trace)
-        if clients is not None and len(trace):
+        # Turn the input into columns exactly once.  A generator trace is
+        # materialized here (iterating it twice once validated fine and
+        # then simulated zero requests); a Request sequence is wrapped
+        # and keeps its objects.
+        cols = as_columns(trace)
+        if clients is not None and len(cols):
             raise ValueError(
                 "pass an open-loop trace or a closed-loop client "
                 "population, not both"
@@ -672,7 +705,7 @@ class ServingEngine:
                 clients,
                 {m: cluster.native_seq_len(m) for m in clients.models},
             )
-            trace = tuple(driver.start())
+            cols = as_columns(driver.start())
         admission = self._admission
         if admission is not None:
             admission.reset(cluster, policy)
@@ -691,44 +724,36 @@ class ServingEngine:
             else None
         )
         known = set(cluster.models)
-        known_tenants = set(tenancy.names) if tenancy is not None else {""}
-        time_sorted = True
-        has_seqlens = False
-        prev_arrival = -math.inf
-        for request in trace:
-            if request.model not in known:
-                raise ValueError(
-                    f"trace request for {request.model!r} but cluster hosts {sorted(known)}"
-                )
-            if tenancy is not None and request.tenant not in known_tenants:
-                raise ValueError(
-                    f"trace request tagged {request.tenant!r} but the "
-                    f"tenancy config declares {tenancy.names}"
-                )
-            if request.seq_len:
-                has_seqlens = True
-            if request.decode_tokens:
-                if decode_cfg is None:
-                    raise ValueError(
-                        "trace request carries decode_tokens but the "
-                        "engine has no decode loop; pass decode= (a "
-                        "DecodeConfig)"
-                    )
-                if cluster.native_seq_len(request.model) == 0:
-                    raise ValueError(
-                        f"decode request for {request.model!r} but the "
-                        "workload has no token axis; autoregressive "
-                        "decode needs a transformer workload"
-                    )
-            if request.arrival_ns < prev_arrival:
-                time_sorted = False
-            else:
-                prev_arrival = request.arrival_ns
-        if not time_sorted:
+        # Column checks: flag every request the per-request checks of
+        # _check_request would reject, then let the first flagged one
+        # raise, so the message and the offender are the scalar ones.
+        flagged = ~np.array(
+            [m in known for m in cols.model_names], dtype=bool
+        )[cols.model_code]
+        if tenancy is not None:
+            flagged |= ~np.array(
+                [t in tenancy.names for t in cols.tenant_names], dtype=bool
+            )[cols.tenant_code]
+        decoding = cols.decode_tokens != 0
+        if decode_cfg is None:
+            flagged |= decoding
+        else:
+            flagged |= decoding & np.array(
+                [
+                    m in known and cluster.native_seq_len(m) == 0
+                    for m in cols.model_names
+                ],
+                dtype=bool,
+            )[cols.model_code]
+        if flagged.any():
+            _check_request(cols[int(flagged.argmax())], cluster, tenancy, decode_cfg)
+        has_seqlens = bool(cols.seq_len.any())
+        arrival = cols.arrival_ns
+        if (arrival[1:] < arrival[:-1]).any():
             # The merged arrival cursor needs time order.  A *stable* sort
             # by arrival reproduces the old heap's (arrival, push-order)
             # ordering exactly, so out-of-order traces replay bit-for-bit.
-            trace = tuple(sorted(trace, key=lambda r: r.arrival_ns))
+            cols = cols.take(np.argsort(arrival, kind="stable"))
         elastic_cfg = self._elastic
         el_lo = el_hi = el_init = 0
         if elastic_cfg is not None:
@@ -770,7 +795,8 @@ class ServingEngine:
             # id, so the whole event loop specializes to a per-batch walk
             # (see _run_turbo).  Bit-identical to the general path —
             # golden-guarded through the homogeneous differential cases.
-            return self._run_turbo(trace, stream, clients, observe)
+            return self._run_turbo(cols, stream, clients, observe)
+        trace = cols.requests()
         # One queue per (tenant, model) slot.  Without tenancy there is a
         # single anonymous tenant "", so the slot list — and the dispatch
         # scan order below — collapses to the legacy per-model layout.
@@ -1989,7 +2015,7 @@ class ServingEngine:
 
     def _run_turbo(
         self,
-        trace: Tuple[Request, ...],
+        trace: TraceColumns,
         stream: Optional["StreamingMetrics"],
         clients: Optional[ClientPopulation],
         observe=None,
@@ -2027,7 +2053,11 @@ class ServingEngine:
         profiling = self._profile
         heap_peak = 0
         n = len(trace)
-        arr = [r.arrival_ns for r in trace]
+        arr_np = trace.arrival_ns
+        arr = arr_np.tolist()
+        # Request objects only where a result or an observer needs them:
+        # streaming without observers builds none.
+        reqs = trace.requests() if obs is not None or stream is None else ()
         B = policy.max_batch_size
         W = policy.window_ns
         table = cluster.service_table(model)
@@ -2051,7 +2081,6 @@ class ServingEngine:
         n_scans = 0
         n_batches = 0
         inf = math.inf
-        arr_np = np.array(arr, dtype=np.float64) if stream is not None else None
         chip_type = (
             tuple(cluster.chip_type(c) for c in range(cluster.n_chips))
             if stream is not None
@@ -2102,7 +2131,7 @@ class ServingEngine:
                 n_batches += 1
                 if obs is not None:
                     obs.dispatch(
-                        now, chip, model, "", trace[head : head + take],
+                        now, chip, model, "", reqs[head : head + take],
                         finish, 0.0,
                     )
                 if profiling and len(busy) > heap_peak:
@@ -2129,7 +2158,7 @@ class ServingEngine:
                     completion_order.append(ri)
                     if obs is not None:
                         obs.complete(
-                            rec[4], chip, model, "", trace[rec[0] : rec[1]],
+                            rec[4], chip, model, "", reqs[rec[0] : rec[1]],
                             rec[3], rec[5],
                         )
                     if stream is not None:
@@ -2137,11 +2166,13 @@ class ServingEngine:
                         lat = (rec[4] - arr_np[a:b]) * 1e-6
                         size = b - a
                         if first_key is None:
-                            r0 = min(
-                                trace[a:b],
-                                key=lambda r: (r.arrival_ns, r.request_id),
+                            # The batch's smallest (arrival, request id):
+                            # arrivals are sorted, so the ties of arr[a].
+                            ties = arr_np[a:b] == arr[a]
+                            first_key = (
+                                arr[a],
+                                int(trace.request_id[a:b][ties].min()),
                             )
-                            first_key = (r0.arrival_ns, r0.request_id)
                             fk = first_key
                         else:
                             fk = None
@@ -2158,7 +2189,7 @@ class ServingEngine:
             elif t_a <= t_w:
                 was_empty = head == i
                 if obs is not None:
-                    request = trace[i]
+                    request = reqs[i]
                     obs.arrival(t_a, request)
                     obs.enqueue(t_a, request)
                 i += 1
@@ -2176,7 +2207,7 @@ class ServingEngine:
                         a = arr[i]
                         if a < t_c and a <= t_w:
                             if obs is not None:
-                                request = trace[i]
+                                request = reqs[i]
                                 obs.arrival(a, request)
                                 obs.enqueue(a, request)
                             i += 1
@@ -2225,7 +2256,7 @@ class ServingEngine:
                 for j in range(a, b):
                     served.append(
                         ServedRequest(
-                            request=trace[j],
+                            request=reqs[j],
                             chip_id=chip,
                             batch_size=size,
                             dispatch_ns=dispatch_ns,

@@ -65,11 +65,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.serve.traces import (
     SEQLEN_DISTS,
     TRACE_KINDS,
-    Trace,
+    TraceColumns,
     make_trace,
     merge_traces,
     sample_seqlens,
     with_seqlens,
+    with_tenant,
 )
 
 #: Scheduler names the CLI exposes via ``--scheduler``.
@@ -382,7 +383,7 @@ def tenant_traces(
     default_models: Sequence[str],
     native_seq_len: Mapping[str, int],
     max_context: Optional[int] = None,
-) -> Tuple[Trace, int]:
+) -> Tuple[TraceColumns, int]:
     """Build the merged, tenant-tagged arrival trace for one run.
 
     Each tenant's per-model sub-trace draws from its own seed lane
@@ -394,7 +395,7 @@ def tenant_traces(
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    sub_traces: List[Trace] = []
+    sub_traces: List[TraceColumns] = []
     max_sampled = 0
     for t_index, tenant in enumerate(config.tenants):
         models = tenant.models if tenant.models else tuple(default_models)
@@ -422,10 +423,7 @@ def tenant_traces(
                 sub = with_seqlens(sub, lens)
                 if lens:
                     max_sampled = max(max_sampled, max(lens))
-            sub = tuple(
-                dataclasses.replace(r, tenant=tenant.name) for r in sub
-            )
-            sub_traces.append(sub)
+            sub_traces.append(with_tenant(sub, tenant.name))
     return merge_traces(*sub_traces), max_sampled
 
 

@@ -203,3 +203,102 @@ class TestSummary:
         assert generous.slo_attainment == pytest.approx(1.0)
         assert brutal.slo_attainment == pytest.approx(0.0)
         assert brutal.goodput_rps == pytest.approx(0.0)
+
+
+class TestInputErrors:
+    """A Request tuple and the equal columns fail, or replay, identically."""
+
+    MODELS = ("mobilebert", "resnet18")
+
+    @staticmethod
+    def _columns(requests):
+        """The columnar twin of a request tuple, built column by column."""
+        from repro.serve.traces import TraceColumns
+
+        models = sorted({r.model for r in requests})
+        tenants = sorted({r.tenant for r in requests})
+        return TraceColumns(
+            [r.arrival_ns for r in requests],
+            [models.index(r.model) for r in requests],
+            models,
+            seq_len=[r.seq_len for r in requests],
+            decode_tokens=[r.decode_tokens for r in requests],
+            request_id=[r.request_id for r in requests],
+            tenant_code=[tenants.index(r.tenant) for r in requests],
+            tenant_names=tenants,
+        )
+
+    @classmethod
+    def _requests(cls, first, second, tenant=""):
+        """Request 1 carries the ``first`` fault, request 2 the ``second``."""
+        from repro.serve import Request
+
+        plain = dict(model="mobilebert", tenant=tenant)
+        return tuple(
+            Request(request_id=i, arrival_ns=float(i), **{**plain, **fault})
+            for i, fault in enumerate(({}, first, second, {}))
+        )
+
+    @pytest.mark.parametrize(
+        "engine_kwargs,first,second,message",
+        [
+            (
+                {}, dict(model="vgg16"), dict(decode_tokens=3),
+                "trace request for 'vgg16' but cluster hosts",
+            ),
+            (
+                "tenancy", dict(tenant="ghost"), dict(model="vgg16"),
+                "trace request tagged 'ghost' but the tenancy config declares",
+            ),
+            (
+                {}, dict(decode_tokens=4), dict(model="vgg16"),
+                "trace request carries decode_tokens but the engine has no "
+                "decode loop",
+            ),
+            (
+                "decode", dict(model="resnet18", decode_tokens=4),
+                dict(model="vgg16"),
+                "decode request for 'resnet18' but the workload has no "
+                "token axis",
+            ),
+        ],
+        ids=["unknown-model", "unknown-tenant", "no-decode-loop", "no-token-axis"],
+    )
+    def test_same_first_error_for_both_inputs(
+        self, engine_kwargs, first, second, message
+    ):
+        from repro.serve import DecodeConfig, TenancyConfig, Tenant
+
+        tenant = ""
+        if engine_kwargs == "tenancy":
+            engine_kwargs = dict(tenancy=TenancyConfig((Tenant("chat"),)))
+            tenant = "chat"
+        elif engine_kwargs == "decode":
+            engine_kwargs = dict(decode=DecodeConfig(mean_tokens=4))
+        requests = self._requests(first, second, tenant=tenant)
+        columns = self._columns(requests)
+        assert columns == requests
+        cluster = Cluster([get_workload(m) for m in self.MODELS], n_chips=2)
+        errors = []
+        for trace in (requests, columns):
+            with pytest.raises(ValueError) as err:
+                ServingEngine(cluster, **engine_kwargs).run(trace)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(message)
+
+    def test_out_of_order_input_replays_the_stable_sort(self):
+        from repro.serve import Request
+
+        requests = tuple(
+            Request(request_id=i, model=m, arrival_ns=t)
+            for i, (m, t) in enumerate(
+                [("resnet18", 3e5), ("mobilebert", 1e5), ("resnet18", 1e5),
+                 ("mobilebert", 2e5), ("resnet18", 0.0)]
+            )
+        )
+        cluster = Cluster([get_workload(m) for m in self.MODELS], n_chips=1)
+        ordered = tuple(sorted(requests, key=lambda r: r.arrival_ns))
+        expected = ServingEngine(cluster).run(ordered)
+        assert ServingEngine(cluster).run(requests) == expected
+        assert ServingEngine(cluster).run(self._columns(requests)) == expected
