@@ -51,22 +51,28 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 _HORIZON_SCALE = 0.25 if SMOKE else 1.0
 
 
-def _serve(duration_s, **kwargs):
-    config = ServingConfig.from_kwargs(
-        models=[MODEL],
-        duration_s=duration_s * _HORIZON_SCALE,
-        seed=SEED,
-        **kwargs,
+def _serve(duration_s, fleet, policy=PolicyConfig(), **workload):
+    config = ServingConfig(
+        workload=WorkloadConfig(
+            models=(MODEL,),
+            duration_s=duration_s * _HORIZON_SCALE,
+            seed=SEED,
+            **workload,
+        ),
+        fleet=fleet,
+        policy=policy,
     )
-    report, result = simulate_serving(config=config)
-    return report, result
+    return simulate_serving(config=config)
 
 
 def _sweep_rows():
     rows = []
     for n_clients in (2, 4, 8, 16, 32, 64, 128, 256):
         report, result = _serve(
-            0.05, n_chips=4, clients=n_clients, think_time_ms=THINK_MS
+            0.05,
+            FleetConfig(n_chips=4),
+            clients=n_clients,
+            think_time_ms=THINK_MS,
         )
         rows.append(
             (
@@ -131,9 +137,9 @@ def _faceoff_rows():
     for admission in _FACEOFF_POLICIES:
         report, result = _serve(
             0.05,
-            fleet="yoco:2,isaac:2",
+            FleetConfig(fleet="yoco:2,isaac:2"),
+            PolicyConfig(admission=admission),
             rps=100000.0,
-            admission=admission,
         )
         rows.append(
             (
@@ -237,10 +243,10 @@ def _retry_rows():
                                ("queue-cap:48", 3)):
         report, result = _serve(
             0.05,
-            n_chips=4,
+            FleetConfig(n_chips=4),
+            PolicyConfig(admission=admission),
             clients=256,
             think_time_ms=THINK_MS,
-            admission=admission,
             retry=retries,
         )
         rows.append(

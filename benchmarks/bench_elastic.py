@@ -24,7 +24,10 @@ from conftest import emit
 from repro.experiments.report import format_table
 from repro.serve import (
     ElasticConfig,
+    FleetConfig,
+    PolicyConfig,
     ServingConfig,
+    WorkloadConfig,
     simulate_regions,
     simulate_serving,
 )
@@ -44,19 +47,19 @@ def _horizon(duration_s: float) -> float:
     return duration_s * _HORIZON_SCALE
 
 
-def _serve(elastic=None, **overrides):
-    kwargs = dict(
-        n_chips=CHIPS,
-        rps=RPS,
-        duration_s=_horizon(0.1),
-        trace_kind="diurnal",
-        seed=0,
-        slo_ms=SLO_MS,
-        elastic=elastic,
-    )
-    kwargs.update(overrides)
+def _serve(elastic=None):
     return simulate_serving(
-        config=ServingConfig.from_kwargs(models=[MODEL], **kwargs)
+        config=ServingConfig(
+            workload=WorkloadConfig(
+                models=(MODEL,),
+                rps=RPS,
+                duration_s=_horizon(0.1),
+                trace_kind="diurnal",
+                seed=0,
+            ),
+            fleet=FleetConfig(n_chips=CHIPS, elastic=elastic),
+            policy=PolicyConfig(slo_ms=SLO_MS),
+        )
     )
 
 

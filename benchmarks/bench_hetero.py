@@ -22,7 +22,12 @@ import os
 from conftest import emit
 
 from repro.experiments.report import format_table
-from repro.serve import ServingConfig, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    ServingConfig,
+    WorkloadConfig,
+    simulate_serving,
+)
 
 MODEL = "resnet18"
 SEED = 0
@@ -36,15 +41,13 @@ def _horizon(duration_s: float) -> float:
     return duration_s * _HORIZON_SCALE
 
 
-def _serve(fleet, rps, duration_s, routing="fastest", **kwargs):
-    report, _ = simulate_serving(config=ServingConfig.from_kwargs(
-        models=[MODEL],
-        rps=rps,
-        duration_s=_horizon(duration_s),
-        seed=SEED,
-        fleet=fleet,
-        routing=routing,
-        **kwargs,
+def _serve(fleet, rps, duration_s, routing="fastest"):
+    report, _ = simulate_serving(config=ServingConfig(
+        workload=WorkloadConfig(
+            models=(MODEL,), rps=rps, duration_s=_horizon(duration_s),
+            seed=SEED,
+        ),
+        fleet=FleetConfig(fleet=fleet, routing=routing),
     ))
     return report
 

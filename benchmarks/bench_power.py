@@ -28,7 +28,13 @@ import os
 from conftest import emit
 
 from repro.experiments.report import format_table
-from repro.serve import ServingConfig, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    PowerConfig,
+    ServingConfig,
+    WorkloadConfig,
+    simulate_serving,
+)
 
 MODEL = "resnet18"
 SEED = 0
@@ -38,24 +44,25 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 _HORIZON_SCALE = 0.25 if SMOKE else 1.0
 
 
-def _serve(rps, duration_s, **kwargs):
-    config = ServingConfig.from_kwargs(
-        models=[MODEL],
-        rps=rps,
-        duration_s=duration_s * _HORIZON_SCALE,
-        seed=SEED,
-        **kwargs,
+def _serve(rps, duration_s, fleet):
+    config = ServingConfig(
+        workload=WorkloadConfig(
+            models=(MODEL,),
+            rps=rps,
+            duration_s=duration_s * _HORIZON_SCALE,
+            seed=SEED,
+        ),
+        fleet=fleet,
     )
-    report, result = simulate_serving(config=config)
-    return report, result
+    return simulate_serving(config=config)
 
 
 def _cap_sweep_rows():
     rows = []
     for cap in (None, 4.0, 3.2, 3.0, 2.8):
-        kwargs = {} if cap is None else dict(power_cap_w=cap)
+        power = None if cap is None else PowerConfig(power_cap_w=cap)
         report, result = _serve(
-            30000.0, 0.1, fleet="yoco:2,isaac:2", **kwargs
+            30000.0, 0.1, FleetConfig(fleet="yoco:2,isaac:2", power=power)
         )
         stall_ms = (
             result.power.total_stall_ns * 1e-6 if result.power else 0.0
@@ -117,7 +124,11 @@ def test_cap_sweep_is_monotone_and_budget_respecting(benchmark):
 def _faceoff_rows():
     rows = []
     for fleet in ("yoco:4", "isaac:4", "timely:4", "raella:4"):
-        report, result = _serve(20000.0, 0.1, fleet=fleet, power_cap_w=3.0)
+        report, result = _serve(
+            20000.0,
+            0.1,
+            FleetConfig(fleet=fleet, power=PowerConfig(power_cap_w=3.0)),
+        )
         group = result.power.groups[0]
         rows.append(
             (
@@ -163,10 +174,13 @@ def test_envelope_faceoff_restates_the_efficiency_headline(benchmark):
 def _thermal_rows():
     rows = []
     for t_max in (None, 45.0, 35.0, 31.0):
-        kwargs = (
-            {} if t_max is None else dict(t_max_c=t_max, thermal_tau_s=2e-3)
+        power = (
+            None if t_max is None
+            else PowerConfig(t_max_c=t_max, thermal_tau_s=2e-3)
         )
-        report, result = _serve(20000.0, 0.1, n_chips=4, **kwargs)
+        report, result = _serve(
+            20000.0, 0.1, FleetConfig(n_chips=4, power=power)
+        )
         group = result.power.groups[0] if result.power else None
         rows.append(
             (

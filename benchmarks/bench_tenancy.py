@@ -38,7 +38,14 @@ import time
 from conftest import emit
 
 from repro.experiments.report import format_table
-from repro.serve import ServingConfig, Tenant, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    PolicyConfig,
+    ServingConfig,
+    Tenant,
+    WorkloadConfig,
+    simulate_serving,
+)
 
 MODEL = "resnet18"
 SEED = 0
@@ -50,13 +57,16 @@ _HORIZON_SCALE = 0.25 if SMOKE else 1.0
 _RECORD_PATH = pathlib.Path(__file__).parent / "BENCH_tenancy.json"
 
 
-def _serve(duration_s, tenants, **kwargs):
-    return simulate_serving(config=ServingConfig.from_kwargs(
-        models=[MODEL],
-        duration_s=duration_s * _HORIZON_SCALE,
-        seed=SEED,
-        tenants=tenants,
-        **kwargs,
+def _serve(duration_s, tenants, n_chips, scheduler, preemption=False):
+    return simulate_serving(config=ServingConfig(
+        workload=WorkloadConfig(
+            models=(MODEL,),
+            duration_s=duration_s * _HORIZON_SCALE,
+            seed=SEED,
+            tenants=tenants,
+        ),
+        fleet=FleetConfig(n_chips=n_chips),
+        policy=PolicyConfig(scheduler=scheduler, preemption=preemption),
     ))
 
 

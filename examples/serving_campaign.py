@@ -47,6 +47,7 @@ from repro.serve import (
     FleetConfig,
     ObserveConfig,
     PolicyConfig,
+    PowerConfig,
     ROUTING_POLICIES,
     SEQLEN_DISTS,
     ServingConfig,
@@ -217,7 +218,10 @@ def power_envelope_scenario(model, chips, rps):
     for cap in (None, 4.0, 3.2, 3.0):
         report, result = simulate_serving(config=ServingConfig(
             workload=WorkloadConfig(models=(model,), rps=rps),
-            fleet=FleetConfig(fleet=fleet, power_cap_w=cap),
+            fleet=FleetConfig(
+                fleet=fleet,
+                power=None if cap is None else PowerConfig(power_cap_w=cap),
+            ),
         ))
         if not report.per_model:
             print("(load too low for the simulated horizon — no arrivals)\n")

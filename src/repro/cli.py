@@ -108,6 +108,7 @@ from repro.serve import (
     FleetConfig,
     ObserveConfig,
     PolicyConfig,
+    PowerConfig,
     ServingConfig,
     StreamingMetrics,
     WorkloadConfig,
@@ -173,11 +174,12 @@ def _parse_metrics_out(text: Optional[str]):
 def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
     """Pure ``args -> ServingConfig`` translation (no simulation started).
 
-    Flag-level problems — grammar parse failures and pairings worded in
-    CLI terms — raise ``SystemExit`` here; every semantic composition
-    rule is left to :meth:`ServingConfig.validate`, which
-    ``simulate_serving(config=...)`` applies.  Having no side effects,
-    the translation is unit-testable on a bare ``argparse.Namespace``.
+    Only flag-level problems raise ``SystemExit`` here: grammar parse
+    failures and checks on a single flag's value.  Every composition rule
+    is left to :meth:`ServingConfig.validate`, which
+    ``simulate_serving(config)`` applies and ``_serve`` reports as
+    ``serve: <message>``.  Having no side effects, the translation is
+    unit-testable on a bare ``argparse.Namespace``.
     """
     models = tuple(args.model) if args.model else ("resnet18",)
     fleet = None
@@ -203,48 +205,39 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             tenants = parse_tenants(args.tenants)
         except (ValueError, KeyError) as error:
             raise SystemExit(f"--tenants: {error}") from None
-        if args.clients is not None:
-            raise SystemExit(
-                "--tenants runs are open-loop; they cannot combine with "
-                "--clients"
-            )
-    elif args.scheduler != "fifo" or args.preempt:
-        raise SystemExit("--scheduler/--preempt need --tenants")
-    if args.preempt and (
-        args.power_cap is not None or args.t_max is not None
-    ):
-        raise SystemExit(
-            "--preempt cannot run under a power envelope (admitted "
-            "batches draw power to completion; there is no cancel edge)"
-        )
-    if args.retries is not None and args.clients is None:
-        raise SystemExit(
-            "--retries needs --clients (open-loop rejections always drop)"
-        )
-    if args.clients is not None and args.clients < 1:
-        raise SystemExit("--clients must be >= 1")
     if args.think_time < 0:
         raise SystemExit("--think-time must be non-negative")
     if args.retries is not None and args.retries < 0:
         raise SystemExit("--retries must be >= 0 (0 disables retries)")
-    retries = args.retries if args.retries else None  # 0 = no retries
+    # 0 disables retries in a closed loop; an open-loop --retries still
+    # reaches the rule table's retries-need-clients row.
+    retries = args.retries if args.retries or args.clients is None else None
     # The --chips default applies only without a fleet; an *explicit*
     # --chips is always forwarded so a contradiction with --fleet raises
     # instead of being silently ignored.
     n_chips = args.chips
     if n_chips is None and fleet is None:
         n_chips = 4
+    # --thermal-tau alone constrains nothing; forwarding it anyway would
+    # spin up a governor whose trace the CLI never shows.
+    power = None
+    if args.power_cap is not None or args.t_max is not None:
+        tau = (
+            {} if args.thermal_tau is None
+            else {"thermal_tau_s": args.thermal_tau}
+        )
+        try:
+            power = PowerConfig(
+                power_cap_w=args.power_cap, t_max_c=args.t_max, **tau
+            )
+        except ValueError as error:
+            raise SystemExit(f"serve: {error}") from None
     elastic = None
     if args.autoscale is not None:
         try:
             elastic = parse_autoscale(args.autoscale)
         except ValueError as error:
             raise SystemExit(f"--autoscale: {error}") from None
-        if args.preempt:
-            raise SystemExit(
-                "--autoscale cannot combine with --preempt (parked chips "
-                "look permanently free to the deadline probe)"
-            )
     decode = None
     if args.decode_dist is not None:
         try:
@@ -255,21 +248,6 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             )
         except ValueError as error:
             raise SystemExit(f"--decode-dist: {error}") from None
-        for flag, present in (
-            ("--clients", args.clients is not None),
-            ("--tenants", tenants is not None),
-            ("--autoscale", elastic is not None),
-            ("--progress", args.progress is not None),
-        ):
-            if present:
-                raise SystemExit(
-                    f"--decode-dist runs cannot combine with {flag} yet"
-                )
-    elif args.placement == "prefill-decode":
-        raise SystemExit(
-            "--placement prefill-decode specializes chip groups for a "
-            "decode loop; pass --decode-dist as well"
-        )
     metrics_file, metrics_window_ms = _parse_metrics_out(args.metrics_out)
     stream = None
     if args.progress is not None:
@@ -297,15 +275,7 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             placement=args.placement,
             fleet=fleet,
             routing=args.routing,
-            power_cap_w=args.power_cap,
-            # --thermal-tau alone constrains nothing; forwarding it anyway
-            # would spin up a governor whose trace the CLI never shows.
-            thermal_tau_s=(
-                args.thermal_tau
-                if args.power_cap is not None or args.t_max is not None
-                else None
-            ),
-            t_max_c=args.t_max,
+            power=power,
             elastic=elastic,
         ),
         policy=PolicyConfig(

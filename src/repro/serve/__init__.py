@@ -6,50 +6,34 @@ flows through per-model queues and a dynamic batcher onto N accelerator
 chips, and comes out as p50/p95/p99 latency, SLO attainment, goodput,
 chip utilization and energy per request.
 
-    from repro.serve import simulate_serving
-    report, _ = simulate_serving(["resnet18"], n_chips=4, rps=2000, seed=0)
+    from repro.serve import (
+        FleetConfig, ServingConfig, WorkloadConfig, format_serving,
+        simulate_serving,
+    )
+    config = ServingConfig(
+        workload=WorkloadConfig(models=("resnet18",), rps=2000, seed=0),
+        fleet=FleetConfig(n_chips=4),
+    )
+    report, _ = simulate_serving(config)
     print(format_serving(report))
 
-LLM traffic is sequence-length aware: pass ``seqlen_dist`` to draw a
-per-request context length for every transformer request (CNNs are
-untouched), and the batcher buckets same-length requests together so a
-batch pads only to its bucket boundary — the report then adds tokens/s,
-energy per token, and the padding overhead:
+:class:`ServingConfig` groups the knobs into workload, fleet, policy,
+observe and decode sub-configs; each sub-config's docstring describes its
+knobs.  The grouping also reaches the subsystems:
 
-    report, _ = simulate_serving(
-        ["gpt_large"], n_chips=2, rps=40, seqlen_dist="lognormal", seed=0
-    )
-
-Fleets can also run under a power/thermal envelope
-(:mod:`repro.serve.power`): a per-chip power cap and/or a thermal limit
-throttle dispatched batches DVFS-style, coupling watts back into latency:
-
-    report, _ = simulate_serving(
-        ["resnet18"], n_chips=4, rps=20000, power_cap_w=0.5, seed=0
-    )
-
-Traffic can be **closed-loop** instead of trace-driven
-(:mod:`repro.serve.clients`): N concurrent sessions each block on their
-in-flight request and think between requests, optionally behind an
-admission-control policy (:mod:`repro.serve.admission`) that sheds work
-the cluster cannot absorb:
-
-    report, _ = simulate_serving(
-        ["resnet18"], n_chips=4, clients=64, think_time_ms=2.0,
-        admission="queue-cap:32", seed=0,
-    )
-
-Traffic can also be **multi-tenant** (:mod:`repro.serve.tenancy`): named
-tenants with their own traffic mixes, SLO classes and weights share the
-fleet under a pluggable dispatch scheduler (``fifo`` /
-``strict-priority`` / ``weighted-fair``), with optional deadline-driven
-preemption of lower-priority batches:
-
-    report, _ = simulate_serving(
-        ["resnet18"], n_chips=4,
-        tenants="chat:interactive:w=4:poisson@200,bulk:batch:poisson@4000",
-        scheduler="weighted-fair", seed=0,
-    )
+* LLM traffic is sequence-length aware
+  (``WorkloadConfig(seqlen_dist="lognormal")``): the batcher buckets
+  same-length requests, and the report adds tokens/s, energy per token
+  and the padding overhead;
+* a power/thermal envelope (``FleetConfig(power=PowerConfig(...))``,
+  :mod:`repro.serve.power`) throttles dispatched batches DVFS-style;
+* closed-loop sessions (``WorkloadConfig(clients=64)``,
+  :mod:`repro.serve.clients`) block on their in-flight request, behind an
+  optional admission policy (``PolicyConfig(admission="queue-cap:32")``,
+  :mod:`repro.serve.admission`);
+* named tenants (``WorkloadConfig(tenants="chat:interactive:w=4:...")``,
+  :mod:`repro.serve.tenancy`) share the fleet under a dispatch scheduler
+  (``PolicyConfig(scheduler="weighted-fair")``) with optional preemption.
 
 The same entry point backs ``python -m repro serve`` and the
 ``benchmarks/bench_serving.py`` suite.
@@ -57,9 +41,8 @@ The same entry point backs ``python -m repro serve`` and the
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
-from repro.arch.accelerator import AcceleratorSpec
 from repro.models.zoo import get_workload
 from repro.serve.admission import (
     ADMISSION_POLICIES,
@@ -86,14 +69,12 @@ from repro.serve.clients import (
     estimated_saturation_clients,
 )
 from repro.serve.config import (
-    COMPOSITION_RULES,
     FleetConfig,
     ObserveConfig,
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
     _resolved_tenancy,
-    validate_engine,
 )
 from repro.serve.decode import (
     DECODE_DISTS,
@@ -222,7 +203,6 @@ __all__ = [
     "Batch",
     "BatchingPolicy",
     "CHIP_TYPES",
-    "COMPOSITION_RULES",
     "ChipPlan",
     "ChipService",
     "ChipTypeStats",
@@ -336,7 +316,6 @@ __all__ = [
     "tenant_traces",
     "uniform_seqlens",
     "uniform_trace",
-    "validate_engine",
     "with_decode_lens",
     "with_seqlens",
 ]
@@ -346,353 +325,54 @@ __all__ = [
 _SEQLEN_SEED_OFFSET = 100_003
 
 
-#: Defaults of the legacy flat-kwarg form, used to detect a call that
-#: mixes ``config=`` with overridden flat kwargs (always a bug).
-_LEGACY_DEFAULTS = dict(
-    models=(),
-    n_chips=None,
-    rps=2000.0,
-    duration_s=0.1,
-    trace_kind="poisson",
-    seed=0,
-    spec=None,
-    mode="batched",
-    placement="replicated",
-    max_batch_size=8,
-    window_ms=0.2,
-    slo_ms=None,
-    seqlen_dist=None,
-    seqlen_mean=None,
-    seqlen_buckets=None,
-    fleet=None,
-    routing="fastest",
-    power=None,
-    power_cap_w=None,
-    thermal_tau_s=None,
-    t_max_c=None,
-    clients=None,
-    think_time_ms=5.0,
-    think_dist="exponential",
-    retry=None,
-    admission=None,
-    tenants=None,
-    scheduler="fifo",
-    preemption=False,
-    preemption_overhead_ns=10_000.0,
-    stream_metrics=None,
-    elastic=None,
-    observe=None,
-    trace_file=None,
-    metrics_file=None,
-    metrics_window_ms=1.0,
-    profile_engine=False,
-    decode=None,
-)
-
-
 def simulate_serving(
-    models: Sequence[str] = (),
-    n_chips: Optional[int] = None,
-    rps: float = 2000.0,
-    duration_s: float = 0.1,
-    trace_kind: str = "poisson",
-    seed: int = 0,
-    spec: Optional[AcceleratorSpec] = None,
-    mode: str = "batched",
-    placement: str = "replicated",
-    max_batch_size: int = 8,
-    window_ms: float = 0.2,
-    slo_ms: Optional[float] = None,
-    seqlen_dist: Optional[str] = None,
-    seqlen_mean: Optional[int] = None,
-    seqlen_buckets: Optional[Sequence[int]] = None,
-    fleet: Optional[Union[FleetSpec, str]] = None,
-    routing: str = "fastest",
-    power: Optional[PowerConfig] = None,
-    power_cap_w: Optional[float] = None,
-    thermal_tau_s: Optional[float] = None,
-    t_max_c: Optional[float] = None,
-    clients: Optional[int] = None,
-    think_time_ms: float = 5.0,
-    think_dist: str = "exponential",
-    retry: Optional[Union[int, RetryPolicy]] = None,
-    admission: Optional[Union[str, AdmissionPolicy]] = None,
-    tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None,
-    scheduler: str = "fifo",
-    preemption: bool = False,
-    preemption_overhead_ns: float = 10_000.0,
-    stream_metrics: Optional[StreamingMetrics] = None,
-    elastic: Optional[Union[ElasticConfig, str]] = None,
-    observe: Optional[Observer] = None,
-    trace_file: Optional[str] = None,
-    metrics_file: Optional[str] = None,
-    metrics_window_ms: float = 1.0,
-    profile_engine: bool = False,
-    decode: Optional[DecodeConfig] = None,
-    config: Optional[ServingConfig] = None,
+    config: ServingConfig,
 ) -> Tuple[ServingReport, ServingResult]:
     """End-to-end serving run: build trace + cluster, simulate, summarize.
 
-    Offered load ``rps`` is split evenly across ``models``; each model's
-    sub-trace draws from its own seeded stream so adding a model never
-    perturbs another's arrivals.
-
-    ``fleet`` serves the trace on a (possibly heterogeneous) fleet of
-    chip groups instead of ``n_chips`` identical chips — pass a
-    :class:`FleetSpec` or the CLI string form (``"yoco:8,isaac:4"``).
-    A homogeneous fleet (``"yoco:4"``) is bit-identical to the
-    equivalent ``n_chips=4`` run.  A fleet is incompatible with ``spec``
-    and ``mode`` (groups carry their own specs and modes) and with a
-    contradicting ``n_chips`` — those raise instead of being silently
-    ignored.  ``routing`` picks which free hosting chip each batch
-    dispatches to (:data:`ROUTING_POLICIES`) — only meaningful once
-    chips differ.
-
-    ``seqlen_dist`` (one of :data:`SEQLEN_DISTS`) attaches a per-request
-    sequence length to every transformer request, drawn around
-    ``seqlen_mean`` (default: the model's native length) from a stream
-    disjoint from the arrival seeds.  ``seqlen_buckets`` sets the
-    batcher's padding boundaries explicitly, and its largest boundary acts
-    as the serving max context — longer samples are clamped to it, the way
-    a real endpoint truncates over-limit prompts.  By default power-of-two
-    buckets covering the sampled lengths are derived automatically
-    whenever a distribution is active.  CNN workloads carry no sequence
-    length and are unaffected by all three knobs.
-
-    ``power`` runs the simulation under a full
-    :class:`repro.serve.power.PowerConfig` envelope; the scalar knobs
-    ``power_cap_w`` (watts per chip), ``thermal_tau_s`` and ``t_max_c``
-    build one with defaults for everything else (and are incompatible
-    with an explicit ``power``).  With no cap and no thermal limit the
-    governor only records the power trace — the simulation itself is
-    float-for-float identical to the power-blind path.
-
-    ``clients`` switches the run from an open-loop trace to a
-    **closed-loop** population of that many concurrent sessions
-    (:class:`repro.serve.clients.ClientPopulation`): each session issues
-    one request, blocks until it completes, thinks for ``think_time_ms``
-    (drawn from ``think_dist``) and issues the next, until the
-    ``duration_s`` horizon.  ``rps`` and ``trace_kind`` are then ignored
-    — offered load is whatever the loop sustains.  ``retry`` (a
-    :class:`~repro.serve.clients.RetryPolicy`, or an int shorthand for
-    ``max_retries``) makes rejected sessions retry with backoff instead
-    of dropping the request.
-
-    ``admission`` puts an admission-control policy in front of the
-    queues in either mode — an
-    :class:`~repro.serve.admission.AdmissionPolicy` or its CLI spec
-    string (``"queue-cap:64"``, ``"token-bucket:5000"``,
-    ``"slo-aware"``).  ``None``/``accept-all`` is the golden-guarded
-    no-op.
-
-    ``tenants`` switches the run to **multi-tenant** serving — a
-    :class:`~repro.serve.tenancy.TenancyConfig`, a sequence of
-    :class:`~repro.serve.tenancy.Tenant` records, or the CLI grammar
-    string (``"chat:interactive:w=4:poisson@200,bulk:batch:..."``, see
-    :func:`~repro.serve.tenancy.parse_tenants`).  Each tenant then
-    carries its own traffic mix, so the run-level ``rps`` /
-    ``trace_kind`` / ``seqlen_dist`` / ``seqlen_mean`` knobs are ignored
-    (each tenant declares its own); ``scheduler`` picks the dispatch
-    order across tenant queues (:data:`~repro.serve.tenancy.SCHEDULERS`)
-    and ``preemption`` lets interactive arrivals evict running
-    lower-priority batches at an explicit
-    ``preemption_overhead_ns`` re-dispatch cost.  Tenants declaring a
-    ``rate=`` limit are automatically fronted by per-tenant token
-    buckets (:class:`~repro.serve.admission.TenantTokenBucket`)
-    composing with any cluster-wide ``admission`` policy.  Multi-tenant
-    runs are open-loop (incompatible with ``clients``), and preemption
-    cannot run under a power envelope.  A single-tenant ``fifo``
-    configuration replays the untagged run byte for byte
-    (golden-guarded).
-
-    ``stream_metrics`` hands a fresh :class:`StreamingMetrics` to the
-    engine: completions land on constant-memory per-(model, tenant,
-    chip type) cells instead of a retained ``ServedRequest`` list, so a
-    million-request run costs megabytes instead of gigabytes.  The
-    simulation and all latency percentiles stay bit-identical; float
-    *sums* (mean latency, energy totals) accumulate per batch and may
-    differ in the last ULPs.  ``StreamingMetrics(progress_every=N)``
-    additionally emits a rolling p99 line every ``N`` served requests
-    (the CLI ``--progress`` flag).
-
-    ``elastic`` runs the fleet under an autoscaling contract
-    (:class:`repro.serve.elastic.ElasticConfig`, or the CLI spec string
-    ``"MIN:MAX"`` — see :func:`~repro.serve.elastic.parse_autoscale`):
-    a controller watches the observed arrival rate (or the closed-loop
-    saturation bound), the backlog, and the power envelope, and grows or
-    drains the active chip prefix mid-run with a provisioning delay.
-    The scaling history lands on ``result.elastic`` and the report gains
-    an autoscaling section pricing the run in chip-seconds against
-    static peak provisioning.  A static band spanning the whole fleet
-    replays the inelastic run byte for byte (golden-guarded); elastic
-    runs cannot combine with ``preemption``.
-
-    Observability (:mod:`repro.serve.observe`) is opt-in and an exact
-    pass-through — with all of it off the engine takes no extra
-    branches, and with it on the :class:`ServingResult` is
-    object-for-object identical (golden-guarded).  ``trace_file`` writes
-    every request-lifecycle event to that path as streamed JSONL, or as
-    Chrome ``trace_event`` JSON when the path ends in ``.json`` (opens
-    directly in Perfetto).  ``metrics_file`` samples throughput, queue
-    depth, utilization and power on a fixed ``metrics_window_ms`` grid
-    and writes CSV (or JSON for ``.json`` paths).  ``observe`` attaches
-    any additional :class:`~repro.serve.observe.Observer`; all active
-    observers compose.  ``profile_engine`` makes the engine count its
-    own event-loop work (events popped by kind, dispatch-scan lengths,
-    heap high-water) on ``result.stats.profile``.
-
-    ``decode`` (a :class:`repro.serve.decode.DecodeConfig`) turns every
-    transformer request autoregressive: after its prefill pass it samples
-    an output length from ``decode.dist`` on a seed lane disjoint from
-    arrivals and seqlens, then generates one token per decode iteration
-    under **continuous batching** — decode batches re-form every
-    iteration, completed requests leave, new ones join mid-flight.  Each
-    iteration is costed at the request's *current* context length
-    (page-rounded to ``decode.page_tokens``) and its KV cache is checked
-    against the chip's leftover on-chip capacity; overflowing KV streams
-    at the off-chip rate and surfaces as the report's ``kv_overflow``
-    column.  The report gains TTFT and inter-token-latency percentiles
-    per model.  ``placement="prefill-decode"`` on a multi-group fleet
-    pins prefill to group 0 and decode to the remaining groups.  With
-    ``decode=None`` nothing changes — the run replays the decode-free
-    goldens byte for byte.
-
-    ``config`` (a :class:`repro.serve.config.ServingConfig`) is the
-    grouped form of this entire signature and the primary API: build
-    ``ServingConfig(workload=..., fleet=..., policy=..., observe=...,
-    decode=...)`` and pass it alone — combining it with any overridden
-    flat kwarg raises.  Both forms funnel through
-    :meth:`ServingConfig.validate` (one rule table) and the same
-    simulation core, so they are object-for-object identical.
+    ``config`` is validated against the composition-rule table first; the
+    sub-config docstrings (:class:`WorkloadConfig`, :class:`FleetConfig`,
+    :class:`PolicyConfig`, :class:`ObserveConfig`, :class:`DecodeConfig`)
+    describe every knob.
     """
-    legacy = dict(
-        models=tuple(models),
-        n_chips=n_chips,
-        rps=rps,
-        duration_s=duration_s,
-        trace_kind=trace_kind,
-        seed=seed,
-        spec=spec,
-        mode=mode,
-        placement=placement,
-        max_batch_size=max_batch_size,
-        window_ms=window_ms,
-        slo_ms=slo_ms,
-        seqlen_dist=seqlen_dist,
-        seqlen_mean=seqlen_mean,
-        seqlen_buckets=seqlen_buckets,
-        fleet=fleet,
-        routing=routing,
-        power=power,
-        power_cap_w=power_cap_w,
-        thermal_tau_s=thermal_tau_s,
-        t_max_c=t_max_c,
-        clients=clients,
-        think_time_ms=think_time_ms,
-        think_dist=think_dist,
-        retry=retry,
-        admission=admission,
-        tenants=tenants,
-        scheduler=scheduler,
-        preemption=preemption,
-        preemption_overhead_ns=preemption_overhead_ns,
-        stream_metrics=stream_metrics,
-        elastic=elastic,
-        observe=observe,
-        trace_file=trace_file,
-        metrics_file=metrics_file,
-        metrics_window_ms=metrics_window_ms,
-        profile_engine=profile_engine,
-        decode=decode,
-    )
-    if config is not None:
-        overridden = sorted(
-            name
-            for name, value in legacy.items()
-            if value != _LEGACY_DEFAULTS[name]
-        )
-        if overridden:
-            raise ValueError(
-                "pass either config= (a ServingConfig) or the flat legacy "
-                f"kwargs, not both; got config= plus {overridden}"
-            )
-        cfg = config
-    else:
-        cfg = ServingConfig.from_kwargs(**legacy)
-    return _simulate(cfg.validate())
-
-
-def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
-    """Run one already-validated :class:`ServingConfig` (the shared core)."""
-    w, f, p, o = cfg.workload, cfg.fleet, cfg.policy, cfg.observe
-    if w.regions is not None:
-        raise ValueError(
-            "multi-region scenarios run through simulate_regions(); "
-            "simulate_serving serves a single region"
-        )
-    # Unpack the grouped knobs; coerce the shorthand forms exactly the way
-    # the legacy flat kwargs did (golden-guarded equivalence).
-    models = w.models
-    rps, duration_s = w.rps, w.duration_s
-    trace_kind, seed = w.trace_kind, w.seed
+    config.validate()
+    w, f, p, o = config.workload, config.fleet, config.policy, config.observe
+    models, seed, duration_s = w.models, w.seed, w.duration_s
     seqlen_dist, seqlen_mean = w.seqlen_dist, w.seqlen_mean
-    clients, think_time_ms, think_dist = w.clients, w.think_time_ms, w.think_dist
-    n_chips, spec, mode = f.n_chips, f.spec, f.mode
-    placement, fleet, routing = f.placement, f.fleet, f.routing
-    max_batch_size, window_ms = p.max_batch_size, p.window_ms
-    slo_ms, seqlen_buckets = p.slo_ms, p.seqlen_buckets
-    admission = p.admission
-    stream_metrics, observe = o.stream_metrics, o.observe
-    trace_file, metrics_file = o.trace_file, o.metrics_file
-    metrics_window_ms, profile_engine = o.metrics_window_ms, o.profile_engine
-    decode_cfg = cfg.decode
-    power = f.power
-    if power is None and (
-        f.power_cap_w is not None
-        or f.thermal_tau_s is not None
-        or f.t_max_c is not None
-    ):
-        tau_kwargs = (
-            {}
-            if f.thermal_tau_s is None
-            else {"thermal_tau_s": f.thermal_tau_s}
-        )
-        power = PowerConfig(
-            power_cap_w=f.power_cap_w, t_max_c=f.t_max_c, **tau_kwargs
-        )
-    retry = w.retry
-    if isinstance(retry, int):
-        retry = RetryPolicy(max_retries=retry)
+    decode_cfg, admission, elastic = config.decode, p.admission, f.elastic
     tenancy = _resolved_tenancy(w.tenants, p)
-    elastic = f.elastic
     workloads = [get_workload(name) for name in models]
-    max_context = (
-        int(max(seqlen_buckets)) if seqlen_buckets else None
-    )
+    # Explicit boundaries win; otherwise each branch derives them from
+    # what it sampled.  The largest boundary is the serving max context.
+    buckets = p.seqlen_buckets
+    max_context = max(buckets) if buckets else None
     population: Optional[ClientPopulation] = None
-    if clients is not None:
+    if w.clients is not None:
         # Closed loop: sessions generate arrivals, so the only trace work
         # is fixing the padding buckets up front.  Without explicit
         # boundaries, cover up to the longtail sampler's 8x-mean ceiling
         # (longer lognormal draws clamp to the top bucket, the same
         # max-context rule the open-loop path applies).
         trace = ()
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif seqlen_dist is not None:
+        if buckets is None:
             means = [
-                seqlen_mean if seqlen_mean else w.seq_len
-                for w in workloads
-                if w.seq_len > 0
+                seqlen_mean if seqlen_mean else wl.seq_len
+                for wl in workloads
+                if wl.seq_len > 0
             ]
-            buckets = default_buckets(8 * max(means)) if means else ()
-        else:
-            buckets = ()
+            buckets = (
+                default_buckets(8 * max(means))
+                if seqlen_dist is not None and means
+                else ()
+            )
+        retry = w.retry
+        if isinstance(retry, int):
+            retry = RetryPolicy(max_retries=retry)
         population = ClientPopulation(
-            models=tuple(models),
-            n_clients=clients,
-            think_time_ms=think_time_ms,
-            think_dist=think_dist,
+            models=models,
+            n_clients=w.clients,
+            think_time_ms=w.think_time_ms,
+            think_dist=w.think_dist,
             horizon_s=duration_s,
             seed=seed,
             retry=retry,
@@ -700,79 +380,72 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
             seqlen_mean=seqlen_mean,
             max_seq_len=max(buckets) if buckets else None,
         )
-    elif tenancy is not None:
-        # Each tenant declares its own traffic mix; the run-level rps /
-        # trace_kind / seqlen knobs do not apply.  Tenant 0 draws from
-        # the exact legacy seed lanes, so a single-tenant config
-        # reproduces the untagged trace bit for bit.
-        trace, max_sampled = tenant_traces(
-            tenancy,
-            duration_s,
-            seed,
-            default_models=tuple(models),
-            native_seq_len={
-                name: w.seq_len for name, w in zip(models, workloads)
-            },
-            max_context=max_context,
-        )
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif max_sampled:
-            buckets = default_buckets(max_sampled)
-        else:
-            buckets = ()
     else:
-        per_model_rps = rps / len(models)
-        sub_traces = []
-        max_sampled = 0
-        for i, (name, workload) in enumerate(zip(models, workloads)):
-            sub = make_trace(
-                trace_kind, name, per_model_rps, duration_s, seed=seed + i
+        if tenancy is not None:
+            # Each tenant declares its own traffic mix; the run-level rps /
+            # trace_kind / seqlen knobs do not apply.  Tenant 0 draws from
+            # the untagged seed lanes, so a single-tenant config
+            # reproduces the untagged trace bit for bit.
+            trace, max_sampled = tenant_traces(
+                tenancy,
+                duration_s,
+                seed,
+                default_models=models,
+                native_seq_len={
+                    name: wl.seq_len for name, wl in zip(models, workloads)
+                },
+                max_context=max_context,
             )
-            if seqlen_dist is not None and workload.seq_len > 0:
-                mean = seqlen_mean if seqlen_mean else workload.seq_len
-                lens = sample_seqlens(
-                    seqlen_dist,
-                    len(sub),
-                    mean,
-                    seed=seed + _SEQLEN_SEED_OFFSET + i,
-                    trace_kind=trace_kind,
-                )
-                if max_context is not None:
-                    lens = tuple(min(s, max_context) for s in lens)
-                sub = with_seqlens(sub, lens)
-                if lens:
-                    max_sampled = max(max_sampled, max(lens))
-            if decode_cfg is not None and workload.seq_len > 0:
-                # Decode lengths draw on their own seed lane (disjoint from
-                # arrivals and seqlens), so turning decode on never perturbs
-                # the prefill-side trace.
-                dlens = sample_decode_lens(
-                    decode_cfg, len(sub), seed=seed + i, trace_kind=trace_kind
-                )
-                sub = with_decode_lens(sub, dlens)
-            sub_traces.append(sub)
-        trace = merge_traces(*sub_traces)
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif max_sampled:
-            buckets = default_buckets(max_sampled)
         else:
-            buckets = ()
-    # Both branches forward n_chips/spec/mode so Cluster's own validation
+            trace_kind = w.trace_kind
+            per_model_rps = w.rps / len(models)
+            sub_traces = []
+            max_sampled = 0
+            for i, (name, workload) in enumerate(zip(models, workloads)):
+                sub = make_trace(
+                    trace_kind, name, per_model_rps, duration_s, seed=seed + i
+                )
+                if seqlen_dist is not None and workload.seq_len > 0:
+                    mean = seqlen_mean if seqlen_mean else workload.seq_len
+                    lens = sample_seqlens(
+                        seqlen_dist,
+                        len(sub),
+                        mean,
+                        seed=seed + _SEQLEN_SEED_OFFSET + i,
+                        trace_kind=trace_kind,
+                    )
+                    if max_context is not None:
+                        lens = tuple(min(s, max_context) for s in lens)
+                    sub = with_seqlens(sub, lens)
+                    if lens:
+                        max_sampled = max(max_sampled, max(lens))
+                if decode_cfg is not None and workload.seq_len > 0:
+                    # Decode lengths draw on their own seed lane (disjoint
+                    # from arrivals and seqlens), so turning decode on never
+                    # perturbs the prefill-side trace.
+                    dlens = sample_decode_lens(
+                        decode_cfg, len(sub), seed=seed + i,
+                        trace_kind=trace_kind,
+                    )
+                    sub = with_decode_lens(sub, dlens)
+                sub_traces.append(sub)
+            trace = merge_traces(*sub_traces)
+        if buckets is None:
+            buckets = default_buckets(max_sampled) if max_sampled else ()
+    # n_chips/spec/mode are always forwarded so Cluster's own validation
     # rejects contradictions (e.g. a fleet plus mode=, or a mismatched
     # n_chips) instead of silently ignoring an argument.
     cluster = Cluster(
         workloads,
-        n_chips=n_chips,
-        spec=spec,
-        mode=mode,
-        placement=placement,
-        fleet=fleet,
+        n_chips=f.n_chips,
+        spec=f.spec,
+        mode=f.mode,
+        placement=f.placement,
+        fleet=f.fleet,
     )
     policy = BatchingPolicy(
-        max_batch_size=max_batch_size,
-        window_ns=window_ms * 1e6,
+        max_batch_size=p.max_batch_size,
+        window_ns=p.window_ms * 1e6,
         seqlen_buckets=buckets,
     )
     if tenancy is not None:
@@ -793,27 +466,29 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
             admission = TenantTokenBucket(limits, inner=inner)
     if isinstance(elastic, str):
         elastic = parse_autoscale(elastic)
-    observers = [] if observe is None else [observe]
-    if trace_file is not None:
-        observers.append(lifecycle_tracer(trace_file))
-    recorder: Optional[MetricsRecorder] = None
-    if metrics_file is not None:
-        recorder = MetricsRecorder(metrics_window_ms, path=metrics_file)
-        observers.append(recorder)
-    obs = compose_observers(observers)
+    observers = [] if o.observe is None else [o.observe]
+    if o.trace_file is not None:
+        observers.append(lifecycle_tracer(o.trace_file))
+    if o.metrics_file is not None:
+        observers.append(
+            MetricsRecorder(o.metrics_window_ms, path=o.metrics_file)
+        )
     engine = ServingEngine(
         cluster,
         policy,
-        routing=routing,
-        power=power,
+        routing=f.routing,
+        power=f.power,
         admission=admission,
         tenancy=tenancy,
         elastic=elastic,
-        profile=profile_engine,
+        profile=o.profile_engine,
         decode=decode_cfg,
     )
     result = engine.run(
-        trace, clients=population, stream=stream_metrics, observe=obs
+        trace,
+        clients=population,
+        stream=o.stream_metrics,
+        observe=compose_observers(observers),
     )
-    report = summarize(result, cluster, slo_ms=slo_ms, tenancy=tenancy)
+    report = summarize(result, cluster, slo_ms=p.slo_ms, tenancy=tenancy)
     return report, result

@@ -1,12 +1,9 @@
 """`ServingConfig`: the grouped, validated serving API.
 
-``simulate_serving`` grew to 38 flat keyword arguments across eight PRs,
-with banned-composition rules scattered over ``simulate_serving`` itself,
-the ``ServingEngine`` constructor and the CLI.  This module is the
-redesign: knobs group into five sub-configs —
+A serving scenario is five groups of knobs:
 
 * :class:`WorkloadConfig` — what traffic arrives (models, rates, traces,
-  sequence lengths, closed-loop sessions, tenants, regions);
+  sequence lengths, closed-loop sessions, tenants);
 * :class:`FleetConfig` — what serves it (chips, placement, routing,
   power envelope, autoscaling band);
 * :class:`PolicyConfig` — how it is scheduled (batching, SLO, admission,
@@ -16,38 +13,27 @@ redesign: knobs group into five sub-configs —
 * :class:`repro.serve.decode.DecodeConfig` — the autoregressive decode
   loop (optional);
 
-assembled by :class:`ServingConfig`, whose :meth:`ServingConfig.validate`
-runs **every** banned-composition rule as one ordered table
-(:data:`COMPOSITION_RULES`) with uniform error messages.  The
-``ServingEngine`` constructor routes its own composition checks through
-the same table (:func:`validate_engine`), so an invalid pairing raises
-the identical message no matter which door it walks in through.
-
-``simulate_serving(config=...)`` is the primary entry point; the legacy
-flat-kwarg form builds a :class:`ServingConfig` via
-:meth:`ServingConfig.from_kwargs` and delegates — object-for-object
-identical results, differential-tested in ``tests/test_api_config.py``.
+assembled by :class:`ServingConfig` and run by
+``simulate_serving(config)``, the one entry point.  Every banned
+composition is one row of :data:`COMPOSITION_RULES`, evaluated by
+:func:`check_composition` over whatever facts the caller knows:
+:meth:`ServingConfig.validate` passes all of them, the ``ServingEngine``
+constructor its arguments, and ``ServingEngine.run`` its clients and
+stream — so an invalid pairing raises the identical message no matter
+which door it walks in through.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 from repro.arch.accelerator import AcceleratorSpec
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.clients import RetryPolicy
 from repro.serve.decode import DecodeConfig
 from repro.serve.elastic import ElasticConfig
-from repro.serve.fleet import FleetSpec, parse_fleet
+from repro.serve.fleet import FleetSpec
 from repro.serve.power import PowerConfig
 from repro.serve.tenancy import Tenant, TenancyConfig, parse_tenants
 from repro.serve.traces import SEQLEN_DISTS
@@ -65,7 +51,36 @@ ROUTING_POLICIES = ("fastest", "cheapest-energy", "round-robin")
 # -- grouped sub-configs -------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class WorkloadConfig:
-    """What traffic arrives: models, rates, shapes, sessions, tenants."""
+    """What traffic arrives: models, rates, shapes, sessions, tenants.
+
+    Offered load ``rps`` is split evenly across ``models``; each model's
+    sub-trace draws from its own seeded stream, so adding a model never
+    perturbs another's arrivals.  ``models`` is a sequence of names —
+    ``("vit",)``, never the bare string ``"vit"``.
+
+    ``seqlen_dist`` (one of :data:`~repro.serve.traces.SEQLEN_DISTS`)
+    attaches a per-request sequence length to every transformer request,
+    drawn around ``seqlen_mean`` (default: the model's native length) from
+    a stream disjoint from the arrival seeds; CNN requests carry none.
+
+    ``clients`` switches the run from an open-loop trace to a closed-loop
+    population of that many sessions: each issues one request, blocks
+    until it completes, thinks for ``think_time_ms`` (drawn from
+    ``think_dist``) and issues the next, until the ``duration_s`` horizon.
+    ``rps`` and ``trace_kind`` are then ignored.  ``retry`` (a
+    :class:`~repro.serve.clients.RetryPolicy`, or an int shorthand for
+    ``max_retries``) makes rejected sessions retry with backoff instead of
+    dropping the request.
+
+    ``tenants`` switches the run to multi-tenant serving — a
+    :class:`~repro.serve.tenancy.TenancyConfig`, a sequence of
+    :class:`~repro.serve.tenancy.Tenant` records, or the CLI grammar
+    string (see :func:`~repro.serve.tenancy.parse_tenants`).  Each tenant
+    declares its own traffic mix, so the run-level ``rps`` /
+    ``trace_kind`` / ``seqlen_dist`` / ``seqlen_mean`` are ignored.  A
+    single-tenant ``fifo`` configuration replays the untagged run byte
+    for byte.
+    """
 
     models: Sequence[str] = ()
     rps: float = 2000.0
@@ -79,16 +94,39 @@ class WorkloadConfig:
     think_dist: str = "exponential"
     retry: Optional[Union[int, RetryPolicy]] = None
     tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None
-    regions: Optional[int] = None
-    rtt_ms: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.models, str):
+            raise ValueError(
+                f"models takes a sequence of model names, got the string "
+                f"{self.models!r}; pass models=({self.models!r},)"
+            )
         object.__setattr__(self, "models", tuple(self.models))
 
 
 @dataclasses.dataclass(frozen=True)
 class FleetConfig:
-    """What serves it: chips, placement, routing, power, autoscaling."""
+    """What serves it: chips, placement, routing, power, autoscaling.
+
+    ``fleet`` serves the trace on a (possibly heterogeneous) fleet of chip
+    groups instead of ``n_chips`` identical ``spec`` chips — a
+    :class:`~repro.serve.fleet.FleetSpec` or the CLI string form
+    (``"yoco:8,isaac:4"``).  A homogeneous fleet (``"yoco:4"``) is
+    bit-identical to the equivalent ``n_chips=4`` run; a fleet plus
+    ``spec``, ``mode`` or a contradicting ``n_chips`` raises.  ``routing``
+    picks which free hosting chip each batch dispatches to
+    (:data:`ROUTING_POLICIES`).  ``placement="prefill-decode"`` on a
+    multi-group fleet pins prefill to group 0 and decode to the rest.
+
+    ``power`` runs the fleet under a
+    :class:`~repro.serve.power.PowerConfig` envelope; with no cap and no
+    thermal limit it only records the power trace and the simulation is
+    float-for-float the power-blind one.  ``elastic`` (an
+    :class:`~repro.serve.elastic.ElasticConfig`, or the CLI spec
+    ``"MIN:MAX"``) grows and drains the active chip prefix mid-run; a
+    static band spanning the whole fleet replays the inelastic run byte
+    for byte.
+    """
 
     n_chips: Optional[int] = None
     spec: Optional[AcceleratorSpec] = None
@@ -97,15 +135,26 @@ class FleetConfig:
     fleet: Optional[Union[FleetSpec, str]] = None
     routing: str = "fastest"
     power: Optional[PowerConfig] = None
-    power_cap_w: Optional[float] = None
-    thermal_tau_s: Optional[float] = None
-    t_max_c: Optional[float] = None
     elastic: Optional[Union[ElasticConfig, str]] = None
 
 
 @dataclasses.dataclass(frozen=True)
 class PolicyConfig:
-    """How it is scheduled: batching, SLO, admission, tenancy knobs."""
+    """How it is scheduled: batching, SLO, admission, tenancy knobs.
+
+    ``seqlen_buckets`` sets the batcher's padding boundaries, and its
+    largest boundary is the serving max context (longer samples clamp to
+    it); by default power-of-two buckets covering the sampled lengths are
+    derived whenever a sequence-length distribution is active.
+    ``admission`` (an :class:`~repro.serve.admission.AdmissionPolicy` or
+    its spec string, e.g. ``"queue-cap:64"``) gates every arrival;
+    ``None``/``accept-all`` is the golden-guarded no-op.  ``scheduler``
+    orders dispatch across tenant queues and ``preemption`` lets
+    interactive arrivals evict running lower-priority batches at a
+    ``preemption_overhead_ns`` re-dispatch cost; both need tenants.
+    Tenants declaring a ``rate=`` limit are fronted by their own token
+    buckets, composed with any cluster-wide ``admission``.
+    """
 
     max_batch_size: int = 8
     window_ms: float = 0.2
@@ -118,14 +167,30 @@ class PolicyConfig:
 
     def __post_init__(self) -> None:
         if self.seqlen_buckets is not None:
-            object.__setattr__(
-                self, "seqlen_buckets", tuple(int(b) for b in self.seqlen_buckets)
-            )
+            buckets = tuple(int(b) for b in self.seqlen_buckets)
+            object.__setattr__(self, "seqlen_buckets", buckets)
 
 
 @dataclasses.dataclass(frozen=True)
 class ObserveConfig:
-    """What is recorded: tracing, metrics export, streaming, profiling."""
+    """What is recorded: tracing, metrics export, streaming, profiling.
+
+    All of it is an exact pass-through: the result is object-for-object
+    the unobserved one.  ``trace_file`` streams every request-lifecycle
+    event as JSONL, or as Chrome ``trace_event`` JSON for ``.json`` paths.
+    ``metrics_file`` samples throughput, queue depth, utilization and
+    power every ``metrics_window_ms`` and writes CSV (JSON for ``.json``).
+    ``observe`` attaches any further :class:`~repro.serve.observe.Observer`.
+    ``profile_engine`` counts the event loop's own work on
+    ``result.stats.profile``.
+
+    ``stream_metrics`` (a fresh
+    :class:`~repro.serve.streaming.StreamingMetrics`) lands completions
+    on constant-memory cells instead of retained ``ServedRequest``
+    records.  Latency percentiles stay bit-identical;
+    float sums (mean latency, energy totals) accumulate per batch and may
+    differ in the last ULP.
+    """
 
     observe: Optional[Observer] = None
     stream_metrics: Optional[StreamingMetrics] = None
@@ -134,25 +199,11 @@ class ObserveConfig:
     metrics_window_ms: float = 1.0
     profile_engine: bool = False
 
-    @property
-    def active(self) -> bool:
-        """True when any observability artifact or stream is requested."""
-        return (
-            self.observe is not None
-            or self.stream_metrics is not None
-            or self.trace_file is not None
-            or self.metrics_file is not None
-            or self.profile_engine
-        )
-
 
 # -- the composition-rule table ------------------------------------------------------
-#: Exact messages of every banned composition, importable so tests (and
-#: the engine) assert/raise the one canonical wording.
+#: Exact messages of every banned composition, importable so tests assert
+#: the one canonical wording.
 MSG_NEED_MODELS = "need at least one model to serve"
-MSG_POWER_BOTH = (
-    "pass either a full PowerConfig or the scalar power knobs, not both"
-)
 MSG_CLIENTS_MIN = "clients must be >= 1 (None for open-loop traces)"
 MSG_RETRY_OPEN_LOOP = (
     "retry-with-backoff needs closed-loop clients; open-loop rejections "
@@ -197,6 +248,7 @@ MSG_PD_NEEDS_DECODE = (
     "the prefill-decode placement specializes chip groups for a decode "
     "loop; pass decode= (--decode-dist) as well"
 )
+#: Raised by ``Cluster``, the one place that knows the resolved fleet.
 MSG_PD_NEEDS_GROUPS = (
     "the prefill-decode placement pins prefill and decode to different "
     "chip groups; pass a multi-group fleet (e.g. --fleet yoco:4,isaac:4)"
@@ -209,13 +261,6 @@ def msg_unknown_routing(routing: str) -> str:
 
 def msg_unknown_seqlen_dist(dist: str) -> str:
     return f"unknown seqlen dist {dist!r}; available: {SEQLEN_DISTS}"
-
-
-def msg_regions_incompatible(knob: str) -> str:
-    return (
-        "multi-region runs are homogeneous open-loop diurnal studies; "
-        f"they cannot combine with {knob}"
-    )
 
 
 def _resolved_tenancy(
@@ -238,128 +283,100 @@ def _resolved_tenancy(
     )
 
 
-def _fleet_groups(fleet: Optional[Union[FleetSpec, str]]) -> int:
-    """Number of chip groups a fleet knob resolves to (0 = no fleet)."""
-    if fleet is None:
-        return 0
-    spec = parse_fleet(fleet) if isinstance(fleet, str) else fleet
-    return len(spec.groups)
-
-
-def _rule(check: Callable[["ServingConfig"], Optional[str]]):
-    return check
-
-
-#: The single ordered table of banned compositions.  Each row inspects a
-#: :class:`ServingConfig` and returns the canonical error message when
-#: violated (None when fine); ``validate()`` raises the first hit.  Rows
-#: marked ``# engine`` are the subset the ``ServingEngine`` constructor
-#: re-runs via :func:`validate_engine` so direct engine users get the
-#: identical wording.
-COMPOSITION_RULES: Tuple[Callable[["ServingConfig"], Optional[str]], ...] = (
-    _rule(lambda c: MSG_NEED_MODELS if not c.workload.models else None),
-    _rule(
-        lambda c: MSG_POWER_BOTH
-        if c.fleet.power is not None
-        and (
-            c.fleet.power_cap_w is not None
-            or c.fleet.thermal_tau_s is not None
-            or c.fleet.t_max_c is not None
-        )
+#: The single ordered table of banned compositions.  Each row is a
+#: function of the named facts it reads that returns the canonical error
+#: message when violated (None when fine).  The facts: ``models``,
+#: ``seqlen_dist``, ``clients`` (session count or None), ``retry``,
+#: ``tenants``, ``scheduler`` and ``preemption`` (the policy knobs),
+#: ``preempting`` (tenancy with preemption on), ``routing``, ``power``,
+#: ``elastic``, ``decode``, ``stream`` and ``placement``.
+COMPOSITION_RULES: Tuple[Callable[..., Optional[str]], ...] = (
+    lambda models: None if models else MSG_NEED_MODELS,
+    lambda seqlen_dist: (
+        msg_unknown_seqlen_dist(seqlen_dist)
+        if seqlen_dist is not None and seqlen_dist not in SEQLEN_DISTS
         else None
     ),
-    _rule(
-        lambda c: msg_unknown_seqlen_dist(c.workload.seqlen_dist)
-        if c.workload.seqlen_dist is not None
-        and c.workload.seqlen_dist not in SEQLEN_DISTS
+    lambda clients: (
+        MSG_CLIENTS_MIN if clients is not None and clients < 1 else None
+    ),
+    lambda retry, clients: (
+        MSG_RETRY_OPEN_LOOP if retry is not None and clients is None else None
+    ),
+    lambda tenants, clients: (
+        MSG_TENANTS_CLIENTS
+        if tenants is not None and clients is not None
         else None
     ),
-    _rule(
-        lambda c: MSG_CLIENTS_MIN
-        if c.workload.clients is not None and c.workload.clients < 1
+    lambda tenants, scheduler, preemption: (
+        MSG_SCHEDULER_NEEDS_TENANTS
+        if tenants is None and (scheduler != "fifo" or preemption)
         else None
     ),
-    _rule(
-        lambda c: MSG_RETRY_OPEN_LOOP
-        if c.workload.retry is not None and c.workload.clients is None
+    lambda routing: (
+        msg_unknown_routing(routing)
+        if routing not in ROUTING_POLICIES
         else None
     ),
-    _rule(
-        lambda c: MSG_TENANTS_CLIENTS
-        if c.workload.tenants is not None and c.workload.clients is not None
+    lambda preempting, power: (
+        MSG_PREEMPT_POWER if preempting and power is not None else None
+    ),
+    lambda preempting, elastic: (
+        MSG_PREEMPT_ELASTIC if preempting and elastic is not None else None
+    ),
+    lambda decode, tenants: (
+        MSG_DECODE_TENANTS
+        if decode is not None and tenants is not None
         else None
     ),
-    _rule(
-        lambda c: MSG_SCHEDULER_NEEDS_TENANTS
-        if c.workload.tenants is None
-        and (c.policy.scheduler != "fifo" or c.policy.preemption)
+    lambda decode, clients: (
+        MSG_DECODE_CLIENTS
+        if decode is not None and clients is not None
         else None
     ),
-    _rule(
-        lambda c: msg_unknown_routing(c.fleet.routing)  # engine
-        if c.fleet.routing not in ROUTING_POLICIES
+    lambda decode, elastic: (
+        MSG_DECODE_ELASTIC
+        if decode is not None and elastic is not None
         else None
     ),
-    _rule(
-        lambda c: MSG_PREEMPT_POWER  # engine
-        if c._preempting and c._has_power
+    lambda decode, stream: (
+        MSG_DECODE_STREAM
+        if decode is not None and stream is not None
         else None
     ),
-    _rule(
-        lambda c: MSG_PREEMPT_ELASTIC  # engine
-        if c._preempting and c.fleet.elastic is not None
+    lambda placement, decode: (
+        MSG_PD_NEEDS_DECODE
+        if placement == "prefill-decode" and decode is None
         else None
-    ),
-    _rule(
-        lambda c: MSG_DECODE_TENANTS  # engine
-        if c.decode is not None and c.workload.tenants is not None
-        else None
-    ),
-    _rule(
-        lambda c: MSG_DECODE_CLIENTS
-        if c.decode is not None and c.workload.clients is not None
-        else None
-    ),
-    _rule(
-        lambda c: MSG_DECODE_ELASTIC  # engine
-        if c.decode is not None and c.fleet.elastic is not None
-        else None
-    ),
-    _rule(
-        lambda c: MSG_DECODE_STREAM
-        if c.decode is not None and c.observe.stream_metrics is not None
-        else None
-    ),
-    _rule(
-        lambda c: MSG_PD_NEEDS_DECODE  # engine
-        if c.fleet.placement == "prefill-decode" and c.decode is None
-        else None
-    ),
-    _rule(
-        lambda c: MSG_PD_NEEDS_GROUPS
-        if c.fleet.placement == "prefill-decode"
-        and _fleet_groups(c.fleet.fleet) < 2
-        else None
-    ),
-    # Multi-region runs fan a diurnal workload over phase-shifted copies
-    # of one homogeneous cluster; every per-cluster specialization knob
-    # is rejected with the same message shape (observe x regions rows
-    # included — per-region engines run unobserved until cross-region
-    # trace merging lands, see ROADMAP).
-    _rule(
-        lambda c: c._regions_conflict()
     ),
 )
+
+#: The fact names each row reads (its parameter names).
+_READS = tuple(
+    rule.__code__.co_varnames[: rule.__code__.co_argcount]
+    for rule in COMPOSITION_RULES
+)
+
+
+def check_composition(**facts) -> None:
+    """Raise the first violated row among those whose facts are all given."""
+    for rule, reads in zip(COMPOSITION_RULES, _READS):
+        if all(name in facts for name in reads):
+            message = rule(*(facts[name] for name in reads))
+            if message is not None:
+                raise ValueError(message)
 
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
     """One validated serving scenario: workload x fleet x policy x observe.
 
-    Build it directly from grouped sub-configs, or from the legacy flat
-    kwargs via :meth:`from_kwargs`.  :meth:`validate` applies
-    :data:`COMPOSITION_RULES` and returns ``self`` so call sites can
-    chain ``ServingConfig(...).validate()``.
+    ``decode`` (a :class:`~repro.serve.decode.DecodeConfig`) turns every
+    transformer request autoregressive under continuous batching, and the
+    report gains TTFT and inter-token-latency percentiles; ``None`` replays
+    the decode-free run byte for byte.  :meth:`validate` applies
+    :data:`COMPOSITION_RULES` and returns ``self`` so call sites can chain
+    ``ServingConfig(...).validate()``.
     """
 
     workload: WorkloadConfig
@@ -367,15 +384,6 @@ class ServingConfig:
     policy: PolicyConfig = PolicyConfig()
     observe: ObserveConfig = ObserveConfig()
     decode: Optional[DecodeConfig] = None
-
-    # -- derived views the rule table reads ------------------------------------
-    @property
-    def _has_power(self) -> bool:
-        return (
-            self.fleet.power is not None
-            or self.fleet.power_cap_w is not None
-            or self.fleet.t_max_c is not None
-        )
 
     @property
     def _preempting(self) -> bool:
@@ -385,168 +393,34 @@ class ServingConfig:
             return self.policy.preemption
         return False
 
-    def _regions_conflict(self) -> Optional[str]:
-        if self.workload.regions is None:
-            return None
-        w, f, p, o = self.workload, self.fleet, self.policy, self.observe
-        conflicts: List[Tuple[bool, str]] = [
-            (f.fleet is not None, "--fleet"),
-            (w.seqlen_dist is not None, "--seqlen-dist"),
-            (w.clients is not None, "--clients"),
-            (w.retry is not None, "--retries"),
-            (p.admission is not None, "--admission"),
-            (w.tenants is not None, "--tenants"),
-            (self._has_power, "--power-cap/--t-max"),
-            (o.stream_metrics is not None, "--progress"),
-            (o.trace_file is not None, "--trace-out"),
-            (o.metrics_file is not None, "--metrics-out"),
-            (o.profile_engine, "--profile-engine"),
-            (o.observe is not None, "observe="),
-            (self.decode is not None, "--decode-dist"),
-        ]
-        for broken, knob in conflicts:
-            if broken:
-                return msg_regions_incompatible(knob)
-        return None
-
     def validate(self) -> "ServingConfig":
         """Apply every composition rule; raise the first violation."""
-        for check in COMPOSITION_RULES:
-            message = check(self)
-            if message is not None:
-                raise ValueError(message)
+        w, f, p = self.workload, self.fleet, self.policy
+        check_composition(
+            models=w.models,
+            seqlen_dist=w.seqlen_dist,
+            clients=w.clients,
+            retry=w.retry,
+            tenants=w.tenants,
+            scheduler=p.scheduler,
+            preemption=p.preemption,
+            preempting=self._preempting,
+            routing=f.routing,
+            power=f.power,
+            elastic=f.elastic,
+            decode=self.decode,
+            stream=self.observe.stream_metrics,
+            placement=f.placement,
+        )
         # Tenant model declarations must name served models (needs the
         # parsed tenancy, so it sits after the table proper).
-        tenancy = _resolved_tenancy(self.workload.tenants, self.policy)
+        tenancy = _resolved_tenancy(w.tenants, p)
         if tenancy is not None:
-            models = self.workload.models
             for tenant in tenancy.tenants:
-                unknown = [m for m in tenant.models if m not in models]
+                unknown = [m for m in tenant.models if m not in w.models]
                 if unknown:
                     raise ValueError(
                         f"tenant {tenant.name!r} calls {unknown} but the "
-                        f"run serves {list(models)}"
+                        f"run serves {list(w.models)}"
                     )
         return self
-
-    # -- construction helpers --------------------------------------------------
-    @classmethod
-    def from_kwargs(
-        cls,
-        models: Sequence[str] = (),
-        n_chips: Optional[int] = None,
-        rps: float = 2000.0,
-        duration_s: float = 0.1,
-        trace_kind: str = "poisson",
-        seed: int = 0,
-        spec: Optional[AcceleratorSpec] = None,
-        mode: str = "batched",
-        placement: str = "replicated",
-        max_batch_size: int = 8,
-        window_ms: float = 0.2,
-        slo_ms: Optional[float] = None,
-        seqlen_dist: Optional[str] = None,
-        seqlen_mean: Optional[int] = None,
-        seqlen_buckets: Optional[Sequence[int]] = None,
-        fleet: Optional[Union[FleetSpec, str]] = None,
-        routing: str = "fastest",
-        power: Optional[PowerConfig] = None,
-        power_cap_w: Optional[float] = None,
-        thermal_tau_s: Optional[float] = None,
-        t_max_c: Optional[float] = None,
-        clients: Optional[int] = None,
-        think_time_ms: float = 5.0,
-        think_dist: str = "exponential",
-        retry: Optional[Union[int, RetryPolicy]] = None,
-        admission: Optional[Union[str, AdmissionPolicy]] = None,
-        tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None,
-        scheduler: str = "fifo",
-        preemption: bool = False,
-        preemption_overhead_ns: float = 10_000.0,
-        stream_metrics: Optional[StreamingMetrics] = None,
-        elastic: Optional[Union[ElasticConfig, str]] = None,
-        observe: Optional[Observer] = None,
-        trace_file: Optional[str] = None,
-        metrics_file: Optional[str] = None,
-        metrics_window_ms: float = 1.0,
-        profile_engine: bool = False,
-        decode: Optional[DecodeConfig] = None,
-    ) -> "ServingConfig":
-        """Group the legacy flat ``simulate_serving`` kwargs."""
-        return cls(
-            workload=WorkloadConfig(
-                models=tuple(models) if models else (),
-                rps=rps,
-                duration_s=duration_s,
-                trace_kind=trace_kind,
-                seed=seed,
-                seqlen_dist=seqlen_dist,
-                seqlen_mean=seqlen_mean,
-                clients=clients,
-                think_time_ms=think_time_ms,
-                think_dist=think_dist,
-                retry=retry,
-                tenants=tenants,
-            ),
-            fleet=FleetConfig(
-                n_chips=n_chips,
-                spec=spec,
-                mode=mode,
-                placement=placement,
-                fleet=fleet,
-                routing=routing,
-                power=power,
-                power_cap_w=power_cap_w,
-                thermal_tau_s=thermal_tau_s,
-                t_max_c=t_max_c,
-                elastic=elastic,
-            ),
-            policy=PolicyConfig(
-                max_batch_size=max_batch_size,
-                window_ms=window_ms,
-                slo_ms=slo_ms,
-                seqlen_buckets=seqlen_buckets,
-                admission=admission,
-                scheduler=scheduler,
-                preemption=preemption,
-                preemption_overhead_ns=preemption_overhead_ns,
-            ),
-            observe=ObserveConfig(
-                observe=observe,
-                stream_metrics=stream_metrics,
-                trace_file=trace_file,
-                metrics_file=metrics_file,
-                metrics_window_ms=metrics_window_ms,
-                profile_engine=profile_engine,
-            ),
-            decode=decode,
-        )
-
-
-def validate_engine(
-    routing: str,
-    power: Optional[PowerConfig],
-    tenancy: Optional[TenancyConfig],
-    elastic: Optional[ElasticConfig],
-    decode: Optional[DecodeConfig],
-    placement: str = "replicated",
-) -> None:
-    """Re-run the engine-relevant rows of :data:`COMPOSITION_RULES`.
-
-    The ``ServingEngine`` constructor calls this with its resolved
-    arguments so direct engine construction raises the identical
-    messages as ``ServingConfig.validate()`` — one table, two doors.
-    """
-    preempting = tenancy is not None and tenancy.preemption
-    if routing not in ROUTING_POLICIES:
-        raise ValueError(msg_unknown_routing(routing))
-    if preempting and power is not None:
-        raise ValueError(MSG_PREEMPT_POWER)
-    if preempting and elastic is not None:
-        raise ValueError(MSG_PREEMPT_ELASTIC)
-    if decode is not None and tenancy is not None:
-        raise ValueError(MSG_DECODE_TENANTS)
-    if decode is not None and elastic is not None:
-        raise ValueError(MSG_DECODE_ELASTIC)
-    if placement == "prefill-decode" and decode is None:
-        raise ValueError(MSG_PD_NEEDS_DECODE)

@@ -59,13 +59,7 @@ from repro.serve.admission import AdmissionPolicy, parse_admission
 from repro.serve.batching import Batch, BatchingPolicy, ModelQueue
 from repro.serve.clients import ClientPopulation, ClosedLoopDriver
 from repro.serve.cluster import ChipService, Cluster
-from repro.serve.config import (
-    MSG_DECODE_CLIENTS,
-    MSG_DECODE_STREAM,
-    MSG_TENANTS_CLIENTS,
-    ROUTING_POLICIES,
-    validate_engine,
-)
+from repro.serve.config import ROUTING_POLICIES, check_composition
 from repro.serve.decode import DecodeConfig, page_round
 from repro.serve.elastic import (
     ElasticConfig,
@@ -580,8 +574,14 @@ class ServingEngine:
         # Every banned composition raises out of the one rule table in
         # repro.serve.config, so the direct-construction door and the
         # ServingConfig door produce identical messages.
-        validate_engine(
-            routing, power, tenancy, elastic, decode, cluster.placement
+        check_composition(
+            routing=routing,
+            preempting=tenancy is not None and tenancy.preemption,
+            power=power,
+            elastic=elastic,
+            decode=decode,
+            tenants=tenancy,
+            placement=cluster.placement,
         )
         if isinstance(admission, str):
             admission = parse_admission(admission)
@@ -684,15 +684,13 @@ class ServingEngine:
                 "pass an open-loop trace or a closed-loop client "
                 "population, not both"
             )
-        decode_cfg = self._decode
-        if decode_cfg is not None:
-            if clients is not None:
-                raise ValueError(MSG_DECODE_CLIENTS)
-            if stream is not None:
-                raise ValueError(MSG_DECODE_STREAM)
-        tenancy = self._tenancy
-        if clients is not None and tenancy is not None:
-            raise ValueError(MSG_TENANTS_CLIENTS)
+        decode_cfg, tenancy = self._decode, self._tenancy
+        check_composition(
+            clients=None if clients is None else clients.n_clients,
+            tenants=tenancy,
+            decode=decode_cfg,
+            stream=stream,
+        )
         driver: Optional[ClosedLoopDriver] = None
         if clients is not None:
             unknown = [m for m in clients.models if m not in cluster.models]

@@ -51,7 +51,7 @@ class StreamingMetrics:
     """Constant-memory accumulator for one serving run.
 
     Hand a fresh instance to :meth:`repro.serve.engine.ServingEngine.run`
-    (or ``simulate_serving(stream_metrics=...)``); the engine feeds every
+    (or ``ObserveConfig(stream_metrics=...)``); the engine feeds every
     completion into it instead of materializing ``ServedRequest`` objects.
     One instance accumulates exactly one run.
     """

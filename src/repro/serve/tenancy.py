@@ -388,10 +388,10 @@ def tenant_traces(
 
     Each tenant's per-model sub-trace draws from its own seed lane
     (``seed + stride * tenant_index + model_index``); tenant 0's lane is
-    the exact legacy layout, so a single-tenant config reproduces the
-    untagged ``simulate_serving`` trace bit for bit.  Returns the merged
-    trace plus the largest sampled sequence length (0 when no tenant
-    draws seqlens) for the caller's bucket derivation.
+    the untagged layout, so a single-tenant config reproduces the trace
+    of the same ``ServingConfig`` without tenants bit for bit.  Returns
+    the merged trace plus the largest sampled sequence length (0 when no
+    tenant draws seqlens) for the caller's bucket derivation.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")

@@ -21,6 +21,7 @@ from test_hetero_differential import (
     SCENARIOS,
     _golden_text,
     _run,
+    replace_in,
     served_digest,
 )
 
@@ -43,7 +44,9 @@ class TestAcceptAllGolden:
         self, scenario, golden_digests
     ):
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run({**legacy, "admission": AcceptAll()})
+        report, result = _run(
+            replace_in(legacy, "policy", admission=AcceptAll())
+        )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # The layer ran (the result knows its policy) yet shed nothing.
@@ -53,8 +56,10 @@ class TestAcceptAllGolden:
     def test_fleet_path_with_accept_all_matches_golden(
         self, scenario, golden_digests
     ):
-        legacy, overrides = SCENARIOS[scenario]
-        report, result = _run(legacy, {**overrides, "admission": AcceptAll()})
+        legacy, fleet = SCENARIOS[scenario]
+        report, result = _run(
+            replace_in(legacy, "policy", admission=AcceptAll()), fleet
+        )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -62,7 +67,9 @@ class TestAcceptAllGolden:
         self, scenario, golden_digests
     ):
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run({**legacy, "admission": "accept-all"})
+        report, result = _run(
+            replace_in(legacy, "policy", admission="accept-all")
+        )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -71,9 +78,8 @@ class TestAcceptAllGolden:
     ):
         """Admission and the power no-op stack without perturbing a float."""
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run(
-            {**legacy, "admission": AcceptAll(), "power": PowerConfig()}
-        )
+        gated = replace_in(legacy, "policy", admission=AcceptAll())
+        report, result = _run(replace_in(gated, "fleet", power=PowerConfig()))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         assert result.power is not None and not result.power.constrained
@@ -84,14 +90,14 @@ class TestBindingAdmissionChangesTheRun:
         self, golden_digests
     ):
         legacy, _ = SCENARIOS["cnn_poisson"]
-        _, result = _run({**legacy, "admission": "queue-cap:2"})
+        _, result = _run(replace_in(legacy, "policy", admission="queue-cap:2"))
         assert result.n_dropped > 0
         assert served_digest(result) != golden_digests["cnn_poisson"]
 
     def test_served_set_shrinks_but_never_grows(self):
         legacy, _ = SCENARIOS["cnn_poisson"]
         _, full = _run(legacy)
-        _, shed = _run({**legacy, "admission": "queue-cap:2"})
+        _, shed = _run(replace_in(legacy, "policy", admission="queue-cap:2"))
         full_ids = {s.request.request_id for s in full.served}
         shed_ids = {s.request.request_id for s in shed.served}
         assert shed_ids < full_ids  # strictly fewer, all known
@@ -99,7 +105,7 @@ class TestBindingAdmissionChangesTheRun:
     def test_every_offered_request_is_accounted_once(self):
         legacy, _ = SCENARIOS["cnn_poisson"]
         _, full = _run(legacy)
-        _, shed = _run({**legacy, "admission": "queue-cap:2"})
+        _, shed = _run(replace_in(legacy, "policy", admission="queue-cap:2"))
         served_ids = [s.request.request_id for s in shed.served]
         dropped_ids = [r.request.request_id for r in shed.rejected]
         assert len(served_ids) == len(set(served_ids))
@@ -112,9 +118,9 @@ class TestBindingAdmissionChangesTheRun:
 
     def test_admission_report_line_renders_only_when_it_can_shed(self):
         legacy, _ = SCENARIOS["cnn_poisson"]
-        report, _ = _run({**legacy, "admission": "queue-cap:2"})
+        report, _ = _run(replace_in(legacy, "policy", admission="queue-cap:2"))
         assert report.has_admission
         assert "admission         : queue-cap" in format_serving(report)
-        accept, _ = _run({**legacy, "admission": AcceptAll()})
+        accept, _ = _run(replace_in(legacy, "policy", admission=AcceptAll()))
         assert not accept.has_admission
         assert "admission" not in format_serving(accept)

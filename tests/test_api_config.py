@@ -1,19 +1,15 @@
-"""The redesigned ``ServingConfig`` API: one rule table, two doors.
+"""The ``ServingConfig`` API: one door, one rule table.
 
-Three contracts, each load-bearing for the PR-10 API redesign:
+Two contracts:
 
 * **Rule table** — every banned composition in
   :data:`repro.serve.config.COMPOSITION_RULES` raises its canonical
   message, asserted *exactly* (``re.escape``) against the importable
   ``MSG_*`` constants, through ``ServingConfig.validate()``.
-* **Engine door** — constructing a :class:`ServingEngine` directly with
-  the same bad composition raises the *identical* wording, because the
-  constructor re-runs the engine-relevant rows via
-  :func:`repro.serve.config.validate_engine`.
-* **Dual entry** — ``simulate_serving(config=ServingConfig(...))`` and
-  the legacy 38-kwarg flat form produce object-for-object identical
-  ``(report, result)`` pairs, and mixing ``config=`` with overridden
-  flat kwargs is rejected naming the offenders.
+* **Engine door** — constructing or running a :class:`ServingEngine`
+  directly with the same bad composition raises the *identical* wording,
+  because the constructor and ``run()`` evaluate the same table over the
+  facts they know (:func:`repro.serve.config.check_composition`).
 
 Plus unit tests of the pure CLI translation
 :func:`repro.cli.serve_config_from_args` (args in, ``ServingConfig``
@@ -53,13 +49,11 @@ from repro.serve.config import (
     MSG_NEED_MODELS,
     MSG_PD_NEEDS_DECODE,
     MSG_PD_NEEDS_GROUPS,
-    MSG_POWER_BOTH,
     MSG_PREEMPT_ELASTIC,
     MSG_PREEMPT_POWER,
     MSG_RETRY_OPEN_LOOP,
     MSG_SCHEDULER_NEEDS_TENANTS,
     MSG_TENANTS_CLIENTS,
-    msg_regions_incompatible,
     msg_unknown_routing,
     msg_unknown_seqlen_dist,
 )
@@ -83,11 +77,6 @@ _VIOLATIONS = [
         _cfg(workload=WorkloadConfig(models=())),
         MSG_NEED_MODELS,
         id="need-models",
-    ),
-    pytest.param(
-        _cfg(fleet=FleetConfig(power=PowerConfig(), power_cap_w=50.0)),
-        MSG_POWER_BOTH,
-        id="power-both",
     ),
     pytest.param(
         _cfg(
@@ -131,7 +120,7 @@ _VIOLATIONS = [
         _cfg(
             workload=WorkloadConfig(models=("mobilebert",), tenants=TENANTS),
             policy=PolicyConfig(preemption=True),
-            fleet=FleetConfig(power_cap_w=50.0),
+            fleet=FleetConfig(power=PowerConfig(power_cap_w=50.0)),
         ),
         MSG_PREEMPT_POWER,
         id="preempt-power",
@@ -185,30 +174,6 @@ _VIOLATIONS = [
         MSG_PD_NEEDS_DECODE,
         id="pd-needs-decode",
     ),
-    pytest.param(
-        _cfg(
-            fleet=FleetConfig(fleet="yoco:4", placement="prefill-decode"),
-            decode=DecodeConfig(),
-        ),
-        MSG_PD_NEEDS_GROUPS,
-        id="pd-needs-groups",
-    ),
-    pytest.param(
-        _cfg(
-            workload=WorkloadConfig(models=("mobilebert",), regions=3),
-            decode=DecodeConfig(),
-        ),
-        msg_regions_incompatible("--decode-dist"),
-        id="regions-decode",
-    ),
-    pytest.param(
-        _cfg(
-            workload=WorkloadConfig(models=("mobilebert",), regions=3),
-            fleet=FleetConfig(fleet="yoco:4"),
-        ),
-        msg_regions_incompatible("--fleet"),
-        id="regions-fleet",
-    ),
 ]
 
 
@@ -230,12 +195,28 @@ class TestRuleTable:
             config.validate()
 
     def test_every_row_is_exercised(self):
-        # The parametrization covers each rule-table row at least once:
-        # firing all violation configs must trip every distinct message
-        # the table can emit (regions rows share one message shape).
+        # Each row emits one message shape, so one distinct message per
+        # row means the parametrization trips every row of the table.
         messages = {m.values[1] for m in _VIOLATIONS}
-        assert len(messages) == len(_VIOLATIONS)
-        assert len(COMPOSITION_RULES) <= len(_VIOLATIONS)
+        assert len(messages) == len(_VIOLATIONS) == len(COMPOSITION_RULES)
+
+    def test_single_group_prefill_decode_raised_by_the_cluster(self):
+        # Only the cluster knows the resolved fleet, so this one rule
+        # raises there, still with its one canonical message.
+        config = _cfg(
+            fleet=FleetConfig(fleet="yoco:4", placement="prefill-decode"),
+            decode=DecodeConfig(),
+        )
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PD_NEEDS_GROUPS)}$"
+        ):
+            simulate_serving(config=config)
+
+    def test_bare_model_string_is_rejected(self):
+        # A str is a Sequence[str] of characters: models="vit" used to
+        # become ('v', 'i', 't') and fail later on "unknown model 'v'".
+        with pytest.raises(ValueError, match=re.escape("models=('vit',)")):
+            WorkloadConfig(models="vit")
 
 
 class TestEngineDoor:
@@ -284,6 +265,30 @@ class TestEngineDoor:
         ):
             ServingEngine(cluster, tenancy=tenancy, power=PowerConfig())
 
+    def test_preempt_with_elastic(self, cluster):
+        tenancy = TenancyConfig(parse_tenants(TENANTS), preemption=True)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PREEMPT_ELASTIC)}$"
+        ):
+            ServingEngine(
+                cluster, tenancy=tenancy, elastic=parse_autoscale("1:2")
+            )
+
+    def test_decode_with_clients_at_run(self, cluster):
+        engine = ServingEngine(cluster, decode=DecodeConfig())
+        clients = ClientPopulation(models=("mobilebert",), n_clients=2)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_DECODE_CLIENTS)}$"
+        ):
+            engine.run(clients=clients)
+
+    def test_decode_with_stream_at_run(self, cluster):
+        engine = ServingEngine(cluster, decode=DecodeConfig())
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_DECODE_STREAM)}$"
+        ):
+            engine.run((), stream=StreamingMetrics())
+
     def test_prefill_decode_cluster_needs_decode(self):
         cluster = Cluster(
             [get_workload("mobilebert")],
@@ -304,113 +309,6 @@ class TestEngineDoor:
                 n_chips=4,
                 placement="prefill-decode",
             )
-
-
-#: Legacy flat-kwarg scenarios spanning every config group; each must be
-#: object-for-object identical through the grouped-config door.
-_SCENARIOS = [
-    pytest.param(dict(models=["resnet18"], n_chips=2), id="plain"),
-    pytest.param(
-        dict(
-            models=["mobilebert"],
-            n_chips=2,
-            seqlen_dist="lognormal",
-            seqlen_mean=128,
-            seqlen_buckets=[64, 128, 256, 512],
-        ),
-        id="seqlen",
-    ),
-    pytest.param(
-        dict(
-            models=["mobilebert"],
-            fleet="yoco:2,isaac:2",
-            routing="cheapest-energy",
-        ),
-        id="fleet-routing",
-    ),
-    pytest.param(
-        dict(models=["resnet18"], n_chips=2, power_cap_w=30.0, t_max_c=85.0),
-        id="power-scalars",
-    ),
-    pytest.param(
-        dict(
-            models=["resnet18"],
-            n_chips=2,
-            clients=4,
-            retry=2,
-            admission="queue-cap:8",
-        ),
-        id="clients-retry-admission",
-    ),
-    pytest.param(
-        dict(
-            models=["mobilebert"],
-            n_chips=2,
-            tenants=TENANTS,
-            scheduler="weighted-fair",
-        ),
-        id="tenants-scheduler",
-    ),
-    pytest.param(
-        dict(
-            models=["mobilebert"],
-            n_chips=2,
-            decode=DecodeConfig(dist="uniform", mean_tokens=8),
-        ),
-        id="decode",
-    ),
-    pytest.param(
-        dict(
-            models=["mobilebert"],
-            fleet="yoco:2,isaac:2",
-            placement="prefill-decode",
-            decode=DecodeConfig(dist="lognormal", mean_tokens=8),
-        ),
-        id="prefill-decode",
-    ),
-]
-
-
-class TestDualEntry:
-    @pytest.mark.parametrize("kwargs", _SCENARIOS)
-    def test_legacy_and_config_doors_are_identical(self, kwargs):
-        legacy = simulate_serving(duration_s=0.02, **kwargs)
-        config = ServingConfig.from_kwargs(duration_s=0.02, **kwargs)
-        via_config = simulate_serving(config=config)
-        assert legacy[0] == via_config[0]  # ServingReport
-        assert legacy[1] == via_config[1]  # ServingResult
-
-    def test_config_plus_overridden_kwargs_rejected_by_name(self):
-        config = ServingConfig.from_kwargs(models=["resnet18"], n_chips=2)
-        with pytest.raises(
-            ValueError, match=r"\['models', 'n_chips'\]"
-        ):
-            simulate_serving(models=["mobilebert"], n_chips=8, config=config)
-
-    def test_config_plus_default_kwargs_is_fine(self):
-        config = ServingConfig.from_kwargs(
-            models=["resnet18"], n_chips=1, duration_s=0.01
-        )
-        report, result = simulate_serving(config=config)
-        assert report.n_requests == len(result.served)
-
-    def test_from_kwargs_groups_every_field(self):
-        config = ServingConfig.from_kwargs(
-            models=["mobilebert"],
-            n_chips=2,
-            rps=500.0,
-            seqlen_dist="uniform",
-            clients=None,
-            scheduler="fifo",
-            metrics_window_ms=2.0,
-            decode=DecodeConfig(mean_tokens=4),
-        )
-        assert config.workload.models == ("mobilebert",)
-        assert config.workload.rps == 500.0
-        assert config.workload.seqlen_dist == "uniform"
-        assert config.fleet.n_chips == 2
-        assert config.observe.metrics_window_ms == 2.0
-        assert config.decode == DecodeConfig(mean_tokens=4)
 
 
 class TestCliTranslation:
@@ -441,20 +339,22 @@ class TestCliTranslation:
         config.validate()
 
     def test_prefill_decode_placement_requires_decode_dist(self):
-        args = build_parser().parse_args(
-            ["serve", "--fleet", "yoco:4,isaac:4",
-             "--placement", "prefill-decode"]
+        config = self._config(
+            "--fleet", "yoco:4,isaac:4", "--placement", "prefill-decode"
         )
-        with pytest.raises(SystemExit, match="pass --decode-dist as well"):
-            serve_config_from_args(args)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PD_NEEDS_DECODE)}$"
+        ):
+            config.validate()
 
     def test_decode_rejects_closed_loop(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "mobilebert",
-             "--decode-dist", "fixed", "--clients", "4"]
+        config = self._config(
+            "--model", "mobilebert", "--decode-dist", "fixed", "--clients", "4"
         )
-        with pytest.raises(SystemExit, match="cannot combine with --clients"):
-            serve_config_from_args(args)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_DECODE_CLIENTS)}$"
+        ):
+            config.validate()
 
     def test_fleet_leaves_n_chips_unset(self):
         config = self._config("--fleet", "yoco:2,isaac:2")
@@ -464,10 +364,13 @@ class TestCliTranslation:
 
     def test_thermal_tau_forwarded_only_with_a_constraint(self):
         alone = self._config("--thermal-tau", "0.5")
-        assert alone.fleet.thermal_tau_s is None
+        assert alone.fleet.power is None
         capped = self._config("--thermal-tau", "0.5", "--power-cap", "40")
-        assert capped.fleet.thermal_tau_s == 0.5
-        assert capped.fleet.power_cap_w == 40.0
+        assert capped.fleet.power == PowerConfig(
+            power_cap_w=40.0, thermal_tau_s=0.5
+        )
+        limited = self._config("--t-max", "60")
+        assert limited.fleet.power == PowerConfig(t_max_c=60.0)
 
     def test_prefill_decode_cli_round_trip(self):
         config = self._config(

@@ -3,6 +3,19 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.config import (
+    MSG_CLIENTS_MIN,
+    MSG_DECODE_CLIENTS,
+    MSG_DECODE_ELASTIC,
+    MSG_DECODE_STREAM,
+    MSG_DECODE_TENANTS,
+    MSG_PD_NEEDS_DECODE,
+    MSG_PREEMPT_ELASTIC,
+    MSG_PREEMPT_POWER,
+    MSG_RETRY_OPEN_LOOP,
+    MSG_SCHEDULER_NEEDS_TENANTS,
+    MSG_TENANTS_CLIENTS,
+)
 
 
 class TestParser:
@@ -223,3 +236,72 @@ class TestServeDecode:
     def test_bad_decode_dist_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--decode-dist", "zipf"])
+
+
+#: One case per composition rule the CLI reaches: the flags trip the rule
+#: table, and its canonical message reaches the user as "serve: <MSG>".
+_TENANT = "a:interactive:poisson@100"
+_COMPOSITION_ERRORS = [
+    pytest.param(
+        ["--tenants", _TENANT, "--clients", "4"],
+        MSG_TENANTS_CLIENTS,
+        id="tenants-clients",
+    ),
+    pytest.param(
+        ["--scheduler", "weighted-fair"],
+        MSG_SCHEDULER_NEEDS_TENANTS,
+        id="scheduler-without-tenants",
+    ),
+    pytest.param(
+        ["--preempt"],
+        MSG_SCHEDULER_NEEDS_TENANTS,
+        id="preempt-without-tenants",
+    ),
+    pytest.param(
+        ["--tenants", _TENANT, "--preempt", "--power-cap", "1"],
+        MSG_PREEMPT_POWER,
+        id="preempt-power",
+    ),
+    pytest.param(
+        ["--retries", "2"], MSG_RETRY_OPEN_LOOP, id="retries-open-loop"
+    ),
+    pytest.param(["--clients", "0"], MSG_CLIENTS_MIN, id="clients-min"),
+    pytest.param(
+        ["--tenants", _TENANT, "--preempt", "--autoscale", "1:4"],
+        MSG_PREEMPT_ELASTIC,
+        id="autoscale-preempt",
+    ),
+    pytest.param(
+        ["--decode-dist", "fixed", "--clients", "4"],
+        MSG_DECODE_CLIENTS,
+        id="decode-clients",
+    ),
+    pytest.param(
+        ["--decode-dist", "fixed", "--tenants", _TENANT],
+        MSG_DECODE_TENANTS,
+        id="decode-tenants",
+    ),
+    pytest.param(
+        ["--decode-dist", "fixed", "--autoscale", "1:4"],
+        MSG_DECODE_ELASTIC,
+        id="decode-autoscale",
+    ),
+    pytest.param(
+        ["--decode-dist", "fixed", "--progress", "10"],
+        MSG_DECODE_STREAM,
+        id="decode-progress",
+    ),
+    pytest.param(
+        ["--fleet", "yoco:2,isaac:2", "--placement", "prefill-decode"],
+        MSG_PD_NEEDS_DECODE,
+        id="prefill-decode-without-decode",
+    ),
+]
+
+
+class TestServeCompositionErrors:
+    @pytest.mark.parametrize("flags,message", _COMPOSITION_ERRORS)
+    def test_rule_table_message_reaches_the_user(self, flags, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", "mobilebert", *flags])
+        assert excinfo.value.code == "serve: " + message

@@ -24,8 +24,12 @@ from repro.serve import (
     BatchingPolicy,
     Cluster,
     DecodeConfig,
+    FleetConfig,
+    ObserveConfig,
     Observer,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     sample_decode_lens,
     simulate_serving,
     with_decode_lens,
@@ -35,16 +39,16 @@ from repro.serve.traces import poisson_trace, with_seqlens, sample_seqlens
 DECODE = DecodeConfig(dist="lognormal", mean_tokens=8)
 
 
-def _decode_run(**overrides):
-    kwargs = dict(
-        models=["mobilebert"],
-        n_chips=2,
-        rps=2000.0,
-        duration_s=0.02,
-        decode=DECODE,
+def _config(models=("mobilebert",), fleet=FleetConfig(n_chips=2), **rest):
+    return ServingConfig(
+        workload=WorkloadConfig(models=models, rps=2000.0, duration_s=0.02),
+        fleet=fleet,
+        **rest,
     )
-    kwargs.update(overrides)
-    return simulate_serving(**kwargs)
+
+
+def _decode_run(models=("mobilebert",), decode=DECODE):
+    return simulate_serving(config=_config(models, decode=decode))
 
 
 class TestDecodeRun:
@@ -79,9 +83,7 @@ class TestDecodeRun:
 
     def test_decode_off_is_the_legacy_engine(self):
         with_none = _decode_run(decode=None)
-        legacy = simulate_serving(
-            models=["mobilebert"], n_chips=2, rps=2000.0, duration_s=0.02
-        )
+        legacy = simulate_serving(config=_config())
         assert with_none[0] == legacy[0]
         assert with_none[1] == legacy[1]
         assert not legacy[0].has_decode
@@ -144,13 +146,13 @@ class TestPrefillDecodePlacement:
     def test_decode_iterations_pin_to_the_decode_group(self):
         collector = _ChipCollector()
         _, result = simulate_serving(
-            models=["mobilebert"],
-            fleet="yoco:2,isaac:2",
-            placement="prefill-decode",
-            rps=2000.0,
-            duration_s=0.02,
-            decode=DECODE,
-            observe=collector,
+            config=_config(
+                fleet=FleetConfig(
+                    fleet="yoco:2,isaac:2", placement="prefill-decode"
+                ),
+                decode=DECODE,
+                observe=ObserveConfig(observe=collector),
+            )
         )
         # Fleet group 0 (yoco:2) = chips {0, 1}; group 1 (isaac:2) = {2, 3}.
         assert collector.dispatch_chips <= {0, 1}
@@ -163,12 +165,14 @@ class TestPrefillDecodePlacement:
     def test_unified_placement_decodes_everywhere(self):
         collector = _ChipCollector()
         simulate_serving(
-            models=["mobilebert"],
-            fleet="yoco:2,isaac:2",
-            rps=4000.0,
-            duration_s=0.05,
-            decode=DECODE,
-            observe=collector,
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("mobilebert",), rps=4000.0, duration_s=0.05
+                ),
+                fleet=FleetConfig(fleet="yoco:2,isaac:2"),
+                decode=DECODE,
+                observe=ObserveConfig(observe=collector),
+            )
         )
         # Replicated placement leaves every chip eligible for both
         # phases: decode iterations land outside the would-be decode
@@ -182,11 +186,13 @@ class TestKvResidency:
         # cache has zero residual budget: every decode byte streams at
         # off-chip cost and the overflow share saturates.
         report, result = simulate_serving(
-            models=["gpt_large"],
-            n_chips=2,
-            rps=200.0,
-            duration_s=0.02,
-            decode=DecodeConfig(dist="fixed", mean_tokens=8),
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("gpt_large",), rps=200.0, duration_s=0.02
+                ),
+                fleet=FleetConfig(n_chips=2),
+                decode=DecodeConfig(dist="fixed", mean_tokens=8),
+            )
         )
         assert result.kv_bytes > 0
         assert result.kv_overflow == 1.0
@@ -203,11 +209,9 @@ class TestNoTokenAxis:
     def test_cnn_run_with_decode_config_decodes_nothing(self):
         # decode= on a CNN-only workload is a no-op (no token axis, so
         # no decode lengths are ever attached), not an error.
-        report, result = _decode_run(models=["resnet18"])
+        report, result = _decode_run(models=("resnet18",))
         assert result.n_decode_tokens == 0
         assert not result.has_decode
         assert not report.has_decode
-        legacy = simulate_serving(
-            models=["resnet18"], n_chips=2, rps=2000.0, duration_s=0.02
-        )
+        legacy = simulate_serving(config=_config(("resnet18",)))
         assert report == legacy[0] and result == legacy[1]

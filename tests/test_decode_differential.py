@@ -27,7 +27,12 @@ import sys
 
 import pytest
 
-from repro.serve import DecodeConfig, format_serving, simulate_serving
+from repro.serve import (
+    DecodeConfig,
+    PowerConfig,
+    format_serving,
+    simulate_serving,
+)
 from repro.serve.config import FleetConfig, ServingConfig, WorkloadConfig
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,14 +68,14 @@ SCENARIOS = {
     ),
     "yoco4_power_capped": (
         dict(models=["mobilebert"], rps=3000.0, duration_s=0.02),
-        dict(fleet="yoco:4", power_cap_w=0.2),
+        dict(fleet="yoco:4", power=PowerConfig(power_cap_w=0.2)),
     ),
     "hetero_power_capped_energy": (
         dict(models=["mobilebert"], rps=8000.0, duration_s=0.02),
         dict(
             fleet="yoco:2,isaac:2",
             routing="cheapest-energy",
-            power_cap_w=0.5,
+            power=PowerConfig(power_cap_w=0.5),
         ),
     ),
 }

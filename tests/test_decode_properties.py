@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 from repro.serve import (
     DECODE_DISTS,
     DecodeConfig,
+    FleetConfig,
+    PolicyConfig,
+    ServingConfig,
+    WorkloadConfig,
     page_round,
     sample_decode_lens,
     simulate_serving,
@@ -89,13 +93,15 @@ class TestRunInvariants:
         self, dist, mean, seed, max_batch
     ):
         _, result = simulate_serving(
-            models=["mobilebert"],
-            n_chips=2,
-            rps=1000.0,
-            duration_s=0.01,
-            seed=seed,
-            max_batch_size=max_batch,
-            decode=DecodeConfig(dist=dist, mean_tokens=mean),
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("mobilebert",), rps=1000.0, duration_s=0.01,
+                    seed=seed,
+                ),
+                fleet=FleetConfig(n_chips=2),
+                policy=PolicyConfig(max_batch_size=max_batch),
+                decode=DecodeConfig(dist=dist, mean_tokens=mean),
+            )
         )
         served = result.served
         assert result.n_decode_tokens == sum(s.decode_tokens for s in served)

@@ -21,7 +21,11 @@ from repro.serve import (
     ElasticConfig,
     ElasticController,
     ElasticTrace,
+    FleetConfig,
+    PolicyConfig,
     ScalingAction,
+    ServingConfig,
+    WorkloadConfig,
     parse_autoscale,
     simulate_serving,
 )
@@ -29,21 +33,22 @@ from repro.serve.cluster import Cluster
 from repro.models.zoo import get_workload
 
 
-def _run_elastic(**overrides):
-    kwargs = dict(
-        models=["resnet18"],
-        n_chips=8,
-        rps=80000.0,
-        duration_s=0.05,
-        trace_kind="diurnal",
-        seed=0,
-        elastic=ElasticConfig(
-            min_chips=1, max_chips=8, provision_delay_ms=2.0
-        ),
+_BAND = ElasticConfig(min_chips=1, max_chips=8, provision_delay_ms=2.0)
+
+
+def _run_elastic(elastic=_BAND, rps=80000.0, seed=0):
+    return simulate_serving(
+        config=ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18",),
+                rps=rps,
+                duration_s=0.05,
+                trace_kind="diurnal",
+                seed=seed,
+            ),
+            fleet=FleetConfig(n_chips=8, elastic=elastic),
+        )
     )
-    kwargs.update(overrides)
-    models = kwargs.pop("models")
-    return simulate_serving(models, **kwargs)
 
 
 class TestConfig:
@@ -206,13 +211,18 @@ class TestEngineScaling:
 
     def test_closed_loop_elastic_scales_on_clients(self):
         _, res = simulate_serving(
-            ["resnet18"],
-            n_chips=8,
-            clients=64,
-            think_time_ms=0.5,
-            duration_s=0.05,
-            seed=0,
-            elastic=ElasticConfig(min_chips=1, max_chips=8),
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",),
+                    clients=64,
+                    think_time_ms=0.5,
+                    duration_s=0.05,
+                    seed=0,
+                ),
+                fleet=FleetConfig(
+                    n_chips=8, elastic=ElasticConfig(min_chips=1, max_chips=8)
+                ),
+            )
         )
         et = res.elastic
         assert et.n_scale_ups > 0
@@ -241,13 +251,20 @@ class TestEngineScaling:
     def test_preemption_is_rejected(self):
         with pytest.raises(ValueError, match="preemption"):
             simulate_serving(
-                ["resnet18"],
-                n_chips=4,
-                tenants="a:interactive:poisson@1000,b:batch:poisson@1000",
-                preemption=True,
-                duration_s=0.01,
-                seed=0,
-                elastic=ElasticConfig(min_chips=1, max_chips=4),
+                config=ServingConfig(
+                    workload=WorkloadConfig(
+                        models=("resnet18",),
+                        tenants="a:interactive:poisson@1000,"
+                        "b:batch:poisson@1000",
+                        duration_s=0.01,
+                        seed=0,
+                    ),
+                    fleet=FleetConfig(
+                        n_chips=4,
+                        elastic=ElasticConfig(min_chips=1, max_chips=4),
+                    ),
+                    policy=PolicyConfig(preemption=True),
+                )
             )
 
     def test_partitioned_model_outside_prefix_is_rejected(self):
@@ -256,13 +273,19 @@ class TestEngineScaling:
         # orphan its queue on scale-down.
         with pytest.raises(ValueError, match="no hosting chip"):
             simulate_serving(
-                ["resnet18", "alexnet"],
-                n_chips=2,
-                rps=4000.0,
-                duration_s=0.01,
-                seed=1,
-                placement="partitioned",
-                elastic=ElasticConfig(min_chips=1, max_chips=2),
+                config=ServingConfig(
+                    workload=WorkloadConfig(
+                        models=("resnet18", "alexnet"),
+                        rps=4000.0,
+                        duration_s=0.01,
+                        seed=1,
+                    ),
+                    fleet=FleetConfig(
+                        n_chips=2,
+                        placement="partitioned",
+                        elastic=ElasticConfig(min_chips=1, max_chips=2),
+                    ),
+                )
             )
 
     def test_report_renders_autoscaling_line(self):

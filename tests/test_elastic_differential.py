@@ -16,6 +16,7 @@ scenarios under a *binding* band (``min_chips=1``) must produce scaling
 actions and a different chip-time bill.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -25,6 +26,7 @@ from test_hetero_differential import (
     SCENARIOS,
     _golden_text,
     _run,
+    replace_in,
     served_digest,
 )
 
@@ -39,8 +41,8 @@ def golden_digests():
         return json.load(f)
 
 
-def _static_band(legacy_kwargs) -> ElasticConfig:
-    n = legacy_kwargs["n_chips"]
+def _static_band(legacy) -> ElasticConfig:
+    n = legacy.fleet.n_chips
     return ElasticConfig(min_chips=n, max_chips=n)
 
 
@@ -51,7 +53,7 @@ class TestStaticBandGolden:
     ):
         legacy, _ = SCENARIOS[scenario]
         report, result = _run(
-            {**legacy, "elastic": _static_band(legacy)}
+            replace_in(legacy, "fleet", elastic=_static_band(legacy))
         )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
@@ -61,9 +63,9 @@ class TestStaticBandGolden:
     def test_fleet_path_with_static_band_matches_golden(
         self, scenario, golden_digests
     ):
-        legacy, overrides = SCENARIOS[scenario]
+        legacy, fleet = SCENARIOS[scenario]
         report, result = _run(
-            legacy, {**overrides, "elastic": _static_band(legacy)}
+            legacy, dataclasses.replace(fleet, elastic=_static_band(legacy))
         )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
@@ -72,12 +74,9 @@ class TestStaticBandGolden:
         self, scenario, golden_digests
     ):
         legacy, _ = SCENARIOS[scenario]
+        banded = replace_in(legacy, "fleet", elastic=_static_band(legacy))
         report, result = _run(
-            {
-                **legacy,
-                "elastic": _static_band(legacy),
-                "admission": AcceptAll(),
-            }
+            replace_in(banded, "policy", admission=AcceptAll())
         )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
@@ -87,8 +86,8 @@ class TestStaticBandGolden:
     ):
         """The string form ('N:N') goes through parse_autoscale."""
         legacy, _ = SCENARIOS[scenario]
-        n = legacy["n_chips"]
-        report, result = _run({**legacy, "elastic": f"{n}:{n}"})
+        n = legacy.fleet.n_chips
+        report, result = _run(replace_in(legacy, "fleet", elastic=f"{n}:{n}"))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -103,9 +102,12 @@ def test_binding_band_actually_scales(scenario):
     mid-run.
     """
     legacy, _ = SCENARIOS[scenario]
-    n = legacy["n_chips"]
-    band = {**legacy, "elastic": ElasticConfig(min_chips=1, max_chips=n)}
-    if legacy.get("placement") == "partitioned":
+    band = replace_in(
+        legacy,
+        "fleet",
+        elastic=ElasticConfig(min_chips=1, max_chips=legacy.fleet.n_chips),
+    )
+    if legacy.fleet.placement == "partitioned":
         with pytest.raises(ValueError, match="no hosting chip"):
             _run(band)
         return

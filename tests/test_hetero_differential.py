@@ -20,6 +20,7 @@ engine event ordering, cluster cost caching, metrics formatting — gates
 the merge.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -28,7 +29,10 @@ import pytest
 
 from repro.cli import main
 from repro.serve import (
+    FleetConfig,
     FleetSpec,
+    ServingConfig,
+    WorkloadConfig,
     fleet_group,
     format_serving,
     simulate_serving,
@@ -36,43 +40,56 @@ from repro.serve import (
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-#: scenario -> (legacy simulate_serving kwargs, fleet-path overrides).
-#: The fleet override replaces n_chips/spec/mode with the equivalent
+#: scenario -> (legacy-path config, fleet-path FleetConfig).  The fleet
+#: path swaps the n_chips/spec/mode fleet group for the equivalent
 #: single-group FleetSpec; everything else stays identical.
 SCENARIOS = {
     "cnn_poisson": (
-        dict(
-            models=["resnet18"], n_chips=4, rps=2000.0, duration_s=0.1, seed=0
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18",), rps=2000.0, duration_s=0.1, seed=0
+            ),
+            fleet=FleetConfig(n_chips=4),
         ),
-        dict(fleet="yoco:4"),
+        FleetConfig(fleet="yoco:4"),
     ),
     "llm_lognormal": (
-        dict(
-            models=["gpt_large"],
-            n_chips=2,
-            rps=40.0,
-            duration_s=0.1,
-            seed=0,
-            seqlen_dist="lognormal",
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("gpt_large",),
+                rps=40.0,
+                duration_s=0.1,
+                seed=0,
+                seqlen_dist="lognormal",
+            ),
+            fleet=FleetConfig(n_chips=2),
         ),
-        dict(fleet="yoco:2"),
+        FleetConfig(fleet="yoco:2"),
     ),
     "mixed_partitioned_pipelined": (
-        dict(
-            models=["resnet18", "alexnet"],
-            n_chips=2,
-            rps=4000.0,
-            duration_s=0.05,
-            seed=1,
-            placement="partitioned",
-            mode="pipelined",
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18", "alexnet"),
+                rps=4000.0,
+                duration_s=0.05,
+                seed=1,
+            ),
+            fleet=FleetConfig(
+                n_chips=2, placement="partitioned", mode="pipelined"
+            ),
         ),
-        dict(
+        FleetConfig(
             fleet=FleetSpec((fleet_group("yoco", 2, mode="pipelined"),)),
             placement="partitioned",
         ),
     ),
 }
+
+
+def replace_in(config, group, **fields):
+    """``config`` with ``fields`` of one sub-config group replaced."""
+    sub = dataclasses.replace(getattr(config, group), **fields)
+    return dataclasses.replace(config, **{group: sub})
 
 
 def served_digest(result) -> str:
@@ -100,14 +117,11 @@ def _golden_text(name: str) -> str:
     return (DATA / f"golden_serve_{name}.txt").read_text().rstrip("\n")
 
 
-def _run(legacy_kwargs, overrides=None):
-    kwargs = dict(legacy_kwargs)
-    if overrides:
-        kwargs.pop("n_chips", None)
-        kwargs.pop("mode", None)
-        kwargs.update(overrides)
-    models = kwargs.pop("models")
-    return simulate_serving(models, **kwargs)
+def _run(config, fleet=None):
+    """Serve ``config``, on the fleet path when ``fleet`` is given."""
+    if fleet is not None:
+        config = dataclasses.replace(config, fleet=fleet)
+    return simulate_serving(config=config)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -18,10 +18,13 @@ from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    FleetConfig,
+    ServingConfig,
     ServingEngine,
     SloAwareShedding,
     Tenant,
     TenancyConfig,
+    WorkloadConfig,
     format_serving,
     simulate_serving,
     summarize,
@@ -65,12 +68,16 @@ class TestEmptyOpenLoop:
 class TestEmptyClosedLoop:
     def test_think_time_beyond_horizon_yields_a_sane_empty_report(self):
         report, result = simulate_serving(
-            ["resnet18"],
-            n_chips=1,
-            clients=2,
-            think_time_ms=100.0,
-            think_dist="fixed",
-            duration_s=0.001,
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",),
+                    clients=2,
+                    think_time_ms=100.0,
+                    think_dist="fixed",
+                    duration_s=0.001,
+                ),
+                fleet=FleetConfig(n_chips=1),
+            )
         )
         assert result.n_requests == 0
         _assert_zero_report_is_sane(report)

@@ -27,6 +27,7 @@ from test_hetero_differential import (
     SCENARIOS,
     _golden_text,
     _run,
+    replace_in,
     served_digest,
 )
 
@@ -34,10 +35,16 @@ from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    FleetConfig,
     JsonlTraceSink,
     MetricsRecorder,
+    ObserveConfig,
     Observer,
+    PolicyConfig,
+    PowerConfig,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     format_serving,
     poisson_trace,
     simulate_serving,
@@ -75,14 +82,15 @@ class _CountingObserver(Observer):
         return object.__getattribute__(self, name)
 
 
-def _observed_kwargs(tmp_path, **extra):
-    kwargs = dict(
+def _observed(config, tmp_path, observe=None):
+    return replace_in(
+        config,
+        "observe",
+        observe=observe,
         trace_file=str(tmp_path / "trace.jsonl"),
         metrics_file=str(tmp_path / "metrics.csv"),
         profile_engine=True,
     )
-    kwargs.update(extra)
-    return kwargs
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -91,7 +99,7 @@ class TestObservedRunMatchesGolden:
         self, scenario, golden_digests, tmp_path
     ):
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run({**legacy, **_observed_kwargs(tmp_path)})
+        report, result = _run(_observed(legacy, tmp_path))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         assert (tmp_path / "trace.jsonl").exists()
@@ -104,9 +112,7 @@ class TestObservedRunMatchesGolden:
         legacy, _ = SCENARIOS[scenario]
         _, unobserved = _run(legacy)
         counting = _CountingObserver()
-        _, observed = _run(
-            {**legacy, **_observed_kwargs(tmp_path, observe=counting)}
-        )
+        _, observed = _run(_observed(legacy, tmp_path, observe=counting))
         assert observed == unobserved
         assert observed.served == unobserved.served
         # The hooks genuinely fired; equality is not vacuous.
@@ -182,12 +188,16 @@ class TestChromeTrace:
     def test_traced_run_exports_valid_trace_event_json(self, tmp_path):
         path = tmp_path / "trace.json"
         simulate_serving(
-            ["resnet18", "alexnet"],
-            n_chips=4,
-            rps=4000.0,
-            duration_s=0.05,
-            seed=0,
-            trace_file=str(path),
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18", "alexnet"),
+                    rps=4000.0,
+                    duration_s=0.05,
+                    seed=0,
+                ),
+                fleet=FleetConfig(n_chips=4),
+                observe=ObserveConfig(trace_file=str(path)),
+            )
         )
         with open(path) as f:
             doc = json.load(f)  # malformed JSON raises here
@@ -211,8 +221,13 @@ class TestChromeTrace:
     def test_chrome_trace_rejected_by_summarizer(self, tmp_path):
         path = tmp_path / "trace.json"
         simulate_serving(
-            ["resnet18"], n_chips=2, rps=2000.0, duration_s=0.02, seed=0,
-            trace_file=str(path),
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",), rps=2000.0, duration_s=0.02, seed=0
+                ),
+                fleet=FleetConfig(n_chips=2),
+                observe=ObserveConfig(trace_file=str(path)),
+            )
         )
         with pytest.raises(ValueError, match="Perfetto"):
             summarize_trace(str(path))
@@ -221,15 +236,24 @@ class TestChromeTrace:
 class TestTraceSummaryAgreesWithReport:
     """summarize_trace rebuilds the report's floats, not approximations."""
 
-    def _traced_report(self, tmp_path, **kwargs):
+    def _traced_report(
+        self, tmp_path, n_chips, policy=PolicyConfig(), **workload
+    ):
         path = tmp_path / "trace.jsonl"
-        report, _ = simulate_serving(trace_file=str(path), **kwargs)
+        report, _ = simulate_serving(
+            config=ServingConfig(
+                workload=WorkloadConfig(**workload),
+                fleet=FleetConfig(n_chips=n_chips),
+                policy=policy,
+                observe=ObserveConfig(trace_file=str(path)),
+            )
+        )
         return report, summarize_trace(str(path))
 
     def test_per_model_latency_floats_equal(self, tmp_path):
         report, summary = self._traced_report(
             tmp_path,
-            models=["resnet18", "alexnet"],
+            models=("resnet18", "alexnet"),
             n_chips=4,
             rps=4000.0,
             duration_s=0.1,
@@ -250,7 +274,7 @@ class TestTraceSummaryAgreesWithReport:
     def test_queue_service_split_sums_to_total(self, tmp_path):
         _, summary = self._traced_report(
             tmp_path,
-            models=["resnet18"],
+            models=("resnet18",),
             n_chips=2,
             rps=8000.0,
             duration_s=0.05,
@@ -265,11 +289,11 @@ class TestTraceSummaryAgreesWithReport:
     def test_tenant_lanes_match_tenant_report(self, tmp_path):
         report, summary = self._traced_report(
             tmp_path,
-            models=["resnet18"],
+            models=("resnet18",),
             n_chips=2,
             tenants="chat:interactive:w=4:poisson@3000,"
             "bulk:batch:poisson@6000",
-            scheduler="weighted-fair",
+            policy=PolicyConfig(scheduler="weighted-fair"),
             duration_s=0.05,
             seed=0,
         )
@@ -287,12 +311,11 @@ class TestTraceSummaryAgreesWithReport:
         # waiting, meetable by preempting (the tenancy suite's scenario).
         report, summary = self._traced_report(
             tmp_path,
-            models=["resnet18"],
+            models=("resnet18",),
             n_chips=1,
             tenants="chat:interactive:w=4:poisson@2000:deadline=0.08,"
             "bulk:batch:poisson@60000",
-            scheduler="strict-priority",
-            preemption=True,
+            policy=PolicyConfig(scheduler="strict-priority", preemption=True),
             duration_s=0.01,
             seed=0,
         )
@@ -306,17 +329,18 @@ class TestTraceSummaryAgreesWithReport:
 
 
 class TestMetricsRecorder:
-    def _record(self, window_ms=1.0, **kwargs):
-        recorder = MetricsRecorder(window_ms)
-        defaults = dict(
-            models=["resnet18"],
-            n_chips=2,
-            rps=8000.0,
-            duration_s=0.05,
-            seed=0,
+    def _record(self, rps=8000.0, n_chips=2, power=None, admission=None):
+        recorder = MetricsRecorder(1.0)
+        report, result = simulate_serving(
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",), rps=rps, duration_s=0.05, seed=0
+                ),
+                fleet=FleetConfig(n_chips=n_chips, power=power),
+                policy=PolicyConfig(admission=admission),
+                observe=ObserveConfig(observe=recorder),
+            )
         )
-        defaults.update(kwargs)
-        report, result = simulate_serving(observe=recorder, **defaults)
         return report, result, recorder
 
     def test_window_totals_conserve_requests(self):
@@ -341,7 +365,7 @@ class TestMetricsRecorder:
         )
 
     def test_power_column_tracks_governor(self):
-        _, _, recorder = self._record(power_cap_w=100.0)
+        _, _, recorder = self._record(power=PowerConfig(power_cap_w=100.0))
         watts = [r["power_w"] for r in recorder.rows]
         assert all(w is not None and w >= 0.0 for w in watts)
         assert any(w > 0.0 for w in watts)

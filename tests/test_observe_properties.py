@@ -26,30 +26,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import Observer, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    ObserveConfig,
+    Observer,
+    PolicyConfig,
+    ServingConfig,
+    WorkloadConfig,
+    simulate_serving,
+)
 
 _DURATION_S = 0.01
 
-#: (label, simulate_serving overrides) — the composition axes.  Tenant
+#: label -> per-group ServingConfig overrides — the composition axes.  Tenant
 #: rate= limits exercise the per-tenant token-bucket rejection path, the
 #: preempting config replays the tenancy suite's saturated-chip
 #: scenario, and elastic runs scale a 1:4 band mid-run.
 _MODES = {
     "plain": {},
     "tenants": dict(
-        tenants="chat:interactive:w=4:poisson@2000,"
-        "bulk:batch:poisson@20000:rate=8000",
-        scheduler="weighted-fair",
+        workload=dict(
+            tenants="chat:interactive:w=4:poisson@2000,"
+            "bulk:batch:poisson@20000:rate=8000",
+        ),
+        policy=dict(scheduler="weighted-fair"),
     ),
     "tenants-preempt": dict(
-        tenants="chat:interactive:w=4:poisson@2000:deadline=0.08,"
-        "bulk:batch:poisson@60000",
-        scheduler="strict-priority",
-        preemption=True,
-        n_chips=1,
+        workload=dict(
+            tenants="chat:interactive:w=4:poisson@2000:deadline=0.08,"
+            "bulk:batch:poisson@60000",
+        ),
+        policy=dict(scheduler="strict-priority", preemption=True),
+        fleet=dict(n_chips=1),
     ),
-    "elastic": dict(elastic="1:4", n_chips=4),
+    "elastic": dict(fleet=dict(elastic="1:4", n_chips=4)),
 }
+
+
+def _config(mode, collector, seed=0, rps=2000.0, admission=None):
+    groups = _MODES[mode]
+    return ServingConfig(
+        workload=WorkloadConfig(
+            models=("resnet18",),
+            rps=rps,
+            duration_s=_DURATION_S,
+            seed=seed,
+            **groups.get("workload", {}),
+        ),
+        fleet=FleetConfig(**{"n_chips": 2, **groups.get("fleet", {})}),
+        policy=PolicyConfig(admission=admission, **groups.get("policy", {})),
+        observe=ObserveConfig(observe=collector),
+    )
 
 _ADMISSIONS = (None, "queue-cap:8", "token-bucket:20000:16", "slo-aware")
 
@@ -124,17 +151,9 @@ class TestSpanConservation:
         self, mode, seed, rps, admission
     ):
         collector = SpanCollector()
-        kwargs = dict(
-            models=["resnet18"],
-            n_chips=2,
-            rps=rps,
-            duration_s=_DURATION_S,
-            seed=seed,
-            admission=admission,
-            observe=collector,
+        _, result = simulate_serving(
+            config=_config(mode, collector, seed, rps, admission)
         )
-        kwargs.update(_MODES[mode])
-        _, result = simulate_serving(**kwargs)
         _assert_well_formed(collector.spans)
         # Conservation: every offered request's span terminates, and the
         # terminal tallies equal the engine's own accounting.
@@ -150,11 +169,7 @@ class TestPreemptionPairing:
     def _spans(self):
         collector = SpanCollector()
         _, result = simulate_serving(
-            models=["resnet18"],
-            duration_s=_DURATION_S,
-            seed=0,
-            observe=collector,
-            **_MODES["tenants-preempt"],
+            config=_config("tenants-preempt", collector)
         )
         return collector, result
 
@@ -173,13 +188,13 @@ class TestPreemptionPairing:
     def test_elastic_scale_events_fire(self):
         collector = SpanCollector()
         simulate_serving(
-            models=["resnet18"],
-            n_chips=4,
-            rps=30_000.0,
-            duration_s=0.05,
-            seed=0,
-            elastic="1:4",
-            observe=collector,
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",), rps=30_000.0, duration_s=0.05
+                ),
+                fleet=FleetConfig(n_chips=4, elastic="1:4"),
+                observe=ObserveConfig(observe=collector),
+            )
         )
         assert collector.n_scale > 0
         _assert_well_formed(collector.spans)

@@ -13,12 +13,15 @@ digest (the governor is genuinely wired into the event loop, not routed
 around), while still serving the identical request set.
 """
 
+import dataclasses
+
 import pytest
 
 from test_hetero_differential import (
     SCENARIOS,
     _golden_text,
     _run,
+    replace_in,
     served_digest,
 )
 
@@ -41,7 +44,7 @@ class TestUncappedGovernorGolden:
         self, scenario, golden_digests
     ):
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run({**legacy, "power": PowerConfig()})
+        report, result = _run(replace_in(legacy, "fleet", power=PowerConfig()))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # The trace rode along without perturbing a single float.
@@ -50,8 +53,10 @@ class TestUncappedGovernorGolden:
     def test_fleet_path_with_governor_matches_golden(
         self, scenario, golden_digests
     ):
-        legacy, overrides = SCENARIOS[scenario]
-        report, result = _run(legacy, {**overrides, "power": PowerConfig()})
+        legacy, fleet = SCENARIOS[scenario]
+        report, result = _run(
+            legacy, dataclasses.replace(fleet, power=PowerConfig())
+        )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -61,7 +66,7 @@ class TestUncappedGovernorGolden:
         """A non-default tau only changes the *trace*, never the run."""
         legacy, _ = SCENARIOS[scenario]
         config = PowerConfig(thermal_tau_s=1e-4)
-        report, result = _run({**legacy, "power": config})
+        report, result = _run(replace_in(legacy, "fleet", power=config))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -69,13 +74,17 @@ class TestUncappedGovernorGolden:
 class TestBindingCapChangesTheRun:
     def test_binding_cap_diverges_from_golden_digest(self, golden_digests):
         legacy, _ = SCENARIOS["cnn_poisson"]
-        _, result = _run({**legacy, "power_cap_w": 0.5})
+        _, result = _run(
+            replace_in(legacy, "fleet", power=PowerConfig(power_cap_w=0.5))
+        )
         assert served_digest(result) != golden_digests["cnn_poisson"]
 
     def test_but_serves_the_same_requests(self):
         legacy, _ = SCENARIOS["cnn_poisson"]
         _, blind = _run(legacy)
-        _, capped = _run({**legacy, "power_cap_w": 0.5})
+        _, capped = _run(
+            replace_in(legacy, "fleet", power=PowerConfig(power_cap_w=0.5))
+        )
         assert [s.request for s in capped.served] == [
             s.request for s in blind.served
         ]

@@ -20,16 +20,26 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import PowerConfig, ThermalNode, simulate_serving
+from repro.serve import (
+    FleetConfig,
+    PolicyConfig,
+    PowerConfig,
+    ServingConfig,
+    ThermalNode,
+    WorkloadConfig,
+    simulate_serving,
+)
 
 #: Single-chip FIFO scenario: no batching, no routing freedom — the pure
 #: service-time coupling the monotonicity argument needs.
-_SCENARIO = dict(
-    n_chips=1,
-    duration_s=0.02,
-    max_batch_size=1,
-    window_ms=0.0,
-)
+def _scenario(rps, seed, power=None):
+    return ServingConfig(
+        workload=WorkloadConfig(
+            models=("resnet18",), rps=rps, duration_s=0.02, seed=seed
+        ),
+        fleet=FleetConfig(n_chips=1, power=power),
+        policy=PolicyConfig(max_batch_size=1, window_ms=0.0),
+    )
 
 #: YOCO's idle floor is ~0.18 W/chip; caps below that are infeasible and
 #: pin at max slowdown (still monotone, but degenerate), so the strategy
@@ -38,14 +48,9 @@ _CAPS = st.floats(min_value=0.25, max_value=2.0)
 
 
 def _run(cap, rps, seed):
-    report, result = simulate_serving(
-        ["resnet18"],
-        rps=rps,
-        seed=seed,
-        power_cap_w=cap,
-        **_SCENARIO,
+    return simulate_serving(
+        config=_scenario(rps, seed, PowerConfig(power_cap_w=cap))
     )
-    return report, result
 
 
 class TestThrottleMonotonicity:
@@ -109,9 +114,7 @@ class TestThrottleMonotonicity:
         self, cap, rps, seed
     ):
         _, capped = _run(cap, rps, seed)
-        _, blind = simulate_serving(
-            ["resnet18"], rps=rps, seed=seed, **_SCENARIO
-        )
+        _, blind = simulate_serving(config=_scenario(rps, seed))
         assert [s.request for s in capped.served] == [
             s.request for s in blind.served
         ]
@@ -161,11 +164,9 @@ class TestThermalInvariants:
     @settings(max_examples=10, deadline=None)
     def test_engine_trace_temperatures_stay_physical(self, tau, seed):
         _, result = simulate_serving(
-            ["resnet18"],
-            rps=10000.0,
-            seed=seed,
-            power=PowerConfig(t_max_c=40.0, thermal_tau_s=tau),
-            **_SCENARIO,
+            config=_scenario(
+                10000.0, seed, PowerConfig(t_max_c=40.0, thermal_tau_s=tau)
+            )
         )
         for group in result.power.groups:
             assert math.isfinite(group.peak_temp_c)

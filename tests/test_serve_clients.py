@@ -7,9 +7,12 @@ from repro.serve import (
     BatchingPolicy,
     ClientPopulation,
     Cluster,
+    FleetConfig,
     QueueDepthCap,
     RetryPolicy,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     estimated_saturation_clients,
     simulate_serving,
 )
@@ -177,46 +180,39 @@ class TestRetryWithBackoff:
         assert result.n_requests > 0
 
 
+def _closed_loop_run(model, **workload):
+    return simulate_serving(
+        config=ServingConfig(
+            workload=WorkloadConfig(
+                models=(model,), think_time_ms=0.5, seed=0, **workload
+            ),
+            fleet=FleetConfig(n_chips=1),
+        )
+    )
+
+
 class TestClosedLoopSeqlens:
     def test_fixed_dist_pins_every_request_to_the_mean(self):
-        report, result = simulate_serving(
-            ["gpt_large"],
-            n_chips=1,
-            clients=2,
-            think_time_ms=0.5,
-            duration_s=0.02,
-            seqlen_dist="fixed",
-            seqlen_mean=128,
-            seed=0,
+        report, result = _closed_loop_run(
+            "gpt_large", clients=2, duration_s=0.02,
+            seqlen_dist="fixed", seqlen_mean=128,
         )
         assert result.served
         assert all(s.seq_len == 128 for s in result.served)
         assert report.has_tokens
 
     def test_lognormal_draws_clamp_to_the_top_bucket(self):
-        _, result = simulate_serving(
-            ["gpt_large"],
-            n_chips=1,
-            clients=4,
-            think_time_ms=0.5,
-            duration_s=0.02,
-            seqlen_dist="lognormal",
-            seqlen_mean=64,
-            seed=0,
+        _, result = _closed_loop_run(
+            "gpt_large", clients=4, duration_s=0.02,
+            seqlen_dist="lognormal", seqlen_mean=64,
         )
         assert result.served
         top = max(result.policy.seqlen_buckets)
         assert all(0 < s.seq_len <= top for s in result.served)
 
     def test_cnn_requests_stay_native_shape(self):
-        _, result = simulate_serving(
-            ["resnet18"],
-            n_chips=1,
-            clients=2,
-            think_time_ms=0.5,
-            duration_s=0.01,
-            seqlen_dist="lognormal",
-            seed=0,
+        _, result = _closed_loop_run(
+            "resnet18", clients=2, duration_s=0.01, seqlen_dist="lognormal"
         )
         assert result.served
         assert all(s.seq_len == 0 for s in result.served)

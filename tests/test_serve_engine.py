@@ -14,7 +14,11 @@ from repro.models import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    FleetConfig,
+    PolicyConfig,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     fixed_trace,
     format_serving,
     poisson_trace,
@@ -23,9 +27,13 @@ from repro.serve import (
 )
 
 
-def _run(n_chips=4, rps=2000.0, seed=0, **kwargs):
+def _run(n_chips=4, rps=2000.0, seed=0, max_batch_size=8, mode="batched"):
     return simulate_serving(
-        ["resnet18"], n_chips=n_chips, rps=rps, seed=seed, **kwargs
+        config=ServingConfig(
+            workload=WorkloadConfig(models=("resnet18",), rps=rps, seed=seed),
+            fleet=FleetConfig(n_chips=n_chips, mode=mode),
+            policy=PolicyConfig(max_batch_size=max_batch_size),
+        )
     )
 
 

@@ -9,9 +9,12 @@ from repro.models import get_workload
 from repro.serve import (
     CHIP_TYPES,
     Cluster,
+    FleetConfig,
     FleetGroup,
     FleetSpec,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     backend_for,
     chip_spec,
     fleet_cost_table,
@@ -236,13 +239,20 @@ class TestCostAwarePlacement:
             )
 
 
+def _resnet_on(fleet, **workload):
+    return ServingConfig(
+        workload=WorkloadConfig(models=("resnet18",), **workload), fleet=fleet
+    )
+
+
 class TestHeteroServing:
     def test_mixed_fleet_run_is_deterministic(self, resnet):
-        kwargs = dict(
-            rps=3000.0, duration_s=0.03, seed=3, fleet="yoco:2,isaac:2"
+        config = _resnet_on(
+            FleetConfig(fleet="yoco:2,isaac:2"),
+            rps=3000.0, duration_s=0.03, seed=3,
         )
-        a_report, a_result = simulate_serving(["resnet18"], **kwargs)
-        b_report, b_result = simulate_serving(["resnet18"], **kwargs)
+        a_report, a_result = simulate_serving(config=config)
+        b_report, b_result = simulate_serving(config=config)
         assert a_result.served == b_result.served
         assert a_report == b_report
         assert a_report.has_chip_types
@@ -255,11 +265,10 @@ class TestHeteroServing:
         """YOCO outruns ISAAC on resnet by ~1000x; at modest load the
         fastest router should never touch the ISAAC chips."""
         report, result = simulate_serving(
-            ["resnet18"],
-            rps=2000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet="yoco:2,isaac:2",
+            config=_resnet_on(
+                FleetConfig(fleet="yoco:2,isaac:2"),
+                rps=2000.0, duration_s=0.05, seed=0,
+            )
         )
         by_type = {t.chip_type: t for t in report.per_chip_type}
         assert by_type["yoco"].n_requests == report.n_requests
@@ -283,22 +292,25 @@ class TestHeteroServing:
         """Regression: the default SLO prices the model's *best* hosting
         chip, so reshuffling fleet group declaration order cannot move
         goodput/attainment on identical hardware."""
-        kwargs = dict(rps=30000.0, duration_s=0.05, seed=3)
-        a, _ = simulate_serving(["resnet18"], fleet="yoco:2,isaac:2", **kwargs)
-        b, _ = simulate_serving(["resnet18"], fleet="isaac:2,yoco:2", **kwargs)
+        a, b = (
+            simulate_serving(
+                config=_resnet_on(
+                    FleetConfig(fleet=fleet),
+                    rps=30000.0, duration_s=0.05, seed=3,
+                )
+            )[0]
+            for fleet in ("yoco:2,isaac:2", "isaac:2,yoco:2")
+        )
         assert a.per_model[0].slo_ms == b.per_model[0].slo_ms
         assert a.goodput_rps == b.goodput_rps
         assert a.slo_attainment == b.slo_attainment
 
     def test_simulate_serving_rejects_contradictory_fleet_args(self):
         """Fleet conflicts raise instead of being silently ignored."""
-        with pytest.raises(ValueError):
-            simulate_serving(
-                ["resnet18"], rps=100.0, fleet="yoco:2", mode="pipelined"
-            )
-        with pytest.raises(ValueError):
-            simulate_serving(["resnet18"], n_chips=7, rps=100.0, fleet="yoco:2")
-        with pytest.raises(ValueError):
-            simulate_serving(
-                ["resnet18"], rps=100.0, fleet="yoco:2", spec=yoco_spec()
-            )
+        for fleet in (
+            FleetConfig(fleet="yoco:2", mode="pipelined"),
+            FleetConfig(fleet="yoco:2", n_chips=7),
+            FleetConfig(fleet="yoco:2", spec=yoco_spec()),
+        ):
+            with pytest.raises(ValueError):
+                simulate_serving(config=_resnet_on(fleet, rps=100.0))

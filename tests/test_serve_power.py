@@ -5,6 +5,7 @@ integration arithmetic, engine coupling (binding caps throttle, uncapped
 governors are no-ops), metrics/report gating, and the CLI knobs.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -14,11 +15,14 @@ from repro.cli import main
 from repro.models.zoo import get_workload
 from repro.serve import (
     Cluster,
+    FleetConfig,
     PowerConfig,
     PowerGovernor,
     PowerModel,
+    ServingConfig,
     ThermalNode,
     ThrottlePolicy,
+    WorkloadConfig,
     fleet_group,
     format_serving,
     simulate_serving,
@@ -254,14 +258,24 @@ class TestGovernorAccounting:
             trace.group("tpu")
 
 
+def _serve(fleet, rps=20000.0):
+    return simulate_serving(
+        config=ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18",), rps=rps, duration_s=0.05, seed=0
+            ),
+            fleet=fleet,
+        )
+    )
+
+
 class TestEngineCoupling:
-    KW = dict(n_chips=4, rps=20000.0, duration_s=0.05, seed=0)
+    def _run(self, power=None):
+        return _serve(FleetConfig(n_chips=4, power=power))
 
     def test_unconstrained_governor_is_a_no_op(self):
-        _, blind = simulate_serving(["resnet18"], **self.KW)
-        _, traced = simulate_serving(
-            ["resnet18"], power=PowerConfig(), **self.KW
-        )
+        _, blind = self._run()
+        _, traced = self._run(PowerConfig())
         assert blind.served == traced.served
         assert blind.chip_busy_ns == traced.chip_busy_ns
         assert blind.makespan_ns == traced.makespan_ns
@@ -273,23 +287,17 @@ class TestEngineCoupling:
         """Even the cheapest-energy tie-break must not see the governor
         when no envelope binds (its priced-latency tie-break only exists
         on the constrained path)."""
-        kw = dict(
-            rps=30000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet="yoco:2,isaac:2",
-            routing=routing,
+        fleet = FleetConfig(fleet="yoco:2,isaac:2", routing=routing)
+        _, blind = _serve(fleet, rps=30000.0)
+        _, traced = _serve(
+            dataclasses.replace(fleet, power=PowerConfig()), rps=30000.0
         )
-        _, blind = simulate_serving(["resnet18"], **kw)
-        _, traced = simulate_serving(["resnet18"], power=PowerConfig(), **kw)
         assert blind.served == traced.served
         assert blind.chip_busy_ns == traced.chip_busy_ns
 
     def test_binding_cap_throttles_and_stays_under_budget(self):
-        _, uncapped = simulate_serving(["resnet18"], **self.KW)
-        _, capped = simulate_serving(
-            ["resnet18"], power_cap_w=0.5, **self.KW
-        )
+        _, uncapped = self._run()
+        _, capped = self._run(PowerConfig(power_cap_w=0.5))
         group = capped.power.groups[0]
         assert group.stall_ns > 0
         assert capped.makespan_ns > uncapped.makespan_ns
@@ -300,43 +308,29 @@ class TestEngineCoupling:
         assert group.peak_w <= group.cap_w * 1.05
 
     def test_thermal_limit_throttles(self):
-        _, free = simulate_serving(["resnet18"], **self.KW)
-        _, limited = simulate_serving(
-            ["resnet18"], t_max_c=32.0, thermal_tau_s=2e-3, **self.KW
-        )
+        _, free = self._run()
+        _, limited = self._run(PowerConfig(t_max_c=32.0, thermal_tau_s=2e-3))
         group = limited.power.groups[0]
         assert group.peak_temp_c > 32.0  # overshoot before throttle bites
         assert group.stall_ns > 0
         assert limited.makespan_ns > free.makespan_ns
 
     def test_throttling_preserves_the_request_set(self):
-        _, uncapped = simulate_serving(["resnet18"], **self.KW)
-        _, capped = simulate_serving(["resnet18"], power_cap_w=0.5, **self.KW)
+        _, uncapped = self._run()
+        _, capped = self._run(PowerConfig(power_cap_w=0.5))
         assert [s.request for s in uncapped.served] == [
             s.request for s in capped.served
         ]
 
     def test_mixed_fleet_traces_every_group(self):
-        _, result = simulate_serving(
-            ["resnet18"],
-            rps=20000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet="yoco:2,isaac:2",
-            power_cap_w=3.0,
+        _, result = _serve(
+            FleetConfig(
+                fleet="yoco:2,isaac:2", power=PowerConfig(power_cap_w=3.0)
+            )
         )
         names = [g.name for g in result.power.groups]
         assert names == ["yoco", "isaac"]
         assert all(g.cap_w == pytest.approx(6.0) for g in result.power.groups)
-
-    def test_scalar_knobs_conflict_with_explicit_config(self):
-        with pytest.raises(ValueError, match="not both"):
-            simulate_serving(
-                ["resnet18"],
-                power=PowerConfig(),
-                power_cap_w=1.0,
-                **self.KW,
-            )
 
     def test_hot_group_prices_batches_at_throttled_latency(self):
         """Throttle-aware `fastest` routing steers around a capped group.
@@ -358,21 +352,10 @@ class TestEngineCoupling:
         # to differentiate, saturate: the fit stretch on whichever group
         # is loaded makes the other group's chip cheaper, so work spreads
         # instead of piling onto chip 0 (the uncapped tiebreak).
-        _, capped = simulate_serving(
-            ["resnet18"],
-            rps=20000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet=fleet,
-            power_cap_w=0.5,
+        _, capped = _serve(
+            FleetConfig(fleet=fleet, power=PowerConfig(power_cap_w=0.5))
         )
-        _, blind = simulate_serving(
-            ["resnet18"],
-            rps=20000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet=fleet,
-        )
+        _, blind = _serve(FleetConfig(fleet=fleet))
         by_group_capped = {g.name: g.stall_ns for g in capped.power.groups}
         assert set(by_group_capped) == {"capped", "free"}
         capped_chips = {s.chip_id for s in capped.served}
@@ -382,35 +365,28 @@ class TestEngineCoupling:
 
 
 class TestReportGating:
-    KW = dict(n_chips=2, rps=20000.0, duration_s=0.05, seed=0)
+    def _run(self, power=None):
+        return _serve(FleetConfig(n_chips=2, power=power))
 
     def test_unconstrained_run_renders_legacy_report(self):
-        blind_report, _ = simulate_serving(["resnet18"], **self.KW)
-        traced_report, _ = simulate_serving(
-            ["resnet18"], power=PowerConfig(), **self.KW
-        )
+        blind_report, _ = self._run()
+        traced_report, _ = self._run(PowerConfig())
         assert not traced_report.has_power
         assert format_serving(traced_report) == format_serving(blind_report)
 
     def test_capped_run_renders_power_section(self):
-        report, _ = simulate_serving(["resnet18"], power_cap_w=0.5, **self.KW)
+        report, _ = self._run(PowerConfig(power_cap_w=0.5))
         assert report.has_power
         text = format_serving(report)
         assert "chip group" in text and "cap W" in text and "stall" in text
 
     def test_infeasible_cap_is_called_out(self):
-        report, _ = simulate_serving(["resnet18"], power_cap_w=0.05, **self.KW)
+        report, _ = self._run(PowerConfig(power_cap_w=0.05))
         assert "below the idle floor" in format_serving(report)
 
     def test_chip_type_watts_without_power_governor(self):
         """Satellite: heterogeneous power comparison needs no governor."""
-        report, _ = simulate_serving(
-            ["resnet18"],
-            rps=30000.0,
-            duration_s=0.05,
-            seed=0,
-            fleet="yoco:2,isaac:2",
-        )
+        report, _ = _serve(FleetConfig(fleet="yoco:2,isaac:2"), rps=30000.0)
         by_type = {t.chip_type: t for t in report.per_chip_type}
         assert by_type["yoco"].watts > 0
         # Busy-watts is energy over busy time: a served batch on YOCO
@@ -420,13 +396,7 @@ class TestReportGating:
         assert "busy W/chip" in text
 
     def test_idle_group_reports_zero_watts(self):
-        report, _ = simulate_serving(
-            ["resnet18"],
-            rps=100.0,
-            duration_s=0.05,
-            seed=0,
-            fleet="yoco:2,isaac:2",
-        )
+        report, _ = _serve(FleetConfig(fleet="yoco:2,isaac:2"), rps=100.0)
         by_type = {t.chip_type: t for t in report.per_chip_type}
         assert by_type["isaac"].watts == 0.0  # never served a batch
 

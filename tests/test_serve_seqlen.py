@@ -15,9 +15,13 @@ from repro.serve import (
     Batch,
     BatchingPolicy,
     Cluster,
+    FleetConfig,
+    PolicyConfig,
     Request,
     SEQLEN_DISTS,
+    ServingConfig,
     ServingEngine,
+    WorkloadConfig,
     bucket_for,
     default_buckets,
     fixed_seqlens,
@@ -292,10 +296,20 @@ class TestBucketedQueue:
         assert [r.request_id for r in batch.requests] == [0]
 
 
+def _seqlen_run(models, n_chips, buckets=None, mode="batched", **workload):
+    return simulate_serving(
+        config=ServingConfig(
+            workload=WorkloadConfig(models=models, **workload),
+            fleet=FleetConfig(n_chips=n_chips, mode=mode),
+            policy=PolicyConfig(seqlen_buckets=buckets),
+        )
+    )
+
+
 class TestServingWithSeqlens:
     def test_llm_run_reports_token_metrics(self):
-        report, result = simulate_serving(
-            ["gpt_large"], n_chips=2, rps=40, seed=0, seqlen_dist="lognormal"
+        report, result = _seqlen_run(
+            ("gpt_large",), 2, rps=40, seqlen_dist="lognormal"
         )
         assert report.has_tokens
         assert report.tokens_per_s > 0
@@ -310,8 +324,8 @@ class TestServingWithSeqlens:
             assert token in text
 
     def test_batches_never_mix_buckets(self):
-        _, result = simulate_serving(
-            ["gpt_large"], n_chips=2, rps=200, duration_s=0.2, seed=0,
+        _, result = _seqlen_run(
+            ("gpt_large",), 2, rps=200, duration_s=0.2,
             seqlen_dist="lognormal",
         )
         by_batch = {}
@@ -323,8 +337,8 @@ class TestServingWithSeqlens:
                 assert 0 < s.seq_len <= s.padded_seq_len
 
     def test_padded_tokens_reconcile(self):
-        _, result = simulate_serving(
-            ["gpt_large"], n_chips=2, rps=100, seed=0, seqlen_dist="uniform"
+        _, result = _seqlen_run(
+            ("gpt_large",), 2, rps=100, seqlen_dist="uniform"
         )
         assert result.total_tokens == sum(r.seq_len for r in (s.request for s in result.served))
         assert result.total_padded_tokens >= result.total_tokens
@@ -364,9 +378,8 @@ class TestServingWithSeqlens:
         assert cluster.native_seq_len("resnet18") == 0
 
     def test_pipelined_mode_is_seqlen_aware(self):
-        report, _ = simulate_serving(
-            ["qdqbert"], n_chips=2, rps=200, seed=0, mode="pipelined",
-            seqlen_dist="uniform",
+        report, _ = _seqlen_run(
+            ("qdqbert",), 2, rps=200, mode="pipelined", seqlen_dist="uniform"
         )
         assert report.has_tokens
         assert report.tokens_per_s > 0
@@ -376,7 +389,7 @@ class TestExactReproduction:
     """The degenerate paths reproduce pre-seqlen behavior bit-for-bit."""
 
     def test_no_dist_is_bit_identical_format(self):
-        report, result = simulate_serving(["gpt_large"], n_chips=2, rps=40, seed=0)
+        report, result = _seqlen_run(("gpt_large",), 2, rps=40)
         assert not report.has_tokens
         assert not result.has_seqlens
         text = format_serving(report)
@@ -384,11 +397,9 @@ class TestExactReproduction:
         assert "tok/s" not in text
 
     def test_fixed_dist_reproduces_native_numbers_exactly(self):
-        base, base_result = simulate_serving(
-            ["gpt_large"], n_chips=2, rps=40, seed=0
-        )
-        fixed, fixed_result = simulate_serving(
-            ["gpt_large"], n_chips=2, rps=40, seed=0, seqlen_dist="fixed"
+        base, base_result = _seqlen_run(("gpt_large",), 2, rps=40)
+        fixed, fixed_result = _seqlen_run(
+            ("gpt_large",), 2, rps=40, seqlen_dist="fixed"
         )
         assert [s.latency_ns for s in base_result.served] == [
             s.latency_ns for s in fixed_result.served
@@ -403,18 +414,17 @@ class TestExactReproduction:
         assert fixed.padding_overhead == 0.0
 
     def test_cnn_is_unaffected_by_every_seqlen_knob(self):
-        base, _ = simulate_serving(["resnet18"], n_chips=4, rps=2000, seed=0)
-        knobbed, result = simulate_serving(
-            ["resnet18"], n_chips=4, rps=2000, seed=0,
-            seqlen_dist="lognormal", seqlen_buckets=(128, 256),
+        base, _ = _seqlen_run(("resnet18",), 4, rps=2000)
+        knobbed, result = _seqlen_run(
+            ("resnet18",), 4, rps=2000,
+            seqlen_dist="lognormal", buckets=(128, 256),
         )
         assert format_serving(base) == format_serving(knobbed)
         assert all(s.seq_len == 0 for s in result.served)
 
     def test_mixed_cnn_llm_traffic(self):
-        report, result = simulate_serving(
-            ["resnet18", "qdqbert"], n_chips=2, rps=400, seed=0,
-            seqlen_dist="lognormal",
+        report, result = _seqlen_run(
+            ("resnet18", "qdqbert"), 2, rps=400, seqlen_dist="lognormal"
         )
         by_model = {m.model: m for m in report.per_model}
         assert by_model["resnet18"].mean_seq_len == 0.0
@@ -427,16 +437,14 @@ class TestExactReproduction:
 class TestValidation:
     def test_unknown_dist_rejected(self):
         with pytest.raises(ValueError):
-            simulate_serving(
-                ["gpt_large"], n_chips=1, rps=40, seed=0, seqlen_dist="zipf"
-            )
+            _seqlen_run(("gpt_large",), 1, rps=40, seqlen_dist="zipf")
 
     def test_explicit_buckets_clamp_like_a_max_context(self):
         """The largest explicit bucket is the serving max context: longer
         samples are clamped to it, never rejected."""
-        _, result = simulate_serving(
-            ["gpt_large"], n_chips=1, rps=40, seed=0,
-            seqlen_dist="lognormal", seqlen_buckets=(64, 128),
+        _, result = _seqlen_run(
+            ("gpt_large",), 1, rps=40,
+            seqlen_dist="lognormal", buckets=(64, 128),
         )
         assert result.n_requests > 0
         assert all(0 < s.seq_len <= 128 for s in result.served)

@@ -21,6 +21,8 @@ since it landed: all-shedding admission, closed-loop clients, and
 weighted-fair multi-tenant runs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,28 @@ from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    FleetConfig,
     MetricsRecorder,
+    ObserveConfig,
+    PolicyConfig,
+    ServingConfig,
     ServingEngine,
     StreamingMetrics,
+    WorkloadConfig,
     simulate_serving,
     uniform_trace,
 )
+
+
+def _streamed(stream, fleet, **workload):
+    """A 20 ms resnet18 run on ``fleet`` streaming into ``stream``."""
+    return ServingConfig(
+        workload=WorkloadConfig(
+            models=("resnet18",), duration_s=0.02, seed=0, **workload
+        ),
+        fleet=fleet,
+        observe=ObserveConfig(stream_metrics=stream),
+    )
 
 
 class TestLatenciesViewCopy:
@@ -79,12 +97,7 @@ class TestLatenciesViewCopy:
 
         stream = StreamingMetrics(progress_every=50, progress=hook)
         simulate_serving(
-            ["resnet18"],
-            n_chips=4,
-            rps=20000.0,
-            duration_s=0.02,
-            seed=0,
-            stream_metrics=stream,
+            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
         )
         assert held  # the hook fired, and no observe ever raised
         assert all(len(h) > 0 for h in held)
@@ -129,14 +142,11 @@ class TestStreamingComposition:
         # queue-cap:1 at 10x capacity sheds most arrivals; the stream
         # must account served + shed = offered without double counting.
         stream = StreamingMetrics()
+        config = _streamed(stream, FleetConfig(n_chips=2), rps=100000.0)
         report, result = simulate_serving(
-            ["resnet18"],
-            n_chips=2,
-            rps=100000.0,
-            duration_s=0.02,
-            seed=0,
-            admission="queue-cap:1",
-            stream_metrics=stream,
+            config=dataclasses.replace(
+                config, policy=PolicyConfig(admission="queue-cap:1")
+            )
         )
         assert result.n_dropped > 0
         assert stream.n_served == result.n_requests
@@ -146,13 +156,9 @@ class TestStreamingComposition:
     def test_streaming_with_closed_loop_clients(self):
         stream = StreamingMetrics()
         report, result = simulate_serving(
-            ["resnet18"],
-            n_chips=4,
-            clients=32,
-            think_time_ms=1.0,
-            duration_s=0.02,
-            seed=0,
-            stream_metrics=stream,
+            config=_streamed(
+                stream, FleetConfig(n_chips=4), clients=32, think_time_ms=1.0
+            )
         )
         assert result.n_clients == 32
         assert stream.n_served == result.n_requests > 0
@@ -160,17 +166,16 @@ class TestStreamingComposition:
 
     def test_streaming_with_weighted_fair_tenants(self):
         stream = StreamingMetrics()
+        config = _streamed(
+            stream,
+            FleetConfig(n_chips=4),
+            tenants="chat:interactive:w=4:poisson@20000,"
+            "bulk:batch:poisson@20000",
+        )
         report, result = simulate_serving(
-            ["resnet18"],
-            n_chips=4,
-            tenants=(
-                "chat:interactive:w=4:poisson@20000,"
-                "bulk:batch:poisson@20000"
-            ),
-            scheduler="weighted-fair",
-            duration_s=0.02,
-            seed=0,
-            stream_metrics=stream,
+            config=dataclasses.replace(
+                config, policy=PolicyConfig(scheduler="weighted-fair")
+            )
         )
         assert stream.n_served == result.n_requests > 0
         assert report.has_tenants
@@ -179,14 +184,12 @@ class TestStreamingComposition:
     def test_streaming_with_elastic_fleet(self):
         stream = StreamingMetrics()
         report, result = simulate_serving(
-            ["resnet18"],
-            n_chips=8,
-            rps=80000.0,
-            duration_s=0.02,
-            trace_kind="diurnal",
-            seed=0,
-            elastic="1:8",
-            stream_metrics=stream,
+            config=_streamed(
+                stream,
+                FleetConfig(n_chips=8, elastic="1:8"),
+                rps=80000.0,
+                trace_kind="diurnal",
+            )
         )
         assert stream.n_served == result.n_requests > 0
         assert result.elastic is not None

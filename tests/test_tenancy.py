@@ -18,15 +18,19 @@ from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    FleetConfig,
     ModelQueue,
+    PolicyConfig,
     PowerConfig,
     QueueDepthCap,
+    ServingConfig,
     ServingEngine,
     Tenant,
     TenancyConfig,
     TenantTokenBucket,
     TokenBucket,
     WeightedFairScheduler,
+    WorkloadConfig,
     deadline_ns,
     fixed_trace,
     make_scheduler,
@@ -37,6 +41,12 @@ from repro.serve import (
     summarize,
 )
 from repro.serve.traces import Request
+
+
+def _one_chip(workload, policy=PolicyConfig()):
+    return ServingConfig(
+        workload=workload, fleet=FleetConfig(n_chips=1), policy=policy
+    )
 
 
 def _tag(trace, tenant):
@@ -282,19 +292,31 @@ class TestEngineGuards:
     def test_tenancy_with_clients_is_rejected(self):
         with pytest.raises(ValueError, match="closed-loop"):
             simulate_serving(
-                ["resnet18"], n_chips=1, clients=4, tenants="solo:batch"
+                config=_one_chip(
+                    WorkloadConfig(
+                        models=("resnet18",), clients=4, tenants="solo:batch"
+                    )
+                )
             )
 
     def test_scheduler_knob_without_tenants_is_rejected(self):
         with pytest.raises(ValueError, match="tenants"):
             simulate_serving(
-                ["resnet18"], n_chips=1, scheduler="weighted-fair"
+                config=_one_chip(
+                    WorkloadConfig(models=("resnet18",)),
+                    PolicyConfig(scheduler="weighted-fair"),
+                )
             )
 
     def test_tenant_calling_unserved_model_is_rejected(self):
         with pytest.raises(ValueError, match="alexnet"):
             simulate_serving(
-                ["resnet18"], n_chips=1, tenants="solo:batch:model=alexnet"
+                config=_one_chip(
+                    WorkloadConfig(
+                        models=("resnet18",),
+                        tenants="solo:batch:model=alexnet",
+                    )
+                )
             )
 
 

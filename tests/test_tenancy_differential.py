@@ -32,13 +32,18 @@ from test_hetero_differential import (
     SCENARIOS,
     _golden_text,
     _run,
+    replace_in,
     served_digest,
 )
 
 from repro.serve import (
     AcceptAll,
+    FleetConfig,
+    PolicyConfig,
     PowerConfig,
+    ServingConfig,
     Tenant,
+    WorkloadConfig,
     format_serving,
     simulate_serving,
 )
@@ -54,16 +59,13 @@ def golden_digests():
         return json.load(f)
 
 
-def _tenant_kwargs(legacy):
+def _tenant_twin(legacy):
     """Rewrite a legacy scenario as its degenerate single-tenant twin."""
-    spec = "solo:batch:poisson@{:g}".format(legacy["rps"])
-    if "seqlen_dist" in legacy:
-        spec += ":seqlen=" + legacy["seqlen_dist"]
-    kwargs = {
-        k: v for k, v in legacy.items() if k not in ("rps", "seqlen_dist")
-    }
-    kwargs["tenants"] = spec
-    return kwargs
+    workload = legacy.workload
+    spec = "solo:batch:poisson@{:g}".format(workload.rps)
+    if workload.seqlen_dist is not None:
+        spec += ":seqlen=" + workload.seqlen_dist
+    return replace_in(legacy, "workload", seqlen_dist=None, tenants=spec)
 
 
 # -- degenerate replay ---------------------------------------------------------------
@@ -73,7 +75,7 @@ def _tenant_kwargs(legacy):
 class TestSingleTenantGolden:
     def test_legacy_path_matches_golden(self, scenario, golden_digests):
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run(_tenant_kwargs(legacy))
+        report, result = _run(_tenant_twin(legacy))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # Tenancy genuinely ran: the result is tagged, the report gated.
@@ -85,8 +87,8 @@ class TestSingleTenantGolden:
         assert stats.n_requests == result.n_requests
 
     def test_fleet_path_matches_golden(self, scenario, golden_digests):
-        legacy, overrides = SCENARIOS[scenario]
-        report, result = _run(_tenant_kwargs(legacy), overrides)
+        legacy, fleet = SCENARIOS[scenario]
+        report, result = _run(_tenant_twin(legacy), fleet)
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
@@ -94,26 +96,23 @@ class TestSingleTenantGolden:
         # Tenancy under accept-all admission and an unconstrained power
         # governor: three no-op layers deep, still byte-identical.
         legacy, _ = SCENARIOS[scenario]
-        report, result = _run(
-            {
-                **_tenant_kwargs(legacy),
-                "admission": AcceptAll(),
-                "power": PowerConfig(),
-            }
+        gated = replace_in(
+            _tenant_twin(legacy), "policy", admission=AcceptAll()
         )
+        report, result = _run(replace_in(gated, "fleet", power=PowerConfig()))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
     def test_tenant_request_tags_cover_the_trace(self, scenario):
         legacy, _ = SCENARIOS[scenario]
-        _, result = _run(_tenant_kwargs(legacy))
+        _, result = _run(_tenant_twin(legacy))
         assert all(s.request.tenant == "solo" for s in result.served)
 
 
 # -- counterweights: the knobs genuinely change the simulation -----------------------
 
 
-def _two_tenant_kwargs(deadline_ms=None, **knobs):
+def _two_tenant_config(deadline_ms=None, **policy):
     # bulk saturates the single chip, so the scheduler genuinely arbitrates.
     tenants = (
         Tenant(
@@ -125,13 +124,12 @@ def _two_tenant_kwargs(deadline_ms=None, **knobs):
         ),
         Tenant("bulk", "batch", weight=1.0, rps=60000.0),
     )
-    return dict(
-        models=["resnet18"],
-        n_chips=1,
-        duration_s=0.01,
-        seed=0,
-        tenants=tenants,
-        **knobs,
+    return ServingConfig(
+        workload=WorkloadConfig(
+            models=("resnet18",), duration_s=0.01, seed=0, tenants=tenants
+        ),
+        fleet=FleetConfig(n_chips=1),
+        policy=PolicyConfig(**policy),
     )
 
 
@@ -139,7 +137,7 @@ class TestCounterweights:
     def test_scheduler_choice_changes_dispatch_order(self):
         digests = {}
         for scheduler in ("fifo", "strict-priority", "weighted-fair"):
-            _, result = _run(_two_tenant_kwargs(scheduler=scheduler))
+            _, result = _run(_two_tenant_config(scheduler=scheduler))
             digests[scheduler] = served_digest(result)
             # Conservation holds under every scheduler.
             assert result.n_requests + result.n_rejections == len(
@@ -150,7 +148,7 @@ class TestCounterweights:
 
     def test_strict_priority_helps_the_interactive_tenant(self):
         def chat_mean(scheduler):
-            _, result = _run(_two_tenant_kwargs(scheduler=scheduler))
+            _, result = _run(_two_tenant_config(scheduler=scheduler))
             served = result.for_tenant("chat")
             return sum(s.latency_ns for s in served) / len(served)
 
@@ -160,7 +158,7 @@ class TestCounterweights:
         # The 80 us absolute deadline is unmeetable by waiting out a
         # saturated chip but meetable after an overhead-charged preempt.
         _, result = _run(
-            _two_tenant_kwargs(
+            _two_tenant_config(
                 deadline_ms=0.08, scheduler="strict-priority", preemption=True
             )
         )
@@ -200,12 +198,18 @@ def _noisy_neighbor_run(seed, n_chips, attack_multiple, protected=True):
         ),
     )
     _, result = simulate_serving(
-        ["resnet18"],
-        n_chips=n_chips,
-        duration_s=0.01,
-        seed=seed,
-        tenants=tenants,
-        scheduler="weighted-fair" if protected else "fifo",
+        config=ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18",),
+                duration_s=0.01,
+                seed=seed,
+                tenants=tenants,
+            ),
+            fleet=FleetConfig(n_chips=n_chips),
+            policy=PolicyConfig(
+                scheduler="weighted-fair" if protected else "fifo"
+            ),
+        )
     )
     return result
 
