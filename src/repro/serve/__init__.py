@@ -47,7 +47,6 @@ from repro.models.zoo import get_workload
 from repro.serve.admission import (
     ADMISSION_POLICIES,
     AcceptAll,
-    AdmissionPolicy,
     QueueDepthCap,
     SloAwareShedding,
     TenantTokenBucket,
@@ -64,11 +63,11 @@ from repro.serve.batching import (
 from repro.serve.clients import (
     THINK_DISTS,
     ClientPopulation,
-    ClosedLoopDriver,
     RetryPolicy,
     estimated_saturation_clients,
 )
 from repro.serve.config import (
+    ROUTING_POLICIES,
     FleetConfig,
     ObserveConfig,
     PolicyConfig,
@@ -84,9 +83,6 @@ from repro.serve.decode import (
 )
 from repro.serve.cluster import (
     Cluster,
-    ChipPlan,
-    ChipService,
-    ClusterPlan,
     MODES,
     PLACEMENTS,
     fleet_cost_table,
@@ -101,9 +97,6 @@ from repro.serve.elastic import (
     parse_autoscale,
 )
 from repro.serve.engine import (
-    ROUTING_POLICIES,
-    EngineProfile,
-    EngineStats,
     RejectedRequest,
     ServedRequest,
     ServingEngine,
@@ -123,10 +116,7 @@ from repro.serve.observe import (
     ChromeTraceSink,
     JsonlTraceSink,
     MetricsRecorder,
-    MultiObserver,
     Observer,
-    PhaseStats,
-    TraceSummary,
     compose_observers,
     format_engine_profile,
     format_trace_summary,
@@ -134,31 +124,21 @@ from repro.serve.observe import (
     summarize_trace,
 )
 from repro.serve.metrics import (
-    ChipTypeStats,
     ModelServingStats,
     ServingReport,
-    TenantStats,
     format_serving,
     percentile,
     summarize,
 )
 from repro.serve.power import (
-    GroupPowerTrace,
     PowerConfig,
     PowerGovernor,
     PowerModel,
-    PowerTrace,
     ThermalNode,
     ThrottlePolicy,
 )
 from repro.serve.tenancy import (
     SCHEDULERS,
-    SLO_CLASSES,
-    FifoScheduler,
-    PreemptionRecord,
-    Scheduler,
-    SloClass,
-    StrictPriorityScheduler,
     Tenant,
     TenancyConfig,
     WeightedFairScheduler,
@@ -168,9 +148,7 @@ from repro.serve.tenancy import (
     tenant_traces,
 )
 from repro.serve.regions import (
-    RegionResult,
     RegionSpec,
-    RegionsReport,
     follow_the_sun,
     format_regions,
     simulate_regions,
@@ -199,74 +177,52 @@ from repro.serve.traces import (
 __all__ = [
     "ADMISSION_POLICIES",
     "AcceptAll",
-    "AdmissionPolicy",
     "Batch",
     "BatchingPolicy",
     "CHIP_TYPES",
-    "ChipPlan",
-    "ChipService",
-    "ChipTypeStats",
     "ChromeTraceSink",
     "ClientPopulation",
-    "ClosedLoopDriver",
     "Cluster",
-    "ClusterPlan",
     "DECODE_DISTS",
     "DecodeConfig",
     "ElasticConfig",
     "ElasticController",
     "ElasticTrace",
-    "EngineProfile",
-    "EngineStats",
     "FleetConfig",
     "FleetGroup",
     "FleetSpec",
-    "GroupPowerTrace",
     "JsonlTraceSink",
     "MODES",
     "MetricsRecorder",
     "ModelQueue",
     "ModelServingStats",
-    "MultiObserver",
     "Observer",
     "ObserveConfig",
     "PLACEMENTS",
-    "PhaseStats",
-    "FifoScheduler",
     "PolicyConfig",
     "PowerConfig",
     "PowerGovernor",
     "PowerModel",
-    "PowerTrace",
-    "PreemptionRecord",
     "QueueDepthCap",
     "ROUTING_POLICIES",
-    "RegionResult",
     "RegionSpec",
-    "RegionsReport",
     "RejectedRequest",
     "Request",
     "RetryPolicy",
     "SCHEDULERS",
     "SEQLEN_DISTS",
-    "SLO_CLASSES",
     "ScalingAction",
-    "Scheduler",
     "ServedRequest",
     "ServingConfig",
     "ServingEngine",
     "ServingReport",
     "ServingResult",
     "SloAwareShedding",
-    "SloClass",
     "StreamingMetrics",
-    "StrictPriorityScheduler",
     "THINK_DISTS",
     "TRACE_KINDS",
     "Tenant",
-    "TraceSummary",
     "TenancyConfig",
-    "TenantStats",
     "TenantTokenBucket",
     "ThermalNode",
     "ThrottlePolicy",
@@ -277,7 +233,6 @@ __all__ = [
     "bucket_for",
     "bursty_trace",
     "chip_spec",
-    "compose_observers",
     "deadline_ns",
     "default_buckets",
     "diurnal_trace",
@@ -292,7 +247,6 @@ __all__ = [
     "format_serving",
     "format_trace_summary",
     "homogeneous_fleet",
-    "lifecycle_tracer",
     "lognormal_seqlens",
     "longtail_seqlens",
     "make_scheduler",

@@ -300,28 +300,6 @@ class ModelQueue:
             return min(full)[1]
         return oldest_bucket
 
-    def peek_batch(
-        self, now_ns: float, policy: BatchingPolicy
-    ) -> Tuple[int, int, int]:
-        """What :meth:`pop_batch` would dispatch right now, without mutating.
-
-        Returns ``(bucket, size, padded_seq_len)`` — exactly the batch
-        shape the engine's cost-aware chip routing needs to price the
-        dispatch on each candidate chip before committing to one.
-        ``padded_seq_len`` matches :attr:`Batch.padded_seq_len` for the
-        batch a subsequent ``pop_batch(now_ns, policy)`` returns.
-        """
-        if not self._size:
-            raise IndexError("cannot peek a batch from an empty queue")
-        bucket = self._dispatch_bucket(now_ns, policy)
-        queue = self._pending[bucket]
-        take = min(len(queue), policy.max_batch_size)
-        if bucket:
-            padded = bucket
-        else:
-            padded = max(queue[i].seq_len for i in range(take))
-        return bucket, take, padded
-
     def pop_batch(self, now_ns: float, policy: BatchingPolicy) -> Batch:
         """Dequeue up to ``max_batch_size`` same-bucket requests."""
         if not self._size:

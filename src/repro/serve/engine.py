@@ -1,17 +1,27 @@
 """Deterministic discrete-event serving loop.
 
 Drives a request trace through per-model queues, the dynamic batcher and
-the cluster's chips.  Three event kinds exist — batch completion, request
-arrival, batching-window expiry — kept in one time-ordered heap with a
-monotonic sequence number as the final tiebreak, so two runs over the same
-(trace, cluster, policy) produce bit-identical results.  There is no
-wall-clock anywhere: all randomness lives in the trace generators and the
-closed-loop client streams.
+the cluster's chips.  Four event kinds exist — batch completion, request
+arrival, batching-window expiry and elastic scaling — kept in one
+time-ordered heap with a monotonic sequence number as the final
+tiebreak, so two runs over the same (trace, cluster, policy) produce
+bit-identical results.  There is no wall-clock anywhere: all randomness
+lives in the trace generators and the closed-loop client streams.
+
+Work waits in **dispatch slots**: one batching queue per (tenant, model)
+pair and, with an autoregressive decode loop, one decode FIFO per model.
+Every slot dispatches onto a **host set** — the chips that may serve it
+(for decode, the decode-side chips under the ``prefill-decode``
+placement), with the set's flat cost table, a free-host count and a
+round-robin cursor.  The free-chip index, the dirty-slot scan, the router
+and the launch step read host sets only, so prefill batches and decode
+iterations share one dispatch mechanism; each phase supplies just its
+batch and its routing key.
 
 Two traffic sources feed the loop:
 
 * **open-loop traces** (:meth:`ServingEngine.run` with a request
-  sequence) — arrivals are fixed in advance, the legacy path;
+  sequence) — arrivals are fixed in advance;
 * **closed-loop clients** (``clients=`` with a
   :class:`repro.serve.clients.ClientPopulation`) — every batch completion
   feeds back to its sessions, which think and then issue their next
@@ -22,7 +32,7 @@ queues in either mode: rejected requests drop (open loop) or go back to
 their session for retry-with-backoff (closed loop), and land on
 :attr:`ServingResult.rejected` instead of :attr:`ServingResult.served`.
 With ``admission=None`` — or the explicit :class:`AcceptAll` — the loop
-is byte-for-byte the pre-admission engine (golden-guarded).
+is byte-for-byte the admission-free engine (golden-guarded).
 
 A :class:`repro.serve.tenancy.TenancyConfig` splits the queues per
 (tenant, model) pair, hands dispatch ordering to a pluggable
@@ -31,8 +41,11 @@ an interactive arrival that would miss its deadline may kill the most
 recently dispatched lower-priority batch on a hosting chip, requeue its
 requests at the front of their queue, and take the chip after an explicit
 re-dispatch overhead.  Without a tenancy config — or with the degenerate
-single-tenant ``fifo`` one — the loop is byte-for-byte the pre-tenancy
+single-tenant ``fifo`` one — the loop is byte-for-byte the tenant-blind
 engine (golden-guarded by ``tests/test_tenancy_differential.py``).
+
+A single plain slot on a uniform host set skips the event loop for a
+per-batch walk (:meth:`ServingEngine._run_turbo`), bit-identical to it.
 """
 
 from __future__ import annotations
@@ -59,7 +72,7 @@ from repro.serve.admission import AdmissionPolicy, parse_admission
 from repro.serve.batching import Batch, BatchingPolicy, ModelQueue
 from repro.serve.clients import ClientPopulation, ClosedLoopDriver
 from repro.serve.cluster import ChipService, Cluster
-from repro.serve.config import ROUTING_POLICIES, check_composition
+from repro.serve.config import check_composition
 from repro.serve.decode import DecodeConfig, page_round
 from repro.serve.elastic import (
     ElasticConfig,
@@ -85,10 +98,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: elastic-controller evaluations/activations (scaling decisions observe
 #: the instant's fully settled state).
 _COMPLETION, _ARRIVAL, _WINDOW, _SCALE = 0, 1, 2, 3
-
-# ``ROUTING_POLICIES`` (fastest / cheapest-energy / round-robin) now
-# lives in :mod:`repro.serve.config` — the one composition-rule table —
-# and is re-exported here for the long-standing import path.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -529,9 +538,10 @@ class ServingEngine:
     """Run request traces against a :class:`Cluster` under one policy.
 
     ``routing`` picks which free hosting chip a ready batch dispatches to
-    (one of :data:`ROUTING_POLICIES`); it decides *where* work runs, never
-    whether it runs, so for a fixed trace every policy serves exactly the
-    same requests — only their latency and energy differ.
+    (one of :data:`repro.serve.config.ROUTING_POLICIES`); it decides
+    *where* work runs, never whether it runs, so for a fixed trace every
+    policy serves exactly the same requests — only their latency and
+    energy differ.
 
     ``power`` runs the whole simulation under a
     :class:`repro.serve.power.PowerConfig` envelope: every event advances
@@ -847,70 +857,53 @@ class ServingEngine:
         backlog: Dict[str, int] = {t: 0 for t in tenant_order}
         chip_free = [0.0] * cluster.n_chips
         chip_busy = [0.0] * cluster.n_chips
-        # -- free-chip index ------------------------------------------------
-        # ``chip_free`` (finish-time floats) stays the ground truth, but
-        # the dispatch scan reads freedom through an O(1) index: a per-chip
-        # boolean, a per-model free-host count, and a heap of (finish,
-        # chip) entries drained at every event pop.  A chip is observably
-        # free at its exact finish instant — even while an earlier
-        # same-timestamp completion is being processed — exactly as the
-        # old per-slot ``chip_free[c] <= now`` filter saw it.
-        hosts: Dict[str, Tuple[int, ...]] = {
-            m: cluster.chips_for(m) for m in model_order
-        }
-        chip_models: Tuple[Tuple[str, ...], ...] = tuple(
-            cluster.plan.chips[c].models for c in range(cluster.n_chips)
-        )
-        # -- decode state ---------------------------------------------------
-        # One decode FIFO per model, addressed as virtual slots past the
-        # prefill slots (index n_pslots + model index): the dirty-set
-        # dispatch scan then covers both phases with one mechanism.  Under
-        # the prefill-decode placement, prefill dispatch is restricted to
-        # fleet group 0 and decode to the remaining groups; unified
-        # clusters run both phases on every chip.  Tenancy, clients and
-        # elastic fleets are banned with decode (one rule table), so the
-        # decode path never interacts with those branches.
         routing = self._routing
         decode_on = decode_cfg is not None
         n_pslots = len(slots)
+        n_models = len(model_order)
+        model_index = {m: i for i, m in enumerate(model_order)}
+        # One decode FIFO per model, addressed as the slots past the
+        # prefill slots (index n_pslots + model index), so the dirty-set
+        # scan covers both phases.  Tenancy, clients and elastic fleets
+        # are banned with decode (one rule table), so decode slots never
+        # meet those branches.
+        decode_queues: List[deque] = [deque() for _ in model_order]
+        # -- host sets ------------------------------------------------------
+        # Set i holds the chips the prefill slots of model i dispatch onto
+        # and, with decode, set n_models + i the chips of model i's decode
+        # slot — under the prefill-decode placement, fleet group 0 and the
+        # remaining groups; unified clusters run both phases on every
+        # hosting chip.  Hosts are in ascending id order.
+        set_hosts: List[Tuple[int, ...]] = [
+            cluster.chips_for(m) for m in model_order
+        ]
+        set_table = [cluster.service_table(m) for m in model_order]
         if decode_on:
-            model_index: Dict[str, int] = {
-                m: i for i, m in enumerate(model_order)
-            }
-            decode_queues: List[deque] = [deque() for _ in model_order]
             if cluster.disaggregated:
-                pset = set(cluster.prefill_chips)
-                dset = set(cluster.decode_chips)
-                chip_is_prefill = [
-                    c in pset for c in range(cluster.n_chips)
+                prefill_chips = set(cluster.prefill_chips)
+                set_hosts = [
+                    tuple(c for c in cs if c in prefill_chips)
+                    for cs in set_hosts
                 ]
-                chip_is_decode = [c in dset for c in range(cluster.n_chips)]
-                hosts = {
-                    m: tuple(c for c in cs if chip_is_prefill[c])
-                    for m, cs in hosts.items()
-                }
-                for m, cs in hosts.items():
+                for m, cs in zip(model_order, set_hosts):
                     if not cs:
                         raise ValueError(
                             f"model {m!r} has no hosting chip in the "
                             "prefill group; the prefill-decode placement "
                             "needs every model on fleet group 0"
                         )
-            else:
-                chip_is_prefill = [True] * cluster.n_chips
-                chip_is_decode = [True] * cluster.n_chips
-            d_hosts: Dict[str, Tuple[int, ...]] = {
-                m: tuple(
-                    c for c in cluster.chips_for(m) if chip_is_decode[c]
-                )
+            decode_chips = set(cluster.decode_chips)
+            set_hosts += [
+                tuple(c for c in cluster.chips_for(m) if c in decode_chips)
                 for m in model_order
-            }
-            for m, cs in d_hosts.items():
+            ]
+            for m, cs in zip(model_order, set_hosts[n_models:]):
                 if cluster.native_seq_len(m) and not cs:
                     raise ValueError(
                         f"model {m!r} has no hosting chip in the decode "
                         "group; its decode queue could never drain"
                     )
+            set_table += [cluster.decode_table(m) for m in model_order]
             kv_per_token = {
                 m: cluster.kv_bytes_per_token(m) for m in model_order
             }
@@ -918,63 +911,63 @@ class ServingEngine:
                 cluster.kv_capacity_bytes(c) for c in range(cluster.n_chips)
             ]
             page = decode_cfg.page_tokens
-            d_free_count: Dict[str, int] = {
-                m: len(d_hosts[m]) for m in model_order
-            }
-            d_rr_next: Dict[str, int] = {m: 0 for m in model_order}
-            # Flat decode cost rows.  A uniform decode host set — one cost
-            # key, one KV capacity — prices every candidate identically,
-            # so cost-aware routing takes the lowest free decode host
-            # unpriced, as prefill's fast_route does.  Throttle state is
-            # per fleet group and a cost key names one group, so a power
-            # cap cannot break the tie either.
-            d_tables = {m: cluster.decode_table(m) for m in model_order}
-            d_fast: Dict[str, bool] = {
-                m: routing != "round-robin" and d_tables[m].uniform
-                for m in model_order
-            }
+        # A uniform set — one cost key and, for decode, one KV capacity —
+        # prices every host identically, so the cost-aware policies tie on
+        # every chip and take the lowest free host id, unpriced.  Throttle
+        # state is per fleet group and a cost key names one group, so a
+        # power cap cannot break the tie either.
+        set_uniform = [
+            routing != "round-robin" and table.uniform for table in set_table
+        ]
+        # ``chip_free`` (finish-time floats) stays the ground truth, but
+        # the dispatch scan reads freedom through an O(1) index: a per-chip
+        # boolean, a per-set free-host count, and a heap of (finish, chip)
+        # entries drained at every event pop.  A chip is observably free
+        # at its exact finish instant — even while an earlier
+        # same-timestamp completion is being processed.
+        is_free = [True] * cluster.n_chips
+        set_free = [len(hosts) for hosts in set_hosts]
+        # Round-robin cursor per set (shared across tenants — rotation is
+        # a chip-placement concern; the scheduler owns fairness).
+        set_rr = [0] * len(set_hosts)
+        sets_of_chip: List[List[int]] = [[] for _ in range(cluster.n_chips)]
+        for k, hosts in enumerate(set_hosts):
+            for c in hosts:
+                sets_of_chip[c].append(k)
+        # slot index -> host set: (tenant, model) queues, then decode FIFOs.
+        slot_set = [model_index[m] for m in model_list]
+        if decode_on:
+            slot_set += range(n_models, 2 * n_models)
+        slots_by_chip = tuple(
+            tuple(s for s, k in enumerate(slot_set) if k in sets_of_chip[c])
+            for c in range(cluster.n_chips)
+        )
+        free_heap: List[Tuple[float, int]] = []
+        # Slots an event may have made dispatchable.  The post-dispatch
+        # invariant — no slot is simultaneously non-empty, ready, and
+        # free-hosted once dispatch() returns — means only event-touched
+        # slots can become eligible, so the scan visits exactly these
+        # instead of every slot on every event.
+        dirty: Set[int] = set()
+
+        def mark_free(chip: int) -> None:
+            """Index a chip as free and dirty every slot it could serve."""
+            is_free[chip] = True
+            for k in sets_of_chip[chip]:
+                set_free[k] += 1
+            dirty.update(slots_by_chip[chip])
+
+        def claim_chip(chip: int) -> None:
+            """Drop a chip from the free index (dispatched to, or parked)."""
+            if is_free[chip]:
+                is_free[chip] = False
+                for k in sets_of_chip[chip]:
+                    set_free[k] -= 1
+
         n_decode_iters = 0
         n_decode_tokens = 0
         kv_total = 0.0
         kv_overflow_total = 0.0
-        if not decode_on:
-            slots_by_chip: Tuple[Tuple[int, ...], ...] = tuple(
-                tuple(
-                    sorted(
-                        slot_index[(t, m)]
-                        for m in chip_models[c]
-                        for t in tenant_order
-                    )
-                )
-                for c in range(cluster.n_chips)
-            )
-        else:
-            slots_by_chip = tuple(
-                tuple(
-                    sorted(
-                        (
-                            [
-                                slot_index[("", m)]
-                                for m in chip_models[c]
-                            ]
-                            if chip_is_prefill[c]
-                            else []
-                        )
-                        + (
-                            [
-                                n_pslots + model_index[m]
-                                for m in chip_models[c]
-                            ]
-                            if chip_is_decode[c]
-                            else []
-                        )
-                    )
-                )
-                for c in range(cluster.n_chips)
-            )
-        is_free = [True] * cluster.n_chips
-        free_count: Dict[str, int] = {m: len(hosts[m]) for m in model_order}
-        free_heap: List[Tuple[float, int]] = []
         # -- elastic fleet state --------------------------------------------
         # The active set is always the chip-id prefix [0, n_active):
         # scale-downs drain the highest active chip, scale-ups activate
@@ -997,9 +990,7 @@ class ServingEngine:
         if el_on:
             active = [c < el_init for c in range(cluster.n_chips)]
             for c in range(el_init, cluster.n_chips):
-                is_free[c] = False
-                for m in chip_models[c]:
-                    free_count[m] -= 1
+                claim_chip(c)
             n_active = n_serving = el_init
             el_timeline.append((0.0, el_init))
             if el_lo != el_hi:
@@ -1017,24 +1008,6 @@ class ServingEngine:
                 )
                 el_interval_ns = elastic_cfg.interval_ms * 1e6
                 el_delay_ns = elastic_cfg.provision_delay_ms * 1e6
-        # Slots an event may have made dispatchable.  The post-dispatch
-        # invariant — no slot is simultaneously non-empty, ready, and
-        # free-hosted once dispatch() returns — means only event-touched
-        # slots can become eligible, so the scan visits exactly these
-        # instead of every slot on every event.
-        dirty: Set[int] = set()
-        # Flat memoized cost rows (list-indexed by batch size) replace the
-        # tuple-keyed dict probe of cluster.service on the dispatch path;
-        # ``uniform`` models short-circuit cost-aware routing entirely.
-        tables = {m: cluster.service_table(m) for m in model_order}
-        fast_route: Dict[str, bool] = {
-            # On a single-cost-key (homogeneous) host set the cost-aware
-            # policies tie on every chip and their documented tiebreak is
-            # the lowest free chip id — free lists are built in ascending
-            # id order, so that is free[0], no per-chip pricing needed.
-            m: routing != "round-robin" and tables[m].uniform
-            for m in model_order
-        }
         track_queued = admission is not None or controller is not None
         model_queued: Dict[str, int] = {m: 0 for m in model_order}
         total_queued = 0
@@ -1083,116 +1056,87 @@ class ServingEngine:
             # chain stops once the loop is otherwise drained.
             heapq.heappush(events, (el_interval_ns, _SCALE, seq, None))
             seq += 1
-        # Round-robin rotation state: next host index per model (shared
-        # across tenants — rotation is a chip-placement concern, not a
-        # fairness one; the scheduler owns fairness).
-        rr_next: Dict[str, int] = {m: 0 for m in cluster.models}
 
-        def mark_free(chip: int) -> None:
-            """Index a chip as free and dirty every slot it could serve."""
-            is_free[chip] = True
-            if not decode_on:
-                for m in chip_models[chip]:
-                    free_count[m] += 1
-            else:
-                if chip_is_prefill[chip]:
-                    for m in chip_models[chip]:
-                        free_count[m] += 1
-                if chip_is_decode[chip]:
-                    for m in chip_models[chip]:
-                        d_free_count[m] += 1
-            dirty.update(slots_by_chip[chip])
+        def route(k: int, key) -> int:
+            """Pick the free host of set ``k`` a formed batch runs on.
 
-        def claim_chip(chip: int) -> None:
-            """Drop a chip from the free index (dispatch is occupying it)."""
-            if is_free[chip]:
-                is_free[chip] = False
-                if not decode_on:
-                    for m in chip_models[chip]:
-                        free_count[m] -= 1
-                else:
-                    if chip_is_prefill[chip]:
-                        for m in chip_models[chip]:
-                            free_count[m] -= 1
-                    if chip_is_decode[chip]:
-                        for m in chip_models[chip]:
-                            d_free_count[m] -= 1
-
-        def pick_chip(
-            slot: Tuple[str, str], free: List[int], now: float
-        ) -> int:
-            """Route the pending batch to one free hosting chip.
-
-            Cost-aware policies price the exact batch about to pop (same
-            cache key the dispatch itself uses, so homogeneous runs stay
-            simulator-call-identical); ties always break toward the lowest
-            chip id for determinism.
+            A uniform set takes its lowest free host id; ``round-robin``
+            rotates the set's cursor over its hosts; otherwise the free
+            host with the smallest phase-supplied routing ``key`` wins.
+            Every key ends in the chip id, so ties break toward the
+            lowest id for determinism.
             """
-            model = slot[1]
+            hosts = set_hosts[k]
+            if set_uniform[k]:
+                for chip in hosts:
+                    if is_free[chip]:
+                        return chip
             if routing == "round-robin":
-                model_hosts = hosts[model]
-                start = rr_next[model]
-                free_set = set(free)
-                for offset in range(len(model_hosts)):
-                    chip = model_hosts[(start + offset) % len(model_hosts)]
-                    if chip in free_set:
-                        rr_next[model] = (start + offset + 1) % len(model_hosts)
+                start = set_rr[k]
+                for offset in range(len(hosts)):
+                    chip = hosts[(start + offset) % len(hosts)]
+                    if is_free[chip]:
+                        set_rr[k] = (start + offset + 1) % len(hosts)
                         return chip
                 raise RuntimeError("no free chip among hosts")  # unreachable
-            table = tables[model]
-            _, size, padded = queues[slot].peek_batch(now, policy)
-            if throttler is not None:
-                # Throttle-aware pricing: a hot group's batches cost the
-                # *stretched* latency, so `fastest` steers around heat and
-                # `cheapest-energy` breaks energy ties toward the cooler
-                # group.
-                if routing == "fastest":
-                    return min(
-                        free,
-                        key=lambda c: (
-                            throttler.priced_latency(
-                                c, table.get(c, size, padded)
-                            ),
-                            c,
-                        ),
-                    )
+            return min([c for c in hosts if is_free[c]], key=key)
 
-                def energy_key(c: int) -> tuple:
-                    service = table.get(c, size, padded)
-                    return (
-                        service.energy_pj,
-                        throttler.priced_latency(c, service),
-                        c,
-                    )
+        def routing_key(
+            chip: int, cost: ChipService, by_latency: bool
+        ) -> tuple:
+            """Rank ``chip`` for a batch that would cost it ``cost``.
 
-                return min(free, key=energy_key)
-            if routing == "fastest":
-                return min(
-                    free,
-                    key=lambda c: (table.get(c, size, padded).latency_ns, c),
-                )
-            return min(
-                free,
-                key=lambda c: (table.get(c, size, padded).energy_pj, c),
+            A binding power envelope prices the *stretched* latency of a
+            hot group, so ``fastest`` steers around heat.
+            ``cheapest-energy`` breaks energy ties on that latency when
+            ``by_latency`` is set, else straight on the chip id.
+            """
+            latency = (
+                cost.latency_ns
+                if throttler is None
+                else throttler.priced_latency(chip, cost)
             )
+            if routing == "fastest":
+                return (latency, chip)
+            if by_latency:
+                return (cost.energy_pj, latency, chip)
+            return (cost.energy_pj, chip)
+
+        def launch(chip: int, finish: float, inflight) -> None:
+            """Occupy ``chip`` until ``finish`` and schedule the completion.
+
+            The completion event carries the in-flight record — the
+            feedback edge closed-loop clients listen on, and the unit
+            preemption tombstones.  The seq tiebreak is unique, so the
+            payload is never compared.
+            """
+            nonlocal seq
+            claim_chip(chip)
+            chip_free[chip] = finish
+            heapq.heappush(free_heap, (finish, chip))
+            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
+            seq += 1
 
         def commit_batch(
             slot: Tuple[str, str],
             batch: Batch,
-            chip: int,
             now: float,
+            chip: Optional[int] = None,
             overhead_ns: float = 0.0,
         ) -> None:
-            """Price a popped batch, occupy the chip, schedule completion.
+            """Route a popped batch (unless ``chip`` is given), price, launch.
 
-            All result-facing accounting (served records, busy time,
+            Cost-aware routing prices the exact batch on each candidate
+            through the same cost rows the dispatch itself uses, so
+            homogeneous runs stay simulator-call-identical.  All
+            result-facing accounting (served records, busy time,
             makespan) is deferred to the completion event so a preemption
             can still cancel the batch; the floats are computed here and
             carried, so deferral changes no value.  ``overhead_ns`` is the
             re-dispatch cost paid when ``chip`` was freed by a preemption
             an instant ago.
             """
-            nonlocal seq, n_batches, total_queued
+            nonlocal n_batches, total_queued
             tenant, model = slot
             if tenancy is not None:
                 backlog[tenant] -= batch.size
@@ -1202,7 +1146,17 @@ class ServingEngine:
             # The whole batch runs padded to its bucket boundary (or to
             # its longest request without bucketing); 0 = native shape.
             padded = batch.padded_seq_len
-            cost = tables[model].get(chip, batch.size, padded)
+            k = model_index[model]
+            table = set_table[k]
+            if chip is None:
+                size = batch.size
+                chip = route(
+                    k,
+                    lambda c: routing_key(
+                        c, table.get(c, size, padded), throttler is not None
+                    ),
+                )
+            cost = table.get(chip, batch.size, padded)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
@@ -1214,9 +1168,6 @@ class ServingEngine:
             else:
                 finish = now + service_ns
                 busy_ns = service_ns
-            claim_chip(chip)
-            chip_free[chip] = finish
-            heapq.heappush(free_heap, (finish, chip))
             inflight = _InFlight(
                 key=seq,
                 batch=batch,
@@ -1228,12 +1179,7 @@ class ServingEngine:
                 padded=padded,
             )
             running[chip] = inflight
-            # Completion events carry the in-flight record — the feedback
-            # edge closed-loop clients listen on, and the unit preemption
-            # tombstones.  The seq tiebreak is unique, so the payload is
-            # never compared.
-            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
-            seq += 1
+            launch(chip, finish, inflight)
             n_batches += 1
             if obs is not None:
                 obs.dispatch(
@@ -1241,72 +1187,19 @@ class ServingEngine:
                     overhead_ns,
                 )
 
-        def pick_decode_chip(
-            model: str,
-            free: List[int],
-            size: int,
-            ctx_pad: int,
-            total_kv: float,
-        ) -> int:
-            """Route a decode iteration to one free decode-side chip.
-
-            Cost-aware policies price the full iteration — the decode
-            pass at the page-rounded context plus, per candidate, the
-            off-chip streaming cost of whatever KV would not fit that
-            chip — so ``fastest`` steers toward chips with KV headroom.
-            Ties break toward the lowest chip id, as everywhere.
-            """
-            if routing == "round-robin":
-                model_hosts = d_hosts[model]
-                start = d_rr_next[model]
-                free_set = set(free)
-                for offset in range(len(model_hosts)):
-                    chip = model_hosts[(start + offset) % len(model_hosts)]
-                    if chip in free_set:
-                        d_rr_next[model] = (
-                            start + offset + 1
-                        ) % len(model_hosts)
-                        return chip
-                raise RuntimeError("no free chip among hosts")  # unreachable
-
-            table = d_tables[model]
-
-            def price(c: int) -> Tuple[float, float]:
-                svc = table.get(c, size, ctx_pad)
-                over = total_kv - kv_cap[c]
-                if over > 0:
-                    spill = cluster.kv_overflow_service(c, over)
-                    svc = ChipService(
-                        svc.latency_ns + spill.latency_ns,
-                        svc.energy_pj + spill.energy_pj,
-                    )
-                lat = (
-                    throttler.priced_latency(c, svc)
-                    if throttler is not None
-                    else svc.latency_ns
-                )
-                return lat, svc.energy_pj
-
-            if routing == "fastest":
-                return min(free, key=lambda c: (price(c)[0], c))
-
-            def energy_key(c: int) -> tuple:
-                lat, energy = price(c)
-                return (energy, lat, c)
-
-            return min(free, key=energy_key)
-
         def dispatch_decode(mi: int, now: float) -> None:
-            """Form and commit one decode iteration for model ``mi``.
+            """Form, route and launch one decode iteration for model ``mi``.
 
             Continuous batching: the batch is whatever the decode FIFO
             holds right now (up to the batch cap) — finished requests
             already left, freshly prefilled ones already joined.  The
             iteration runs at the longest member's context rounded up to
             the KV page size, and KV past the chip's residual on-chip
-            capacity streams at the overflow-weights cost.
+            capacity streams at the overflow-weights cost — which
+            cost-aware routing prices per candidate, so ``fastest`` steers
+            toward chips with KV headroom.
             """
-            nonlocal seq, n_decode_iters
+            nonlocal n_decode_iters
             model = model_order[mi]
             dq = decode_queues[mi]
             take = min(len(dq), max_batch)
@@ -1317,46 +1210,45 @@ class ServingEngine:
                 per_tok * page_round(e.ctx, page) for e in entries
             )
             total_kv = float(sum(footprints))
-            if d_fast[model]:
-                # Uniform decode hosts tie on every price: the lowest
-                # free host id wins, unpriced.
-                chip = next(c for c in d_hosts[model] if is_free[c])
-            else:
-                free = [c for c in d_hosts[model] if is_free[c]]
-                chip = pick_decode_chip(model, free, take, ctx_pad, total_kv)
-            svc = d_tables[model].get(chip, take, ctx_pad)
-            overflow = total_kv - kv_cap[chip]
-            if overflow > 0:
-                spill = cluster.kv_overflow_service(chip, overflow)
-                cost = ChipService(
+            table = set_table[n_models + mi]
+
+            def price(c: int) -> Tuple[ChipService, float]:
+                """The iteration's cost on ``c`` and its KV bytes spilled."""
+                svc = table.get(c, take, ctx_pad)
+                overflow = total_kv - kv_cap[c]
+                if overflow <= 0:
+                    return svc, 0.0
+                spill = cluster.kv_overflow_service(c, overflow)
+                return ChipService(
                     svc.latency_ns + spill.latency_ns,
                     svc.energy_pj + spill.energy_pj,
-                )
-            else:
-                overflow = 0.0
-                cost = svc
+                ), overflow
+
+            chip = route(
+                n_models + mi, lambda c: routing_key(c, price(c)[0], True)
+            )
+            cost, overflow = price(chip)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
                 service_ns = cost.latency_ns
             finish = now + service_ns
-            claim_chip(chip)
-            chip_free[chip] = finish
-            heapq.heappush(free_heap, (finish, chip))
-            inflight = _DecodeInFlight(
-                entries=entries,
-                model_index=mi,
-                chip_id=chip,
-                dispatch_ns=now,
-                finish_ns=finish,
-                busy_ns=service_ns,
-                share_pj=cost.energy_pj / take,
-                footprints=footprints,
-                total_kv=total_kv,
-                overflow=overflow,
+            launch(
+                chip,
+                finish,
+                _DecodeInFlight(
+                    entries=entries,
+                    model_index=mi,
+                    chip_id=chip,
+                    dispatch_ns=now,
+                    finish_ns=finish,
+                    busy_ns=service_ns,
+                    share_pj=cost.energy_pj / take,
+                    footprints=footprints,
+                    total_kv=total_kv,
+                    overflow=overflow,
+                ),
             )
-            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
-            seq += 1
             n_decode_iters += 1
             if obs is not None:
                 obs.decode_iter(now, chip, model, take, ctx_pad, finish)
@@ -1371,7 +1263,7 @@ class ServingEngine:
             them.  The set clears once no dirty slot is eligible; every
             later eligibility change re-dirties its slot (arrival filling
             a bucket, queue waking from empty, window expiry, chip
-            freeing, preemption requeue).
+            freeing, preemption requeue, decode FIFO refilling).
             """
             nonlocal seq, n_dispatch_rounds, n_slot_scans
             n_dispatch_rounds += 1
@@ -1379,66 +1271,52 @@ class ServingEngine:
                 if profiling:
                     size = len(dirty)
                     scan_sizes[size] = scan_sizes.get(size, 0) + 1
-                # The scheduler ranks every ready (tenant, model) queue;
-                # under fifo the key collapses to (oldest arrival, slot
-                # index) — FCFS across queues, the legacy rule, so no
-                # queue can starve another by list position.
+                # The scheduler ranks every ready slot; under fifo the key
+                # collapses to (oldest arrival, slot index) — FCFS across
+                # queues, the legacy rule, so no queue can starve another
+                # by list position.
                 best = None
                 n_slot_scans += len(dirty)
                 for index in sorted(dirty):
-                    if decode_on and index >= n_pslots:
+                    if not set_free[slot_set[index]]:
+                        continue  # all hosts busy; a completion is pending
+                    if index >= n_pslots:
                         # Decode slot: always window-ready (continuous
                         # batching re-forms the batch at every free
-                        # instant); eligible whenever the FIFO is
-                        # non-empty and a decode-side host is free.
+                        # instant), so eligible whenever non-empty.
                         dq = decode_queues[index - n_pslots]
                         if not dq:
-                            continue
-                        if not d_free_count[model_order[index - n_pslots]]:
                             continue
                         key = scheduler.key(
                             "", dq[0].request.arrival_ns, index
                         )
-                        if best is None or key < best[0]:
-                            best = (key, index)
-                        continue
-                    queue = queue_list[index]
-                    if not queue._size:
-                        continue
-                    if not free_count[model_list[index]]:
-                        continue  # all hosts busy; a completion is pending
-                    if not queue.ready(now, policy):
-                        deadline = queue.window_deadline_ns(policy)
-                        if window_armed.get(index) != deadline:
-                            heapq.heappush(
-                                events, (deadline, _WINDOW, seq, index)
-                            )
-                            seq += 1
-                            window_armed[index] = deadline
-                        continue
-                    key = scheduler.key(
-                        tenant_list[index], queue.oldest_arrival_ns, index
-                    )
+                    else:
+                        queue = queue_list[index]
+                        if not queue._size:
+                            continue
+                        if not queue.ready(now, policy):
+                            deadline = queue.window_deadline_ns(policy)
+                            if window_armed.get(index) != deadline:
+                                heapq.heappush(
+                                    events, (deadline, _WINDOW, seq, index)
+                                )
+                                seq += 1
+                                window_armed[index] = deadline
+                            continue
+                        key = scheduler.key(
+                            tenant_list[index], queue.oldest_arrival_ns, index
+                        )
                     if best is None or key < best[0]:
                         best = (key, index)
                 if best is None:
                     dirty.clear()
                     return
                 index = best[1]
-                if decode_on and index >= n_pslots:
+                if index >= n_pslots:
                     dispatch_decode(index - n_pslots, now)
-                    continue
-                model = model_list[index]
-                free = [c for c in hosts[model] if is_free[c]]
-                if fast_route[model]:
-                    # Ascending-id free list: free[0] is the lowest free
-                    # chip id, the cost-aware tiebreak on a uniform host
-                    # set.
-                    chip = free[0]
                 else:
-                    chip = pick_chip(slots[index], free, now)
-                batch = queue_list[index].pop_batch(now, policy)
-                commit_batch(slots[index], batch, chip, now)
+                    batch = queue_list[index].pop_batch(now, policy)
+                    commit_batch(slots[index], batch, now)
 
         def enqueue(request: Request, now: float) -> None:
             """Admitted arrival enters its (tenant, model) queue."""
@@ -1489,7 +1367,7 @@ class ServingEngine:
             limit = deadlines[(request.tenant, model)]
             if math.isinf(limit):
                 return
-            model_hosts = hosts[model]
+            model_hosts = set_hosts[model_index[model]]
             if any(chip_free[c] <= now for c in model_hosts):
                 return  # a free host exists; the normal dispatch handles it
             deadline_at = request.arrival_ns + limit
@@ -1550,7 +1428,7 @@ class ServingEngine:
             mark_free(chip)
             slot = (request.tenant, model)
             batch = queues[slot].pop_batch(now, policy)
-            commit_batch(slot, batch, chip, now, overhead_ns=overhead)
+            commit_batch(slot, batch, now, chip=chip, overhead_ns=overhead)
 
         def push_arrival(request: Request) -> None:
             nonlocal seq
@@ -1617,19 +1495,7 @@ class ServingEngine:
                     el_arrivals += 1
                 if obs is not None:
                     obs.arrival(now, request)
-                if not track_queued and tenancy is None:
-                    # Inlined enqueue fast path for the open/plain case:
-                    # no admission counters, no tenant backlog — just the
-                    # push and the two dispatchability triggers.  (An
-                    # elastic controller needs the queued counters, so it
-                    # routes through enqueue like admission does.)
-                    queue, index = slot_of[request.model]
-                    was_empty = not queue._size
-                    if queue.push(request) >= max_batch or was_empty:
-                        dirty.add(index)
-                    if obs is not None:
-                        obs.enqueue(now, request)
-                elif admission is None or admission.admit(
+                if admission is None or admission.admit(
                     request,
                     now,
                     model_queued[request.model],
@@ -1673,7 +1539,7 @@ class ServingEngine:
                                 push_arrival(outcome.next_request)
             elif kind == _COMPLETION:
                 inflight = payload
-                if decode_on and type(inflight) is _DecodeInFlight:
+                if type(inflight) is _DecodeInFlight:
                     # One decode iteration finished: every member gained
                     # a token.  Finished requests materialize their
                     # ServedRequest (stamped with prefill dispatch/TTFT
@@ -1756,17 +1622,16 @@ class ServingEngine:
                     )
                 if stream is not None:
                     stream._observe(inflight)
-                elif decode_on:
-                    # Prefill finished: requests with a sampled output
-                    # length enter their model's decode FIFO (their first
-                    # token just materialized — the TTFT stamp); requests
-                    # without one are complete, exactly as before.
-                    mi = model_index[batch.model]
-                    dq = decode_queues[mi]
+                else:
+                    # Requests with a sampled output length enter their
+                    # model's decode FIFO (their first token just
+                    # materialized — the TTFT stamp); the rest are
+                    # complete.  The input checks reject decode_tokens
+                    # without a decode loop.
                     woke = False
                     for request in batch.requests:
                         if request.decode_tokens:
-                            dq.append(
+                            decode_queues[model_index[batch.model]].append(
                                 _DecodeEntry(
                                     request=request,
                                     ctx=(
@@ -1806,23 +1671,7 @@ class ServingEngine:
                                 )
                             )
                     if woke:
-                        dirty.add(n_pslots + mi)
-                else:
-                    for request in batch.requests:
-                        served.append(
-                            ServedRequest(
-                                request=request,
-                                chip_id=inflight.chip_id,
-                                batch_size=batch.size,
-                                dispatch_ns=inflight.dispatch_ns,
-                                finish_ns=inflight.finish_ns,
-                                energy_pj=inflight.share_pj,
-                                seq_len=request.seq_len,
-                                padded_seq_len=(
-                                    inflight.padded if request.seq_len else 0
-                                ),
-                            )
-                        )
+                        dirty.add(n_pslots + model_index[batch.model])
                 if driver is not None:
                     # The feedback edge: each finished request unblocks
                     # its session, which thinks and then issues the next
@@ -1900,9 +1749,7 @@ class ServingEngine:
                         n_active -= 1
                         if is_free[chip]:
                             # Idle: parks immediately.
-                            is_free[chip] = False
-                            for m in chip_models[chip]:
-                                free_count[m] -= 1
+                            claim_chip(chip)
                             n_serving -= 1
                             el_timeline.append((now, n_serving))
                             if obs is not None:
@@ -1970,9 +1817,9 @@ class ServingEngine:
         )
         if obs is not None:
             obs.finish(makespan)
-        leftover = sum(len(q) for q in queues.values())
-        if decode_on:
-            leftover += sum(len(dq) for dq in decode_queues)
+        leftover = sum(len(q) for q in queues.values()) + sum(
+            len(dq) for dq in decode_queues
+        )
         if leftover:
             raise RuntimeError(f"{leftover} requests never dispatched")
         served.sort(key=lambda s: (s.request.arrival_ns, s.request.request_id))

@@ -10,6 +10,7 @@ use (:mod:`repro.experiments.report`).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -351,7 +352,12 @@ def _retained_sections(
         met_total += met
         model_energy_pj = sum(s.energy_pj for s in served)
         energy_uj = model_energy_pj * 1e-6 / len(served)
-        batches = {(s.chip_id, s.dispatch_ns) for s in served}
+        # A batch of b requests leaves b records with batch_size == b, so
+        # each size's record count over b is its batch count.  Exact on
+        # decode runs too, where chip_id is the last decode chip but
+        # batch_size stays the prefill batch's.
+        sizes = Counter(s.batch_size for s in served)
+        n_batches = sum(n / b for b, n in sizes.items())
         tokens = sum(s.seq_len for s in served)
         padded = sum(s.padded_seq_len for s in served)
         p50, p95, p99 = _percentiles_from_sorted(ordered, (50, 95, 99))
@@ -386,7 +392,7 @@ def _retained_sections(
                 p99_ms=p99,
                 mean_ms=sum(latencies_ms) / len(latencies_ms),
                 max_ms=ordered[-1],
-                mean_batch_size=len(served) / len(batches),
+                mean_batch_size=len(served) / n_batches,
                 energy_per_request_uj=energy_uj,
                 slo_ms=slo,
                 slo_attainment=met / len(served),

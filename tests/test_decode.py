@@ -81,6 +81,22 @@ class TestDecodeRun:
         assert m.itl_p50_ms <= m.itl_p99_ms
         assert m.mean_decode_tokens >= 1
 
+    def test_per_model_mean_batch_counts_prefill_batches(self):
+        # A decoded request finishes on a decode chip but keeps its
+        # prefill dispatch stamp; the per-model batch count must still
+        # count prefill batches, like the run-level one.
+        report, result = simulate_serving(
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("mobilebert",), rps=6000.0, duration_s=0.05
+                ),
+                fleet=FleetConfig(fleet="yoco:8"),
+                decode=DecodeConfig(dist="lognormal", mean_tokens=16),
+            )
+        )
+        assert result.has_decode
+        assert report.per_model[0].mean_batch_size == result.mean_batch_size
+
     def test_decode_off_is_the_legacy_engine(self):
         with_none = _decode_run(decode=None)
         legacy = simulate_serving(config=_config())

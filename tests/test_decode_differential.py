@@ -12,7 +12,9 @@ branch the loop takes:
   where each candidate chip is priced;
 * ``gpt_large`` on ``yoco:2``, whose KV cache spills off-chip;
 * power-capped runs, uniform and mixed, where routing prices the
-  throttle-stretched latency.
+  throttle-stretched latency;
+* ``round-robin`` on the mixed fleet, unified and ``prefill-decode``,
+  where prefill batches and decode iterations rotate over their hosts.
 
 Regenerate the goldens only on an intentional behaviour change::
 
@@ -78,6 +80,18 @@ SCENARIOS = {
             power=PowerConfig(power_cap_w=0.5),
         ),
     ),
+    "hetero_rr": (
+        dict(models=["mobilebert"], rps=16000.0, duration_s=0.02),
+        dict(fleet="yoco:2,isaac:2", routing="round-robin"),
+    ),
+    "hetero_pd_rr": (
+        dict(models=["mobilebert"], rps=2000.0, duration_s=0.02),
+        dict(
+            fleet="yoco:2,isaac:2",
+            placement="prefill-decode",
+            routing="round-robin",
+        ),
+    ),
 }
 
 
@@ -140,6 +154,18 @@ class TestScenariosCoverTheirBranch:
     def test_prefill_decode_finishes_on_the_decode_group(self):
         _, result = _run("hetero_pd_energy")
         assert {s.chip_id for s in result.served} <= {2, 3}
+
+    @pytest.mark.parametrize(
+        "scenario, decode_side",
+        [("hetero_rr", {0, 1, 2, 3}), ("hetero_pd_rr", {2, 3})],
+    )
+    def test_round_robin_rotates_over_the_decode_side(
+        self, scenario, decode_side
+    ):
+        _, result = _run(scenario)
+        chips = {s.chip_id for s in result.served}
+        assert chips <= decode_side
+        assert len(chips) > 1
 
     def test_gpt_large_spills_its_kv(self):
         _, result = _run("gpt_large_overflow")
