@@ -674,16 +674,6 @@ class ServingEngine:
         result with observers off.
         """
         cluster, policy = self._cluster, self._policy
-        if stream is not None:
-            # A zero/negative cadence would divide by zero (or spin) in
-            # the emit scheduler; fail it at the entry point, not after
-            # the run has streamed half its completions.
-            every = getattr(stream, "_every", 0)
-            if every and every < 1:
-                raise ValueError(
-                    "stream_metrics progress period must be a positive "
-                    f"request count, got {every!r}"
-                )
         # Turn the input into columns exactly once.  A generator trace is
         # materialized here (iterating it twice once validated fine and
         # then simulated zero requests); a Request sequence is wrapped

@@ -5,12 +5,25 @@ capacity-planning study reads — per-model latency percentiles, goodput
 against a latency SLO, per-chip utilization and energy per request — and
 renders them as the same aligned-ASCII report style the paper artifacts
 use (:mod:`repro.experiments.report`).
+
+One builder, ``_sections``, computes every report section through five
+queries that two adapters answer: ``_Rows`` over arrival-ordered columns
+of a retained run's ``served`` records, ``_Cells`` over a streaming run's
+:class:`~repro.serve.streaming.StreamingMetrics` cells.
+
+Exactness contract: a streaming run simulates bit-identically, and its
+counts, percentiles, max, attainment and goodput equal the retained
+report's bit for bit (same latency multiset, same interpolation).  Float
+sums differ in order: Python ``sum()`` over the arrival-ordered selection
+(compensated from CPython 3.12 on, unlike ``np.sum`` or ``np.cumsum``)
+versus numpy sums over cells and per-batch energy.  Means and energy
+totals therefore agree to rounding (tested at 1e-9 relative), not to
+the last bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +33,7 @@ from repro.serve.cluster import Cluster
 from repro.serve.elastic import ElasticTrace
 from repro.serve.engine import ServingResult
 from repro.serve.power import PowerTrace
+from repro.serve.streaming import StreamingMetrics
 from repro.serve.tenancy import TenancyConfig, deadline_ns
 
 
@@ -28,11 +42,8 @@ def _percentiles_from_sorted(
 ) -> Tuple[float, ...]:
     """Linear-interpolation percentiles over an already-sorted sequence.
 
-    One sort serves any number of quantiles — the summarize hot path used
-    to re-sort the same latency list for every percentile call.  The
-    interpolation is the exact expression :func:`percentile` always used,
-    evaluated on Python floats (so a numpy-sorted array yields the same
-    bits), keeping every report golden byte-identical.
+    One sort serves any number of quantiles.  The interpolation runs on
+    Python floats, so a numpy-sorted array yields the same bits.
     """
     n = len(ordered)
     if n == 0:
@@ -302,18 +313,134 @@ class ServingReport:
         return sum(self.chip_utilization) / len(self.chip_utilization)
 
 
-def _model_slo_ms(
-    model: str,
-    cluster: Cluster,
-    slo_ms: Optional[float],
-    slo_multiple: float,
-) -> float:
-    if slo_ms is not None:
-        return slo_ms
-    return slo_multiple * cluster.reference_latency_ns(model) * 1e-6
+class _Cells:
+    """Streaming adapter: the five section queries, answered from cells.
+
+    :class:`_Rows` answers the same queries for a retained run.  A
+    selection names a model, tenant and/or chip type; ``None`` matches all.
+    """
+
+    def __init__(self, stream: StreamingMetrics) -> None:
+        self._stream = stream
+
+    def latencies(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
+        """The selection's latency column in ms (any order)."""
+        return self._stream.latencies_ms(model, tenant, chip_type)
+
+    def latency_sum(self, model=None, tenant=None) -> float:
+        return float(self.latencies(model, tenant).sum())
+
+    def energy_pj(self, model=None, chip_type=None) -> float:
+        return sum(
+            c.energy_pj
+            for (m, _, t), c in self._stream.cells.items()
+            if (model is None or m == model)
+            and (chip_type is None or t == chip_type)
+        )
+
+    def totals(self, model: str) -> Tuple[int, int, float]:
+        """The model's real tokens, padded tokens and batch count."""
+        cells = [c for (m, _, _), c in self._stream.cells.items() if m == model]
+        return (
+            sum(c.tokens for c in cells),
+            sum(c.padded for c in cells),
+            sum(c.batches for c in cells),
+        )
+
+    def decode(self, model: str):
+        """``(ttft_ms, itl_ms, tokens, kv, kv_spilled)`` over the model's
+        decoded requests, or ``None`` when it has none.
+
+        Always ``None`` here: decode runs cannot stream.
+        """
+        return None
 
 
-def _retained_sections(
+_ROW = np.dtype([
+    ("latency_ms", "f8"), ("energy", "f8"),
+    ("model", "i2"), ("tenant", "i2"), ("chip_type", "i2"),
+    ("batch", "u4"), ("seq", "u4"), ("padded", "u4"), ("decode", "u4"),
+])
+
+
+class _Rows:
+    """Retained adapter: arrival-ordered columns of ``result.served``.
+
+    Names are stored as small integer codes; float sums are Python
+    ``sum()`` over the selection in arrival order.
+    """
+
+    def __init__(self, result: ServingResult, cluster: Cluster) -> None:
+        self._served = result.served
+        models = {m: i for i, m in enumerate(result.models)}
+        tenants: dict = {}  # coded in order of first appearance
+        types = {t: i for i, t in enumerate(cluster.chip_types)}
+        self._codes = (models, tenants, types)
+        type_of = [types[cluster.chip_type(c)] for c in range(cluster.n_chips)]
+        self._rows = np.fromiter(
+            (
+                (
+                    (s.finish_ns - s.request.arrival_ns) * 1e-6,
+                    s.energy_pj,
+                    models[s.request.model],
+                    tenants.setdefault(s.request.tenant, len(tenants)),
+                    type_of[s.chip_id],
+                    s.batch_size, s.seq_len, s.padded_seq_len, s.decode_tokens,
+                )
+                for s in result.served
+            ),
+            _ROW,
+            len(result.served),
+        )
+
+    def _select(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
+        keep = np.ones(len(self._rows), dtype=bool)
+        for field, codes, name in zip(
+            ("model", "tenant", "chip_type"), self._codes,
+            (model, tenant, chip_type),
+        ):
+            if name is not None:
+                keep &= self._rows[field] == codes.get(name, -1)
+        return keep
+
+    def latencies(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
+        return self._rows["latency_ms"][self._select(model, tenant, chip_type)]
+
+    def latency_sum(self, model=None, tenant=None) -> float:
+        return sum(self.latencies(model, tenant).tolist())
+
+    def energy_pj(self, model=None, chip_type=None) -> float:
+        energy = self._rows["energy"][self._select(model, None, chip_type)]
+        return sum(energy.tolist())
+
+    def totals(self, model: str) -> Tuple[int, int, float]:
+        keep = self._select(model)
+        rows = self._rows
+        # A batch of b requests leaves b records of batch size b (decode
+        # records keep their prefill batch's), so each term is an integer.
+        counts = np.bincount(rows["batch"][keep]).tolist()
+        return (
+            int(rows["seq"][keep].sum()),
+            int(rows["padded"][keep].sum()),
+            sum(n / b for b, n in enumerate(counts) if n),
+        )
+
+    def decode(self, model: str):
+        keep = self._select(model) & (self._rows["decode"] > 0)
+        decoded = [self._served[i] for i in np.flatnonzero(keep).tolist()]
+        if not decoded:
+            return None
+        return (
+            np.array([s.ttft_ns * 1e-6 for s in decoded]),
+            np.array([s.itl_ns * 1e-6 for s in decoded]),
+            sum(s.decode_tokens for s in decoded),
+            sum(s.kv_bytes for s in decoded),
+            sum(s.kv_overflow_bytes for s in decoded),
+        )
+
+
+def _sections(
+    q,
     result: ServingResult,
     cluster: Cluster,
     slo_ms: Optional[float],
@@ -321,89 +448,67 @@ def _retained_sections(
     tenancy: Optional[TenancyConfig],
     duration_s: float,
 ):
-    """Per-model / per-chip-type / per-tenant stats from retained records.
+    """Per-model / per-chip-type / per-tenant stats through adapter ``q``.
 
-    A single pass groups the served list by model and by chip type (the
-    old code re-scanned the full list once per model through
-    ``for_model`` and a second time for the type split), and each latency
-    list is sorted exactly once for all of its percentiles — the values,
-    and so every report golden, are byte-identical.
+    Each SLO and each per-(tenant, model) deadline is computed once, and
+    each latency selection is sorted once for all of its percentiles.
     """
-    by_model: dict = {}
-    served_by_type: dict = {t: [] for t in cluster.chip_types}
-    type_of = [cluster.chip_type(c) for c in range(cluster.n_chips)]
-    for s in result.served:
-        model = s.request.model
-        group = by_model.get(model)
-        if group is None:
-            group = by_model[model] = []
-        group.append(s)
-        served_by_type[type_of[s.chip_id]].append(s)
+
+    def rate(count: float) -> float:
+        return count / duration_s if duration_s > 0 else 0.0
+
+    def met(deadlines: dict, **selection) -> int:
+        """Requests of the selection finishing within their model's deadline."""
+        return sum(
+            int((q.latencies(model=m, **selection) <= d).sum())
+            for m, d in deadlines.items()
+        )
+
+    model_slo = {
+        m: slo_ms
+        if slo_ms is not None
+        else slo_multiple * cluster.reference_latency_ns(m) * 1e-6
+        for m in result.models
+    }
     per_model = []
     met_total = 0
-    model_slo_ms: dict = {}
-    for model in result.models:
-        served = by_model[model]
-        latencies_ms = [s.latency_ns * 1e-6 for s in served]
-        slo = _model_slo_ms(model, cluster, slo_ms, slo_multiple)
-        model_slo_ms[model] = slo
-        ordered = sorted(latencies_ms)
-        met = sum(1 for latency in latencies_ms if latency <= slo)
-        met_total += met
-        model_energy_pj = sum(s.energy_pj for s in served)
-        energy_uj = model_energy_pj * 1e-6 / len(served)
-        # A batch of b requests leaves b records with batch_size == b, so
-        # each size's record count over b is its batch count.  Exact on
-        # decode runs too, where chip_id is the last decode chip but
-        # batch_size stays the prefill batch's.
-        sizes = Counter(s.batch_size for s in served)
-        n_batches = sum(n / b for b, n in sizes.items())
-        tokens = sum(s.seq_len for s in served)
-        padded = sum(s.padded_seq_len for s in served)
+    for model, slo in model_slo.items():
+        lat = q.latencies(model=model)
+        n = len(lat)
+        met_here = int((lat <= slo).sum())
+        met_total += met_here
+        energy_pj = q.energy_pj(model=model)
+        tokens, padded, n_batches = q.totals(model)
+        ordered = np.sort(lat)
         p50, p95, p99 = _percentiles_from_sorted(ordered, (50, 95, 99))
-        decoded = [s for s in served if s.decode_tokens]
-        if decoded:
-            t50, t99 = _percentiles_from_sorted(
-                sorted(s.ttft_ns * 1e-6 for s in decoded), (50, 99)
-            )
-            i50, i99 = _percentiles_from_sorted(
-                sorted(s.itl_ns * 1e-6 for s in decoded), (50, 99)
-            )
-            kv = sum(s.kv_bytes for s in decoded)
-            kv_spilled = sum(s.kv_overflow_bytes for s in decoded)
+        decode_stats = {}
+        decode = q.decode(model)
+        if decode is not None:
+            ttft, itl, decode_tokens, kv, kv_spilled = decode
+            t50, t99 = _percentiles_from_sorted(np.sort(ttft), (50, 99))
+            i50, i99 = _percentiles_from_sorted(np.sort(itl), (50, 99))
             decode_stats = dict(
-                ttft_p50_ms=t50,
-                ttft_p99_ms=t99,
-                itl_p50_ms=i50,
-                itl_p99_ms=i99,
-                mean_decode_tokens=(
-                    sum(s.decode_tokens for s in decoded) / len(served)
-                ),
+                ttft_p50_ms=t50, ttft_p99_ms=t99, itl_p50_ms=i50, itl_p99_ms=i99,
+                mean_decode_tokens=decode_tokens / n,
                 kv_overflow=kv_spilled / kv if kv > 0 else 0.0,
             )
-        else:
-            decode_stats = {}
         per_model.append(
             ModelServingStats(
                 model=model,
-                n_requests=len(served),
+                n_requests=n,
                 p50_ms=p50,
                 p95_ms=p95,
                 p99_ms=p99,
-                mean_ms=sum(latencies_ms) / len(latencies_ms),
-                max_ms=ordered[-1],
-                mean_batch_size=len(served) / n_batches,
-                energy_per_request_uj=energy_uj,
+                mean_ms=q.latency_sum(model=model) / n,
+                max_ms=float(ordered[-1]),
+                mean_batch_size=n / n_batches,
+                energy_per_request_uj=energy_pj * 1e-6 / n,
                 slo_ms=slo,
-                slo_attainment=met / len(served),
-                mean_seq_len=tokens / len(served) if tokens else 0.0,
-                tokens_per_s=tokens / duration_s if duration_s > 0 else 0.0,
-                energy_per_token_nj=(
-                    model_energy_pj * 1e-3 / tokens if tokens else 0.0
-                ),
-                padding_overhead=(
-                    (padded - tokens) / padded if padded else 0.0
-                ),
+                slo_attainment=met_here / n,
+                mean_seq_len=tokens / n if tokens else 0.0,
+                tokens_per_s=rate(tokens),
+                energy_per_token_nj=energy_pj * 1e-3 / tokens if tokens else 0.0,
+                padding_overhead=(padded - tokens) / padded if padded else 0.0,
                 **decode_stats,
             )
         )
@@ -411,26 +516,19 @@ def _retained_sections(
     utilization = result.chip_utilization
     for chip_type in cluster.chip_types:
         ids = cluster.chips_of_type(chip_type)
-        served_here = served_by_type[chip_type]
-        met_here = sum(
-            1
-            for s in served_here
-            if s.latency_ns * 1e-6 <= model_slo_ms[s.request.model]
-        )
-        energy_pj = sum(s.energy_pj for s in served_here)
+        n = len(q.latencies(chip_type=chip_type))
+        energy_pj = q.energy_pj(chip_type=chip_type)
         energy_uj = energy_pj * 1e-6
         busy_ns = sum(result.chip_busy_ns[i] for i in ids)
         per_chip_type.append(
             ChipTypeStats(
                 chip_type=chip_type,
                 n_chips=len(ids),
-                n_requests=len(served_here),
+                n_requests=n,
                 mean_utilization=sum(utilization[i] for i in ids) / len(ids),
                 energy_uj=energy_uj,
-                energy_per_request_uj=(
-                    energy_uj / len(served_here) if served_here else 0.0
-                ),
-                goodput_rps=met_here / duration_s if duration_s > 0 else 0.0,
+                energy_per_request_uj=energy_uj / n if n else 0.0,
+                goodput_rps=rate(met(model_slo, chip_type=chip_type)),
                 # pJ/ns is mW, so this is the busy-time average in watts.
                 watts=energy_pj / busy_ns * 1e-3 if busy_ns > 0 else 0.0,
             )
@@ -438,182 +536,32 @@ def _retained_sections(
     per_tenant = []
     for name in result.tenants:
         tenant_cfg = tenancy.tenant(name) if tenancy is not None else None
-        served_here = result.for_tenant(name)
-        dropped_here = result.rejected_for_tenant(name)
-        latencies_ms = [s.latency_ns * 1e-6 for s in served_here]
-
-        def _deadline_ms(model: str) -> float:
-            if tenant_cfg is not None:
-                return deadline_ns(tenant_cfg, model, cluster) * 1e-6
-            return model_slo_ms[model]
-
-        met_here = sum(
-            1
-            for s in served_here
-            if s.latency_ns * 1e-6 <= _deadline_ms(s.request.model)
-        )
+        deadlines = model_slo if tenant_cfg is None else {
+            m: deadline_ns(tenant_cfg, m, cluster) * 1e-6 for m in model_slo
+        }
+        lat = q.latencies(tenant=name)
+        n = len(lat)
+        n_dropped = len(result.rejected_for_tenant(name))
+        met_here = met(deadlines, tenant=name)
         lost = [p for p in result.preempted if p.tenant == name]
-        if latencies_ms:
-            ordered = sorted(latencies_ms)
-            p50, p99 = _percentiles_from_sorted(ordered, (50, 99))
-            mean_ms = sum(latencies_ms) / len(latencies_ms)
+        if n:
+            p50, p99 = _percentiles_from_sorted(np.sort(lat), (50, 99))
+            mean_ms = q.latency_sum(tenant=name) / n
         else:
             p50 = p99 = mean_ms = 0.0
         per_tenant.append(
             TenantStats(
                 tenant=name,
-                slo_class=(
-                    tenant_cfg.slo_class if tenant_cfg is not None else ""
-                ),
+                slo_class=tenant_cfg.slo_class if tenant_cfg is not None else "",
                 weight=tenant_cfg.weight if tenant_cfg is not None else 1.0,
-                n_offered=len(served_here) + len(dropped_here),
-                n_requests=len(served_here),
-                n_dropped=len(dropped_here),
+                n_offered=n + n_dropped,
+                n_requests=n,
+                n_dropped=n_dropped,
                 p50_ms=p50,
                 p99_ms=p99,
                 mean_ms=mean_ms,
-                slo_attainment=(
-                    met_here / len(served_here) if served_here else 1.0
-                ),
-                goodput_rps=met_here / duration_s if duration_s > 0 else 0.0,
-                n_preemptions=len(lost),
-                preempted_wasted_ms=sum(p.wasted_ns for p in lost) * 1e-6,
-            )
-        )
-    return per_model, met_total, per_chip_type, per_tenant
-
-
-def _stream_sections(
-    result: ServingResult,
-    cluster: Cluster,
-    slo_ms: Optional[float],
-    slo_multiple: float,
-    tenancy: Optional[TenancyConfig],
-    duration_s: float,
-):
-    """Report sections from a streaming run's (model, tenant, type) cells.
-
-    Latency percentiles and max are bit-identical to retained mode (same
-    multiset, same interpolation); means and energy roll-ups accumulate
-    in a different order and may differ in the last ULPs, as documented
-    on :mod:`repro.serve.streaming`.
-    """
-    stream = result.stream
-    cells = stream.cells
-    per_model = []
-    met_total = 0
-    model_slo_ms: dict = {}
-    for model in result.models:
-        lat = stream.latencies_ms(model=model)
-        n_here = len(lat)
-        slo = _model_slo_ms(model, cluster, slo_ms, slo_multiple)
-        model_slo_ms[model] = slo
-        met = int((lat <= slo).sum())
-        met_total += met
-        model_cells = [c for (m, _, _), c in cells.items() if m == model]
-        model_energy_pj = sum(c.energy_pj for c in model_cells)
-        n_batches = sum(c.batches for c in model_cells)
-        tokens = sum(c.tokens for c in model_cells)
-        padded = sum(c.padded for c in model_cells)
-        ordered = np.sort(lat)
-        p50, p95, p99 = _percentiles_from_sorted(ordered, (50, 95, 99))
-        per_model.append(
-            ModelServingStats(
-                model=model,
-                n_requests=n_here,
-                p50_ms=p50,
-                p95_ms=p95,
-                p99_ms=p99,
-                mean_ms=float(lat.sum()) / n_here,
-                max_ms=float(ordered[-1]),
-                mean_batch_size=n_here / n_batches,
-                energy_per_request_uj=model_energy_pj * 1e-6 / n_here,
-                slo_ms=slo,
-                slo_attainment=met / n_here,
-                mean_seq_len=tokens / n_here if tokens else 0.0,
-                tokens_per_s=tokens / duration_s if duration_s > 0 else 0.0,
-                energy_per_token_nj=(
-                    model_energy_pj * 1e-3 / tokens if tokens else 0.0
-                ),
-                padding_overhead=(
-                    (padded - tokens) / padded if padded else 0.0
-                ),
-            )
-        )
-    per_chip_type = []
-    utilization = result.chip_utilization
-    for chip_type in cluster.chip_types:
-        ids = cluster.chips_of_type(chip_type)
-        here = [(m, c) for (m, _, ct), c in cells.items() if ct == chip_type]
-        n_here = sum(c.n for _, c in here)
-        met_here = sum(
-            int(
-                (
-                    np.frombuffer(c.lat_ms, dtype=np.float64)
-                    <= model_slo_ms[m]
-                ).sum()
-            )
-            for m, c in here
-        )
-        energy_pj = sum(c.energy_pj for _, c in here)
-        energy_uj = energy_pj * 1e-6
-        busy_ns = sum(result.chip_busy_ns[i] for i in ids)
-        per_chip_type.append(
-            ChipTypeStats(
-                chip_type=chip_type,
-                n_chips=len(ids),
-                n_requests=n_here,
-                mean_utilization=sum(utilization[i] for i in ids) / len(ids),
-                energy_uj=energy_uj,
-                energy_per_request_uj=energy_uj / n_here if n_here else 0.0,
-                goodput_rps=met_here / duration_s if duration_s > 0 else 0.0,
-                watts=energy_pj / busy_ns * 1e-3 if busy_ns > 0 else 0.0,
-            )
-        )
-    per_tenant = []
-    for name in result.tenants:
-        tenant_cfg = tenancy.tenant(name) if tenancy is not None else None
-        here = [(m, c) for (m, t, _), c in cells.items() if t == name]
-        lat = stream.latencies_ms(tenant=name)
-        n_here = len(lat)
-        dropped_here = result.rejected_for_tenant(name)
-
-        def _deadline_ms(model: str) -> float:
-            if tenant_cfg is not None:
-                return deadline_ns(tenant_cfg, model, cluster) * 1e-6
-            return model_slo_ms[model]
-
-        met_here = sum(
-            int(
-                (
-                    np.frombuffer(c.lat_ms, dtype=np.float64)
-                    <= _deadline_ms(m)
-                ).sum()
-            )
-            for m, c in here
-        )
-        lost = [p for p in result.preempted if p.tenant == name]
-        if n_here:
-            ordered = np.sort(lat)
-            p50, p99 = _percentiles_from_sorted(ordered, (50, 99))
-            mean_ms = float(lat.sum()) / n_here
-        else:
-            p50 = p99 = mean_ms = 0.0
-        per_tenant.append(
-            TenantStats(
-                tenant=name,
-                slo_class=(
-                    tenant_cfg.slo_class if tenant_cfg is not None else ""
-                ),
-                weight=tenant_cfg.weight if tenant_cfg is not None else 1.0,
-                n_offered=n_here + len(dropped_here),
-                n_requests=n_here,
-                n_dropped=len(dropped_here),
-                p50_ms=p50,
-                p99_ms=p99,
-                mean_ms=mean_ms,
-                slo_attainment=met_here / n_here if n_here else 1.0,
-                goodput_rps=met_here / duration_s if duration_s > 0 else 0.0,
+                slo_attainment=met_here / n if n else 1.0,
+                goodput_rps=rate(met_here),
                 n_preemptions=len(lost),
                 preempted_wasted_ms=sum(p.wasted_ns for p in lost) * 1e-6,
             )
@@ -640,14 +588,10 @@ def summarize(
     against the report-level per-model SLO like everything else.
     """
     duration_s = result.makespan_ns * 1e-9
-    if result.stream is not None:
-        per_model, met_total, per_chip_type, per_tenant = _stream_sections(
-            result, cluster, slo_ms, slo_multiple, tenancy, duration_s
-        )
-    else:
-        per_model, met_total, per_chip_type, per_tenant = _retained_sections(
-            result, cluster, slo_ms, slo_multiple, tenancy, duration_s
-        )
+    q = _Rows(result, cluster) if result.stream is None else _Cells(result.stream)
+    per_model, met_total, per_chip_type, per_tenant = _sections(
+        q, result, cluster, slo_ms, slo_multiple, tenancy, duration_s
+    )
     throughput = result.n_requests / duration_s if duration_s > 0 else 0.0
     goodput = met_total / duration_s if duration_s > 0 else 0.0
     total_energy_uj = result.total_energy_pj * 1e-6

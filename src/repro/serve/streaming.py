@@ -3,20 +3,13 @@
 A :class:`StreamingMetrics` accumulator replaces the engine's retained
 ``ServedRequest`` list: each completed batch lands on a per
 ``(model, tenant, chip type)`` cell holding a flat latency buffer plus
-scalar roll-ups (count, energy, tokens, batches).  A million-request run
+scalar roll-ups (energy, tokens, batches).  A million-request run
 then carries one 8-byte float per request instead of one Python object —
 megabytes instead of gigabytes — and :func:`repro.serve.metrics.summarize`
-builds its report straight from the cells.  :meth:`latencies_ms` returns
-an independent copy of the matching cells' latencies — never a live view
-of an internal buffer — so callers may hold it across later completions.
+reads the cells through its cells adapter.
 
-Exactness contract: the simulation itself is bit-identical in streaming
-mode (every dispatch, every float).  Latency *percentiles* (p50/p95/p99,
-max) are bit-identical to retained mode too — the cells hold the exact
-per-request latency multiset and the same interpolation formula reads it.
-Sums of floats (mean latency, energy totals) are accumulated per batch
-rather than per request, so they may differ from retained mode in the
-last few ULPs; integer roll-ups (counts, tokens) are exact.
+Which report numbers a streamed run shares bit for bit with a retained
+one is stated once, on :mod:`repro.serve.metrics`.
 
 The optional progress hook emits a rolling p99 every ``progress_every``
 served requests — the ``--progress`` CLI flag wires it to stderr.
@@ -36,11 +29,10 @@ __all__ = ["StreamingMetrics"]
 class _Cell:
     """Roll-up for one (model, tenant, chip_type) stream."""
 
-    __slots__ = ("lat_ms", "n", "energy_pj", "tokens", "padded", "batches")
+    __slots__ = ("lat_ms", "energy_pj", "tokens", "padded", "batches")
 
     def __init__(self) -> None:
         self.lat_ms = array("d")
-        self.n = 0
         self.energy_pj = 0.0
         self.tokens = 0
         self.padded = 0
@@ -61,8 +53,12 @@ class StreamingMetrics:
         progress_every: int = 0,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if progress_every < 0:
-            raise ValueError("progress_every must be >= 0")
+        # 0 switches progress off; any period below 1, negative ones
+        # included, would emit on every completion.
+        if not (progress_every == 0 or progress_every >= 1):
+            raise ValueError(
+                f"progress_every must be 0 (off) or >= 1, got {progress_every!r}"
+            )
         self._cells: Dict[Tuple[str, str, str], _Cell] = {}
         #: model -> smallest (arrival_ns, request_id) observed, so
         #: ``models`` reports first-arrival order exactly like the
@@ -72,7 +68,7 @@ class StreamingMetrics:
         self._bound = False
         self.n_served = 0
         self._every = progress_every
-        self._next_emit = progress_every if progress_every else 0
+        self._next_emit = progress_every
         self._progress = progress
 
     # -- engine hooks ---------------------------------------------------
@@ -102,7 +98,6 @@ class StreamingMetrics:
         for r in requests:
             lat.append((fin - r.arrival_ns) * 1e-6)
         size = len(requests)
-        cell.n += size
         cell.energy_pj += inflight.share_pj * size
         cell.batches += 1
         padded = inflight.padded
@@ -138,7 +133,6 @@ class StreamingMetrics:
         if cell is None:
             cell = self._cells[key] = _Cell()
         cell.lat_ms.frombytes(lat_ms.tobytes())
-        cell.n += size
         cell.energy_pj += energy_pj
         cell.batches += 1
         if first_key is not None:
@@ -179,15 +173,13 @@ class StreamingMetrics:
         tenant: Optional[str] = None,
         chip_type: Optional[str] = None,
     ) -> "np.ndarray":
-        """Concatenated latency column across the matching cells.
+        """Concatenated latency column (ms) across the matching cells.
 
-        The result is the exact latency multiset retained mode would hold
-        (order differs — completion-grouped, not arrival-sorted).  The
-        returned array is always an independent **copy**: a zero-copy view
-        of a live cell buffer would pin the underlying ``array('d')``
-        exports, and the next completion's ``append`` would then raise
-        ``BufferError`` under any caller still holding the view (progress
-        callbacks, dashboards polling mid-run).
+        The exact latency multiset retained mode holds, in completion
+        order.  Always an independent copy (``np.concatenate`` allocates):
+        a view of a live ``array('d')`` cell buffer would make the next
+        completion's ``append`` raise ``BufferError`` under any caller
+        still holding it (progress callbacks, dashboards polling mid-run).
         """
         parts: List[np.ndarray] = [
             np.frombuffer(cell.lat_ms, dtype=np.float64)
@@ -196,13 +188,7 @@ class StreamingMetrics:
             and (tenant is None or t == tenant)
             and (chip_type is None or c == chip_type)
         ]
-        if not parts:
-            return np.empty(0, dtype=np.float64)
-        if len(parts) == 1:
-            # concatenate below already copies; the single-part fast path
-            # must copy too, or it leaks a live view of the cell buffer.
-            return parts[0].copy()
-        return np.concatenate(parts)
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def rolling_p99_ms(self) -> float:
         """Current p99 latency over everything served so far.

@@ -28,6 +28,8 @@ from repro.serve import (
     DecodeConfig,
     FleetConfig,
     JsonlTraceSink,
+    ObserveConfig,
+    PolicyConfig,
     ServingConfig,
     ServingEngine,
     StreamingMetrics,
@@ -257,6 +259,40 @@ class TestStreamingDifferential:
         )
         self._assert_reports_match(retained, streamed)
         assert stream.n_served == n
+
+    def test_tenants_on_mixed_fleet_stream_matches_retained(self):
+        def run(stream):
+            return simulate_serving(
+                ServingConfig(
+                    workload=WorkloadConfig(
+                        models=("resnet18", "mobilebert"),
+                        duration_s=0.05,
+                        tenants="chat:interactive:w=4:poisson@2000,"
+                        "bulk:best-effort:poisson@6000",
+                    ),
+                    fleet=FleetConfig(fleet="yoco:2,isaac:2"),
+                    policy=PolicyConfig(
+                        scheduler="weighted-fair", preemption=True
+                    ),
+                    observe=ObserveConfig(stream_metrics=stream),
+                )
+            )[0]
+
+        retained = run(None)
+        streamed = run(StreamingMetrics())
+        self._assert_reports_match(retained, streamed)
+        assert len(retained.per_tenant) == len(retained.per_chip_type) == 2
+        for got, want in zip(streamed.per_tenant, retained.per_tenant):
+            assert got.tenant == want.tenant
+            assert want.n_requests > 0
+            assert got.n_requests == want.n_requests
+            assert got.p50_ms == want.p50_ms
+            assert got.p99_ms == want.p99_ms
+            assert got.slo_attainment == want.slo_attainment
+            assert got.mean_ms == pytest.approx(want.mean_ms, rel=1e-9)
+        for got, want in zip(streamed.per_chip_type, retained.per_chip_type):
+            assert want.n_requests > 0
+            assert got.energy_uj == pytest.approx(want.energy_uj, rel=1e-9)
 
     def test_rolling_p99_equals_retained_p99(self):
         retained, _, stream, _ = self._pair(["resnet18"], 30000, 0.05)

@@ -27,16 +27,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.models.zoo import get_workload
 from repro.serve import (
-    BatchingPolicy,
-    Cluster,
     FleetConfig,
     MetricsRecorder,
     ObserveConfig,
     PolicyConfig,
     ServingConfig,
-    ServingEngine,
     StreamingMetrics,
     WorkloadConfig,
     simulate_serving,
@@ -197,24 +193,18 @@ class TestStreamingComposition:
 
 
 class TestProgressPeriodValidation:
-    """Non-positive streaming cadences fail fast, at the entry point.
+    """Sub-1 streaming cadences fail fast, where they are made.
 
     The emit scheduler advances ``_next_emit`` by ``n_served % _every``
-    arithmetic — a zero or sub-1 period would divide by zero or spin,
-    *after* the run had already streamed half its completions.  Both
-    front doors now reject it up front: ``ServingEngine.run`` for
-    programmatic streams, the CLI for ``--progress 0``.
+    arithmetic — a sub-1 period would emit on every completion, *after*
+    the run had already started.  The ``StreamingMetrics`` constructor is
+    the one place the rule lives (0 = off, else >= 1); the CLI's
+    ``--progress >= 1`` is a flag-grammar check of its own.
     """
 
     def test_engine_rejects_sub_one_period(self):
-        cluster = Cluster([get_workload("resnet18")], n_chips=2)
-        engine = ServingEngine(
-            cluster, BatchingPolicy(max_batch_size=8, window_ns=0.0)
-        )
-        stream = StreamingMetrics()
-        stream._every = 0.5  # a half-wired dashboard integration
-        with pytest.raises(ValueError, match="positive"):
-            engine.run((), stream=stream)
+        with pytest.raises(ValueError, match="progress_every"):
+            StreamingMetrics(progress_every=0.5)
 
     def test_constructor_rejects_negative_period(self):
         with pytest.raises(ValueError, match="progress_every"):
