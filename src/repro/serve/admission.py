@@ -31,13 +31,11 @@ reused across runs without leaking token-bucket or cache state.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.serve.batching import BatchingPolicy
+from repro.serve.cluster import DEFAULT_SLO_MULTIPLE, Cluster
 from repro.serve.traces import Request
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serve.cluster import Cluster
 
 #: Policy names the CLI exposes via ``--admission`` (see
 #: :func:`parse_admission` for the parameterized spec syntax).
@@ -172,19 +170,17 @@ class SloAwareShedding(AdmissionPolicy):
     per-(model, chip-group) tables the cost-aware placer and the default
     SLO already read — plus a drain estimate for the backlog queued ahead.
     ``slo_ms`` overrides the deadline per run; by default it is
-    ``slo_multiple`` times the batch-1 floor, exactly the default
-    :func:`repro.serve.metrics.summarize` scores against, so shedding and
-    scoring agree on what "dead on arrival" means.
+    :data:`~repro.serve.cluster.DEFAULT_SLO_MULTIPLE` times the batch-1
+    floor, exactly the default :func:`repro.serve.metrics.summarize`
+    scores against, so shedding and scoring agree on what "dead on
+    arrival" means.
     """
 
     slo_ms: Optional[float] = None
-    slo_multiple: float = 10.0
 
     def __post_init__(self) -> None:
         if self.slo_ms is not None and self.slo_ms <= 0:
             raise ValueError("slo_ms must be positive")
-        if self.slo_multiple <= 0:
-            raise ValueError("slo_multiple must be positive")
         self._cluster: Optional["Cluster"] = None
         self._max_batch = 1
         self._slo_ns: Dict[str, float] = {}
@@ -200,7 +196,7 @@ class SloAwareShedding(AdmissionPolicy):
                 self._slo_ns[model] = self.slo_ms * 1e6
             else:
                 self._slo_ns[model] = (
-                    self.slo_multiple * cluster.reference_latency_ns(model)
+                    DEFAULT_SLO_MULTIPLE * cluster.reference_latency_ns(model)
                 )
 
     def admit(

@@ -62,6 +62,11 @@ PLACEMENTS = (
     "prefill-decode",
 )
 
+#: The default latency SLO, in batch-1 floors
+#: (:meth:`Cluster.reference_latency_ns`): the one rule the report's SLO
+#: and the slo-aware shedder's deadline both read.
+DEFAULT_SLO_MULTIPLE = 10.0
+
 #: Per-chip service-cost cache key: the group name pins the backend (two
 #: chip types may share capacity and residency yet cost very differently),
 #: then the effective capacity and residency split rows within a group.
@@ -309,20 +314,20 @@ class ChipService:
 
 
 class ServiceCostTable:
-    """Flat memoized cost rows for one model (the dispatch hot path's view).
+    """The cluster's cost memo for one model and phase.
 
     The engine prices the same (chip, batch size, bucket) combination
-    millions of times per run; :meth:`Cluster.service` answers each probe
-    through a tuple-of-(ChipKey, str, int, int) dict key.  This table
-    flattens that to a small-int row key plus a list index: one row per
-    (distinct cost key, sequence length), indexed by batch size.  Misses
-    delegate to :meth:`Cluster.service`, so every entry is the exact
-    :class:`ChipService` object the slow path returns — same floats, same
-    cache, just a cheaper probe.
+    millions of times per run.  This table is the only place those prices
+    are kept: one row per (distinct cost key, sequence length), indexed
+    by batch size.  A miss calls the pricer once — :meth:`Cluster.service`,
+    or :meth:`Cluster.decode_service` with ``decode=True``, where the
+    row's sequence length is the page-rounded context — and stores the
+    row.  A prefill row at the model's native sequence length is the
+    ``seq_len=0`` row: both name the native shape.
 
-    With ``decode=True`` the table prices decode iterations instead: the
-    row's sequence length is the page-rounded context and misses delegate
-    to :meth:`Cluster.decode_service`.
+    The pricer is read off the cluster instance when the table is built,
+    so a wrapped ``Cluster.service`` (a call counter, a tracer) sees every
+    priced row.
 
     ``uniform`` is True when every hosting chip shares one cost key — the
     homogeneous case where cost-aware routing provably degenerates to the
@@ -335,9 +340,9 @@ class ServiceCostTable:
     def __init__(
         self, cluster: "Cluster", model: str, decode: bool = False
     ) -> None:
-        self._cluster = cluster
         self._model = model
-        self._decode = decode
+        self._price = cluster.decode_service if decode else cluster.service
+        self._native = None if decode else cluster.native_seq_len(model)
         distinct: Dict[ChipKey, int] = {}
         self._key_of = tuple(
             distinct.setdefault(key, len(distinct))
@@ -369,20 +374,16 @@ class ServiceCostTable:
     def _fill(
         self, chip_id: int, batch_size: int, seq_len: int
     ) -> ChipService:
-        fill = (
-            self._cluster.decode_service
-            if self._decode
-            else self._cluster.service
-        )
-        cost = fill(chip_id, self._model, batch_size, seq_len)
-        key = (self._key_of[chip_id], seq_len)
-        row = self._rows.get(key)
-        if row is None:
-            row = []
-            self._rows[key] = row
+        key = self._key_of[chip_id]
+        shape = 0 if seq_len == self._native else seq_len
+        row = self._rows.setdefault((key, shape), [])
+        self._rows[key, seq_len] = row  # the native shape's two names
         if batch_size >= len(row):
             row.extend([None] * (batch_size + 1 - len(row)))
-        row[batch_size] = cost
+        cost = row[batch_size]
+        if cost is None:
+            cost = self._price(chip_id, self._model, batch_size, shape)
+            row[batch_size] = cost
         return cost
 
 
@@ -391,8 +392,8 @@ class Cluster:
 
     The serving engine treats this object as a pure cost oracle: it asks
     which chips may host a model (:meth:`chips_for`) and what a size-``B``
-    batch costs on a given chip (:meth:`service`).  All costs are cached —
-    the discrete-event loop stays free of simulator calls.
+    batch costs on a given chip (:meth:`service_table`).  Each row is
+    priced once — the discrete-event loop stays free of simulator calls.
 
     The legacy homogeneous form (``n_chips`` copies of one ``spec``) and
     the ``fleet`` form are the same machinery: the former is wrapped into
@@ -467,21 +468,19 @@ class Cluster:
             for eff, chip in zip(self._chip_specs, self._plan.chips)
         )
         self._simulators: Dict[ChipKey, ArchitectureSimulator] = {}
-        self._service_cache: Dict[
-            Tuple[ChipKey, str, int, int], ChipService
-        ] = {}
         self._stream_cache: Dict[Tuple[ChipKey, str, int], object] = {}
-        self._service_tables: Dict[str, ServiceCostTable] = {}
+        # The cost memo: one table per (model, is-decode), and the batch-1
+        # floor per (model, seq_len) read off it.
+        self._tables: Dict[Tuple[str, bool], ServiceCostTable] = {}
+        self._floors: Dict[Tuple[str, int], float] = {}
         # Workloads re-derived per sequence length, shared across chips —
         # a bucketed LLM run costs one derivation per (model, bucket), not
         # one per batch.
         self._seqlen_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
         # Decode-phase caches: single-token iteration workloads per
-        # (model, page-rounded context), their service costs, and each
-        # model's KV bytes per cached token.
+        # (model, page-rounded context) and each model's KV bytes per
+        # cached token.
         self._decode_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
-        self._decode_cache: Dict[Tuple[ChipKey, str, int, int], ChipService] = {}
-        self._decode_tables: Dict[str, ServiceCostTable] = {}
         self._kv_per_token: Dict[str, int] = {}
 
     # -- accessors -----------------------------------------------------------------
@@ -629,22 +628,15 @@ class Cluster:
         member attends over.  Decode batches always run wave-batched
         (``run_batch``), even on pipelined groups: continuous batching
         re-forms the batch every iteration, so there is never a stable
-        stream to pipeline.
+        stream to pipeline.  Prices one row, uncached: the memo is
+        :meth:`decode_table`.
         """
         if chip_id not in self.chips_for(model):
             raise ValueError(f"chip {chip_id} does not host model {model!r}")
-        key = (self._chip_keys[chip_id], model, batch_size, context_len)
-        cached = self._decode_cache.get(key)
-        if cached is None:
-            sim = self._simulator(chip_id)
-            batch = sim.run_batch(
-                self.decode_workload(model, context_len), batch_size
-            )
-            cached = ChipService(
-                latency_ns=batch.latency_ns, energy_pj=batch.energy_pj
-            )
-            self._decode_cache[key] = cached
-        return cached
+        batch = self._simulator(chip_id).run_batch(
+            self.decode_workload(model, context_len), batch_size
+        )
+        return ChipService(latency_ns=batch.latency_ns, energy_pj=batch.energy_pj)
 
     def kv_bytes_per_token(self, model: str) -> int:
         """KV-cache footprint one cached token adds (8-bit K + V rows).
@@ -707,72 +699,70 @@ class Cluster:
         boundary, usually); 0 keeps the model's native shape — the CNN and
         fixed-seqlen path, which reproduces the original per-model cost.
 
-        The cache key is deliberately tenant-blind: a batch's cost depends
-        only on (chip type, model, batch size, sequence length), so every
-        tenant of a multi-tenant run shares the same cached cost rows —
-        ten tenants calling one model cost no more simulator probes than
-        one tenant does.
+        Prices one row, uncached: the memo is :meth:`service_table`, whose
+        rows are deliberately tenant-blind — a batch's cost depends only
+        on (chip type, model, batch size, sequence length), so ten tenants
+        calling one model cost no more simulator probes than one does.
         """
         if chip_id not in self.chips_for(model):
             raise ValueError(f"chip {chip_id} does not host model {model!r}")
-        if seq_len == self._workloads[model].seq_len:
-            seq_len = 0  # the native shape shares the legacy cache rows
-        key = (self._chip_keys[chip_id], model, batch_size, seq_len)
-        cached = self._service_cache.get(key)
-        if cached is None:
-            cached = self._cost(chip_id, model, batch_size, seq_len)
-            self._service_cache[key] = cached
-        return cached
+        sim = self._simulator(chip_id)
+        workload = self.workload_at(model, seq_len)
+        if self.group_of(chip_id).mode == "pipelined":
+            stream_key = (self._chip_keys[chip_id], model, seq_len)
+            stream = self._stream_cache.get(stream_key)
+            if stream is None:
+                stream = sim.run_layer_pipelined(workload)
+                self._stream_cache[stream_key] = stream
+            latency = stream.fill_ns + (batch_size - 1) * stream.interval_ns
+            return ChipService(
+                latency_ns=latency, energy_pj=batch_size * stream.run.energy_pj
+            )
+        batch = sim.run_batch(workload, batch_size)
+        return ChipService(latency_ns=batch.latency_ns, energy_pj=batch.energy_pj)
 
     def service_table(self, model: str) -> ServiceCostTable:
-        """Flat memoized view of :meth:`service` for one model.
+        """One model's prefill cost memo (rows priced by :meth:`service`).
 
-        Cached per model, shared across runs on this cluster — the table
-        only ever holds objects the shared ``service`` cache returned.
+        Cached per model, shared across runs on this cluster.
         """
-        table = self._service_tables.get(model)
-        if table is None:
-            if model not in self._workloads:
-                raise ValueError(f"cluster does not host model {model!r}")
-            table = ServiceCostTable(self, model)
-            self._service_tables[model] = table
-        return table
+        return self._table(model, False)
 
     def decode_table(self, model: str) -> ServiceCostTable:
-        """Flat memoized view of :meth:`decode_service` for one model.
+        """One model's decode cost memo (rows priced by :meth:`decode_service`).
 
         Rows are keyed by (cost key, page-rounded context) and indexed by
         batch size; cached per model like :meth:`service_table`.
         """
-        table = self._decode_tables.get(model)
+        return self._table(model, True)
+
+    def _table(self, model: str, decode: bool) -> ServiceCostTable:
+        table = self._tables.get((model, decode))
         if table is None:
             if model not in self._workloads:
                 raise ValueError(f"cluster does not host model {model!r}")
-            table = ServiceCostTable(self, model, decode=True)
-            self._decode_tables[model] = table
+            table = ServiceCostTable(self, model, decode)
+            self._tables[model, decode] = table
         return table
 
     def reference_latency_ns(self, model: str, seq_len: int = 0) -> float:
         """Batch-1 service latency — the no-queueing, no-batching floor.
 
-        The floor is taken over the model's *best* hosting chip (one probe
-        per distinct cost key), so derived quantities like the default SLO
-        never depend on fleet group declaration order: ``yoco:2,isaac:2``
-        and ``isaac:2,yoco:2`` anchor to the same number.  On a
-        homogeneous cluster every host shares one key and this is exactly
-        the first hosting chip, as it always was.
+        The floor is taken over the model's *best* hosting chip, so derived
+        quantities like the default SLO (:data:`DEFAULT_SLO_MULTIPLE` times
+        this floor) never depend on fleet group declaration order:
+        ``yoco:2,isaac:2`` and ``isaac:2,yoco:2`` anchor to the same number.
+        Read off :meth:`service_table` once per (model, seq_len).
         """
-        best = None
-        seen = set()
-        for chip in self.chips_for(model):
-            key = self._chip_keys[chip]
-            if key in seen:
-                continue
-            seen.add(key)
-            latency = self.service(chip, model, 1, seq_len).latency_ns
-            if best is None or latency < best:
-                best = latency
-        return best
+        floor = self._floors.get((model, seq_len))
+        if floor is None:
+            table = self.service_table(model)
+            floor = min(
+                table.get(chip, 1, seq_len).latency_ns
+                for chip in self.chips_for(model)
+            )
+            self._floors[model, seq_len] = floor
+        return floor
 
     def predicted_latency_ns(
         self, model: str, queued_ahead: int, max_batch_size: int = 1
@@ -799,24 +789,6 @@ class Cluster:
         batches_ahead = -(-queued_ahead // max_batch_size)  # ceil div
         waves = -(-batches_ahead // hosts)
         return (waves + 1) * service_ns
-
-    def _cost(
-        self, chip_id: int, model: str, batch_size: int, seq_len: int
-    ) -> ChipService:
-        sim = self._simulator(chip_id)
-        workload = self.workload_at(model, seq_len)
-        if self.group_of(chip_id).mode == "pipelined":
-            stream_key = (self._chip_keys[chip_id], model, seq_len)
-            stream = self._stream_cache.get(stream_key)
-            if stream is None:
-                stream = sim.run_layer_pipelined(workload)
-                self._stream_cache[stream_key] = stream
-            latency = stream.fill_ns + (batch_size - 1) * stream.interval_ns
-            return ChipService(
-                latency_ns=latency, energy_pj=batch_size * stream.run.energy_pj
-            )
-        batch = sim.run_batch(workload, batch_size)
-        return ChipService(latency_ns=batch.latency_ns, energy_pj=batch.energy_pj)
 
     # -- capacity-aware per-chip simulators ---------------------------------------
     def _effective_spec(self, chip: ChipPlan) -> AcceleratorSpec:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.report import format_table
-from repro.serve.cluster import Cluster
+from repro.serve.cluster import DEFAULT_SLO_MULTIPLE, Cluster
 from repro.serve.elastic import ElasticTrace
 from repro.serve.engine import ServingResult
 from repro.serve.power import PowerTrace
@@ -444,7 +444,6 @@ def _sections(
     result: ServingResult,
     cluster: Cluster,
     slo_ms: Optional[float],
-    slo_multiple: float,
     tenancy: Optional[TenancyConfig],
     duration_s: float,
 ):
@@ -467,7 +466,7 @@ def _sections(
     model_slo = {
         m: slo_ms
         if slo_ms is not None
-        else slo_multiple * cluster.reference_latency_ns(m) * 1e-6
+        else DEFAULT_SLO_MULTIPLE * cluster.reference_latency_ns(m) * 1e-6
         for m in result.models
     }
     per_model = []
@@ -573,15 +572,14 @@ def summarize(
     result: ServingResult,
     cluster: Cluster,
     slo_ms: Optional[float] = None,
-    slo_multiple: float = 10.0,
     tenancy: Optional[TenancyConfig] = None,
 ) -> ServingReport:
     """Roll a simulation up into a :class:`ServingReport`.
 
-    The SLO defaults to ``slo_multiple`` times each model's batch-1 service
-    latency on its best hosting chip — the no-queueing floor, independent
-    of fleet group order — so it scales sensibly from AlexNet to LLaMA
-    without per-model tuning.
+    The SLO defaults to :data:`~repro.serve.cluster.DEFAULT_SLO_MULTIPLE`
+    times each model's batch-1 service latency on its best hosting chip —
+    the no-queueing floor, independent of fleet group order — so it scales
+    sensibly from AlexNet to LLaMA without per-model tuning.
 
     Pass the run's ``tenancy`` config to score each tenant's attainment
     against its *own* SLO-class deadline; without it, tenants are scored
@@ -590,7 +588,7 @@ def summarize(
     duration_s = result.makespan_ns * 1e-9
     q = _Rows(result, cluster) if result.stream is None else _Cells(result.stream)
     per_model, met_total, per_chip_type, per_tenant = _sections(
-        q, result, cluster, slo_ms, slo_multiple, tenancy, duration_s
+        q, result, cluster, slo_ms, tenancy, duration_s
     )
     throughput = result.n_requests / duration_s if duration_s > 0 else 0.0
     goodput = met_total / duration_s if duration_s > 0 else 0.0

@@ -1,6 +1,6 @@
 """Engine hot-path scaling: guard-rails, streaming mode, turbo path.
 
-Five suites around the million-request refactor:
+Six suites around the million-request refactor:
 
 * the generator-trace regression — ``run`` used to iterate its trace
   twice (validate, then fill), so a generator validated fine and then
@@ -10,6 +10,8 @@ Five suites around the million-request refactor:
   the event count and strictly below the old events x slots product;
 * the decode pricing guard-rails — counted ``Cluster.decode_service``
   calls pin decode pricing to one call per distinct cost row;
+* the prefill pricing guard-rail — counted ``Cluster.service`` calls do
+  the same for prefill, batch-1 floors included;
 * the streaming differential — a run with ``stream=StreamingMetrics()``
   must report bit-identical latency percentiles to the retained run,
   and its rolling p99 must equal the retained p99 exactly;
@@ -195,6 +197,45 @@ class TestDecodePricingGuardRails:
             monkeypatch, "yoco:2,isaac:2", 0.1, rps=4000.0
         )
         assert {c[0] for c in calls} == {"yoco", "isaac"}
+        assert len(calls) == len(set(calls))
+
+
+class TestPrefillPricingGuardRails:
+    """Prefill prices each distinct cost row once, however many arrivals.
+
+    The twin of :class:`TestDecodePricingGuardRails` for
+    :meth:`Cluster.service`.  Slo-aware admission and preemption read the
+    batch-1 floor on every arrival; on a mixed fleet that floor is a
+    minimum over two cost keys, and it must come from the same rows.
+    """
+
+    def test_mixed_fleet_prices_each_row_once(self, monkeypatch):
+        calls = []
+        original = Cluster.service
+
+        def counting(self, chip_id, model, batch_size, seq_len=0):
+            # One cost key per chip type on this fleet.
+            calls.append((self.chip_type(chip_id), model, batch_size, seq_len))
+            return original(self, chip_id, model, batch_size, seq_len)
+
+        monkeypatch.setattr(Cluster, "service", counting)
+        config = ServingConfig(
+            workload=WorkloadConfig(
+                models=["resnet18", "mobilebert"],
+                duration_s=0.1,
+                tenants=(
+                    "chat:interactive:w=4:model=mobilebert:poisson@3000"
+                    ":seqlen=lognormal,"
+                    "bulk:best-effort:model=resnet18:poisson@60000"
+                ),
+            ),
+            fleet=FleetConfig(fleet="yoco:2,isaac:2"),
+            policy=PolicyConfig(
+                admission="slo-aware", scheduler="weighted-fair", preemption=True
+            ),
+        )
+        _, result = simulate_serving(config=config)
+        assert result.n_dropped > 0
         assert len(calls) == len(set(calls))
 
 

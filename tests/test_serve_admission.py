@@ -99,7 +99,8 @@ class TestSloAwareShedding:
         # the default 10x budget drowns at depth 19 but not at 18.
         assert policy.admit(_request(), 0.0, 18, 18)
         assert not policy.admit(_request(), 0.0, 19, 19)
-        generous = SloAwareShedding(slo_multiple=100.0)
+        floor = cluster.reference_latency_ns("resnet18")
+        generous = SloAwareShedding(slo_ms=100 * floor * 1e-6)
         generous.reset(cluster, batching)
         assert generous.admit(_request(), 0.0, 19, 19)
 
@@ -111,8 +112,6 @@ class TestSloAwareShedding:
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="slo_ms"):
             SloAwareShedding(slo_ms=0.0)
-        with pytest.raises(ValueError, match="slo_multiple"):
-            SloAwareShedding(slo_multiple=-1.0)
 
 
 class TestPredictedLatency:

@@ -155,15 +155,15 @@ class TestHeteroCluster:
         cluster = Cluster([resnet], fleet=fleet)
         # Same capacity and residency on both chips — the old cache key.
         assert hot.weight_capacity_bytes == yoco_spec().weight_capacity_bytes
-        cool_first = cluster.service(0, "resnet18", 1)
-        hot_second = cluster.service(1, "resnet18", 1)
+        cool_first = cluster.service_table("resnet18").get(0, 1)
+        hot_second = cluster.service_table("resnet18").get(1, 1)
         assert hot_second.energy_pj > cool_first.energy_pj
         expected = ArchitectureSimulator(hot).run(resnet)
         assert hot_second.energy_pj == pytest.approx(expected.energy_pj)
         # And in the reverse priming order on a fresh cluster.
         cluster2 = Cluster([resnet], fleet=fleet)
-        hot_first = cluster2.service(1, "resnet18", 1)
-        cool_second = cluster2.service(0, "resnet18", 1)
+        hot_first = cluster2.service_table("resnet18").get(1, 1)
+        cool_second = cluster2.service_table("resnet18").get(0, 1)
         assert hot_first.energy_pj == pytest.approx(expected.energy_pj)
         assert cool_second.energy_pj == pytest.approx(
             ArchitectureSimulator(yoco_spec()).run(resnet).energy_pj

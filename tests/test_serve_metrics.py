@@ -16,6 +16,7 @@ from repro.serve import (
     uniform_trace,
     with_seqlens,
 )
+from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
 
 
 class TestPercentile:
@@ -78,10 +79,10 @@ class TestSummarize:
 
     def test_default_slo_is_multiple_of_service_floor(self, small_run):
         cluster, result = small_run
-        report = summarize(result, cluster, slo_multiple=10.0)
+        report = summarize(result, cluster)
         stats = report.per_model[0]
         assert stats.slo_ms == pytest.approx(
-            10.0 * cluster.reference_latency_ns("resnet18") * 1e-6
+            DEFAULT_SLO_MULTIPLE * cluster.reference_latency_ns("resnet18") * 1e-6
         )
 
     def test_utilization_reflects_busy_fraction(self, small_run):

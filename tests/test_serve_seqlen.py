@@ -364,11 +364,11 @@ class TestServingWithSeqlens:
         assert a is b
         assert cluster.workload_at("gpt_large", 0) is gpt
         assert cluster.workload_at("gpt_large", gpt.seq_len) is gpt
-        # Identical replicas share one cost row per (batch, bucket).
-        cluster.service(0, "gpt_large", 1, 256)
-        n_rows = len(cluster._service_cache)
-        cluster.service(1, "gpt_large", 1, 256)
-        assert len(cluster._service_cache) == n_rows
+        # Identical replicas share one cost row per (batch, bucket), and
+        # the native length is the seq_len=0 row.
+        table = cluster.service_table("gpt_large")
+        assert table.get(0, 1, 256) is table.get(1, 1, 256)
+        assert table.get(0, 1, gpt.seq_len) is table.get(1, 1, 0)
 
     def test_native_seq_len_accessor(self):
         cluster = Cluster(
