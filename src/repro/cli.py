@@ -770,9 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
         const=100_000,
         default=None,
         metavar="N",
-        help="stream metrics instead of retaining every served request, "
-        "printing a rolling p99 to stderr every N served (default 100000); "
-        "makes million-request traces cheap on memory",
+        help="print a rolling p99 of everything served so far to stderr "
+        "every N served (default 100000); the report is unchanged",
     )
     serve.add_argument(
         "--trace-out",

@@ -98,7 +98,6 @@ from repro.serve.elastic import (
 )
 from repro.serve.engine import (
     RejectedRequest,
-    ServedRequest,
     ServingEngine,
     ServingResult,
 )
@@ -153,6 +152,7 @@ from repro.serve.regions import (
     format_regions,
     simulate_regions,
 )
+from repro.serve.served import ServedRequest
 from repro.serve.streaming import StreamingMetrics
 from repro.serve.traces import (
     Request,

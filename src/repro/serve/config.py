@@ -9,7 +9,7 @@ A serving scenario is five groups of knobs:
 * :class:`PolicyConfig` — how it is scheduled (batching, SLO, admission,
   tenant scheduling, preemption);
 * :class:`ObserveConfig` — what is recorded (tracing, metrics export,
-  streaming cells, engine profiling);
+  live streaming reads, engine profiling);
 * :class:`repro.serve.decode.DecodeConfig` — the autoregressive decode
   loop (optional);
 
@@ -18,9 +18,9 @@ assembled by :class:`ServingConfig` and run by
 composition is one row of :data:`COMPOSITION_RULES`, evaluated by
 :func:`check_composition` over whatever facts the caller knows:
 :meth:`ServingConfig.validate` passes all of them, the ``ServingEngine``
-constructor its arguments, and ``ServingEngine.run`` its clients and
-stream — so an invalid pairing raises the identical message no matter
-which door it walks in through.
+constructor its arguments, and ``ServingEngine.run`` its clients — so an
+invalid pairing raises the identical message no matter which door it
+walks in through.
 """
 
 from __future__ import annotations
@@ -185,11 +185,11 @@ class ObserveConfig:
     ``result.stats.profile``.
 
     ``stream_metrics`` (a fresh
-    :class:`~repro.serve.streaming.StreamingMetrics`) lands completions
-    on constant-memory cells instead of retained ``ServedRequest``
-    records.  Latency percentiles stay bit-identical;
-    float sums (mean latency, energy totals) accumulate per batch and may
-    differ in the last ULP.
+    :class:`~repro.serve.streaming.StreamingMetrics`) reads the run's
+    served record live — a rolling p99 and, with ``progress_every``,
+    progress lines.  The record is the same columnar ``result.served``
+    every run lands in, so the streamed result and report equal the
+    unstreamed ones exactly, decode runs included.
     """
 
     observe: Optional[Observer] = None
@@ -240,10 +240,6 @@ MSG_DECODE_ELASTIC = (
     "batches re-form every iteration and a draining chip would strand "
     "half-decoded requests"
 )
-MSG_DECODE_STREAM = (
-    "autoregressive decode reports TTFT/ITL percentiles from retained "
-    "results; streaming metrics cells cannot hold per-token timings"
-)
 MSG_PD_NEEDS_DECODE = (
     "the prefill-decode placement specializes chip groups for a decode "
     "loop; pass decode= (--decode-dist) as well"
@@ -289,7 +285,7 @@ def _resolved_tenancy(
 #: ``seqlen_dist``, ``clients`` (session count or None), ``retry``,
 #: ``tenants``, ``scheduler`` and ``preemption`` (the policy knobs),
 #: ``preempting`` (tenancy with preemption on), ``routing``, ``power``,
-#: ``elastic``, ``decode``, ``stream`` and ``placement``.
+#: ``elastic``, ``decode`` and ``placement``.
 COMPOSITION_RULES: Tuple[Callable[..., Optional[str]], ...] = (
     lambda models: None if models else MSG_NEED_MODELS,
     lambda seqlen_dist: (
@@ -337,11 +333,6 @@ COMPOSITION_RULES: Tuple[Callable[..., Optional[str]], ...] = (
     lambda decode, elastic: (
         MSG_DECODE_ELASTIC
         if decode is not None and elastic is not None
-        else None
-    ),
-    lambda decode, stream: (
-        MSG_DECODE_STREAM
-        if decode is not None and stream is not None
         else None
     ),
     lambda placement, decode: (
@@ -409,7 +400,6 @@ class ServingConfig:
             power=f.power,
             elastic=f.elastic,
             decode=self.decode,
-            stream=self.observe.stream_metrics,
             placement=f.placement,
         )
         # Tenant model declarations must name served models (needs the

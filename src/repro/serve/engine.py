@@ -46,6 +46,8 @@ engine (golden-guarded by ``tests/test_tenancy_differential.py``).
 
 A single plain slot on a uniform host set skips the event loop for a
 per-batch walk (:meth:`ServingEngine._run_turbo`), bit-identical to it.
+Both loops land every completion in one columnar record,
+:class:`~repro.serve.served.ServedColumns`; streaming only reads it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from collections import deque
 
 import numpy as np
 from typing import (
-    TYPE_CHECKING,
     Dict,
     List,
     Optional,
@@ -81,6 +82,8 @@ from repro.serve.elastic import (
     ScalingAction,
 )
 from repro.serve.power import PowerConfig, PowerGovernor, PowerTrace
+from repro.serve.served import ServedColumns, ordered_sum
+from repro.serve.streaming import StreamingMetrics
 from repro.serve.tenancy import (
     FifoScheduler,
     PreemptionRecord,
@@ -90,87 +93,12 @@ from repro.serve.tenancy import (
 )
 from repro.serve.traces import Request, TraceColumns, as_columns
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.serve.streaming import StreamingMetrics
 
 #: Event kinds, in same-timestamp processing order: completions free chips
 #: before new arrivals queue, which beat stale window timers, which beat
 #: elastic-controller evaluations/activations (scaling decisions observe
 #: the instant's fully settled state).
 _COMPLETION, _ARRIVAL, _WINDOW, _SCALE = 0, 1, 2, 3
-
-
-@dataclasses.dataclass(frozen=True)
-class ServedRequest:
-    """One request's journey through the cluster.
-
-    ``seq_len`` is the request's own token count and ``padded_seq_len``
-    the length its batch actually ran at (its seqlen bucket, or the batch
-    max without bucketing).  Both are 0 on the native path — CNN requests
-    and traces generated without a sequence-length distribution.
-
-    When the run had an autoregressive decode loop, ``decode_tokens`` is
-    the request's sampled output length (= its decode iterations),
-    ``first_token_ns`` the prefill completion instant (the TTFT stamp),
-    ``chip_id`` the chip of the *final* decode iteration, ``finish_ns``
-    the last token's completion, and ``energy_pj`` the prefill share plus
-    every decode-iteration share.  ``kv_bytes`` accumulates the request's
-    paged KV-cache footprint over all its decode iterations and
-    ``kv_overflow_bytes`` the part of it that spilled off-chip.  All four
-    are 0 on the no-decode path — the record is then byte-for-byte the
-    PR 2 one.
-    """
-
-    request: Request
-    chip_id: int
-    batch_size: int
-    dispatch_ns: float
-    finish_ns: float
-    energy_pj: float  # this request's share of its batch's energy
-    seq_len: int = 0
-    padded_seq_len: int = 0
-    decode_tokens: int = 0
-    first_token_ns: float = 0.0
-    kv_bytes: float = 0.0
-    kv_overflow_bytes: float = 0.0
-
-    @property
-    def latency_ns(self) -> float:
-        """Arrival-to-finish (queueing + batching + service).
-
-        Client-perceived: a request that was rejected and retried keeps
-        its original arrival stamp, so rejection waits and backoff delay
-        count against it (and against its SLO) too.
-        """
-        return self.finish_ns - self.request.arrival_ns
-
-    @property
-    def queue_ns(self) -> float:
-        """Time spent waiting before the batch dispatched."""
-        return self.dispatch_ns - self.request.arrival_ns
-
-    @property
-    def padding_tokens(self) -> int:
-        """Tokens this request's padded slot wasted."""
-        return max(0, self.padded_seq_len - self.seq_len)
-
-    @property
-    def ttft_ns(self) -> float:
-        """Time to first token: arrival to prefill completion.
-
-        Without a decode loop the whole response materializes at once,
-        so TTFT degenerates to the full latency — never larger than it.
-        """
-        if self.decode_tokens:
-            return self.first_token_ns - self.request.arrival_ns
-        return self.latency_ns
-
-    @property
-    def itl_ns(self) -> float:
-        """Mean inter-token latency over the decode loop (0 = no decode)."""
-        if not self.decode_tokens:
-            return 0.0
-        return (self.finish_ns - self.first_token_ns) / self.decode_tokens
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,37 +148,24 @@ class _DecodeEntry:
     context length, energy and KV traffic as it goes.  ``ctx`` is the
     current context (prompt + generated so far) the *next* iteration runs
     at; ``remaining`` counts down from the sampled output length.
+    ``prefill`` is the completed prefill batch: its dispatch, size and
+    padded length stamp the served record, its finish the first token.
     """
 
     __slots__ = (
-        "request", "ctx", "remaining", "total", "first_token_ns",
-        "energy_pj", "kv_bytes", "kv_overflow", "prefill_dispatch_ns",
-        "prefill_batch", "seq_len", "padded_seq_len",
+        "request", "ctx", "remaining", "total", "energy_pj", "kv_bytes",
+        "kv_overflow", "prefill",
     )
 
-    def __init__(
-        self,
-        request: Request,
-        ctx: int,
-        first_token_ns: float,
-        energy_pj: float,
-        prefill_dispatch_ns: float,
-        prefill_batch: int,
-        seq_len: int,
-        padded_seq_len: int,
-    ) -> None:
+    def __init__(self, request: Request, ctx: int, prefill: "_InFlight") -> None:
         self.request = request
         self.ctx = ctx
         self.remaining = request.decode_tokens
         self.total = request.decode_tokens
-        self.first_token_ns = first_token_ns
-        self.energy_pj = energy_pj
+        self.energy_pj = prefill.share_pj
         self.kv_bytes = 0.0
         self.kv_overflow = 0.0
-        self.prefill_dispatch_ns = prefill_dispatch_ns
-        self.prefill_batch = prefill_batch
-        self.seq_len = seq_len
-        self.padded_seq_len = padded_seq_len
+        self.prefill = prefill
 
 
 @dataclasses.dataclass
@@ -327,9 +242,12 @@ class ServingResult:
     when the run was client-driven (``None`` = open loop).  ``scheduler``
     / ``tenants`` / ``preempted`` echo the multi-tenant contract when one
     ran (``scheduler is None`` = the tenant-blind legacy path).
+
+    ``served`` is the run's one :class:`~repro.serve.served.ServedColumns`
+    record, streamed or not; it reads as a ``Sequence[ServedRequest]``.
     """
 
-    served: Tuple[ServedRequest, ...]
+    served: ServedColumns
     n_chips: int
     chip_busy_ns: Tuple[float, ...]
     makespan_ns: float  # first arrival epoch (t=0) to last batch completion
@@ -348,12 +266,6 @@ class ServingResult:
     #: ``None`` on the fixed-fleet path, *including* the degenerate
     #: full-fleet static config, which is a provable no-op.
     elastic: Optional[ElasticTrace] = None
-    #: Streaming-mode accumulator (``served`` is then empty): the run's
-    #: roll-ups live on compact per-(model, tenant, chip-type) buffers
-    #: instead of per-request objects.  ``None`` on the retained path.
-    stream: Optional["StreamingMetrics"] = dataclasses.field(
-        default=None, compare=False
-    )
     #: The run's :class:`EngineStats` (always populated by the engine;
     #: ``None`` only on hand-built results).  Non-comparing: two runs
     #: that served identically are equal even if one was profiled or
@@ -373,8 +285,6 @@ class ServingResult:
 
     @property
     def n_requests(self) -> int:
-        if self.stream is not None:
-            return self.stream.n_served
         return len(self.served)
 
     @property
@@ -411,30 +321,22 @@ class ServingResult:
 
     @functools.cached_property
     def total_energy_pj(self) -> float:
-        if self.stream is not None:
-            return self.stream.total_energy_pj
-        return sum(s.energy_pj for s in self.served)
+        return ordered_sum(self.served.column("energy_pj"))
 
     @property
     def has_seqlens(self) -> bool:
         """Did any request carry an explicit per-request sequence length?"""
-        if self.stream is not None:
-            return self.stream.total_tokens > 0
-        return any(s.seq_len > 0 for s in self.served)
+        return bool(self.served.requests.seq_len.any())
 
     @functools.cached_property
     def total_tokens(self) -> int:
         """Real tokens served (0 for native-shape traffic)."""
-        if self.stream is not None:
-            return self.stream.total_tokens
-        return sum(s.seq_len for s in self.served)
+        return int(self.served.requests.seq_len.sum())
 
     @functools.cached_property
     def total_padded_tokens(self) -> int:
         """Tokens the chips processed, padding included."""
-        if self.stream is not None:
-            return self.stream.total_padded_tokens
-        return sum(s.padded_seq_len for s in self.served)
+        return int(self.served.column("padded_seq_len").sum())
 
     @property
     def padding_overhead(self) -> float:
@@ -457,19 +359,15 @@ class ServingResult:
             return tuple(0.0 for _ in self.chip_busy_ns)
         return tuple(b / self.makespan_ns for b in self.chip_busy_ns)
 
-    def for_model(self, model: str) -> Tuple[ServedRequest, ...]:
-        return tuple(s for s in self.served if s.request.model == model)
+    def for_model(self, model: str) -> ServedColumns:
+        return self.served.select(model=model)
 
     @functools.cached_property
     def models(self) -> Tuple[str, ...]:
-        """Served models, in order of first (arrival-sorted) appearance.
-
-        An order-preserving dict replaces the old ``not in seen`` list
-        scan, which was quadratic in the number of distinct models.
-        """
-        if self.stream is not None:
-            return self.stream.models
-        return tuple(dict.fromkeys(s.request.model for s in self.served))
+        """Served models, in order of first (arrival-sorted) appearance."""
+        req = self.served.requests
+        codes, first = np.unique(req.model_code, return_index=True)
+        return tuple(req.model_names[c] for c in codes[np.argsort(first)])
 
     @property
     def has_decode(self) -> bool:
@@ -493,8 +391,8 @@ class ServingResult:
         """Service time burned by preempted batches (work the cluster redid)."""
         return sum(p.wasted_ns for p in self.preempted)
 
-    def for_tenant(self, tenant: str) -> Tuple[ServedRequest, ...]:
-        return tuple(s for s in self.served if s.request.tenant == tenant)
+    def for_tenant(self, tenant: str) -> ServedColumns:
+        return self.served.select(tenant=tenant)
 
     def rejected_for_tenant(self, tenant: str) -> Tuple[RejectedRequest, ...]:
         return tuple(
@@ -651,7 +549,7 @@ class ServingEngine:
         self,
         trace: Sequence[Request] = (),
         clients: Optional[ClientPopulation] = None,
-        stream: Optional["StreamingMetrics"] = None,
+        stream: Optional[StreamingMetrics] = None,
         observe=None,
     ) -> ServingResult:
         """Simulate the whole trace to completion (closed horizon).
@@ -660,12 +558,12 @@ class ServingEngine:
         population (whose sessions then generate arrivals in response to
         completions), never both.
 
-        ``stream`` switches on streaming accounting: completions land on
-        the :class:`repro.serve.streaming.StreamingMetrics` accumulator
-        instead of materializing one :class:`ServedRequest` per request,
-        so a million-request run holds megabytes instead of gigabytes.
-        The simulation itself — every dispatch, every float — is
-        identical; only the result representation changes.
+        Completions land in one columnar record,
+        :attr:`ServingResult.served`, on every run.  ``stream`` attaches a
+        :class:`repro.serve.streaming.StreamingMetrics` that reads that
+        record live (rolling p99, progress lines); like ``observe`` it is
+        an exact pass-through, so the streamed result equals the
+        unstreamed one.
 
         ``observe`` attaches a :class:`repro.serve.observe.Observer`
         (lifecycle tracer, metrics recorder, or a fan-out of several):
@@ -689,7 +587,6 @@ class ServingEngine:
             clients=None if clients is None else clients.n_clients,
             tenants=tenancy,
             decode=decode_cfg,
-            stream=stream,
         )
         driver: Optional[ClosedLoopDriver] = None
         if clients is not None:
@@ -1003,7 +900,22 @@ class ServingEngine:
         total_queued = 0
         running: Dict[int, _InFlight] = {}
         cancelled: set = set()  # tombstoned _InFlight keys
-        served: List[ServedRequest] = []
+        # Completions land here in landing order: the served requests and
+        # one row per landed prefill batch or finished decode request (the
+        # end of its range of ``landed``, then its ServedColumns fields).
+        landed: List[Request] = []
+        rows: List[tuple] = []
+        no_decode = (0.0, 0.0, 0.0) if decode_on else ()
+
+        def record(ordered: bool = False) -> ServedColumns:
+            return ServedColumns.land(
+                TraceColumns.from_requests(landed),
+                np.array(rows, dtype=np.float64).reshape(
+                    len(rows), 7 + len(no_decode)
+                ),
+                ordered=ordered,
+            )
+
         rejected: List[RejectedRequest] = []
         preempted: List[PreemptionRecord] = []
         n_rejections = 0
@@ -1012,8 +924,7 @@ class ServingEngine:
         n_events = 0
         n_dispatch_rounds = 0
         n_slot_scans = 0
-        if stream is not None:
-            stream._begin_run(cluster, policy)
+        tick = None if stream is None else stream._begin_run(record, cluster)
         # Observability: one local, one `is not None` branch per hook
         # site — with observers off the loop below runs the exact
         # pre-observability instruction stream.  Hooks only *read* state,
@@ -1531,9 +1442,9 @@ class ServingEngine:
                 inflight = payload
                 if type(inflight) is _DecodeInFlight:
                     # One decode iteration finished: every member gained
-                    # a token.  Finished requests materialize their
-                    # ServedRequest (stamped with prefill dispatch/TTFT
-                    # and the decode-accumulated energy/KV); the rest
+                    # a token.  Finished requests land as a row of their
+                    # own (stamped with prefill dispatch/TTFT and the
+                    # decode-accumulated energy/KV); the rest
                     # requeue at the FIFO tail, and the slot re-dirties
                     # so the next iteration's batch re-forms at once.
                     chip_busy[inflight.chip_id] += inflight.busy_ns
@@ -1560,25 +1471,20 @@ class ServingEngine:
                             n_decode_tokens += entry.total
                             kv_total += entry.kv_bytes
                             kv_overflow_total += entry.kv_overflow
-                            served.append(
-                                ServedRequest(
-                                    request=entry.request,
-                                    chip_id=inflight.chip_id,
-                                    batch_size=entry.prefill_batch,
-                                    dispatch_ns=entry.prefill_dispatch_ns,
-                                    finish_ns=inflight.finish_ns,
-                                    energy_pj=entry.energy_pj,
-                                    seq_len=entry.seq_len,
-                                    padded_seq_len=entry.padded_seq_len,
-                                    decode_tokens=entry.total,
-                                    first_token_ns=entry.first_token_ns,
-                                    kv_bytes=entry.kv_bytes,
-                                    kv_overflow_bytes=entry.kv_overflow,
-                                )
-                            )
+                            prefill = entry.prefill
+                            landed.append(entry.request)
+                            rows.append((
+                                len(landed), inflight.chip_id,
+                                prefill.batch.size, prefill.dispatch_ns,
+                                inflight.finish_ns, entry.energy_pj,
+                                prefill.padded, prefill.finish_ns,
+                                entry.kv_bytes, entry.kv_overflow,
+                            ))
                         else:
                             dq.append(entry)
                             requeued = True
+                    if tick is not None:
+                        tick(len(landed))
                     if requeued:
                         dirty.add(n_pslots + mi)
                     if dirty:
@@ -1594,7 +1500,7 @@ class ServingEngine:
                     del running[inflight.chip_id]
                 # All floats were fixed at dispatch; landing the
                 # accounting here (completion order == per-chip dispatch
-                # order, and `served` is re-sorted below) is
+                # order, and the record is sorted at the end) is
                 # value-identical to the legacy dispatch-time bookkeeping.
                 chip_busy[inflight.chip_id] += inflight.busy_ns
                 if inflight.finish_ns > makespan:
@@ -1610,58 +1516,30 @@ class ServingEngine:
                         inflight.dispatch_ns,
                         inflight.share_pj,
                     )
-                if stream is not None:
-                    stream._observe(inflight)
-                else:
-                    # Requests with a sampled output length enter their
-                    # model's decode FIFO (their first token just
-                    # materialized — the TTFT stamp); the rest are
-                    # complete.  The input checks reject decode_tokens
-                    # without a decode loop.
-                    woke = False
+                # Requests with a sampled output length enter their
+                # model's decode FIFO (their first token just
+                # materialized — the TTFT stamp); the rest land.  The
+                # input checks reject decode_tokens without a decode loop.
+                done = batch.requests
+                if decode_on:
+                    done = []
                     for request in batch.requests:
-                        if request.decode_tokens:
-                            decode_queues[model_index[batch.model]].append(
-                                _DecodeEntry(
-                                    request=request,
-                                    ctx=(
-                                        request.seq_len
-                                        or cluster.native_seq_len(
-                                            batch.model
-                                        )
-                                    ),
-                                    first_token_ns=inflight.finish_ns,
-                                    energy_pj=inflight.share_pj,
-                                    prefill_dispatch_ns=inflight.dispatch_ns,
-                                    prefill_batch=batch.size,
-                                    seq_len=request.seq_len,
-                                    padded_seq_len=(
-                                        inflight.padded
-                                        if request.seq_len
-                                        else 0
-                                    ),
-                                )
-                            )
-                            woke = True
-                        else:
-                            served.append(
-                                ServedRequest(
-                                    request=request,
-                                    chip_id=inflight.chip_id,
-                                    batch_size=batch.size,
-                                    dispatch_ns=inflight.dispatch_ns,
-                                    finish_ns=inflight.finish_ns,
-                                    energy_pj=inflight.share_pj,
-                                    seq_len=request.seq_len,
-                                    padded_seq_len=(
-                                        inflight.padded
-                                        if request.seq_len
-                                        else 0
-                                    ),
-                                )
-                            )
-                    if woke:
+                        if not request.decode_tokens:
+                            done.append(request)
+                            continue
+                        ctx = request.seq_len or cluster.native_seq_len(batch.model)
+                        decode_queues[model_index[batch.model]].append(
+                            _DecodeEntry(request, ctx, inflight)
+                        )
                         dirty.add(n_pslots + model_index[batch.model])
+                landed.extend(done)
+                rows.append((
+                    len(landed), inflight.chip_id, batch.size,
+                    inflight.dispatch_ns, inflight.finish_ns,
+                    inflight.share_pj, inflight.padded,
+                ) + no_decode)
+                if tick is not None:
+                    tick(len(landed))
                 if driver is not None:
                     # The feedback edge: each finished request unblocks
                     # its session, which thinks and then issues the next
@@ -1812,7 +1690,9 @@ class ServingEngine:
         )
         if leftover:
             raise RuntimeError(f"{leftover} requests never dispatched")
-        served.sort(key=lambda s: (s.request.arrival_ns, s.request.request_id))
+        served = record(ordered=True)
+        if stream is not None:
+            stream._end_run(served)
         rejected.sort(key=lambda r: (r.reject_ns, r.request.request_id))
         elastic_trace = None
         if el_on:
@@ -1825,7 +1705,7 @@ class ServingEngine:
                 horizon_ns=makespan,
             )
         return ServingResult(
-            served=tuple(served),
+            served=served,
             n_chips=cluster.n_chips,
             chip_busy_ns=tuple(chip_busy),
             makespan_ns=makespan,
@@ -1840,7 +1720,6 @@ class ServingEngine:
             tenants=tenancy.names if tenancy is not None else (),
             preempted=tuple(preempted),
             elastic=elastic_trace,
-            stream=stream,
             stats=self.last_stats,
             n_decode_iters=n_decode_iters,
             n_decode_tokens=n_decode_tokens,
@@ -1851,7 +1730,7 @@ class ServingEngine:
     def _run_turbo(
         self,
         trace: TraceColumns,
-        stream: Optional["StreamingMetrics"],
+        stream: Optional[StreamingMetrics],
         clients: Optional[ClientPopulation],
         observe=None,
     ) -> ServingResult:
@@ -1880,19 +1759,15 @@ class ServingEngine:
         """
         cluster, policy = self._cluster, self._policy
         model = cluster.models[0]
-        if stream is not None:
-            stream._begin_run(cluster, policy)
         obs = observe
         if obs is not None:
             obs.begin(cluster, policy)
         profiling = self._profile
         heap_peak = 0
         n = len(trace)
-        arr_np = trace.arrival_ns
-        arr = arr_np.tolist()
-        # Request objects only where a result or an observer needs them:
-        # streaming without observers builds none.
-        reqs = trace.requests() if obs is not None or stream is None else ()
+        arr = trace.arrival_ns.tolist()
+        # Request objects only where an observer needs them.
+        reqs = trace.requests() if obs is not None else ()
         B = policy.max_batch_size
         W = policy.window_ns
         table = cluster.service_table(model)
@@ -1916,12 +1791,20 @@ class ServingEngine:
         n_scans = 0
         n_batches = 0
         inf = math.inf
-        chip_type = (
-            tuple(cluster.chip_type(c) for c in range(cluster.n_chips))
-            if stream is not None
-            else ()
-        )
-        first_key: Optional[Tuple[float, int]] = None
+        done = 0  # requests landed, counted for the progress check
+
+        def record(ordered: bool = False) -> ServedColumns:
+            """The landed batches' record; in-flight batches are left out."""
+            rec = np.array(recs, dtype=np.float64).reshape(len(recs), 7)
+            rank = np.full(len(recs), -1)
+            rank[completion_order] = np.arange(len(completion_order))
+            end = rec[:, 1]  # (end, chip, size, dispatch, finish, share, padded)
+            table = np.column_stack(
+                (end, rec[:, 2], end - rec[:, 0], rec[:, 3:6], 0.0 * end)
+            )
+            return ServedColumns.land(trace, table, rank, ordered)
+
+        tick = None if stream is None else stream._begin_run(record, cluster)
 
         def pump(now: float) -> None:
             """The dispatch scan, specialized to the single slot."""
@@ -1996,28 +1879,9 @@ class ServingEngine:
                             rec[4], chip, model, "", reqs[rec[0] : rec[1]],
                             rec[3], rec[5],
                         )
-                    if stream is not None:
-                        a, b = rec[0], rec[1]
-                        lat = (rec[4] - arr_np[a:b]) * 1e-6
-                        size = b - a
-                        if first_key is None:
-                            # The batch's smallest (arrival, request id):
-                            # arrivals are sorted, so the ties of arr[a].
-                            ties = arr_np[a:b] == arr[a]
-                            first_key = (
-                                arr[a],
-                                int(trace.request_id[a:b][ties].min()),
-                            )
-                            fk = first_key
-                        else:
-                            fk = None
-                        stream._observe_block(
-                            (model, "", chip_type[chip]),
-                            lat,
-                            size,
-                            rec[5] * size,
-                            fk,
-                        )
+                    if tick is not None:
+                        done += rec[1] - rec[0]
+                        tick(done)
                 if now > makespan:
                     makespan = now
                 pump(now)
@@ -2083,27 +1947,12 @@ class ServingEngine:
             obs.finish(makespan)
         if head != n:
             raise RuntimeError(f"{n - head} requests never dispatched")
-        served: List[ServedRequest] = []
-        if stream is None:
-            for ri in completion_order:
-                a, b, chip, dispatch_ns, finish_ns, share, _ = recs[ri]
-                size = b - a
-                for j in range(a, b):
-                    served.append(
-                        ServedRequest(
-                            request=reqs[j],
-                            chip_id=chip,
-                            batch_size=size,
-                            dispatch_ns=dispatch_ns,
-                            finish_ns=finish_ns,
-                            energy_pj=share,
-                        )
-                    )
-            served.sort(
-                key=lambda s: (s.request.arrival_ns, s.request.request_id)
-            )
+        del arr  # the arrival list is spent; free it before the record
+        served = record(ordered=True)
+        if stream is not None:
+            stream._end_run(served)
         return ServingResult(
-            served=tuple(served),
+            served=served,
             n_chips=cluster.n_chips,
             chip_busy_ns=tuple(chip_busy),
             makespan_ns=makespan,
@@ -2117,6 +1966,5 @@ class ServingEngine:
             scheduler=None,
             tenants=(),
             preempted=(),
-            stream=stream,
             stats=self.last_stats,
         )

@@ -7,18 +7,16 @@ renders them as the same aligned-ASCII report style the paper artifacts
 use (:mod:`repro.experiments.report`).
 
 One builder, ``_sections``, computes every report section through five
-queries that two adapters answer: ``_Rows`` over arrival-ordered columns
-of a retained run's ``served`` records, ``_Cells`` over a streaming run's
-:class:`~repro.serve.streaming.StreamingMetrics` cells.
+queries that one adapter, ``_Rows``, answers from the run's served record
+(``result.served``, a :class:`~repro.serve.served.ServedColumns`).
 
-Exactness contract: a streaming run simulates bit-identically, and its
-counts, percentiles, max, attainment and goodput equal the retained
-report's bit for bit (same latency multiset, same interpolation).  Float
-sums differ in order: Python ``sum()`` over the arrival-ordered selection
-(compensated from CPython 3.12 on, unlike ``np.sum`` or ``np.cumsum``)
-versus numpy sums over cells and per-batch energy.  Means and energy
-totals therefore agree to rounding (tested at 1e-9 relative), not to
-the last bit.
+Exactness contract: every run, streamed or not, lands its completions in
+that one arrival-ordered record, and every report number is read from
+it the same way.  Float sums are Python ``sum()`` over the selection's
+``.tolist()`` in arrival order (compensated from CPython 3.12 on, unlike
+``np.sum`` or ``np.cumsum``), and percentiles are
+``_percentiles_from_sorted``'s interpolation.  A streamed report
+therefore equals the unstreamed one bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.serve.cluster import DEFAULT_SLO_MULTIPLE, Cluster
 from repro.serve.elastic import ElasticTrace
 from repro.serve.engine import ServingResult
 from repro.serve.power import PowerTrace
-from repro.serve.streaming import StreamingMetrics
+from repro.serve.served import ordered_sum
 from repro.serve.tenancy import TenancyConfig, deadline_ns
 
 
@@ -313,129 +311,64 @@ class ServingReport:
         return sum(self.chip_utilization) / len(self.chip_utilization)
 
 
-class _Cells:
-    """Streaming adapter: the five section queries, answered from cells.
-
-    :class:`_Rows` answers the same queries for a retained run.  A
-    selection names a model, tenant and/or chip type; ``None`` matches all.
-    """
-
-    def __init__(self, stream: StreamingMetrics) -> None:
-        self._stream = stream
-
-    def latencies(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
-        """The selection's latency column in ms (any order)."""
-        return self._stream.latencies_ms(model, tenant, chip_type)
-
-    def latency_sum(self, model=None, tenant=None) -> float:
-        return float(self.latencies(model, tenant).sum())
-
-    def energy_pj(self, model=None, chip_type=None) -> float:
-        return sum(
-            c.energy_pj
-            for (m, _, t), c in self._stream.cells.items()
-            if (model is None or m == model)
-            and (chip_type is None or t == chip_type)
-        )
-
-    def totals(self, model: str) -> Tuple[int, int, float]:
-        """The model's real tokens, padded tokens and batch count."""
-        cells = [c for (m, _, _), c in self._stream.cells.items() if m == model]
-        return (
-            sum(c.tokens for c in cells),
-            sum(c.padded for c in cells),
-            sum(c.batches for c in cells),
-        )
-
-    def decode(self, model: str):
-        """``(ttft_ms, itl_ms, tokens, kv, kv_spilled)`` over the model's
-        decoded requests, or ``None`` when it has none.
-
-        Always ``None`` here: decode runs cannot stream.
-        """
-        return None
-
-
-_ROW = np.dtype([
-    ("latency_ms", "f8"), ("energy", "f8"),
-    ("model", "i2"), ("tenant", "i2"), ("chip_type", "i2"),
-    ("batch", "u4"), ("seq", "u4"), ("padded", "u4"), ("decode", "u4"),
-])
-
-
 class _Rows:
-    """Retained adapter: arrival-ordered columns of ``result.served``.
+    """The five section queries, answered from the run's served record.
 
-    Names are stored as small integer codes; float sums are Python
-    ``sum()`` over the selection in arrival order.
+    A selection names a model, tenant and/or chip type (``None``: all).
     """
 
     def __init__(self, result: ServingResult, cluster: Cluster) -> None:
+        self._result = result
         self._served = result.served
-        models = {m: i for i, m in enumerate(result.models)}
-        tenants: dict = {}  # coded in order of first appearance
-        types = {t: i for i, t in enumerate(cluster.chip_types)}
-        self._codes = (models, tenants, types)
-        type_of = [types[cluster.chip_type(c)] for c in range(cluster.n_chips)]
-        self._rows = np.fromiter(
-            (
-                (
-                    (s.finish_ns - s.request.arrival_ns) * 1e-6,
-                    s.energy_pj,
-                    models[s.request.model],
-                    tenants.setdefault(s.request.tenant, len(tenants)),
-                    type_of[s.chip_id],
-                    s.batch_size, s.seq_len, s.padded_seq_len, s.decode_tokens,
-                )
-                for s in result.served
-            ),
-            _ROW,
-            len(result.served),
-        )
+        self._cluster = cluster
+        self._latency = result.served.latency_ms()
 
     def _select(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
-        keep = np.ones(len(self._rows), dtype=bool)
-        for field, codes, name in zip(
-            ("model", "tenant", "chip_type"), self._codes,
-            (model, tenant, chip_type),
-        ):
-            if name is not None:
-                keep &= self._rows[field] == codes.get(name, -1)
-        return keep
+        chips = None if chip_type is None else self._cluster.chips_of_type(chip_type)
+        return self._served.mask(model, tenant, chips)
 
     def latencies(self, model=None, tenant=None, chip_type=None) -> np.ndarray:
-        return self._rows["latency_ms"][self._select(model, tenant, chip_type)]
+        """The selection's latency column in ms (read-only)."""
+        keep = self._select(model, tenant, chip_type)
+        return self._latency if keep.all() else self._latency[keep]
 
     def latency_sum(self, model=None, tenant=None) -> float:
-        return sum(self.latencies(model, tenant).tolist())
+        return ordered_sum(self.latencies(model, tenant))
 
     def energy_pj(self, model=None, chip_type=None) -> float:
-        energy = self._rows["energy"][self._select(model, None, chip_type)]
-        return sum(energy.tolist())
+        keep = self._select(model, None, chip_type)
+        if keep.all():
+            return self._result.total_energy_pj  # the same sum, taken once
+        return ordered_sum(self._served.column("energy_pj")[keep])
 
     def totals(self, model: str) -> Tuple[int, int, float]:
+        """The model's real tokens, padded tokens and batch count."""
         keep = self._select(model)
-        rows = self._rows
+        served = self._served
         # A batch of b requests leaves b records of batch size b (decode
         # records keep their prefill batch's), so each term is an integer.
-        counts = np.bincount(rows["batch"][keep]).tolist()
+        counts = np.bincount(served.column("batch_size")[keep]).tolist()
         return (
-            int(rows["seq"][keep].sum()),
-            int(rows["padded"][keep].sum()),
+            int(served.requests.seq_len[keep].sum()),
+            int(served.column("padded_seq_len")[keep].sum()),
             sum(n / b for b, n in enumerate(counts) if n),
         )
 
     def decode(self, model: str):
-        keep = self._select(model) & (self._rows["decode"] > 0)
-        decoded = [self._served[i] for i in np.flatnonzero(keep).tolist()]
-        if not decoded:
+        """``(ttft_ms, itl_ms, tokens, kv, kv_spilled)`` over the model's
+        decoded requests, or ``None`` when it has none."""
+        served = self._served
+        tokens = served.requests.decode_tokens
+        keep = self._select(model) & (tokens > 0)
+        if not keep.any():
             return None
+        first = served.column("first_token_ns")[keep]
         return (
-            np.array([s.ttft_ns * 1e-6 for s in decoded]),
-            np.array([s.itl_ns * 1e-6 for s in decoded]),
-            sum(s.decode_tokens for s in decoded),
-            sum(s.kv_bytes for s in decoded),
-            sum(s.kv_overflow_bytes for s in decoded),
+            (first - served.requests.arrival_ns[keep]) * 1e-6,
+            (served.column("finish_ns")[keep] - first) / tokens[keep] * 1e-6,
+            int(tokens[keep].sum()),
+            ordered_sum(served.column("kv_bytes")[keep]),
+            ordered_sum(served.column("kv_overflow_bytes")[keep]),
         )
 
 
@@ -447,7 +380,7 @@ def _sections(
     tenancy: Optional[TenancyConfig],
     duration_s: float,
 ):
-    """Per-model / per-chip-type / per-tenant stats through adapter ``q``.
+    """Per-model / per-chip-type / per-tenant stats through the queries ``q``.
 
     Each SLO and each per-(tenant, model) deadline is computed once, and
     each latency selection is sorted once for all of its percentiles.
@@ -586,7 +519,7 @@ def summarize(
     against the report-level per-model SLO like everything else.
     """
     duration_s = result.makespan_ns * 1e-9
-    q = _Rows(result, cluster) if result.stream is None else _Cells(result.stream)
+    q = _Rows(result, cluster)
     per_model, met_total, per_chip_type, per_tenant = _sections(
         q, result, cluster, slo_ms, tenancy, duration_s
     )

@@ -17,7 +17,7 @@ differential replays byte for byte:
 * **windowed time series** (:class:`MetricsRecorder`): throughput,
   queue depth, chip utilization, power draw, backlog and rejection rate
   sampled on a fixed simulated-time grid, written as CSV or JSON.  The
-  windowed generalization of the cumulative per-cell roll-ups in
+  windowed generalization of the cumulative rolling p99 of
   :class:`repro.serve.streaming.StreamingMetrics` (same percentile
   interpolation, same no-wall-clock rule).
 * **trace reconstruction** (:func:`summarize_trace`): per-phase latency

@@ -316,7 +316,7 @@ def simulate_regions(
     policy = BatchingPolicy(
         max_batch_size=max_batch_size, window_ns=window_ms * 1e6
     )
-    results: List[RegionResult] = []
+    results: List[tuple] = []
     # Client-perceived latency pools: keyed by the region whose *clients*
     # issued the request (the spill source), not where it was served.
     perceived: Dict[str, List[float]] = {s.name: [] for s in regions}
@@ -337,33 +337,35 @@ def simulate_regions(
         )
         result = engine.run(trace)
         report = summarize(result, clusters[spec.name], slo_ms=slo_ms)
-        for s in result.served:
-            lat_ms = s.latency_ns * 1e-6
-            if s.request.tenant:
+        # Spilled requests carry their source region as the tenant tag.
+        served = result.served.requests
+        lat_ms = result.served.latency_ms()
+        n_local = 0
+        for code, source in enumerate(served.tenant_names):
+            mine = lat_ms[served.tenant_code == code]
+            if source:
                 # Spilled here: charge the full round trip to the source
                 # region's clients (half already sits in the shifted
                 # arrival; the other half is the response's way back).
-                perceived[s.request.tenant].append(lat_ms + rtt_ms)
+                perceived[source].extend((mine + rtt_ms).tolist())
             else:
-                perceived[spec.name].append(lat_ms)
-        results.append((spec, report, result))
+                perceived[spec.name].extend(mine.tolist())
+                n_local = len(mine)
+        results.append((spec, report, result, n_local))
     region_results: List[RegionResult] = []
-    for spec, report, result in results:
+    for spec, report, result, n_local in results:
         lats = sorted(perceived[spec.name])
         p50, p99 = (
             _percentiles_from_sorted(lats, (50.0, 99.0))
             if lats
             else (0.0, 0.0)
         )
-        n_served_local = sum(
-            1 for s in result.served if not s.request.tenant
-        )
         region_results.append(
             RegionResult(
                 spec=spec,
                 report=report,
                 result=result,
-                n_local=n_served_local,
+                n_local=n_local,
                 n_spilled_out=spilled_out[spec.name],
                 n_spilled_in=spilled_in[spec.name],
                 p50_ms=p50,

@@ -16,6 +16,7 @@ Plus unit tests of the pure CLI translation
 out, no simulation started).
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -37,6 +38,8 @@ from repro.serve import (
     WorkloadConfig,
     parse_autoscale,
     parse_tenants,
+    poisson_trace,
+    sample_decode_lens,
     simulate_serving,
 )
 from repro.serve.config import (
@@ -44,7 +47,6 @@ from repro.serve.config import (
     MSG_CLIENTS_MIN,
     MSG_DECODE_CLIENTS,
     MSG_DECODE_ELASTIC,
-    MSG_DECODE_STREAM,
     MSG_DECODE_TENANTS,
     MSG_NEED_MODELS,
     MSG_PD_NEEDS_DECODE,
@@ -157,16 +159,6 @@ _VIOLATIONS = [
     ),
     pytest.param(
         _cfg(
-            observe=ObserveConfig(
-                stream_metrics=StreamingMetrics(progress_every=100)
-            ),
-            decode=DecodeConfig(),
-        ),
-        MSG_DECODE_STREAM,
-        id="decode-stream",
-    ),
-    pytest.param(
-        _cfg(
             fleet=FleetConfig(
                 fleet="yoco:2,isaac:2", placement="prefill-decode"
             )
@@ -186,6 +178,27 @@ class TestRuleTable:
     def test_valid_config_validates_and_chains(self):
         config = _cfg()
         assert config.validate() is config
+
+    def test_decode_stream_validates_and_equals_unstreamed(self):
+        # A streamed decode run reads the same served record as an
+        # unstreamed one, TTFT/ITL included.
+        def run(stream):
+            return simulate_serving(
+                _cfg(
+                    workload=WorkloadConfig(
+                        models=("mobilebert",), rps=2000.0, duration_s=0.02
+                    ),
+                    fleet=FleetConfig(n_chips=2),
+                    observe=ObserveConfig(stream_metrics=stream),
+                    decode=DecodeConfig(),
+                ).validate()
+            )
+
+        report, result = run(None)
+        streamed_report, streamed = run(StreamingMetrics(progress_every=10))
+        assert report.has_decode and result.n_requests > 0
+        assert streamed == result
+        assert dataclasses.asdict(streamed_report) == dataclasses.asdict(report)
 
     def test_tenant_models_must_be_served(self):
         config = _cfg(
@@ -283,11 +296,17 @@ class TestEngineDoor:
             engine.run(clients=clients)
 
     def test_decode_with_stream_at_run(self, cluster):
-        engine = ServingEngine(cluster, decode=DecodeConfig())
-        with pytest.raises(
-            ValueError, match=f"^{re.escape(MSG_DECODE_STREAM)}$"
-        ):
-            engine.run((), stream=StreamingMetrics())
+        trace = poisson_trace("mobilebert", rps=2000.0, duration_s=0.02)
+        trace = trace.replace(
+            decode_tokens=sample_decode_lens(DecodeConfig(), len(trace))
+        )
+        plain = ServingEngine(cluster, decode=DecodeConfig()).run(trace)
+        stream = StreamingMetrics()
+        streamed = ServingEngine(cluster, decode=DecodeConfig()).run(
+            trace, stream=stream
+        )
+        assert plain.has_decode and streamed == plain
+        assert stream.n_served == plain.n_requests
 
     def test_prefill_decode_cluster_needs_decode(self):
         cluster = Cluster(

@@ -7,7 +7,6 @@ from repro.serve.config import (
     MSG_CLIENTS_MIN,
     MSG_DECODE_CLIENTS,
     MSG_DECODE_ELASTIC,
-    MSG_DECODE_STREAM,
     MSG_DECODE_TENANTS,
     MSG_PD_NEEDS_DECODE,
     MSG_PREEMPT_ELASTIC,
@@ -287,11 +286,6 @@ _COMPOSITION_ERRORS = [
         id="decode-autoscale",
     ),
     pytest.param(
-        ["--decode-dist", "fixed", "--progress", "10"],
-        MSG_DECODE_STREAM,
-        id="decode-progress",
-    ),
-    pytest.param(
         ["--fleet", "yoco:2,isaac:2", "--placement", "prefill-decode"],
         MSG_PD_NEEDS_DECODE,
         id="prefill-decode-without-decode",
@@ -305,3 +299,15 @@ class TestServeCompositionErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--model", "mobilebert", *flags])
         assert excinfo.value.code == "serve: " + message
+
+    def test_decode_progress_prints_the_unstreamed_report(self, capsys):
+        # A streamed decode run prints the unstreamed report byte for byte.
+        flags = ["serve", "--model", "mobilebert", "--chips", "4",
+                 "--rps", "4000", "--duration", "0.05", "--seed", "0",
+                 "--decode-dist", "lognormal"]
+        main(flags)
+        plain = capsys.readouterr()
+        main(flags + ["--progress", "50"])
+        streamed = capsys.readouterr()
+        assert streamed.out == plain.out
+        assert "[stream] served=" in streamed.err

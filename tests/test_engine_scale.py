@@ -13,12 +13,14 @@ Six suites around the million-request refactor:
 * the prefill pricing guard-rail — counted ``Cluster.service`` calls do
   the same for prefill, batch-1 floors included;
 * the streaming differential — a run with ``stream=StreamingMetrics()``
-  must report bit-identical latency percentiles to the retained run,
-  and its rolling p99 must equal the retained p99 exactly;
+  must return the retained run's result and report exactly, and its
+  rolling p99 must equal the retained p99;
 * the turbo differential — the single-slot fast path must replay the
   general event loop byte for byte (``_force_general`` forces the
   general path on an otherwise turbo-eligible run).
 """
+
+import dataclasses
 
 import pytest
 
@@ -248,46 +250,37 @@ class _CollectingProgress:
 
 
 class TestStreamingDifferential:
-    """stream=StreamingMetrics() vs retained: percentiles bit-identical."""
+    """stream=StreamingMetrics() vs retained: the same result, bit for bit.
+
+    Both land completions in one served record, so the reports are
+    compared exactly on every field, float sums included.
+    """
 
     def _pair(self, models, rps_each, duration_s, n_chips=4, **kwargs):
         trace = tuple(_mixed_trace(models, rps_each, duration_s))
         engine, cluster = _engine(models, n_chips=n_chips, **kwargs)
-        retained = summarize(engine.run(trace), cluster)
+        retained_result = engine.run(trace)
+        retained = summarize(retained_result, cluster)
         engine2, _ = _engine(models, n_chips=n_chips, **kwargs)
         stream = StreamingMetrics()
-        streamed = summarize(engine2.run(trace, stream=stream), cluster)
+        streamed_result = engine2.run(trace, stream=stream)
+        assert streamed_result == retained_result
+        streamed = summarize(streamed_result, cluster)
         return retained, streamed, stream, len(trace)
 
     def _assert_reports_match(self, retained, streamed):
-        assert len(streamed.per_model) == len(retained.per_model)
-        for got, want in zip(streamed.per_model, retained.per_model):
-            assert got.model == want.model
-            assert got.n_requests == want.n_requests
-            # Percentiles read the exact same latency multiset through
-            # the same interpolation: bit-identical, not approximate.
-            assert got.p50_ms == want.p50_ms
-            assert got.p95_ms == want.p95_ms
-            assert got.p99_ms == want.p99_ms
-            assert got.max_ms == want.max_ms
-            assert got.slo_attainment == want.slo_attainment
-            assert got.mean_batch_size == want.mean_batch_size
-            # Float sums accumulate per batch, not per request: equal to
-            # relative rounding, not to the last bit.
-            assert got.mean_ms == pytest.approx(want.mean_ms, rel=1e-9)
-            assert got.energy_per_request_uj == pytest.approx(
-                want.energy_per_request_uj, rel=1e-9
-            )
-        assert streamed.throughput_rps == retained.throughput_rps
-        assert streamed.goodput_rps == pytest.approx(
-            retained.goodput_rps, rel=1e-9
+        assert dataclasses.asdict(streamed) == dataclasses.asdict(retained)
+
+    def _simulated(self, config):
+        """(retained, streamed) reports of one config, results equal."""
+        report, result = simulate_serving(config)
+        streamed_config = dataclasses.replace(
+            config, observe=ObserveConfig(stream_metrics=StreamingMetrics())
         )
-        for got, want in zip(streamed.per_chip_type, retained.per_chip_type):
-            assert got.chip_type == want.chip_type
-            assert got.n_requests == want.n_requests
-            assert got.goodput_rps == pytest.approx(
-                want.goodput_rps, rel=1e-9
-            )
+        streamed_report, streamed = simulate_serving(streamed_config)
+        assert streamed == result
+        assert streamed.served == result.served
+        return report, streamed_report
 
     def test_turbo_path_stream_matches_retained(self):
         retained, streamed, stream, n = self._pair(["resnet18"], 30000, 0.05)
@@ -302,50 +295,61 @@ class TestStreamingDifferential:
         assert stream.n_served == n
 
     def test_tenants_on_mixed_fleet_stream_matches_retained(self):
-        def run(stream):
-            return simulate_serving(
-                ServingConfig(
-                    workload=WorkloadConfig(
-                        models=("resnet18", "mobilebert"),
-                        duration_s=0.05,
-                        tenants="chat:interactive:w=4:poisson@2000,"
-                        "bulk:best-effort:poisson@6000",
-                    ),
-                    fleet=FleetConfig(fleet="yoco:2,isaac:2"),
-                    policy=PolicyConfig(
-                        scheduler="weighted-fair", preemption=True
-                    ),
-                    observe=ObserveConfig(stream_metrics=stream),
-                )
-            )[0]
-
-        retained = run(None)
-        streamed = run(StreamingMetrics())
+        retained, streamed = self._simulated(
+            ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18", "mobilebert"),
+                    duration_s=0.05,
+                    tenants="chat:interactive:w=4:poisson@2000,"
+                    "bulk:best-effort:poisson@6000",
+                ),
+                fleet=FleetConfig(fleet="yoco:2,isaac:2"),
+                policy=PolicyConfig(scheduler="weighted-fair", preemption=True),
+            )
+        )
         self._assert_reports_match(retained, streamed)
         assert len(retained.per_tenant) == len(retained.per_chip_type) == 2
-        for got, want in zip(streamed.per_tenant, retained.per_tenant):
-            assert got.tenant == want.tenant
-            assert want.n_requests > 0
-            assert got.n_requests == want.n_requests
-            assert got.p50_ms == want.p50_ms
-            assert got.p99_ms == want.p99_ms
-            assert got.slo_attainment == want.slo_attainment
-            assert got.mean_ms == pytest.approx(want.mean_ms, rel=1e-9)
-        for got, want in zip(streamed.per_chip_type, retained.per_chip_type):
-            assert want.n_requests > 0
-            assert got.energy_uj == pytest.approx(want.energy_uj, rel=1e-9)
+        assert all(t.n_requests > 0 for t in retained.per_tenant)
+        assert all(t.n_requests > 0 for t in retained.per_chip_type)
+
+    def test_unified_decode_stream_matches_retained(self):
+        retained, streamed = self._simulated(
+            ServingConfig(
+                workload=WorkloadConfig(
+                    models=("mobilebert",), rps=4000.0, duration_s=0.03
+                ),
+                fleet=FleetConfig(n_chips=4),
+                decode=DecodeConfig(dist="lognormal"),
+            )
+        )
+        self._assert_reports_match(retained, streamed)
+        assert retained.has_decode and retained.per_model[0].ttft_p99_ms > 0
+
+    def test_closed_loop_clients_stream_matches_retained(self):
+        retained, streamed = self._simulated(
+            ServingConfig(
+                workload=WorkloadConfig(
+                    models=("resnet18",), duration_s=0.03, clients=32,
+                    think_time_ms=1.0, retry=2,
+                ),
+                fleet=FleetConfig(n_chips=2),
+                policy=PolicyConfig(admission="queue-cap:4"),
+            )
+        )
+        self._assert_reports_match(retained, streamed)
+        assert retained.has_clients and retained.n_requests > 0
 
     def test_rolling_p99_equals_retained_p99(self):
         retained, _, stream, _ = self._pair(["resnet18"], 30000, 0.05)
         assert stream.rolling_p99_ms() == retained.per_model[0].p99_ms
 
-    def test_streamed_result_retains_no_requests(self):
+    def test_streamed_result_equals_retained(self):
         trace = tuple(poisson_trace("resnet18", rps=20000, duration_s=0.02))
         engine, _ = _engine(["resnet18"])
-        result = engine.run(trace, stream=StreamingMetrics())
-        assert result.served == ()
-        assert result.n_requests == len(trace)
-        assert result.stream is not None
+        plain = engine.run(trace)
+        result = _engine(["resnet18"])[0].run(trace, stream=StreamingMetrics())
+        assert result == plain
+        assert result.n_requests == len(result.served) == len(trace)
 
     def test_one_run_per_instance(self):
         trace = tuple(poisson_trace("resnet18", rps=20000, duration_s=0.01))

@@ -2,11 +2,12 @@
 
 The bugs (each test names the failure it guards against):
 
-1. ``StreamingMetrics.latencies_ms()`` returned a zero-copy *view* of the
-   live cell buffer on the single-cell path — any caller holding it
-   (progress callbacks, dashboards polling mid-run) made the next
-   completion's ``append`` raise ``BufferError: cannot resize an array
-   that is exporting buffers``.
+1. ``StreamingMetrics.latencies_ms()`` once returned a zero-copy *view*
+   of a live latency buffer — any caller holding it (progress callbacks,
+   dashboards polling mid-run) made the next completion's ``append``
+   raise ``BufferError: cannot resize an array that is exporting
+   buffers``.  Every read is now an independent copy of the served
+   record's latency column.
 2. ``uniform_trace`` truncated ``rps * duration_s`` with ``int()``,
    shedding the final arrival whenever float rounding landed the product
    an ULP under an integer (pinned property-style in
@@ -14,7 +15,7 @@ The bugs (each test names the failure it guards against):
    there too).
 3. ``StreamingMetrics._emit`` advanced ``_next_emit`` by exactly one
    period, so a single large batch crossing several progress boundaries
-   fired a burst of back-to-back emits on the following observes.
+   fired a burst of back-to-back emits on the following landings.
 
 The composition smokes prove streaming mode survives the layers added
 since it landed: all-shedding admission, closed-loop clients, and
@@ -27,10 +28,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.models.zoo import get_workload
 from repro.serve import (
+    Cluster,
     FleetConfig,
     MetricsRecorder,
     ObserveConfig,
+    Observer,
     PolicyConfig,
     ServingConfig,
     StreamingMetrics,
@@ -38,6 +42,8 @@ from repro.serve import (
     simulate_serving,
     uniform_trace,
 )
+from repro.serve.served import ServedColumns
+from repro.serve.traces import TraceColumns
 
 
 def _streamed(stream, fleet, **workload):
@@ -51,37 +57,65 @@ def _streamed(stream, fleet, **workload):
     )
 
 
-class TestLatenciesViewCopy:
-    def _stream_with_one_cell(self):
-        sm = StreamingMetrics()
-        sm._bound = True
-        sm._chip_type = ("yoco",)
-        sm._observe_block(
-            ("m", "", "yoco"), np.array([1.0, 2.0, 3.0]), 3, 0.0
-        )
-        return sm
+def _record(n):
+    """A bound-ready served record: ``n`` requests, 1 ms latency each."""
+    trace = TraceColumns(np.zeros(n), np.zeros(n, dtype=int), ("m",))
+    ones = np.ones(n)
+    table = np.column_stack(
+        (np.arange(1, n + 1), 0 * ones, ones, 0 * ones, 1e6 * ones,
+         0 * ones, 0 * ones)
+    )
+    return ServedColumns.land(trace, table)
 
-    def test_holding_the_view_does_not_poison_the_next_append(self):
-        # Bug 1: the single-cell fast path leaked a live buffer view;
-        # the next completion then raised BufferError under any holder.
-        sm = self._stream_with_one_cell()
-        held = sm.latencies_ms()
-        sm._observe_block(("m", "", "yoco"), np.array([4.0]), 1, 0.0)
-        assert list(held) == [1.0, 2.0, 3.0]
-        assert list(sm.latencies_ms()) == [1.0, 2.0, 3.0, 4.0]
+
+class TestLatenciesViewCopy:
+    def test_held_array_survives_later_completions(self):
+        # Bug 1: a read leaked a live buffer view, and the next
+        # completion then raised BufferError under any holder.  Every
+        # read is a copy: held arrays keep their values as the run goes.
+        held = []
+
+        def hook(line):
+            latencies = stream.latencies_ms()
+            held.append((latencies, latencies.copy()))
+
+        stream = StreamingMetrics(progress_every=50, progress=hook)
+        simulate_serving(
+            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        )
+        assert len(held) > 2
+        assert all(np.array_equal(h, snap) for h, snap in held)
+        sizes = [len(h) for h, _ in held]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
 
     def test_returned_array_is_an_independent_copy(self):
-        sm = self._stream_with_one_cell()
-        held = sm.latencies_ms()
+        stream = StreamingMetrics()
+        simulate_serving(
+            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        )
+        held = stream.latencies_ms()
+        want = held.copy()
         held[0] = 999.0
-        assert list(sm.latencies_ms()) == [1.0, 2.0, 3.0]
+        assert np.array_equal(stream.latencies_ms(), want)
 
-    def test_multi_cell_path_unchanged(self):
-        sm = self._stream_with_one_cell()
-        sm._observe_block(("other", "", "yoco"), np.array([7.0]), 1, 0.0)
-        held = sm.latencies_ms()  # concatenates two cells
-        sm._observe_block(("m", "", "yoco"), np.array([5.0]), 1, 0.0)
-        assert sorted(held) == [1.0, 2.0, 3.0, 7.0]
+    def test_selections_partition_the_column(self):
+        stream = StreamingMetrics()
+        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        report, _ = simulate_serving(
+            config=dataclasses.replace(
+                config,
+                workload=dataclasses.replace(
+                    config.workload, models=("resnet18", "alexnet")
+                ),
+            )
+        )
+        parts = [stream.latencies_ms(model=m.model) for m in report.per_model]
+        assert [len(p) for p in parts] == [
+            m.n_requests for m in report.per_model
+        ]
+        assert sorted(np.concatenate(parts)) == sorted(stream.latencies_ms())
+        assert len(stream.latencies_ms(chip_type="yoco")) == stream.n_served
+        assert len(stream.latencies_ms(chip_type="isaac")) == 0
 
     def test_progress_callback_may_hold_latencies_across_a_run(self):
         # End-to-end shape of the original failure: a progress hook that
@@ -95,7 +129,7 @@ class TestLatenciesViewCopy:
         simulate_serving(
             config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
         )
-        assert held  # the hook fired, and no observe ever raised
+        assert held  # the hook fired, and no landing ever raised
         assert all(len(h) > 0 for h in held)
 
 
@@ -103,22 +137,21 @@ class TestEmitBurst:
     def _emits_for_batches(self, every, batch_sizes):
         lines = []
         sm = StreamingMetrics(progress_every=every, progress=lines.append)
-        sm._bound = True
-        sm._chip_type = ("yoco",)
+        record = _record(sum(batch_sizes))
+        cluster = Cluster([get_workload("resnet18")], n_chips=1)
+        landed = sm._begin_run(lambda: record, cluster)
+        n = 0
         for size in batch_sizes:
-            sm._observe_block(
-                ("m", "", "yoco"),
-                np.linspace(1.0, 2.0, size),
-                size,
-                0.0,
-            )
+            n += size
+            landed(n)
         return lines, sm
 
     def test_large_batch_fires_once_not_a_burst(self):
-        # Bug 3: a 250-request batch at every=100 left _next_emit at 200,
-        # so the next two tiny observes each fired immediately.
+        # Bug 3: a 250-request batch at every=100 left the next boundary
+        # at 200, so the next two tiny landings each fired immediately.
         lines, sm = self._emits_for_batches(100, [250, 1, 1])
         assert len(lines) == 1
+        assert "served=      250" in lines[0]
         assert sm._next_emit == 300
 
     def test_boundary_landing_advances_a_full_period(self):
@@ -129,6 +162,65 @@ class TestEmitBurst:
     def test_steady_small_batches_emit_every_period(self):
         lines, _ = self._emits_for_batches(100, [10] * 100)  # 1000 served
         assert len(lines) == 10
+
+    def test_emits_follow_the_landings_of_a_real_run(self):
+        # The served count after every landed batch, seen by an observer;
+        # the progress lines must be exactly the boundary-jump rule's.
+        landed, lines, every = [], [], 6
+
+        class Landings(Observer):
+            def complete(self, t_ns, chip_id, model, tenant, requests, *_):
+                landed.append((landed[-1] if landed else 0) + len(requests))
+
+        stream = StreamingMetrics(progress_every=every, progress=lines.append)
+        config = _streamed(stream, FleetConfig(n_chips=2), rps=30000.0)
+        simulate_serving(
+            config=dataclasses.replace(
+                config,
+                observe=ObserveConfig(
+                    stream_metrics=stream, observe=Landings()
+                ),
+            )
+        )
+        want, boundary = [], every
+        for n in landed:
+            if n >= boundary:
+                want.append(n)
+                boundary = n - n % every + every
+        got = [int(line.split("served=")[1].split()[0]) for line in lines]
+        assert got == want and len(got) > 10
+        assert any(b - a > every for a, b in zip(landed, landed[1:]))
+
+
+class TestStreamedResultQueries:
+    """A streamed result answers every query the retained one does.
+
+    Streamed runs used to return an empty ``served``, so ``for_model``
+    and ``for_tenant`` silently found nothing (0 of 35 resnet18 requests
+    here) and the streamed result compared unequal to the retained one.
+    """
+
+    def test_queries_equal_the_retained_run(self):
+        def run(stream):
+            return simulate_serving(
+                config=ServingConfig(
+                    workload=WorkloadConfig(
+                        models=("resnet18", "mobilebert"), rps=4000.0,
+                        duration_s=0.02, seed=0,
+                    ),
+                    fleet=FleetConfig(n_chips=4),
+                    observe=ObserveConfig(stream_metrics=stream),
+                )
+            )[1]
+
+        retained, streamed = run(None), run(StreamingMetrics())
+        assert len(retained.for_model("resnet18")) > 0
+        assert streamed.models == retained.models
+        for model in retained.models:
+            assert streamed.for_model(model) == retained.for_model(model)
+        assert streamed.for_tenant("") == retained.for_tenant("")
+        assert streamed.served == retained.served
+        assert streamed == retained
 
 
 class TestStreamingComposition:
