@@ -82,7 +82,7 @@ from repro.serve.elastic import (
     ScalingAction,
 )
 from repro.serve.power import PowerConfig, PowerGovernor, PowerTrace
-from repro.serve.served import ServedColumns, ordered_sum
+from repro.serve.served import ServedColumns, grow, ordered_sum
 from repro.serve.streaming import StreamingMetrics
 from repro.serve.tenancy import (
     FifoScheduler,
@@ -906,15 +906,15 @@ class ServingEngine:
         landed: List[Request] = []
         rows: List[tuple] = []
         no_decode = (0.0, 0.0, 0.0) if decode_on else ()
+        live = [TraceColumns.from_requests(()), np.empty((0, 7 + len(no_decode)))]
 
         def record(ordered: bool = False) -> ServedColumns:
-            return ServedColumns.land(
-                TraceColumns.from_requests(landed),
-                np.array(rows, dtype=np.float64).reshape(
-                    len(rows), 7 + len(no_decode)
-                ),
-                ordered=ordered,
-            )
+            # Both lists only grow: a read converts just the new landings.
+            reqs, table = live
+            live[1] = table = grow(table, rows)
+            if len(reqs) < len(landed):
+                live[0] = reqs = reqs + TraceColumns.from_requests(landed[len(reqs) :])
+            return ServedColumns.land(reqs, table, ordered=ordered)
 
         rejected: List[RejectedRequest] = []
         preempted: List[PreemptionRecord] = []
@@ -1760,8 +1760,6 @@ class ServingEngine:
         cluster, policy = self._cluster, self._policy
         model = cluster.models[0]
         obs = observe
-        if obs is not None:
-            obs.begin(cluster, policy)
         profiling = self._profile
         heap_peak = 0
         n = len(trace)
@@ -1777,8 +1775,9 @@ class ServingEngine:
         busy: List[Tuple[float, int, int, int]] = []  # (finish, seq, chip, rec)
         costs: Dict[int, object] = {}  # batch size -> ChipService
         # One record per committed batch, in commit order == trace order:
-        # (start, end, chip, dispatch_ns, finish_ns, share_pj, service_ns)
-        recs: List[Tuple[int, int, int, float, float, float, float]] = []
+        # its served-record row (end, chip, size, dispatch_ns, finish_ns,
+        # share_pj, padded length 0), then (start, service_ns).
+        recs: List[Tuple[int, int, int, float, float, float, int, int, float]] = []
         completion_order: List[int] = []
         chip_busy = [0.0] * cluster.n_chips
         makespan = 0.0
@@ -1792,19 +1791,20 @@ class ServingEngine:
         n_batches = 0
         inf = math.inf
         done = 0  # requests landed, counted for the progress check
+        live = [np.empty((0, 9)), np.empty(0, np.int64)]  # converted so far
 
         def record(ordered: bool = False) -> ServedColumns:
-            """The landed batches' record; in-flight batches are left out."""
-            rec = np.array(recs, dtype=np.float64).reshape(len(recs), 7)
-            rank = np.full(len(recs), -1)
-            rank[completion_order] = np.arange(len(completion_order))
-            end = rec[:, 1]  # (end, chip, size, dispatch, finish, share, padded)
-            table = np.column_stack(
-                (end, rec[:, 2], end - rec[:, 0], rec[:, 3:6], 0.0 * end)
-            )
-            return ServedColumns.land(trace, table, rank, ordered)
+            """The landed batches' record; in-flight batches are left out.
+            Both lists only grow: a read converts only their new tails."""
+            live[0] = rec = grow(live[0], recs)
+            live[1] = order = grow(live[1], completion_order)
+            rank = np.full(len(rec), -1)
+            rank[order] = np.arange(len(order))
+            return ServedColumns.land(trace, rec[:, :7], rank, ordered)
 
         tick = None if stream is None else stream._begin_run(record, cluster)
+        if obs is not None:
+            obs.begin(cluster, policy)
 
         def pump(now: float) -> None:
             """The dispatch scan, specialized to the single slot."""
@@ -1834,17 +1834,10 @@ class ServingEngine:
                 service = cost.latency_ns
                 finish = now + service
                 heapq.heappush(busy, (finish, cseq, chip, len(recs)))
-                recs.append(
-                    (
-                        head,
-                        head + take,
-                        chip,
-                        now,
-                        finish,
-                        cost.energy_pj / take,
-                        service,
-                    )
-                )
+                recs.append((
+                    head + take, chip, take, now, finish, cost.energy_pj / take,
+                    0, head, service,
+                ))
                 cseq += 1
                 n_batches += 1
                 if obs is not None:
@@ -1872,15 +1865,15 @@ class ServingEngine:
                     n_events += 1
                     heapq.heappush(free, chip)
                     rec = recs[ri]
-                    chip_busy[chip] += rec[6]
+                    chip_busy[chip] += rec[8]
                     completion_order.append(ri)
                     if obs is not None:
                         obs.complete(
-                            rec[4], chip, model, "", reqs[rec[0] : rec[1]],
+                            rec[4], chip, model, "", reqs[rec[7] : rec[0]],
                             rec[3], rec[5],
                         )
                     if tick is not None:
-                        done += rec[1] - rec[0]
+                        done += rec[2]
                         tick(done)
                 if now > makespan:
                     makespan = now

@@ -31,43 +31,12 @@ from repro.serve.cluster import DEFAULT_SLO_MULTIPLE, Cluster
 from repro.serve.elastic import ElasticTrace
 from repro.serve.engine import ServingResult
 from repro.serve.power import PowerTrace
-from repro.serve.served import ordered_sum
+from repro.serve.served import _percentiles_from_sorted, ordered_sum
 from repro.serve.tenancy import TenancyConfig, deadline_ns
-
-
-def _percentiles_from_sorted(
-    ordered: Sequence[float], qs: Sequence[float]
-) -> Tuple[float, ...]:
-    """Linear-interpolation percentiles over an already-sorted sequence.
-
-    One sort serves any number of quantiles.  The interpolation runs on
-    Python floats, so a numpy-sorted array yields the same bits.
-    """
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("cannot take a percentile of no samples")
-    out = []
-    for q in qs:
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if n == 1:
-            out.append(float(ordered[0]))
-            continue  # single sample: every quantile is that sample
-        rank = q / 100.0 * (n - 1)
-        lower = int(rank)
-        upper = min(lower + 1, n - 1)
-        frac = rank - lower
-        out.append(
-            float(ordered[lower]) * (1.0 - frac)
-            + float(ordered[upper]) * frac
-        )
-    return tuple(out)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile (numpy's default), dependency-free."""
-    if not len(values):
-        raise ValueError("cannot take a percentile of no samples")
     return _percentiles_from_sorted(sorted(values), (q,))[0]
 
 

@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.serve.served import _percentiles_from_sorted
+
 __all__ = ["StreamingMetrics"]
 
 
@@ -82,23 +84,16 @@ class StreamingMetrics:
     def rolling_p99_ms(self) -> float:
         """Current p99 latency over everything served so far.
 
-        ``np.partition`` pulls the two order statistics in O(n); the
-        interpolation is the exact :func:`repro.serve.metrics.percentile`
-        formula, so the final rolling value equals the report's p99 bit
-        for bit.
+        ``np.partition`` pulls the two order statistics in O(n) and the
+        report's own interpolation reads them, so the final rolling
+        value equals the report's p99 bit for bit.
         """
         values = self.latencies_ms()
-        n = len(values)
-        if n == 0:
+        if not len(values):
             raise ValueError("no latencies observed yet")
-        if n == 1:
-            return float(values[0])
-        rank = 99.0 / 100.0 * (n - 1)
-        lower = int(rank)
-        upper = min(lower + 1, n - 1)
-        frac = rank - lower
-        part = np.partition(values, (lower, upper))
-        return float(part[lower]) * (1.0 - frac) + float(part[upper]) * frac
+        lower = int(0.99 * (len(values) - 1))
+        part = np.partition(values, (lower, min(lower + 1, len(values) - 1)))
+        return _percentiles_from_sorted(part, (99,))[0]
 
     def _emit(self, n_served: int) -> None:
         # Jump to the first boundary strictly past n_served: a single

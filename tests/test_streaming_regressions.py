@@ -223,6 +223,78 @@ class TestStreamedResultQueries:
         assert streamed == retained
 
 
+#: Single-model runs take the turbo loop; a second model forces the
+#: general one.
+LOOPS = pytest.mark.parametrize(
+    "models", [("resnet18",), ("resnet18", "alexnet")], ids=["turbo", "general"]
+)
+
+
+class TestLiveReads:
+    """Mid-run reads see exactly the requests landed so far.
+
+    Both loops convert only the landings since the previous read, so
+    every read after the first goes through the columns already built.
+    """
+
+    @LOOPS
+    def test_every_read_is_the_landed_multiset(self, models):
+        landed, reads = [], []
+
+        class Landings(Observer):
+            def complete(self, t_ns, chip_id, model, tenant, requests, *_):
+                landed.extend(r.request_id for r in requests)
+
+        def hook(line):
+            reads.append((len(landed), stream.n_served, stream.latencies_ms()))
+
+        stream = StreamingMetrics(progress_every=40, progress=hook)
+        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        _, result = simulate_serving(
+            config=dataclasses.replace(
+                config,
+                workload=dataclasses.replace(config.workload, models=models),
+                observe=ObserveConfig(stream_metrics=stream, observe=Landings()),
+            )
+        )
+        latency = dict(
+            zip(
+                result.served.requests.request_id.tolist(),
+                result.served.latency_ms().tolist(),
+            )
+        )
+        assert len(reads) > 5
+        for k, n_served, latencies in reads:
+            assert n_served == k
+            assert sorted(latencies.tolist()) == sorted(
+                latency[i] for i in landed[:k]
+            )
+
+    @LOOPS
+    def test_reused_stream_fails_before_the_observer_begins(self, models):
+        began = []
+
+        class Begins(Observer):
+            def begin(self, cluster, policy):
+                began.append(cluster)
+
+        stream = StreamingMetrics()
+        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = dataclasses.replace(
+            config,
+            workload=dataclasses.replace(config.workload, models=models),
+        )
+        simulate_serving(config=config)
+        with pytest.raises(RuntimeError, match="exactly one run"):
+            simulate_serving(
+                config=dataclasses.replace(
+                    config,
+                    observe=ObserveConfig(stream_metrics=stream, observe=Begins()),
+                )
+            )
+        assert began == []
+
+
 class TestStreamingComposition:
     """Streaming mode composes with the layers added after it."""
 
