@@ -124,9 +124,12 @@ class VariationModel:
         nominal = constants.CU_FARAD * self.corner.capacitance_scale
         if self.cap_mismatch_sigma == 0.0:
             return np.full(shape, nominal)
-        relative = rng.normal(1.0, self.cap_mismatch_sigma, size=shape)
+        caps = rng.normal(1.0, self.cap_mismatch_sigma, size=shape)
         # Capacitance cannot go negative; clip far tail (beyond ~6 sigma).
-        return nominal * np.clip(relative, 0.1, None)
+        # In place: one map-sized allocation per instance.
+        np.maximum(caps, 0.1, out=caps)
+        caps *= nominal
+        return caps
 
     def charge_injection(
         self, shape: Tuple[int, ...], rng: np.random.Generator

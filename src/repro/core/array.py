@@ -22,12 +22,17 @@ The ideal result of the sequence is
 
 which the closed-form :meth:`InChargeArray.ideal_vmm_voltages` exposes for
 error analysis.
+
+Each phase is one module-level kernel.  :class:`InChargeArray` runs them on
+a persistent instance; :func:`mac_voltage_trial` runs the same kernels for
+Monte-Carlo, where every trial is a fresh instance read on one compute bar.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import functools
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +49,120 @@ class ArrayDiagnostics:
     input_voltages: np.ndarray  # (rows,) post-phase-1 row voltages
     column_voltages: np.ndarray  # (cols,) post-phase-3 column voltages
     mac_voltages: np.ndarray  # (n_cbs,) post-phase-4 CB outputs
+
+
+# -- kernels shared by the array and the Monte-Carlo trial ---------------------------
+class _Layout(NamedTuple):
+    """Read-only maps that depend on the array geometry only."""
+
+    col_group: np.ndarray  # (cols,) eDAC group of each column position in a row
+    col_bit: np.ndarray  # (cols,) CB-local bit index: column c holds bit c % cb_cols
+    share_mask: np.ndarray  # (rows, cols) phase-4 participation of each capacitor
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(cfg: ArrayConfig) -> _Layout:
+    col_bit = np.arange(cfg.cols) % cfg.cb_cols
+    # Phase-4 participation mask: in CB-local column b, the first 2^b row
+    # capacitors connect to the final output line.
+    share = np.asarray(cfg.cb_share_counts)
+    layout = _Layout(
+        col_group=group_index_map(cfg.row_group_sizes),
+        col_bit=col_bit,
+        share_mask=np.arange(cfg.rows)[:, None] < share[col_bit][None, :],
+    )
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _column_caps(
+    caps: np.ndarray, share_mask: np.ndarray, cb_cols: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Shared-node capacitances of the column and bar shares of ``caps``,
+    whose columns are whole compute bars: (per column, each column's phase-4
+    participating capacitance, per bar)."""
+    part = np.where(share_mask, caps, 0.0).sum(axis=0)
+    return caps.sum(axis=0), part, part.reshape(-1, cb_cols).sum(axis=1)
+
+
+def _checked_weights(weights: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    arr = np.asarray(weights)
+    if arr.shape != (cfg.rows, cfg.n_cbs):
+        raise ValueError(
+            f"expected weights of shape {(cfg.rows, cfg.n_cbs)}, got {arr.shape}"
+        )
+    if np.any(arr < 0) or np.any(arr >= (1 << cfg.weight_bits)):
+        raise ValueError(f"weights must be in [0, {(1 << cfg.weight_bits) - 1}]")
+    return arr.astype(np.int64)
+
+
+def _checked_inputs(x: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    codes = np.asarray(x)
+    if codes.shape != (cfg.rows,):
+        raise ValueError(f"expected input of shape ({cfg.rows},), got {codes.shape}")
+    if np.any(codes < 0) or np.any(codes >= (1 << cfg.input_bits)):
+        raise ValueError(f"input codes must be in [0, {(1 << cfg.input_bits) - 1}]")
+    return codes.astype(np.int64)
+
+
+def _bit_planes(weights: np.ndarray, layout: _Layout, cb_cols: int) -> np.ndarray:
+    """(rows, n_cbs) weights -> (rows, cols) stored bits; bit b of weight j
+    lands in column j * cb_cols + b."""
+    expanded = np.repeat(weights, cb_cols, axis=1)
+    return ((expanded >> layout.col_bit[None, :]) & 1).astype(np.uint8)
+
+
+def _input_bits(codes: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    return (codes[:, None] >> np.arange(cfg.input_bits)[None, :]) & 1
+
+
+def _pre_share_voltages(
+    codes: np.ndarray, cfg: ArrayConfig, layout: _Layout
+) -> np.ndarray:
+    """Phase-1 (rows, cols) capacitor voltages before the row share: group 0
+    pinned to VSS, group k>=1 driven to VDD when input bit k-1 is set."""
+    group_volts = np.concatenate(
+        [np.zeros((cfg.rows, 1)), _input_bits(codes, cfg) * constants.VDD_VOLT], axis=1
+    )
+    # take, not fancy indexing, which returns a Fortran-ordered array here
+    # (several times slower to multiply with the C-ordered capacitor map).
+    return group_volts.take(layout.col_group, axis=1)
+
+
+def _share(
+    caps: np.ndarray,
+    volts: np.ndarray,
+    total_cap: np.ndarray,
+    axis: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Noiseless voltage of charge shares along ``axis``: sum(C*V) / sum(C).
+    The per-capacitor charges go to ``out`` (which may be ``caps``) if given."""
+    return np.multiply(caps, volts, out=out).sum(axis=axis) / total_cap
+
+
+def _bar_share(
+    part: np.ndarray, v_cols: np.ndarray, bars: np.ndarray, cb_cols: int
+) -> np.ndarray:
+    """Phase 4: each compute bar's columns share their participating capacitors."""
+    return _share(part.reshape(-1, cb_cols), v_cols.reshape(-1, cb_cols), bars, axis=1)
+
+
+def _settle(
+    v: np.ndarray,
+    total_cap: np.ndarray,
+    variation: VariationModel,
+    rng: np.random.Generator,
+    read: slice = slice(None),
+) -> np.ndarray:
+    """Add one bank of shares' kT/C and charge-injection noise and clip to the
+    rails.  The noise is drawn for the whole bank (``total_cap``), so the RNG
+    stream does not depend on ``read``, the nodes of the bank that ``v`` holds."""
+    v = v + variation.ktc_noise(total_cap, rng)[read]
+    v = v + variation.charge_injection(total_cap.shape, rng)[read]
+    # np.clip, without its wrapper's cost on these short vectors.
+    return np.minimum(np.maximum(v, constants.VSS_VOLT), constants.VDD_VOLT)
 
 
 class InChargeArray:
@@ -76,21 +195,18 @@ class InChargeArray:
         self._rng = rng if rng is not None else make_rng(seed)
 
         cfg = self._config
-        # Static per-instance mismatch map of all unit capacitors.
+        self._layout = _layout(cfg)
+        # Static per-instance mismatch map of all unit capacitors, and the
+        # shared-node capacitance of every charge share it implies.
         self._caps = self._variation.sample_unit_capacitors(
             (cfg.rows, cfg.cols), self._rng
         )
-        # eDAC group of each column position within a row.
-        self._col_group = group_index_map(cfg.row_group_sizes)
-        # CB-local bit index of each column (column c holds weight bit c%8).
-        self._col_bit = np.arange(cfg.cols) % cfg.cb_cols
-        # Phase-4 participation mask: in CB-local column b, the first 2^b
-        # row capacitors connect to the final output line.
-        share = np.asarray(cfg.cb_share_counts)
-        self._share_mask = (
-            np.arange(cfg.rows)[:, None] < share[self._col_bit][None, :]
+        self._row_caps = self._caps.sum(axis=1)
+        self._col_caps, self._part_caps, self._bar_caps = _column_caps(
+            self._caps, self._layout.share_mask, cfg.cb_cols
         )
-        # Stored weight bit-planes.
+        # Programmed weights and their stored bit-planes.
+        self._weights = np.zeros((cfg.rows, cfg.n_cbs), dtype=np.int64)
         self._weight_bits = np.zeros((cfg.rows, cfg.cols), dtype=np.uint8)
         self._programmed = False
         self._activation_count = 0
@@ -126,16 +242,8 @@ class InChargeArray:
         Weight ``weights[i, j]`` lands in compute bar ``j`` of row ``i``,
         bit ``b`` in CB-local column ``b``.
         """
-        cfg = self._config
-        arr = np.asarray(weights)
-        if arr.shape != (cfg.rows, cfg.n_cbs):
-            raise ValueError(
-                f"expected weights of shape {(cfg.rows, cfg.n_cbs)}, got {arr.shape}"
-            )
-        if np.any(arr < 0) or np.any(arr >= (1 << cfg.weight_bits)):
-            raise ValueError(f"weights must be in [0, {(1 << cfg.weight_bits) - 1}]")
-        expanded = np.repeat(arr.astype(np.int64), cfg.cb_cols, axis=1)
-        self._weight_bits = ((expanded >> self._col_bit[None, :]) & 1).astype(np.uint8)
+        self._weights = _checked_weights(weights, self._config)
+        self._weight_bits = _bit_planes(self._weights, self._layout, self._config.cb_cols)
         self._programmed = True
 
     @property
@@ -143,11 +251,8 @@ class InChargeArray:
         return self._weight_bits.copy()
 
     def stored_weights(self) -> np.ndarray:
-        """Reassemble the programmed (rows, n_cbs) unsigned weight matrix."""
-        cfg = self._config
-        planes = self._weight_bits.reshape(cfg.rows, cfg.n_cbs, cfg.cb_cols)
-        scale = (1 << np.arange(cfg.cb_cols)).astype(np.int64)
-        return (planes.astype(np.int64) * scale).sum(axis=2)
+        """The programmed (rows, n_cbs) unsigned weight matrix."""
+        return self._weights.copy()
 
     # -- phase 1: DAC-less input conversion ------------------------------------------
     def convert_inputs(self, x: np.ndarray) -> np.ndarray:
@@ -162,22 +267,12 @@ class InChargeArray:
         -------
         Post-share row voltages, shape (rows,).
         """
-        cfg = self._config
-        codes = self._check_inputs(x)
-        # Pre-share target voltage per group: group 0 pinned to VSS, group
-        # k>=1 driven to VDD when input bit k-1 is set.
-        bits = (codes[:, None] >> np.arange(cfg.input_bits)[None, :]) & 1
-        group_volts = np.concatenate(
-            [np.zeros((cfg.rows, 1)), bits * constants.VDD_VOLT], axis=1
+        pre_share = _pre_share_voltages(
+            _checked_inputs(x, self._config), self._config, self._layout
         )
-        pre_share = group_volts[:, self._col_group]  # (rows, cols)
         self._activation_count += int(np.count_nonzero(pre_share))
-        charge = (self._caps * pre_share).sum(axis=1)
-        total_cap = self._caps.sum(axis=1)
-        v_rows = charge / total_cap
-        v_rows = v_rows + self._variation.ktc_noise(total_cap, self._rng)
-        v_rows = v_rows + self._variation.charge_injection((cfg.rows,), self._rng)
-        return np.clip(v_rows, constants.VSS_VOLT, constants.VDD_VOLT)
+        v_rows = _share(self._caps, pre_share, self._row_caps, axis=1)
+        return _settle(v_rows, self._row_caps, self._variation, self._rng)
 
     # -- phase 2: 1-bit multiplication ---------------------------------------------
     def multiply(self, v_rows: np.ndarray) -> np.ndarray:
@@ -196,12 +291,8 @@ class InChargeArray:
         cfg = self._config
         if v_cells.shape != (cfg.rows, cfg.cols):
             raise ValueError("cell voltage matrix has wrong shape")
-        charge = (self._caps * v_cells).sum(axis=0)
-        total_cap = self._caps.sum(axis=0)
-        v_cols = charge / total_cap
-        v_cols = v_cols + self._variation.ktc_noise(total_cap, self._rng)
-        v_cols = v_cols + self._variation.charge_injection((cfg.cols,), self._rng)
-        return np.clip(v_cols, constants.VSS_VOLT, constants.VDD_VOLT)
+        v_cols = _share(self._caps, v_cells, self._col_caps, axis=0)
+        return _settle(v_cols, self._col_caps, self._variation, self._rng)
 
     # -- phase 4: weighted summation ---------------------------------------------------
     def weighted_sum(self, v_cols: np.ndarray) -> np.ndarray:
@@ -213,14 +304,8 @@ class InChargeArray:
         cfg = self._config
         if v_cols.shape != (cfg.cols,):
             raise ValueError("column voltage vector has wrong shape")
-        part_caps = np.where(self._share_mask, self._caps, 0.0)
-        cap_per_col = part_caps.sum(axis=0)  # (cols,) participating capacitance
-        charge = (cap_per_col * v_cols).reshape(cfg.n_cbs, cfg.cb_cols).sum(axis=1)
-        total_cap = cap_per_col.reshape(cfg.n_cbs, cfg.cb_cols).sum(axis=1)
-        v_mac = charge / total_cap
-        v_mac = v_mac + self._variation.ktc_noise(total_cap, self._rng)
-        v_mac = v_mac + self._variation.charge_injection((cfg.n_cbs,), self._rng)
-        return np.clip(v_mac, constants.VSS_VOLT, constants.VDD_VOLT)
+        v_mac = _bar_share(self._part_caps, v_cols, self._bar_caps, cfg.cb_cols)
+        return _settle(v_mac, self._bar_caps, self._variation, self._rng)
 
     # -- full VMM -------------------------------------------------------------------
     def vmm_voltages(self, x: np.ndarray) -> np.ndarray:
@@ -241,8 +326,7 @@ class InChargeArray:
     def ideal_vmm_voltages(self, x: np.ndarray) -> np.ndarray:
         """Closed-form noiseless MAC voltages for the programmed weights."""
         cfg = self._config
-        codes = self._check_inputs(x)
-        dots = codes.astype(np.int64) @ self.stored_weights()
+        dots = _checked_inputs(x, cfg) @ self._weights
         return constants.VDD_VOLT * dots / float(
             (1 << cfg.input_bits) * cfg.rows * ((1 << cfg.weight_bits) - 1)
         )
@@ -263,8 +347,7 @@ class InChargeArray:
         and TDAs bill per VMM.
         """
         cfg = self._config
-        codes = self._check_inputs(x)
-        bits = (codes[:, None] >> np.arange(cfg.input_bits)[None, :]) & 1
+        bits = _input_bits(_checked_inputs(x, cfg), cfg)
         group_sizes = np.asarray(cfg.row_group_sizes[1:])
         activations = float((bits * group_sizes[None, :]).sum())
         return (
@@ -273,15 +356,59 @@ class InChargeArray:
             + cfg.tda_count * cfg.tda_energy_fj * 1e-3
         )
 
-    # -- helpers -----------------------------------------------------------------------
-    def _check_inputs(self, x: np.ndarray) -> np.ndarray:
-        cfg = self._config
-        codes = np.asarray(x)
-        if codes.shape != (cfg.rows,):
-            raise ValueError(f"expected input of shape ({cfg.rows},), got {codes.shape}")
-        if np.any(codes < 0) or np.any(codes >= (1 << cfg.input_bits)):
-            raise ValueError(f"input codes must be in [0, {(1 << cfg.input_bits) - 1}]")
-        return codes.astype(np.int64)
+
+def mac_voltage_trial(
+    weights: np.ndarray,
+    x: np.ndarray,
+    variation: VariationModel,
+    cb: int = 0,
+) -> Callable[[np.random.Generator], float]:
+    """A Monte-Carlo trial: compute bar ``cb``'s MAC voltage on a fresh array.
+
+    ``trial(rng)`` equals, bit for bit, the MAC voltage that
+    ``InChargeArray(variation=variation, rng=rng)``, programmed with
+    ``weights``, reads on bar ``cb`` for input ``x``
+    (``vmm_voltages(x)[cb]``), and leaves ``rng`` in the same state.  What
+    every trial shares is validated and computed here once, with the
+    array's error messages: the weight bit-planes and the phase-1 pre-share
+    voltages.  A call then does only the instance's own work:
+
+    * it draws the capacitor map and every noise bank through
+      ``variation``, in the array's order and at full width, so the RNG
+      stream is the array's;
+    * it runs phase 1 on the full rows, and phases 2-4 on bar ``cb``'s
+      columns only.
+    """
+    cfg = ArrayConfig()
+    layout = _layout(cfg)
+    planes = _bit_planes(_checked_weights(weights, cfg), layout, cfg.cb_cols)
+    pre_share = _pre_share_voltages(_checked_inputs(x, cfg), cfg, layout)
+    if not 0 <= cb < cfg.n_cbs:
+        raise ValueError(f"compute bar {cb} out of range [0, {cfg.n_cbs})")
+    cols = slice(cb * cfg.cb_cols, (cb + 1) * cfg.cb_cols)
+    bar = slice(cb, cb + 1)
+    bar_planes = planes[:, cols].astype(float)  # 0/1: the same products, no cast
+    bar_mask = np.ascontiguousarray(layout.share_mask[:, cols])
+    shape = (cfg.rows, cfg.cols)
+
+    def trial(rng: np.random.Generator) -> float:
+        caps = variation.sample_unit_capacitors(shape, rng)
+        row_caps = caps.sum(axis=1)
+        bar_caps = caps[:, cols].copy()
+        col_caps, part_caps, bar_cap = _column_caps(bar_caps, bar_mask, cfg.cb_cols)
+        # Phase 1 writes its charges over the map, which this trial owns:
+        # no second map-sized array per trial.
+        v_rows = _share(caps, pre_share, row_caps, axis=1, out=caps)
+        v_rows = _settle(v_rows, row_caps, variation, rng)
+        # Noise is drawn for every column and bar share, as the array draws
+        # it.  The shares outside bar cb borrow its capacitances (a column
+        # those of bar cb's column of the same bit); their noise is dropped.
+        v_cols = _share(bar_caps, v_rows[:, None] * bar_planes, col_caps, axis=0)
+        v_cols = _settle(v_cols, col_caps[layout.col_bit], variation, rng, cols)
+        v_mac = _bar_share(part_caps, v_cols, bar_cap, cfg.cb_cols)
+        return float(_settle(v_mac, bar_cap.repeat(cfg.n_cbs), variation, rng, bar)[0])
+
+    return trial
 
 
 def input_conversion_transfer_curve(

@@ -26,7 +26,7 @@ import numpy as np
 from repro import constants
 from repro.analog.montecarlo import run_monte_carlo
 from repro.analog.variation import Corner, VariationModel
-from repro.core.array import InChargeArray
+from repro.core.array import mac_voltage_trial
 from repro.core.ima import IMAErrorModel
 from repro.experiments.report import format_table
 from repro.memory.reram import ReramCluster
@@ -75,12 +75,8 @@ def corner_sweep(
     x = rng.integers(0, 256, constants.ARRAY_ROWS)
 
     def run(corner: Corner, temperature: float):
-        def trial(trial_rng: np.random.Generator) -> float:
-            variation = VariationModel.typical(corner=corner, temperature_c=temperature)
-            array = InChargeArray(variation=variation, rng=trial_rng)
-            array.program_weights(weights)
-            return float(array.vmm_voltages(x)[0])
-
+        variation = VariationModel.typical(corner=corner, temperature_c=temperature)
+        trial = mac_voltage_trial(weights, x, variation)
         return run_monte_carlo(trial, n_samples, seed=seed)
 
     nominal = run(Corner.TT, 25.0).mean

@@ -23,6 +23,15 @@ class TestWeightProgramming:
         array.program_weights(weights)
         assert np.array_equal(array.stored_weights(), weights)
 
+    def test_stored_weights_is_a_copy(self, rng):
+        array = _ideal()
+        weights = rng.integers(0, 256, (128, 32))
+        array.program_weights(weights)
+        array.stored_weights()[:] = 0
+        weights[:] = 0
+        x = rng.integers(1, 256, 128)
+        assert np.all(array.ideal_vmm_voltages(x) > 0)
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             _ideal().program_weights(np.zeros((128, 31), dtype=int))
