@@ -1,0 +1,175 @@
+"""Golden guard for same-timestamp ordering in the general event loop.
+
+Three runs whose events pile up at identical instants, pinned bit for bit
+by a sha256 digest over every served record, the per-chip busy time, the
+preemption records and the elastic scaling trace:
+
+* ``decode_bursts`` — a ``yoco:4`` decode run with fixed output lengths
+  and arrivals in bursts at identical timestamps, so several chips finish
+  their prefill batches and decode iterations at the same instant;
+* ``elastic_diurnal`` — a diurnal ``1:8`` autoscaled run whose
+  controller drains chips while they are still busy (they park at their
+  completion instant);
+* ``wfq_preempt_mixed`` — weighted-fair scheduling with preemption on a
+  mixed ``yoco:2,isaac:2`` fleet.
+
+Regenerate the goldens only on an intentional behaviour change::
+
+    PYTHONPATH=src python tests/test_tie_goldens.py --write
+"""
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from repro.models import get_workload
+from repro.serve import (
+    BatchingPolicy,
+    Cluster,
+    DecodeConfig,
+    Request,
+    ServingEngine,
+    simulate_serving,
+)
+from repro.serve.config import (
+    FleetConfig,
+    PolicyConfig,
+    ServingConfig,
+    WorkloadConfig,
+)
+
+DIGESTS = pathlib.Path(__file__).parent / "data" / "golden_tie_digests.json"
+
+
+def _decode_bursts():
+    # 24 bursts of 8 identical-timestamp arrivals; batches of 2 fill all
+    # four chips at once, so their completions tie.
+    trace = [
+        Request(i, "mobilebert", (i // 8) * 40_000.0, decode_tokens=6)
+        for i in range(192)
+    ]
+    engine = ServingEngine(
+        Cluster([get_workload("mobilebert")], fleet="yoco:4"),
+        BatchingPolicy(max_batch_size=2, window_ns=0.0),
+        decode=DecodeConfig(dist="fixed", mean_tokens=6),
+    )
+    return engine.run(trace)
+
+
+def _elastic_diurnal():
+    return simulate_serving(
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("mobilebert",), rps=20000.0, duration_s=0.1,
+                trace_kind="diurnal", seed=0,
+            ),
+            fleet=FleetConfig(n_chips=8, elastic="1:8"),
+        )
+    )[1]
+
+
+def _wfq_preempt_mixed():
+    return simulate_serving(
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18", "mobilebert"), duration_s=0.05, seed=0,
+                tenants=(
+                    "chat:interactive:w=4:model=resnet18:poisson@3000,"
+                    "bulk:best-effort:model=mobilebert:poisson@20000"
+                ),
+            ),
+            fleet=FleetConfig(fleet="yoco:2,isaac:2"),
+            policy=PolicyConfig(scheduler="weighted-fair", preemption=True),
+        )
+    )[1]
+
+
+SCENARIOS = {
+    "decode_bursts": _decode_bursts,
+    "elastic_diurnal": _elastic_diurnal,
+    "wfq_preempt_mixed": _wfq_preempt_mixed,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _run(scenario: str):
+    return SCENARIOS[scenario]()
+
+
+def tie_digest(result) -> str:
+    """Bit-exact fingerprint of a run; ``repr`` keeps full float precision."""
+    lines = [
+        f"{s.request.request_id} {s.request.model} {s.request.tenant} "
+        f"{s.chip_id} {s.batch_size} {s.dispatch_ns!r} {s.finish_ns!r} "
+        f"{s.energy_pj!r} {s.padded_seq_len} {s.first_token_ns!r} "
+        f"{s.decode_tokens} {s.kv_bytes!r} {s.kv_overflow_bytes!r}"
+        for s in result.served
+    ]
+    lines.append("busy " + " ".join(repr(b) for b in result.chip_busy_ns))
+    lines.append(f"makespan {result.makespan_ns!r} batches {result.n_batches}")
+    lines.append(f"iters {result.n_decode_iters} tokens {result.n_decode_tokens}")
+    lines.extend(repr(p) for p in result.preempted)
+    if result.elastic is not None:
+        lines.extend(repr(a) for a in result.elastic.actions)
+        lines.append(repr(result.elastic.timeline))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_digests():
+    with open(DIGESTS) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_tie_run_reproduces_golden(scenario, golden_digests):
+    assert tie_digest(_run(scenario)) == golden_digests[scenario]
+
+
+class TestScenariosStressTies:
+    """Each golden exercises the equal-timestamp behaviour it claims."""
+
+    def test_decode_chips_finish_at_the_same_instant(self):
+        # More requests than one batch of 2 share a prefill dispatch and
+        # first-token instant, so several chips finished together.
+        result = _run("decode_bursts")
+        stamps = {}
+        for s in result.served:
+            key = (s.dispatch_ns, s.first_token_ns)
+            stamps[key] = stamps.get(key, 0) + 1
+        assert max(stamps.values()) > 2
+        assert result.n_decode_iters > 0
+
+    def test_elastic_run_drains_busy_chips(self):
+        # An idle drained chip parks at the decision instant; a busy one
+        # parks later, at its completion.
+        elastic = _run("elastic_diurnal").elastic
+        drains = {a.t_ns for a in elastic.actions if a.kind == "drain"}
+        parks = [
+            t for (t, n), (_, before) in zip(
+                elastic.timeline[1:], elastic.timeline
+            )
+            if n < before
+        ]
+        assert drains
+        assert any(t not in drains for t in parks)
+
+    def test_mixed_fleet_preempts(self):
+        result = _run("wfq_preempt_mixed")
+        assert result.preempted
+        assert {s.chip_id for s in result.served} == {0, 1, 2, 3}
+
+
+def _write() -> None:
+    digests = {name: tie_digest(_run(name)) for name in sorted(SCENARIOS)}
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_tie_goldens.py --write")
+    _write()
