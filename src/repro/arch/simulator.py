@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.arch.accelerator import AcceleratorSpec, yoco_spec
 from repro.arch.mapper import MappingPlan, map_layer
@@ -123,6 +123,20 @@ class BatchRunResult:
         return self.run.latency_ns / self.latency_per_inference_ns
 
 
+class _WorkloadCosts(NamedTuple):
+    """Everything the simulator derives from one workload, computed once.
+
+    ``workload`` anchors the identity key: the record keeps its workload
+    alive, so the ``id`` it is filed under cannot be reused.
+    """
+
+    workload: WorkloadSpec
+    run: RunResult
+    replicas: int
+    overflow: Set[str]
+    plans: List[MappingPlan]
+
+
 class ArchitectureSimulator:
     """Evaluate workloads on one accelerator model.
 
@@ -137,6 +151,13 @@ class ArchitectureSimulator:
         static weights beyond the on-chip capacity stream over the off-chip
         link every inference (a harsher, deployment-style accounting; see
         the capacity-ablation benchmark).
+
+    Costs are pure functions of the spec and the layer shape, so each
+    instance prices every distinct thing once: a layer shape (every
+    :class:`LayerSpec` field but ``name``, plus its overflow flag and
+    replica budget), a mapping plan per ``(gemm, repeat)``, and a
+    workload's batch-1 roll-up.  The memo lives and dies with the
+    instance.
     """
 
     def __init__(
@@ -146,6 +167,9 @@ class ArchitectureSimulator:
     ) -> None:
         self._spec = spec if spec is not None else yoco_spec()
         self._weights_resident = weights_resident
+        self._layer_costs: Dict[tuple, tuple] = {}
+        self._plans: Dict[tuple, MappingPlan] = {}
+        self._workloads: Dict[int, _WorkloadCosts] = {}
 
     @property
     def spec(self) -> AcceleratorSpec:
@@ -175,44 +199,70 @@ class ArchitectureSimulator:
             the standard timeloop/ISAAC technique).  Dynamic operands never
             replicate: a copy would have to be written per inference.
         """
-        spec = self._spec
-        plan = map_layer(layer, spec)
-        compute = self._compute_energy_pj(plan)
-        writes = self._weight_write_energy_pj(plan)
-        data, data_ns = self._data_movement(plan, static_overflow)
-        replicas = 1 if not layer.static_weights else max(1, max_replicas)
-        compute_ns = self._compute_latency_ns(plan, replicas)
-        return LayerResult(
-            layer_name=layer.name,
-            vmm_count=plan.vmm_count,
-            compute_energy_pj=compute,
-            weight_write_energy_pj=writes,
-            data_movement_energy_pj=data,
-            compute_latency_ns=compute_ns,
-            data_latency_ns=data_ns,
-            utilization=plan.utilization,
+        key = (
+            layer.kind, layer.gemm, layer.static_weights, layer.repeat,
+            static_overflow, max_replicas,
         )
+        fields = self._layer_costs.get(key)
+        if fields is None:
+            plan = self._plan(layer)
+            replicas = 1 if not layer.static_weights else max(1, max_replicas)
+            data, data_ns = self._data_movement(layer, static_overflow)
+            fields = self._layer_costs[key] = (
+                plan.vmm_count,
+                self._compute_energy_pj(plan),
+                self._weight_write_energy_pj(layer),
+                data,
+                self._compute_latency_ns(layer, plan, replicas),
+                data_ns,
+                plan.utilization,
+            )
+        # Every LayerResult field after the name, in declaration order.
+        return LayerResult(layer.name, *fields)
+
+    def _plan(self, layer: LayerSpec) -> MappingPlan:
+        """The layer's mapping, shared by every layer of its (gemm, repeat).
+
+        A shared plan's ``layer`` may be another layer of the same shape,
+        so the cost components take the layer itself and never read it.
+        """
+        key = (layer.gemm, layer.repeat)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = map_layer(layer, self._spec)
+        return plan
 
     # -- whole network ----------------------------------------------------------------
     def run(self, workload: WorkloadSpec) -> RunResult:
         """Cost a full inference of one workload."""
-        spec = self._spec
-        overflow_layers = self._overflow_layers(workload)
+        return self._costs(workload).run
+
+    def _costs(self, workload: WorkloadSpec) -> _WorkloadCosts:
+        """The workload's memo record, built on first use."""
+        costs = self._workloads.get(id(workload))
+        if costs is not None and costs.workload is workload:
+            return costs
+        overflow = self._overflow_layers(workload)
         replicas = self._replication_budget(workload)
-        layers = tuple(
-            self.simulate_layer(
-                layer,
-                static_overflow=(layer.name in overflow_layers),
-                max_replicas=replicas,
-            )
-            for layer in workload.layers
-        )
-        return RunResult(
-            accelerator=spec.name,
+        run = RunResult(
+            accelerator=self._spec.name,
             workload=workload.name,
             total_ops=workload.total_ops,
-            layers=layers,
+            layers=tuple(
+                self.simulate_layer(
+                    layer,
+                    static_overflow=(layer.name in overflow),
+                    max_replicas=replicas,
+                )
+                for layer in workload.layers
+            ),
         )
+        costs = _WorkloadCosts(
+            workload, run, replicas, overflow,
+            [self._plan(layer) for layer in workload.layers],
+        )
+        self._workloads[id(workload)] = costs
+        return costs
 
     def _replication_budget(self, workload: WorkloadSpec) -> int:
         """Weight copies the chip can pin: floor(capacity / model weights)."""
@@ -247,13 +297,11 @@ class ArchitectureSimulator:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         spec = self._spec
-        run = self.run(workload)
-        replicas = self._replication_budget(workload)
-        overflow = self._overflow_layers(workload)
+        costs = self._costs(workload)
+        run, replicas, overflow = costs.run, costs.replicas, costs.overflow
         latency = 0.0
         energy = 0.0
-        for layer, cost in zip(workload.layers, run.layers):
-            plan = map_layer(layer, spec)
+        for layer, plan, cost in zip(workload.layers, costs.plans, run.layers):
             layer_replicas = replicas if layer.static_weights else 1
             effective_units = min(
                 spec.n_units, plan.tiles_per_instance * max(1, layer_replicas)
@@ -297,15 +345,15 @@ class ArchitectureSimulator:
         steady interval and lengthens the fill.  With the default resident
         methodology no layer carries data latency and nothing changes.
         """
-        spec = self._spec
-        plans = [map_layer(layer, spec) for layer in workload.layers]
+        costs = self._costs(workload)
+        plans, run = costs.plans, costs.run
         total_tiles = sum(plan.tiles_per_instance for plan in plans)
-        oversubscription = max(1.0, total_tiles / spec.n_units)
+        oversubscription = max(1.0, total_tiles / self._spec.n_units)
         # Per-layer latency with exactly one copy of each layer resident.
         latencies = [
-            self._compute_latency_ns(plan, max_replicas=1) for plan in plans
+            self._compute_latency_ns(layer, plan, max_replicas=1)
+            for layer, plan in zip(workload.layers, plans)
         ]
-        run = self.run(workload)
         # Off-chip overflow streaming shares one link across all stages, so
         # it serializes: each inference needs the *sum* of the stages'
         # weight-stream times regardless of pipeline overlap.
@@ -329,16 +377,16 @@ class ArchitectureSimulator:
             per_vmm = per_vmm * fraction
         return plan.vmm_count * per_vmm
 
-    def _weight_write_energy_pj(self, plan: MappingPlan) -> float:
-        layer = plan.layer
+    def _weight_write_energy_pj(self, layer: LayerSpec) -> float:
         if layer.static_weights:
             return 0.0  # programmed once; amortized over the deployment
         bits = layer.dynamic_weight_bytes * 8
         return bits * self._spec.dynamic_write_pj_per_bit
 
-    def _data_movement(self, plan: MappingPlan, static_overflow: bool) -> "tuple[float, float]":
+    def _data_movement(
+        self, layer: LayerSpec, static_overflow: bool
+    ) -> Tuple[float, float]:
         spec = self._spec
-        layer = plan.layer
         # Inputs are fetched once per K-tile row and multicast across
         # N-tiles; outputs written once; both traverse eDRAM + NoC.
         input_bits = layer.input_bytes * 8
@@ -352,17 +400,19 @@ class ArchitectureSimulator:
             latency_ns += (weight_bits / 8.0) / spec.offchip_gbps  # bytes / (GB/s) = ns
         return energy, latency_ns
 
-    def _compute_latency_ns(self, plan: MappingPlan, max_replicas: int) -> float:
+    def _compute_latency_ns(
+        self, layer: LayerSpec, plan: MappingPlan, max_replicas: int
+    ) -> float:
         spec = self._spec
         # Parallelism is bounded by how many units hold (a copy of) this
         # layer's tiles, never by more units than exist.
         effective_units = min(spec.n_units, plan.tiles_per_instance * max_replicas)
         waves = math.ceil(plan.vmm_count / effective_units)
         latency = waves * spec.unit_vmm_latency_ns
-        if not plan.layer.static_weights:
+        if not layer.static_weights:
             # Dynamic operands must be programmed before compute; rows of
             # each tile write in parallel across units.
-            rows = min(plan.layer.gemm.k, spec.unit_input_dim)
+            rows = min(layer.gemm.k, spec.unit_input_dim)
             latency += rows * spec.dynamic_write_ns_per_row
         return latency
 

@@ -174,6 +174,11 @@ class SloAwareShedding(AdmissionPolicy):
     floor, exactly the default :func:`repro.serve.metrics.summarize`
     scores against, so shedding and scoring agree on what "dead on
     arrival" means.
+
+    The prediction is monotone in queue depth, so :meth:`reset` searches
+    each model's deepest admissible queue once (through the predictor
+    itself, which stays the one formula) and :meth:`admit` is one
+    integer compare.
     """
 
     slo_ms: Optional[float] = None
@@ -184,6 +189,7 @@ class SloAwareShedding(AdmissionPolicy):
         self._cluster: Optional["Cluster"] = None
         self._max_batch = 1
         self._slo_ns: Dict[str, float] = {}
+        self._max_depth: Dict[str, int] = {}
 
     name = "slo-aware"
 
@@ -198,6 +204,31 @@ class SloAwareShedding(AdmissionPolicy):
                 self._slo_ns[model] = (
                     DEFAULT_SLO_MULTIPLE * cluster.reference_latency_ns(model)
                 )
+        self._max_depth = {m: self._deepest(m) for m in cluster.models}
+
+    def _deepest(self, model: str) -> int:
+        """Largest queue depth the predictor admits (-1: none)."""
+
+        def admits(depth: int) -> bool:
+            predicted_ns = self._cluster.predicted_latency_ns(
+                model, depth, self._max_batch
+            )
+            return predicted_ns <= self._slo_ns[model]
+
+        if not admits(0):
+            return -1
+        lo, hi = 0, 1  # admits(lo); grow hi until it does not
+        while admits(hi):
+            if hi > 1 << 62:
+                return hi  # a zero-cost model: no real queue is this deep
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if admits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def admit(
         self,
@@ -210,10 +241,7 @@ class SloAwareShedding(AdmissionPolicy):
             raise RuntimeError(
                 "slo-aware shedding used before reset(); the engine arms it"
             )
-        predicted_ns = self._cluster.predicted_latency_ns(
-            request.model, model_depth, self._max_batch
-        )
-        return predicted_ns <= self._slo_ns[request.model]
+        return model_depth <= self._max_depth[request.model]
 
 
 class TenantTokenBucket(AdmissionPolicy):

@@ -130,6 +130,8 @@ class _InFlight:
     preempted chip.
     """
 
+    __slots__ = ("key", "batch", "chip_id", "dispatch_ns", "finish_ns",
+                 "busy_ns", "share_pj", "padded")
     key: int  # unique id; tombstoned in the engine's cancelled set
     batch: Batch
     chip_id: int
@@ -178,6 +180,9 @@ class _DecodeInFlight:
     :class:`_InFlight`.
     """
 
+    __slots__ = ("entries", "model_index", "chip_id", "dispatch_ns",
+                 "finish_ns", "busy_ns", "share_pj", "footprints", "total_kv",
+                 "overflow")
     entries: List[_DecodeEntry]
     model_index: int
     chip_id: int
@@ -185,7 +190,7 @@ class _DecodeInFlight:
     finish_ns: float
     busy_ns: float
     share_pj: float  # per-request energy share of the iteration
-    footprints: Tuple[float, ...]
+    footprints: List[float]
     total_kv: float
     overflow: float  # KV bytes past on-chip capacity, streamed off-chip
 
@@ -196,11 +201,11 @@ class EngineProfile:
 
     Deterministic like every :class:`EngineStats` counter — no wall
     clock — so a profile diff between two commits is a real hot-path
-    diff, not noise.  ``events_by_kind`` counts heap/cursor pops per
-    event kind; ``dispatch_scan_hist`` maps dirty-set size to how many
-    scan rounds saw it (the pre-PR 7 every-slot scan shows up here as a
-    fat tail); ``heap_peak`` is the event-heap high-water mark observed
-    at pops.
+    diff, not noise.  ``events_by_kind`` counts heap, cursor and
+    pending-slot pops per event kind; ``dispatch_scan_hist`` maps
+    dirty-set size to how many scan rounds saw it (an every-slot scan
+    shows up here as a fat tail); ``heap_peak`` is the high-water mark
+    of scheduled events (the pending slot included) observed at pops.
     """
 
     events_by_kind: Tuple[Tuple[str, int], ...]
@@ -215,15 +220,17 @@ class EngineStats:
     Deterministic work counters (no wall clock anywhere), exposed on
     :attr:`ServingEngine.last_stats` for the scaling guard-rail tests:
     ``n_slot_scans`` is the total number of (tenant, model) slot
-    examinations the dispatch scan performed — the quantity that used to
-    grow as events x slots and must now grow linearly with the event
-    count.  The counters also ride on :attr:`ServingResult.stats` as a
-    non-comparing field, so result equality and the golden digests are
-    untouched.  ``profile`` carries the per-event-kind breakdown when
-    the engine ran with ``profile=True`` (``--profile-engine``).
+    examinations the dispatch scan performed — the dirty slots on a
+    round's first pass, then only the previous pass's candidates — the
+    quantity that used to grow as events x slots and must now grow
+    linearly with the event count.  The counters also ride on
+    :attr:`ServingResult.stats` as a non-comparing field, so result
+    equality and the golden digests are untouched.  ``profile`` carries
+    the per-event-kind breakdown when the engine ran with
+    ``profile=True`` (``--profile-engine``).
     """
 
-    n_events: int  # heap/cursor events processed (arrivals incl.)
+    n_events: int  # heap, cursor and pending-slot events (arrivals incl.)
     n_dispatch_rounds: int  # dispatch invocations that examined >= 1 slot
     n_slot_scans: int  # slot examinations across all dispatch rounds
     n_batches: int
@@ -741,6 +748,7 @@ class ServingEngine:
                 for t in tenancy.tenants
                 for m in model_order
             }
+            ref_ns = {m: cluster.reference_latency_ns(m) for m in model_order}
         backlog: Dict[str, int] = {t: 0 for t in tenant_order}
         chip_free = [0.0] * cluster.n_chips
         chip_busy = [0.0] * cluster.n_chips
@@ -809,9 +817,10 @@ class ServingEngine:
         # ``chip_free`` (finish-time floats) stays the ground truth, but
         # the dispatch scan reads freedom through an O(1) index: a per-chip
         # boolean, a per-set free-host count, and a heap of (finish, chip)
-        # entries drained at every event pop.  A chip is observably free
-        # at its exact finish instant — even while an earlier
-        # same-timestamp completion is being processed.
+        # entries drained at every event pop (the pending completion frees
+        # its chip at its own pop).  A chip is observably free at its exact
+        # finish instant — even while an earlier same-timestamp completion
+        # is being processed.
         is_free = [True] * cluster.n_chips
         set_free = [len(hosts) for hosts in set_hosts]
         # Round-robin cursor per set (shared across tenants — rotation is
@@ -951,6 +960,7 @@ class ServingEngine:
         max_batch = policy.max_batch_size
         cursor = 0
         seq = trace_n
+        pending: Optional[tuple] = None  # held next completion; see launch()
         if controller is not None:
             # First controller evaluation one interval in; re-armed from
             # the _SCALE handler while the run still has work, so the
@@ -1009,14 +1019,38 @@ class ServingEngine:
             The completion event carries the in-flight record — the
             feedback edge closed-loop clients listen on, and the unit
             preemption tombstones.  The seq tiebreak is unique, so the
-            payload is never compared.
+            payload is never compared.  A completion strictly earlier than
+            the heap top and the next trace arrival waits in the single
+            ``pending`` slot instead of both heaps.
             """
-            nonlocal seq
+            nonlocal seq, pending
             claim_chip(chip)
             chip_free[chip] = finish
-            heapq.heappush(free_heap, (finish, chip))
-            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
+            event = (finish, _COMPLETION, seq, inflight)
             seq += 1
+            if pending is None and (not events or finish < events[0][0]) and (
+                cursor >= trace_n or finish < trace[cursor].arrival_ns
+            ):
+                pending = event
+            else:
+                heapq.heappush(free_heap, (finish, chip))
+                heapq.heappush(events, event)
+
+        def release(finish: float, chip: int, now: float) -> None:
+            """Drain one finished chip into the free index (stale entries —
+            preempted-then-recommitted chips — fail the time check)."""
+            nonlocal n_serving
+            if not is_free[chip] and chip_free[chip] <= now:
+                if not el_on or active[chip]:
+                    mark_free(chip)
+                elif chip in draining:
+                    # A drained chip finished its in-flight batch: it parks
+                    # at the completion instant, not in the free index.
+                    draining.discard(chip)
+                    n_serving -= 1
+                    el_timeline.append((finish, n_serving))
+                    if obs is not None:
+                        obs.scale(finish, "park", 1)
 
         def commit_batch(
             slot: Tuple[str, str],
@@ -1088,6 +1122,20 @@ class ServingEngine:
                     overhead_ns,
                 )
 
+        def decode_price(
+            table, c: int, take: int, ctx_pad: int, total_kv: float
+        ) -> Tuple[ChipService, float]:
+            """A decode iteration's cost on ``c`` and its KV bytes spilled."""
+            svc = table.get(c, take, ctx_pad)
+            overflow = total_kv - kv_cap[c]
+            if overflow <= 0:
+                return svc, 0.0
+            spill = cluster.kv_overflow_service(c, overflow)
+            return ChipService(
+                svc.latency_ns + spill.latency_ns,
+                svc.energy_pj + spill.energy_pj,
+            ), overflow
+
         def dispatch_decode(mi: int, now: float) -> None:
             """Form, route and launch one decode iteration for model ``mi``.
 
@@ -1105,51 +1153,36 @@ class ServingEngine:
             dq = decode_queues[mi]
             take = min(len(dq), max_batch)
             entries = [dq.popleft() for _ in range(take)]
-            ctx_pad = page_round(max(e.ctx for e in entries), page)
             per_tok = kv_per_token[model]
-            footprints = tuple(
-                per_tok * page_round(e.ctx, page) for e in entries
-            )
+            ctx_pad = 0
+            footprints = []
+            for e in entries:
+                rounded = page_round(e.ctx, page)
+                if rounded > ctx_pad:
+                    ctx_pad = rounded
+                footprints.append(per_tok * rounded)
             total_kv = float(sum(footprints))
-            table = set_table[n_models + mi]
-
-            def price(c: int) -> Tuple[ChipService, float]:
-                """The iteration's cost on ``c`` and its KV bytes spilled."""
-                svc = table.get(c, take, ctx_pad)
-                overflow = total_kv - kv_cap[c]
-                if overflow <= 0:
-                    return svc, 0.0
-                spill = cluster.kv_overflow_service(c, overflow)
-                return ChipService(
-                    svc.latency_ns + spill.latency_ns,
-                    svc.energy_pj + spill.energy_pj,
-                ), overflow
-
-            chip = route(
-                n_models + mi, lambda c: routing_key(c, price(c)[0], True)
-            )
-            cost, overflow = price(chip)
+            k = n_models + mi
+            table = set_table[k]
+            if set_uniform[k]:
+                for chip in set_hosts[k]:
+                    if is_free[chip]:
+                        break
+            else:
+                chip = route(k, lambda c: routing_key(
+                    c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
+                ))
+            cost, overflow = decode_price(table, chip, take, ctx_pad, total_kv)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
                 service_ns = cost.latency_ns
             finish = now + service_ns
-            launch(
-                chip,
-                finish,
-                _DecodeInFlight(
-                    entries=entries,
-                    model_index=mi,
-                    chip_id=chip,
-                    dispatch_ns=now,
-                    finish_ns=finish,
-                    busy_ns=service_ns,
-                    share_pj=cost.energy_pj / take,
-                    footprints=footprints,
-                    total_kv=total_kv,
-                    overflow=overflow,
-                ),
-            )
+            # Positional: this runs once per generated token.
+            launch(chip, finish, _DecodeInFlight(
+                entries, mi, chip, now, finish, service_ns,
+                cost.energy_pj / take, footprints, total_kv, overflow,
+            ))
             n_decode_iters += 1
             if obs is not None:
                 obs.decode_iter(now, chip, model, take, ctx_pad, finish)
@@ -1165,9 +1198,14 @@ class ServingEngine:
             later eligibility change re-dirties its slot (arrival filling
             a bucket, queue waking from empty, window expiry, chip
             freeing, preemption requeue, decode FIFO refilling).
+
+            A pass rescans only the previous pass's candidates: free-host
+            counts only fall within a round, a pop fills no other queue,
+            and re-arming a window timer is idempotent.
             """
             nonlocal seq, n_dispatch_rounds, n_slot_scans
             n_dispatch_rounds += 1
+            scan = sorted(dirty)
             while True:
                 if profiling:
                     size = len(dirty)
@@ -1177,8 +1215,9 @@ class ServingEngine:
                 # queues, the legacy rule, so no queue can starve another
                 # by list position.
                 best = None
-                n_slot_scans += len(dirty)
-                for index in sorted(dirty):
+                candidates = []
+                n_slot_scans += len(scan)
+                for index in scan:
                     if not set_free[slot_set[index]]:
                         continue  # all hosts busy; a completion is pending
                     if index >= n_pslots:
@@ -1207,11 +1246,13 @@ class ServingEngine:
                         key = scheduler.key(
                             tenant_list[index], queue.oldest_arrival_ns, index
                         )
+                    candidates.append(index)
                     if best is None or key < best[0]:
                         best = (key, index)
                 if best is None:
                     dirty.clear()
                     return
+                scan = candidates
                 index = best[1]
                 if index >= n_pslots:
                     dispatch_decode(index - n_pslots, now)
@@ -1272,7 +1313,7 @@ class ServingEngine:
             if any(chip_free[c] <= now for c in model_hosts):
                 return  # a free host exists; the normal dispatch handles it
             deadline_at = request.arrival_ns + limit
-            ref = cluster.reference_latency_ns(model)
+            ref = ref_ns[model]
             overhead = tenancy.preemption_overhead_ns
             if min(chip_free[c] for c in model_hosts) + ref <= deadline_at:
                 return  # waiting for the earliest chip still makes it
@@ -1337,12 +1378,18 @@ class ServingEngine:
             seq += 1
 
         while True:
-            # Merge the next trace arrival with the event heap without
-            # materializing arrival tuples: the cursor wins a timestamp
-            # tie against everything but a completion (kind 0), which is
-            # exactly the old (time, kind, seq) heap order given cursor
-            # sequence numbers precede every dynamic event's.
-            if cursor < trace_n:
+            # Merge the pending completion, the event heap and the next
+            # trace arrival by (time, kind, seq) without materializing
+            # arrival tuples: the cursor wins a timestamp tie against all
+            # but a completion (kind 0) — the old all-heap order, given
+            # cursor sequence numbers precede every dynamic event's.
+            if pending is not None and (not events or pending < events[0]) and (
+                cursor >= trace_n or pending[0] <= trace[cursor].arrival_ns
+            ):
+                now, kind, _, payload = pending
+                pending = None
+                release(now, payload.chip_id, now)
+            elif cursor < trace_n:
                 request = trace[cursor]
                 arrival = request.arrival_ns
                 if events:
@@ -1364,26 +1411,16 @@ class ServingEngine:
             n_events += 1
             if profiling:
                 kind_counts[kind] += 1
-                if len(events) > heap_peak:
-                    heap_peak = len(events)
-            if free_heap and free_heap[0][0] <= now:
-                # Drain chips whose batches have finished by now into the
-                # free index (stale entries — preempted-then-recommitted
-                # chips — are skipped by the ground-truth time check).
-                while free_heap and free_heap[0][0] <= now:
-                    finish, chip = heapq.heappop(free_heap)
-                    if not is_free[chip] and chip_free[chip] <= now:
-                        if not el_on or active[chip]:
-                            mark_free(chip)
-                        elif chip in draining:
-                            # A drained chip finished its in-flight
-                            # batch: it parks at the completion instant
-                            # instead of rejoining the free index.
-                            draining.discard(chip)
-                            n_serving -= 1
-                            el_timeline.append((finish, n_serving))
-                            if obs is not None:
-                                obs.scale(finish, "park", 1)
+                queued = len(events) + (pending is not None)
+                if queued > heap_peak:
+                    heap_peak = queued
+            # Drain chips whose batches have finished by now into the free
+            # index.  A held completion is never among them: it was strictly
+            # earlier than every event queued at its launch, and later
+            # events carry larger seqs, so it is the first pop of its
+            # instant and frees its chip there (above).
+            while free_heap and free_heap[0][0] <= now:
+                release(*heapq.heappop(free_heap), now)
             if governor is not None:
                 # Power is piecewise constant between events, so advancing
                 # the governor exactly here makes the integration exact.
@@ -1632,7 +1669,7 @@ class ServingEngine:
                 # heap events (retries, think-time arrivals, an
                 # activation in flight).  Once all are exhausted the
                 # chain stops so the loop can terminate.
-                if cursor < trace_n or total_queued > 0 or running or events:
+                if cursor < trace_n or total_queued or running or events or pending:
                     heapq.heappush(
                         events, (now + el_interval_ns, _SCALE, seq, None)
                     )

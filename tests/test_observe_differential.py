@@ -35,6 +35,8 @@ from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
+    DecodeConfig,
+    ElasticConfig,
     FleetConfig,
     JsonlTraceSink,
     MetricsRecorder,
@@ -47,8 +49,10 @@ from repro.serve import (
     WorkloadConfig,
     format_serving,
     poisson_trace,
+    sample_decode_lens,
     simulate_serving,
     summarize_trace,
+    with_decode_lens,
 )
 
 
@@ -182,6 +186,42 @@ class TestBothEnginePaths:
         assert sum(
             rounds for _, rounds in prof.dispatch_scan_hist
         ) == result.stats.n_dispatch_rounds
+
+    @pytest.mark.parametrize("run", ["decode", "elastic_general"])
+    def test_general_loop_profile_counts_every_completion(self, run):
+        """Completions held in the engine's pending slot skip the event
+        heap; they must still count, once each, as events."""
+        if run == "decode":
+            decode = DecodeConfig(dist="lognormal", mean_tokens=8)
+            prompts = poisson_trace("mobilebert", 4000, 0.02, seed=0)
+            trace = with_decode_lens(
+                prompts, sample_decode_lens(decode, len(prompts), seed=0)
+            )
+            engine = ServingEngine(
+                Cluster([get_workload("mobilebert")], fleet="yoco:4"),
+                BatchingPolicy(), profile=True, decode=decode,
+            )
+        else:
+            trace = tuple(poisson_trace("resnet18", **self.TRACE_KW))
+            engine = _engine(
+                n_chips=8, profile=True,
+                elastic=ElasticConfig(min_chips=1, max_chips=8),
+            )
+            engine._force_general = True
+        result = engine.run(trace)
+        stats, prof = result.stats, result.stats.profile
+        kinds = dict(prof.events_by_kind)
+        assert sum(kinds.values()) == stats.n_events
+        assert kinds["arrival"] == len(trace)
+        assert kinds["completion"] == stats.n_batches + result.n_decode_iters
+        assert len(result.served) == len(trace)
+        if run == "decode":
+            assert result.n_decode_iters > 0
+        else:
+            assert result.elastic.actions
+        # A round scans at least one slot in each of its one or more passes.
+        passes = sum(n for _, n in prof.dispatch_scan_hist)
+        assert stats.n_slot_scans >= passes >= stats.n_dispatch_rounds
 
 
 class TestChromeTrace:

@@ -13,6 +13,7 @@ from repro.serve import (
     TokenBucket,
     parse_admission,
 )
+from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
 from repro.serve.traces import Request
 
 
@@ -108,6 +109,23 @@ class TestSloAwareShedding:
         policy = SloAwareShedding(slo_ms=1e6)
         policy.reset(cluster, BatchingPolicy())
         assert policy.admit(_request(), 0.0, 10**6, 10**6)
+
+    @pytest.mark.parametrize("slo_ms", [None, 1e-6, 0.5, 3.0])
+    @pytest.mark.parametrize("max_batch", [1, 3, 8])
+    def test_admit_agrees_with_the_predictor_at_every_depth(
+        self, cluster, slo_ms, max_batch
+    ):
+        # The reset-time depth threshold is exact: admit(depth) is the
+        # predictor compare itself, across and far past the boundary.
+        policy = SloAwareShedding(slo_ms=slo_ms)
+        policy.reset(cluster, BatchingPolicy(max_batch_size=max_batch))
+        floor = cluster.reference_latency_ns("resnet18")
+        slo_ns = DEFAULT_SLO_MULTIPLE * floor if slo_ms is None else slo_ms * 1e6
+        for depth in range(1200):
+            predicted = cluster.predicted_latency_ns("resnet18", depth, max_batch)
+            assert policy.admit(_request(), 0.0, depth, depth) == (
+                predicted <= slo_ns
+            )
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="slo_ms"):
