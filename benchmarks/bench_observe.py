@@ -1,20 +1,19 @@
 """Observability overhead record (`repro.serve.observe`).
 
 Replays ``bench_engine_scale``'s million-request diurnal scenario three
-ways over the same prebuilt trace — streaming mode with observers off
-(the exact PR 7 configuration: the hot loops take one dead
-``if obs is not None`` branch per event and nothing else), retained mode
-(the comparison baseline the acceptance bar is phrased against), and
-streaming mode with full JSONL lifecycle tracing — and appends wall
-times, simulated requests per wall-second and the measured trace
-bytes/request to ``benchmarks/BENCH_observe.json``.
+ways over the same prebuilt trace — streaming mode with no event log
+(the hot loops take one dead ``if log is not None`` branch per event
+site and nothing else), retained mode (the comparison baseline the
+acceptance bar is phrased against), and streaming mode with an event
+log rendering a full JSONL lifecycle trace — and appends wall times,
+simulated requests per wall-second and the measured trace bytes/request
+to ``benchmarks/BENCH_observe.json``.
 
 Acceptance (full mode only; smoke traces measure startup, not the hot
 path): full tracing must stay under a 2.5x slowdown relative to the
-*retained* run, and the observers-off streaming run must stay within
-noise of the untraced engine's throughput — both runs are measured here
-back to back, so the noise bound is a direct ratio, not a stale
-constant.
+*retained* run, and the unlogged streaming run must stay within noise
+of the untraced engine's throughput — both runs are measured here back
+to back, so the noise bound is a direct ratio, not a stale constant.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run shortened horizons (the CI tier-2
 smoke job).
@@ -31,7 +30,13 @@ from conftest import emit
 
 from repro.experiments.report import format_table
 from repro.models.zoo import get_workload
-from repro.serve import JsonlTraceSink, StreamingMetrics, diurnal_trace, summarize
+from repro.serve import (
+    EventLog,
+    JsonlTraceSink,
+    StreamingMetrics,
+    diurnal_trace,
+    summarize,
+)
 from repro.serve.batching import BatchingPolicy
 from repro.serve.cluster import Cluster
 from repro.serve.engine import ServingEngine
@@ -47,18 +52,18 @@ _HORIZON_SCALE = 0.02 if SMOKE else 1.0
 
 #: Full tracing may cost at most this multiple of the retained run.
 MAX_TRACED_SLOWDOWN = 2.5
-#: Observers-off streaming may lose at most this fraction vs retained
+#: Unlogged streaming may lose at most this fraction vs retained
 #: streaming throughput — the "within noise" acceptance bound.
 MAX_OFF_OVERHEAD = 0.15
 
 _RECORD_PATH = pathlib.Path(__file__).parent / "BENCH_observe.json"
 
 
-def _timed_run(cluster, policy, trace, stream=False, observe=None):
+def _timed_run(cluster, policy, trace, stream=False, log=None):
     engine = ServingEngine(cluster, policy)
     sm = StreamingMetrics() if stream else None
     start = time.perf_counter()
-    result = engine.run(trace, stream=sm, observe=observe)
+    result = engine.run(trace, stream=sm, log=log)
     report = summarize(result, cluster)
     return report, time.perf_counter() - start
 
@@ -77,9 +82,9 @@ def _observe_rows():
     with tempfile.TemporaryDirectory() as tmp:
         sink = JsonlTraceSink(str(pathlib.Path(tmp) / "trace.jsonl"))
         traced_report, traced_s = _timed_run(
-            cluster, policy, trace, stream=True, observe=sink
+            cluster, policy, trace, stream=True, log=EventLog([sink])
         )
-    # The observers are pass-throughs: every mode reports identical p99.
+    # The log is a pass-through: every mode reports identical p99.
     p99 = retained_report.per_model[0].p99_ms
     assert off_report.per_model[0].p99_ms == p99
     assert traced_report.per_model[0].p99_ms == p99
@@ -99,7 +104,7 @@ def _observe_rows():
 def test_observe_overhead_record(benchmark):
     """Records tracing overhead on the million-request scenario and
     asserts the acceptance bars: < 2.5x retained-mode slowdown with full
-    JSONL tracing, ~0 overhead with observers off."""
+    JSONL tracing, ~0 overhead with no event log."""
     rows = benchmark.pedantic(_observe_rows, rounds=1, iterations=1)
     ((n, retained_s, off_s, traced_s, n_events, n_bytes, p99),) = rows
     assert n > 0 and math.isfinite(traced_s)
@@ -131,8 +136,8 @@ def test_observe_overhead_record(benchmark):
             f"the {MAX_TRACED_SLOWDOWN}x budget"
         )
         assert off_s <= (1.0 + MAX_OFF_OVERHEAD) * retained_s, (
-            f"observers-off streaming at {off_s / retained_s:.2f}x retained "
-            f"is not within noise: the disabled hooks must cost nothing"
+            f"unlogged streaming at {off_s / retained_s:.2f}x retained "
+            f"is not within noise: the dead log branches must cost nothing"
         )
     emit(
         f"Observability overhead — diurnal {MODEL} @ {RPS:.0f} req/s on "
@@ -140,9 +145,9 @@ def test_observe_overhead_record(benchmark):
         format_table(
             ("mode", "wall s", "req/s", "vs retained"),
             [
-                ("retained, no observers", f"{retained_s:.2f}",
+                ("retained, no log", f"{retained_s:.2f}",
                  f"{n / retained_s:.0f}", "1.00x"),
-                ("streaming, no observers", f"{off_s:.2f}",
+                ("streaming, no log", f"{off_s:.2f}",
                  f"{n / off_s:.0f}", f"{off_s / retained_s:.2f}x"),
                 ("streaming + JSONL trace", f"{traced_s:.2f}",
                  f"{n / traced_s:.0f}", f"{traced_s / retained_s:.2f}x"),

@@ -486,7 +486,7 @@ def observability_scenario(model, chips, peak_rps):
     with ``trace_file=`` set, reconstructs the attacker/victim per-phase
     split (queueing vs service, preempted work burned) from the trace
     alone via :func:`summarize_trace`, and cross-checks the lane tails
-    against the tenancy report — the trace is a pass-through observer,
+    against the tenancy report — the trace is a pass-through record,
     so the numbers must agree to float equality.
     """
     chat_rps = 0.05 * peak_rps

@@ -113,10 +113,9 @@ from repro.serve.fleet import (
 )
 from repro.serve.observe import (
     ChromeTraceSink,
+    EventLog,
     JsonlTraceSink,
     MetricsRecorder,
-    Observer,
-    compose_observers,
     format_engine_profile,
     format_trace_summary,
     lifecycle_tracer,
@@ -188,6 +187,7 @@ __all__ = [
     "ElasticConfig",
     "ElasticController",
     "ElasticTrace",
+    "EventLog",
     "FleetConfig",
     "FleetGroup",
     "FleetSpec",
@@ -196,7 +196,6 @@ __all__ = [
     "MetricsRecorder",
     "ModelQueue",
     "ModelServingStats",
-    "Observer",
     "ObserveConfig",
     "PLACEMENTS",
     "PolicyConfig",
@@ -420,11 +419,11 @@ def simulate_serving(
             admission = TenantTokenBucket(limits, inner=inner)
     if isinstance(elastic, str):
         elastic = parse_autoscale(elastic)
-    observers = [] if o.observe is None else [o.observe]
+    renderers = []
     if o.trace_file is not None:
-        observers.append(lifecycle_tracer(o.trace_file))
+        renderers.append(lifecycle_tracer(o.trace_file))
     if o.metrics_file is not None:
-        observers.append(
+        renderers.append(
             MetricsRecorder(o.metrics_window_ms, path=o.metrics_file)
         )
     engine = ServingEngine(
@@ -442,7 +441,7 @@ def simulate_serving(
         trace,
         clients=population,
         stream=o.stream_metrics,
-        observe=compose_observers(observers),
+        log=EventLog(renderers) if renderers else None,
     )
     report = summarize(result, cluster, slo_ms=p.slo_ms, tenancy=tenancy)
     return report, result

@@ -26,7 +26,7 @@ walks in through.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.arch.accelerator import AcceleratorSpec
 from repro.serve.admission import AdmissionPolicy
@@ -35,12 +35,9 @@ from repro.serve.decode import DecodeConfig
 from repro.serve.elastic import ElasticConfig
 from repro.serve.fleet import FleetSpec
 from repro.serve.power import PowerConfig
+from repro.serve.streaming import StreamingMetrics
 from repro.serve.tenancy import Tenant, TenancyConfig, parse_tenants
 from repro.serve.traces import SEQLEN_DISTS
-
-if TYPE_CHECKING:  # type-only: observe pulls in metrics -> engine -> here
-    from repro.serve.observe import Observer
-    from repro.serve.streaming import StreamingMetrics
 
 #: Routing policies the engine dispatch loop implements.  Lives here (not
 #: in ``engine.py``) so the validation table can name the menu without a
@@ -176,12 +173,14 @@ class ObserveConfig:
     """What is recorded: tracing, metrics export, streaming, profiling.
 
     All of it is an exact pass-through: the result is object-for-object
-    the unobserved one.  ``trace_file`` streams every request-lifecycle
-    event as JSONL, or as Chrome ``trace_event`` JSON for ``.json`` paths.
-    ``metrics_file`` samples throughput, queue depth, utilization and
-    power every ``metrics_window_ms`` and writes CSV (JSON for ``.json``).
-    ``observe`` attaches any further :class:`~repro.serve.observe.Observer`.
-    ``profile_engine`` counts the event loop's own work on
+    the unobserved one.  Asking for either file gives the run one
+    :class:`~repro.serve.observe.EventLog`, which records every
+    request-lifecycle event in order and renders it, chunk by chunk,
+    into each file asked for.  ``trace_file`` gets the events as JSONL,
+    or as Chrome ``trace_event`` JSON for ``.json`` paths.
+    ``metrics_file`` gets throughput, queue depth, utilization and
+    power sampled every ``metrics_window_ms``, as CSV (JSON for
+    ``.json``).  ``profile_engine`` counts the event loop's own work on
     ``result.stats.profile``.
 
     ``stream_metrics`` (a fresh
@@ -192,7 +191,6 @@ class ObserveConfig:
     unstreamed ones exactly, decode runs included.
     """
 
-    observe: Optional[Observer] = None
     stream_metrics: Optional[StreamingMetrics] = None
     trace_file: Optional[str] = None
     metrics_file: Optional[str] = None

@@ -81,6 +81,10 @@ from repro.serve.elastic import (
     ElasticTrace,
     ScalingAction,
 )
+from repro.serve.observe import (  # event kind codes and their log
+    ARR, BEGIN, CMP, DIT, DSP, ENQ, POWER, PRE, REJ, ROWS, SCALE, THROTTLE,
+    EventLog,
+)
 from repro.serve.power import PowerConfig, PowerGovernor, PowerTrace
 from repro.serve.served import ServedColumns, grow, ordered_sum
 from repro.serve.streaming import StreamingMetrics
@@ -557,7 +561,7 @@ class ServingEngine:
         trace: Sequence[Request] = (),
         clients: Optional[ClientPopulation] = None,
         stream: Optional[StreamingMetrics] = None,
-        observe=None,
+        log: Optional[EventLog] = None,
     ) -> ServingResult:
         """Simulate the whole trace to completion (closed horizon).
 
@@ -568,15 +572,16 @@ class ServingEngine:
         Completions land in one columnar record,
         :attr:`ServingResult.served`, on every run.  ``stream`` attaches a
         :class:`repro.serve.streaming.StreamingMetrics` that reads that
-        record live (rolling p99, progress lines); like ``observe`` it is
+        record live (rolling p99, progress lines); like ``log`` it is
         an exact pass-through, so the streamed result equals the
         unstreamed one.
 
-        ``observe`` attaches a :class:`repro.serve.observe.Observer`
-        (lifecycle tracer, metrics recorder, or a fan-out of several):
-        the hooks are exact pass-throughs on both the general and turbo
-        paths — the result with observers on is object-for-object the
-        result with observers off.
+        ``log`` (a :class:`repro.serve.observe.EventLog`) receives every
+        lifecycle event of the run, in event order, on both the general
+        and turbo loops, and is closed with the makespan; its renderers
+        write the trace and metrics files.  Logging only reads engine
+        state, so the result with a log is object-for-object the result
+        without one.
         """
         cluster, policy = self._cluster, self._policy
         # Turn the input into columns exactly once.  A generator trace is
@@ -697,7 +702,7 @@ class ServingEngine:
             # id, so the whole event loop specializes to a per-batch walk
             # (see _run_turbo).  Bit-identical to the general path —
             # golden-guarded through the homogeneous differential cases.
-            return self._run_turbo(cols, stream, clients, observe)
+            return self._run_turbo(cols, stream, clients, log)
         trace = cols.requests()
         # One queue per (tenant, model) slot.  Without tenancy there is a
         # single anonymous tenant "", so the slot list — and the dispatch
@@ -934,15 +939,16 @@ class ServingEngine:
         n_dispatch_rounds = 0
         n_slot_scans = 0
         tick = None if stream is None else stream._begin_run(record, cluster)
-        # Observability: one local, one `is not None` branch per hook
-        # site — with observers off the loop below runs the exact
-        # pre-observability instruction stream.  Hooks only *read* state,
-        # so the observed run's result is object-for-object identical.
-        obs = observe
-        if obs is not None:
-            obs.begin(cluster, policy)
+        # Observability: one `is not None` branch per event site — with
+        # no log the loop below runs the exact pre-observability
+        # instruction stream.  Appends only *read* state, so the logged
+        # run's result is object-for-object identical.
+        if log is not None:
+            log.append((BEGIN, cluster))
             if governor is not None:
-                governor.on_throttle = obs.throttle
+                governor.on_throttle = lambda t_ns, group, engaged: log.append(
+                    (THROTTLE, t_ns, group, engaged)
+                )
         # Self-profiling (off by default: one falsy branch per event).
         profiling = self._profile
         kind_counts = [0, 0, 0, 0]
@@ -1049,8 +1055,8 @@ class ServingEngine:
                     draining.discard(chip)
                     n_serving -= 1
                     el_timeline.append((finish, n_serving))
-                    if obs is not None:
-                        obs.scale(finish, "park", 1)
+                    if log is not None:
+                        log.append((SCALE, finish, "park", 1))
 
         def commit_batch(
             slot: Tuple[str, str],
@@ -1116,11 +1122,11 @@ class ServingEngine:
             running[chip] = inflight
             launch(chip, finish, inflight)
             n_batches += 1
-            if obs is not None:
-                obs.dispatch(
-                    now, chip, model, tenant, batch.requests, finish,
-                    overhead_ns,
-                )
+            if log is not None:
+                log.append((
+                    DSP, now, chip, model, tenant,
+                    [r.request_id for r in batch.requests], finish, overhead_ns,
+                ))
 
         def decode_price(
             table, c: int, take: int, ctx_pad: int, total_kv: float
@@ -1184,8 +1190,8 @@ class ServingEngine:
                 cost.energy_pj / take, footprints, total_kv, overflow,
             ))
             n_decode_iters += 1
-            if obs is not None:
-                obs.decode_iter(now, chip, model, take, ctx_pad, finish)
+            if log is not None:
+                log.append((DIT, now, chip, model, take, ctx_pad, finish))
 
         def dispatch(now: float) -> None:
             """Scan the dirty slots (ascending index) and dispatch winners.
@@ -1357,12 +1363,12 @@ class ServingEngine:
                     by_tenant=request.tenant,
                 )
             )
-            if obs is not None:
-                obs.preempt(
-                    now, chip, victim.batch.model, victim.batch.tenant,
-                    victim.batch.requests, wasted, request.tenant,
-                    victim.finish_ns,
-                )
+            if log is not None:
+                log.append((
+                    PRE, now, chip, victim.batch.model, victim.batch.tenant,
+                    [r.request_id for r in victim.batch.requests], wasted,
+                    request.tenant, victim.finish_ns,
+                ))
             chip_free[chip] = now
             # Rebalance the free index across the free-then-recommit pair
             # (the immediate commit below marks it busy again); the dirty
@@ -1425,39 +1431,47 @@ class ServingEngine:
                 # Power is piecewise constant between events, so advancing
                 # the governor exactly here makes the integration exact.
                 governor.advance(now)
-                if obs is not None:
-                    obs.power(now, governor.current_power_w())
+                if log is not None:
+                    log.append((POWER, now, governor.current_power_w()))
             if kind == _ARRIVAL:
                 request = payload
                 if controller is not None:
                     el_arrivals += 1
-                if obs is not None:
-                    obs.arrival(now, request)
+                if log is not None:
+                    log.append((
+                        ARR, now, request.request_id, request.model,
+                        request.tenant,
+                    ))
                 if admission is None or admission.admit(
                     request,
                     now,
                     model_queued[request.model],
                     total_queued,
                 ):
-                    if obs is not None:
-                        obs.enqueue(now, request)
+                    if log is not None:
+                        log.append((
+                            ENQ, now, request.request_id, request.model,
+                            request.tenant,
+                        ))
                     enqueue(request, now)
                 else:
                     n_rejections += 1
                     if driver is None:
                         # Open loop: nobody retries, the request drops.
                         rejected.append(RejectedRequest(request, now, 1))
-                        if obs is not None:
-                            obs.reject(now, request, True, 1)
+                        if log is not None:
+                            log.append((
+                                REJ, now, request.request_id, request.model,
+                                request.tenant, True, 1,
+                            ))
                     else:
                         outcome = driver.on_reject(request, now)
-                        if obs is not None:
-                            obs.reject(
-                                now,
-                                request,
-                                outcome.retry is None,
+                        if log is not None:
+                            log.append((
+                                REJ, now, request.request_id, request.model,
+                                request.tenant, outcome.retry is None,
                                 outcome.attempts,
-                            )
+                            ))
                         if outcome.retry is not None:
                             # The retry keeps its original arrival stamp
                             # (latency stays client-perceived across
@@ -1543,16 +1557,13 @@ class ServingEngine:
                 if inflight.finish_ns > makespan:
                     makespan = inflight.finish_ns
                 batch = inflight.batch
-                if obs is not None:
-                    obs.complete(
-                        now,
-                        inflight.chip_id,
-                        batch.model,
-                        batch.tenant,
-                        batch.requests,
-                        inflight.dispatch_ns,
-                        inflight.share_pj,
-                    )
+                if log is not None:
+                    log.append((
+                        CMP, now, inflight.chip_id, batch.model, batch.tenant,
+                        [r.request_id for r in batch.requests],
+                        [r.arrival_ns for r in batch.requests],
+                        inflight.dispatch_ns, inflight.share_pj,
+                    ))
                 # Requests with a sampled output length enter their
                 # model's decode FIFO (their first token just
                 # materialized — the TTFT stamp); the rest land.  The
@@ -1618,8 +1629,8 @@ class ServingEngine:
                             reason=reason,
                         )
                     )
-                    if obs is not None:
-                        obs.scale(now, "up", delta)
+                    if log is not None:
+                        log.append((SCALE, now, "up", delta))
                     # Capacity is never instant: the chips activate one
                     # provisioning delay from now, as their own event.
                     heapq.heappush(
@@ -1636,8 +1647,8 @@ class ServingEngine:
                             reason=reason,
                         )
                     )
-                    if obs is not None:
-                        obs.scale(now, "drain", -delta)
+                    if log is not None:
+                        log.append((SCALE, now, "drain", -delta))
                     # Cancel capacity still en route before touching live
                     # chips: the delta is relative to the *provisioned*
                     # count, which may exceed the active count while
@@ -1657,8 +1668,8 @@ class ServingEngine:
                             claim_chip(chip)
                             n_serving -= 1
                             el_timeline.append((now, n_serving))
-                            if obs is not None:
-                                obs.scale(now, "park", 1)
+                            if log is not None:
+                                log.append((SCALE, now, "park", 1))
                         else:
                             # Busy: finishes its in-flight batch first
                             # (parked by the free-heap drain above once
@@ -1695,8 +1706,8 @@ class ServingEngine:
                         n_serving += 1
                         el_timeline.append((now, n_serving))
                         mark_free(chip)
-                        if obs is not None:
-                            obs.scale(now, "activate", 1)
+                        if log is not None:
+                            log.append((SCALE, now, "activate", 1))
             if dirty:
                 dispatch(now)
 
@@ -1720,8 +1731,8 @@ class ServingEngine:
                 else None
             ),
         )
-        if obs is not None:
-            obs.finish(makespan)
+        if log is not None:
+            log.close(makespan)
         leftover = sum(len(q) for q in queues.values()) + sum(
             len(dq) for dq in decode_queues
         )
@@ -1769,7 +1780,7 @@ class ServingEngine:
         trace: TraceColumns,
         stream: Optional[StreamingMetrics],
         clients: Optional[ClientPopulation],
-        observe=None,
+        log: Optional[EventLog] = None,
     ) -> ServingResult:
         """Single-slot fast path: one model, uniform hosts, plain serving.
 
@@ -1796,13 +1807,12 @@ class ServingEngine:
         """
         cluster, policy = self._cluster, self._policy
         model = cluster.models[0]
-        obs = observe
         profiling = self._profile
         heap_peak = 0
         n = len(trace)
         arr = trace.arrival_ns.tolist()
-        # Request objects only where an observer needs them.
-        reqs = trace.requests() if obs is not None else ()
+        # The log records trace rows; ids resolve them to request ids.
+        ids = trace.request_id.tolist() if log is not None else None
         B = policy.max_batch_size
         W = policy.window_ns
         table = cluster.service_table(model)
@@ -1840,8 +1850,16 @@ class ServingEngine:
             return ServedColumns.land(trace, rec[:, :7], rank, ordered)
 
         tick = None if stream is None else stream._begin_run(record, cluster)
-        if obs is not None:
-            obs.begin(cluster, policy)
+        logged = 0  # trace rows [0, logged) have their arrivals logged
+        if log is not None:
+            log.append((BEGIN, cluster))
+
+        def log_arrivals() -> None:
+            """Log the rows that arrived since the last logged event."""
+            nonlocal logged
+            if logged < i:
+                log.append((ROWS, logged, i, arr, ids, model))
+                logged = i
 
         def pump(now: float) -> None:
             """The dispatch scan, specialized to the single slot."""
@@ -1877,11 +1895,12 @@ class ServingEngine:
                 ))
                 cseq += 1
                 n_batches += 1
-                if obs is not None:
-                    obs.dispatch(
-                        now, chip, model, "", reqs[head : head + take],
+                if log is not None:
+                    log_arrivals()
+                    log.append((
+                        DSP, now, chip, model, "", ids[head : head + take],
                         finish, 0.0,
-                    )
+                    ))
                 if profiling and len(busy) > heap_peak:
                     heap_peak = len(busy)
                 head += take
@@ -1904,11 +1923,12 @@ class ServingEngine:
                     rec = recs[ri]
                     chip_busy[chip] += rec[8]
                     completion_order.append(ri)
-                    if obs is not None:
-                        obs.complete(
-                            rec[4], chip, model, "", reqs[rec[7] : rec[0]],
-                            rec[3], rec[5],
-                        )
+                    if log is not None:
+                        log_arrivals()
+                        log.append((
+                            CMP, rec[4], chip, model, "", ids[rec[7] : rec[0]],
+                            arr[rec[7] : rec[0]], rec[3], rec[5],
+                        ))
                     if tick is not None:
                         done += rec[2]
                         tick(done)
@@ -1917,10 +1937,6 @@ class ServingEngine:
                 pump(now)
             elif t_a <= t_w:
                 was_empty = head == i
-                if obs is not None:
-                    request = reqs[i]
-                    obs.arrival(t_a, request)
-                    obs.enqueue(t_a, request)
                 i += 1
                 n_events += 1
                 if was_empty or i - head >= B:
@@ -1935,10 +1951,6 @@ class ServingEngine:
                     while i < cap:
                         a = arr[i]
                         if a < t_c and a <= t_w:
-                            if obs is not None:
-                                request = reqs[i]
-                                obs.arrival(a, request)
-                                obs.enqueue(a, request)
                             i += 1
                             n_events += 1
                         else:
@@ -1973,8 +1985,8 @@ class ServingEngine:
                 else None
             ),
         )
-        if obs is not None:
-            obs.finish(makespan)
+        if log is not None:
+            log.close(makespan)
         if head != n:
             raise RuntimeError(f"{n - head} requests never dispatched")
         del arr  # the arrival list is spent; free it before the record

@@ -1,19 +1,22 @@
-"""Opt-in observability for the serving engine: spans, metrics, profiles.
+"""Opt-in observability for the serving engine: one event record, rendered.
 
-Three consumers share one :class:`Observer` hook protocol, threaded
-through both engine paths (general and turbo) behind a single
-``if obs is not None`` branch per event — with observers off the loops
-run the exact pre-observability instruction stream and every golden
-differential replays byte for byte:
+Both engine loops (general and turbo) append each request-lifecycle
+event, in event order, to one :class:`EventLog`: a buffer of plain
+tuples behind a single ``if log is not None`` branch per event site, so
+an unobserved run executes the pre-observability instruction stream and
+every golden replays byte for byte.  Every :data:`CHUNK_EVENTS` events,
+and once more at the end of the run, the log hands the chunk to its
+renderers.  Each renderer formats a chunk in bulk and carries across
+chunks only the state it must:
 
-* **request-lifecycle tracing** (:func:`lifecycle_tracer`): every
+* **request-lifecycle traces** (:func:`lifecycle_tracer`): every
   request's arrival -> admission verdict -> enqueue -> (preempt)* ->
-  dispatch -> completion, streamed incrementally to a JSONL sink
-  (``.jsonl``) or a Chrome ``trace_event`` JSON file (``.json``) that
-  opens directly in Perfetto / ``chrome://tracing`` — one track per
-  chip, one per tenant queue, instant tracks for scale/throttle/spill/
-  preempt/reject.  Neither sink retains an event list: memory is bounded
-  by the in-flight span count, never by the request count.
+  dispatch -> completion, as JSON Lines (``.jsonl``,
+  :class:`JsonlTraceSink`) or as a Chrome ``trace_event`` JSON file
+  (``.json``, :class:`ChromeTraceSink`) that opens directly in Perfetto
+  / ``chrome://tracing`` — one track per chip, one per tenant queue,
+  instant tracks for scale/throttle/preempt/reject.  Memory is bounded
+  by one chunk plus the open queue spans, never by the request count.
 * **windowed time series** (:class:`MetricsRecorder`): throughput,
   queue depth, chip utilization, power draw, backlog and rejection rate
   sampled on a fixed simulated-time grid, written as CSV or JSON.  The
@@ -28,6 +31,26 @@ differential replays byte for byte:
   the run's :class:`~repro.serve.metrics.ServingReport` to float
   equality.
 
+Event tuples (``t`` is simulated nanoseconds, ``rids`` a list of request
+ids, ``arrivals`` their arrival stamps)::
+
+    (BEGIN, cluster)
+    (ARR, t, rid, model, tenant)                        arrival
+    (ENQ, t, rid, model, tenant)                        admitted
+    (REJ, t, rid, model, tenant, final, attempts)       shed
+    (DSP, t, chip, model, tenant, rids, finish, overhead)
+    (CMP, t, chip, model, tenant, rids, arrivals, dispatch, energy)
+    (PRE, t, chip, model, tenant, rids, wasted, by_tenant, finish)
+    (DIT, t, chip, model, n, ctx, finish)               decode iteration
+    (SCALE, t, kind, n)                                 elastic
+    (THROTTLE, t, group, engaged)                       governor
+    (POWER, t, watts)                                   governor draw
+    (ROWS, lo, hi, arrival_ns, request_ids, model)
+
+``ROWS`` is the turbo loop's compact arrival record: trace rows
+``[lo, hi)`` each arrive and enqueue (an ``ARR``/``ENQ`` pair) at their
+own stamp, with no other event between them.
+
 JSONL schema (one self-contained object per line; ``t`` is simulated
 nanoseconds, ``tn`` omitted for the anonymous tenant ``""``)::
 
@@ -40,7 +63,6 @@ nanoseconds, ``tn`` omitted for the anonymous tenant ``""``)::
     {"ev":"pre","t":…,"chip":…,"m":…,"rids":[…],"w":…,"by":…,"fin":…}
     {"ev":"scale","t":…,"kind":"up","n":2}                elastic
     {"ev":"throttle","t":…,"grp":"yoco","on":true}        governor
-    {"ev":"spill","t":…,"src":"r0","dst":"r1"}            regions
     {"ev":"dit","t":…,"chip":…,"m":…,"n":4,"ctx":144,"fin":…}  decode iter
     {"ev":"end","t":makespan}
 
@@ -55,340 +77,193 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from typing import (
-    IO,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.metrics import _percentiles_from_sorted
-from repro.serve.traces import Request
+from repro.serve.served import _percentiles_from_sorted
+
+#: Event kind codes, the first field of every event tuple.
+BEGIN, ARR, ENQ, REJ, DSP, CMP, PRE, DIT, SCALE, THROTTLE, POWER, ROWS = range(12)
+
+#: Events the log buffers before it hands them to its renderers.
+CHUNK_EVENTS = 8192
 
 
-class Observer:
-    """No-op base for engine observers: override the hooks you need.
+class EventLog:
+    """One run's lifecycle events, handed to renderers chunk by chunk.
 
-    Every hook receives the event's simulated timestamp first; the
-    engine calls them in event order, so timestamps are monotone
-    non-decreasing across one run.  ``begin`` fires once before the
-    first event, ``finish`` once after the last with the run's
-    makespan.  Hooks must not mutate their arguments — the engine
-    passes live ``Request`` tuples, and the observers-on run is
-    contractually object-for-object identical to the observers-off run.
+    The engine calls :meth:`append` once per event and :meth:`close`
+    once with the makespan.  A renderer is any object with a
+    ``write(chunk)`` / ``close(makespan_ns)`` pair; chunks arrive in
+    event order, so timestamps are monotone non-decreasing across one
+    run (``BEGIN`` first).
     """
 
-    def begin(self, cluster, policy) -> None:
-        pass
+    def __init__(self, renderers: Sequence) -> None:
+        self.renderers = tuple(renderers)
+        self._events: List[tuple] = []
 
-    def arrival(self, t_ns: float, request: Request) -> None:
-        pass
+    def append(self, event: tuple) -> None:
+        events = self._events
+        events.append(event)
+        if len(events) >= CHUNK_EVENTS:
+            self._flush()
 
-    def enqueue(self, t_ns: float, request: Request) -> None:
-        pass
+    def _flush(self) -> None:
+        chunk, self._events = self._events, []
+        for renderer in self.renderers:
+            renderer.write(chunk)
 
-    def reject(
-        self, t_ns: float, request: Request, final: bool, attempts: int
-    ) -> None:
-        pass
-
-    def dispatch(
-        self,
-        t_ns: float,
-        chip_id: int,
-        model: str,
-        tenant: str,
-        requests: Sequence[Request],
-        finish_ns: float,
-        overhead_ns: float,
-    ) -> None:
-        pass
-
-    def complete(
-        self,
-        t_ns: float,
-        chip_id: int,
-        model: str,
-        tenant: str,
-        requests: Sequence[Request],
-        dispatch_ns: float,
-        energy_pj_per_req: float,
-    ) -> None:
-        pass
-
-    def preempt(
-        self,
-        t_ns: float,
-        chip_id: int,
-        model: str,
-        tenant: str,
-        requests: Sequence[Request],
-        wasted_ns: float,
-        by_tenant: str,
-        finish_ns: float,
-    ) -> None:
-        pass
-
-    def decode_iter(
-        self,
-        t_ns: float,
-        chip_id: int,
-        model: str,
-        n: int,
-        ctx: int,
-        finish_ns: float,
-    ) -> None:
-        """One decode iteration dispatched: ``n`` requests at the
-        page-rounded context ``ctx``, occupying ``chip_id`` until
-        ``finish_ns``.  Carries no request ids on purpose — a long
-        decode run emits millions of iterations."""
-
-    def scale(self, t_ns: float, kind: str, n: int) -> None:
-        pass
-
-    def throttle(self, t_ns: float, group: str, engaged: bool) -> None:
-        pass
-
-    def power(self, t_ns: float, watts: float) -> None:
-        pass
-
-    def spill(self, t_ns: float, src: str, dst: str) -> None:
-        pass
-
-    def finish(self, makespan_ns: float) -> None:
-        pass
-
-
-class MultiObserver(Observer):
-    """Fan one engine hook stream out to several observers, in order."""
-
-    def __init__(self, observers: Sequence[Observer]) -> None:
-        self.observers = tuple(observers)
-
-    def begin(self, cluster, policy) -> None:
-        for o in self.observers:
-            o.begin(cluster, policy)
-
-    def arrival(self, t_ns, request) -> None:
-        for o in self.observers:
-            o.arrival(t_ns, request)
-
-    def enqueue(self, t_ns, request) -> None:
-        for o in self.observers:
-            o.enqueue(t_ns, request)
-
-    def reject(self, t_ns, request, final, attempts) -> None:
-        for o in self.observers:
-            o.reject(t_ns, request, final, attempts)
-
-    def dispatch(
-        self, t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-    ) -> None:
-        for o in self.observers:
-            o.dispatch(
-                t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-            )
-
-    def complete(
-        self, t_ns, chip_id, model, tenant, requests, dispatch_ns, energy
-    ) -> None:
-        for o in self.observers:
-            o.complete(
-                t_ns, chip_id, model, tenant, requests, dispatch_ns, energy
-            )
-
-    def preempt(
-        self, t_ns, chip_id, model, tenant, requests, wasted, by, finish_ns
-    ) -> None:
-        for o in self.observers:
-            o.preempt(
-                t_ns, chip_id, model, tenant, requests, wasted, by, finish_ns
-            )
-
-    def decode_iter(self, t_ns, chip_id, model, n, ctx, finish_ns) -> None:
-        for o in self.observers:
-            o.decode_iter(t_ns, chip_id, model, n, ctx, finish_ns)
-
-    def scale(self, t_ns, kind, n) -> None:
-        for o in self.observers:
-            o.scale(t_ns, kind, n)
-
-    def throttle(self, t_ns, group, engaged) -> None:
-        for o in self.observers:
-            o.throttle(t_ns, group, engaged)
-
-    def power(self, t_ns, watts) -> None:
-        for o in self.observers:
-            o.power(t_ns, watts)
-
-    def spill(self, t_ns, src, dst) -> None:
-        for o in self.observers:
-            o.spill(t_ns, src, dst)
-
-    def finish(self, makespan_ns) -> None:
-        for o in self.observers:
-            o.finish(makespan_ns)
-
-
-def compose_observers(observers: Sequence[Observer]) -> Optional[Observer]:
-    """Collapse an observer list to None / the observer / a fan-out."""
-    observers = [o for o in observers if o is not None]
-    if not observers:
-        return None
-    if len(observers) == 1:
-        return observers[0]
-    return MultiObserver(observers)
+    def close(self, makespan_ns: float) -> None:
+        self._flush()
+        for renderer in self.renderers:
+            renderer.close(makespan_ns)
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle tracing sinks
+# Lifecycle trace renderers
 # ---------------------------------------------------------------------------
 
 
-def _jname(cache: Dict[str, str], name: str) -> str:
-    """JSON-quote a name once; model/tenant/group names repeat millions
-    of times per trace, so the hot emitters interpolate the cached quoted
-    form instead of calling json.dumps per event."""
-    quoted = cache.get(name)
-    if quoted is None:
-        quoted = cache[name] = json.dumps(name)
-    return quoted
+class _Quoted(dict):
+    """name -> JSON-quoted name, quoted once: model/tenant/group names
+    repeat millions of times per trace."""
+
+    def __missing__(self, name: str) -> str:
+        quoted = self[name] = json.dumps(name)
+        return quoted
 
 
-class JsonlTraceSink(Observer):
-    """Stream lifecycle events as JSON Lines (schema in module docstring).
+class _TenantField(dict):
+    """tenant -> its JSONL ``,"tn":…`` fragment (empty for ``""``)."""
 
-    Every event is formatted and written immediately — the sink holds no
-    event list, so tracing a million-request run costs file bytes, not
-    resident memory.  ``n_events`` / ``bytes_written`` are the
-    guard-rail counters (deterministic, no wall clock) the scale tests
-    assert linearity on.
+    def __missing__(self, tenant: str) -> str:
+        frag = self[tenant] = f',"tn":{json.dumps(tenant)}' if tenant else ""
+        return frag
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+class JsonlTraceSink:
+    """Render the log as JSON Lines (schema in the module docstring).
+
+    Each chunk lands as one file write; across chunks the sink keeps
+    only its name caches, so tracing a million-request run costs file
+    bytes, not resident memory.  ``n_events`` / ``bytes_written`` are
+    the guard-rail counters (deterministic, no wall clock) the scale
+    tests assert linearity on.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._f: Optional[IO[str]] = None
-        self._names: Dict[str, str] = {}
-        self._tn: Dict[str, str] = {"": ""}
+        self._names = _Quoted()
+        self._tn = _TenantField()
         self.n_events = 0
         self.bytes_written = 0
 
-    def _write(self, line: str) -> None:
-        if self._f is None:  # standalone use (e.g. regions spill feed)
-            self._f = open(self.path, "w")
-        self._f.write(line)
-        self.n_events += 1
-        self.bytes_written += len(line)
+    def _land(self, lines: List[str], n_events: int) -> None:
+        text = "".join(lines)
+        self._f.write(text)
+        self.n_events += n_events
+        self.bytes_written += len(text)
 
-    def _tenant(self, tenant: str) -> str:
-        frag = self._tn.get(tenant)
-        if frag is None:
-            frag = self._tn[tenant] = f',"tn":{json.dumps(tenant)}'
-        return frag
+    def write(self, chunk: Sequence[tuple]) -> None:
+        names, tn = self._names, self._tn
+        lines: List[str] = []
+        add = lines.append
+        paired = 0  # ROWS lines that carry an arr *and* an enq event
+        for ev in chunk:
+            k = ev[0]
+            if k == ROWS:
+                _, lo, hi, arrival_ns, request_ids, model = ev
+                m = names[model]
+                lines.extend([
+                    f'{{"ev":"arr","t":{t},"rid":{rid},"m":{m}}}\n'
+                    f'{{"ev":"enq","t":{t},"rid":{rid},"m":{m}}}\n'
+                    for t, rid in zip(
+                        map(repr, arrival_ns[lo:hi]), request_ids[lo:hi]
+                    )
+                ])
+                paired += hi - lo
+            elif k == ARR or k == ENQ:
+                _, t, rid, m, tenant = ev
+                add(
+                    f'{{"ev":"{"arr" if k == ARR else "enq"}","t":{t!r},'
+                    f'"rid":{rid},"m":{names[m]}{tn[tenant]}}}\n'
+                )
+            elif k == DSP:
+                _, t, chip, m, tenant, rids, fin, ov = ev
+                ov_field = f',"ov":{ov!r}' if ov else ""
+                add(
+                    f'{{"ev":"dsp","t":{t!r},"chip":{chip},'
+                    f'"m":{names[m]}{tn[tenant]},'
+                    f'"rids":[{",".join(map(str, rids))}],"fin":{fin!r}'
+                    f'{ov_field}}}\n'
+                )
+            elif k == CMP:
+                _, t, chip, m, tenant, rids, _, d, e = ev
+                add(
+                    f'{{"ev":"cmp","t":{t!r},"chip":{chip},'
+                    f'"m":{names[m]}{tn[tenant]},'
+                    f'"rids":[{",".join(map(str, rids))}],"d":{d!r},"e":{e!r}}}\n'
+                )
+            elif k == DIT:
+                _, t, chip, m, n, ctx, fin = ev
+                add(
+                    f'{{"ev":"dit","t":{t!r},"chip":{chip},"m":{names[m]},'
+                    f'"n":{n},"ctx":{ctx},"fin":{fin!r}}}\n'
+                )
+            elif k == REJ:
+                _, t, rid, m, tenant, final, attempts = ev
+                add(
+                    f'{{"ev":"rej","t":{t!r},"rid":{rid},'
+                    f'"m":{names[m]}{tn[tenant]},'
+                    f'"final":{_bool(final)},"n":{attempts}}}\n'
+                )
+            elif k == PRE:
+                _, t, chip, m, tenant, rids, w, by, fin = ev
+                add(
+                    f'{{"ev":"pre","t":{t!r},"chip":{chip},'
+                    f'"m":{names[m]}{tn[tenant]},'
+                    f'"rids":[{",".join(map(str, rids))}],"w":{w!r},'
+                    f'"by":{names[by]},"fin":{fin!r}}}\n'
+                )
+            elif k == SCALE:
+                _, t, kind, n = ev
+                add(f'{{"ev":"scale","t":{t!r},"kind":"{kind}","n":{n}}}\n')
+            elif k == THROTTLE:
+                _, t, group, engaged = ev
+                add(
+                    f'{{"ev":"throttle","t":{t!r},"grp":{names[group]},'
+                    f'"on":{_bool(engaged)}}}\n'
+                )
+            elif k == BEGIN:
+                cluster = ev[1]
+                self._f = open(self.path, "w")
+                add(
+                    json.dumps(
+                        {
+                            "ev": "begin",
+                            "chips": cluster.n_chips,
+                            "models": list(cluster.models),
+                        },
+                        separators=(",", ":"),
+                    )
+                    + "\n"
+                )
+        self._land(lines, len(lines) + paired)
 
-    def begin(self, cluster, policy) -> None:
-        if self._f is None:
-            self._f = open(self.path, "w")
-        self._write(
-            json.dumps(
-                {
-                    "ev": "begin",
-                    "chips": cluster.n_chips,
-                    "models": list(cluster.models),
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-
-    def arrival(self, t_ns, request) -> None:
-        self._write(
-            f'{{"ev":"arr","t":{t_ns!r},"rid":{request.request_id},'
-            f'"m":{_jname(self._names, request.model)}'
-            f"{self._tenant(request.tenant)}}}\n"
-        )
-
-    def enqueue(self, t_ns, request) -> None:
-        self._write(
-            f'{{"ev":"enq","t":{t_ns!r},"rid":{request.request_id},'
-            f'"m":{_jname(self._names, request.model)}'
-            f"{self._tenant(request.tenant)}}}\n"
-        )
-
-    def reject(self, t_ns, request, final, attempts) -> None:
-        self._write(
-            f'{{"ev":"rej","t":{t_ns!r},"rid":{request.request_id},'
-            f'"m":{_jname(self._names, request.model)}'
-            f"{self._tenant(request.tenant)},"
-            f'"final":{"true" if final else "false"},"n":{attempts}}}\n'
-        )
-
-    def dispatch(
-        self, t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-    ) -> None:
-        rids = ",".join(str(r.request_id) for r in requests)
-        ov = f',"ov":{overhead_ns!r}' if overhead_ns else ""
-        self._write(
-            f'{{"ev":"dsp","t":{t_ns!r},"chip":{chip_id},'
-            f'"m":{_jname(self._names, model)}{self._tenant(tenant)},'
-            f'"rids":[{rids}],"fin":{finish_ns!r}{ov}}}\n'
-        )
-
-    def complete(
-        self, t_ns, chip_id, model, tenant, requests, dispatch_ns, energy
-    ) -> None:
-        rids = ",".join(str(r.request_id) for r in requests)
-        self._write(
-            f'{{"ev":"cmp","t":{t_ns!r},"chip":{chip_id},'
-            f'"m":{_jname(self._names, model)}{self._tenant(tenant)},'
-            f'"rids":[{rids}],"d":{dispatch_ns!r},"e":{energy!r}}}\n'
-        )
-
-    def preempt(
-        self, t_ns, chip_id, model, tenant, requests, wasted, by, finish_ns
-    ) -> None:
-        rids = ",".join(str(r.request_id) for r in requests)
-        self._write(
-            f'{{"ev":"pre","t":{t_ns!r},"chip":{chip_id},'
-            f'"m":{_jname(self._names, model)}{self._tenant(tenant)},'
-            f'"rids":[{rids}],"w":{wasted!r},"by":{json.dumps(by)},'
-            f'"fin":{finish_ns!r}}}\n'
-        )
-
-    def decode_iter(self, t_ns, chip_id, model, n, ctx, finish_ns) -> None:
-        self._write(
-            f'{{"ev":"dit","t":{t_ns!r},"chip":{chip_id},'
-            f'"m":{_jname(self._names, model)},"n":{n},"ctx":{ctx},'
-            f'"fin":{finish_ns!r}}}\n'
-        )
-
-    def scale(self, t_ns, kind, n) -> None:
-        self._write(f'{{"ev":"scale","t":{t_ns!r},"kind":"{kind}","n":{n}}}\n')
-
-    def throttle(self, t_ns, group, engaged) -> None:
-        self._write(
-            f'{{"ev":"throttle","t":{t_ns!r},'
-            f'"grp":{_jname(self._names, group)},'
-            f'"on":{"true" if engaged else "false"}}}\n'
-        )
-
-    def spill(self, t_ns, src, dst) -> None:
-        self._write(
-            f'{{"ev":"spill","t":{t_ns!r},"src":{json.dumps(src)},'
-            f'"dst":{json.dumps(dst)}}}\n'
-        )
-
-    def finish(self, makespan_ns) -> None:
-        self._write(f'{{"ev":"end","t":{makespan_ns!r}}}\n')
-        if self._f is not None:
-            self._f.close()
-            self._f = None
+    def close(self, makespan_ns: float) -> None:
+        self._land([f'{{"ev":"end","t":{makespan_ns!r}}}\n'], 1)
+        self._f.close()
+        self._f = None
 
 
 #: Chrome trace_event process ids: chip tracks, tenant-queue tracks, and
-#: the instant-event tracks (scale / throttle / preempt / reject / spill).
+#: the instant-event tracks.  No engine event lands on the spill track;
+#: its metadata line keeps every file's layout unchanged.
 _PID_CHIPS, _PID_QUEUES, _PID_EVENTS = 1, 2, 3
 _INSTANT_TIDS = {
     "scale": 1,
@@ -399,17 +274,41 @@ _INSTANT_TIDS = {
 }
 
 
-class ChromeTraceSink(Observer):
-    """Stream lifecycle events as Chrome ``trace_event`` JSON.
+def _compact(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _meta(pid: int, tid: int, what: str, name: str) -> str:
+    return _compact(
+        {"ph": "M", "pid": pid, "tid": tid, "name": what, "args": {"name": name}}
+    )
+
+
+def _instant(track: str, t_ns: float, name: str, args: dict) -> str:
+    return _compact(
+        {
+            "ph": "i",
+            "ts": t_ns / 1e3,
+            "pid": _PID_EVENTS,
+            "tid": _INSTANT_TIDS[track],
+            "name": name,
+            "s": "p",
+            "args": args,
+        }
+    )
+
+
+class ChromeTraceSink:
+    """Render the log as Chrome ``trace_event`` JSON.
 
     The output opens directly in Perfetto / ``chrome://tracing``: pid 1
     holds one thread per chip (each batch a complete ``X`` span from
     dispatch to finish), pid 2 one thread per tenant queue (each
     request's enqueue-to-dispatch wait), pid 3 the instant tracks.
-    Events stream to the file as they happen; the only retained state is
-    the open-span bookkeeping — one entry per *queued* request and one
-    per busy chip — so memory is bounded by peak queue depth, not by
-    trace length (``max_open_spans`` is the guard-rail counter).
+    Across chunks the sink keeps only the open-span bookkeeping — one
+    entry per *queued* request and one per busy chip — so memory is
+    bounded by peak queue depth, not by trace length
+    (``max_open_spans`` is the guard-rail counter).
     """
 
     def __init__(self, path: str) -> None:
@@ -419,170 +318,148 @@ class ChromeTraceSink(Observer):
         # (tenant, model, rid) -> queue-span start; re-opened on preempt.
         self._open: Dict[Tuple[str, str, int], float] = {}
         # chip -> that batch's span keys (for preempt re-opening).
-        self._inflight: Dict[int, Tuple[Tuple[str, str, int], ...]] = {}
+        self._inflight: Dict[int, List[Tuple[str, str, int]]] = {}
         self._tenant_tid: Dict[str, int] = {}
+        self._names = _Quoted()
         self.n_events = 0
         self.bytes_written = 0
         self.max_open_spans = 0
 
-    def _emit(self, text: str) -> None:
-        prefix = "" if self._first else ",\n"
-        self._first = False
-        data = prefix + text
-        self._f.write(data)
-        self.n_events += 1
-        self.bytes_written += len(data)
+    def write(self, chunk: Sequence[tuple]) -> None:
+        opened, inflight, names = self._open, self._inflight, self._names
+        spans: List[str] = []
+        add = spans.append
+        for ev in chunk:
+            k = ev[0]
+            if k == ROWS:
+                _, lo, hi, arrival_ns, request_ids, m = ev
+                for t, rid in zip(arrival_ns[lo:hi], request_ids[lo:hi]):
+                    opened[("", m, rid)] = t
+                if len(opened) > self.max_open_spans:
+                    self.max_open_spans = len(opened)
+            elif k == ENQ:
+                _, t, rid, m, tenant = ev
+                opened[(tenant, m, rid)] = t
+                if len(opened) > self.max_open_spans:
+                    self.max_open_spans = len(opened)
+            elif k == DSP:
+                _, t, chip, m, tenant, rids, _, _ = ev
+                tid = self._tenant_tid.get(tenant)
+                if tid is None:
+                    tid = self._tenant_tid[tenant] = len(self._tenant_tid)
+                    add(
+                        _meta(
+                            _PID_QUEUES, tid, "thread_name",
+                            f"queue {tenant}" if tenant else "queue",
+                        )
+                    )
+                name = names[m]
+                keys = [(tenant, m, rid) for rid in rids]
+                starts = [opened.pop(key, t) for key in keys]
+                spans.extend([
+                    f'{{"ph":"X","ts":{start / 1e3!r},'
+                    f'"dur":{(t - start) / 1e3!r},'
+                    f'"pid":{_PID_QUEUES},"tid":{tid},"name":{name},'
+                    f'"args":{{"rid":{rid}}}}}'
+                    for start, rid in zip(starts, rids)
+                ])
+                inflight[chip] = keys
+            elif k == CMP:
+                _, t, chip, m, tenant, rids, _, d, e = ev
+                n = len(rids)
+                add(
+                    f'{{"ph":"X","ts":{d / 1e3!r},"dur":{(t - d) / 1e3!r},'
+                    f'"pid":{_PID_CHIPS},"tid":{chip},'
+                    f'"name":{names[f"{m} x{n}"]},'
+                    f'"args":{{"n":{n},"tenant":{names[tenant]},'
+                    f'"energy_pj_per_req":{e!r}}}}}'
+                )
+                inflight.pop(chip, None)
+            elif k == DIT:
+                # Each iteration is its own complete X span on the chip's
+                # track: a decoding chip renders as a dense run of short
+                # spans, visually distinct from the long prefill spans.
+                _, t, chip, m, n, ctx, fin = ev
+                add(
+                    f'{{"ph":"X","ts":{t / 1e3!r},"dur":{(fin - t) / 1e3!r},'
+                    f'"pid":{_PID_CHIPS},"tid":{chip},'
+                    f'"name":{names[f"decode {m} x{n}"]},'
+                    f'"args":{{"n":{n},"ctx":{ctx}}}}}'
+                )
+            elif k == REJ:
+                _, t, rid, m, tenant, final, _ = ev
+                if final:
+                    add(
+                        _instant(
+                            "reject", t, f"reject {m}",
+                            {"rid": rid, "tenant": tenant},
+                        )
+                    )
+            elif k == PRE:
+                # The killed batch shows as its own (shorter) chip span,
+                # and its requests go back to waiting: their queue spans
+                # re-open now.
+                _, t, chip, m, tenant, rids, wasted, by, _ = ev
+                add(
+                    f'{{"ph":"X","ts":{(t - wasted) / 1e3!r},'
+                    f'"dur":{wasted / 1e3!r},'
+                    f'"pid":{_PID_CHIPS},"tid":{chip},'
+                    f'"name":{json.dumps(f"preempted {m} x{len(rids)}")},'
+                    f'"args":{{"by":{json.dumps(by)}}}}}'
+                )
+                add(
+                    _instant(
+                        "preempt", t, f"preempt {tenant or m}",
+                        {"chip": chip, "by": by, "wasted_ns": wasted},
+                    )
+                )
+                for key in inflight.pop(chip, ()):
+                    opened[key] = t
+                if len(opened) > self.max_open_spans:
+                    self.max_open_spans = len(opened)
+            elif k == SCALE:
+                _, t, kind, n = ev
+                add(_instant("scale", t, f"scale {kind}", {"n": n}))
+            elif k == THROTTLE:
+                _, t, group, engaged = ev
+                add(
+                    _instant(
+                        "throttle", t,
+                        f"throttle {'engage' if engaged else 'release'}",
+                        {"group": group},
+                    )
+                )
+            elif k == BEGIN:
+                cluster = ev[1]
+                self._f = open(self.path, "w")
+                self._f.write('{"traceEvents":[\n')
+                add(_meta(_PID_CHIPS, 0, "process_name", "chips"))
+                add(_meta(_PID_QUEUES, 0, "process_name", "tenant queues"))
+                add(_meta(_PID_EVENTS, 0, "process_name", "events"))
+                for name, tid in _INSTANT_TIDS.items():
+                    add(_meta(_PID_EVENTS, tid, "thread_name", name))
+                for c in range(cluster.n_chips):
+                    add(
+                        _meta(
+                            _PID_CHIPS, c, "thread_name",
+                            f"chip {c} ({cluster.chip_type(c)})",
+                        )
+                    )
+        if spans:
+            data = ("" if self._first else ",\n") + ",\n".join(spans)
+            self._first = False
+            self._f.write(data)
+            self.n_events += len(spans)
+            self.bytes_written += len(data)
 
-    def _emit_obj(self, obj: dict) -> None:
-        self._emit(json.dumps(obj, separators=(",", ":")))
-
-    def _meta(self, pid: int, tid: int, what: str, name: str) -> None:
-        self._emit_obj(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "name": what,
-                "args": {"name": name},
-            }
-        )
-
-    def _queue_tid(self, tenant: str) -> int:
-        tid = self._tenant_tid.get(tenant)
-        if tid is None:
-            tid = self._tenant_tid[tenant] = len(self._tenant_tid)
-            self._meta(
-                _PID_QUEUES, tid, "thread_name",
-                f"queue {tenant}" if tenant else "queue",
-            )
-        return tid
-
-    def begin(self, cluster, policy) -> None:
-        self._f = open(self.path, "w")
-        self._f.write('{"traceEvents":[\n')
-        self._meta(_PID_CHIPS, 0, "process_name", "chips")
-        self._meta(_PID_QUEUES, 0, "process_name", "tenant queues")
-        self._meta(_PID_EVENTS, 0, "process_name", "events")
-        for name, tid in _INSTANT_TIDS.items():
-            self._meta(_PID_EVENTS, tid, "thread_name", name)
-        for c in range(cluster.n_chips):
-            self._meta(
-                _PID_CHIPS, c, "thread_name",
-                f"chip {c} ({cluster.chip_type(c)})",
-            )
-
-    def _instant(self, track: str, t_ns: float, name: str, args: dict) -> None:
-        self._emit_obj(
-            {
-                "ph": "i",
-                "ts": t_ns / 1e3,
-                "pid": _PID_EVENTS,
-                "tid": _INSTANT_TIDS[track],
-                "name": name,
-                "s": "p",
-                "args": args,
-            }
-        )
-
-    def enqueue(self, t_ns, request) -> None:
-        self._open[(request.tenant, request.model, request.request_id)] = t_ns
-        if len(self._open) > self.max_open_spans:
-            self.max_open_spans = len(self._open)
-
-    def reject(self, t_ns, request, final, attempts) -> None:
-        if final:
-            self._instant(
-                "reject", t_ns, f"reject {request.model}",
-                {"rid": request.request_id, "tenant": request.tenant},
-            )
-
-    def dispatch(
-        self, t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-    ) -> None:
-        tid = self._queue_tid(tenant)
-        keys = []
-        for r in requests:
-            key = (tenant, model, r.request_id)
-            keys.append(key)
-            start = self._open.pop(key, t_ns)
-            self._emit(
-                f'{{"ph":"X","ts":{start / 1e3!r},'
-                f'"dur":{(t_ns - start) / 1e3!r},'
-                f'"pid":{_PID_QUEUES},"tid":{tid},'
-                f'"name":{json.dumps(model)},'
-                f'"args":{{"rid":{r.request_id}}}}}'
-            )
-        self._inflight[chip_id] = tuple(keys)
-
-    def complete(
-        self, t_ns, chip_id, model, tenant, requests, dispatch_ns, energy
-    ) -> None:
-        n = len(requests)
-        self._emit(
-            f'{{"ph":"X","ts":{dispatch_ns / 1e3!r},'
-            f'"dur":{(t_ns - dispatch_ns) / 1e3!r},'
-            f'"pid":{_PID_CHIPS},"tid":{chip_id},'
-            f'"name":{json.dumps(f"{model} x{n}")},'
-            f'"args":{{"n":{n},"tenant":{json.dumps(tenant)},'
-            f'"energy_pj_per_req":{energy!r}}}}}'
-        )
-        self._inflight.pop(chip_id, None)
-
-    def preempt(
-        self, t_ns, chip_id, model, tenant, requests, wasted, by, finish_ns
-    ) -> None:
-        # The killed batch shows as its own (shorter) chip span, and its
-        # requests go back to waiting: their queue spans re-open now.
-        self._emit(
-            f'{{"ph":"X","ts":{(t_ns - wasted) / 1e3!r},'
-            f'"dur":{wasted / 1e3!r},'
-            f'"pid":{_PID_CHIPS},"tid":{chip_id},'
-            f'"name":{json.dumps(f"preempted {model} x{len(requests)}")},'
-            f'"args":{{"by":{json.dumps(by)}}}}}'
-        )
-        self._instant(
-            "preempt", t_ns, f"preempt {tenant or model}",
-            {"chip": chip_id, "by": by, "wasted_ns": wasted},
-        )
-        for key in self._inflight.pop(chip_id, ()):
-            self._open[key] = t_ns
-        if len(self._open) > self.max_open_spans:
-            self.max_open_spans = len(self._open)
-
-    def decode_iter(self, t_ns, chip_id, model, n, ctx, finish_ns) -> None:
-        # Each iteration is its own complete X span on the chip's track:
-        # a decoding chip renders as a dense run of short spans, visually
-        # distinct from the long prefill spans.
-        self._emit(
-            f'{{"ph":"X","ts":{t_ns / 1e3!r},'
-            f'"dur":{(finish_ns - t_ns) / 1e3!r},'
-            f'"pid":{_PID_CHIPS},"tid":{chip_id},'
-            f'"name":{json.dumps(f"decode {model} x{n}")},'
-            f'"args":{{"n":{n},"ctx":{ctx}}}}}'
-        )
-
-    def scale(self, t_ns, kind, n) -> None:
-        self._instant("scale", t_ns, f"scale {kind}", {"n": n})
-
-    def throttle(self, t_ns, group, engaged) -> None:
-        self._instant(
-            "throttle", t_ns,
-            f"throttle {'engage' if engaged else 'release'}",
-            {"group": group},
-        )
-
-    def spill(self, t_ns, src, dst) -> None:
-        self._instant("spill", t_ns, f"spill {src}->{dst}", {"src": src, "dst": dst})
-
-    def finish(self, makespan_ns) -> None:
-        if self._f is not None:
-            self._f.write('\n],"displayTimeUnit":"ms"}\n')
-            self._f.close()
-            self._f = None
+    def close(self, makespan_ns: float) -> None:
+        self._f.write('\n],"displayTimeUnit":"ms"}\n')
+        self._f.close()
+        self._f = None
 
 
 def lifecycle_tracer(path: str):
-    """Build the lifecycle-trace sink a path asks for.
+    """Build the lifecycle-trace renderer a path asks for.
 
     ``.json`` means Chrome ``trace_event`` format (Perfetto-loadable);
     anything else — ``.jsonl`` canonically — means the JSON Lines schema
@@ -598,7 +475,7 @@ def lifecycle_tracer(path: str):
 # ---------------------------------------------------------------------------
 
 
-class MetricsRecorder(Observer):
+class MetricsRecorder:
     """Sample run health on a fixed simulated-time grid.
 
     Each window of ``window_ms`` simulated milliseconds yields one row:
@@ -610,10 +487,10 @@ class MetricsRecorder(Observer):
     completion latency percentiles — the same interpolation
     :func:`repro.serve.metrics.summarize` uses on the whole run.
 
-    Rows accumulate in memory (one per window, never per request) and
-    :meth:`write` lands them as CSV (default) or JSON by ``path``
-    extension; passing ``path`` up front makes ``finish`` write
-    automatically.
+    Across chunks the recorder carries the open window's accumulators
+    and one row per closed window, never per-request state.  ``close``
+    lands the rows at ``path`` (if given) as CSV, or as JSON for a
+    ``.json`` path.
     """
 
     COLUMNS = (
@@ -637,7 +514,8 @@ class MetricsRecorder(Observer):
         self.window_ns = window_ms * 1e6
         self.path = path
         self.rows: List[dict] = []
-        self._w = 0  # current (unflushed) window index
+        self._w = 0  # current (open) window index
+        self._edge = self.window_ns  # its end: (_w + 1) * window_ns
         self._n_chips = 0
         self._depth = 0
         self._arrivals = 0
@@ -649,9 +527,6 @@ class MetricsRecorder(Observer):
         self._pw_t = 0.0
         self._pw_last: Optional[float] = None
         self._has_power = False
-
-    def begin(self, cluster, policy) -> None:
-        self._n_chips = cluster.n_chips
 
     def _flush(self) -> None:
         """Close the current window into a row and open the next."""
@@ -687,10 +562,7 @@ class MetricsRecorder(Observer):
         self._arrivals = self._completions = self._rejected = 0
         self._lat_ms = []
         self._w += 1
-
-    def _tick(self, t_ns: float) -> None:
-        while (self._w + 1) * self.window_ns <= t_ns:
-            self._flush()
+        self._edge = (self._w + 1) * self.window_ns
 
     def _credit(self, a: float, b: float, sign: float) -> None:
         """Spread chip-busy nanoseconds [a, b) across window buckets."""
@@ -702,54 +574,10 @@ class MetricsRecorder(Observer):
             a = end
             w += 1
 
-    def arrival(self, t_ns, request) -> None:
-        self._tick(t_ns)
-        self._arrivals += 1
-
-    def enqueue(self, t_ns, request) -> None:
-        self._tick(t_ns)
-        self._depth += 1
-
-    def reject(self, t_ns, request, final, attempts) -> None:
-        self._tick(t_ns)
-        if final:
-            self._rejected += 1
-
-    def dispatch(
-        self, t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-    ) -> None:
-        self._tick(t_ns)
-        self._depth -= len(requests)
-        self._credit(t_ns, finish_ns, 1.0)
-
-    def complete(
-        self, t_ns, chip_id, model, tenant, requests, dispatch_ns, energy
-    ) -> None:
-        self._tick(t_ns)
-        self._completions += len(requests)
-        lat = self._lat_ms
-        for r in requests:
-            lat.append((t_ns - r.arrival_ns) * 1e-6)
-
-    def preempt(
-        self, t_ns, chip_id, model, tenant, requests, wasted, by, finish_ns
-    ) -> None:
-        # The victims queue again, and the chip-time their batch would
-        # still have burned [now, finish) never happens — uncredit it.
-        self._tick(t_ns)
-        self._depth += len(requests)
-        self._credit(t_ns, finish_ns, -1.0)
-
-    def decode_iter(self, t_ns, chip_id, model, n, ctx, finish_ns) -> None:
-        # Decode iterations occupy chips without a dispatch hook, so
-        # utilization credit lands here (queue depth is untouched: the
-        # requests left the queues at their prefill dispatch).
-        self._tick(t_ns)
-        self._credit(t_ns, finish_ns, 1.0)
-
-    def power(self, t_ns, watts) -> None:
-        # Integrate *before* ticking: draw is piecewise constant between
-        # events, and the segment may straddle windows about to close.
+    def _power(self, t_ns: float, watts: float) -> None:
+        """Integrate the draw held since the last sample up to ``t_ns``;
+        draw is piecewise constant between events, so the segment may
+        straddle windows about to close."""
         self._has_power = True
         if self._pw_last is not None and t_ns > self._pw_t:
             a, w = self._pw_t, int(self._pw_t // self.window_ns)
@@ -761,17 +589,63 @@ class MetricsRecorder(Observer):
                 w += 1
         self._pw_t = t_ns
         self._pw_last = watts
-        self._tick(t_ns)
 
-    def finish(self, makespan_ns) -> None:
+    def write(self, chunk: Sequence[tuple]) -> None:
+        for ev in chunk:
+            k = ev[0]
+            if k == ROWS:
+                _, lo, hi, arrival_ns, _, _ = ev
+                for t in arrival_ns[lo:hi]:
+                    while self._edge <= t:
+                        self._flush()
+                    self._arrivals += 1
+                    self._depth += 1
+                continue
+            if k == SCALE or k == THROTTLE:
+                continue  # no window state moves
+            if k == BEGIN:
+                self._n_chips = ev[1].n_chips
+                continue
+            t = ev[1]
+            if k == POWER:
+                self._power(t, ev[2])  # integrate before closing windows
+            while self._edge <= t:
+                self._flush()
+            if k == ARR:
+                self._arrivals += 1
+            elif k == ENQ:
+                self._depth += 1
+            elif k == DSP:
+                self._depth -= len(ev[5])
+                self._credit(t, ev[6], 1.0)
+            elif k == CMP:
+                self._completions += len(ev[5])
+                self._lat_ms.extend([(t - a) * 1e-6 for a in ev[6]])
+            elif k == DIT:
+                # Decode iterations occupy chips without a dispatch, so
+                # utilization credit lands here (queue depth is
+                # untouched: the requests left the queues at their
+                # prefill dispatch).
+                self._credit(t, ev[6], 1.0)
+            elif k == REJ:
+                if ev[5]:
+                    self._rejected += 1
+            elif k == PRE:
+                # The victims queue again, and the chip-time their batch
+                # would still have burned [now, finish) never happens —
+                # uncredit it.
+                self._depth += len(ev[5])
+                self._credit(t, ev[8], -1.0)
+
+    def close(self, makespan_ns: float) -> None:
         if self._pw_last is not None and makespan_ns > self._pw_t:
-            self.power(makespan_ns, self._pw_last)
+            self._power(makespan_ns, self._pw_last)
         while self._w * self.window_ns < makespan_ns:
             self._flush()
         if self.path:
-            self.write(self.path)
+            self._save(self.path)
 
-    def write(self, path: str) -> None:
+    def _save(self, path: str) -> None:
         """Land the rows as ``.json`` (list of row objects) or CSV."""
         if str(path).endswith(".json"):
             with open(path, "w") as f:

@@ -347,11 +347,11 @@ class PowerGovernor:
                 )
             )
         self._t_ns = 0.0
-        #: Optional observer hook ``(t_ns, group_name, engaged)`` fired
-        #: on every throttle engage/release transition (never on a
-        #: re-evaluation that keeps the state).  ``None`` costs one
-        #: falsy check per transition — the integration floats are
-        #: untouched either way.
+        #: Optional callback ``(t_ns, group_name, engaged)`` fired on
+        #: every throttle engage/release transition (never on a
+        #: re-evaluation that keeps the state); the engine points it at
+        #: the run's event log.  ``None`` costs one falsy check per
+        #: transition — the integration floats are untouched either way.
         self.on_throttle = None
 
     @property

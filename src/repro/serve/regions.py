@@ -157,15 +157,12 @@ def _spill_pass(
     window_ns: float,
     threshold: float,
     rtt_ns: float,
-    on_spill=None,
 ) -> Tuple[Dict[str, List[Request]], Dict[str, int], Dict[str, int]]:
     """Deterministic window-based re-homing of over-capacity arrivals.
 
     Returns the post-spill per-region request lists (spilled requests
     arrive half an RTT late, tagged with their source region) plus the
-    per-region spilled-out / spilled-in counts.  ``on_spill`` (an
-    observer callback ``(arrival_ns, src, dest)``) fires per re-homed
-    request, at its original arrival instant.
+    per-region spilled-out / spilled-in counts.
     """
     n_windows = max(1, int(math.ceil(horizon_ns / window_ns)))
     names = [s.name for s in specs]
@@ -213,8 +210,6 @@ def _spill_pass(
                 load[dest] += 1.0
                 spilled_out[name] += 1
                 spilled_in[dest] += 1
-                if on_spill is not None:
-                    on_spill(r.arrival_ns, name, dest)
                 out[dest].append(
                     dataclasses.replace(
                         r,
@@ -242,7 +237,6 @@ def simulate_regions(
     max_batch_size: int = 8,
     window_ms: float = 0.2,
     slo_ms: Optional[float] = None,
-    observe=None,
 ) -> RegionsReport:
     """Run a multi-region serving study end to end.
 
@@ -307,11 +301,6 @@ def simulate_regions(
         spill_window_ms * 1e6,
         spill_threshold,
         rtt_ns,
-        # Spill decisions feed the observer as instant events; the
-        # per-region engine runs stay unobserved (cross-region trace
-        # merging is an open ROADMAP item — each region is its own
-        # simulation with its own clock domain for chip/queue tracks).
-        on_spill=observe.spill if observe is not None else None,
     )
     policy = BatchingPolicy(
         max_batch_size=max_batch_size, window_ns=window_ms * 1e6

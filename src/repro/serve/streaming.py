@@ -5,7 +5,7 @@ Every run lands its completions in one record, a
 A :class:`StreamingMetrics` handed to a run (``ServingEngine.run(
 stream=)`` or ``ObserveConfig(stream_metrics=)``) reads that record:
 mid-run the requests served so far, afterwards ``result.served``.  Like
-every observer it is an exact pass-through.  The optional progress hook
+the event log it is an exact pass-through.  The optional progress hook
 emits a rolling p99 every ``progress_every`` served requests — the
 ``--progress`` CLI flag wires it to stderr.
 """

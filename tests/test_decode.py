@@ -7,8 +7,8 @@ Covers the decode subsystem end to end at the run level:
 * engine-level differential — a decode-armed engine fed a trace with no
   decode tokens is object-for-object identical to the decode-free
   engine, so the general path never drifts from the turbo path;
-* prefill-decode placement pinning, observed through the
-  ``decode_iter`` hook: prefill dispatches stay on group 0, every
+* prefill-decode placement pinning, read off the lifecycle trace's
+  ``dsp`` and ``dit`` events: prefill dispatches stay on group 0, every
   decode iteration lands on groups 1+;
 * KV-cache residency — a model whose weights exhaust on-chip capacity
   (``gpt_large``) spills its entire decode KV to off-chip
@@ -19,14 +19,14 @@ Covers the decode subsystem end to end at the run level:
 
 import pytest
 
+from trace_probe import traced_run
+
 from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
     DecodeConfig,
     FleetConfig,
-    ObserveConfig,
-    Observer,
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
@@ -137,39 +137,36 @@ class TestEngineDifferential:
             ServingEngine(cluster, decode=DECODE).run(trace)
 
 
-class _ChipCollector(Observer):
-    """Record which chips host prefill dispatches vs decode iterations."""
+class _ChipCollector:
+    """Which chips host prefill dispatches vs decode iterations, read off
+    a run's lifecycle trace."""
 
-    def __init__(self):
+    def __init__(self, events):
         self.dispatch_chips = set()
         self.decode_chips = set()
         self.decode_iters = 0
         self.decode_reqs = 0
-
-    def dispatch(
-        self, t_ns, chip_id, model, tenant, requests, finish_ns, overhead_ns
-    ):
-        self.dispatch_chips.add(chip_id)
-
-    def decode_iter(self, t_ns, chip_id, model, n, ctx, finish_ns):
-        assert n >= 1 and ctx >= 1 and finish_ns >= t_ns
-        self.decode_chips.add(chip_id)
-        self.decode_iters += 1
-        self.decode_reqs += n
+        for ev in events:
+            if ev["ev"] == "dsp":
+                self.dispatch_chips.add(ev["chip"])
+            elif ev["ev"] == "dit":
+                assert ev["n"] >= 1 and ev["ctx"] >= 1 and ev["fin"] >= ev["t"]
+                self.decode_chips.add(ev["chip"])
+                self.decode_iters += 1
+                self.decode_reqs += ev["n"]
 
 
 class TestPrefillDecodePlacement:
     def test_decode_iterations_pin_to_the_decode_group(self):
-        collector = _ChipCollector()
-        _, result = simulate_serving(
-            config=_config(
+        _, result, events = traced_run(
+            _config(
                 fleet=FleetConfig(
                     fleet="yoco:2,isaac:2", placement="prefill-decode"
                 ),
                 decode=DECODE,
-                observe=ObserveConfig(observe=collector),
             )
         )
+        collector = _ChipCollector(events)
         # Fleet group 0 (yoco:2) = chips {0, 1}; group 1 (isaac:2) = {2, 3}.
         assert collector.dispatch_chips <= {0, 1}
         assert collector.decode_chips <= {2, 3}
@@ -179,17 +176,16 @@ class TestPrefillDecodePlacement:
         assert all(s.chip_id in {2, 3} for s in result.served)
 
     def test_unified_placement_decodes_everywhere(self):
-        collector = _ChipCollector()
-        simulate_serving(
-            config=ServingConfig(
+        _, _, events = traced_run(
+            ServingConfig(
                 workload=WorkloadConfig(
                     models=("mobilebert",), rps=4000.0, duration_s=0.05
                 ),
                 fleet=FleetConfig(fleet="yoco:2,isaac:2"),
                 decode=DECODE,
-                observe=ObserveConfig(observe=collector),
             )
         )
+        collector = _ChipCollector(events)
         # Replicated placement leaves every chip eligible for both
         # phases: decode iterations land outside the would-be decode
         # group (fastest routing favors the YOCO chips 0-1).

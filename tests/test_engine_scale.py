@@ -30,6 +30,7 @@ from repro.serve import (
     ChromeTraceSink,
     Cluster,
     DecodeConfig,
+    EventLog,
     FleetConfig,
     JsonlTraceSink,
     ObserveConfig,
@@ -453,7 +454,7 @@ class TestTraceSizeGuard:
             poisson_trace("resnet18", rps=30_000, duration_s=duration_s, seed=0)
         )
         engine, _ = _engine(["resnet18"])
-        engine.run(trace, observe=sink)
+        engine.run(trace, log=EventLog([sink]))
         return len(trace)
 
     def test_jsonl_bytes_per_request_flat_across_8x(self, tmp_path):
@@ -478,6 +479,28 @@ class TestTraceSizeGuard:
                 assert len(value) <= 4, (
                     "sink retained per-event state; tracing must stream"
                 )
+
+    def test_event_log_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        """The log hands its events on every CHUNK_EVENTS appends."""
+        monkeypatch.setattr("repro.serve.observe.CHUNK_EVENTS", 64)
+        sizes = []
+
+        class ChunkSizes:
+            def write(self, chunk):
+                sizes.append(len(chunk))
+
+            def close(self, makespan_ns):
+                pass
+
+        sink = JsonlTraceSink(str(tmp_path / "t.jsonl"))
+        trace = tuple(
+            poisson_trace("resnet18", rps=30_000, duration_s=0.02, seed=0)
+        )
+        engine, _ = _engine(["resnet18"])
+        engine.run(trace, log=EventLog([sink, ChunkSizes()]))
+        assert len(sizes) > 2
+        assert set(sizes[:-1]) == {64} and 0 <= sizes[-1] < 64
+        assert sink.n_events > len(trace)  # the events reached the sink
 
     def test_chrome_open_spans_bounded_by_queue_depth(self, tmp_path):
         """Open-span bookkeeping tracks the queue, not the trace length."""

@@ -2,7 +2,7 @@
 
 Replays the PR 3 differential scenarios (``tests/test_hetero_differential``
 — imported, not copied, so the harnesses can never drift) with every
-observer attached: a lifecycle trace sink, a windowed metrics recorder
+renderer attached: a lifecycle trace sink, a windowed metrics recorder
 and engine self-profiling.  The formatted reports and the bit-exact
 per-request digests must still match the pre-observability goldens byte
 for byte, and the :class:`ServingResult` must be object-for-object
@@ -19,6 +19,7 @@ approximately: every timestamp round-trips JSON at full ``repr``
 precision and the percentile interpolation is shared.
 """
 
+import collections
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from test_hetero_differential import (
     replace_in,
     served_digest,
 )
+from trace_probe import traced_run
 
 from repro.models.zoo import get_workload
 from repro.serve import (
@@ -37,11 +39,11 @@ from repro.serve import (
     Cluster,
     DecodeConfig,
     ElasticConfig,
+    EventLog,
     FleetConfig,
     JsonlTraceSink,
     MetricsRecorder,
     ObserveConfig,
-    Observer,
     PolicyConfig,
     PowerConfig,
     ServingConfig,
@@ -65,32 +67,10 @@ def golden_digests():
         return json.load(f)
 
 
-class _CountingObserver(Observer):
-    """Counts every hook call; proves the stream actually flowed."""
-
-    def __init__(self):
-        self.counts = {}
-
-    def __getattribute__(self, name):
-        if name in (
-            "begin", "arrival", "enqueue", "reject", "dispatch",
-            "complete", "preempt", "scale", "throttle", "power",
-            "spill", "finish",
-        ):
-            counts = object.__getattribute__(self, "counts")
-
-            def hook(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-
-            return hook
-        return object.__getattribute__(self, name)
-
-
-def _observed(config, tmp_path, observe=None):
+def _observed(config, tmp_path):
     return replace_in(
         config,
         "observe",
-        observe=observe,
         trace_file=str(tmp_path / "trace.jsonl"),
         metrics_file=str(tmp_path / "metrics.csv"),
         profile_engine=True,
@@ -115,15 +95,15 @@ class TestObservedRunMatchesGolden:
     ):
         legacy, _ = SCENARIOS[scenario]
         _, unobserved = _run(legacy)
-        counting = _CountingObserver()
-        _, observed = _run(_observed(legacy, tmp_path, observe=counting))
+        _, observed, events = traced_run(_observed(legacy, tmp_path))
         assert observed == unobserved
         assert observed.served == unobserved.served
-        # The hooks genuinely fired; equality is not vacuous.
-        assert counting.counts["begin"] == 1
-        assert counting.counts["finish"] == 1
-        assert counting.counts["complete"] >= 1
-        assert counting.counts["arrival"] == counting.counts["enqueue"]
+        # The events genuinely flowed; equality is not vacuous.
+        counts = collections.Counter(ev["ev"] for ev in events)
+        assert counts["begin"] == 1
+        assert counts["end"] == 1
+        assert counts["cmp"] >= 1
+        assert counts["arr"] == counts["enq"]
 
 
 def _engine(n_chips=4, **kwargs):
@@ -133,15 +113,15 @@ def _engine(n_chips=4, **kwargs):
 
 
 class TestBothEnginePaths:
-    """Observers ride the turbo fast path and the general loop alike."""
+    """The event log rides the turbo fast path and the general loop alike."""
 
     TRACE_KW = dict(rps=30_000, duration_s=0.02, seed=0)
 
     def test_turbo_observed_equals_unobserved(self, tmp_path):
         trace = tuple(poisson_trace("resnet18", **self.TRACE_KW))
         plain = _engine().run(trace)
-        sink = JsonlTraceSink(str(tmp_path / "turbo.jsonl"))
-        observed = _engine(profile=True).run(trace, observe=sink)
+        log = EventLog([JsonlTraceSink(str(tmp_path / "turbo.jsonl"))])
+        observed = _engine(profile=True).run(trace, log=log)
         assert observed == plain
         assert observed.stats.profile is not None
 
@@ -150,10 +130,10 @@ class TestBothEnginePaths:
         plain_engine = _engine()
         plain_engine._force_general = True
         plain = plain_engine.run(trace)
-        sink = JsonlTraceSink(str(tmp_path / "general.jsonl"))
+        log = EventLog([JsonlTraceSink(str(tmp_path / "general.jsonl"))])
         observed_engine = _engine(profile=True)
         observed_engine._force_general = True
-        observed = observed_engine.run(trace, observe=sink)
+        observed = observed_engine.run(trace, log=log)
         assert observed == plain
         assert observed.stats.profile is not None
 
@@ -164,11 +144,13 @@ class TestBothEnginePaths:
         trace = tuple(poisson_trace("resnet18", **self.TRACE_KW))
         turbo_path = tmp_path / "turbo.jsonl"
         general_path = tmp_path / "general.jsonl"
-        turbo = _engine().run(trace, observe=JsonlTraceSink(str(turbo_path)))
+        turbo = _engine().run(
+            trace, log=EventLog([JsonlTraceSink(str(turbo_path))])
+        )
         general_engine = _engine()
         general_engine._force_general = True
         general = general_engine.run(
-            trace, observe=JsonlTraceSink(str(general_path))
+            trace, log=EventLog([JsonlTraceSink(str(general_path))])
         )
         assert turbo == general  # sanity: the runs themselves agree
         turbo_lines = sorted(turbo_path.read_text().splitlines())
@@ -369,8 +351,9 @@ class TestTraceSummaryAgreesWithReport:
 
 
 class TestMetricsRecorder:
-    def _record(self, rps=8000.0, n_chips=2, power=None, admission=None):
-        recorder = MetricsRecorder(1.0)
+    def _record(
+        self, path, rps=8000.0, n_chips=2, power=None, admission=None
+    ):
         report, result = simulate_serving(
             config=ServingConfig(
                 workload=WorkloadConfig(
@@ -378,46 +361,47 @@ class TestMetricsRecorder:
                 ),
                 fleet=FleetConfig(n_chips=n_chips, power=power),
                 policy=PolicyConfig(admission=admission),
-                observe=ObserveConfig(observe=recorder),
+                observe=ObserveConfig(metrics_file=str(path)),
             )
         )
-        return report, result, recorder
+        return report, result
 
-    def test_window_totals_conserve_requests(self):
-        _, result, recorder = self._record()
-        assert sum(r["completions"] for r in recorder.rows) == len(
-            result.served
-        )
-        assert sum(r["arrivals"] for r in recorder.rows) == result.n_requests
-        assert all(0.0 <= r["utilization"] <= 1.0 for r in recorder.rows)
+    def _rows(self, tmp_path, **kwargs):
+        path = tmp_path / "m.json"
+        report, result = self._record(path, **kwargs)
+        return report, result, json.loads(path.read_text())
+
+    def test_window_totals_conserve_requests(self, tmp_path):
+        _, result, rows = self._rows(tmp_path)
+        assert sum(r["completions"] for r in rows) == len(result.served)
+        assert sum(r["arrivals"] for r in rows) == result.n_requests
+        assert all(0.0 <= r["utilization"] <= 1.0 for r in rows)
         # Rows tile the makespan with no gaps.
-        assert [r["t_ms"] for r in recorder.rows] == [
-            float(i + 1) for i in range(len(recorder.rows))
+        assert [r["t_ms"] for r in rows] == [
+            float(i + 1) for i in range(len(rows))
         ]
 
-    def test_rejections_counted(self):
-        report, _, recorder = self._record(
-            rps=60_000.0, n_chips=1, admission="queue-cap:4"
+    def test_rejections_counted(self, tmp_path):
+        report, _, rows = self._rows(
+            tmp_path, rps=60_000.0, n_chips=1, admission="queue-cap:4"
         )
         assert report.n_dropped > 0  # the cap genuinely sheds
-        assert (
-            sum(r["rejected"] for r in recorder.rows) == report.n_dropped
-        )
+        assert sum(r["rejected"] for r in rows) == report.n_dropped
 
-    def test_power_column_tracks_governor(self):
-        _, _, recorder = self._record(power=PowerConfig(power_cap_w=100.0))
-        watts = [r["power_w"] for r in recorder.rows]
+    def test_power_column_tracks_governor(self, tmp_path):
+        _, _, rows = self._rows(
+            tmp_path, power=PowerConfig(power_cap_w=100.0)
+        )
+        watts = [r["power_w"] for r in rows]
         assert all(w is not None and w >= 0.0 for w in watts)
         assert any(w > 0.0 for w in watts)
 
     def test_csv_and_json_outputs(self, tmp_path):
         csv_path = tmp_path / "m.csv"
-        json_path = tmp_path / "m.json"
-        _, _, recorder = self._record()
-        recorder.write(str(csv_path))
-        recorder.write(str(json_path))
-        header = csv_path.read_text().splitlines()[0]
-        assert header == ",".join(MetricsRecorder.COLUMNS)
-        rows = json.load(open(json_path))
-        assert len(rows) == len(recorder.rows)
-        assert rows[0]["completions"] == recorder.rows[0]["completions"]
+        self._record(csv_path)
+        _, _, rows = self._rows(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == ",".join(MetricsRecorder.COLUMNS)
+        assert len(lines) == 1 + len(rows)
+        completions = MetricsRecorder.COLUMNS.index("completions")
+        assert int(lines[1].split(",")[completions]) == rows[0]["completions"]

@@ -137,6 +137,16 @@ def test_outputs_replay_golden(scenario, golden, rendered):
     assert rendered[scenario][0] == golden[scenario]
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_outputs_replay_golden_across_chunk_boundaries(
+    scenario, golden, tmp_path, monkeypatch
+):
+    """A chunk of 7 events (a small prime, so boundaries land on every
+    event kind) shows any renderer state lost between chunks."""
+    monkeypatch.setattr("repro.serve.observe.CHUNK_EVENTS", 7)
+    assert render(scenario, tmp_path) == golden[scenario]
+
+
 def _event_kinds(path: pathlib.Path) -> collections.Counter:
     kinds = collections.Counter()
     with open(path) as f:

@@ -1,8 +1,8 @@
 """Span conservation (hypothesis): every request's event stream is well-formed.
 
-An in-memory collecting observer records each request's full lifecycle
-straight off the engine hooks, and the properties assert the span
-grammar the trace formats rely on::
+Each run's JSONL lifecycle trace is regrouped into every request's full
+lifecycle, and the properties assert the span grammar the trace formats
+rely on::
 
     arr -> [rej]* (rej_final | enq (pre -> dsp)* dsp cmp)
 
@@ -26,14 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_probe import traced_run
+
 from repro.serve import (
     FleetConfig,
-    ObserveConfig,
-    Observer,
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
-    simulate_serving,
 )
 
 _DURATION_S = 0.01
@@ -63,7 +62,7 @@ _MODES = {
 }
 
 
-def _config(mode, collector, seed=0, rps=2000.0, admission=None):
+def _config(mode, seed=0, rps=2000.0, admission=None):
     groups = _MODES[mode]
     return ServingConfig(
         workload=WorkloadConfig(
@@ -75,45 +74,31 @@ def _config(mode, collector, seed=0, rps=2000.0, admission=None):
         ),
         fleet=FleetConfig(**{"n_chips": 2, **groups.get("fleet", {})}),
         policy=PolicyConfig(admission=admission, **groups.get("policy", {})),
-        observe=ObserveConfig(observe=collector),
     )
 
 _ADMISSIONS = (None, "queue-cap:8", "token-bucket:20000:16", "slo-aware")
 
 
-class SpanCollector(Observer):
-    """Per-request event sequences, straight off the engine hooks."""
+class SpanCollector:
+    """Per-request event sequences, regrouped from a lifecycle trace."""
 
-    def __init__(self):
+    def __init__(self, events):
         self.spans = {}  # rid -> [(t_ns, kind)]
         self.n_scale = 0
+        for ev in events:
+            kind = ev["ev"]
+            if kind in ("arr", "enq"):
+                self._add(ev["rid"], ev["t"], kind)
+            elif kind == "rej":
+                self._add(ev["rid"], ev["t"], "rej_final" if ev["final"] else "rej")
+            elif kind in ("dsp", "cmp", "pre"):
+                for rid in ev["rids"]:
+                    self._add(rid, ev["t"], kind)
+            elif kind == "scale":
+                self.n_scale += 1
 
     def _add(self, rid, t_ns, kind):
         self.spans.setdefault(rid, []).append((t_ns, kind))
-
-    def arrival(self, t_ns, request):
-        self._add(request.request_id, t_ns, "arr")
-
-    def enqueue(self, t_ns, request):
-        self._add(request.request_id, t_ns, "enq")
-
-    def reject(self, t_ns, request, final, attempts):
-        self._add(request.request_id, t_ns, "rej_final" if final else "rej")
-
-    def dispatch(self, t_ns, chip_id, model, tenant, requests, fin, ov):
-        for r in requests:
-            self._add(r.request_id, t_ns, "dsp")
-
-    def complete(self, t_ns, chip_id, model, tenant, requests, d, e):
-        for r in requests:
-            self._add(r.request_id, t_ns, "cmp")
-
-    def preempt(self, t_ns, chip_id, model, tenant, requests, w, by, fin):
-        for r in requests:
-            self._add(r.request_id, t_ns, "pre")
-
-    def scale(self, t_ns, kind, n):
-        self.n_scale += 1
 
 
 def _assert_well_formed(spans):
@@ -150,10 +135,8 @@ class TestSpanConservation:
     def test_every_request_span_is_well_formed(
         self, mode, seed, rps, admission
     ):
-        collector = SpanCollector()
-        _, result = simulate_serving(
-            config=_config(mode, collector, seed, rps, admission)
-        )
+        _, result, events = traced_run(_config(mode, seed, rps, admission))
+        collector = SpanCollector(events)
         _assert_well_formed(collector.spans)
         # Conservation: every offered request's span terminates, and the
         # terminal tallies equal the engine's own accounting.
@@ -167,11 +150,8 @@ class TestPreemptionPairing:
     """Deterministic counterweight: preemptions genuinely appear."""
 
     def _spans(self):
-        collector = SpanCollector()
-        _, result = simulate_serving(
-            config=_config("tenants-preempt", collector)
-        )
-        return collector, result
+        _, result, events = traced_run(_config("tenants-preempt"))
+        return SpanCollector(events), result
 
     def test_preempted_spans_redispatch_and_complete(self):
         collector, result = self._spans()
@@ -186,15 +166,14 @@ class TestPreemptionPairing:
             assert kinds.count("dsp") == 1 + kinds.count("pre")
 
     def test_elastic_scale_events_fire(self):
-        collector = SpanCollector()
-        simulate_serving(
-            config=ServingConfig(
+        _, _, events = traced_run(
+            ServingConfig(
                 workload=WorkloadConfig(
                     models=("resnet18",), rps=30_000.0, duration_s=0.05
                 ),
                 fleet=FleetConfig(n_chips=4, elastic="1:4"),
-                observe=ObserveConfig(observe=collector),
             )
         )
+        collector = SpanCollector(events)
         assert collector.n_scale > 0
         _assert_well_formed(collector.spans)

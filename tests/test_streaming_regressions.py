@@ -27,6 +27,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from trace_probe import traced_run
+
 from repro.cli import main
 from repro.models.zoo import get_workload
 from repro.serve import (
@@ -34,7 +36,6 @@ from repro.serve import (
     FleetConfig,
     MetricsRecorder,
     ObserveConfig,
-    Observer,
     PolicyConfig,
     ServingConfig,
     StreamingMetrics,
@@ -164,24 +165,16 @@ class TestEmitBurst:
         assert len(lines) == 10
 
     def test_emits_follow_the_landings_of_a_real_run(self):
-        # The served count after every landed batch, seen by an observer;
+        # The served count after every landed batch, read off the trace;
         # the progress lines must be exactly the boundary-jump rule's.
         landed, lines, every = [], [], 6
-
-        class Landings(Observer):
-            def complete(self, t_ns, chip_id, model, tenant, requests, *_):
-                landed.append((landed[-1] if landed else 0) + len(requests))
-
         stream = StreamingMetrics(progress_every=every, progress=lines.append)
-        config = _streamed(stream, FleetConfig(n_chips=2), rps=30000.0)
-        simulate_serving(
-            config=dataclasses.replace(
-                config,
-                observe=ObserveConfig(
-                    stream_metrics=stream, observe=Landings()
-                ),
-            )
+        _, _, events = traced_run(
+            _streamed(stream, FleetConfig(n_chips=2), rps=30000.0)
         )
+        for ev in events:
+            if ev["ev"] == "cmp":
+                landed.append((landed[-1] if landed else 0) + len(ev["rids"]))
         want, boundary = [], every
         for n in landed:
             if n >= boundary:
@@ -239,24 +232,26 @@ class TestLiveReads:
 
     @LOOPS
     def test_every_read_is_the_landed_multiset(self, models):
-        landed, reads = [], []
-
-        class Landings(Observer):
-            def complete(self, t_ns, chip_id, model, tenant, requests, *_):
-                landed.extend(r.request_id for r in requests)
+        reads = []
 
         def hook(line):
-            reads.append((len(landed), stream.n_served, stream.latencies_ms()))
+            reads.append((stream.n_served, stream.latencies_ms()))
 
         stream = StreamingMetrics(progress_every=40, progress=hook)
         config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
-        _, result = simulate_serving(
-            config=dataclasses.replace(
+        _, result, events = traced_run(
+            dataclasses.replace(
                 config,
                 workload=dataclasses.replace(config.workload, models=models),
-                observe=ObserveConfig(stream_metrics=stream, observe=Landings()),
             )
         )
+        # The trace's completions in landing order; a read happens right
+        # after a landing, so its count closes one of these prefixes.
+        landed, prefixes = [], set()
+        for ev in events:
+            if ev["ev"] == "cmp":
+                landed.extend(ev["rids"])
+                prefixes.add(len(landed))
         latency = dict(
             zip(
                 result.served.requests.request_id.tolist(),
@@ -264,20 +259,17 @@ class TestLiveReads:
             )
         )
         assert len(reads) > 5
-        for k, n_served, latencies in reads:
-            assert n_served == k
+        for n_served, latencies in reads:
+            assert n_served in prefixes
             assert sorted(latencies.tolist()) == sorted(
-                latency[i] for i in landed[:k]
+                latency[i] for i in landed[:n_served]
             )
 
     @LOOPS
-    def test_reused_stream_fails_before_the_observer_begins(self, models):
-        began = []
-
-        class Begins(Observer):
-            def begin(self, cluster, policy):
-                began.append(cluster)
-
+    def test_reused_stream_fails_before_the_observer_begins(
+        self, models, tmp_path
+    ):
+        """The run's observer is its trace file: none may be created."""
         stream = StreamingMetrics()
         config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
         config = dataclasses.replace(
@@ -285,14 +277,17 @@ class TestLiveReads:
             workload=dataclasses.replace(config.workload, models=models),
         )
         simulate_serving(config=config)
+        trace = tmp_path / "trace.jsonl"
         with pytest.raises(RuntimeError, match="exactly one run"):
             simulate_serving(
                 config=dataclasses.replace(
                     config,
-                    observe=ObserveConfig(stream_metrics=stream, observe=Begins()),
+                    observe=ObserveConfig(
+                        stream_metrics=stream, trace_file=str(trace)
+                    ),
                 )
             )
-        assert began == []
+        assert not trace.exists()
 
 
 class TestStreamingComposition:
