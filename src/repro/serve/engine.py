@@ -82,7 +82,7 @@ from repro.serve.elastic import (
     ScalingAction,
 )
 from repro.serve.observe import (  # event kind codes and their log
-    ARR, BEGIN, CMP, DIT, DSP, ENQ, POWER, PRE, REJ, ROWS, SCALE, THROTTLE,
+    ARR, CMP, DIT, DSP, ENQ, POWER, PRE, REJ, SCALE, THROTTLE,
     EventLog,
 )
 from repro.serve.power import PowerConfig, PowerGovernor, PowerTrace
@@ -944,7 +944,7 @@ class ServingEngine:
         # instruction stream.  Appends only *read* state, so the logged
         # run's result is object-for-object identical.
         if log is not None:
-            log.append((BEGIN, cluster))
+            log.begin(cluster)
             if governor is not None:
                 governor.on_throttle = lambda t_ns, group, engaged: log.append(
                     (THROTTLE, t_ns, group, engaged)
@@ -1811,7 +1811,7 @@ class ServingEngine:
         heap_peak = 0
         n = len(trace)
         arr = trace.arrival_ns.tolist()
-        # The log records trace rows; ids resolve them to request ids.
+        # Logged events carry request ids, read off the trace's column.
         ids = trace.request_id.tolist() if log is not None else None
         B = policy.max_batch_size
         W = policy.window_ns
@@ -1852,14 +1852,21 @@ class ServingEngine:
         tick = None if stream is None else stream._begin_run(record, cluster)
         logged = 0  # trace rows [0, logged) have their arrivals logged
         if log is not None:
-            log.append((BEGIN, cluster))
+            log.begin(cluster)
 
         def log_arrivals() -> None:
-            """Log the rows that arrived since the last logged event."""
+            """Log the rows that arrived since the last logged event.
+
+            Each arrives and enqueues at its own stamp; turbo logs no
+            other kind than ``DSP``/``CMP``, before which this runs, so
+            the log keeps the general loop's event order.
+            """
             nonlocal logged
-            if logged < i:
-                log.append((ROWS, logged, i, arr, ids, model))
-                logged = i
+            append = log.append
+            for t, rid in zip(arr[logged:i], ids[logged:i]):
+                append((ARR, t, rid, model, ""))
+                append((ENQ, t, rid, model, ""))
+            logged = i
 
         def pump(now: float) -> None:
             """The dispatch scan, specialized to the single slot."""

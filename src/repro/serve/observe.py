@@ -45,11 +45,6 @@ ids, ``arrivals`` their arrival stamps)::
     (SCALE, t, kind, n)                                 elastic
     (THROTTLE, t, group, engaged)                       governor
     (POWER, t, watts)                                   governor draw
-    (ROWS, lo, hi, arrival_ns, request_ids, model)
-
-``ROWS`` is the turbo loop's compact arrival record: trace rows
-``[lo, hi)`` each arrive and enqueue (an ``ARR``/``ENQ`` pair) at their
-own stamp, with no other event between them.
 
 JSONL schema (one self-contained object per line; ``t`` is simulated
 nanoseconds, ``tn`` omitted for the anonymous tenant ``""``)::
@@ -82,7 +77,7 @@ from typing import IO, Dict, List, Optional, Sequence, Tuple
 from repro.serve.served import _percentiles_from_sorted
 
 #: Event kind codes, the first field of every event tuple.
-BEGIN, ARR, ENQ, REJ, DSP, CMP, PRE, DIT, SCALE, THROTTLE, POWER, ROWS = range(12)
+BEGIN, ARR, ENQ, REJ, DSP, CMP, PRE, DIT, SCALE, THROTTLE, POWER = range(11)
 
 #: Events the log buffers before it hands them to its renderers.
 CHUNK_EVENTS = 8192
@@ -91,16 +86,23 @@ CHUNK_EVENTS = 8192
 class EventLog:
     """One run's lifecycle events, handed to renderers chunk by chunk.
 
-    The engine calls :meth:`append` once per event and :meth:`close`
-    once with the makespan.  A renderer is any object with a
-    ``write(chunk)`` / ``close(makespan_ns)`` pair; chunks arrive in
-    event order, so timestamps are monotone non-decreasing across one
-    run (``BEGIN`` first).
+    The engine calls :meth:`begin` once as the run starts,
+    :meth:`append` once per event and :meth:`close` once with the
+    makespan.  A renderer is any object with a ``write(chunk)`` /
+    ``close(makespan_ns)`` pair; chunks arrive in event order, so
+    timestamps are monotone non-decreasing across one run.  ``BEGIN``
+    is handed over alone, at once: each trace renderer opens its file
+    on it, so an unwritable path fails before anything is simulated and
+    a run that raises part way leaves its file begun.
     """
 
     def __init__(self, renderers: Sequence) -> None:
         self.renderers = tuple(renderers)
         self._events: List[tuple] = []
+
+    def begin(self, cluster) -> None:
+        self._events.append((BEGIN, cluster))
+        self._flush()
 
     def append(self, event: tuple) -> None:
         events = self._events
@@ -173,21 +175,9 @@ class JsonlTraceSink:
         names, tn = self._names, self._tn
         lines: List[str] = []
         add = lines.append
-        paired = 0  # ROWS lines that carry an arr *and* an enq event
         for ev in chunk:
             k = ev[0]
-            if k == ROWS:
-                _, lo, hi, arrival_ns, request_ids, model = ev
-                m = names[model]
-                lines.extend([
-                    f'{{"ev":"arr","t":{t},"rid":{rid},"m":{m}}}\n'
-                    f'{{"ev":"enq","t":{t},"rid":{rid},"m":{m}}}\n'
-                    for t, rid in zip(
-                        map(repr, arrival_ns[lo:hi]), request_ids[lo:hi]
-                    )
-                ])
-                paired += hi - lo
-            elif k == ARR or k == ENQ:
+            if k == ARR or k == ENQ:
                 _, t, rid, m, tenant = ev
                 add(
                     f'{{"ev":"{"arr" if k == ARR else "enq"}","t":{t!r},'
@@ -253,7 +243,7 @@ class JsonlTraceSink:
                     )
                     + "\n"
                 )
-        self._land(lines, len(lines) + paired)
+        self._land(lines, len(lines))
 
     def close(self, makespan_ns: float) -> None:
         self._land([f'{{"ev":"end","t":{makespan_ns!r}}}\n'], 1)
@@ -331,13 +321,7 @@ class ChromeTraceSink:
         add = spans.append
         for ev in chunk:
             k = ev[0]
-            if k == ROWS:
-                _, lo, hi, arrival_ns, request_ids, m = ev
-                for t, rid in zip(arrival_ns[lo:hi], request_ids[lo:hi]):
-                    opened[("", m, rid)] = t
-                if len(opened) > self.max_open_spans:
-                    self.max_open_spans = len(opened)
-            elif k == ENQ:
+            if k == ENQ:
                 _, t, rid, m, tenant = ev
                 opened[(tenant, m, rid)] = t
                 if len(opened) > self.max_open_spans:
@@ -593,14 +577,6 @@ class MetricsRecorder:
     def write(self, chunk: Sequence[tuple]) -> None:
         for ev in chunk:
             k = ev[0]
-            if k == ROWS:
-                _, lo, hi, arrival_ns, _, _ = ev
-                for t in arrival_ns[lo:hi]:
-                    while self._edge <= t:
-                        self._flush()
-                    self._arrivals += 1
-                    self._depth += 1
-                continue
             if k == SCALE or k == THROTTLE:
                 continue  # no window state moves
             if k == BEGIN:

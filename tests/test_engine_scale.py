@@ -481,7 +481,10 @@ class TestTraceSizeGuard:
                 )
 
     def test_event_log_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
-        """The log hands its events on every CHUNK_EVENTS appends."""
+        """The log hands its events on every CHUNK_EVENTS appends.
+
+        ``begin`` goes first, alone, so the trace file opens at once.
+        """
         monkeypatch.setattr("repro.serve.observe.CHUNK_EVENTS", 64)
         sizes = []
 
@@ -498,8 +501,8 @@ class TestTraceSizeGuard:
         )
         engine, _ = _engine(["resnet18"])
         engine.run(trace, log=EventLog([sink, ChunkSizes()]))
-        assert len(sizes) > 2
-        assert set(sizes[:-1]) == {64} and 0 <= sizes[-1] < 64
+        assert len(sizes) > 3 and sizes[0] == 1
+        assert set(sizes[1:-1]) == {64} and 0 <= sizes[-1] < 64
         assert sink.n_events > len(trace)  # the events reached the sink
 
     def test_chrome_open_spans_bounded_by_queue_depth(self, tmp_path):

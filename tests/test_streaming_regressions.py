@@ -245,13 +245,16 @@ class TestLiveReads:
                 workload=dataclasses.replace(config.workload, models=models),
             )
         )
-        # The trace's completions in landing order; a read happens right
-        # after a landing, so its count closes one of these prefixes.
-        landed, prefixes = [], set()
+        # The trace's completions in landing order.  A read happens right
+        # after the landing that crosses a progress boundary (the
+        # boundary-jump rule), and must count exactly the landed so far.
+        landed, want, boundary = [], [], 40
         for ev in events:
             if ev["ev"] == "cmp":
                 landed.extend(ev["rids"])
-                prefixes.add(len(landed))
+                if len(landed) >= boundary:
+                    want.append(len(landed))
+                    boundary = len(landed) - len(landed) % 40 + 40
         latency = dict(
             zip(
                 result.served.requests.request_id.tolist(),
@@ -259,8 +262,8 @@ class TestLiveReads:
             )
         )
         assert len(reads) > 5
+        assert [n_served for n_served, _ in reads] == want
         for n_served, latencies in reads:
-            assert n_served in prefixes
             assert sorted(latencies.tolist()) == sorted(
                 latency[i] for i in landed[:n_served]
             )
@@ -269,7 +272,11 @@ class TestLiveReads:
     def test_reused_stream_fails_before_the_observer_begins(
         self, models, tmp_path
     ):
-        """The run's observer is its trace file: none may be created."""
+        """The run's observer is its trace file: none may be created.
+
+        The log hands ``begin`` to its renderers at once, so a trace
+        begun before the stream check would leave its file behind.
+        """
         stream = StreamingMetrics()
         config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
         config = dataclasses.replace(
@@ -288,6 +295,23 @@ class TestLiveReads:
                 )
             )
         assert not trace.exists()
+
+    @LOOPS
+    def test_unwritable_trace_fails_before_any_landing(self, models, tmp_path):
+        lines = []
+        stream = StreamingMetrics(progress_every=1, progress=lines.append)
+        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = dataclasses.replace(
+            config,
+            workload=dataclasses.replace(config.workload, models=models),
+            observe=ObserveConfig(
+                stream_metrics=stream,
+                trace_file=str(tmp_path / "missing" / "trace.jsonl"),
+            ),
+        )
+        with pytest.raises(FileNotFoundError):
+            simulate_serving(config=config)
+        assert lines == []
 
 
 class TestStreamingComposition:
