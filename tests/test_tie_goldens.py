@@ -1,8 +1,8 @@
 """Golden guard for same-timestamp ordering in the general event loop.
 
-Three runs whose events pile up at identical instants, pinned bit for bit
+Four runs whose events pile up at identical instants, pinned bit for bit
 by a sha256 digest over every served record, the per-chip busy time, the
-preemption records and the elastic scaling trace:
+preemption records, the rejected requests and the elastic scaling trace:
 
 * ``decode_bursts`` — a ``yoco:4`` decode run with fixed output lengths
   and arrivals in bursts at identical timestamps, so several chips finish
@@ -11,7 +11,10 @@ preemption records and the elastic scaling trace:
   controller drains chips while they are still busy (they park at their
   completion instant);
 * ``wfq_preempt_mixed`` — weighted-fair scheduling with preemption on a
-  mixed ``yoco:2,isaac:2`` fleet.
+  mixed ``yoco:2,isaac:2`` fleet;
+* ``buckets_preempt_shed`` — two tenants with sampled sequence lengths on
+  one chip, so preempted batches re-queue into seqlen buckets while
+  slo-aware admission sheds arrivals.
 
 Regenerate the goldens only on an intentional behaviour change::
 
@@ -88,7 +91,28 @@ def _wfq_preempt_mixed():
     )[1]
 
 
+def _buckets_preempt_shed():
+    return simulate_serving(
+        ServingConfig(
+            workload=WorkloadConfig(
+                models=("mobilebert",), duration_s=0.02, seed=0,
+                tenants=(
+                    "chat:interactive:w=4:poisson@1000:deadline=0.5:"
+                    "seqlen=lognormal,"
+                    "bulk:batch:poisson@20000:seqlen=uniform"
+                ),
+            ),
+            fleet=FleetConfig(n_chips=1),
+            policy=PolicyConfig(
+                scheduler="weighted-fair", preemption=True,
+                admission="slo-aware",
+            ),
+        )
+    )[1]
+
+
 SCENARIOS = {
+    "buckets_preempt_shed": _buckets_preempt_shed,
     "decode_bursts": _decode_bursts,
     "elastic_diurnal": _elastic_diurnal,
     "wfq_preempt_mixed": _wfq_preempt_mixed,
@@ -113,6 +137,7 @@ def tie_digest(result) -> str:
     lines.append(f"makespan {result.makespan_ns!r} batches {result.n_batches}")
     lines.append(f"iters {result.n_decode_iters} tokens {result.n_decode_tokens}")
     lines.extend(repr(p) for p in result.preempted)
+    lines.extend(repr(r) for r in result.rejected)
     if result.elastic is not None:
         lines.extend(repr(a) for a in result.elastic.actions)
         lines.append(repr(result.elastic.timeline))
@@ -157,6 +182,11 @@ class TestScenariosStressTies:
         ]
         assert drains
         assert any(t not in drains for t in parks)
+
+    def test_bucketed_run_preempts_and_sheds(self):
+        result = _run("buckets_preempt_shed")
+        assert result.preempted and result.rejected
+        assert len(set(result.served.column("padded_seq_len").tolist())) > 1
 
     def test_mixed_fleet_preempts(self):
         result = _run("wfq_preempt_mixed")
