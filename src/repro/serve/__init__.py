@@ -53,13 +53,7 @@ from repro.serve.admission import (
     TokenBucket,
     parse_admission,
 )
-from repro.serve.batching import (
-    Batch,
-    BatchingPolicy,
-    ModelQueue,
-    bucket_for,
-    default_buckets,
-)
+from repro.serve.batching import BatchingPolicy, default_buckets
 from repro.serve.clients import (
     THINK_DISTS,
     ClientPopulation,
@@ -176,7 +170,6 @@ from repro.serve.traces import (
 __all__ = [
     "ADMISSION_POLICIES",
     "AcceptAll",
-    "Batch",
     "BatchingPolicy",
     "CHIP_TYPES",
     "ChromeTraceSink",
@@ -194,7 +187,6 @@ __all__ = [
     "JsonlTraceSink",
     "MODES",
     "MetricsRecorder",
-    "ModelQueue",
     "ModelServingStats",
     "ObserveConfig",
     "PLACEMENTS",
@@ -229,7 +221,6 @@ __all__ = [
     "WeightedFairScheduler",
     "WorkloadConfig",
     "backend_for",
-    "bucket_for",
     "bursty_trace",
     "chip_spec",
     "deadline_ns",

@@ -35,7 +35,6 @@ from typing import Dict, Optional
 
 from repro.serve.batching import BatchingPolicy
 from repro.serve.cluster import DEFAULT_SLO_MULTIPLE, Cluster
-from repro.serve.traces import Request
 
 #: Policy names the CLI exposes via ``--admission`` (see
 #: :func:`parse_admission` for the parameterized spec syntax).
@@ -45,11 +44,14 @@ ADMISSION_POLICIES = ("accept-all", "queue-cap", "token-bucket", "slo-aware")
 class AdmissionPolicy:
     """Base class: one admit/reject decision per arriving request.
 
-    ``admit`` sees the request, the arrival instant, the backlog queued
-    for the request's model and the cluster-wide queued total — everything
-    the four canonical policies need, with no reference to engine
-    internals.  Implementations must be deterministic: the same sequence
-    of calls after a ``reset`` must produce the same decisions.
+    ``admit`` sees the arriving request's model and tenant ("" for
+    untagged traffic), the arrival instant, the backlog queued for that
+    model and the cluster-wide queued total — everything the canonical
+    policies need, with no reference to engine internals.  The engine
+    holds a queued request as a row of the run's request columns, so a
+    policy never receives a request object.  Implementations must be
+    deterministic: the same sequence of calls after a ``reset`` must
+    produce the same decisions.
     """
 
     #: Stable policy name surfaced on results/reports (subclasses set it).
@@ -60,7 +62,8 @@ class AdmissionPolicy:
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
@@ -80,7 +83,8 @@ class AcceptAll(AdmissionPolicy):
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
@@ -107,7 +111,8 @@ class QueueDepthCap(AdmissionPolicy):
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
@@ -144,7 +149,8 @@ class TokenBucket(AdmissionPolicy):
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
@@ -232,7 +238,8 @@ class SloAwareShedding(AdmissionPolicy):
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
@@ -241,7 +248,7 @@ class SloAwareShedding(AdmissionPolicy):
             raise RuntimeError(
                 "slo-aware shedding used before reset(); the engine arms it"
             )
-        return model_depth <= self._max_depth[request.model]
+        return model_depth <= self._max_depth[model]
 
 
 class TenantTokenBucket(AdmissionPolicy):
@@ -279,18 +286,21 @@ class TenantTokenBucket(AdmissionPolicy):
 
     def admit(
         self,
-        request: Request,
+        model: str,
+        tenant: str,
         now_ns: float,
         model_depth: int,
         total_depth: int,
     ) -> bool:
-        bucket = self._buckets.get(request.tenant)
+        bucket = self._buckets.get(tenant)
         if bucket is not None and not bucket.admit(
-            request, now_ns, model_depth, total_depth
+            model, tenant, now_ns, model_depth, total_depth
         ):
             return False
         if self._inner is not None:
-            return self._inner.admit(request, now_ns, model_depth, total_depth)
+            return self._inner.admit(
+                model, tenant, now_ns, model_depth, total_depth
+            )
         return True
 
 

@@ -1,4 +1,4 @@
-"""Dynamic batching: per-model request queues and the dispatch policy.
+"""Dynamic batching: per-slot row queues and the dispatch policy.
 
 The scheduler is the continuous-batching rule production inference servers
 use: a batch dispatches to a free chip as soon as either (a) a full
@@ -8,14 +8,17 @@ latency for bigger (more efficient) batches; ``max_batch_size=1`` degrades
 to pure FIFO serving, which is how the engine's energy accounting is tied
 back to the single-inference :class:`repro.arch.RunResult` roll-up.
 
+A queued request is an int row into the run's request columns; the queue
+reads each row's arrival time and sequence length from those columns.
+
 Sequence-length **bucketing** rides on top for LLM traffic: when the
-policy carries ``seqlen_buckets``, each request is routed to the smallest
-bucket boundary covering its ``seq_len``, only same-bucket requests
-co-batch, and the whole batch runs padded to the bucket boundary — the
-padding waste is explicit (:attr:`Batch.padded_tokens` vs
-:attr:`Batch.token_count`).  Requests with ``seq_len == 0`` (CNNs, legacy
-traces) live in a single trivial native bucket and behave exactly as
-before bucketing existed.
+policy carries ``seqlen_buckets``, each row is routed to the smallest
+bucket boundary covering its ``seq_len``, only same-bucket rows co-batch,
+and the whole batch runs padded to the bucket boundary — the padded
+length :meth:`ModelQueue.pop_batch` returns, which the engine records per
+batch next to each request's own ``seq_len``.  Rows with ``seq_len == 0``
+(CNNs, legacy traces) live in a single trivial native bucket and behave
+exactly as before bucketing existed.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from __future__ import annotations
 import bisect
 import collections
 import dataclasses
-from typing import Deque, Dict, List, Optional, Tuple
-
-from repro.serve.traces import Request
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 
 def bucket_for(seq_len: int, buckets: Tuple[int, ...]) -> int:
@@ -93,93 +94,31 @@ class BatchingPolicy:
             raise ValueError("bucket boundaries must be strictly ascending")
 
 
-@dataclasses.dataclass(frozen=True)
-class Batch:
-    """One dispatched unit of work: co-scheduled requests of one model.
-
-    ``bucket_seq_len`` is the padded sequence length the whole batch runs
-    at (0 for the native bucket — the model's own shape, no padding).
-    """
-
-    model: str
-    requests: Tuple[Request, ...]
-    dispatch_ns: float
-    bucket_seq_len: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.requests:
-            raise ValueError("batch must carry at least one request")
-        if any(r.model != self.model for r in self.requests):
-            raise ValueError("batch mixes models")
-        if self.bucket_seq_len < 0:
-            raise ValueError("bucket_seq_len must be non-negative")
-        if self.bucket_seq_len and any(
-            r.seq_len > self.bucket_seq_len for r in self.requests
-        ):
-            raise ValueError("request seq_len exceeds its batch bucket")
-
-    @property
-    def size(self) -> int:
-        return len(self.requests)
-
-    @property
-    def tenant(self) -> str:
-        """Owning tenant ("" for untagged traffic).
-
-        The engine keeps one queue per (tenant, model) pair, so a batch
-        never mixes tenants — the first request speaks for all of them.
-        """
-        return self.requests[0].tenant
-
-    @property
-    def oldest_wait_ns(self) -> float:
-        return self.dispatch_ns - min(r.arrival_ns for r in self.requests)
-
-    @property
-    def token_count(self) -> int:
-        """Real tokens carried (0 when requests have no sequence length)."""
-        return sum(r.seq_len for r in self.requests)
-
-    @property
-    def padded_seq_len(self) -> int:
-        """Sequence length the whole batch actually runs at.
-
-        The bucket boundary when bucketed; otherwise the longest request in
-        the batch (the naive pad-to-batch-max rule bucketing improves on).
-        0 means the model's native shape.
-        """
-        if self.bucket_seq_len:
-            return self.bucket_seq_len
-        return max(r.seq_len for r in self.requests)
-
-    @property
-    def padded_tokens(self) -> int:
-        """Tokens the chip actually processes, padding included."""
-        return self.padded_seq_len * self.size
-
-    @property
-    def padding_fraction(self) -> float:
-        """Wasted fraction of processed tokens (0 for the native bucket)."""
-        padded = self.padded_tokens
-        if padded == 0:
-            return 0.0
-        return (padded - self.token_count) / padded
-
-
 class ModelQueue:
-    """Pending requests for one model, FIFO within each seqlen bucket.
+    """Pending rows of one dispatch slot, FIFO within each seqlen bucket.
 
-    Without buckets this is the plain FIFO it always was.  With buckets,
-    requests route to the smallest covering boundary; readiness still keys
-    off the *globally* oldest request (so the batching-window guarantee
-    holds regardless of which bucket a request landed in), and dispatch
-    prefers full buckets, breaking ties toward the oldest waiting request.
+    A row indexes the run's request columns: ``arrival_ns[row]`` and
+    ``seq_len[row]`` are read from the sequences the queue was built
+    over, which may grow while it runs.  The engine keeps one queue per
+    (tenant, model) slot, so a queue never mixes models.
+
+    Without buckets this is a plain FIFO.  With buckets, rows route to the
+    smallest covering boundary; readiness still keys off the *globally*
+    oldest row (so the batching-window guarantee holds regardless of which
+    bucket a row landed in), and dispatch prefers full buckets, breaking
+    ties toward the oldest waiting row.
     """
 
-    def __init__(self, model: str, buckets: Tuple[int, ...] = ()) -> None:
-        self.model = model
+    def __init__(
+        self,
+        arrival_ns: Sequence[float],
+        seq_len: Sequence[int],
+        buckets: Tuple[int, ...] = (),
+    ) -> None:
+        self._arrival = arrival_ns
+        self._seq_len = seq_len
         self.buckets = tuple(buckets)
-        self._pending: Dict[int, Deque[Request]] = collections.OrderedDict()
+        self._pending: Dict[int, Deque[int]] = collections.OrderedDict()
         self._size = 0
         # Hot-path caches: the engine's dispatch scan reads the oldest
         # arrival and the fullest-bucket size several times per event, so
@@ -192,63 +131,57 @@ class ModelQueue:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, request: Request) -> int:
-        """Enqueue one request; returns its bucket's new depth.
+    def _bucket(self, row: int) -> int:
+        seq_len = self._seq_len[row]
+        if seq_len == 0 or not self.buckets:
+            return 0  # inlined bucket_for fast path (the per-arrival case)
+        return bucket_for(seq_len, self.buckets)
+
+    def _grew(self, row: int, depth: int) -> None:
+        """Update the caches after ``row`` joined a bucket now ``depth`` deep."""
+        self._size += 1
+        if depth > self._longest:
+            self._longest = depth
+        arrival = self._arrival[row]
+        if self._oldest is not None and arrival < self._oldest:
+            self._oldest = arrival
+        elif self._size == 1:
+            self._oldest = arrival
+
+    def push(self, row: int) -> int:
+        """Enqueue one row; returns its bucket's new depth.
 
         The returned depth lets the engine detect the only two pushes that
         can change dispatchability — the queue waking from empty, or a
         bucket reaching the batch-size cap — without re-scanning.
         """
-        if request.model != self.model:
-            raise ValueError(
-                f"request for {request.model!r} pushed onto {self.model!r} queue"
-            )
-        if request.seq_len == 0 or not self.buckets:
-            bucket = 0  # inlined bucket_for fast path (the per-arrival case)
-        else:
-            bucket = bucket_for(request.seq_len, self.buckets)
+        bucket = self._bucket(row)
         queue = self._pending.get(bucket)
         if queue is None:
             queue = collections.deque()
             self._pending[bucket] = queue
-        queue.append(request)
-        self._size += 1
+        queue.append(row)
         depth = len(queue)
-        if depth > self._longest:
-            self._longest = depth
-        if self._oldest is not None and request.arrival_ns < self._oldest:
-            self._oldest = request.arrival_ns
-        elif self._size == 1:
-            self._oldest = request.arrival_ns
+        self._grew(row, depth)
         return depth
 
-    def push_front(self, requests: "Tuple[Request, ...]") -> None:
-        """Re-queue preempted requests at the *front* of their buckets.
+    def push_front(self, rows: Sequence[int]) -> None:
+        """Re-queue preempted rows at the *front* of their buckets.
 
-        The requests arrive in their original dequeue order, so pushing
-        them left in reverse restores each bucket's exact arrival order —
-        a preempted request keeps its place in line (and its original
+        The rows arrive in their original dequeue order, so pushing them
+        left in reverse restores each bucket's exact arrival order — a
+        preempted request keeps its place in line (and its original
         arrival stamp, so its latency keeps accruing while it waits to be
         re-dispatched).
         """
-        for request in reversed(requests):
-            if request.model != self.model:
-                raise ValueError(
-                    f"request for {request.model!r} pushed onto "
-                    f"{self.model!r} queue"
-                )
-            bucket = bucket_for(request.seq_len, self.buckets)
-            queue = self._pending.setdefault(bucket, collections.deque())
-            queue.appendleft(request)
-            self._size += 1
-            if len(queue) > self._longest:
-                self._longest = len(queue)
-            if self._oldest is not None and request.arrival_ns < self._oldest:
-                self._oldest = request.arrival_ns
-            elif self._size == 1:
-                self._oldest = request.arrival_ns
+        for row in reversed(rows):
+            queue = self._pending.setdefault(
+                self._bucket(row), collections.deque()
+            )
+            queue.appendleft(row)
+            self._grew(row, len(queue))
 
-    def _nonempty(self) -> List[Tuple[int, Deque[Request]]]:
+    def _nonempty(self) -> List[Tuple[int, Deque[int]]]:
         return [(b, q) for b, q in self._pending.items() if q]
 
     @property
@@ -256,7 +189,8 @@ class ModelQueue:
         if not self._size:
             raise IndexError("queue is empty")
         if self._oldest is None:
-            self._oldest = min(q[0].arrival_ns for _, q in self._nonempty())
+            arrival = self._arrival
+            self._oldest = min(arrival[q[0]] for _, q in self._nonempty())
         return self._oldest
 
     def ready(self, now_ns: float, policy: BatchingPolicy) -> bool:
@@ -271,28 +205,29 @@ class ModelQueue:
         return now_ns >= self.window_deadline_ns(policy)
 
     def window_deadline_ns(self, policy: BatchingPolicy) -> float:
-        """When the oldest queued request's batching window expires."""
+        """When the oldest queued row's batching window expires."""
         return self.oldest_arrival_ns + policy.window_ns
 
     def _dispatch_bucket(self, now_ns: float, policy: BatchingPolicy) -> int:
         """Which bucket the next batch comes from.
 
         The batching-window guarantee comes first: once the globally
-        oldest request's window has expired, its bucket dispatches even
+        oldest row's window has expired, its bucket dispatches even
         partially — otherwise a steady stream filling one bucket would
         starve a rare-bucket request forever.  Inside the window, full
         buckets beat partial ones (they dispatch regardless of the
-        window), oldest head request first, with the smaller bucket id as
-        the deterministic tiebreak.
+        window), oldest head row first, with the smaller bucket id as the
+        deterministic tiebreak.
         """
+        arrival = self._arrival
         candidates = self._nonempty()
         oldest_arrival, oldest_bucket = min(
-            (q[0].arrival_ns, b) for b, q in candidates
+            (arrival[q[0]], b) for b, q in candidates
         )
         if now_ns >= oldest_arrival + policy.window_ns:
             return oldest_bucket
         full = [
-            (q[0].arrival_ns, b)
+            (arrival[q[0]], b)
             for b, q in candidates
             if len(q) >= policy.max_batch_size
         ]
@@ -300,8 +235,16 @@ class ModelQueue:
             return min(full)[1]
         return oldest_bucket
 
-    def pop_batch(self, now_ns: float, policy: BatchingPolicy) -> Batch:
-        """Dequeue up to ``max_batch_size`` same-bucket requests."""
+    def pop_batch(
+        self, now_ns: float, policy: BatchingPolicy
+    ) -> Tuple[List[int], int]:
+        """Dequeue up to ``max_batch_size`` same-bucket rows.
+
+        Returns the rows, oldest first, and the sequence length the whole
+        batch runs at: its bucket boundary when bucketed, otherwise its
+        longest row (the naive pad-to-batch-max rule bucketing improves
+        on).  0 means the model's native shape.
+        """
         if not self._size:
             raise IndexError("cannot pop a batch from an empty queue")
         if not self.buckets:
@@ -313,22 +256,20 @@ class ModelQueue:
         take = policy.max_batch_size
         if n <= take:
             take = n
-            requests = tuple(queue)
+            rows = list(queue)
             queue.clear()
         else:
-            requests = tuple(queue.popleft() for _ in range(take))
+            rows = [queue.popleft() for _ in range(take)]
         self._size -= take
         if not self.buckets:
-            self._oldest = queue[0].arrival_ns if queue else None
+            self._oldest = self._arrival[queue[0]] if queue else None
             self._longest = len(queue)
         else:
             self._oldest = None
             self._longest = max(
                 (len(q) for q in self._pending.values()), default=0
             )
-        return Batch(
-            model=self.model,
-            requests=requests,
-            dispatch_ns=now_ns,
-            bucket_seq_len=bucket,
-        )
+        if bucket:
+            return rows, bucket
+        seq_len = self._seq_len
+        return rows, max(seq_len[row] for row in rows)

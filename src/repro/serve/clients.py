@@ -145,19 +145,18 @@ class ClientPopulation:
 class RejectionOutcome:
     """What a session does about one rejected request.
 
-    ``retry`` is the resubmission when the retry budget allows one — the
-    *same* request, original arrival time included, re-entering the
-    engine at ``retry_at_ns``; keeping the arrival timestamp is what
-    makes an eventually-served request's latency client-perceived
-    (rejection waits and backoff included), not reset per attempt.
-    Otherwise the request is dropped — ``attempts`` admission attempts
+    ``retry_at_ns`` is set when the retry budget allows a resubmission:
+    the *same* request, original arrival time included, re-enters the
+    engine at that instant; keeping the arrival timestamp is what makes
+    an eventually-served request's latency client-perceived (rejection
+    waits and backoff included), not reset per attempt.  Otherwise
+    (``None``) the request is dropped — ``attempts`` admission attempts
     were made in total — and ``next_request`` is the session's next
     fresh request (``None`` when the horizon has passed and the session
     retires).
     """
 
-    retry: Optional[Request] = None
-    retry_at_ns: float = 0.0
+    retry_at_ns: Optional[float] = None
     attempts: int = 1
     next_request: Optional[Request] = None
 
@@ -180,7 +179,7 @@ class ClosedLoopDriver:
     The engine calls :meth:`start` for the initial arrivals,
     :meth:`on_complete` for every finished request (the feedback edge
     that closes the loop) and :meth:`on_reject` for every admission
-    rejection.  One driver serves one engine run — like the power
+    rejection; both callbacks name the request by its id.  One driver serves one engine run — like the power
     governor, it is stateful and must not be reused.
     """
 
@@ -267,31 +266,28 @@ class ClosedLoopDriver:
                 requests.append(request)
         return tuple(requests)
 
-    def on_complete(self, request: Request, finish_ns: float) -> Optional[Request]:
+    def on_complete(self, request_id: int, finish_ns: float) -> Optional[Request]:
         """The feedback edge: completion unblocks the session."""
-        session = self._by_request_id.pop(request.request_id)
+        session = self._by_request_id.pop(request_id)
         return self._issue(session, finish_ns + self._think_ns(session))
 
-    def on_reject(self, request: Request, now_ns: float) -> RejectionOutcome:
+    def on_reject(self, request_id: int, now_ns: float) -> RejectionOutcome:
         """One admission rejection: retry with backoff, or drop and move on."""
-        session = self._by_request_id[request.request_id]
+        session = self._by_request_id[request_id]
         session.attempts += 1
         retry = self._population.retry
         if retry is not None and session.attempts <= retry.max_retries:
             retry_at = now_ns + retry.backoff_ns(session.attempts)
             if retry_at <= self._population.horizon_ns:
                 return RejectionOutcome(
-                    retry=request,
-                    retry_at_ns=retry_at,
-                    attempts=session.attempts,
+                    retry_at_ns=retry_at, attempts=session.attempts
                 )
         # Give up on this request: the session observes the rejection
         # (the cooldown round trip), thinks, and moves on.
-        self._by_request_id.pop(request.request_id)
+        self._by_request_id.pop(request_id)
         cooldown_ns = self._population.reject_cooldown_ms * 1e6
         delay_ns = max(self._think_ns(session), cooldown_ns)
         return RejectionOutcome(
-            retry=None,
             attempts=session.attempts,
             next_request=self._issue(session, now_ns + delay_ns),
         )

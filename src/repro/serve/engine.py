@@ -10,13 +10,18 @@ lives in the trace generators and the closed-loop client streams.
 
 Work waits in **dispatch slots**: one batching queue per (tenant, model)
 pair and, with an autoregressive decode loop, one decode FIFO per model.
-Every slot dispatches onto a **host set** — the chips that may serve it
-(for decode, the decode-side chips under the ``prefill-decode``
-placement), with the set's flat cost table, a free-host count and a
-round-robin cursor.  The free-chip index, the dirty-slot scan, the router
-and the launch step read host sets only, so prefill batches and decode
-iterations share one dispatch mechanism; each phase supplies just its
-batch and its routing key.
+What waits is a **row**: an int index into the run's request columns
+(the trace's rows, then one appended row per closed-loop issue; a retry
+re-enters on its own row).  Slot queues, in-flight batches, decode
+entries, log events and the served record all carry rows, and a
+:class:`~repro.serve.traces.Request` object is built only for a request
+rejected for good.  Every slot dispatches onto a **host set** — the chips
+that may serve it (for decode, the decode-side chips under the
+``prefill-decode`` placement), with the set's flat cost table, a
+free-host count and a round-robin cursor.  The free-chip index, the
+dirty-slot scan, the router and the launch step read host sets only, so
+prefill batches and decode iterations share one dispatch mechanism; each
+phase supplies just its batch of rows and its routing key.
 
 Two traffic sources feed the loop:
 
@@ -70,7 +75,7 @@ from typing import (
 )
 
 from repro.serve.admission import AdmissionPolicy, parse_admission
-from repro.serve.batching import Batch, BatchingPolicy, ModelQueue
+from repro.serve.batching import BatchingPolicy, ModelQueue, bucket_for
 from repro.serve.clients import ClientPopulation, ClosedLoopDriver
 from repro.serve.cluster import ChipService, Cluster
 from repro.serve.config import check_composition
@@ -134,10 +139,11 @@ class _InFlight:
     preempted chip.
     """
 
-    __slots__ = ("key", "batch", "chip_id", "dispatch_ns", "finish_ns",
+    __slots__ = ("key", "slot", "rows", "chip_id", "dispatch_ns", "finish_ns",
                  "busy_ns", "share_pj", "padded")
     key: int  # unique id; tombstoned in the engine's cancelled set
-    batch: Batch
+    slot: int  # the (tenant, model) slot the batch was popped from
+    rows: List[int]  # its requests, as rows of the run's columns
     chip_id: int
     dispatch_ns: float
     finish_ns: float
@@ -156,18 +162,21 @@ class _DecodeEntry:
     at; ``remaining`` counts down from the sampled output length.
     ``prefill`` is the completed prefill batch: its dispatch, size and
     padded length stamp the served record, its finish the first token.
+    ``row`` is the request's row in the run's columns.
     """
 
     __slots__ = (
-        "request", "ctx", "remaining", "total", "energy_pj", "kv_bytes",
+        "row", "ctx", "remaining", "total", "energy_pj", "kv_bytes",
         "kv_overflow", "prefill",
     )
 
-    def __init__(self, request: Request, ctx: int, prefill: "_InFlight") -> None:
-        self.request = request
+    def __init__(
+        self, row: int, tokens: int, ctx: int, prefill: "_InFlight"
+    ) -> None:
+        self.row = row
         self.ctx = ctx
-        self.remaining = request.decode_tokens
-        self.total = request.decode_tokens
+        self.remaining = tokens
+        self.total = tokens
         self.energy_pj = prefill.share_pj
         self.kv_bytes = 0.0
         self.kv_overflow = 0.0
@@ -586,8 +595,8 @@ class ServingEngine:
         cluster, policy = self._cluster, self._policy
         # Turn the input into columns exactly once.  A generator trace is
         # materialized here (iterating it twice once validated fine and
-        # then simulated zero requests); a Request sequence is wrapped
-        # and keeps its objects.
+        # then simulated zero requests); a Request sequence is copied into
+        # columns.
         cols = as_columns(trace)
         if clients is not None and len(cols):
             raise ValueError(
@@ -661,6 +670,13 @@ class ServingEngine:
             # by arrival reproduces the old heap's (arrival, push-order)
             # ordering exactly, so out-of-order traces replay bit-for-bit.
             cols = cols.take(np.argsort(arrival, kind="stable"))
+        buckets = policy.seqlen_buckets
+        if buckets:
+            # The first (time-ordered) request past the largest bucket
+            # fails the run before anything is simulated.
+            over = cols.seq_len > buckets[-1]
+            if over.any():
+                bucket_for(int(cols.seq_len[over.argmax()]), buckets)
         elastic_cfg = self._elastic
         el_lo = el_hi = el_init = 0
         if elastic_cfg is not None:
@@ -703,35 +719,43 @@ class ServingEngine:
             # (see _run_turbo).  Bit-identical to the general path —
             # golden-guarded through the homogeneous differential cases.
             return self._run_turbo(cols, stream, clients, log)
-        trace = cols.requests()
         # One queue per (tenant, model) slot.  Without tenancy there is a
         # single anonymous tenant "", so the slot list — and the dispatch
         # scan order below — collapses to the legacy per-model layout.
         tenant_order = tenancy.names if tenancy is not None else ("",)
         model_order = tuple(cluster.models)
+        n_models = len(model_order)
+        model_index = {m: i for i, m in enumerate(model_order)}
         slots: Tuple[Tuple[str, str], ...] = tuple(
             (t, m) for t in tenant_order for m in model_order
         )
-        queues: Dict[Tuple[str, str], ModelQueue] = {
-            (t, m): ModelQueue(m, policy.seqlen_buckets) for t, m in slots
-        }
-        slot_index: Dict[Tuple[str, str], int] = {
-            slot: i for i, slot in enumerate(slots)
-        }
-        queue_list: List[ModelQueue] = [queues[slot] for slot in slots]
         tenant_list: List[str] = [slot[0] for slot in slots]
         model_list: List[str] = [slot[1] for slot in slots]
-        # Arrival lookup: (tenant,) model -> (queue, slot index).  Keyed by
-        # the model alone when tenancy is off, so the per-arrival hot path
-        # never builds a key tuple.
+        # The run's request columns as lists, one entry per row; a
+        # closed-loop issue appends a row (add_row).  ``row_slot`` is the
+        # row's (tenant, model) slot and ``row_tenant`` its own tag (which
+        # names no slot when tenancy is off).
+        arrival_of = cols.arrival_ns.tolist()
+        seq_len_of = cols.seq_len.tolist()
+        decode_of = cols.decode_tokens.tolist()
+        id_of = cols.request_id.tolist()
+        # (The input checks leave no row outside the slot tables; -1 only
+        # marks table names no row uses.)
+        row_slot = np.array(
+            [model_index.get(m, -1) for m in cols.model_names], dtype=np.int64
+        )[cols.model_code]
         if tenancy is not None:
-            slot_of: Dict = {
-                slot: (queues[slot], i) for i, slot in enumerate(slots)
-            }
-        else:
-            slot_of = {
-                m: (queues[("", m)], slot_index[("", m)]) for m in model_order
-            }
+            tenant_index = {t: i for i, t in enumerate(tenant_order)}
+            row_slot += n_models * np.array(
+                [tenant_index.get(t, -1) for t in cols.tenant_names],
+                dtype=np.int64,
+            )[cols.tenant_code]
+        row_slot = row_slot.tolist()
+        row_tenant = [cols.tenant_names[c] for c in cols.tenant_code.tolist()]
+        queue_list = [
+            ModelQueue(arrival_of, seq_len_of, policy.seqlen_buckets)
+            for _ in slots
+        ]
         # slot index -> deadline of its one pending window timer.  Arming
         # at most one timer per queue per deadline matters once the scan
         # covers several queues: unguarded, every timer firing re-arms
@@ -760,8 +784,6 @@ class ServingEngine:
         routing = self._routing
         decode_on = decode_cfg is not None
         n_pslots = len(slots)
-        n_models = len(model_order)
-        model_index = {m: i for i, m in enumerate(model_order)}
         # One decode FIFO per model, addressed as the slots past the
         # prefill slots (index n_pslots + model index), so the dirty-set
         # scan covers both phases.  Tenancy, clients and elastic fleets
@@ -914,21 +936,56 @@ class ServingEngine:
         total_queued = 0
         running: Dict[int, _InFlight] = {}
         cancelled: set = set()  # tombstoned _InFlight keys
-        # Completions land here in landing order: the served requests and
-        # one row per landed prefill batch or finished decode request (the
-        # end of its range of ``landed``, then its ServedColumns fields).
-        landed: List[Request] = []
-        rows: List[tuple] = []
+        # Completions land here in landing order: the served rows and one
+        # table row per landed prefill batch or finished decode request
+        # (the end of its range of ``landed``, then its ServedColumns
+        # fields).
+        landed: List[int] = []
+        table_rows: List[tuple] = []
         no_decode = (0.0, 0.0, 0.0) if decode_on else ()
-        live = [TraceColumns.from_requests(()), np.empty((0, 7 + len(no_decode)))]
+        live = [np.empty(0, np.int64), np.empty((0, 7 + len(no_decode)))]
+
+        def columns() -> TraceColumns:
+            """The run's request columns, closed-loop issues included."""
+            nonlocal cols
+            n = len(cols)
+            if n < len(arrival_of):
+                # Only closed loops append rows, and they are untagged: a
+                # row's slot is its model's index.
+                cols = cols + TraceColumns(
+                    arrival_of[n:], row_slot[n:], model_order,
+                    seq_len_of[n:], decode_of[n:], id_of[n:],
+                )
+            return cols
 
         def record(ordered: bool = False) -> ServedColumns:
             # Both lists only grow: a read converts just the new landings.
-            reqs, table = live
-            live[1] = table = grow(table, rows)
-            if len(reqs) < len(landed):
-                live[0] = reqs = reqs + TraceColumns.from_requests(landed[len(reqs) :])
-            return ServedColumns.land(reqs, table, ordered=ordered)
+            live[0] = done = grow(live[0], landed)
+            live[1] = table = grow(live[1], table_rows)
+            return ServedColumns.land(
+                columns().take(done), table, ordered=ordered
+            )
+
+        def add_row(request: Request) -> int:
+            """Append a closed-loop issue to the run's rows."""
+            arrival_of.append(request.arrival_ns)
+            seq_len_of.append(request.seq_len)
+            decode_of.append(request.decode_tokens)
+            id_of.append(request.request_id)
+            row_slot.append(model_index[request.model])
+            row_tenant.append(request.tenant)
+            return len(arrival_of) - 1
+
+        def rejected_request(row: int, now: float, attempts: int) -> RejectedRequest:
+            """The record of a request rejected for good."""
+            return RejectedRequest(
+                Request(
+                    id_of[row], model_list[row_slot[row]], arrival_of[row],
+                    seq_len_of[row], row_tenant[row], decode_of[row],
+                ),
+                now,
+                attempts,
+            )
 
         rejected: List[RejectedRequest] = []
         preempted: List[PreemptionRecord] = []
@@ -956,13 +1013,13 @@ class ServingEngine:
         scan_sizes: Dict[int, int] = {}
 
         events: List[tuple] = []
-        # The merged arrival cursor: open-loop arrivals stay in the
-        # time-sorted trace tuple and are merged into the event order on
-        # the fly, instead of materializing N heap tuples up front.
-        # Dynamic arrivals (retries, closed-loop follow-ups) still go
-        # through the heap with sequence numbers >= len(trace), so every
-        # same-timestamp tie breaks exactly as the old all-heap order did.
-        trace_n = len(trace)
+        # The merged arrival cursor: the trace's rows are merged into the
+        # event order on the fly, instead of materializing N heap tuples
+        # up front.  Dynamic arrivals (retries, closed-loop follow-ups)
+        # still go through the heap with sequence numbers >= trace_n, so
+        # every same-timestamp tie breaks exactly as the old all-heap
+        # order did.
+        trace_n = len(arrival_of)
         max_batch = policy.max_batch_size
         cursor = 0
         seq = trace_n
@@ -1035,7 +1092,7 @@ class ServingEngine:
             event = (finish, _COMPLETION, seq, inflight)
             seq += 1
             if pending is None and (not events or finish < events[0][0]) and (
-                cursor >= trace_n or finish < trace[cursor].arrival_ns
+                cursor >= trace_n or finish < arrival_of[cursor]
             ):
                 pending = event
             else:
@@ -1059,13 +1116,19 @@ class ServingEngine:
                         log.append((SCALE, finish, "park", 1))
 
         def commit_batch(
-            slot: Tuple[str, str],
-            batch: Batch,
+            index: int,
+            batch: Tuple[List[int], int],
             now: float,
             chip: Optional[int] = None,
             overhead_ns: float = 0.0,
         ) -> None:
-            """Route a popped batch (unless ``chip`` is given), price, launch.
+            """Route a batch popped from slot ``index`` (unless ``chip`` is
+            given), price, launch.
+
+            ``batch`` is what :meth:`ModelQueue.pop_batch` returned: the
+            rows and the padded sequence length the whole batch runs at
+            (its bucket boundary, or its longest request without
+            bucketing; 0 = native shape).
 
             Cost-aware routing prices the exact batch on each candidate
             through the same cost rows the dispatch itself uses, so
@@ -1078,26 +1141,24 @@ class ServingEngine:
             an instant ago.
             """
             nonlocal n_batches, total_queued
-            tenant, model = slot
+            rows, padded = batch
+            size = len(rows)
+            tenant, model = tenant_list[index], model_list[index]
             if tenancy is not None:
-                backlog[tenant] -= batch.size
+                backlog[tenant] -= size
             if track_queued:
-                model_queued[model] -= batch.size
-                total_queued -= batch.size
-            # The whole batch runs padded to its bucket boundary (or to
-            # its longest request without bucketing); 0 = native shape.
-            padded = batch.padded_seq_len
+                model_queued[model] -= size
+                total_queued -= size
             k = model_index[model]
             table = set_table[k]
             if chip is None:
-                size = batch.size
                 chip = route(
                     k,
                     lambda c: routing_key(
                         c, table.get(c, size, padded), throttler is not None
                     ),
                 )
-            cost = table.get(chip, batch.size, padded)
+            cost = table.get(chip, size, padded)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
@@ -1111,12 +1172,13 @@ class ServingEngine:
                 busy_ns = service_ns
             inflight = _InFlight(
                 key=seq,
-                batch=batch,
+                slot=index,
+                rows=rows,
                 chip_id=chip,
                 dispatch_ns=now,
                 finish_ns=finish,
                 busy_ns=busy_ns,
-                share_pj=cost.energy_pj / batch.size,
+                share_pj=cost.energy_pj / size,
                 padded=padded,
             )
             running[chip] = inflight
@@ -1125,7 +1187,7 @@ class ServingEngine:
             if log is not None:
                 log.append((
                     DSP, now, chip, model, tenant,
-                    [r.request_id for r in batch.requests], finish, overhead_ns,
+                    [id_of[r] for r in rows], finish, overhead_ns,
                 ))
 
         def decode_price(
@@ -1233,9 +1295,7 @@ class ServingEngine:
                         dq = decode_queues[index - n_pslots]
                         if not dq:
                             continue
-                        key = scheduler.key(
-                            "", dq[0].request.arrival_ns, index
-                        )
+                        key = scheduler.key("", arrival_of[dq[0].row], index)
                     else:
                         queue = queue_list[index]
                         if not queue._size:
@@ -1263,21 +1323,18 @@ class ServingEngine:
                 if index >= n_pslots:
                     dispatch_decode(index - n_pslots, now)
                 else:
-                    batch = queue_list[index].pop_batch(now, policy)
-                    commit_batch(slots[index], batch, now)
+                    commit_batch(
+                        index, queue_list[index].pop_batch(now, policy), now
+                    )
 
-        def enqueue(request: Request, now: float) -> None:
-            """Admitted arrival enters its (tenant, model) queue."""
+        def enqueue(row: int, index: int, now: float) -> None:
+            """Admitted arrival ``row`` enters its slot ``index``'s queue."""
             nonlocal total_queued
-            if tenancy is not None:
-                tenant = request.tenant
-                queue, index = slot_of[(tenant, request.model)]
-            else:
-                queue, index = slot_of[request.model]
+            queue = queue_list[index]
             was_empty = not queue._size
-            depth = queue.push(request)
+            depth = queue.push(row)
             if track_queued:
-                model_queued[request.model] += 1
+                model_queued[model_list[index]] += 1
                 total_queued += 1
             # Only two pushes can change dispatchability: waking an empty
             # queue (new window deadline to arm, instantly ready when the
@@ -1287,13 +1344,14 @@ class ServingEngine:
             if was_empty or depth >= policy.max_batch_size:
                 dirty.add(index)
             if tenancy is not None:
+                tenant = tenant_list[index]
                 backlog[tenant] += 1
                 if backlog[tenant] == 1:
                     scheduler.on_activate(tenant)
                 if preempting:
-                    maybe_preempt(request, now)
+                    maybe_preempt(row, index, now)
 
-        def maybe_preempt(request: Request, now: float) -> None:
+        def maybe_preempt(row: int, index: int, now: float) -> None:
             """Kill a lower-priority batch if waiting would miss a deadline.
 
             Fires only for preempting SLO classes, only when every hosting
@@ -1308,29 +1366,28 @@ class ServingEngine:
             back to the older requeued victim).
             """
             nonlocal total_queued
-            tenant = tenancy.tenant(request.tenant)
-            if not tenant.slo.preempts:
+            tenant_name, model = slots[index]
+            if not tenancy.tenant(tenant_name).slo.preempts:
                 return
-            model = request.model
-            limit = deadlines[(request.tenant, model)]
+            limit = deadlines[(tenant_name, model)]
             if math.isinf(limit):
                 return
             model_hosts = set_hosts[model_index[model]]
             if any(chip_free[c] <= now for c in model_hosts):
                 return  # a free host exists; the normal dispatch handles it
-            deadline_at = request.arrival_ns + limit
+            deadline_at = arrival_of[row] + limit
             ref = ref_ns[model]
             overhead = tenancy.preemption_overhead_ns
             if min(chip_free[c] for c in model_hosts) + ref <= deadline_at:
                 return  # waiting for the earliest chip still makes it
             if now + overhead + ref > deadline_at:
                 return  # already dead on arrival; preempting wastes work
-            mine = priority_of[request.tenant]
+            mine = priority_of[tenant_name]
             victims = [
                 (c, running[c])
                 for c in model_hosts
                 if c in running
-                and priority_of.get(running[c].batch.tenant, mine) > mine
+                and priority_of.get(tenant_list[running[c].slot], mine) > mine
             ]
             if not victims:
                 return
@@ -1341,46 +1398,50 @@ class ServingEngine:
             del running[chip]
             wasted = now - victim.dispatch_ns
             chip_busy[chip] += wasted
-            victim_slot = (victim.batch.tenant, victim.batch.model)
-            queues[victim_slot].push_front(victim.batch.requests)
+            victim_tenant, victim_model = slots[victim.slot]
+            size = len(victim.rows)
+            queue_list[victim.slot].push_front(victim.rows)
             # The requeue moved the victim queue's oldest arrival back, so
             # its window deadline must re-arm on the next scan.
-            dirty.add(slot_index[victim_slot])
+            dirty.add(victim.slot)
             if track_queued:
-                model_queued[victim.batch.model] += victim.batch.size
-                total_queued += victim.batch.size
-            if backlog[victim.batch.tenant] == 0:
-                scheduler.on_activate(victim.batch.tenant)
-            backlog[victim.batch.tenant] += victim.batch.size
+                model_queued[victim_model] += size
+                total_queued += size
+            if backlog[victim_tenant] == 0:
+                scheduler.on_activate(victim_tenant)
+            backlog[victim_tenant] += size
             preempted.append(
                 PreemptionRecord(
-                    tenant=victim.batch.tenant,
-                    model=victim.batch.model,
+                    tenant=victim_tenant,
+                    model=victim_model,
                     chip_id=chip,
                     preempt_ns=now,
                     wasted_ns=wasted,
-                    batch_size=victim.batch.size,
-                    by_tenant=request.tenant,
+                    batch_size=size,
+                    by_tenant=tenant_name,
                 )
             )
             if log is not None:
                 log.append((
-                    PRE, now, chip, victim.batch.model, victim.batch.tenant,
-                    [r.request_id for r in victim.batch.requests], wasted,
-                    request.tenant, victim.finish_ns,
+                    PRE, now, chip, victim_model, victim_tenant,
+                    [id_of[r] for r in victim.rows], wasted,
+                    tenant_name, victim.finish_ns,
                 ))
             chip_free[chip] = now
             # Rebalance the free index across the free-then-recommit pair
             # (the immediate commit below marks it busy again); the dirty
             # marks this leaves behind cover the preemptor's popped queue.
             mark_free(chip)
-            slot = (request.tenant, model)
-            batch = queues[slot].pop_batch(now, policy)
-            commit_batch(slot, batch, now, chip=chip, overhead_ns=overhead)
+            commit_batch(
+                index, queue_list[index].pop_batch(now, policy), now,
+                chip=chip, overhead_ns=overhead,
+            )
 
         def push_arrival(request: Request) -> None:
+            """Schedule a closed-loop issue's arrival on a fresh row."""
             nonlocal seq
-            heapq.heappush(events, (request.arrival_ns, _ARRIVAL, seq, request))
+            row = add_row(request)
+            heapq.heappush(events, (request.arrival_ns, _ARRIVAL, seq, row))
             seq += 1
 
         while True:
@@ -1390,14 +1451,13 @@ class ServingEngine:
             # but a completion (kind 0) — the old all-heap order, given
             # cursor sequence numbers precede every dynamic event's.
             if pending is not None and (not events or pending < events[0]) and (
-                cursor >= trace_n or pending[0] <= trace[cursor].arrival_ns
+                cursor >= trace_n or pending[0] <= arrival_of[cursor]
             ):
                 now, kind, _, payload = pending
                 pending = None
                 release(now, payload.chip_id, now)
             elif cursor < trace_n:
-                request = trace[cursor]
-                arrival = request.arrival_ns
+                arrival = arrival_of[cursor]
                 if events:
                     head = events[0]
                     if head[0] < arrival or (
@@ -1405,10 +1465,10 @@ class ServingEngine:
                     ):
                         now, kind, _, payload = heapq.heappop(events)
                     else:
-                        now, kind, payload = arrival, _ARRIVAL, request
+                        now, kind, payload = arrival, _ARRIVAL, cursor
                         cursor += 1
                 else:
-                    now, kind, payload = arrival, _ARRIVAL, request
+                    now, kind, payload = arrival, _ARRIVAL, cursor
                     cursor += 1
             elif events:
                 now, kind, _, payload = heapq.heappop(events)
@@ -1434,58 +1494,56 @@ class ServingEngine:
                 if log is not None:
                     log.append((POWER, now, governor.current_power_w()))
             if kind == _ARRIVAL:
-                request = payload
+                row = payload
+                index = row_slot[row]
+                model = model_list[index]
                 if controller is not None:
                     el_arrivals += 1
                 if log is not None:
-                    log.append((
-                        ARR, now, request.request_id, request.model,
-                        request.tenant,
-                    ))
+                    log.append((ARR, now, id_of[row], model, row_tenant[row]))
                 if admission is None or admission.admit(
-                    request,
+                    model,
+                    row_tenant[row],
                     now,
-                    model_queued[request.model],
+                    model_queued[model],
                     total_queued,
                 ):
                     if log is not None:
                         log.append((
-                            ENQ, now, request.request_id, request.model,
-                            request.tenant,
+                            ENQ, now, id_of[row], model, row_tenant[row],
                         ))
-                    enqueue(request, now)
+                    enqueue(row, index, now)
                 else:
                     n_rejections += 1
                     if driver is None:
                         # Open loop: nobody retries, the request drops.
-                        rejected.append(RejectedRequest(request, now, 1))
+                        rejected.append(rejected_request(row, now, 1))
                         if log is not None:
                             log.append((
-                                REJ, now, request.request_id, request.model,
-                                request.tenant, True, 1,
+                                REJ, now, id_of[row], model, row_tenant[row],
+                                True, 1,
                             ))
                     else:
-                        outcome = driver.on_reject(request, now)
+                        outcome = driver.on_reject(id_of[row], now)
+                        retry_at = outcome.retry_at_ns
                         if log is not None:
                             log.append((
-                                REJ, now, request.request_id, request.model,
-                                request.tenant, outcome.retry is None,
-                                outcome.attempts,
+                                REJ, now, id_of[row], model, row_tenant[row],
+                                retry_at is None, outcome.attempts,
                             ))
-                        if outcome.retry is not None:
-                            # The retry keeps its original arrival stamp
-                            # (latency stays client-perceived across
-                            # attempts) but re-enters at the backoff
-                            # instant, so the event is scheduled there.
+                        if retry_at is not None:
+                            # The retry keeps its row, so its original
+                            # arrival stamp (latency stays client-perceived
+                            # across attempts), but re-enters at the
+                            # backoff instant, so the event is scheduled
+                            # there.
                             heapq.heappush(
-                                events,
-                                (outcome.retry_at_ns, _ARRIVAL, seq,
-                                 outcome.retry),
+                                events, (retry_at, _ARRIVAL, seq, row)
                             )
                             seq += 1
                         else:
                             rejected.append(
-                                RejectedRequest(request, now, outcome.attempts)
+                                rejected_request(row, now, outcome.attempts)
                             )
                             if outcome.next_request is not None:
                                 push_arrival(outcome.next_request)
@@ -1523,10 +1581,10 @@ class ServingEngine:
                             kv_total += entry.kv_bytes
                             kv_overflow_total += entry.kv_overflow
                             prefill = entry.prefill
-                            landed.append(entry.request)
-                            rows.append((
+                            landed.append(entry.row)
+                            table_rows.append((
                                 len(landed), inflight.chip_id,
-                                prefill.batch.size, prefill.dispatch_ns,
+                                len(prefill.rows), prefill.dispatch_ns,
                                 inflight.finish_ns, entry.energy_pj,
                                 prefill.padded, prefill.finish_ns,
                                 entry.kv_bytes, entry.kv_overflow,
@@ -1556,33 +1614,35 @@ class ServingEngine:
                 chip_busy[inflight.chip_id] += inflight.busy_ns
                 if inflight.finish_ns > makespan:
                     makespan = inflight.finish_ns
-                batch = inflight.batch
+                rows = inflight.rows
+                model = model_list[inflight.slot]
                 if log is not None:
                     log.append((
-                        CMP, now, inflight.chip_id, batch.model, batch.tenant,
-                        [r.request_id for r in batch.requests],
-                        [r.arrival_ns for r in batch.requests],
+                        CMP, now, inflight.chip_id, model, row_tenant[rows[0]],
+                        [id_of[r] for r in rows], [arrival_of[r] for r in rows],
                         inflight.dispatch_ns, inflight.share_pj,
                     ))
                 # Requests with a sampled output length enter their
                 # model's decode FIFO (their first token just
                 # materialized — the TTFT stamp); the rest land.  The
                 # input checks reject decode_tokens without a decode loop.
-                done = batch.requests
+                done = rows
                 if decode_on:
                     done = []
-                    for request in batch.requests:
-                        if not request.decode_tokens:
-                            done.append(request)
+                    mi = model_index[model]
+                    for row in rows:
+                        tokens = decode_of[row]
+                        if not tokens:
+                            done.append(row)
                             continue
-                        ctx = request.seq_len or cluster.native_seq_len(batch.model)
-                        decode_queues[model_index[batch.model]].append(
-                            _DecodeEntry(request, ctx, inflight)
+                        ctx = seq_len_of[row] or cluster.native_seq_len(model)
+                        decode_queues[mi].append(
+                            _DecodeEntry(row, tokens, ctx, inflight)
                         )
-                        dirty.add(n_pslots + model_index[batch.model])
+                        dirty.add(n_pslots + mi)
                 landed.extend(done)
-                rows.append((
-                    len(landed), inflight.chip_id, batch.size,
+                table_rows.append((
+                    len(landed), inflight.chip_id, len(rows),
                     inflight.dispatch_ns, inflight.finish_ns,
                     inflight.share_pj, inflight.padded,
                 ) + no_decode)
@@ -1592,8 +1652,8 @@ class ServingEngine:
                     # The feedback edge: each finished request unblocks
                     # its session, which thinks and then issues the next
                     # arrival.
-                    for request in batch.requests:
-                        follow = driver.on_complete(request, now)
+                    for row in rows:
+                        follow = driver.on_complete(id_of[row], now)
                         if follow is not None:
                             push_arrival(follow)
             elif kind == _WINDOW:
@@ -1733,7 +1793,7 @@ class ServingEngine:
         )
         if log is not None:
             log.close(makespan)
-        leftover = sum(len(q) for q in queues.values()) + sum(
+        leftover = sum(len(q) for q in queue_list) + sum(
             len(dq) for dq in decode_queues
         )
         if leftover:

@@ -112,12 +112,13 @@ class TraceColumns(Sequence[Request]):
     and ``==`` compares request for request against any request sequence.
 
     Construction applies the four :class:`Request` checks to whole
-    columns, raising the message the first offending request would.  A
-    trace wrapped from existing requests (:meth:`from_requests`) keeps
-    and hands back those very objects.
+    columns, raising the message the first offending request would.  The
+    columns are the only representation: a trace built from existing
+    requests (:meth:`from_requests`) copies their fields, and every read
+    builds fresh objects.
     """
 
-    __slots__ = _COLUMNS + ("_requests",)
+    __slots__ = _COLUMNS
 
     def __init__(
         self,
@@ -153,7 +154,6 @@ class TraceColumns(Sequence[Request]):
         )
         self.tenant_code = column(tenant_code, np.int32)
         self.tenant_names = tuple(tenant_names)
-        self._requests: Optional[Tuple[Request, ...]] = None
         for codes, names, what in (
             (self.model_code, self.model_names, "model"),
             (self.tenant_code, self.tenant_names, "tenant"),
@@ -178,12 +178,11 @@ class TraceColumns(Sequence[Request]):
             raise ValueError(checks[min(failed)[1]][1])
 
     @classmethod
-    def _of(cls, *columns, requests=None) -> "TraceColumns":
+    def _of(cls, *columns) -> "TraceColumns":
         """Assemble already-checked columns (in :data:`_COLUMNS` order)."""
         self = cls.__new__(cls)
         for name, value in zip(_COLUMNS, columns):
             setattr(self, name, value)
-        self._requests = requests
         return self
 
     def _columns(self) -> tuple:
@@ -191,7 +190,7 @@ class TraceColumns(Sequence[Request]):
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "TraceColumns":
-        """Wrap a request sequence; indexing hands back the same objects."""
+        """The columns of a request sequence, in its order."""
         reqs = tuple(requests)
         models: Dict[str, int] = {}
         tenants: Dict[str, int] = {}
@@ -213,7 +212,6 @@ class TraceColumns(Sequence[Request]):
                 n,
             ),
             tuple(tenants) or ("",),
-            requests=reqs,
         )
 
     def replace(self, **columns) -> "TraceColumns":
@@ -226,23 +224,15 @@ class TraceColumns(Sequence[Request]):
         fields.update(columns)
         return TraceColumns(**fields)
 
-    def take(self, order: np.ndarray) -> "TraceColumns":
-        """The requests at positions ``order``, in that order."""
-        cols = [
-            col if isinstance(col, tuple) else col[order]
-            for col in self._columns()
-        ]
-        reqs = self._requests
+    def take(self, order: Union[np.ndarray, slice]) -> "TraceColumns":
+        """The requests at positions ``order`` (an index array or a
+        slice), in that order."""
         return TraceColumns._of(
-            *cols,
-            requests=None if reqs is None else tuple(reqs[i] for i in order.tolist()),
+            *(
+                col if isinstance(col, tuple) else col[order]
+                for col in self._columns()
+            )
         )
-
-    def requests(self) -> Tuple[Request, ...]:
-        """Every request as a :class:`Request` (the wrapped ones, if any)."""
-        if self._requests is not None:
-            return self._requests
-        return tuple(iter(self))
 
     # -- Sequence[Request] -----------------------------------------------------------
     def __len__(self) -> int:
@@ -250,16 +240,7 @@ class TraceColumns(Sequence[Request]):
 
     def __getitem__(self, index: Union[int, slice]):
         if isinstance(index, slice):
-            reqs = self._requests
-            return TraceColumns._of(
-                *(
-                    col if isinstance(col, tuple) else col[index]
-                    for col in self._columns()
-                ),
-                requests=None if reqs is None else reqs[index],
-            )
-        if self._requests is not None:
-            return self._requests[index]
+            return self.take(index)
         i = range(len(self))[index]  # bounds check, negative indices
         return Request(
             int(self.request_id[i]),
@@ -271,8 +252,6 @@ class TraceColumns(Sequence[Request]):
         )
 
     def __iter__(self) -> Iterator[Request]:
-        if self._requests is not None:
-            return iter(self._requests)
         models, tenants = self.model_names, self.tenant_names
         return map(
             Request,
@@ -326,7 +305,7 @@ class TraceColumns(Sequence[Request]):
 
 
 def as_columns(trace: Iterable[Request]) -> TraceColumns:
-    """``trace`` itself if it is columnar, else its requests wrapped."""
+    """``trace`` itself if it is columnar, else its requests' columns."""
     if isinstance(trace, TraceColumns):
         return trace
     return TraceColumns.from_requests(trace)

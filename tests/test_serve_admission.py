@@ -14,11 +14,6 @@ from repro.serve import (
     parse_admission,
 )
 from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
-from repro.serve.traces import Request
-
-
-def _request(model="resnet18", arrival_ns=0.0):
-    return Request(request_id=0, model=model, arrival_ns=arrival_ns)
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +26,15 @@ class TestAcceptAll:
         policy = AcceptAll()
         assert policy.name == "accept-all"
         for depth in (0, 10, 10**6):
-            assert policy.admit(_request(), 0.0, depth, depth)
+            assert policy.admit("resnet18", "", 0.0, depth, depth)
 
 
 class TestQueueDepthCap:
     def test_admits_below_and_rejects_at_the_cap(self):
         policy = QueueDepthCap(max_depth=4)
-        assert policy.admit(_request(), 0.0, 3, 3)
-        assert not policy.admit(_request(), 0.0, 0, 4)  # cluster-wide depth
-        assert not policy.admit(_request(), 0.0, 9, 9)
+        assert policy.admit("resnet18", "", 0.0, 3, 3)
+        assert not policy.admit("resnet18", "", 0.0, 0, 4)  # cluster-wide depth
+        assert not policy.admit("resnet18", "", 0.0, 9, 9)
 
     def test_validates_depth(self):
         with pytest.raises(ValueError, match="max_depth"):
@@ -50,28 +45,28 @@ class TestTokenBucket:
     def test_burst_then_starve_then_refill(self):
         policy = TokenBucket(rate_rps=1000.0, burst=2.0)
         policy.reset(None, BatchingPolicy())
-        assert policy.admit(_request(), 0.0, 0, 0)
-        assert policy.admit(_request(), 0.0, 0, 0)
-        assert not policy.admit(_request(), 0.0, 0, 0)  # bucket empty
+        assert policy.admit("resnet18", "", 0.0, 0, 0)
+        assert policy.admit("resnet18", "", 0.0, 0, 0)
+        assert not policy.admit("resnet18", "", 0.0, 0, 0)  # bucket empty
         # 1000 req/s = one token per millisecond.
-        assert policy.admit(_request(), 1e6, 0, 0)
-        assert not policy.admit(_request(), 1e6, 0, 0)
+        assert policy.admit("resnet18", "", 1e6, 0, 0)
+        assert not policy.admit("resnet18", "", 1e6, 0, 0)
 
     def test_refill_never_exceeds_burst(self):
         policy = TokenBucket(rate_rps=1000.0, burst=3.0)
         policy.reset(None, BatchingPolicy())
         # A long quiet period refills to burst, not beyond.
         for _ in range(3):
-            assert policy.admit(_request(), 1e9, 0, 0)
-        assert not policy.admit(_request(), 1e9, 0, 0)
+            assert policy.admit("resnet18", "", 1e9, 0, 0)
+        assert not policy.admit("resnet18", "", 1e9, 0, 0)
 
     def test_reset_rearms_the_bucket(self):
         policy = TokenBucket(rate_rps=1.0, burst=1.0)
         policy.reset(None, BatchingPolicy())
-        assert policy.admit(_request(), 0.0, 0, 0)
-        assert not policy.admit(_request(), 0.0, 0, 0)
+        assert policy.admit("resnet18", "", 0.0, 0, 0)
+        assert not policy.admit("resnet18", "", 0.0, 0, 0)
         policy.reset(None, BatchingPolicy())
-        assert policy.admit(_request(), 0.0, 0, 0)
+        assert policy.admit("resnet18", "", 0.0, 0, 0)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="rate_rps"):
@@ -83,14 +78,14 @@ class TestTokenBucket:
 class TestSloAwareShedding:
     def test_requires_reset_before_use(self):
         with pytest.raises(RuntimeError, match="reset"):
-            SloAwareShedding().admit(_request(), 0.0, 0, 0)
+            SloAwareShedding().admit("resnet18", "", 0.0, 0, 0)
 
     def test_empty_queue_always_admits_under_default_slo(self, cluster):
         policy = SloAwareShedding()
         policy.reset(cluster, BatchingPolicy())
         # Default SLO is 10x the batch-1 floor; an empty queue predicts
         # exactly 1x, so the first request always fits its deadline.
-        assert policy.admit(_request(), 0.0, 0, 0)
+        assert policy.admit("resnet18", "", 0.0, 0, 0)
 
     def test_deep_backlog_is_shed_and_slo_scales_it(self, cluster):
         policy = SloAwareShedding()
@@ -98,17 +93,17 @@ class TestSloAwareShedding:
         policy.reset(cluster, batching)
         # 2 hosts, batch 1: depth d predicts ceil(d/2)+1 service floors;
         # the default 10x budget drowns at depth 19 but not at 18.
-        assert policy.admit(_request(), 0.0, 18, 18)
-        assert not policy.admit(_request(), 0.0, 19, 19)
+        assert policy.admit("resnet18", "", 0.0, 18, 18)
+        assert not policy.admit("resnet18", "", 0.0, 19, 19)
         floor = cluster.reference_latency_ns("resnet18")
         generous = SloAwareShedding(slo_ms=100 * floor * 1e-6)
         generous.reset(cluster, batching)
-        assert generous.admit(_request(), 0.0, 19, 19)
+        assert generous.admit("resnet18", "", 0.0, 19, 19)
 
     def test_explicit_slo_ms_overrides_the_multiple(self, cluster):
         policy = SloAwareShedding(slo_ms=1e6)
         policy.reset(cluster, BatchingPolicy())
-        assert policy.admit(_request(), 0.0, 10**6, 10**6)
+        assert policy.admit("resnet18", "", 0.0, 10**6, 10**6)
 
     @pytest.mark.parametrize("slo_ms", [None, 1e-6, 0.5, 3.0])
     @pytest.mark.parametrize("max_batch", [1, 3, 8])
@@ -123,7 +118,7 @@ class TestSloAwareShedding:
         slo_ns = DEFAULT_SLO_MULTIPLE * floor if slo_ms is None else slo_ms * 1e6
         for depth in range(1200):
             predicted = cluster.predicted_latency_ns("resnet18", depth, max_batch)
-            assert policy.admit(_request(), 0.0, depth, depth) == (
+            assert policy.admit("resnet18", "", 0.0, depth, depth) == (
                 predicted <= slo_ns
             )
 

@@ -1,12 +1,15 @@
-"""Dynamic batching policy and per-model queues."""
+"""Dynamic batching policy and per-slot row queues."""
 
 import pytest
 
-from repro.serve import Batch, BatchingPolicy, ModelQueue, Request
+from repro.serve import BatchingPolicy
+from repro.serve.batching import ModelQueue
 
 
-def _req(i, t, model="m"):
-    return Request(request_id=i, model=model, arrival_ns=t)
+def _queue(arrivals, seq_lens=None, buckets=()):
+    """A queue over rows 0..n-1 of these arrival and seq_len columns."""
+    seq_lens = [0] * len(arrivals) if seq_lens is None else list(seq_lens)
+    return ModelQueue(list(arrivals), seq_lens, buckets)
 
 
 class TestPolicy:
@@ -22,33 +25,9 @@ class TestPolicy:
             BatchingPolicy(window_ns=-1.0)
 
 
-class TestBatch:
-    def test_rejects_empty_and_mixed(self):
-        with pytest.raises(ValueError):
-            Batch(model="m", requests=(), dispatch_ns=0.0)
-        with pytest.raises(ValueError):
-            Batch(
-                model="m",
-                requests=(_req(0, 0.0), _req(1, 0.0, model="other")),
-                dispatch_ns=0.0,
-            )
-
-    def test_oldest_wait(self):
-        batch = Batch(
-            model="m", requests=(_req(0, 10.0), _req(1, 40.0)), dispatch_ns=100.0
-        )
-        assert batch.size == 2
-        assert batch.oldest_wait_ns == pytest.approx(90.0)
-
-
 class TestModelQueue:
-    def test_rejects_foreign_requests(self):
-        queue = ModelQueue("m")
-        with pytest.raises(ValueError):
-            queue.push(_req(0, 0.0, model="other"))
-
     def test_empty_queue_is_never_ready(self):
-        queue = ModelQueue("m")
+        queue = _queue([])
         assert not queue.ready(1e9, BatchingPolicy())
         with pytest.raises(IndexError):
             queue.pop_batch(0.0, BatchingPolicy())
@@ -57,34 +36,45 @@ class TestModelQueue:
 
     def test_full_batch_is_ready_immediately(self):
         policy = BatchingPolicy(max_batch_size=2, window_ns=1e9)
-        queue = ModelQueue("m")
-        queue.push(_req(0, 0.0))
+        queue = _queue([0.0, 0.0])
+        queue.push(0)
         assert not queue.ready(0.0, policy)
-        queue.push(_req(1, 0.0))
+        queue.push(1)
         assert queue.ready(0.0, policy)
 
     def test_window_expiry_makes_partial_batch_ready(self):
         policy = BatchingPolicy(max_batch_size=8, window_ns=100.0)
-        queue = ModelQueue("m")
-        queue.push(_req(0, 50.0))
+        queue = _queue([50.0])
+        queue.push(0)
         assert not queue.ready(149.0, policy)
         assert queue.ready(queue.window_deadline_ns(policy), policy)
         assert queue.window_deadline_ns(policy) == pytest.approx(150.0)
 
     def test_zero_window_disables_batching_delay(self):
         policy = BatchingPolicy(max_batch_size=8, window_ns=0.0)
-        queue = ModelQueue("m")
-        queue.push(_req(0, 5.0))
+        queue = _queue([5.0])
+        queue.push(0)
         assert queue.ready(5.0, policy)
 
     def test_pop_is_fifo_and_capped(self):
         policy = BatchingPolicy(max_batch_size=2, window_ns=0.0)
-        queue = ModelQueue("m")
-        for i in range(3):
-            queue.push(_req(i, float(i)))
-        batch = queue.pop_batch(10.0, policy)
-        assert [r.request_id for r in batch.requests] == [0, 1]
-        assert batch.dispatch_ns == 10.0
+        queue = _queue([0.0, 1.0, 2.0])
+        for row in range(3):
+            queue.push(row)
+        assert queue.pop_batch(10.0, policy) == ([0, 1], 0)
         assert len(queue) == 1
-        rest = queue.pop_batch(11.0, policy)
-        assert [r.request_id for r in rest.requests] == [2]
+        assert queue.oldest_arrival_ns == 2.0
+        assert queue.pop_batch(11.0, policy) == ([2], 0)
+
+    def test_reads_rows_appended_after_construction(self):
+        # A closed loop appends rows to the run's columns mid-run; the
+        # queue reads them through the same lists.
+        arrivals, seq_lens = [10.0], [0]
+        queue = ModelQueue(arrivals, seq_lens)
+        queue.push(0)
+        arrivals.append(40.0)
+        seq_lens.append(0)
+        queue.push(1)
+        policy = BatchingPolicy(max_batch_size=8, window_ns=100.0)
+        assert queue.window_deadline_ns(policy) == 110.0
+        assert queue.pop_batch(110.0, policy) == ([0, 1], 0)

@@ -160,9 +160,13 @@ class TestRetryWithBackoff:
         )
         driver = ClosedLoopDriver(population, {"resnet18": 0})
         first = driver.start()[0]
-        outcome = driver.on_reject(first, 5e6)
-        assert outcome.retry is first  # same request, arrival intact
+        issued = driver.n_issued
+        outcome = driver.on_reject(first.request_id, 5e6)
+        # The same request re-enters (on its own row, arrival intact):
+        # the driver issues nothing new.
         assert outcome.retry_at_ns == 5e6 + 1e6
+        assert outcome.next_request is None
+        assert driver.n_issued == issued
 
     def test_zero_think_population_cannot_livelock_a_shedding_policy(self):
         """The reject cooldown guarantees simulated time advances even
@@ -225,7 +229,7 @@ class TestDriverBookkeeping:
         initial = driver.start()
         assert len(initial) == 3
         assert driver.n_issued == 3
-        follow = driver.on_complete(initial[0], 2e6)
+        follow = driver.on_complete(initial[0].request_id, 2e6)
         assert follow is not None and follow.request_id == 3
         assert driver.n_issued == 4
 

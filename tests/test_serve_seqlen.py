@@ -12,9 +12,9 @@ import pytest
 from repro.models import at_seq_len, get_workload
 from repro.models.workload import LayerKind, ModelKind
 from repro.serve import (
-    Batch,
     BatchingPolicy,
     Cluster,
+    EventLog,
     FleetConfig,
     PolicyConfig,
     Request,
@@ -22,11 +22,11 @@ from repro.serve import (
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
-    bucket_for,
     default_buckets,
     fixed_seqlens,
     fixed_trace,
     format_serving,
+    lifecycle_tracer,
     lognormal_seqlens,
     longtail_seqlens,
     sample_seqlens,
@@ -36,6 +36,7 @@ from repro.serve import (
     uniform_trace,
     with_seqlens,
 )
+from repro.serve.batching import ModelQueue, bucket_for
 
 
 class TestAtSeqLen:
@@ -184,27 +185,42 @@ class TestBuckets:
             BatchingPolicy(seqlen_buckets=(0, 128))
         assert BatchingPolicy().seqlen_buckets == ()
 
-    def test_batch_padding_accounting(self):
-        reqs = tuple(
-            Request(request_id=i, model="m", arrival_ns=0.0, seq_len=s)
-            for i, s in enumerate((100, 200, 256))
+    def test_bucket_overflow_fails_before_the_run(self, tmp_path):
+        # Only the 1,001st request outgrows the largest bucket; the run
+        # must refuse the trace before simulating (or tracing) anything.
+        lens = [32] * 1000 + [100]
+        trace = with_seqlens(
+            uniform_trace("mobilebert", 100_000.0, len(lens) / 100_000.0), lens
         )
-        batch = Batch(model="m", requests=reqs, dispatch_ns=0.0, bucket_seq_len=256)
-        assert batch.token_count == 556
-        assert batch.padded_seq_len == 256
-        assert batch.padded_tokens == 768
-        assert batch.padding_fraction == pytest.approx((768 - 556) / 768)
-        with pytest.raises(ValueError):
-            Batch(model="m", requests=reqs, dispatch_ns=0.0, bucket_seq_len=128)
+        engine = ServingEngine(
+            Cluster([get_workload("mobilebert")], n_chips=1),
+            BatchingPolicy(seqlen_buckets=(32, 64)),
+        )
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError) as raised:
+            engine.run(trace, log=EventLog([lifecycle_tracer(str(path))]))
+        with pytest.raises(ValueError) as expected:
+            bucket_for(100, (32, 64))
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == "seq_len 100 exceeds the largest bucket 64"
+        assert not path.exists()
+        assert engine.last_stats is None
+
+    def test_bucketed_batch_runs_at_its_bucket(self):
+        queue = ModelQueue([0.0] * 3, [200, 100, 256], (128, 256))
+        for row in range(3):
+            queue.push(row)
+        policy = BatchingPolicy(max_batch_size=3, window_ns=0.0)
+        # Rows 0 and 2 share the 256 bucket; row 1 waits in bucket 128.
+        assert queue.pop_batch(0.0, policy) == ([1], 128)
+        assert queue.pop_batch(0.0, policy) == ([0, 2], 256)
 
     def test_unbucketed_batch_pads_to_its_max(self):
-        reqs = tuple(
-            Request(request_id=i, model="m", arrival_ns=0.0, seq_len=s)
-            for i, s in enumerate((100, 300))
-        )
-        batch = Batch(model="m", requests=reqs, dispatch_ns=0.0)
-        assert batch.padded_seq_len == 300
-        assert batch.padded_tokens == 600
+        queue = ModelQueue([0.0, 0.0], [100, 300])
+        queue.push(0)
+        queue.push(1)
+        policy = BatchingPolicy(max_batch_size=2, window_ns=0.0)
+        assert queue.pop_batch(0.0, policy) == ([0, 1], 300)
 
 
 class TestBucketedQueue:
@@ -214,48 +230,33 @@ class TestBucketedQueue:
         )
 
     def test_only_same_bucket_requests_cobatch(self):
-        from repro.serve import ModelQueue
-
         policy = self._policy()
-        queue = ModelQueue("m", policy.seqlen_buckets)
-        for i, s in enumerate((100, 200, 120)):
-            queue.push(Request(request_id=i, model="m", arrival_ns=float(i), seq_len=s))
+        queue = ModelQueue([0.0, 1.0, 2.0], [100, 200, 120], policy.seqlen_buckets)
+        for row in range(3):
+            queue.push(row)
         assert len(queue) == 3
-        # Bucket 128 fills first (requests 0 and 2) even though request 1
-        # arrived in between.
-        batch = queue.pop_batch(10.0, policy)
-        assert [r.request_id for r in batch.requests] == [0, 2]
-        assert batch.bucket_seq_len == 128
-        rest = queue.pop_batch(11.0, policy)
-        assert [r.request_id for r in rest.requests] == [1]
-        assert rest.bucket_seq_len == 256
+        # Bucket 128 fills first (rows 0 and 2) even though row 1 arrived
+        # in between.
+        assert queue.pop_batch(10.0, policy) == ([0, 2], 128)
+        assert queue.pop_batch(11.0, policy) == ([1], 256)
 
     def test_expired_window_beats_a_full_rival_bucket(self):
         """Anti-starvation: once the oldest request's window expires, its
         bucket dispatches even while another bucket is full — a steady
         short-prompt stream must not starve a rare long-context request."""
-        from repro.serve import ModelQueue
-
         policy = self._policy()
-        queue = ModelQueue("m", policy.seqlen_buckets)
-        queue.push(Request(request_id=0, model="m", arrival_ns=0.0, seq_len=256))
-        for i in (1, 2):
-            queue.push(
-                Request(request_id=i, model="m", arrival_ns=5.0, seq_len=64)
-            )
+        arrivals = [0.0, 5.0, 5.0, 20.0, 20.0]
+        queue = ModelQueue(arrivals, [256, 64, 64, 64, 64], policy.seqlen_buckets)
+        for row in range(3):
+            queue.push(row)
         # Inside the window the full 128-bucket wins...
-        batch = queue.pop_batch(10.0, policy)
-        assert batch.bucket_seq_len == 128
-        for i in (3, 4):
-            queue.push(
-                Request(request_id=i, model="m", arrival_ns=20.0, seq_len=64)
-            )
+        assert queue.pop_batch(10.0, policy) == ([1, 2], 128)
+        queue.push(3)
+        queue.push(4)
         # ...but past the long request's deadline, its bucket goes first
         # even though the short bucket is full again.
         deadline = 0.0 + policy.window_ns
-        batch = queue.pop_batch(deadline, policy)
-        assert [r.request_id for r in batch.requests] == [0]
-        assert batch.bucket_seq_len == 256
+        assert queue.pop_batch(deadline, policy) == ([0], 256)
 
     def test_long_request_latency_is_window_bounded_under_short_flood(self):
         """End-to-end: one long-context request inside a flood of short
@@ -283,17 +284,15 @@ class TestBucketedQueue:
         assert shorts_before <= 2 * policy.max_batch_size
 
     def test_window_keys_off_globally_oldest(self):
-        from repro.serve import ModelQueue
-
         policy = self._policy()
-        queue = ModelQueue("m", policy.seqlen_buckets)
-        queue.push(Request(request_id=0, model="m", arrival_ns=10.0, seq_len=200))
-        queue.push(Request(request_id=1, model="m", arrival_ns=20.0, seq_len=100))
+        queue = ModelQueue([10.0, 20.0], [200, 100], policy.seqlen_buckets)
+        queue.push(0)
+        queue.push(1)
         assert queue.window_deadline_ns(policy) == pytest.approx(10.0 + 1e6)
         assert not queue.ready(5.0, policy)
         # At the deadline the oldest request's bucket dispatches first.
-        batch = queue.pop_batch(queue.window_deadline_ns(policy), policy)
-        assert [r.request_id for r in batch.requests] == [0]
+        rows, _ = queue.pop_batch(queue.window_deadline_ns(policy), policy)
+        assert rows == [0]
 
 
 def _seqlen_run(models, n_chips, buckets=None, mode="batched", **workload):

@@ -262,12 +262,6 @@ class TestTraceColumns:
         assert cols[-1] == requests[-1]
         assert tuple(cols[3:9]) == requests[3:9]
 
-    def test_wrapped_requests_keep_their_objects(self):
-        requests = tuple(fixed_trace("m", [1.0, 2.0, 3.0]))
-        wrapped = TraceColumns.from_requests(requests)
-        assert all(a is b for a, b in zip(wrapped, requests))
-        assert wrapped[1] is requests[1]
-
     def test_replacing_a_column_keeps_the_rest(self):
         cols = poisson_trace("m", 5000.0, 0.01, seed=3)
         lens = list(range(1, len(cols) + 1))

@@ -19,7 +19,6 @@ from repro.serve import (
     BatchingPolicy,
     Cluster,
     FleetConfig,
-    ModelQueue,
     PolicyConfig,
     PowerConfig,
     QueueDepthCap,
@@ -40,7 +39,7 @@ from repro.serve import (
     simulate_serving,
     summarize,
 )
-from repro.serve.traces import Request
+from repro.serve.batching import ModelQueue
 
 
 def _one_chip(workload, policy=PolicyConfig()):
@@ -203,45 +202,34 @@ class TestSchedulers:
 
 class TestPushFront:
     def test_requeued_batch_keeps_bucket_order(self):
-        queue = ModelQueue("m", buckets=(128, 256))
-        reqs = tuple(
-            Request(i, "m", float(i), seq_len=100 + 60 * (i % 2))
-            for i in range(6)
-        )
-        for r in reqs:
-            queue.push(r)
+        arrivals = [float(i) for i in range(6)]
+        seq_lens = [100 + 60 * (i % 2) for i in range(6)]
+        queue = ModelQueue(arrivals, seq_lens, buckets=(128, 256))
+        for row in range(6):
+            queue.push(row)
         policy = BatchingPolicy(max_batch_size=3, window_ns=0.0)
-        batch = queue.pop_batch(1e9, policy)
-        queue.push_front(batch.requests)
-        # Popping again returns the exact same requests in the same order.
-        again = queue.pop_batch(1e9, policy)
-        assert again.requests == batch.requests
-        assert len(queue) == len(reqs) - len(batch.requests)
-
-    def test_push_front_rejects_wrong_model(self):
-        queue = ModelQueue("m")
-        with pytest.raises(ValueError):
-            queue.push_front((Request(0, "other", 0.0),))
+        rows, padded = queue.pop_batch(1e9, policy)
+        queue.push_front(rows)
+        # Popping again returns the exact same rows in the same order.
+        assert queue.pop_batch(1e9, policy) == (rows, padded)
+        assert len(queue) == 6 - len(rows)
 
 
 # -- per-tenant admission ------------------------------------------------------------
 
 
 class TestTenantTokenBucket:
-    def _request(self, tenant, i=0, at=0.0):
-        return Request(i, "resnet18", at, tenant=tenant)
-
     def test_each_tenant_burns_only_its_own_tokens(self, cluster):
         policy = TenantTokenBucket(
             {"a": TokenBucket(rate_rps=1.0, burst=2.0)}
         )
         policy.reset(cluster, BatchingPolicy())
-        assert policy.admit(self._request("a", 0), 0.0, 0, 0)
-        assert policy.admit(self._request("a", 1), 0.0, 0, 0)
-        assert not policy.admit(self._request("a", 2), 0.0, 0, 0)
+        assert policy.admit("resnet18", "a", 0.0, 0, 0)
+        assert policy.admit("resnet18", "a", 0.0, 0, 0)
+        assert not policy.admit("resnet18", "a", 0.0, 0, 0)
         # An unlimited tenant is untouched by a's exhaustion.
         for i in range(10):
-            assert policy.admit(self._request("b", i), 0.0, 0, 0)
+            assert policy.admit("resnet18", "b", 0.0, 0, 0)
         assert policy.name == "tenant-bucket"
 
     def test_inner_policy_composes_conjunctively(self, cluster):
@@ -251,11 +239,11 @@ class TestTenantTokenBucket:
         )
         policy.reset(cluster, BatchingPolicy())
         assert policy.name == "tenant-bucket+queue-cap"
-        assert policy.admit(self._request("a"), 0.0, 0, 0)
+        assert policy.admit("resnet18", "a", 0.0, 0, 0)
         # Bucket empty: rejected before the inner cap is consulted.
-        assert not policy.admit(self._request("a", 1), 0.0, 0, 0)
+        assert not policy.admit("resnet18", "a", 0.0, 0, 0)
         # Unlimited tenant still faces the inner cap.
-        assert not policy.admit(self._request("b"), 0.0, 2, 2)
+        assert not policy.admit("resnet18", "b", 0.0, 2, 2)
 
 
 # -- engine guards -------------------------------------------------------------------
