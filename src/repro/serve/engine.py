@@ -732,7 +732,7 @@ class ServingEngine:
         tenant_list: List[str] = [slot[0] for slot in slots]
         model_list: List[str] = [slot[1] for slot in slots]
         # The run's request columns as lists, one entry per row; a
-        # closed-loop issue appends a row (add_row).  ``row_slot`` is the
+        # closed-loop issue appends a row (push_arrival).  ``row_slot`` is the
         # row's (tenant, model) slot and ``row_tenant`` its own tag (which
         # names no slot when tenancy is off).
         arrival_of = cols.arrival_ns.tolist()
@@ -945,8 +945,9 @@ class ServingEngine:
         no_decode = (0.0, 0.0, 0.0) if decode_on else ()
         live = [np.empty(0, np.int64), np.empty((0, 7 + len(no_decode)))]
 
-        def columns() -> TraceColumns:
-            """The run's request columns, closed-loop issues included."""
+        def record(ordered: bool = False) -> ServedColumns:
+            # Every list only grows: a read converts just the new landings
+            # and the closed-loop rows appended since the last read.
             nonlocal cols
             n = len(cols)
             if n < len(arrival_of):
@@ -956,36 +957,9 @@ class ServingEngine:
                     arrival_of[n:], row_slot[n:], model_order,
                     seq_len_of[n:], decode_of[n:], id_of[n:],
                 )
-            return cols
-
-        def record(ordered: bool = False) -> ServedColumns:
-            # Both lists only grow: a read converts just the new landings.
             live[0] = done = grow(live[0], landed)
             live[1] = table = grow(live[1], table_rows)
-            return ServedColumns.land(
-                columns().take(done), table, ordered=ordered
-            )
-
-        def add_row(request: Request) -> int:
-            """Append a closed-loop issue to the run's rows."""
-            arrival_of.append(request.arrival_ns)
-            seq_len_of.append(request.seq_len)
-            decode_of.append(request.decode_tokens)
-            id_of.append(request.request_id)
-            row_slot.append(model_index[request.model])
-            row_tenant.append(request.tenant)
-            return len(arrival_of) - 1
-
-        def rejected_request(row: int, now: float, attempts: int) -> RejectedRequest:
-            """The record of a request rejected for good."""
-            return RejectedRequest(
-                Request(
-                    id_of[row], model_list[row_slot[row]], arrival_of[row],
-                    seq_len_of[row], row_tenant[row], decode_of[row],
-                ),
-                now,
-                attempts,
-            )
+            return ServedColumns.land(cols.take(done), table, ordered=ordered)
 
         rejected: List[RejectedRequest] = []
         preempted: List[PreemptionRecord] = []
@@ -1123,12 +1097,8 @@ class ServingEngine:
             overhead_ns: float = 0.0,
         ) -> None:
             """Route a batch popped from slot ``index`` (unless ``chip`` is
-            given), price, launch.
-
-            ``batch`` is what :meth:`ModelQueue.pop_batch` returned: the
-            rows and the padded sequence length the whole batch runs at
-            (its bucket boundary, or its longest request without
-            bucketing; 0 = native shape).
+            given), price, launch.  ``batch`` is what
+            :meth:`ModelQueue.pop_batch` returned: its rows and padded length.
 
             Cost-aware routing prices the exact batch on each candidate
             through the same cost rows the dispatch itself uses, so
@@ -1438,10 +1408,17 @@ class ServingEngine:
             )
 
         def push_arrival(request: Request) -> None:
-            """Schedule a closed-loop issue's arrival on a fresh row."""
+            """Append a closed-loop issue as a row; schedule its arrival."""
             nonlocal seq
-            row = add_row(request)
-            heapq.heappush(events, (request.arrival_ns, _ARRIVAL, seq, row))
+            arrival_of.append(request.arrival_ns)
+            seq_len_of.append(request.seq_len)
+            decode_of.append(request.decode_tokens)
+            id_of.append(request.request_id)
+            row_slot.append(model_index[request.model])
+            row_tenant.append(request.tenant)
+            heapq.heappush(
+                events, (request.arrival_ns, _ARRIVAL, seq, len(id_of) - 1)
+            )
             seq += 1
 
         while True:
@@ -1515,38 +1492,36 @@ class ServingEngine:
                     enqueue(row, index, now)
                 else:
                     n_rejections += 1
-                    if driver is None:
-                        # Open loop: nobody retries, the request drops.
-                        rejected.append(rejected_request(row, now, 1))
-                        if log is not None:
-                            log.append((
-                                REJ, now, id_of[row], model, row_tenant[row],
-                                True, 1,
-                            ))
-                    else:
+                    # Open loop: nobody retries, the request drops.
+                    retry_at, attempts, follow = None, 1, None
+                    if driver is not None:
                         outcome = driver.on_reject(id_of[row], now)
-                        retry_at = outcome.retry_at_ns
-                        if log is not None:
-                            log.append((
-                                REJ, now, id_of[row], model, row_tenant[row],
-                                retry_at is None, outcome.attempts,
-                            ))
-                        if retry_at is not None:
-                            # The retry keeps its row, so its original
-                            # arrival stamp (latency stays client-perceived
-                            # across attempts), but re-enters at the
-                            # backoff instant, so the event is scheduled
-                            # there.
-                            heapq.heappush(
-                                events, (retry_at, _ARRIVAL, seq, row)
-                            )
-                            seq += 1
-                        else:
-                            rejected.append(
-                                rejected_request(row, now, outcome.attempts)
-                            )
-                            if outcome.next_request is not None:
-                                push_arrival(outcome.next_request)
+                        retry_at, attempts = outcome.retry_at_ns, outcome.attempts
+                        follow = outcome.next_request
+                    if log is not None:
+                        log.append((
+                            REJ, now, id_of[row], model, row_tenant[row],
+                            retry_at is None, attempts,
+                        ))
+                    if retry_at is not None:
+                        # The retry keeps its row, so its original arrival
+                        # stamp (latency stays client-perceived across
+                        # attempts), but re-enters at the backoff instant,
+                        # so the event is scheduled there.
+                        heapq.heappush(events, (retry_at, _ARRIVAL, seq, row))
+                        seq += 1
+                    else:
+                        rejected.append(RejectedRequest(
+                            Request(
+                                id_of[row], model, arrival_of[row],
+                                seq_len_of[row], row_tenant[row],
+                                decode_of[row],
+                            ),
+                            now,
+                            attempts,
+                        ))
+                        if follow is not None:
+                            push_arrival(follow)
             elif kind == _COMPLETION:
                 inflight = payload
                 if type(inflight) is _DecodeInFlight:
