@@ -132,6 +132,7 @@ class ModelQueue:
         return self._size
 
     def _bucket(self, row: int) -> int:
+        """The bucket boundary ``row`` routes to (0 = the native bucket)."""
         seq_len = self._seq_len[row]
         if seq_len == 0 or not self.buckets:
             return 0  # inlined bucket_for fast path (the per-arrival case)
