@@ -179,8 +179,9 @@ class ClosedLoopDriver:
     The engine calls :meth:`start` for the initial arrivals,
     :meth:`on_complete` for every finished request (the feedback edge
     that closes the loop) and :meth:`on_reject` for every admission
-    rejection; both callbacks name the request by its id.  One driver serves one engine run — like the power
-    governor, it is stateful and must not be reused.
+    rejection; both callbacks name the request by its id.  One driver
+    serves one engine run — like the power governor, it is stateful and
+    must not be reused.
     """
 
     def __init__(

@@ -732,9 +732,9 @@ class ServingEngine:
         tenant_list: List[str] = [slot[0] for slot in slots]
         model_list: List[str] = [slot[1] for slot in slots]
         # The run's request columns as lists, one entry per row; a
-        # closed-loop issue appends a row (push_arrival).  ``row_slot`` is the
-        # row's (tenant, model) slot and ``row_tenant`` its own tag (which
-        # names no slot when tenancy is off).
+        # closed-loop issue appends a row (push_arrival).  ``row_slot`` is
+        # the row's (tenant, model) slot and ``row_tenant`` its own tag
+        # (which names no slot when tenancy is off).
         arrival_of = cols.arrival_ns.tolist()
         seq_len_of = cols.seq_len.tolist()
         decode_of = cols.decode_tokens.tolist()
