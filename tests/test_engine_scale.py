@@ -103,8 +103,7 @@ class TestScalingGuardRails:
         trace = _mixed_trace(models, rps_each, duration_s)
         engine, _ = _engine(models, n_chips=n_chips)
         engine._force_general = True
-        engine.run(trace)
-        return len(trace), engine.last_stats
+        return len(trace), engine.run(trace).stats
 
     def test_slot_scans_linear_in_requests(self):
         """8x the requests => ~8x the slot scans (per-request flat)."""
@@ -140,8 +139,7 @@ class TestScalingGuardRails:
         """The fast path processes O(requests) events, no window storms."""
         trace = poisson_trace("resnet18", rps=50000, duration_s=0.05, seed=0)
         engine, _ = _engine(["resnet18"])
-        engine.run(trace)
-        stats = engine.last_stats
+        stats = engine.run(trace).stats
         n = len(trace)
         assert stats.n_events <= 2 * n + 2 * stats.n_batches + 2
         assert stats.n_slot_scans <= stats.n_events

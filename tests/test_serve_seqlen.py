@@ -185,12 +185,17 @@ class TestBuckets:
             BatchingPolicy(seqlen_buckets=(0, 128))
         assert BatchingPolicy().seqlen_buckets == ()
 
-    def test_bucket_overflow_fails_before_the_run(self, tmp_path):
+    def test_bucket_overflow_fails_before_the_run(self, tmp_path, monkeypatch):
         # Only the 1,001st request outgrows the largest bucket; the run
         # must refuse the trace before simulating (or tracing) anything.
         lens = [32] * 1000 + [100]
         trace = with_seqlens(
             uniform_trace("mobilebert", 100_000.0, len(lens) / 100_000.0), lens
+        )
+        priced = []
+        service = Cluster.service
+        monkeypatch.setattr(
+            Cluster, "service", lambda *a: priced.append(a) or service(*a)
         )
         engine = ServingEngine(
             Cluster([get_workload("mobilebert")], n_chips=1),
@@ -204,7 +209,7 @@ class TestBuckets:
         assert str(raised.value) == str(expected.value)
         assert str(raised.value) == "seq_len 100 exceeds the largest bucket 64"
         assert not path.exists()
-        assert engine.last_stats is None
+        assert not priced
 
     def test_bucketed_batch_runs_at_its_bucket(self):
         queue = ModelQueue([0.0] * 3, [200, 100, 256], (128, 256))
