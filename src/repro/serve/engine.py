@@ -53,6 +53,8 @@ A single plain slot on a uniform host set skips the event loop for a
 per-batch walk (:meth:`ServingEngine._run_turbo`), bit-identical to it.
 Both loops land every completion in one columnar record,
 :class:`~repro.serve.served.ServedColumns`; streaming only reads it.
+The walk returns what it produced, and both loops end in one epilogue
+in :meth:`ServingEngine.run`: stats, log close, the final record.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class _DecodeEntry:
     """
 
     __slots__ = (
-        "row", "ctx", "remaining", "total", "energy_pj", "kv_bytes",
+        "row", "ctx", "remaining", "energy_pj", "kv_bytes",
         "kv_overflow", "prefill",
     )
 
@@ -176,7 +178,6 @@ class _DecodeEntry:
         self.row = row
         self.ctx = ctx
         self.remaining = tokens
-        self.total = tokens
         self.energy_pj = prefill.share_pj
         self.kv_bytes = 0.0
         self.kv_overflow = 0.0
@@ -214,8 +215,10 @@ class EngineProfile:
 
     Deterministic like every :class:`EngineStats` counter — no wall
     clock — so a profile diff between two commits is a real hot-path
-    diff, not noise.  ``events_by_kind`` counts heap, cursor and
-    pending-slot pops per event kind; ``dispatch_scan_hist`` maps
+    diff, not noise.  ``events_by_kind`` splits ``n_events``, derived
+    from the run's counts: a completion per batch or decode iteration,
+    an arrival per request row or retry, the counted scale events, and
+    window timers as the remainder.  ``dispatch_scan_hist`` maps
     dirty-set size to how many scan rounds saw it (an every-slot scan
     shows up here as a fat tail); ``heap_peak`` is the high-water mark
     of scheduled events (the pending slot included) observed at pops.
@@ -230,15 +233,14 @@ class EngineProfile:
 class EngineStats:
     """Hot-path instrumentation of one :meth:`ServingEngine.run`.
 
-    Deterministic work counters (no wall clock anywhere), exposed on
-    :attr:`ServingEngine.last_stats` for the scaling guard-rail tests:
-    ``n_slot_scans`` is the total number of (tenant, model) slot
-    examinations the dispatch scan performed — the dirty slots on a
-    round's first pass, then only the previous pass's candidates — the
-    quantity that used to grow as events x slots and must now grow
-    linearly with the event count.  The counters also ride on
-    :attr:`ServingResult.stats` as a non-comparing field, so result
-    equality and the golden digests are untouched.  ``profile`` carries
+    Deterministic work counters (no wall clock anywhere), read as
+    :attr:`ServingResult.stats` — a non-comparing field, so result
+    equality and the golden digests are untouched.  The scaling
+    guard-rail tests read ``n_slot_scans``: the total number of (tenant,
+    model) slot examinations the dispatch scan performed — the dirty
+    slots on a round's first pass, then only the previous pass's
+    candidates — the quantity that used to grow as events x slots and
+    must now grow linearly with the event count.  ``profile`` carries
     the per-event-kind breakdown when the engine ran with
     ``profile=True`` (``--profile-engine``).
     """
@@ -529,41 +531,6 @@ class ServingEngine:
         #: (``--profile-engine``); off by default — the hot loop then
         #: pays nothing beyond one falsy branch per event.
         self._profile = profile
-        #: Instrumentation of the most recent :meth:`run` (scaling
-        #: guard-rails); ``None`` until a run completes.
-        self.last_stats: Optional[EngineStats] = None
-
-    @property
-    def cluster(self) -> Cluster:
-        return self._cluster
-
-    @property
-    def policy(self) -> BatchingPolicy:
-        return self._policy
-
-    @property
-    def routing(self) -> str:
-        return self._routing
-
-    @property
-    def power(self) -> Optional[PowerConfig]:
-        return self._power
-
-    @property
-    def admission(self) -> Optional[AdmissionPolicy]:
-        return self._admission
-
-    @property
-    def tenancy(self) -> Optional[TenancyConfig]:
-        return self._tenancy
-
-    @property
-    def elastic(self) -> Optional[ElasticConfig]:
-        return self._elastic
-
-    @property
-    def decode(self) -> Optional[DecodeConfig]:
-        return self._decode
 
     def run(
         self,
@@ -698,6 +665,56 @@ class ServingEngine:
                             f"min_chips={el_lo}; an elastic scale-down "
                             "would leave its queue unserviceable"
                         )
+
+        def finish(
+            record, chip_busy, makespan, counts, scan_sizes, heap_peak,
+            n_rows, rejected=(), n_rejections=0, n_scale=0,
+            n_decode_iters=0, **result,
+        ) -> ServingResult:
+            """The one run epilogue both loops end in.  ``counts`` are the
+            walk's (events, dispatch rounds, slot scans, batches) and
+            ``n_rows`` its request rows; see :class:`EngineProfile` for
+            how the event kinds are derived from them."""
+            n_events, _, _, n_batches = counts
+            profile = None
+            if self._profile:
+                done = n_batches + n_decode_iters
+                arrived = n_rows + n_rejections - len(rejected)
+                windows = n_events - done - arrived - n_scale
+                profile = EngineProfile(
+                    (("completion", done), ("arrival", arrived),
+                     ("window", windows), ("scale", n_scale)),
+                    tuple(sorted(scan_sizes.items())), heap_peak,
+                )
+            if log is not None:
+                log.close(makespan)
+            served = record(ordered=True)
+            # Every row lands once or is rejected for good.
+            leftover = n_rows - len(served) - len(rejected)
+            if leftover:
+                raise RuntimeError(f"{leftover} requests never dispatched")
+            if stream is not None:
+                stream._end_run(served)
+            return ServingResult(
+                served=served,
+                n_chips=cluster.n_chips,
+                chip_busy_ns=tuple(chip_busy),
+                makespan_ns=makespan,
+                n_batches=n_batches,
+                policy=policy,
+                rejected=tuple(rejected),
+                n_rejections=n_rejections,
+                admission=admission.name if admission is not None else None,
+                clients=clients,
+                scheduler=tenancy.scheduler if tenancy is not None else None,
+                tenants=tenancy.names if tenancy is not None else (),
+                stats=EngineStats(*counts, profile),
+                n_decode_iters=n_decode_iters,
+                # Every decode request lands with all its tokens generated.
+                n_decode_tokens=int(served.requests.decode_tokens.sum()),
+                **result,
+            )
+
         if (
             elastic_cfg is None
             and decode_cfg is None
@@ -718,7 +735,7 @@ class ServingEngine:
             # id, so the whole event loop specializes to a per-batch walk
             # (see _run_turbo).  Bit-identical to the general path —
             # golden-guarded through the homogeneous differential cases.
-            return self._run_turbo(cols, stream, clients, log)
+            return finish(*self._run_turbo(cols, stream, log), len(cols))
         # One queue per (tenant, model) slot.  Without tenancy there is a
         # single anonymous tenant "", so the slot list — and the dispatch
         # scan order below — collapses to the legacy per-model layout.
@@ -888,7 +905,6 @@ class ServingEngine:
                     set_free[k] -= 1
 
         n_decode_iters = 0
-        n_decode_tokens = 0
         kv_total = 0.0
         kv_overflow_total = 0.0
         # -- elastic fleet state --------------------------------------------
@@ -909,6 +925,7 @@ class ServingEngine:
         el_pending = 0  # chips requested, not yet activated
         el_cancel = 0  # in-flight activations revoked by a later drain
         el_arrivals = 0  # arrivals since the last controller evaluation
+        n_scale = 0  # _SCALE events: evaluations and activations
         el_interval_ns = el_delay_ns = 0.0
         if el_on:
             active = [c < el_init for c in range(cluster.n_chips)]
@@ -982,7 +999,6 @@ class ServingEngine:
                 )
         # Self-profiling (off by default: one falsy branch per event).
         profiling = self._profile
-        kind_counts = [0, 0, 0, 0]
         heap_peak = 0
         scan_sizes: Dict[int, int] = {}
 
@@ -1134,12 +1150,9 @@ class ServingEngine:
             else:
                 service_ns = cost.latency_ns
             scheduler.on_dispatch(tenant, service_ns)
-            if overhead_ns:
-                finish = now + overhead_ns + service_ns
-                busy_ns = overhead_ns + service_ns
-            else:
-                finish = now + service_ns
-                busy_ns = service_ns
+            # A zero overhead adds exactly 0.0, so no float moves.
+            finish = now + overhead_ns + service_ns
+            busy_ns = overhead_ns + service_ns
             inflight = _InFlight(
                 key=seq,
                 slot=index,
@@ -1453,7 +1466,6 @@ class ServingEngine:
                 break
             n_events += 1
             if profiling:
-                kind_counts[kind] += 1
                 queued = len(events) + (pending is not None)
                 if queued > heap_peak:
                     heap_peak = queued
@@ -1552,7 +1564,6 @@ class ServingEngine:
                                 footprint / total_kv
                             )
                         if entry.remaining == 0:
-                            n_decode_tokens += entry.total
                             kv_total += entry.kv_bytes
                             kv_overflow_total += entry.kv_overflow
                             prefill = entry.prefill
@@ -1643,6 +1654,7 @@ class ServingEngine:
                     del window_armed[payload]
                     dirty.add(payload)
             elif payload is None:  # _SCALE: periodic controller evaluation
+                n_scale += 1
                 delta, reason = controller.decide(
                     arrivals=el_arrivals,
                     interval_s=el_interval_ns * 1e-9,
@@ -1727,6 +1739,7 @@ class ServingEngine:
                 # not activated; a still-draining chip flips back to
                 # accepting work — it never parked, so the serving count
                 # is untouched.
+                n_scale += 1
                 for _ in range(payload):
                     if el_cancel > 0:
                         el_cancel -= 1
@@ -1746,37 +1759,6 @@ class ServingEngine:
             if dirty:
                 dispatch(now)
 
-        self.last_stats = EngineStats(
-            n_events=n_events,
-            n_dispatch_rounds=n_dispatch_rounds,
-            n_slot_scans=n_slot_scans,
-            n_batches=n_batches,
-            profile=(
-                EngineProfile(
-                    events_by_kind=(
-                        ("completion", kind_counts[_COMPLETION]),
-                        ("arrival", kind_counts[_ARRIVAL]),
-                        ("window", kind_counts[_WINDOW]),
-                        ("scale", kind_counts[_SCALE]),
-                    ),
-                    dispatch_scan_hist=tuple(sorted(scan_sizes.items())),
-                    heap_peak=heap_peak,
-                )
-                if profiling
-                else None
-            ),
-        )
-        if log is not None:
-            log.close(makespan)
-        leftover = sum(len(q) for q in queue_list) + sum(
-            len(dq) for dq in decode_queues
-        )
-        if leftover:
-            raise RuntimeError(f"{leftover} requests never dispatched")
-        served = record(ordered=True)
-        if stream is not None:
-            stream._end_run(served)
-        rejected.sort(key=lambda r: (r.reject_ns, r.request.request_id))
         elastic_trace = None
         if el_on:
             elastic_trace = ElasticTrace(
@@ -1787,25 +1769,18 @@ class ServingEngine:
                 timeline=tuple(el_timeline),
                 horizon_ns=makespan,
             )
-        return ServingResult(
-            served=served,
-            n_chips=cluster.n_chips,
-            chip_busy_ns=tuple(chip_busy),
-            makespan_ns=makespan,
-            n_batches=n_batches,
-            policy=policy,
-            power=governor.finish() if governor is not None else None,
-            rejected=tuple(rejected),
+        rejected.sort(key=lambda r: (r.reject_ns, r.request.request_id))
+        return finish(
+            record, chip_busy, makespan,
+            (n_events, n_dispatch_rounds, n_slot_scans, n_batches),
+            scan_sizes, heap_peak, len(arrival_of),
+            rejected=rejected,
             n_rejections=n_rejections,
-            admission=admission.name if admission is not None else None,
-            clients=clients,
-            scheduler=tenancy.scheduler if tenancy is not None else None,
-            tenants=tenancy.names if tenancy is not None else (),
+            n_scale=n_scale,
+            n_decode_iters=n_decode_iters,
+            power=governor.finish() if governor is not None else None,
             preempted=tuple(preempted),
             elastic=elastic_trace,
-            stats=self.last_stats,
-            n_decode_iters=n_decode_iters,
-            n_decode_tokens=n_decode_tokens,
             kv_bytes=kv_total,
             kv_overflow_bytes=kv_overflow_total,
         )
@@ -1814,9 +1789,8 @@ class ServingEngine:
         self,
         trace: TraceColumns,
         stream: Optional[StreamingMetrics],
-        clients: Optional[ClientPopulation],
         log: Optional[EventLog] = None,
-    ) -> ServingResult:
+    ) -> tuple:
         """Single-slot fast path: one model, uniform hosts, plain serving.
 
         Under the gate in :meth:`run` (no tenancy / admission / power /
@@ -2003,52 +1977,8 @@ class ServingEngine:
                 n_events += 1
                 pump(now)
 
-        self.last_stats = EngineStats(
-            n_events=n_events,
-            n_dispatch_rounds=n_rounds,
-            n_slot_scans=n_scans,
-            n_batches=n_batches,
-            profile=(
-                # Event kinds are derivable: one completion event per
-                # batch, one arrival event per request, the remainder
-                # window firings; every dispatch round examines the one
-                # dirty slot, so the scan histogram is a single bucket.
-                EngineProfile(
-                    events_by_kind=(
-                        ("completion", n_batches),
-                        ("arrival", n),
-                        ("window", n_events - n - n_batches),
-                        ("scale", 0),
-                    ),
-                    dispatch_scan_hist=((1, n_rounds),),
-                    heap_peak=heap_peak,
-                )
-                if profiling
-                else None
-            ),
-        )
-        if log is not None:
-            log.close(makespan)
-        if head != n:
-            raise RuntimeError(f"{n - head} requests never dispatched")
-        del arr  # the arrival list is spent; free it before the record
-        served = record(ordered=True)
-        if stream is not None:
-            stream._end_run(served)
-        return ServingResult(
-            served=served,
-            n_chips=cluster.n_chips,
-            chip_busy_ns=tuple(chip_busy),
-            makespan_ns=makespan,
-            n_batches=n_batches,
-            policy=policy,
-            power=None,
-            rejected=(),
-            n_rejections=0,
-            admission=None,
-            clients=clients,
-            scheduler=None,
-            tenants=(),
-            preempted=(),
-            stats=self.last_stats,
-        )
+        # The walk's products, for the epilogue in run(); returning frees
+        # the arrival list first.  Every dispatch round examines the one
+        # dirty slot, so the scan histogram is a single bucket.
+        counts = (n_events, n_rounds, n_scans, n_batches)
+        return record, chip_busy, makespan, counts, {1: n_rounds}, heap_peak
