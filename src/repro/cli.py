@@ -124,6 +124,7 @@ from repro.serve import (
     simulate_serving,
     summarize_trace,
 )
+from repro.serve.config import check_composition
 
 
 def _parse_buckets(text: Optional[str]) -> Optional[List[int]]:
@@ -321,8 +322,13 @@ def _serve_regions(args: argparse.Namespace) -> str:
                 f"--regions runs are homogeneous open-loop diurnal "
                 f"studies; they cannot combine with {flag}"
             )
-    if args.scheduler != "fifo" or args.preempt:
-        raise SystemExit("--scheduler/--preempt need --tenants")
+    try:
+        # --tenants was refused above, so this rule has every fact.
+        check_composition(
+            tenants=None, scheduler=args.scheduler, preemption=args.preempt
+        )
+    except ValueError as error:
+        raise SystemExit(f"serve: {error}") from None
     models = args.model if args.model else ["resnet18"]
     n_chips = args.chips if args.chips is not None else 4
     elastic = None

@@ -130,6 +130,7 @@ from repro.serve.power import (
     ThrottlePolicy,
 )
 from repro.serve.tenancy import (
+    _SEQLEN_SEED_OFFSET,
     SCHEDULERS,
     Tenant,
     TenancyConfig,
@@ -263,10 +264,6 @@ __all__ = [
     "with_decode_lens",
     "with_seqlens",
 ]
-
-#: Seed offset separating the seqlen streams from the arrival streams, so
-#: attaching sequence lengths never perturbs any model's arrival times.
-_SEQLEN_SEED_OFFSET = 100_003
 
 
 def simulate_serving(

@@ -44,7 +44,7 @@ _SESSION_SEED_STRIDE = 7_919
 
 #: Seed offset of the per-request sequence-length draws (disjoint from
 #: the think streams and from the open-loop seqlen offset).
-_SEQLEN_SEED_OFFSET = 900_001
+_SESSION_SEQLEN_SEED_OFFSET = 900_001
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,7 +234,7 @@ class ClosedLoopDriver:
             pop.seqlen_dist,
             1,
             mean,
-            seed=pop.seed + _SEQLEN_SEED_OFFSET + request_id,
+            seed=pop.seed + _SESSION_SEQLEN_SEED_OFFSET + request_id,
         )
         if pop.max_seq_len is not None:
             length = min(length, pop.max_seq_len)

@@ -81,8 +81,10 @@ SCHEDULERS = ("fifo", "strict-priority", "weighted-fair")
 #: degenerate single-tenant trace is bit-identical to the untagged one.
 _TENANT_SEED_STRIDE = 104_729
 
-#: Seqlen stream offset, matching ``repro.serve.__init__`` so tenant 0's
-#: draws reproduce the legacy open-loop samples exactly.
+#: Seed offset separating the seqlen streams from the arrival streams, so
+#: attaching sequence lengths never perturbs any model's arrival times.
+#: ``simulate_serving`` imports it, so tenant 0's draws reproduce the
+#: untagged open-loop samples exactly.
 _SEQLEN_SEED_OFFSET = 100_003
 
 

@@ -300,6 +300,19 @@ class TestServeCompositionErrors:
             main(["serve", "--model", "mobilebert", *flags])
         assert excinfo.value.code == "serve: " + message
 
+    @pytest.mark.parametrize(
+        "flags", [["--scheduler", "weighted-fair"], ["--preempt"]]
+    )
+    def test_regions_scheduler_knob_prints_the_rule_message(self, flags):
+        # The regions path and the single-region path refuse a scheduler
+        # knob without tenants with one text, from the rule table.
+        exits = []
+        for regions in ([], ["--regions", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--model", "mobilebert", *regions, *flags])
+            exits.append(excinfo.value.code)
+        assert exits == ["serve: " + MSG_SCHEDULER_NEEDS_TENANTS] * 2
+
     def test_decode_progress_prints_the_unstreamed_report(self, capsys):
         # A streamed decode run prints the unstreamed report byte for byte.
         flags = ["serve", "--model", "mobilebert", "--chips", "4",
