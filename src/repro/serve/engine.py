@@ -666,7 +666,7 @@ class ServingEngine:
                             "would leave its queue unserviceable"
                         )
 
-        def finish(
+        def epilogue(
             record, chip_busy, makespan, counts, scan_sizes, heap_peak,
             n_rows, rejected=(), n_rejections=0, n_scale=0,
             n_decode_iters=0, **result,
@@ -735,7 +735,7 @@ class ServingEngine:
             # id, so the whole event loop specializes to a per-batch walk
             # (see _run_turbo).  Bit-identical to the general path —
             # golden-guarded through the homogeneous differential cases.
-            return finish(*self._run_turbo(cols, stream, log), len(cols))
+            return epilogue(*self._run_turbo(cols, stream, log), len(cols))
         # One queue per (tenant, model) slot.  Without tenancy there is a
         # single anonymous tenant "", so the slot list — and the dispatch
         # scan order below — collapses to the legacy per-model layout.
@@ -1770,7 +1770,7 @@ class ServingEngine:
                 horizon_ns=makespan,
             )
         rejected.sort(key=lambda r: (r.reject_ns, r.request.request_id))
-        return finish(
+        return epilogue(
             record, chip_busy, makespan,
             (n_events, n_dispatch_rounds, n_slot_scans, n_batches),
             scan_sizes, heap_peak, len(arrival_of),
