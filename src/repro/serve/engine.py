@@ -1257,10 +1257,10 @@ class ServingEngine:
             nonlocal seq, n_dispatch_rounds, n_slot_scans
             n_dispatch_rounds += 1
             scan = sorted(dirty)
+            if profiling:
+                size = len(scan)
+                scan_sizes[size] = scan_sizes.get(size, 0) + 1
             while True:
-                if profiling:
-                    size = len(dirty)
-                    scan_sizes[size] = scan_sizes.get(size, 0) + 1
                 # The scheduler ranks every ready slot; under fifo the key
                 # collapses to (oldest arrival, slot index) — FCFS across
                 # queues, the legacy rule, so no queue can starve another

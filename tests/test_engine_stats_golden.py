@@ -120,6 +120,13 @@ def test_stats_reproduce_golden(scenario, golden):
     assert stats_record(_run(scenario).stats) == golden[scenario]
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_scan_hist_counts_rounds(scenario):
+    stats = _run(scenario).stats
+    hist = stats.profile.dispatch_scan_hist
+    assert sum(count for _, count in hist) == stats.n_dispatch_rounds
+
+
 class TestScenariosCoverTheirEvents:
     """Each pinned run exercises the event source it claims."""
 
