@@ -46,9 +46,6 @@ from typing import Optional, Tuple
 from repro.models.zoo import get_workload
 from repro.serve.admission import (
     ADMISSION_POLICIES,
-    AcceptAll,
-    QueueDepthCap,
-    SloAwareShedding,
     TenantTokenBucket,
     TokenBucket,
     parse_admission,
@@ -69,44 +66,12 @@ from repro.serve.config import (
     WorkloadConfig,
     _resolved_tenancy,
 )
-from repro.serve.decode import (
-    DECODE_DISTS,
-    DecodeConfig,
-    page_round,
-    sample_decode_lens,
-)
-from repro.serve.cluster import (
-    Cluster,
-    MODES,
-    PLACEMENTS,
-    fleet_cost_table,
-    plan_cluster,
-    plan_fleet,
-)
-from repro.serve.elastic import (
-    ElasticConfig,
-    ElasticController,
-    ElasticTrace,
-    ScalingAction,
-    parse_autoscale,
-)
-from repro.serve.engine import (
-    RejectedRequest,
-    ServingEngine,
-    ServingResult,
-)
-from repro.serve.fleet import (
-    CHIP_TYPES,
-    FleetGroup,
-    FleetSpec,
-    backend_for,
-    chip_spec,
-    fleet_group,
-    homogeneous_fleet,
-    parse_fleet,
-)
+from repro.serve.decode import DECODE_DISTS, DecodeConfig, sample_decode_lens
+from repro.serve.cluster import Cluster, MODES, PLACEMENTS
+from repro.serve.elastic import ElasticConfig, parse_autoscale
+from repro.serve.engine import ServingEngine, ServingResult
+from repro.serve.fleet import FleetSpec, parse_fleet
 from repro.serve.observe import (
-    ChromeTraceSink,
     EventLog,
     JsonlTraceSink,
     MetricsRecorder,
@@ -116,142 +81,81 @@ from repro.serve.observe import (
     summarize_trace,
 )
 from repro.serve.metrics import (
-    ModelServingStats,
     ServingReport,
     format_serving,
     percentile,
     summarize,
 )
-from repro.serve.power import (
-    PowerConfig,
-    PowerGovernor,
-    PowerModel,
-    ThermalNode,
-    ThrottlePolicy,
-)
+from repro.serve.power import PowerConfig, ThrottlePolicy
 from repro.serve.tenancy import (
     _SEQLEN_SEED_OFFSET,
     SCHEDULERS,
     Tenant,
     TenancyConfig,
-    WeightedFairScheduler,
-    deadline_ns,
-    make_scheduler,
     parse_tenants,
     tenant_traces,
 )
-from repro.serve.regions import (
-    RegionSpec,
-    follow_the_sun,
-    format_regions,
-    simulate_regions,
-)
+from repro.serve.regions import format_regions, simulate_regions
 from repro.serve.served import ServedRequest
 from repro.serve.streaming import StreamingMetrics
 from repro.serve.traces import (
     Request,
     SEQLEN_DISTS,
     TRACE_KINDS,
-    bursty_trace,
     diurnal_trace,
-    fixed_seqlens,
-    fixed_trace,
-    lognormal_seqlens,
-    longtail_seqlens,
     make_trace,
     merge_traces,
-    poisson_trace,
     sample_seqlens,
-    uniform_seqlens,
-    uniform_trace,
     with_decode_lens,
     with_seqlens,
 )
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "AcceptAll",
     "BatchingPolicy",
-    "CHIP_TYPES",
-    "ChromeTraceSink",
-    "ClientPopulation",
     "Cluster",
     "DECODE_DISTS",
     "DecodeConfig",
     "ElasticConfig",
-    "ElasticController",
-    "ElasticTrace",
     "EventLog",
     "FleetConfig",
-    "FleetGroup",
     "FleetSpec",
     "JsonlTraceSink",
     "MODES",
     "MetricsRecorder",
-    "ModelServingStats",
     "ObserveConfig",
     "PLACEMENTS",
     "PolicyConfig",
     "PowerConfig",
-    "PowerGovernor",
-    "PowerModel",
-    "QueueDepthCap",
     "ROUTING_POLICIES",
-    "RegionSpec",
-    "RejectedRequest",
     "Request",
-    "RetryPolicy",
     "SCHEDULERS",
     "SEQLEN_DISTS",
-    "ScalingAction",
     "ServedRequest",
     "ServingConfig",
     "ServingEngine",
     "ServingReport",
     "ServingResult",
-    "SloAwareShedding",
     "StreamingMetrics",
     "THINK_DISTS",
     "TRACE_KINDS",
     "Tenant",
     "TenancyConfig",
-    "TenantTokenBucket",
-    "ThermalNode",
     "ThrottlePolicy",
-    "TokenBucket",
-    "WeightedFairScheduler",
     "WorkloadConfig",
-    "backend_for",
-    "bursty_trace",
-    "chip_spec",
-    "deadline_ns",
-    "default_buckets",
     "diurnal_trace",
     "estimated_saturation_clients",
-    "fixed_seqlens",
-    "fixed_trace",
-    "fleet_cost_table",
-    "fleet_group",
-    "follow_the_sun",
     "format_engine_profile",
     "format_regions",
     "format_serving",
     "format_trace_summary",
-    "homogeneous_fleet",
-    "lognormal_seqlens",
-    "longtail_seqlens",
-    "make_scheduler",
     "make_trace",
     "merge_traces",
-    "page_round",
     "parse_admission",
     "parse_autoscale",
     "parse_fleet",
     "parse_tenants",
     "percentile",
-    "plan_cluster",
-    "plan_fleet",
-    "poisson_trace",
     "sample_decode_lens",
     "sample_seqlens",
     "simulate_regions",
@@ -259,8 +163,6 @@ __all__ = [
     "summarize",
     "summarize_trace",
     "tenant_traces",
-    "uniform_seqlens",
-    "uniform_trace",
     "with_decode_lens",
     "with_seqlens",
 ]

@@ -201,10 +201,6 @@ class ClosedLoopDriver:
         self._n_issued = 0
 
     @property
-    def population(self) -> ClientPopulation:
-        return self._population
-
-    @property
     def n_issued(self) -> int:
         """Fresh requests generated so far (retries are not new issues)."""
         return self._n_issued

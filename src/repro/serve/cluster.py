@@ -107,18 +107,6 @@ class ClusterPlan:
         return sum(1 for c in hosts if self.chips[c].chip_type == chip_type)
 
 
-def plan_cluster(
-    workloads: Sequence[WorkloadSpec],
-    n_chips: int,
-    spec: AcceleratorSpec,
-    placement: str = "replicated",
-) -> ClusterPlan:
-    """Assign models to the chips of a homogeneous cluster."""
-    if n_chips < 1:
-        raise ValueError("n_chips must be >= 1")
-    return plan_fleet(workloads, homogeneous_fleet(spec, n_chips), placement)
-
-
 def plan_fleet(
     workloads: Sequence[WorkloadSpec],
     fleet: FleetSpec,
@@ -505,10 +493,6 @@ class Cluster:
     @property
     def n_chips(self) -> int:
         return self._plan.n_chips
-
-    @property
-    def plan(self) -> ClusterPlan:
-        return self._plan
 
     @property
     def models(self) -> Tuple[str, ...]:

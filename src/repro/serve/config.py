@@ -69,12 +69,12 @@ class WorkloadConfig:
     ``max_retries``) makes rejected sessions retry with backoff instead of
     dropping the request.
 
-    ``tenants`` switches the run to multi-tenant serving — a
-    :class:`~repro.serve.tenancy.TenancyConfig`, a sequence of
-    :class:`~repro.serve.tenancy.Tenant` records, or the CLI grammar
+    ``tenants`` switches the run to multi-tenant serving — a sequence of
+    :class:`~repro.serve.tenancy.Tenant` records or the CLI grammar
     string (see :func:`~repro.serve.tenancy.parse_tenants`).  Each tenant
     declares its own traffic mix, so the run-level ``rps`` /
-    ``trace_kind`` / ``seqlen_dist`` / ``seqlen_mean`` are ignored.  A
+    ``trace_kind`` / ``seqlen_dist`` / ``seqlen_mean`` are ignored.  The
+    scheduler and preemption knobs are :class:`PolicyConfig`'s.  A
     single-tenant ``fifo`` configuration replays the untagged run byte
     for byte.
     """
@@ -90,13 +90,19 @@ class WorkloadConfig:
     think_time_ms: float = 5.0
     think_dist: str = "exponential"
     retry: Optional[Union[int, RetryPolicy]] = None
-    tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None
+    tenants: Optional[Union[str, Sequence[Tenant]]] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.models, str):
             raise ValueError(
                 f"models takes a sequence of model names, got the string "
                 f"{self.models!r}; pass models=({self.models!r},)"
+            )
+        if isinstance(self.tenants, TenancyConfig):
+            raise ValueError(
+                "tenants takes the grammar string or a sequence of Tenant "
+                "records, not a TenancyConfig; set the scheduler and "
+                "preemption on PolicyConfig"
             )
         object.__setattr__(self, "models", tuple(self.models))
 
@@ -258,14 +264,12 @@ def msg_unknown_seqlen_dist(dist: str) -> str:
 
 
 def _resolved_tenancy(
-    tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]],
+    tenants: Optional[Union[str, Sequence[Tenant]]],
     policy: PolicyConfig,
 ) -> Optional[TenancyConfig]:
     """Coerce the tenants knob into a TenancyConfig (None passes through)."""
     if tenants is None:
         return None
-    if isinstance(tenants, TenancyConfig):
-        return tenants
     tenant_tuple = (
         parse_tenants(tenants) if isinstance(tenants, str) else tuple(tenants)
     )
@@ -374,14 +378,6 @@ class ServingConfig:
     observe: ObserveConfig = ObserveConfig()
     decode: Optional[DecodeConfig] = None
 
-    @property
-    def _preempting(self) -> bool:
-        if isinstance(self.workload.tenants, TenancyConfig):
-            return self.workload.tenants.preemption
-        if self.workload.tenants is not None:
-            return self.policy.preemption
-        return False
-
     def validate(self) -> "ServingConfig":
         """Apply every composition rule; raise the first violation."""
         w, f, p = self.workload, self.fleet, self.policy
@@ -393,7 +389,7 @@ class ServingConfig:
             tenants=w.tenants,
             scheduler=p.scheduler,
             preemption=p.preemption,
-            preempting=self._preempting,
+            preempting=w.tenants is not None and p.preemption,
             routing=f.routing,
             power=f.power,
             elastic=f.elastic,

@@ -812,7 +812,9 @@ class ServingEngine:
         # and, with decode, set n_models + i the chips of model i's decode
         # slot — under the prefill-decode placement, fleet group 0 and the
         # remaining groups; unified clusters run both phases on every
-        # hosting chip.  Hosts are in ascending id order.
+        # hosting chip.  Hosts are in ascending id order.  No set is empty:
+        # Cluster rejects a model placed on no chip, and prefill-decode
+        # places every model on every chip of its two or more groups.
         set_hosts: List[Tuple[int, ...]] = [
             cluster.chips_for(m) for m in model_order
         ]
@@ -824,24 +826,11 @@ class ServingEngine:
                     tuple(c for c in cs if c in prefill_chips)
                     for cs in set_hosts
                 ]
-                for m, cs in zip(model_order, set_hosts):
-                    if not cs:
-                        raise ValueError(
-                            f"model {m!r} has no hosting chip in the "
-                            "prefill group; the prefill-decode placement "
-                            "needs every model on fleet group 0"
-                        )
             decode_chips = set(cluster.decode_chips)
             set_hosts += [
                 tuple(c for c in cluster.chips_for(m) if c in decode_chips)
                 for m in model_order
             ]
-            for m, cs in zip(model_order, set_hosts[n_models:]):
-                if cluster.native_seq_len(m) and not cs:
-                    raise ValueError(
-                        f"model {m!r} has no hosting chip in the decode "
-                        "group; its decode queue could never drain"
-                    )
             set_table += [cluster.decode_table(m) for m in model_order]
             kv_per_token = {
                 m: cluster.kv_bytes_per_token(m) for m in model_order

@@ -97,33 +97,6 @@ class ThrottlePolicy:
 
 
 @dataclasses.dataclass(frozen=True)
-class PowerModel:
-    """Energy-to-watts conversion rule of the governor.
-
-    Two ingredients: a dispatched batch's *average draw* — its
-    backend-derived joules spread uniformly over its (effective) service
-    time — and the per-chip idle/leakage floor, a fixed fraction of the
-    spec's peak draw (``peak_tops / peak_tops_per_watt``), burned whether
-    the chip serves or not.
-    """
-
-    idle_fraction: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.idle_fraction <= 1.0:
-            raise ValueError("idle_fraction must be in [0, 1]")
-
-    def idle_watts(self, peak_watts: float) -> float:
-        """Leakage floor of hardware whose peak draw is ``peak_watts``."""
-        return self.idle_fraction * peak_watts
-
-    @staticmethod
-    def draw_watts(energy_pj: float, service_ns: float) -> float:
-        """Average draw of a batch spending ``energy_pj`` over ``service_ns``."""
-        return watts(energy_pj * 1e-12, service_ns * 1e-9)
-
-
-@dataclasses.dataclass(frozen=True)
 class PowerConfig:
     """Per-chip-group power/thermal envelope parameters.
 
@@ -187,11 +160,6 @@ class PowerConfig:
         report keeps its legacy format.
         """
         return self.power_cap_w is not None or self.t_max_c is not None
-
-    @property
-    def model(self) -> PowerModel:
-        """The energy-to-watts rule this envelope is evaluated under."""
-        return PowerModel(idle_fraction=self.idle_fraction)
 
 
 class ThermalNode:
@@ -323,7 +291,6 @@ class PowerGovernor:
     def __init__(self, cluster: "Cluster", config: PowerConfig) -> None:
         self._config = config
         self._policy = config.throttle
-        self._model = config.model
         self._chip_group = cluster.chip_group_indices
         self._groups: List[_GroupState] = []
         for group in cluster.fleet.groups:
@@ -341,7 +308,7 @@ class PowerGovernor:
                 _GroupState(
                     name=group.name,
                     n_chips=group.n_chips,
-                    idle_w=self._model.idle_watts(group.peak_watts),
+                    idle_w=config.idle_fraction * group.peak_watts,
                     cap_w=cap,
                     node=node,
                 )
@@ -449,8 +416,8 @@ class PowerGovernor:
             headroom_w = group.cap_w - group.power_w
             if headroom_w <= 0.0:
                 return policy.max_slowdown
-            base_draw_w = self._model.draw_watts(
-                service.energy_pj, service.latency_ns
+            base_draw_w = watts(
+                service.energy_pj * 1e-12, service.latency_ns * 1e-9
             )
             fit = base_draw_w / headroom_w
             if fit > factor:
@@ -495,7 +462,7 @@ class PowerGovernor:
         else:
             effective_ns = service.latency_ns * factor
             group.stall_ns += effective_ns - service.latency_ns
-        draw_w = self._model.draw_watts(service.energy_pj, effective_ns)
+        draw_w = watts(service.energy_pj * 1e-12, effective_ns * 1e-9)
         heapq.heappush(group.inflight, (now_ns + effective_ns, draw_w))
         group.draw_w += draw_w
         self._update_throttle(group, now_ns)

@@ -75,11 +75,6 @@ class ServedRequest:
         return self.dispatch_ns - self.request.arrival_ns
 
     @property
-    def padding_tokens(self) -> int:
-        """Tokens this request's padded slot wasted."""
-        return max(0, self.padded_seq_len - self.seq_len)
-
-    @property
     def ttft_ns(self) -> float:
         """Time to first token: arrival to prefill completion.
 

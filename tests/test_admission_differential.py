@@ -25,7 +25,8 @@ from test_hetero_differential import (
     served_digest,
 )
 
-from repro.serve import AcceptAll, PowerConfig, format_serving
+from repro.serve import PowerConfig, format_serving
+from repro.serve.admission import AcceptAll
 
 
 @pytest.fixture(scope="module")

@@ -34,20 +34,22 @@ from hypothesis import strategies as st
 
 from repro.serve import (
     SCHEDULERS,
-    AcceptAll,
     BatchingPolicy,
     Cluster,
-    QueueDepthCap,
     ServingEngine,
-    SloAwareShedding,
     Tenant,
     TenancyConfig,
-    TenantTokenBucket,
-    TokenBucket,
     percentile,
-    poisson_trace,
     tenant_traces,
 )
+from repro.serve.admission import (
+    AcceptAll,
+    QueueDepthCap,
+    SloAwareShedding,
+    TenantTokenBucket,
+    TokenBucket,
+)
+from repro.serve.traces import poisson_trace
 from repro.models.zoo import get_workload
 
 _SEEDS = st.integers(0, 2**31)

@@ -24,7 +24,6 @@ import pytest
 from repro.cli import build_parser, serve_config_from_args
 from repro.models.zoo import get_workload
 from repro.serve import (
-    ClientPopulation,
     Cluster,
     DecodeConfig,
     FleetConfig,
@@ -38,10 +37,11 @@ from repro.serve import (
     WorkloadConfig,
     parse_autoscale,
     parse_tenants,
-    poisson_trace,
     sample_decode_lens,
     simulate_serving,
 )
+from repro.serve.clients import ClientPopulation
+from repro.serve.traces import poisson_trace
 from repro.serve.config import (
     COMPOSITION_RULES,
     MSG_CLIENTS_MIN,
@@ -230,6 +230,27 @@ class TestRuleTable:
         # become ('v', 'i', 't') and fail later on "unknown model 'v'".
         with pytest.raises(ValueError, match=re.escape("models=('vit',)")):
             WorkloadConfig(models="vit")
+
+    def test_tenancy_config_is_rejected(self):
+        # A TenancyConfig carries its own scheduler knobs, which used to
+        # replace PolicyConfig's without a word.
+        with pytest.raises(
+            ValueError, match="grammar string or a sequence of Tenant"
+        ):
+            WorkloadConfig(tenants=TenancyConfig(parse_tenants(TENANTS)))
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "weighted-fair"])
+    def test_policy_scheduler_is_the_one_that_runs(self, scheduler):
+        config = _cfg(
+            workload=WorkloadConfig(
+                models=("mobilebert",), duration_s=0.01,
+                tenants=parse_tenants(TENANTS),
+            ),
+            fleet=FleetConfig(n_chips=1),
+            policy=PolicyConfig(scheduler=scheduler),
+        )
+        _, result = simulate_serving(config)
+        assert result.scheduler == scheduler
 
 
 class TestEngineDoor:

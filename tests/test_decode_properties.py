@@ -18,10 +18,10 @@ from repro.serve import (
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
-    page_round,
     sample_decode_lens,
     simulate_serving,
 )
+from repro.serve.decode import page_round
 
 dists = st.sampled_from(DECODE_DISTS)
 seeds = st.integers(min_value=0, max_value=2**20)

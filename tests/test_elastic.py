@@ -19,16 +19,14 @@ import pytest
 
 from repro.serve import (
     ElasticConfig,
-    ElasticController,
-    ElasticTrace,
     FleetConfig,
     PolicyConfig,
-    ScalingAction,
     ServingConfig,
     WorkloadConfig,
     parse_autoscale,
     simulate_serving,
 )
+from repro.serve.elastic import ElasticController, ElasticTrace, ScalingAction
 from repro.serve.cluster import Cluster
 from repro.models.zoo import get_workload
 

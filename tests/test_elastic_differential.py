@@ -30,7 +30,8 @@ from test_hetero_differential import (
     served_digest,
 )
 
-from repro.serve import AcceptAll, ElasticConfig, format_serving
+from repro.serve import ElasticConfig, format_serving
+from repro.serve.admission import AcceptAll
 
 DATA = pathlib.Path(__file__).parent / "data"
 

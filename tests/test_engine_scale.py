@@ -27,7 +27,6 @@ import pytest
 from repro.models import get_workload
 from repro.serve import (
     BatchingPolicy,
-    ChromeTraceSink,
     Cluster,
     DecodeConfig,
     EventLog,
@@ -41,10 +40,11 @@ from repro.serve import (
     WorkloadConfig,
     diurnal_trace,
     merge_traces,
-    poisson_trace,
     simulate_serving,
     summarize,
 )
+from repro.serve.observe import ChromeTraceSink
+from repro.serve.traces import poisson_trace
 
 MODELS_8 = (
     "resnet18", "alexnet", "vgg16", "mobilenetv3",

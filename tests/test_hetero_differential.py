@@ -33,10 +33,10 @@ from repro.serve import (
     FleetSpec,
     ServingConfig,
     WorkloadConfig,
-    fleet_group,
     format_serving,
     simulate_serving,
 )
+from repro.serve.fleet import fleet_group
 
 DATA = pathlib.Path(__file__).parent / "data"
 

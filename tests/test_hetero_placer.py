@@ -30,17 +30,10 @@ from repro.models.workload import (
     ModelKind,
     WorkloadSpec,
 )
-from repro.serve import (
-    CHIP_TYPES,
-    Cluster,
-    FleetSpec,
-    ROUTING_POLICIES,
-    ServingEngine,
-    chip_spec,
-    fleet_group,
-    plan_fleet,
-    poisson_trace,
-)
+from repro.serve import Cluster, FleetSpec, ROUTING_POLICIES, ServingEngine
+from repro.serve.cluster import plan_fleet
+from repro.serve.fleet import CHIP_TYPES, chip_spec, fleet_group
+from repro.serve.traces import poisson_trace
 
 #: The largest registered chip capacity (RAELLA, ~262 MB); "huge" models
 #: are sized past it so they overflow every chip type.

@@ -21,7 +21,6 @@ from repro.serve import (
     FleetConfig,
     ServingConfig,
     ServingEngine,
-    SloAwareShedding,
     Tenant,
     TenancyConfig,
     WorkloadConfig,
@@ -29,6 +28,7 @@ from repro.serve import (
     simulate_serving,
     summarize,
 )
+from repro.serve.admission import SloAwareShedding
 from repro.serve.traces import fixed_trace, merge_traces
 
 

@@ -50,12 +50,12 @@ from repro.serve import (
     ServingEngine,
     WorkloadConfig,
     format_serving,
-    poisson_trace,
     sample_decode_lens,
     simulate_serving,
     summarize_trace,
     with_decode_lens,
 )
+from repro.serve.traces import poisson_trace
 
 
 @pytest.fixture(scope="module")

@@ -25,10 +25,10 @@ from repro.serve import (
     PolicyConfig,
     PowerConfig,
     ServingConfig,
-    ThermalNode,
     WorkloadConfig,
     simulate_serving,
 )
+from repro.serve.power import ThermalNode
 
 #: Single-chip FIFO scenario: no batching, no routing freedom — the pure
 #: service-time coupling the monotonicity argument needs.

@@ -17,12 +17,11 @@ import pytest
 
 from repro.serve import (
     ElasticConfig,
-    RegionSpec,
     diurnal_trace,
-    follow_the_sun,
     format_regions,
     simulate_regions,
 )
+from repro.serve.regions import RegionSpec, follow_the_sun
 
 
 class TestPhase:

@@ -5,13 +5,15 @@ import pytest
 from repro.models.zoo import get_workload
 from repro.serve import (
     ADMISSION_POLICIES,
-    AcceptAll,
     BatchingPolicy,
     Cluster,
+    parse_admission,
+)
+from repro.serve.admission import (
+    AcceptAll,
     QueueDepthCap,
     SloAwareShedding,
     TokenBucket,
-    parse_admission,
 )
 from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
 

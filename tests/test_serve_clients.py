@@ -5,18 +5,16 @@ import pytest
 from repro.models.zoo import get_workload
 from repro.serve import (
     BatchingPolicy,
-    ClientPopulation,
     Cluster,
     FleetConfig,
-    QueueDepthCap,
-    RetryPolicy,
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
     estimated_saturation_clients,
     simulate_serving,
 )
-from repro.serve.clients import ClosedLoopDriver
+from repro.serve.admission import QueueDepthCap
+from repro.serve.clients import ClientPopulation, ClosedLoopDriver, RetryPolicy
 
 
 def _cluster(n_chips=2, model="resnet18"):

@@ -6,7 +6,9 @@ import pytest
 
 from repro.arch import ArchitectureSimulator, yoco_spec
 from repro.models import get_workload
-from repro.serve import Cluster, plan_cluster
+from repro.serve import Cluster, parse_fleet
+from repro.serve.cluster import plan_fleet
+from repro.serve.fleet import homogeneous_fleet
 
 
 @pytest.fixture(scope="module")
@@ -21,29 +23,29 @@ def llama():
 
 class TestPlanning:
     def test_replicated_puts_every_model_everywhere(self, resnet, llama):
-        plan = plan_cluster([resnet, llama], n_chips=3, spec=yoco_spec())
+        plan = plan_fleet([resnet, llama], homogeneous_fleet(yoco_spec(), 3))
         for chip in plan.chips:
             assert chip.models == ("resnet18", "llama3_7b")
         assert plan.placements["resnet18"] == (0, 1, 2)
 
     def test_partitioned_separates_heavy_models(self, resnet, llama):
-        plan = plan_cluster(
-            [resnet, llama], n_chips=2, spec=yoco_spec(), placement="partitioned"
+        plan = plan_fleet(
+            [resnet, llama], homogeneous_fleet(yoco_spec(), 2), "partitioned"
         )
         hosts = plan.placements
         assert hosts["llama3_7b"] != hosts["resnet18"]
         assert len(hosts["llama3_7b"]) == 1 and len(hosts["resnet18"]) == 1
 
     def test_partitioned_replicates_hot_models_onto_idle_chips(self, resnet):
-        plan = plan_cluster(
-            [resnet], n_chips=4, spec=yoco_spec(), placement="partitioned"
+        plan = plan_fleet(
+            [resnet], homogeneous_fleet(yoco_spec(), 4), "partitioned"
         )
         assert plan.placements["resnet18"] == (0, 1, 2, 3)
 
     def test_capacity_awareness(self, resnet, llama):
         spec = yoco_spec()
-        plan = plan_cluster(
-            [resnet, llama], n_chips=2, spec=spec, placement="partitioned"
+        plan = plan_fleet(
+            [resnet, llama], homogeneous_fleet(spec, 2), "partitioned"
         )
         fits = {m: plan.chips[hosts[0]].fits for m, hosts in plan.placements.items()}
         # ResNet-18 (~11 MB) fits the 134 MB SIMA capacity; LLaMA-7B does not.
@@ -51,15 +53,30 @@ class TestPlanning:
         assert not fits["llama3_7b"]
         assert llama.total_weight_bytes > spec.weight_capacity_bytes
 
+    def test_prefill_decode_hosts_every_model_in_both_phases(self, resnet):
+        """Both phase groups are non-empty and host every model, so the
+        engine always finds a prefill and a decode host for each model."""
+        models = [resnet, get_workload("mobilebert")]
+        fleet = parse_fleet("yoco:2,isaac:1")
+        plan = plan_fleet(models, fleet, "prefill-decode")
+        assert all(c.models == ("resnet18", "mobilebert") for c in plan.chips)
+        cluster = Cluster(models, fleet=fleet, placement="prefill-decode")
+        assert cluster.prefill_chips == (0, 1)
+        assert cluster.decode_chips == (2,)
+        for model in cluster.models:
+            assert cluster.chips_for(model) == (0, 1, 2)
+        with pytest.raises(ValueError):
+            Cluster(models, n_chips=3, placement="prefill-decode")
+
     def test_validation(self, resnet):
         with pytest.raises(ValueError):
-            plan_cluster([resnet], n_chips=0, spec=yoco_spec())
+            plan_fleet([resnet], homogeneous_fleet(yoco_spec(), 0))
         with pytest.raises(ValueError):
-            plan_cluster([], n_chips=1, spec=yoco_spec())
+            plan_fleet([], homogeneous_fleet(yoco_spec(), 1))
         with pytest.raises(ValueError):
-            plan_cluster([resnet, resnet], n_chips=1, spec=yoco_spec())
+            plan_fleet([resnet, resnet], homogeneous_fleet(yoco_spec(), 1))
         with pytest.raises(ValueError):
-            plan_cluster([resnet], n_chips=1, spec=yoco_spec(), placement="magic")
+            plan_fleet([resnet], homogeneous_fleet(yoco_spec(), 1), "magic")
 
 
 class TestServiceCosts:

@@ -19,12 +19,11 @@ from repro.serve import (
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
-    fixed_trace,
     format_serving,
-    poisson_trace,
     simulate_serving,
     summarize,
 )
+from repro.serve.traces import fixed_trace, poisson_trace
 
 
 def _run(n_chips=4, rps=2000.0, seed=0, max_batch_size=8, mode="batched"):

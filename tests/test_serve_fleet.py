@@ -7,24 +7,25 @@ import pytest
 from repro.arch import ArchitectureSimulator, yoco_spec
 from repro.models import get_workload
 from repro.serve import (
-    CHIP_TYPES,
     Cluster,
     FleetConfig,
-    FleetGroup,
     FleetSpec,
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
-    backend_for,
-    chip_spec,
-    fleet_cost_table,
-    fleet_group,
-    homogeneous_fleet,
     parse_fleet,
-    plan_fleet,
-    poisson_trace,
     simulate_serving,
 )
+from repro.serve.cluster import fleet_cost_table, plan_fleet
+from repro.serve.fleet import (
+    CHIP_TYPES,
+    FleetGroup,
+    backend_for,
+    chip_spec,
+    fleet_group,
+    homogeneous_fleet,
+)
+from repro.serve.traces import poisson_trace
 
 
 @pytest.fixture(scope="module")

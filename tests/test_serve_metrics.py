@@ -6,16 +6,15 @@ from repro.models import get_workload
 from repro.serve import (
     BatchingPolicy,
     Cluster,
-    ModelServingStats,
     ServingEngine,
     ServingReport,
-    fixed_trace,
     format_serving,
     percentile,
     summarize,
-    uniform_trace,
     with_seqlens,
 )
+from repro.serve.metrics import ModelServingStats
+from repro.serve.traces import fixed_trace, uniform_trace
 from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
 
 

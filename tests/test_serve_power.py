@@ -17,16 +17,14 @@ from repro.serve import (
     Cluster,
     FleetConfig,
     PowerConfig,
-    PowerGovernor,
-    PowerModel,
     ServingConfig,
-    ThermalNode,
     ThrottlePolicy,
     WorkloadConfig,
-    fleet_group,
     format_serving,
     simulate_serving,
 )
+from repro.serve.fleet import fleet_group
+from repro.serve.power import PowerGovernor, ThermalNode
 from repro.serve.cluster import ChipService
 
 
@@ -56,25 +54,6 @@ class TestThrottlePolicy:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ThrottlePolicy(**kwargs)
-
-
-class TestPowerModel:
-    def test_draw_is_energy_over_service_time(self):
-        # 1e9 pJ (1 mJ) over 1e6 ns (1 ms) = 1 W.
-        assert PowerModel.draw_watts(1e9, 1e6) == pytest.approx(1.0)
-
-    def test_idle_floor_scales_with_peak_watts(self):
-        model = PowerModel(idle_fraction=0.1)
-        assert model.idle_watts(50.0) == pytest.approx(5.0)
-
-    def test_config_exposes_its_model(self):
-        config = PowerConfig(idle_fraction=0.07)
-        assert config.model == PowerModel(idle_fraction=0.07)
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.1])
-    def test_rejects_bad_idle_fraction(self, fraction):
-        with pytest.raises(ValueError):
-            PowerModel(idle_fraction=fraction)
 
 
 class TestPowerConfig:
@@ -157,6 +136,19 @@ class TestGovernorAccounting:
     def _governor(self, **config_kwargs):
         cluster = _cluster(n_chips=2)
         return PowerGovernor(cluster, PowerConfig(**config_kwargs)), cluster
+
+    def test_draw_is_energy_over_service_time(self):
+        governor, _ = self._governor()
+        # 1e9 pJ (1 mJ) over 1e6 ns (1 ms) = 1 W.
+        governor.admit(0, 0.0, ChipService(latency_ns=1e6, energy_pj=1e9))
+        governor.advance(1e6)
+        group = governor.finish().groups[0]
+        assert group.peak_w - group.idle_w == pytest.approx(1.0)
+
+    def test_idle_floor_scales_with_peak_watts(self):
+        governor, _ = self._governor(idle_fraction=0.1)
+        group = governor.finish().groups[0]
+        assert group.idle_w == pytest.approx(0.1 * 2 * yoco_spec().peak_watts)
 
     def test_idle_only_average(self):
         governor, cluster = self._governor()

@@ -22,21 +22,22 @@ from repro.serve import (
     ServingConfig,
     ServingEngine,
     WorkloadConfig,
-    default_buckets,
-    fixed_seqlens,
-    fixed_trace,
     format_serving,
     lifecycle_tracer,
-    lognormal_seqlens,
-    longtail_seqlens,
     sample_seqlens,
     simulate_serving,
     summarize,
-    uniform_seqlens,
-    uniform_trace,
     with_seqlens,
 )
-from repro.serve.batching import ModelQueue, bucket_for
+from repro.serve.traces import (
+    fixed_seqlens,
+    fixed_trace,
+    lognormal_seqlens,
+    longtail_seqlens,
+    uniform_seqlens,
+    uniform_trace,
+)
+from repro.serve.batching import ModelQueue, bucket_for, default_buckets
 
 
 class TestAtSeqLen:

@@ -4,13 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.serve import (
-    Request,
+from repro.serve import Request, diurnal_trace, make_trace, merge_traces
+from repro.serve.traces import (
     bursty_trace,
-    diurnal_trace,
     fixed_trace,
-    make_trace,
-    merge_traces,
     poisson_trace,
     uniform_trace,
 )

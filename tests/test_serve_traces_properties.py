@@ -23,8 +23,8 @@ from repro.serve import (
     make_trace,
     merge_traces,
     sample_seqlens,
-    uniform_trace,
 )
+from repro.serve.traces import uniform_trace
 
 #: Rates/durations sized so every (kind, rps, duration) pair yields enough
 #: arrivals for a rate check but stays fast under hypothesis' example count.

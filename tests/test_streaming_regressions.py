@@ -41,7 +41,6 @@ from repro.serve import (
     StreamingMetrics,
     WorkloadConfig,
     simulate_serving,
-    uniform_trace,
 )
 from repro.serve.served import ServedColumns
 from repro.serve.traces import TraceColumns

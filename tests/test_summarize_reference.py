@@ -18,6 +18,7 @@ from repro.serve import (
     Cluster,
     DecodeConfig,
     FleetConfig,
+    PolicyConfig,
     ServingConfig,
     Tenant,
     TenancyConfig,
@@ -30,23 +31,19 @@ from repro.serve.tenancy import deadline_ns
 MODELS = ("resnet18", "mobilebert")
 FLEET = "yoco:2,isaac:2"
 
-TENANCY = TenancyConfig(
-    tenants=(
-        Tenant("chat", slo_class="interactive", weight=4.0, rps=4000.0,
-               seqlen_dist="lognormal"),
-        Tenant("bulk", slo_class="batch", rps=20000.0,
-               seqlen_dist="lognormal"),
-    ),
-    scheduler="weighted-fair",
-    preemption=True,
+TENANTS = (
+    Tenant("chat", slo_class="interactive", weight=4.0, rps=4000.0,
+           seqlen_dist="lognormal"),
+    Tenant("bulk", slo_class="batch", rps=20000.0, seqlen_dist="lognormal"),
 )
 
 SCENARIOS = {
     "tenants": ServingConfig(
         workload=WorkloadConfig(
-            models=MODELS, duration_s=0.05, seed=0, tenants=TENANCY
+            models=MODELS, duration_s=0.05, seed=0, tenants=TENANTS
         ),
         fleet=FleetConfig(fleet=FLEET),
+        policy=PolicyConfig(scheduler="weighted-fair", preemption=True),
     ),
     "decode": ServingConfig(
         workload=WorkloadConfig(
@@ -65,7 +62,9 @@ def run(request):
     cluster = Cluster(
         [get_workload(m) for m in config.workload.models], fleet=FLEET
     )
-    return request.param, report, result, cluster, config.workload.tenants
+    tenants = config.workload.tenants
+    tenancy = TenancyConfig(tenants) if tenants else None
+    return request.param, report, result, cluster, tenancy
 
 
 def _latency_ms(s):

@@ -21,24 +21,23 @@ from repro.serve import (
     FleetConfig,
     PolicyConfig,
     PowerConfig,
-    QueueDepthCap,
     ServingConfig,
     ServingEngine,
     Tenant,
     TenancyConfig,
-    TenantTokenBucket,
-    TokenBucket,
-    WeightedFairScheduler,
     WorkloadConfig,
-    deadline_ns,
-    fixed_trace,
-    make_scheduler,
     merge_traces,
     parse_tenants,
-    poisson_trace,
     simulate_serving,
     summarize,
 )
+from repro.serve.admission import QueueDepthCap, TenantTokenBucket, TokenBucket
+from repro.serve.tenancy import (
+    WeightedFairScheduler,
+    deadline_ns,
+    make_scheduler,
+)
+from repro.serve.traces import fixed_trace, poisson_trace
 from repro.serve.batching import ModelQueue
 
 

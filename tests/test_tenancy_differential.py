@@ -37,7 +37,6 @@ from test_hetero_differential import (
 )
 
 from repro.serve import (
-    AcceptAll,
     FleetConfig,
     PolicyConfig,
     PowerConfig,
@@ -47,6 +46,7 @@ from repro.serve import (
     format_serving,
     simulate_serving,
 )
+from repro.serve.admission import AcceptAll
 
 
 @pytest.fixture(scope="module")
