@@ -297,7 +297,8 @@ def estimated_saturation_clients(
 ) -> float:
     """Analytic saturation concurrency of a closed-loop population.
 
-    Classic closed-network first-order bound: each model's hosts are kept
+    Classic closed-network first-order bound: each model's prefill hosts
+    (its service table's ``hosts``) are kept
     busy by ``hosts * (think + service) / service`` sessions, where
     ``service`` is the batch-1 floor on the model's best chip.  Summed
     over models (sessions round-robin).  Replicated placements share
@@ -308,6 +309,6 @@ def estimated_saturation_clients(
     total = 0.0
     for model in names:
         service_ns = cluster.reference_latency_ns(model)
-        hosts = len(cluster.chips_for(model))
+        hosts = len(cluster.service_table(model).hosts)
         total += hosts * (1.0 + think_time_ms * 1e6 / service_ns)
     return total

@@ -121,9 +121,10 @@ def plan_fleet(
     unplaceable: Tuple[str, ...] = ()
     if placement in ("replicated", "prefill-decode"):
         # prefill-decode replicates every model onto every chip; the
-        # *engine* specializes which group runs prefill vs decode
-        # (capacity and replication accounting are phase-blind — weight
-        # footprints are invariant under the decode re-derivation).
+        # cost tables (ServiceCostTable.hosts) pick which group runs
+        # prefill vs decode (capacity and replication accounting are
+        # phase-blind — weight footprints are invariant under the decode
+        # re-derivation).
         assigned: List[List[str]] = [list(names) for _ in range(fleet.n_chips)]
     elif placement == "partitioned":
         assigned = []
@@ -317,12 +318,18 @@ class ServiceCostTable:
     so a wrapped ``Cluster.service`` (a call counter, a tracer) sees every
     priced row.
 
-    ``uniform`` is True when every hosting chip shares one cost key — the
+    ``hosts`` is the one answer to "which chips run this model in this
+    phase", in ascending id order: the model's hosting chips
+    (:meth:`Cluster.chips_for`), except that the ``prefill-decode``
+    placement runs prefill on fleet group 0 and decode on groups 1+.
+    The engine's host sets, the default SLO floor and the admission
+    predictor all read it.
+
+    ``uniform`` is True when every host shares one cost key — the
     homogeneous case where cost-aware routing provably degenerates to the
     lowest free chip id and per-chip pricing can be skipped entirely.  A
-    decode table looks only at the decode-side hosts and also requires
-    one KV capacity, since a decode price adds the KV bytes that overflow
-    the chip.
+    decode table also requires one KV capacity, since a decode price adds
+    the KV bytes that overflow the chip.
     """
 
     def __init__(
@@ -337,15 +344,13 @@ class ServiceCostTable:
             for key in cluster._chip_keys
         )
         hosts = cluster.chips_for(model)
-        kv_uniform = True
-        if decode:
-            decode_chips = set(cluster.decode_chips)
-            hosts = tuple(c for c in hosts if c in decode_chips)
-            kv_uniform = (
-                len({cluster.kv_capacity_bytes(c) for c in hosts}) == 1
-            )
-        self.uniform = (
-            kv_uniform and len({self._key_of[c] for c in hosts}) == 1
+        if cluster.placement == "prefill-decode":
+            group = cluster.chip_group_indices
+            hosts = tuple(c for c in hosts if (group[c] != 0) == decode)
+        self.hosts: Tuple[int, ...] = hosts
+        self.uniform = len({self._key_of[c] for c in hosts}) == 1 and (
+            not decode
+            or len({cluster.kv_capacity_bytes(c) for c in hosts}) == 1
         )
         self._rows: Dict[Tuple[int, int], List[Optional[ChipService]]] = {}
 
@@ -378,10 +383,11 @@ class ServiceCostTable:
 class Cluster:
     """A fleet of accelerator chips plus the placement over them.
 
-    The serving engine treats this object as a pure cost oracle: it asks
-    which chips may host a model (:meth:`chips_for`) and what a size-``B``
-    batch costs on a given chip (:meth:`service_table`).  Each row is
-    priced once — the discrete-event loop stays free of simulator calls.
+    The serving engine treats this object as a pure cost oracle: one cost
+    table per model and phase (:meth:`service_table`, :meth:`decode_table`)
+    says which chips serve it and what a size-``B`` batch costs on each.
+    Each row is priced once — the discrete-event loop stays free of
+    simulator calls.
 
     The legacy homogeneous form (``n_chips`` copies of one ``spec``) and
     the ``fleet`` form are the same machinery: the former is wrapped into
@@ -565,29 +571,6 @@ class Cluster:
     def placement(self) -> str:
         return self._placement
 
-    @property
-    def disaggregated(self) -> bool:
-        """True when the fleet specializes prefill and decode chip groups."""
-        return self._placement == "prefill-decode"
-
-    @property
-    def prefill_chips(self) -> Tuple[int, ...]:
-        """Chips eligible for prefill batches (group 0 when disaggregated)."""
-        if self._placement != "prefill-decode":
-            return tuple(range(self.n_chips))
-        return tuple(
-            c for c in range(self.n_chips) if self._chip_groups[c] == 0
-        )
-
-    @property
-    def decode_chips(self) -> Tuple[int, ...]:
-        """Chips eligible for decode iterations (groups 1+ when disaggregated)."""
-        if self._placement != "prefill-decode":
-            return tuple(range(self.n_chips))
-        return tuple(
-            c for c in range(self.n_chips) if self._chip_groups[c] != 0
-        )
-
     def decode_workload(self, model: str, context_len: int) -> WorkloadSpec:
         """One decode iteration of ``model`` at ``context_len`` (cached).
 
@@ -732,18 +715,20 @@ class Cluster:
     def reference_latency_ns(self, model: str, seq_len: int = 0) -> float:
         """Batch-1 service latency — the no-queueing, no-batching floor.
 
-        The floor is taken over the model's *best* hosting chip, so derived
+        The floor is taken over the model's *best* prefill host
+        (:attr:`ServiceCostTable.hosts`), so on a unified placement derived
         quantities like the default SLO (:data:`DEFAULT_SLO_MULTIPLE` times
         this floor) never depend on fleet group declaration order:
         ``yoco:2,isaac:2`` and ``isaac:2,yoco:2`` anchor to the same number.
-        Read off :meth:`service_table` once per (model, seq_len).
+        Under ``prefill-decode`` it is group 0's floor, since only group 0
+        runs prefill.  Read off :meth:`service_table` once per
+        (model, seq_len).
         """
         floor = self._floors.get((model, seq_len))
         if floor is None:
             table = self.service_table(model)
             floor = min(
-                table.get(chip, 1, seq_len).latency_ns
-                for chip in self.chips_for(model)
+                table.get(chip, 1, seq_len).latency_ns for chip in table.hosts
             )
             self._floors[model, seq_len] = floor
         return floor
@@ -756,9 +741,9 @@ class Cluster:
         A request arriving with ``queued_ahead`` same-model requests
         already waiting must let those drain first: they form
         ``ceil(queued_ahead / max_batch_size)`` batches spread over the
-        model's hosting chips, i.e. ``ceil(batches / hosts)`` serial
+        model's prefill hosts, i.e. ``ceil(batches / hosts)`` serial
         waves, before the request's own batch runs.  Each wave is priced
-        at the batch-1 floor of the model's *best* hosting chip
+        at the batch-1 floor of the model's *best* prefill host
         (:meth:`reference_latency_ns` — the same per-(model, chip-group)
         cost tables the placer and the default SLO read), so the estimate
         is deliberately optimistic: a request this predictor already
@@ -769,7 +754,7 @@ class Cluster:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         service_ns = self.reference_latency_ns(model)
-        hosts = len(self.chips_for(model))
+        hosts = len(self.service_table(model).hosts)
         batches_ahead = -(-queued_ahead // max_batch_size)  # ceil div
         waves = -(-batches_ahead // hosts)
         return (waves + 1) * service_ns

@@ -15,13 +15,13 @@ What waits is a **row**: an int index into the run's request columns
 re-enters on its own row).  Slot queues, in-flight batches, decode
 entries, log events and the served record all carry rows, and a
 :class:`~repro.serve.traces.Request` object is built only for a request
-rejected for good.  Every slot dispatches onto a **host set** — the chips
-that may serve it (for decode, the decode-side chips under the
-``prefill-decode`` placement), with the set's flat cost table, a
-free-host count and a round-robin cursor.  The free-chip index, the
-dirty-slot scan, the router and the launch step read host sets only, so
-prefill batches and decode iterations share one dispatch mechanism; each
-phase supplies just its batch of rows and its routing key.
+rejected for good.  Every slot dispatches onto a **host set** — one
+flat cost table (:class:`~repro.serve.cluster.ServiceCostTable`), whose
+``hosts`` are the chips that may serve it, plus a free-host count and a
+round-robin cursor.  The free-chip index, the dirty-slot scan, the
+router and the launch step read host sets only, so prefill batches and
+decode iterations share one dispatch mechanism; each phase supplies just
+its batch of rows and its routing key.
 
 Two traffic sources feed the loop:
 
@@ -808,29 +808,15 @@ class ServingEngine:
         # meet those branches.
         decode_queues: List[deque] = [deque() for _ in model_order]
         # -- host sets ------------------------------------------------------
-        # Set i holds the chips the prefill slots of model i dispatch onto
-        # and, with decode, set n_models + i the chips of model i's decode
-        # slot — under the prefill-decode placement, fleet group 0 and the
-        # remaining groups; unified clusters run both phases on every
-        # hosting chip.  Hosts are in ascending id order.  No set is empty:
-        # Cluster rejects a model placed on no chip, and prefill-decode
-        # places every model on every chip of its two or more groups.
-        set_hosts: List[Tuple[int, ...]] = [
-            cluster.chips_for(m) for m in model_order
-        ]
+        # Set i is model i's prefill cost table and, with decode, set
+        # n_models + i its decode table; each table's ``hosts`` are the
+        # chips the set dispatches onto, in ascending id order
+        # (ServiceCostTable decides them, placement included).  No set is
+        # empty: Cluster rejects a model placed on no chip, and
+        # prefill-decode places every model on every chip of its two or
+        # more groups.
         set_table = [cluster.service_table(m) for m in model_order]
         if decode_on:
-            if cluster.disaggregated:
-                prefill_chips = set(cluster.prefill_chips)
-                set_hosts = [
-                    tuple(c for c in cs if c in prefill_chips)
-                    for cs in set_hosts
-                ]
-            decode_chips = set(cluster.decode_chips)
-            set_hosts += [
-                tuple(c for c in cluster.chips_for(m) if c in decode_chips)
-                for m in model_order
-            ]
             set_table += [cluster.decode_table(m) for m in model_order]
             kv_per_token = {
                 m: cluster.kv_bytes_per_token(m) for m in model_order
@@ -847,6 +833,7 @@ class ServingEngine:
         set_uniform = [
             routing != "round-robin" and table.uniform for table in set_table
         ]
+        set_hosts = [table.hosts for table in set_table]
         # ``chip_free`` (finish-time floats) stays the ground truth, but
         # the dispatch scan reads freedom through an O(1) index: a per-chip
         # boolean, a per-set free-host count, and a heap of (finish, chip)
@@ -900,27 +887,24 @@ class ServingEngine:
         # The active set is always the chip-id prefix [0, n_active):
         # scale-downs drain the highest active chip, scale-ups activate
         # the lowest parked one, so the invariant holds by induction.
-        # ``n_serving`` additionally counts drained chips still finishing
-        # their in-flight batch (they burn chip-time until they park) —
-        # the quantity the cost timeline records.
+        # ``draining`` holds the drained chips (all >= n_active) still
+        # finishing their in-flight batch: they burn chip-time until they
+        # park, so the cost timeline records n_active + len(draining).
         el_on = elastic_cfg is not None
         controller: Optional[ElasticController] = None
-        active: List[bool] = []
         draining: Set[int] = set()
         el_actions: List[ScalingAction] = []
         el_timeline: List[Tuple[float, int]] = []
         n_active = cluster.n_chips
-        n_serving = cluster.n_chips
         el_pending = 0  # chips requested, not yet activated
         el_cancel = 0  # in-flight activations revoked by a later drain
         el_arrivals = 0  # arrivals since the last controller evaluation
         n_scale = 0  # _SCALE events: evaluations and activations
         el_interval_ns = el_delay_ns = 0.0
         if el_on:
-            active = [c < el_init for c in range(cluster.n_chips)]
             for c in range(el_init, cluster.n_chips):
                 claim_chip(c)
-            n_active = n_serving = el_init
+            n_active = el_init
             el_timeline.append((0.0, el_init))
             if el_lo != el_hi:
                 controller = ElasticController(
@@ -1081,16 +1065,14 @@ class ServingEngine:
         def release(finish: float, chip: int, now: float) -> None:
             """Drain one finished chip into the free index (stale entries —
             preempted-then-recommitted chips — fail the time check)."""
-            nonlocal n_serving
             if not is_free[chip] and chip_free[chip] <= now:
-                if not el_on or active[chip]:
+                if chip < n_active:
                     mark_free(chip)
                 elif chip in draining:
                     # A drained chip finished its in-flight batch: it parks
                     # at the completion instant, not in the free index.
                     draining.discard(chip)
-                    n_serving -= 1
-                    el_timeline.append((finish, n_serving))
+                    el_timeline.append((finish, n_active + len(draining)))
                     if log is not None:
                         log.append((SCALE, finish, "park", 1))
 
@@ -1204,14 +1186,9 @@ class ServingEngine:
             total_kv = float(sum(footprints))
             k = n_models + mi
             table = set_table[k]
-            if set_uniform[k]:
-                for chip in set_hosts[k]:
-                    if is_free[chip]:
-                        break
-            else:
-                chip = route(k, lambda c: routing_key(
-                    c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
-                ))
+            chip = route(k, lambda c: routing_key(
+                c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
+            ))
             cost, overflow = decode_price(table, chip, take, ctx_pad, total_kv)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
@@ -1696,14 +1673,12 @@ class ServingEngine:
                     el_cancel += cancel
                     to_drop -= cancel
                     for _ in range(to_drop):
-                        chip = n_active - 1
-                        active[chip] = False
                         n_active -= 1
+                        chip = n_active
                         if is_free[chip]:
                             # Idle: parks immediately.
                             claim_chip(chip)
-                            n_serving -= 1
-                            el_timeline.append((now, n_serving))
+                            el_timeline.append((now, n_active + len(draining)))
                             if log is not None:
                                 log.append((SCALE, now, "park", 1))
                         else:
@@ -1734,14 +1709,12 @@ class ServingEngine:
                         el_cancel -= 1
                         continue
                     chip = n_active
-                    active[chip] = True
                     n_active += 1
                     el_pending -= 1
                     if chip in draining:
                         draining.discard(chip)
                     else:
-                        n_serving += 1
-                        el_timeline.append((now, n_serving))
+                        el_timeline.append((now, n_active + len(draining)))
                         mark_free(chip)
                         if log is not None:
                             log.append((SCALE, now, "activate", 1))
@@ -1814,8 +1787,7 @@ class ServingEngine:
         B = policy.max_batch_size
         W = policy.window_ns
         table = cluster.service_table(model)
-        chips = cluster.chips_for(model)
-        free = list(chips)
+        free = list(table.hosts)
         heapq.heapify(free)
         busy: List[Tuple[float, int, int, int]] = []  # (finish, seq, chip, rec)
         costs: Dict[int, object] = {}  # batch size -> ChipService

@@ -34,6 +34,7 @@ from repro.serve import (
     simulate_serving,
     with_decode_lens,
 )
+from repro.serve.clients import estimated_saturation_clients
 from repro.serve.traces import poisson_trace, with_seqlens, sample_seqlens
 
 DECODE = DecodeConfig(dist="lognormal", mean_tokens=8)
@@ -190,6 +191,42 @@ class TestPrefillDecodePlacement:
         # phases: decode iterations land outside the would-be decode
         # group (fastest routing favors the YOCO chips 0-1).
         assert collector.decode_chips - {2, 3}
+
+
+class TestSlowPrefillGroup:
+    """``prefill-decode`` with the slow chip type first: group 0 (ISAAC)
+    runs every prefill, so the SLO floor, the admission predictor and the
+    saturation estimate must read ISAAC's prefill, not the faster YOCO
+    decode chips that never run one."""
+
+    def test_floor_and_predictor_read_the_prefill_hosts(self):
+        cluster = Cluster(
+            [get_workload("mobilebert")],
+            fleet="isaac:2,yoco:2",
+            placement="prefill-decode",
+        )
+        assert cluster.service_table("mobilebert").hosts == (0, 1)
+        assert cluster.decode_table("mobilebert").hosts == (2, 3)
+        floor = cluster.reference_latency_ns("mobilebert")
+        assert floor == 5_875_200.0  # ISAAC's batch-1 prefill
+        # Four batches ahead over two prefill hosts: two waves, then ours.
+        assert cluster.predicted_latency_ns("mobilebert", 4) == 3 * floor
+        assert estimated_saturation_clients(cluster, think_time_ms=0.0) == 2
+
+    def test_default_slo_is_attainable(self):
+        report, _ = simulate_serving(
+            config=ServingConfig(
+                workload=WorkloadConfig(
+                    models=("mobilebert",), rps=200.0, duration_s=0.05
+                ),
+                fleet=FleetConfig(
+                    fleet="isaac:2,yoco:2", placement="prefill-decode"
+                ),
+                decode=DecodeConfig(dist="lognormal", mean_tokens=16),
+            )
+        )
+        assert report.n_requests == 9
+        assert report.slo_attainment == 1.0
 
 
 class TestKvResidency:

@@ -61,8 +61,9 @@ class TestPlanning:
         plan = plan_fleet(models, fleet, "prefill-decode")
         assert all(c.models == ("resnet18", "mobilebert") for c in plan.chips)
         cluster = Cluster(models, fleet=fleet, placement="prefill-decode")
-        assert cluster.prefill_chips == (0, 1)
-        assert cluster.decode_chips == (2,)
+        for model in cluster.models:
+            assert cluster.service_table(model).hosts == (0, 1)
+            assert cluster.decode_table(model).hosts == (2,)
         for model in cluster.models:
             assert cluster.chips_for(model) == (0, 1, 2)
         with pytest.raises(ValueError):
