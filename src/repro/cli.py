@@ -302,22 +302,17 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
 def _serve_regions(args: argparse.Namespace) -> str:
     if args.regions < 1:
         raise SystemExit("--regions must be >= 1")
-    for flag, present in (
-        ("--fleet", args.fleet is not None),
-        ("--tenants", args.tenants is not None),
-        ("--clients", args.clients is not None),
-        ("--retries", args.retries is not None),
-        ("--admission", args.admission is not None),
-        ("--seqlen-dist", args.seqlen_dist is not None),
-        ("--power-cap/--t-max",
-         args.power_cap is not None or args.t_max is not None),
-        ("--decode-dist", args.decode_dist is not None),
-        ("--progress", args.progress is not None),
-        ("--trace-out", args.trace_out is not None),
-        ("--metrics-out", args.metrics_out is not None),
-        ("--profile-engine", args.profile_engine),
+    # Regions build their own fleets and diurnal traces, so any of these
+    # left off its parser default would be silently ignored.
+    parser = build_parser()
+    for flag in (
+        "--fleet", "--tenants", "--clients", "--retries", "--admission",
+        "--seqlen-dist", "--power-cap/--t-max", "--decode-dist",
+        "--progress", "--trace-out", "--metrics-out", "--profile-engine",
+        "--routing", "--mode", "--trace", "--placement", "--seqlen-buckets",
     ):
-        if present:
+        dests = [name[2:].replace("-", "_") for name in flag.split("/")]
+        if any(getattr(args, d) != parser.get_default(d) for d in dests):
             raise SystemExit(
                 f"--regions runs are homogeneous open-loop diurnal "
                 f"studies; they cannot combine with {flag}"

@@ -313,6 +313,28 @@ class TestServeCompositionErrors:
             exits.append(excinfo.value.code)
         assert exits == ["serve: " + MSG_SCHEDULER_NEEDS_TENANTS] * 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--routing", "round-robin"),
+            ("--mode", "pipelined"),
+            ("--trace", "bursty"),
+            ("--placement", "partitioned"),
+            ("--seqlen-buckets", "64,128"),
+        ],
+    )
+    def test_regions_refuse_a_flag_they_would_ignore(self, flag, value):
+        # Regions build their own fleets and diurnal traces; a knob they
+        # never read is refused instead of silently dropped.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", "resnet18", "--chips", "2",
+                  "--rps", "20000", "--duration", "0.02", "--regions", "2",
+                  flag, value])
+        assert excinfo.value.code == (
+            "--regions runs are homogeneous open-loop diurnal studies; "
+            f"they cannot combine with {flag}"
+        )
+
     def test_decode_progress_prints_the_unstreamed_report(self, capsys):
         # A streamed decode run prints the unstreamed report byte for byte.
         flags = ["serve", "--model", "mobilebert", "--chips", "4",
