@@ -44,6 +44,11 @@ from repro.serve.metrics import (
 )
 from repro.serve.traces import Request, diurnal_trace, merge_traces
 
+#: Seed distance between two models' arrival lanes in one region; a prime
+#: larger than any region count, so no two (region, model) lanes meet.
+#: Model 0 keeps the region's ``seed + i`` lane.
+_MODEL_SEED_STRIDE = 104_729
+
 __all__ = [
     "RegionSpec",
     "RegionResult",
@@ -242,8 +247,10 @@ def simulate_regions(
 
     Without an explicit ``regions`` list, :func:`follow_the_sun` builds
     ``n_regions`` equal regions with evenly spread diurnal phases, each
-    offering ``rps`` over its own seeded trace (seed ``seed + i``, so
-    adding a region never perturbs another's arrivals).  The diurnal
+    offering ``rps`` over its own seeded traces (model ``j`` of region
+    ``i`` draws from seed ``seed + i + 104_729 * j``, so adding a region
+    never perturbs another's arrivals and two models of one region never
+    arrive in lockstep).  The diurnal
     period defaults to the whole horizon — one full day compressed into
     the run.  ``elastic`` (optional) applies the same autoscaling
     contract independently inside every region.
@@ -284,12 +291,12 @@ def simulate_regions(
                     m,
                     per_model,
                     duration_s,
-                    seed=seed + i,
+                    seed=seed + i + _MODEL_SEED_STRIDE * j,
                     amplitude=amplitude,
                     period_s=period,
                     phase=spec.phase,
                 )
-                for m in models
+                for j, m in enumerate(models)
             )
         )
     rtt_ns = rtt_ms * 1e6

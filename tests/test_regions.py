@@ -4,7 +4,7 @@ Pins the geo layer's contracts:
 
 * phase-shifted diurnal traces are genuinely shifted (phase=0 is
   bit-identical to the legacy generator; phase=0.5 is not) and each
-  region's stream is seed-independent of the others;
+  (region, model) stream is seed-independent of the others;
 * the spill pass is deterministic, conservative (every request is
   served exactly once, somewhere), and charges the RTT to the spilled
   request's client-perceived latency;
@@ -113,6 +113,14 @@ class TestSimulateRegions:
         rep = self._report(n_regions=1)
         assert rep.n_spilled == 0
         assert len(rep.regions) == 1
+
+    def test_models_of_one_region_arrive_independently(self):
+        rep = self._report(models=["resnet18", "vgg16"], n_regions=1)
+        arrivals = {"resnet18": [], "vgg16": []}
+        for served in rep.regions[0].result.served:
+            arrivals[served.request.model].append(served.request.arrival_ns)
+        assert arrivals["resnet18"] and arrivals["vgg16"]
+        assert arrivals["resnet18"] != arrivals["vgg16"]
 
     def test_spilled_requests_carry_the_rtt(self):
         cheap = self._report(rtt_ms=0.0)
