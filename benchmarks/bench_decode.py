@@ -15,7 +15,8 @@ fleet serving identical MobileBERT traffic:
   tokens/s as the batching cap walks 1 -> 16 under disaggregation:
   batching trades first-token latency for decode throughput.
 
-Key numbers append to ``benchmarks/BENCH_decode.json``.
+Key numbers of full (non-smoke) runs append to
+``benchmarks/BENCH_decode.json``.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run shortened horizons (the CI tier-2
 smoke job); every assertion still holds, only the traces shrink.
@@ -151,8 +152,10 @@ def test_disaggregation_faceoff(benchmark):
     history = []
     if _RECORD_PATH.exists():
         history = json.loads(_RECORD_PATH.read_text())
-    history.append(record)
-    _RECORD_PATH.write_text(json.dumps(history, indent=2) + "\n")
+    # Smoke runs must not pollute the committed full-mode trajectory.
+    if not SMOKE:
+        history.append(record)
+        _RECORD_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _batch_sweep_rows():
