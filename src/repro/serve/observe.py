@@ -29,7 +29,10 @@ chunks only the state it must:
   ``repr`` precision and the percentile interpolation is shared with
   :func:`repro.serve.metrics.summarize`, so a trace summary agrees with
   the run's :class:`~repro.serve.metrics.ServingReport` to float
-  equality.
+  equality.  A ``cmp`` event is a *prefill* completion: on a decode run
+  the summary's total latency is the report's time to first token
+  (``ttft_p50_ms`` / ``ttft_p99_ms``), not its end-to-end latency; the
+  summary does not read the decode iterations (``dit`` events).
 
 Event tuples (``t`` is simulated nanoseconds, ``rids`` a list of request
 ids, ``arrivals`` their arrival stamps)::
@@ -469,7 +472,10 @@ class MetricsRecorder:
     batch spanning windows is split exactly), governor power draw
     (time-weighted mean; blank without a governor) and in-window
     completion latency percentiles — the same interpolation
-    :func:`repro.serve.metrics.summarize` uses on the whole run.
+    :func:`repro.serve.metrics.summarize` uses on the whole run.  A
+    completion is a ``cmp`` event, which on a decode run is the prefill
+    landing: there, completions and throughput count first tokens and
+    ``p50_ms`` / ``p99_ms`` are time-to-first-token percentiles.
 
     Across chunks the recorder carries the open window's accumulators
     and one row per closed window, never per-request state.  ``close``
@@ -651,6 +657,8 @@ class PhaseStats:
     ``ServedRequest.queue_ns`` sees it), ``service`` final dispatch to
     completion, ``total`` their sum — float-identical to the report's
     latency because every timestamp round-trips JSON at full precision.
+    On a decode run the completion is the prefill's, so ``total`` is the
+    report's time to first token and ``service`` the prefill alone.
     """
 
     tenant: str

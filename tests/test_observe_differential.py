@@ -259,7 +259,8 @@ class TestTraceSummaryAgreesWithReport:
     """summarize_trace rebuilds the report's floats, not approximations."""
 
     def _traced_report(
-        self, tmp_path, n_chips, policy=PolicyConfig(), **workload
+        self, tmp_path, n_chips, policy=PolicyConfig(), decode=None,
+        **workload
     ):
         path = tmp_path / "trace.jsonl"
         report, _ = simulate_serving(
@@ -268,6 +269,7 @@ class TestTraceSummaryAgreesWithReport:
                 fleet=FleetConfig(n_chips=n_chips),
                 policy=policy,
                 observe=ObserveConfig(trace_file=str(path)),
+                decode=decode,
             )
         )
         return report, summarize_trace(str(path))
@@ -292,6 +294,24 @@ class TestTraceSummaryAgreesWithReport:
             assert lane.p99_ms == stats.p99_ms
             assert lane.mean_ms == stats.mean_ms
             assert lane.max_ms == stats.max_ms
+
+    def test_decode_run_total_is_time_to_first_token(self, tmp_path):
+        # A cmp event is the prefill completion, so on a decode run the
+        # summary's total latency is the report's TTFT, not its latency.
+        report, summary = self._traced_report(
+            tmp_path,
+            models=("mobilebert",),
+            n_chips=4,
+            rps=2000.0,
+            seed=0,
+            decode=DecodeConfig(dist="lognormal"),
+        )
+        (stats,) = report.per_model
+        lane = summary.per_model["mobilebert"]
+        assert (lane.p50_ms, lane.p99_ms) == (
+            stats.ttft_p50_ms, stats.ttft_p99_ms
+        )
+        assert lane.p99_ms < stats.p99_ms
 
     def test_queue_service_split_sums_to_total(self, tmp_path):
         _, summary = self._traced_report(
