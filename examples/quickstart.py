@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import constants
-from repro.core import DetailedIMA, IMAConfig, InChargeArray, YocoMatmulEngine
+from repro.core import DetailedIMA, InChargeArray, YocoMatmulEngine
 
 
 def main() -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.cluster import Cluster

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analog.metrics import (
-    ErrorStats,
     TransferCurve,
     differential_nonlinearity,
     error_stats,

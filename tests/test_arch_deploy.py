@@ -1,6 +1,5 @@
 """Chip deployment backend: accuracy + ledger from one simulation."""
 
-import numpy as np
 import pytest
 
 from repro.arch.deploy import ChipBackend

@@ -9,7 +9,6 @@ from repro import constants
 from repro.analog.variation import VariationModel
 from repro.core.array import InChargeArray, input_conversion_transfer_curve
 from repro.core.charge import dac_voltage
-from repro.core.config import ArrayConfig
 
 
 def _ideal(config=None, seed=0):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analog.variation import VariationModel
-from repro.core.config import IMAConfig
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.chip import Chip
 from repro.core.components import build_component_library
-from repro.core.config import ChipConfig, TileConfig
+from repro.core.config import ChipConfig
 from repro.core.tile import IMAKind, Tile
 
 

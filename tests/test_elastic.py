@@ -13,8 +13,6 @@ The engine-level tests pin the invariants the autoscaler is built on:
   permanent prefix) raise at construction/run time, not mid-flight.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.serve import (

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn.autograd import Tensor
 from repro.nn.datasets import synthetic_images, synthetic_sequences
-from repro.nn.layers import Linear
 from repro.nn.train import Adam, evaluate, evaluate_float_forward, train_classifier
 from repro.nn.zoo import build_cnn_small, build_transformer_tiny
 

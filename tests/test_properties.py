@@ -5,7 +5,6 @@ the mapper, and the quantized GEMM engine.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

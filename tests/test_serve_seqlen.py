@@ -10,7 +10,7 @@ seqlen knob.
 import pytest
 
 from repro.models import at_seq_len, get_workload
-from repro.models.workload import LayerKind, ModelKind
+from repro.models.workload import LayerKind
 from repro.serve import (
     BatchingPolicy,
     Cluster,
