@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import seeds
 from repro.core.chip import Chip
 from repro.core.engine import YocoMatmulEngine
 from repro.nn.backend import QuantizedBackend
@@ -142,7 +143,7 @@ class ChipBackend(QuantizedBackend):
         if engine is None:
             engine = YocoMatmulEngine(
                 mode=self._mode,
-                seed=(hash((self._seed, name)) & 0x7FFFFFFF),
+                seed=seeds.named_layer(self._seed, name),
                 readout=self._readout,
             )
             self._engines[name] = engine

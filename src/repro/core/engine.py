@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import seeds
 from repro.analog.variation import VariationModel
 from repro.core.config import IMAConfig
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
@@ -250,7 +251,7 @@ class YocoMatmulEngine:
         key = (k_index, n_index, cfg.grid_rows, cfg.grid_cols)
         unit = self._tiles.get(key)
         if unit is None:
-            tile_seed = hash((self._seed, key)) & 0x7FFFFFFF
+            tile_seed = seeds.ima_tile(self._seed, key)
             if self._mode == "fast":
                 unit = FastIMA(config=cfg, error_model=self._error_model, seed=tile_seed)
             else:

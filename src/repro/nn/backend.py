@@ -20,6 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import seeds
 from repro.analog.variation import VariationModel
 from repro.core.config import IMAConfig
 from repro.core.engine import YocoMatmulEngine
@@ -135,7 +136,7 @@ class YocoBackend(QuantizedBackend):
                 config=self._config,
                 error_model=self._error_model,
                 variation=self._variation,
-                seed=(hash((self._seed, name)) & 0x7FFFFFFF),
+                seed=seeds.named_layer(self._seed, name),
                 readout=self._readout,
             )
             self._engines[name] = engine

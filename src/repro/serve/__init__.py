@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro import seeds
 from repro.models.zoo import get_workload
 from repro.serve.admission import (
     ADMISSION_POLICIES,
@@ -88,7 +89,6 @@ from repro.serve.metrics import (
 )
 from repro.serve.power import PowerConfig, ThrottlePolicy
 from repro.serve.tenancy import (
-    _SEQLEN_SEED_OFFSET,
     SCHEDULERS,
     Tenant,
     TenancyConfig,
@@ -226,9 +226,8 @@ def simulate_serving(
     else:
         if tenancy is not None:
             # Each tenant declares its own traffic mix; the run-level rps /
-            # trace_kind / seqlen knobs do not apply.  Tenant 0 draws from
-            # the untagged seed lanes, so a single-tenant config
-            # reproduces the untagged trace bit for bit.
+            # trace_kind / seqlen knobs do not apply.  Seed lanes come from
+            # repro.seeds, where tenant 0 is the untagged layout.
             trace, max_sampled = tenant_traces(
                 tenancy,
                 duration_s,
@@ -245,8 +244,9 @@ def simulate_serving(
             sub_traces = []
             max_sampled = 0
             for i, (name, workload) in enumerate(zip(models, workloads)):
+                stream = seeds.arrival(seed, model=i)
                 sub = make_trace(
-                    trace_kind, name, per_model_rps, duration_s, seed=seed + i
+                    trace_kind, name, per_model_rps, duration_s, seed=stream
                 )
                 if seqlen_dist is not None and workload.seq_len > 0:
                     mean = seqlen_mean if seqlen_mean else workload.seq_len
@@ -254,7 +254,7 @@ def simulate_serving(
                         seqlen_dist,
                         len(sub),
                         mean,
-                        seed=seed + _SEQLEN_SEED_OFFSET + i,
+                        seed=seeds.seqlen(seed, model=i),
                         trace_kind=trace_kind,
                     )
                     if max_context is not None:
@@ -263,12 +263,10 @@ def simulate_serving(
                     if lens:
                         max_sampled = max(max_sampled, max(lens))
                 if decode_cfg is not None and workload.seq_len > 0:
-                    # Decode lengths draw on their own seed lane (disjoint
-                    # from arrivals and seqlens), so turning decode on never
-                    # perturbs the prefill-side trace.
+                    # Decode lengths draw on their own lane (repro.seeds), so
+                    # turning decode on never perturbs the prefill-side trace.
                     dlens = sample_decode_lens(
-                        decode_cfg, len(sub), seed=seed + i,
-                        trace_kind=trace_kind,
+                        decode_cfg, len(sub), seed=stream, trace_kind=trace_kind
                     )
                     sub = with_decode_lens(sub, dlens)
                 sub_traces.append(sub)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro import seeds
 from repro.serve.traces import Request, SEQLEN_DISTS, sample_seqlens
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -37,14 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Think-time distributions the CLI exposes via ``--think-dist``.
 THINK_DISTS = ("exponential", "fixed", "uniform")
-
-#: Seed offset separating per-session think streams from each other and
-#: from the open-loop arrival/seqlen streams.
-_SESSION_SEED_STRIDE = 7_919
-
-#: Seed offset of the per-request sequence-length draws (disjoint from
-#: the think streams and from the open-loop seqlen offset).
-_SESSION_SEQLEN_SEED_OFFSET = 900_001
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +77,8 @@ class ClientPopulation:
     exactly like the tail of an open-loop trace.  ``seqlen_dist`` (one of
     :data:`repro.serve.traces.SEQLEN_DISTS`) attaches a per-request
     context length to transformer requests, clamped to ``max_seq_len``
-    when set (the serving max-context rule).
+    when set (the serving max-context rule).  Think times and sequence
+    lengths draw on the session and request lanes of :mod:`repro.seeds`.
 
     ``reject_cooldown_ms`` is the minimum delay before a session moves on
     after a *dropped* request (observing the rejection costs one round
@@ -193,7 +187,7 @@ class ClosedLoopDriver:
         for index in range(population.n_clients):
             model = population.models[index % len(population.models)]
             rng = np.random.default_rng(
-                population.seed + _SESSION_SEED_STRIDE * index
+                seeds.session_think(population.seed, index)
             )
             self._sessions.append(_Session(index, model, rng))
         self._by_request_id: Dict[int, _Session] = {}
@@ -230,7 +224,7 @@ class ClosedLoopDriver:
             pop.seqlen_dist,
             1,
             mean,
-            seed=pop.seed + _SESSION_SEQLEN_SEED_OFFSET + request_id,
+            seed=seeds.session_seqlen(pop.seed, request_id),
         )
         if pop.max_seq_len is not None:
             length = min(length, pop.max_seq_len)

@@ -57,8 +57,8 @@ class WorkloadConfig:
 
     ``seqlen_dist`` (one of :data:`~repro.serve.traces.SEQLEN_DISTS`)
     attaches a per-request sequence length to every transformer request,
-    drawn around ``seqlen_mean`` (default: the model's native length) from
-    a stream disjoint from the arrival seeds; CNN requests carry none.
+    drawn around ``seqlen_mean`` (default: the model's native length) on
+    its own lane of :mod:`repro.seeds`; CNN requests carry none.
 
     ``clients`` switches the run from an open-loop trace to a closed-loop
     population of that many sessions: each issues one request, blocks

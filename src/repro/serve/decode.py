@@ -10,9 +10,10 @@ batch, newly prefilled requests join).
 :class:`DecodeConfig` is the single knob bundle: which distribution the
 per-request output length is drawn from (the same four shapes as
 :data:`repro.serve.traces.SEQLEN_DISTS`, behind the same explicit-seed
-discipline on a disjoint seed lane), an optional hard cap, and the KV-page
-granularity decode batches pad their context to (paged-KV attention — cost
-tables stay small because context lengths quantize to page multiples).
+discipline on a disjoint lane of :mod:`repro.seeds`), an optional hard
+cap, and the KV-page granularity decode batches pad their context to
+(paged-KV attention — cost tables stay small because context lengths
+quantize to page multiples).
 
 ``decode=None`` everywhere means "no decode loop" and collapses the whole
 stack to PR 2 semantics byte-for-byte (golden-guarded).
@@ -23,17 +24,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
+from repro import seeds
 from repro.serve.traces import SEQLEN_DISTS, sample_seqlens
 
 #: Named output-length distributions the CLI exposes via ``--decode-dist``
 #: — deliberately the same four shapes as the prompt-length samplers.
 DECODE_DISTS = SEQLEN_DISTS
-
-#: Seed-lane offset for output-length sampling.  Disjoint from the arrival
-#: lanes (``seed + i``), the seqlen lanes (``seed + 100_003 + i``) and the
-#: tenant lanes (``seed + 104_729 * t + i``), so attaching decode lengths
-#: never perturbs any other sampled stream.
-_DECODE_SEED_OFFSET = 1_000_003
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +82,9 @@ def sample_decode_lens(
 ) -> Tuple[int, ...]:
     """Draw ``n`` per-request output lengths on the decode seed lane.
 
+    ``seed`` is the stream's arrival seed, as given to ``make_trace``;
+    the lengths draw on its decode lane (:func:`repro.seeds.decode`).
+
     Reuses the seqlen samplers (same shapes, same mean semantics), clamps
     to ``max_tokens`` and floors at 1 — a transformer request with a
     decode loop always produces at least one decode iteration.
@@ -94,7 +93,7 @@ def sample_decode_lens(
         config.dist,
         n,
         config.mean_tokens,
-        seed=seed + _DECODE_SEED_OFFSET,
+        seed=seeds.decode(seed),
         trace_kind=trace_kind,
     )
     cap = config.max_tokens

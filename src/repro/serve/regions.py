@@ -31,6 +31,7 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import seeds
 from repro.experiments.report import format_table
 from repro.models.zoo import get_workload
 from repro.serve.batching import BatchingPolicy
@@ -43,11 +44,6 @@ from repro.serve.metrics import (
     summarize,
 )
 from repro.serve.traces import Request, diurnal_trace, merge_traces
-
-#: Seed distance between two models' arrival lanes in one region; a prime
-#: larger than any region count, so no two (region, model) lanes meet.
-#: Model 0 keeps the region's ``seed + i`` lane.
-_MODEL_SEED_STRIDE = 104_729
 
 __all__ = [
     "RegionSpec",
@@ -247,8 +243,8 @@ def simulate_regions(
 
     Without an explicit ``regions`` list, :func:`follow_the_sun` builds
     ``n_regions`` equal regions with evenly spread diurnal phases, each
-    offering ``rps`` over its own seeded traces (model ``j`` of region
-    ``i`` draws from seed ``seed + i + 104_729 * j``, so adding a region
+    offering ``rps`` over its own seeded traces (each (region, model)
+    pair has its own lane of :mod:`repro.seeds`, so adding a region
     never perturbs another's arrivals and two models of one region never
     arrive in lockstep).  The diurnal
     period defaults to the whole horizon — one full day compressed into
@@ -291,7 +287,7 @@ def simulate_regions(
                     m,
                     per_model,
                     duration_s,
-                    seed=seed + i + _MODEL_SEED_STRIDE * j,
+                    seed=seeds.region_arrival(seed, i, j),
                     amplitude=amplitude,
                     period_s=period,
                     phase=spec.phase,

@@ -62,6 +62,7 @@ import dataclasses
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import seeds
 from repro.serve.traces import (
     SEQLEN_DISTS,
     TRACE_KINDS,
@@ -75,17 +76,6 @@ from repro.serve.traces import (
 
 #: Scheduler names the CLI exposes via ``--scheduler``.
 SCHEDULERS = ("fifo", "strict-priority", "weighted-fair")
-
-#: Seed stride separating one tenant's trace/seqlen streams from the
-#: next.  Tenant 0 gets stride 0 — the exact legacy seed layout — so a
-#: degenerate single-tenant trace is bit-identical to the untagged one.
-_TENANT_SEED_STRIDE = 104_729
-
-#: Seed offset separating the seqlen streams from the arrival streams, so
-#: attaching sequence lengths never perturbs any model's arrival times.
-#: ``simulate_serving`` imports it, so tenant 0's draws reproduce the
-#: untagged open-loop samples exactly.
-_SEQLEN_SEED_OFFSET = 100_003
 
 
 @dataclasses.dataclass(frozen=True)
@@ -388,10 +378,10 @@ def tenant_traces(
 ) -> Tuple[TraceColumns, int]:
     """Build the merged, tenant-tagged arrival trace for one run.
 
-    Each tenant's per-model sub-trace draws from its own seed lane
-    (``seed + stride * tenant_index + model_index``); tenant 0's lane is
-    the untagged layout, so a single-tenant config reproduces the trace
-    of the same ``ServingConfig`` without tenants bit for bit.  Returns
+    Each tenant's per-model sub-trace draws on its own lanes of
+    :mod:`repro.seeds`; tenant 0's lanes are the untagged layout, so a
+    single-tenant config reproduces the trace of the same
+    ``ServingConfig`` without tenants bit for bit.  Returns
     the merged trace plus the largest sampled sequence length (0 when no
     tenant draws seqlens) for the caller's bucket derivation.
     """
@@ -403,12 +393,11 @@ def tenant_traces(
         models = tenant.models if tenant.models else tuple(default_models)
         if not models:
             raise ValueError(f"tenant {tenant.name!r} serves no models")
-        base = seed + _TENANT_SEED_STRIDE * t_index
         per_model_rps = tenant.rps / len(models)
         for i, model in enumerate(models):
             sub = make_trace(
                 tenant.trace_kind, model, per_model_rps, duration_s,
-                seed=base + i,
+                seed=seeds.arrival(seed, t_index, i),
             )
             native = native_seq_len.get(model, 0)
             if tenant.seqlen_dist is not None and native > 0:
@@ -417,7 +406,7 @@ def tenant_traces(
                     tenant.seqlen_dist,
                     len(sub),
                     mean,
-                    seed=base + _SEQLEN_SEED_OFFSET + i,
+                    seed=seeds.seqlen(seed, t_index, i),
                     trace_kind=tenant.trace_kind,
                 )
                 if max_context is not None:
