@@ -14,7 +14,7 @@ from repro.experiments.fig6 import (
     run_fig6f,
 )
 
-#: Full fidelity by default (2 000 MC samples, full training); set
+#: Full fidelity by default (30 Monte-Carlo seeds, full training); set
 #: YOCO_BENCH_QUICK=1 for a fast smoke pass.
 FULL = not bool(int(os.environ.get("YOCO_BENCH_QUICK", "0")))
 
@@ -37,14 +37,29 @@ def test_fig6bc_mac_transfer_curves(benchmark):
     emit("Fig. 6(b,c) — 8-bit MAC TCs and error", format_fig6(bc=result))
 
 
+def _fig6d_sweep(seeds):
+    return [run_fig6d(n_samples=2000, seed=seed) for seed in seeds]
+
+
 def test_fig6d_monte_carlo(benchmark):
-    n = 2000 if FULL else 400
-    result = benchmark.pedantic(
-        run_fig6d, kwargs={"n_samples": n, "seed": 42}, rounds=1, iterations=1
+    """The paper's 2,000-sample Monte-Carlo on every seed of a sweep: seeds
+    0-29 at full fidelity, 0-2 in smoke mode.  Each seed's 3 sigma must sit
+    within 0.35 mV of the paper's 2.25 mV and under 1 LSB."""
+    seeds = range(30) if FULL else range(3)
+    results = benchmark.pedantic(_fig6d_sweep, args=(seeds,), rounds=1, iterations=1)
+    sigmas_mv = [r.three_sigma * 1e3 for r in results]
+    benchmark.extra_info["seeds"] = len(sigmas_mv)
+    benchmark.extra_info["three_sigma_mv_min"] = min(sigmas_mv)
+    benchmark.extra_info["three_sigma_mv_max"] = max(sigmas_mv)
+    benchmark.extra_info["three_sigma_mv_mean"] = sum(sigmas_mv) / len(sigmas_mv)
+    for seed, sigma_mv in zip(seeds, sigmas_mv):
+        assert abs(sigma_mv - 2.25) <= 0.35, f"seed {seed}: 3 sigma {sigma_mv:.3f} mV"
+        assert sigma_mv < constants.LSB_VOLT * 1e3
+    emit(
+        f"Fig. 6(d) — Monte-Carlo (n=2000, seed 0; 3 sigma over seeds "
+        f"0-{len(sigmas_mv) - 1}: {min(sigmas_mv):.3f}-{max(sigmas_mv):.3f} mV)",
+        format_fig6(d=results[0]),
     )
-    benchmark.extra_info["three_sigma_mv"] = result.three_sigma * 1e3
-    assert result.three_sigma < constants.LSB_VOLT
-    emit(f"Fig. 6(d) — Monte-Carlo (n={n})", format_fig6(d=result))
 
 
 def test_fig6e_error_stack(benchmark):

@@ -73,10 +73,11 @@ def run_monte_carlo(
         results are reproducible yet uncorrelated across trials.
 
     Per trial, the harness only builds the trial's generator from its
-    ``SeedSequence`` child (about 10 us on a shared 2-vCPU Xeon host); the
-    rest of a trial's time is ``trial`` itself.  So build what every trial
-    shares once, outside ``trial``, as
-    :func:`repro.core.array.mac_voltage_trial` does for Fig. 6(d).
+    ``SeedSequence`` child (about 7 us on a shared 2-vCPU Xeon host, 4 %
+    of a Fig. 6(d) trial); the rest of a trial's time is ``trial`` itself.
+    So build what every trial shares once, outside ``trial``, and draw only
+    what the metric reads, as :func:`repro.core.array.mac_voltage_trial`
+    does for Fig. 6(d).
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")

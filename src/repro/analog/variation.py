@@ -5,13 +5,16 @@ with 2 000 Monte-Carlo runs at the TT corner and room temperature, reporting
 a 3-sigma MAC-voltage offset of 2.25 mV against an LSB of 3.52 mV.  The
 :class:`VariationModel` below carries every stochastic knob of the behavioral
 simulation; its defaults are calibrated so the end-to-end statistics land on
-the paper's figures (see ``tests/test_fig6_experiments.py``).
+the paper's figures (see ``tests/test_experiments_fig6.py``).
 
 Error mechanisms modeled
 ------------------------
 * **Local capacitor mismatch** — each 2 fF MOM unit capacitor deviates by a
   zero-mean Gaussian relative error; mismatch is *static* per fabricated
-  array instance, so a model samples one mismatch map and reuses it.
+  array instance, so a model samples one mismatch map and reuses it.  A
+  Monte-Carlo trial that reads one compute bar draws, per row, one sum for
+  each eDAC group's units outside the bar
+  (:meth:`VariationModel.sample_group_capacitances`) instead of those units.
 * **Global process corner** — TT/FF/SS shift all capacitors and VTC gain
   systematically.
 * **Charge injection / clock feed-through** — each switching event injects a
@@ -52,6 +55,11 @@ class Corner(enum.Enum):
 
 _CORNER_CAP_SCALE = {Corner.TT: 1.0, Corner.FF: 0.97, Corner.SS: 1.03}
 _CORNER_VTC_SCALE = {Corner.TT: 1.0, Corner.FF: 1.04, Corner.SS: 0.96}
+
+#: Smallest unit capacitor, in units of the nominal: the mismatch clip.
+_UNIT_CAP_FLOOR = 0.1
+#: Group sums are drawn only where that clip is at least this many sigma out.
+_GROUP_SUM_CLIP_SIGMAS = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,6 +105,8 @@ class VariationModel:
             raise ValueError("charge_injection_sigma_volt must be non-negative")
         if self.vtc_gain_sigma < 0.0 or self.vtc_jitter_sigma_s < 0.0:
             raise ValueError("VTC variation parameters must be non-negative")
+        if self.comparator_offset_sigma_volt < 0.0:
+            raise ValueError("comparator_offset_sigma_volt must be non-negative")
 
     # -- factory helpers -----------------------------------------------------
     @classmethod
@@ -125,11 +135,42 @@ class VariationModel:
         if self.cap_mismatch_sigma == 0.0:
             return np.full(shape, nominal)
         caps = rng.normal(1.0, self.cap_mismatch_sigma, size=shape)
-        # Capacitance cannot go negative; clip far tail (beyond ~6 sigma).
+        # Capacitance cannot go negative: clip the far tail at 0.1 units.
         # In place: one map-sized allocation per instance.
-        np.maximum(caps, 0.1, out=caps)
+        np.maximum(caps, _UNIT_CAP_FLOOR, out=caps)
         caps *= nominal
         return caps
+
+    def sample_group_capacitances(
+        self, counts: np.ndarray, n_rows: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw, per row, the total capacitance (farads) of each group of
+        ``counts[k]`` unit capacitors; returns shape ``(n_rows, len(counts))``.
+
+        ``n`` iid ``N(1, sigma)`` units sum to ``N(n, sigma * sqrt(n))``, so
+        one draw per group stands for ``n`` :meth:`sample_unit_capacitors`
+        units.  The sum ignores the per-unit clip at 0.1 units, which sits
+        ``0.9 / sigma`` standard deviations out: 90 sigma at the default
+        ``sigma = 0.01``, where the unclipped sum is exact to any sample
+        size a simulation can draw.  A ``sigma`` that puts the clip closer
+        than 10 standard deviations is refused.
+        """
+        counts = np.asarray(counts, dtype=float)
+        nominal = constants.CU_FARAD * self.corner.capacitance_scale
+        shape = (n_rows, counts.size)
+        if self.cap_mismatch_sigma == 0.0:
+            return np.broadcast_to(counts * nominal, shape).copy()
+        if (1.0 - _UNIT_CAP_FLOOR) / self.cap_mismatch_sigma < _GROUP_SUM_CLIP_SIGMAS:
+            raise ValueError(
+                f"cap_mismatch_sigma {self.cap_mismatch_sigma} puts the unit "
+                f"capacitor clip within {_GROUP_SUM_CLIP_SIGMAS:g} sigma; group "
+                "sums would not match sample_unit_capacitors"
+            )
+        # standard_normal: normal() with array arguments checks them per call.
+        sums = rng.standard_normal(shape)
+        sums *= self.cap_mismatch_sigma * nominal * np.sqrt(counts)
+        sums += counts * nominal
+        return sums
 
     def charge_injection(
         self, shape: Tuple[int, ...], rng: np.random.Generator

@@ -82,5 +82,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             VariationModel(vtc_jitter_sigma_s=-1.0)
 
+    def test_rejects_negative_comparator_offset(self):
+        with pytest.raises(ValueError, match="comparator_offset_sigma_volt"):
+            VariationModel(comparator_offset_sigma_volt=-1e-3)
+
     def test_make_rng_reproducible(self):
         assert make_rng(5).integers(0, 100) == make_rng(5).integers(0, 100)

@@ -48,6 +48,13 @@ class TestFig6d:
         assert res.three_sigma * 1e3 == pytest.approx(2.25, rel=0.25)
         assert res.three_sigma < constants.LSB_VOLT  # < 1 LSB, the claim
 
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_full_size_three_sigma_in_paper_band(self, seed):
+        """The paper's 2,000 samples: 3 sigma within 0.35 mV of 2.25 mV."""
+        res = run_fig6d(n_samples=2000, seed=seed)
+        assert abs(res.three_sigma - 2.25e-3) <= 0.35e-3
+        assert res.three_sigma < constants.LSB_VOLT
+
     def test_reproducible(self):
         a = run_fig6d(n_samples=50, seed=1)
         b = run_fig6d(n_samples=50, seed=1)
