@@ -70,7 +70,7 @@ def _sweep_rows():
     for n_clients in (2, 4, 8, 16, 32, 64, 128, 256):
         report, result = _serve(
             0.05,
-            FleetConfig(n_chips=4),
+            FleetConfig(fleet="yoco:4"),
             clients=n_clients,
             think_time_ms=THINK_MS,
         )
@@ -91,7 +91,7 @@ def test_concurrency_sweep_finds_the_saturation_knee(benchmark):
     saturate; goodput peaks at a concurrency matching the analytic knee
     estimate, then collapses as every extra session only deepens queues."""
     rows = benchmark.pedantic(_sweep_rows, rounds=1, iterations=1)
-    cluster = Cluster([get_workload(MODEL)], n_chips=4)
+    cluster = Cluster([get_workload(MODEL)], fleet="yoco:4")
     knee_estimate = estimated_saturation_clients(
         cluster, think_time_ms=THINK_MS
     )
@@ -190,7 +190,7 @@ def _recovery_rows():
                 models=(MODEL,), rps=180000.0, duration_s=horizon_s,
                 trace_kind="bursty", seed=SEED,
             ),
-            fleet=FleetConfig(n_chips=4),
+            fleet=FleetConfig(fleet="yoco:4"),
             policy=PolicyConfig(admission=admission),
         ))
         drain_ms = (result.makespan_ns - horizon_s * 1e9) * 1e-6
@@ -243,7 +243,7 @@ def _retry_rows():
                                ("queue-cap:48", 3)):
         report, result = _serve(
             0.05,
-            FleetConfig(n_chips=4),
+            FleetConfig(fleet="yoco:4"),
             PolicyConfig(admission=admission),
             clients=256,
             think_time_ms=THINK_MS,

@@ -57,7 +57,7 @@ def _serve(elastic=None):
                 trace_kind="diurnal",
                 seed=0,
             ),
-            fleet=FleetConfig(n_chips=CHIPS, elastic=elastic),
+            fleet=FleetConfig(fleet=f"yoco:{CHIPS}", elastic=elastic),
             policy=PolicyConfig(slo_ms=SLO_MS),
         )
     )

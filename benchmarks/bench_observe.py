@@ -69,7 +69,7 @@ def _timed_run(cluster, policy, trace, stream=False, log=None):
 
 
 def _observe_rows():
-    cluster = Cluster([get_workload(MODEL)], n_chips=N_CHIPS)
+    cluster = Cluster([get_workload(MODEL)], fleet=f"yoco:{N_CHIPS}")
     policy = BatchingPolicy(max_batch_size=8, window_ns=200_000.0)
     trace = tuple(
         diurnal_trace(

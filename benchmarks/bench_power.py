@@ -179,7 +179,7 @@ def _thermal_rows():
             else PowerConfig(t_max_c=t_max, thermal_tau_s=2e-3)
         )
         report, result = _serve(
-            20000.0, 0.1, FleetConfig(n_chips=4, power=power)
+            20000.0, 0.1, FleetConfig(fleet="yoco:4", power=power)
         )
         group = result.power.groups[0] if result.power else None
         rows.append(

@@ -19,6 +19,7 @@ import os
 
 from conftest import emit
 
+from repro.arch import yoco_spec
 from repro.baselines import isaac_spec
 from repro.experiments.report import format_table
 from repro.serve import (
@@ -26,6 +27,7 @@ from repro.serve import (
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
+    homogeneous_fleet,
     simulate_serving,
 )
 
@@ -49,7 +51,7 @@ def _scaling_rows():
             workload=WorkloadConfig(
                 models=(MODEL,), rps=RPS, duration_s=_horizon(0.1), seed=0,
             ),
-            fleet=FleetConfig(n_chips=chips),
+            fleet=FleetConfig(fleet=f"yoco:{chips}"),
         ))
         stats = report.per_model[0]
         rows.append(
@@ -94,7 +96,7 @@ def _batching_rows():
                 models=("gpt_large",), rps=30.0, duration_s=_horizon(1.0),
                 seed=0,
             ),
-            fleet=FleetConfig(n_chips=1),
+            fleet=FleetConfig(fleet="yoco:1"),
             policy=PolicyConfig(max_batch_size=max_batch),
         ))
         stats = report.per_model[0]
@@ -137,13 +139,13 @@ def test_dynamic_batching_tames_the_tail(benchmark):
 
 def _faceoff_rows():
     rows = []
-    for spec in (None, isaac_spec()):
+    for spec in (yoco_spec(), isaac_spec()):
         report, _ = simulate_serving(config=ServingConfig(
             workload=WorkloadConfig(
                 models=(MODEL,), rps=20000.0, duration_s=_horizon(0.1),
                 seed=0,
             ),
-            fleet=FleetConfig(n_chips=4, spec=spec),
+            fleet=FleetConfig(fleet=homogeneous_fleet(spec, 4)),
         ))
         rows.append(
             (
@@ -185,7 +187,7 @@ def _seqlen_rows():
                 models=("gpt_large",), rps=400.0, duration_s=_horizon(0.5),
                 seed=0, seqlen_dist="lognormal",
             ),
-            fleet=FleetConfig(n_chips=2),
+            fleet=FleetConfig(fleet="yoco:2"),
             policy=PolicyConfig(
                 seqlen_buckets=buckets, max_batch_size=16, window_ms=2.0,
             ),

@@ -65,7 +65,7 @@ def _serve(duration_s, tenants, n_chips, scheduler, preemption=False):
             seed=SEED,
             tenants=tenants,
         ),
-        fleet=FleetConfig(n_chips=n_chips),
+        fleet=FleetConfig(fleet=f"yoco:{n_chips}"),
         policy=PolicyConfig(scheduler=scheduler, preemption=preemption),
     ))
 

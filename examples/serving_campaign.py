@@ -36,6 +36,7 @@ import pathlib
 import sys
 import tempfile
 
+from repro.arch import yoco_spec
 from repro.baselines import isaac_spec, raella_spec, timely_spec
 from repro.experiments.report import format_ratio, format_table, section
 from repro.models import BENCHMARK_MODELS
@@ -54,13 +55,14 @@ from repro.serve import (
     Tenant,
     WorkloadConfig,
     estimated_saturation_clients,
+    homogeneous_fleet,
     simulate_regions,
     simulate_serving,
     summarize_trace,
 )
 
 SPECS = {
-    "yoco": None,  # simulate_serving defaults to the YOCO spec
+    "yoco": yoco_spec(),
     "isaac": isaac_spec(),
     "raella": raella_spec(),
     "timely": timely_spec(),
@@ -71,7 +73,7 @@ def _anchor_config(model: str, chips: int) -> ServingConfig:
     """Batch-1, window-off run whose p50 is the pure service latency."""
     return ServingConfig(
         workload=WorkloadConfig(models=(model,), rps=100.0, duration_s=0.05),
-        fleet=FleetConfig(n_chips=chips),
+        fleet=FleetConfig(fleet=f"yoco:{chips}"),
         policy=PolicyConfig(max_batch_size=1, window_ms=0.0),
     )
 
@@ -84,7 +86,7 @@ def campaign(model: str, chips: int, rps: float, seed: int = 0, seqlen_dist=None
             workload=WorkloadConfig(
                 models=(model,), rps=rps, seed=seed, seqlen_dist=seqlen_dist,
             ),
-            fleet=FleetConfig(n_chips=chips, spec=spec),
+            fleet=FleetConfig(fleet=homogeneous_fleet(spec, chips)),
         ))
         rows[name] = report
     return rows
@@ -344,7 +346,7 @@ def closed_loop_scenario(model, chips, think_ms=1.0):
     cap — bounding the backlog each accepted request can hide behind —
     with and without retry-with-backoff.
     """
-    cluster = Cluster([get_workload(model)], n_chips=chips)
+    cluster = Cluster([get_workload(model)], fleet=f"yoco:{chips}")
     knee = estimated_saturation_clients(cluster, think_time_ms=think_ms)
     print(section(
         f"Closed loop — {model} on {chips} YOCO chips, think {think_ms:g} ms "
@@ -364,7 +366,7 @@ def closed_loop_scenario(model, chips, think_ms=1.0):
                 models=(model,), clients=n_clients, think_time_ms=think_ms,
                 retry=retries,
             ),
-            fleet=FleetConfig(n_chips=chips),
+            fleet=FleetConfig(fleet=f"yoco:{chips}"),
             policy=PolicyConfig(admission=admission),
         ))
         if not report.per_model:
@@ -441,7 +443,7 @@ def multi_tenant_scenario(model, chips, peak_rps):
         )
         report, result = simulate_serving(config=ServingConfig(
             workload=WorkloadConfig(models=(model,), tenants=tenants),
-            fleet=FleetConfig(n_chips=chips),
+            fleet=FleetConfig(fleet=f"yoco:{chips}"),
             policy=PolicyConfig(scheduler=scheduler, preemption=preempt),
         ))
         by = {t.tenant: t for t in report.per_tenant}
@@ -508,7 +510,7 @@ def observability_scenario(model, chips, peak_rps):
         trace_path = str(pathlib.Path(tmp) / "noisy_neighbor.jsonl")
         report, result = simulate_serving(config=ServingConfig(
             workload=WorkloadConfig(models=(model,), tenants=tenants),
-            fleet=FleetConfig(n_chips=chips),
+            fleet=FleetConfig(fleet=f"yoco:{chips}"),
             policy=PolicyConfig(scheduler="strict-priority", preemption=True),
             observe=ObserveConfig(trace_file=trace_path),
         ))

@@ -23,10 +23,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import seeds
 from repro.core.chip import Chip
-from repro.core.engine import YocoMatmulEngine
-from repro.nn.backend import QuantizedBackend
+from repro.nn.backend import YocoBackend
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,9 +54,11 @@ class DeploymentReport:
         }
 
 
-class ChipBackend(QuantizedBackend):
-    """Quantized inference backend bound to a functional :class:`Chip`.
+class ChipBackend(YocoBackend):
+    """A :class:`YocoBackend` bound to a functional :class:`Chip`.
 
+    Each GEMM runs on the parent's per-layer engines after this backend
+    bills its data movement and weight programming to the chip's ledger.
     Layers are classified by observation: a named GEMM whose weight matrix
     never changes is *static* (SIMA-resident; programming billed once at
     ReRAM cost), one that changes between calls is *dynamic* (DIMA-resident;
@@ -69,7 +69,7 @@ class ChipBackend(QuantizedBackend):
     chip:
         The functional chip (defaults to the paper configuration).
     mode / readout / seed:
-        Forwarded to the per-layer GEMM engines.
+        As for :class:`YocoBackend`.
     """
 
     def __init__(
@@ -79,12 +79,8 @@ class ChipBackend(QuantizedBackend):
         readout: str = "auto-window",
         seed: int = 0,
     ) -> None:
-        super().__init__()
+        super().__init__(mode=mode, seed=seed, readout=readout)
         self._chip = chip if chip is not None else Chip(seed=seed)
-        self._mode = mode
-        self._readout = readout if mode == "fast" else "full"
-        self._seed = seed
-        self._engines: Dict[str, YocoMatmulEngine] = {}
         self._layer_tile: Dict[str, int] = {}
         self._layer_weights: Dict[str, np.ndarray] = {}
         self._layer_dynamic: Dict[str, bool] = {}
@@ -103,26 +99,24 @@ class ChipBackend(QuantizedBackend):
             by_component.get(name, 0.0) for name in ("edram", "crossbar", "noc")
         )
         writes = by_component.get("dima", 0.0) + by_component.get("sima", 0.0)
-        compute = sum(engine.total_energy_pj for engine in self._engines.values())
         dynamic = sum(1 for flag in self._layer_dynamic.values() if flag)
         return DeploymentReport(
-            compute_energy_pj=compute,
+            compute_energy_pj=self.total_energy_pj,
             movement_energy_pj=movement,
             weight_write_energy_pj=writes,
-            vmm_count=sum(engine.vmm_count for engine in self._engines.values()),
+            vmm_count=self.total_vmm_count,
             static_layers=len(self._layer_dynamic) - dynamic,
             dynamic_layers=dynamic,
         )
 
     def reset(self) -> None:
         super().reset()
-        self._engines.clear()
         self._layer_tile.clear()
         self._layer_weights.clear()
         self._layer_dynamic.clear()
         self._next_tile = 0
 
-    # -- QuantizedBackend hook ---------------------------------------------------------
+    # -- YocoBackend hook --------------------------------------------------------------
     def _integer_matmul(
         self, name: str, x_codes: np.ndarray, w_codes: np.ndarray, zero_point: int
     ) -> np.ndarray:
@@ -138,19 +132,10 @@ class ChipBackend(QuantizedBackend):
         # Operand distribution to the IMA pool goes over the crossbar.
         tile.crossbar_transfer(input_bits)
         tile.quantize_outputs(x_codes.shape[0] * w_codes.shape[1])
-
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = YocoMatmulEngine(
-                mode=self._mode,
-                seed=seeds.named_layer(self._seed, name),
-                readout=self._readout,
-            )
-            self._engines[name] = engine
         # Compute energy is tracked by the per-layer engine (power-gating
         # aware) and surfaced through `report()`; the chip ledger carries
         # the movement/programming actions billed above.
-        return engine.matmul_signed(x_codes, w_codes, x_zero_point=zero_point)
+        return super()._integer_matmul(name, x_codes, w_codes, zero_point)
 
     # -- internals ------------------------------------------------------------------
     def _assign_tile(self, name: str) -> int:

@@ -18,9 +18,10 @@ batched multi-chip cluster:
     python -m repro serve --model gpt_large --chips 2 --rps 40 \
         --seqlen-dist lognormal --seqlen-buckets 256,512,1024,2048
 
-``--fleet`` replaces the homogeneous ``--chips`` cluster with a mixed
-fleet of chip types (YOCO plus the Fig. 8 baselines), with cost-aware
-placement and routing knobs:
+``--chips N [--mode M]`` serves on N YOCO chips and is shorthand for
+``--fleet yoco:N[:M]``.  ``--fleet`` names any fleet of chip types
+(YOCO plus the Fig. 8 baselines), with cost-aware placement and routing
+knobs:
 
     python -m repro serve --fleet yoco:8,isaac:4 --model resnet18 --rps 2000
     python -m repro serve --fleet yoco:2,isaac:2:pipelined \
@@ -78,6 +79,7 @@ import argparse
 import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.arch.accelerator import yoco_spec
 from repro.experiments import (
     format_fig10,
     format_fig1c,
@@ -116,6 +118,7 @@ from repro.serve import (
     format_regions,
     format_serving,
     format_trace_summary,
+    homogeneous_fleet,
     parse_admission,
     parse_autoscale,
     parse_fleet,
@@ -125,6 +128,13 @@ from repro.serve import (
     summarize_trace,
 )
 from repro.serve.config import check_composition
+
+#: ``--chips`` / ``--mode`` name a homogeneous YOCO fleet, so they cannot
+#: also qualify an explicit ``--fleet``.
+MSG_FLEET_WITH_CHIPS = (
+    "--chips and --mode name a homogeneous YOCO fleet; with --fleet, give "
+    "each group its own count and mode, e.g. --fleet yoco:4,isaac:4:pipelined"
+)
 
 
 def _parse_buckets(text: Optional[str]) -> Optional[List[int]]:
@@ -183,17 +193,20 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
     unit-testable on a bare ``argparse.Namespace``.
     """
     models = tuple(args.model) if args.model else ("resnet18",)
-    fleet = None
     if args.fleet is not None:
+        if args.chips is not None or args.mode != "batched":
+            raise SystemExit(MSG_FLEET_WITH_CHIPS)
         try:
             fleet = parse_fleet(args.fleet)
         except ValueError as error:
             raise SystemExit(f"--fleet: {error}") from None
-        if args.mode != "batched":
-            raise SystemExit(
-                "--mode applies to --chips clusters; with --fleet, give each "
-                "group its own mode, e.g. --fleet yoco:4,isaac:4:pipelined"
-            )
+    else:
+        # --chips N [--mode M] is the CLI's spelling of N YOCO chips.
+        n_chips = 4 if args.chips is None else args.chips
+        try:
+            fleet = homogeneous_fleet(yoco_spec(), n_chips, args.mode)
+        except ValueError as error:
+            raise SystemExit(f"--chips: {error}") from None
     admission = None
     if args.admission is not None:
         try:
@@ -213,12 +226,6 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
     # 0 disables retries in a closed loop; an open-loop --retries still
     # reaches the rule table's retries-need-clients row.
     retries = args.retries if args.retries or args.clients is None else None
-    # The --chips default applies only without a fleet; an *explicit*
-    # --chips is always forwarded so a contradiction with --fleet raises
-    # instead of being silently ignored.
-    n_chips = args.chips
-    if n_chips is None and fleet is None:
-        n_chips = 4
     # --thermal-tau alone constrains nothing; forwarding it anyway would
     # spin up a governor whose trace the CLI never shows.
     power = None
@@ -271,10 +278,8 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             tenants=tenants,
         ),
         fleet=FleetConfig(
-            n_chips=n_chips,
-            mode=args.mode,
-            placement=args.placement,
             fleet=fleet,
+            placement=args.placement,
             routing=args.routing,
             power=power,
             elastic=elastic,
@@ -567,17 +572,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--chips",
         type=int,
         default=None,
-        help="cluster size (default: 4; contradicting an explicit --fleet "
-        "is an error)",
+        help="serve on N YOCO chips, the fleet yoco:N (default: 4; not "
+        "with --fleet)",
     )
     serve.add_argument(
         "--fleet",
         type=str,
         default=None,
-        help="heterogeneous fleet spec, e.g. yoco:8,isaac:4 or "
-        "yoco:4,isaac:4:pipelined (replaces --chips, which then must "
-        "match if given; incompatible with --mode — give each group its "
-        "own mode instead)",
+        help="fleet spec, e.g. yoco:8,isaac:4 or yoco:4,isaac:4:pipelined "
+        "(not with --chips or --mode: each group gives its own count "
+        "and mode)",
     )
     serve.add_argument(
         "--routing",
@@ -805,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=MODES,
         default="batched",
-        help="per-chip execution: wave-amortized batches or layer pipelining",
+        help="execution of the --chips fleet: wave-amortized batches or "
+        "layer pipelining (--chips N --mode M is --fleet yoco:N:M)",
     )
     serve.add_argument(
         "--placement",

@@ -43,6 +43,10 @@ from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 
 _MODES = ("ideal", "fast", "detailed")
 
+#: Auto-window headroom: each column's calibrated readout window extends
+#: this fraction of its observed dot-product span past either end.
+_WINDOW_MARGIN = 0.5
+
 
 class YocoMatmulEngine:
     """Tiled signed/unsigned int8 GEMM through behavioral IMAs.
@@ -69,7 +73,6 @@ class YocoMatmulEngine:
         variation: Optional[VariationModel] = None,
         seed: int = 0,
         readout: str = "full",
-        window_margin: float = 0.5,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -80,15 +83,12 @@ class YocoMatmulEngine:
                 "auto-window readout is modeled on the fast path only; "
                 "use mode='fast' (see DESIGN.md, quantization circuit)"
             )
-        if window_margin < 0.0:
-            raise ValueError("window_margin must be non-negative")
         self._mode = mode
         self._config = config if config is not None else IMAConfig()
         self._error_model = error_model
         self._variation = variation
         self._seed = seed
         self._readout = readout
-        self._window_margin = window_margin
         self._tiles: Dict[Tuple[int, int, int, int], object] = {}
         self._vmm_count = 0
         self._energy_pj = 0.0
@@ -236,8 +236,8 @@ class YocoMatmulEngine:
         lo = dots.min(axis=0)
         hi = dots.max(axis=0)
         span = np.maximum(hi - lo, float(unit.config.array.rows))
-        lo = lo - self._window_margin * span
-        hi = hi + self._window_margin * span
+        lo = lo - _WINDOW_MARGIN * span
+        hi = hi + _WINDOW_MARGIN * span
         unit.set_readout_window(lo, hi)
 
     def _tile_unit(

@@ -12,7 +12,7 @@ chip utilization and energy per request.
     )
     config = ServingConfig(
         workload=WorkloadConfig(models=("resnet18",), rps=2000, seed=0),
-        fleet=FleetConfig(n_chips=4),
+        fleet=FleetConfig(fleet="yoco:4"),
     )
     report, _ = simulate_serving(config)
     print(format_serving(report))
@@ -68,10 +68,10 @@ from repro.serve.config import (
     _resolved_tenancy,
 )
 from repro.serve.decode import DECODE_DISTS, DecodeConfig, sample_decode_lens
-from repro.serve.cluster import Cluster, MODES, PLACEMENTS
+from repro.serve.cluster import Cluster, PLACEMENTS
 from repro.serve.elastic import ElasticConfig, parse_autoscale
 from repro.serve.engine import ServingEngine, ServingResult
-from repro.serve.fleet import FleetSpec, parse_fleet
+from repro.serve.fleet import MODES, FleetSpec, homogeneous_fleet, parse_fleet
 from repro.serve.observe import (
     EventLog,
     JsonlTraceSink,
@@ -102,6 +102,7 @@ from repro.serve.traces import (
     Request,
     SEQLEN_DISTS,
     TRACE_KINDS,
+    TraceColumns,
     diurnal_trace,
     make_trace,
     merge_traces,
@@ -149,6 +150,7 @@ __all__ = [
     "format_regions",
     "format_serving",
     "format_trace_summary",
+    "homogeneous_fleet",
     "make_trace",
     "merge_traces",
     "parse_admission",
@@ -166,6 +168,48 @@ __all__ = [
     "with_decode_lens",
     "with_seqlens",
 ]
+
+
+def open_loop_stream(
+    kind: str,
+    model: str,
+    rps: float,
+    duration_s: float,
+    seed: int,
+    tenant: int,
+    index: int,
+    seqlen_dist: Optional[str] = None,
+    seqlen_mean: Optional[int] = None,
+    native_seq_len: int = 0,
+    max_context: Optional[int] = None,
+) -> Tuple[TraceColumns, int]:
+    """One model's open-loop stream: arrivals, then sequence lengths.
+
+    Arrivals draw on ``seeds.arrival(seed, tenant, index)``; untagged
+    traffic is tenant 0.  A transformer (``native_seq_len > 0``) under a
+    ``seqlen_dist`` also draws lengths on ``seeds.seqlen(seed, tenant,
+    index)`` around ``seqlen_mean`` (default: its native length), clamped
+    to ``max_context``.  Returns the stream and its longest sampled length
+    (0 when none was drawn).  :func:`simulate_serving` and
+    :func:`~repro.serve.tenancy.tenant_traces` both build their streams
+    here; it lives in this namespace, where the stack benchmark's tracer
+    patches the trace builders it calls.
+    """
+    sub = make_trace(
+        kind, model, rps, duration_s, seed=seeds.arrival(seed, tenant, index)
+    )
+    if seqlen_dist is None or native_seq_len <= 0:
+        return sub, 0
+    lens = sample_seqlens(
+        seqlen_dist,
+        len(sub),
+        seqlen_mean if seqlen_mean else native_seq_len,
+        seed=seeds.seqlen(seed, tenant, index),
+        trace_kind=kind,
+    )
+    if max_context is not None:
+        lens = tuple(min(s, max_context) for s in lens)
+    return with_seqlens(sub, lens), max(lens, default=0)
 
 
 def simulate_serving(
@@ -244,46 +288,29 @@ def simulate_serving(
             sub_traces = []
             max_sampled = 0
             for i, (name, workload) in enumerate(zip(models, workloads)):
-                stream = seeds.arrival(seed, model=i)
-                sub = make_trace(
-                    trace_kind, name, per_model_rps, duration_s, seed=stream
+                sub, longest = open_loop_stream(
+                    trace_kind, name, per_model_rps, duration_s, seed, 0, i,
+                    seqlen_dist=seqlen_dist,
+                    seqlen_mean=seqlen_mean,
+                    native_seq_len=workload.seq_len,
+                    max_context=max_context,
                 )
-                if seqlen_dist is not None and workload.seq_len > 0:
-                    mean = seqlen_mean if seqlen_mean else workload.seq_len
-                    lens = sample_seqlens(
-                        seqlen_dist,
-                        len(sub),
-                        mean,
-                        seed=seeds.seqlen(seed, model=i),
-                        trace_kind=trace_kind,
-                    )
-                    if max_context is not None:
-                        lens = tuple(min(s, max_context) for s in lens)
-                    sub = with_seqlens(sub, lens)
-                    if lens:
-                        max_sampled = max(max_sampled, max(lens))
+                max_sampled = max(max_sampled, longest)
                 if decode_cfg is not None and workload.seq_len > 0:
                     # Decode lengths draw on their own lane (repro.seeds), so
                     # turning decode on never perturbs the prefill-side trace.
                     dlens = sample_decode_lens(
-                        decode_cfg, len(sub), seed=stream, trace_kind=trace_kind
+                        decode_cfg,
+                        len(sub),
+                        seed=seeds.arrival(seed, model=i),
+                        trace_kind=trace_kind,
                     )
                     sub = with_decode_lens(sub, dlens)
                 sub_traces.append(sub)
             trace = merge_traces(*sub_traces)
         if buckets is None:
             buckets = default_buckets(max_sampled) if max_sampled else ()
-    # n_chips/spec/mode are always forwarded so Cluster's own validation
-    # rejects contradictions (e.g. a fleet plus mode=, or a mismatched
-    # n_chips) instead of silently ignoring an argument.
-    cluster = Cluster(
-        workloads,
-        n_chips=f.n_chips,
-        spec=f.spec,
-        mode=f.mode,
-        placement=f.placement,
-        fleet=f.fleet,
-    )
+    cluster = Cluster(workloads, f.fleet, f.placement)
     policy = BatchingPolicy(
         max_batch_size=p.max_batch_size,
         window_ns=p.window_ms * 1e6,

@@ -1,10 +1,9 @@
 """Multi-chip cluster model: placement and per-chip service costs.
 
 A cluster is a *fleet* of named chip groups (see
-:class:`repro.serve.fleet.FleetSpec`) serving a set of model workloads.
-The legacy form — ``n_chips`` copies of one :class:`AcceleratorSpec` —
-is the single-group fleet and keeps its original constructor.  Placement
-strategies:
+:class:`repro.serve.fleet.FleetSpec`) serving a set of model workloads;
+``n`` copies of one :class:`AcceleratorSpec` is the single-group fleet
+(:func:`repro.serve.fleet.homogeneous_fleet`).  Placement strategies:
 
 * ``replicated`` — every chip of every group hosts every model (pure
   data parallelism);
@@ -42,17 +41,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.arch.accelerator import AcceleratorSpec, yoco_spec
+from repro.arch.accelerator import AcceleratorSpec
 from repro.arch.simulator import ArchitectureSimulator
 from repro.models.workload import LayerKind, WorkloadSpec, at_decode_step, at_seq_len
-from repro.serve.fleet import (
-    MODES,
-    FleetGroup,
-    FleetSpec,
-    backend_for,
-    homogeneous_fleet,
-    parse_fleet,
-)
+from repro.serve.fleet import FleetGroup, FleetSpec, backend_for, parse_fleet
 
 PLACEMENTS = (
     "replicated",
@@ -389,11 +381,10 @@ class Cluster:
     Each row is priced once — the discrete-event loop stays free of
     simulator calls.
 
-    The legacy homogeneous form (``n_chips`` copies of one ``spec``) and
-    the ``fleet`` form are the same machinery: the former is wrapped into
-    a single-group :class:`FleetSpec`, so a homogeneous fleet reproduces
-    the original cluster bit for bit (asserted by the differential golden
-    tests).
+    ``fleet`` is a :class:`FleetSpec` or its string form (``"yoco:4"``,
+    ``"yoco:8,isaac:4:pipelined"``); it is the one description of the
+    hardware, and each group carries its own chip count, spec and
+    execution mode.
 
     For LLM traffic the oracle is sequence-length aware: ``service`` takes
     the (bucket) sequence length the batch runs at, and the cost table is
@@ -406,34 +397,15 @@ class Cluster:
     def __init__(
         self,
         workloads: Sequence[WorkloadSpec],
-        n_chips: Optional[int] = None,
-        spec: Optional[AcceleratorSpec] = None,
-        mode: str = "batched",
+        fleet: Union[FleetSpec, str],
         placement: str = "replicated",
-        fleet: Optional[Union[FleetSpec, str]] = None,
     ) -> None:
         if fleet is None:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
-            if n_chips is None:
-                raise ValueError("n_chips is required without a fleet")
-            base = spec if spec is not None else yoco_spec()
-            fleet = homogeneous_fleet(base, n_chips, mode)
-        else:
-            if isinstance(fleet, str):
-                fleet = parse_fleet(fleet)
-            if spec is not None:
-                raise ValueError("pass spec or fleet, not both")
-            if mode != "batched":
-                raise ValueError(
-                    "with a fleet, execution modes live on the groups "
-                    "(FleetGroup.mode), not on the cluster"
-                )
-            if n_chips is not None and n_chips != fleet.n_chips:
-                raise ValueError(
-                    f"n_chips={n_chips} contradicts the fleet's "
-                    f"{fleet.n_chips} chips; omit it"
-                )
+            from repro.serve.config import MSG_NEED_FLEET
+
+            raise ValueError(MSG_NEED_FLEET)
+        if isinstance(fleet, str):
+            fleet = parse_fleet(fleet)
         if placement == "prefill-decode" and len(fleet.groups) < 2:
             from repro.serve.config import MSG_PD_NEEDS_GROUPS
 
@@ -490,11 +462,6 @@ class Cluster:
     def spec(self) -> AcceleratorSpec:
         """The first group's spec (the only one for homogeneous fleets)."""
         return self._fleet.groups[0].spec
-
-    @property
-    def mode(self) -> str:
-        """The first group's execution mode (the only one when homogeneous)."""
-        return self._fleet.groups[0].mode
 
     @property
     def n_chips(self) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from repro.arch.accelerator import AcceleratorSpec
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.clients import RetryPolicy
 from repro.serve.decode import DecodeConfig
@@ -111,15 +110,16 @@ class WorkloadConfig:
 class FleetConfig:
     """What serves it: chips, placement, routing, power, autoscaling.
 
-    ``fleet`` serves the trace on a (possibly heterogeneous) fleet of chip
-    groups instead of ``n_chips`` identical ``spec`` chips — a
-    :class:`~repro.serve.fleet.FleetSpec` or the CLI string form
-    (``"yoco:8,isaac:4"``).  A homogeneous fleet (``"yoco:4"``) is
-    bit-identical to the equivalent ``n_chips=4`` run; a fleet plus
-    ``spec``, ``mode`` or a contradicting ``n_chips`` raises.  ``routing``
-    picks which free hosting chip each batch dispatches to
-    (:data:`ROUTING_POLICIES`).  ``placement="prefill-decode"`` on a
-    multi-group fleet pins prefill to group 0 and decode to the rest.
+    ``fleet`` names the chips that serve: a
+    :class:`~repro.serve.fleet.FleetSpec` or its string form
+    (``"yoco:4"``, ``"yoco:8,isaac:4:pipelined"``).  Each group carries
+    its chip type, count and execution mode; ``n`` chips of one spec are
+    :func:`~repro.serve.fleet.homogeneous_fleet`.  A run left at
+    ``fleet=None`` raises :data:`MSG_NEED_FLEET`.  ``placement``
+    assigns models to chips (:data:`~repro.serve.cluster.PLACEMENTS`);
+    ``"prefill-decode"`` on a multi-group fleet pins prefill to group 0
+    and decode to the rest.  ``routing`` picks which free hosting chip
+    each batch dispatches to (:data:`ROUTING_POLICIES`).
 
     ``power`` runs the fleet under a
     :class:`~repro.serve.power.PowerConfig` envelope; with no cap and no
@@ -131,11 +131,8 @@ class FleetConfig:
     for byte.
     """
 
-    n_chips: Optional[int] = None
-    spec: Optional[AcceleratorSpec] = None
-    mode: str = "batched"
-    placement: str = "replicated"
     fleet: Optional[Union[FleetSpec, str]] = None
+    placement: str = "replicated"
     routing: str = "fastest"
     power: Optional[PowerConfig] = None
     elastic: Optional[Union[ElasticConfig, str]] = None
@@ -248,7 +245,12 @@ MSG_PD_NEEDS_DECODE = (
     "the prefill-decode placement specializes chip groups for a decode "
     "loop; pass decode= (--decode-dist) as well"
 )
-#: Raised by ``Cluster``, the one place that knows the resolved fleet.
+# The next two are raised by ``Cluster``, the one place that resolves
+# the fleet.
+MSG_NEED_FLEET = (
+    "a cluster needs a fleet: a FleetSpec or a fleet string such as "
+    "'yoco:4' (n chips of one spec: homogeneous_fleet(spec, n, mode))"
+)
 MSG_PD_NEEDS_GROUPS = (
     "the prefill-decode placement pins prefill and decode to different "
     "chip groups; pass a multi-group fleet (e.g. --fleet yoco:4,isaac:4)"

@@ -1,7 +1,6 @@
-"""Heterogeneous fleet specification: named chip groups behind one contract.
+"""Fleet specification: named chip groups behind one contract.
 
-The serving cluster originally modeled ``n_chips`` copies of a single
-:class:`AcceleratorSpec`.  A :class:`FleetSpec` generalizes that to an
+A :class:`FleetSpec` is the one description of the chips that serve: an
 ordered sequence of *chip groups* — ``8 x yoco`` next to ``4 x isaac`` —
 where every group is backed by the same :class:`ArchitectureSimulator`
 contract the serving stack already consumes (``run`` / ``run_batch`` /
@@ -119,10 +118,8 @@ def fleet_group(
 class FleetSpec:
     """An ordered fleet of named chip groups.
 
-    Global chip ids run group by group in declaration order — a
-    single-group fleet numbers its chips ``0..n-1`` exactly as the
-    homogeneous cluster always did, which is what makes the homogeneous
-    :class:`FleetSpec` path bit-identical to the legacy constructor.
+    Global chip ids run group by group in declaration order, so a
+    single-group fleet numbers its chips ``0..n-1``.
     """
 
     groups: Tuple[FleetGroup, ...]
@@ -160,7 +157,14 @@ class FleetSpec:
 def homogeneous_fleet(
     spec: AcceleratorSpec, n_chips: int, mode: str = "batched"
 ) -> FleetSpec:
-    """The fleet form of the legacy single-spec cluster."""
+    """``n_chips`` chips of one ``spec``, as a one-group fleet.
+
+    The group is named after ``spec.name``, so
+    ``homogeneous_fleet(yoco_spec(), 4) == parse_fleet("yoco:4")``; it is
+    how a caller holding an :class:`AcceleratorSpec` (a Fig. 8 baseline,
+    a swept variant) names its fleet, and what the CLI's
+    ``--chips N --mode M`` means.
+    """
     return FleetSpec(
         (FleetGroup(chip_type=spec.name, n_chips=n_chips, spec=spec, mode=mode),)
     )

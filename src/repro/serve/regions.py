@@ -32,12 +32,14 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import seeds
+from repro.arch.accelerator import yoco_spec
 from repro.experiments.report import format_table
 from repro.models.zoo import get_workload
 from repro.serve.batching import BatchingPolicy
 from repro.serve.cluster import Cluster
 from repro.serve.elastic import ElasticConfig
 from repro.serve.engine import ServingEngine, ServingResult
+from repro.serve.fleet import homogeneous_fleet
 from repro.serve.metrics import (
     ServingReport,
     _percentiles_from_sorted,
@@ -271,7 +273,8 @@ def simulate_regions(
         raise ValueError("spill_window_ms must be positive")
     workloads = [get_workload(name) for name in models]
     clusters = {
-        s.name: Cluster(workloads, n_chips=s.n_chips) for s in regions
+        s.name: Cluster(workloads, homogeneous_fleet(yoco_spec(), s.n_chips))
+        for s in regions
     }
     ref_latency_ns = max(
         clusters[regions[0].name].reference_latency_ns(m) for m in models

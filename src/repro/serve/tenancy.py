@@ -62,15 +62,11 @@ import dataclasses
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro import seeds
 from repro.serve.traces import (
     SEQLEN_DISTS,
     TRACE_KINDS,
     TraceColumns,
-    make_trace,
     merge_traces,
-    sample_seqlens,
-    with_seqlens,
     with_tenant,
 )
 
@@ -385,6 +381,8 @@ def tenant_traces(
     the merged trace plus the largest sampled sequence length (0 when no
     tenant draws seqlens) for the caller's bucket derivation.
     """
+    from repro.serve import open_loop_stream
+
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     sub_traces: List[TraceColumns] = []
@@ -395,25 +393,15 @@ def tenant_traces(
             raise ValueError(f"tenant {tenant.name!r} serves no models")
         per_model_rps = tenant.rps / len(models)
         for i, model in enumerate(models):
-            sub = make_trace(
+            sub, longest = open_loop_stream(
                 tenant.trace_kind, model, per_model_rps, duration_s,
-                seed=seeds.arrival(seed, t_index, i),
+                seed, t_index, i,
+                seqlen_dist=tenant.seqlen_dist,
+                seqlen_mean=tenant.seqlen_mean,
+                native_seq_len=native_seq_len.get(model, 0),
+                max_context=max_context,
             )
-            native = native_seq_len.get(model, 0)
-            if tenant.seqlen_dist is not None and native > 0:
-                mean = tenant.seqlen_mean if tenant.seqlen_mean else native
-                lens = sample_seqlens(
-                    tenant.seqlen_dist,
-                    len(sub),
-                    mean,
-                    seed=seeds.seqlen(seed, t_index, i),
-                    trace_kind=tenant.trace_kind,
-                )
-                if max_context is not None:
-                    lens = tuple(min(s, max_context) for s in lens)
-                sub = with_seqlens(sub, lens)
-                if lens:
-                    max_sampled = max(max_sampled, max(lens))
+            max_sampled = max(max_sampled, longest)
             sub_traces.append(with_tenant(sub, tenant.name))
     return merge_traces(*sub_traces), max_sampled
 

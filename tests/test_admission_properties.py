@@ -61,7 +61,7 @@ _DURATION_S = 0.01
 
 
 def _cluster(n_chips: int) -> Cluster:
-    return Cluster([get_workload("resnet18")], n_chips=n_chips)
+    return Cluster([get_workload("resnet18")], fleet=f"yoco:{n_chips}")
 
 
 def _run(n_chips, trace, admission, window_ns=0.0):

@@ -21,9 +21,10 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, serve_config_from_args
+from repro.cli import MSG_FLEET_WITH_CHIPS, build_parser, serve_config_from_args
 from repro.models.zoo import get_workload
 from repro.serve import (
+    MODES,
     Cluster,
     DecodeConfig,
     FleetConfig,
@@ -36,6 +37,7 @@ from repro.serve import (
     TenancyConfig,
     WorkloadConfig,
     parse_autoscale,
+    parse_fleet,
     parse_tenants,
     sample_decode_lens,
     simulate_serving,
@@ -188,7 +190,7 @@ class TestRuleTable:
                     workload=WorkloadConfig(
                         models=("mobilebert",), rps=2000.0, duration_s=0.02
                     ),
-                    fleet=FleetConfig(n_chips=2),
+                    fleet=FleetConfig(fleet="yoco:2"),
                     observe=ObserveConfig(stream_metrics=stream),
                     decode=DecodeConfig(),
                 ).validate()
@@ -246,7 +248,7 @@ class TestRuleTable:
                 models=("mobilebert",), duration_s=0.01,
                 tenants=parse_tenants(TENANTS),
             ),
-            fleet=FleetConfig(n_chips=1),
+            fleet=FleetConfig(fleet="yoco:1"),
             policy=PolicyConfig(scheduler=scheduler),
         )
         _, result = simulate_serving(config)
@@ -258,7 +260,7 @@ class TestEngineDoor:
 
     @pytest.fixture(scope="class")
     def cluster(self):
-        return Cluster([get_workload("mobilebert")], n_chips=2)
+        return Cluster([get_workload("mobilebert")], fleet="yoco:2")
 
     def test_unknown_routing(self, cluster):
         with pytest.raises(
@@ -346,7 +348,7 @@ class TestEngineDoor:
         ):
             Cluster(
                 [get_workload("mobilebert")],
-                n_chips=4,
+                fleet="yoco:4",
                 placement="prefill-decode",
             )
 
@@ -361,7 +363,7 @@ class TestCliTranslation:
     def test_defaults(self):
         config = self._config()
         assert config.workload.models == ("resnet18",)
-        assert config.fleet.n_chips == 4
+        assert config.fleet.fleet == parse_fleet("yoco:4")
         assert config.fleet.placement == "replicated"
         assert config.decode is None
         config.validate()
@@ -396,11 +398,30 @@ class TestCliTranslation:
         ):
             config.validate()
 
-    def test_fleet_leaves_n_chips_unset(self):
+    def test_fleet_flag_names_the_fleet(self):
         config = self._config("--fleet", "yoco:2,isaac:2")
-        assert config.fleet.n_chips is None
-        assert config.fleet.fleet is not None
+        assert config.fleet.fleet == parse_fleet("yoco:2,isaac:2")
         config.validate()
+
+    @pytest.mark.parametrize("n_chips", [1, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chips_and_mode_are_the_yoco_fleet(self, n_chips, mode):
+        """--chips N --mode M is the CLI's spelling of --fleet yoco:N:M."""
+        chips = self._config("--chips", str(n_chips), "--mode", mode)
+        fleet = self._config("--fleet", f"yoco:{n_chips}:{mode}")
+        assert chips == fleet
+        if mode == "batched":
+            assert self._config("--chips", str(n_chips)) == self._config(
+                "--fleet", f"yoco:{n_chips}"
+            )
+
+    @pytest.mark.parametrize(
+        "extra", [("--chips", "2"), ("--mode", "pipelined")]
+    )
+    def test_chips_or_mode_with_fleet_exits_with_one_message(self, extra):
+        with pytest.raises(SystemExit) as exc:
+            self._config("--fleet", "yoco:2", *extra)
+        assert str(exc.value) == MSG_FLEET_WITH_CHIPS
 
     def test_thermal_tau_forwarded_only_with_a_constraint(self):
         alone = self._config("--thermal-tau", "0.5")

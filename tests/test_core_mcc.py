@@ -30,7 +30,11 @@ class TestPhases:
         cell = MemoryComputeCell()
         cell.precharge(constants.VDD_VOLT)
         assert cell.voltage == constants.VDD_VOLT
-        assert cell.charge == pytest.approx(constants.CU_FARAD * constants.VDD_VOLT)
+        # Charge is ~1e-15 C, under approx's default 1e-12 absolute
+        # tolerance, so compare relatively only.
+        assert cell.charge == pytest.approx(
+            constants.CU_FARAD * constants.VDD_VOLT, rel=1e-12, abs=0
+        )
 
     def test_precharge_range_checked(self):
         with pytest.raises(ValueError):

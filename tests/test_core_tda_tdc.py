@@ -83,7 +83,7 @@ class TestTimeToDigitalConverter:
 
     def test_lsb(self):
         tdc = TimeToDigitalConverter(bits=8, full_scale_s=256e-12)
-        assert tdc.lsb_s == pytest.approx(1e-12)
+        assert tdc.lsb_s == pytest.approx(1e-12, rel=1e-12, abs=0)
 
     def test_monotonic(self):
         tdc = TimeToDigitalConverter(bits=6, full_scale_s=1e-9)

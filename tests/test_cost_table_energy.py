@@ -33,7 +33,7 @@ SCENARIOS = {
     ),
     "power-capped": ServingConfig(
         workload=WorkloadConfig(models=("resnet18",), rps=20000.0, duration_s=0.05),
-        fleet=FleetConfig(n_chips=4, power=PowerConfig(power_cap_w=0.5)),
+        fleet=FleetConfig(fleet="yoco:4", power=PowerConfig(power_cap_w=0.5)),
     ),
 }
 
@@ -42,11 +42,8 @@ SCENARIOS = {
 def run(request):
     config = SCENARIOS[request.param]
     _, result = simulate_serving(config)
-    fleet = config.fleet
     cluster = Cluster(
-        [get_workload(m) for m in config.workload.models],
-        n_chips=fleet.n_chips,
-        fleet=fleet.fleet,
+        [get_workload(m) for m in config.workload.models], config.fleet.fleet
     )
     return request.param, result, cluster
 

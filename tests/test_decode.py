@@ -40,7 +40,7 @@ from repro.serve.traces import poisson_trace, with_seqlens, sample_seqlens
 DECODE = DecodeConfig(dist="lognormal", mean_tokens=8)
 
 
-def _config(models=("mobilebert",), fleet=FleetConfig(n_chips=2), **rest):
+def _config(models=("mobilebert",), fleet=FleetConfig(fleet="yoco:2"), **rest):
     return ServingConfig(
         workload=WorkloadConfig(models=models, rps=2000.0, duration_s=0.02),
         fleet=fleet,
@@ -110,7 +110,7 @@ class TestEngineDifferential:
     """A decode-armed engine on a zero-decode trace changes nothing."""
 
     def test_zero_decode_trace_matches_no_decode_engine(self):
-        cluster = Cluster([get_workload("mobilebert")], n_chips=2)
+        cluster = Cluster([get_workload("mobilebert")], fleet="yoco:2")
         trace = poisson_trace("mobilebert", 2000.0, 0.02, seed=0)
         trace = with_seqlens(
             trace, sample_seqlens("uniform", len(trace), 128, seed=7)
@@ -122,7 +122,7 @@ class TestEngineDifferential:
         assert not armed.has_decode
 
     def test_trace_decode_tokens_need_an_armed_engine(self):
-        cluster = Cluster([get_workload("mobilebert")], n_chips=2)
+        cluster = Cluster([get_workload("mobilebert")], fleet="yoco:2")
         trace = poisson_trace("mobilebert", 2000.0, 0.01, seed=0)
         trace = with_decode_lens(
             trace, sample_decode_lens(DECODE, len(trace), seed=0)
@@ -131,7 +131,7 @@ class TestEngineDifferential:
             ServingEngine(cluster).run(trace)
 
     def test_decode_needs_a_token_axis(self):
-        cluster = Cluster([get_workload("resnet18")], n_chips=2)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:2")
         trace = poisson_trace("resnet18", 2000.0, 0.01, seed=0)
         trace = with_decode_lens(trace, (4,) * len(trace))
         with pytest.raises(ValueError, match="no token axis"):
@@ -239,7 +239,7 @@ class TestKvResidency:
                 workload=WorkloadConfig(
                     models=("gpt_large",), rps=200.0, duration_s=0.02
                 ),
-                fleet=FleetConfig(n_chips=2),
+                fleet=FleetConfig(fleet="yoco:2"),
                 decode=DecodeConfig(dist="fixed", mean_tokens=8),
             )
         )

@@ -98,7 +98,7 @@ class TestRunInvariants:
                     models=("mobilebert",), rps=1000.0, duration_s=0.01,
                     seed=seed,
                 ),
-                fleet=FleetConfig(n_chips=2),
+                fleet=FleetConfig(fleet="yoco:2"),
                 policy=PolicyConfig(max_batch_size=max_batch),
                 decode=DecodeConfig(dist=dist, mean_tokens=mean),
             )

@@ -42,7 +42,7 @@ def _run_elastic(elastic=_BAND, rps=80000.0, seed=0):
                 trace_kind="diurnal",
                 seed=seed,
             ),
-            fleet=FleetConfig(n_chips=8, elastic=elastic),
+            fleet=FleetConfig(fleet="yoco:8", elastic=elastic),
         )
     )
 
@@ -90,7 +90,7 @@ class TestController:
         cfg = ElasticConfig(
             min_chips=1, max_chips=8, cooldown_intervals=2, **cfg_kwargs
         )
-        cluster = Cluster([get_workload("resnet18")], n_chips=8)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:8")
         return ElasticController(cfg, cluster, lo=1, hi=8)
 
     def test_rate_demand_scales_up(self):
@@ -138,7 +138,7 @@ class TestController:
 
     def test_closed_loop_knee_bounds_capacity(self):
         cfg = ElasticConfig(min_chips=1, max_chips=8)
-        cluster = Cluster([get_workload("resnet18")], n_chips=8)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:8")
         ctl = ElasticController(
             cfg, cluster, lo=1, hi=8, n_clients=64, think_time_ms=0.0
         )
@@ -216,7 +216,7 @@ class TestEngineScaling:
                     seed=0,
                 ),
                 fleet=FleetConfig(
-                    n_chips=8, elastic=ElasticConfig(min_chips=1, max_chips=8)
+                    fleet="yoco:8", elastic=ElasticConfig(min_chips=1, max_chips=8)
                 ),
             )
         )
@@ -256,7 +256,7 @@ class TestEngineScaling:
                         seed=0,
                     ),
                     fleet=FleetConfig(
-                        n_chips=4,
+                        fleet="yoco:4",
                         elastic=ElasticConfig(min_chips=1, max_chips=4),
                     ),
                     policy=PolicyConfig(preemption=True),
@@ -277,7 +277,7 @@ class TestEngineScaling:
                         seed=1,
                     ),
                     fleet=FleetConfig(
-                        n_chips=2,
+                        fleet="yoco:2",
                         placement="partitioned",
                         elastic=ElasticConfig(min_chips=1, max_chips=2),
                     ),

@@ -30,7 +30,7 @@ from test_hetero_differential import (
     served_digest,
 )
 
-from repro.serve import ElasticConfig, format_serving
+from repro.serve import ElasticConfig, format_serving, parse_fleet
 from repro.serve.admission import AcceptAll
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -42,8 +42,12 @@ def golden_digests():
         return json.load(f)
 
 
+def _n_chips(config) -> int:
+    return parse_fleet(config.fleet.fleet).n_chips
+
+
 def _static_band(legacy) -> ElasticConfig:
-    n = legacy.fleet.n_chips
+    n = _n_chips(legacy)
     return ElasticConfig(min_chips=n, max_chips=n)
 
 
@@ -87,7 +91,7 @@ class TestStaticBandGolden:
     ):
         """The string form ('N:N') goes through parse_autoscale."""
         legacy, _ = SCENARIOS[scenario]
-        n = legacy.fleet.n_chips
+        n = _n_chips(legacy)
         report, result = _run(replace_in(legacy, "fleet", elastic=f"{n}:{n}"))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
@@ -106,7 +110,7 @@ def test_binding_band_actually_scales(scenario):
     band = replace_in(
         legacy,
         "fleet",
-        elastic=ElasticConfig(min_chips=1, max_chips=legacy.fleet.n_chips),
+        elastic=ElasticConfig(min_chips=1, max_chips=_n_chips(legacy)),
     )
     if legacy.fleet.placement == "partitioned":
         with pytest.raises(ValueError, match="no hosting chip"):

@@ -21,7 +21,7 @@ class TestUnits:
         assert fj_to_pj(1000.0) == pytest.approx(1.0)
 
     def test_pj_to_j(self):
-        assert pj_to_j(1.0) == pytest.approx(1e-12)
+        assert pj_to_j(1.0) == pytest.approx(1e-12, rel=1e-12, abs=0)
 
     def test_um2_to_mm2(self):
         assert um2_to_mm2(1e6) == pytest.approx(1.0)

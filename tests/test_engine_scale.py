@@ -53,7 +53,7 @@ MODELS_8 = (
 
 
 def _engine(models, n_chips=4, max_batch=8, window_ns=200_000.0, **kwargs):
-    cluster = Cluster([get_workload(m) for m in models], n_chips=n_chips)
+    cluster = Cluster([get_workload(m) for m in models], fleet=f"yoco:{n_chips}")
     policy = BatchingPolicy(max_batch_size=max_batch, window_ns=window_ns)
     return ServingEngine(cluster, policy, **kwargs), cluster
 
@@ -317,7 +317,7 @@ class TestStreamingDifferential:
                 workload=WorkloadConfig(
                     models=("mobilebert",), rps=4000.0, duration_s=0.03
                 ),
-                fleet=FleetConfig(n_chips=4),
+                fleet=FleetConfig(fleet="yoco:4"),
                 decode=DecodeConfig(dist="lognormal"),
             )
         )
@@ -331,7 +331,7 @@ class TestStreamingDifferential:
                     models=("resnet18",), duration_s=0.03, clients=32,
                     think_time_ms=1.0, retry=2,
                 ),
-                fleet=FleetConfig(n_chips=2),
+                fleet=FleetConfig(fleet="yoco:2"),
                 policy=PolicyConfig(admission="queue-cap:4"),
             )
         )

@@ -46,7 +46,7 @@ SCENARIOS = {
             models=("resnet18",), rps=20000.0, duration_s=0.05,
             trace_kind="diurnal", seed=0,
         ),
-        fleet=FleetConfig(n_chips=8),
+        fleet=FleetConfig(fleet="yoco:8"),
         policy=PolicyConfig(max_batch_size=8, window_ms=0.2),
         observe=PROFILE,
     ),
@@ -75,7 +75,7 @@ SCENARIOS = {
             models=("mobilebert",), duration_s=0.05, seed=0, clients=64,
             think_time_ms=0.5, retry=2,
         ),
-        fleet=FleetConfig(n_chips=2),
+        fleet=FleetConfig(fleet="yoco:2"),
         policy=PolicyConfig(admission="queue-cap:16"),
         observe=PROFILE,
     ),
@@ -84,7 +84,7 @@ SCENARIOS = {
             models=("mobilebert",), rps=20000.0, duration_s=0.1,
             trace_kind="diurnal", seed=0,
         ),
-        fleet=FleetConfig(n_chips=8, elastic="1:8"),
+        fleet=FleetConfig(fleet="yoco:8", elastic="1:8"),
         observe=PROFILE,
     ),
 }

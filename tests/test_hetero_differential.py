@@ -1,19 +1,16 @@
-"""Differential harness: the fleet refactor is provably behavior-preserving.
+"""Golden replay: the fleet form reproduces the pre-fleet serving runs.
 
 The golden files under ``tests/data/`` were captured from the serving
-stack *before* ``Cluster`` was generalized to heterogeneous fleets (PR 2
-state).  Three scenarios — CNN traffic, seqlen-distributed LLM traffic,
-and a partitioned pipelined multi-model run — are replayed through both
-surviving construction paths:
-
-* the legacy homogeneous constructor (``n_chips`` + ``spec``/``mode``);
-* the same cluster expressed as a single-group :class:`FleetSpec`;
-
-and both must reproduce the goldens **byte-for-byte** (the formatted
+stack *before* ``Cluster`` was generalized to heterogeneous fleets.  Three
+scenarios — CNN traffic, seqlen-distributed LLM traffic, and a
+partitioned pipelined multi-model run — are replayed on their one-group
+fleets, and must reproduce the goldens **byte-for-byte** (the formatted
 report) and **bit-for-bit** (a sha256 digest over every served request's
 chip id, dispatch/finish timestamps via ``repr`` and energy share).  The
-CLI equivalence at the bottom is the PR's acceptance scenario: a
-``--fleet yoco:N`` invocation is indistinguishable from ``--chips N``.
+same fleet built from a spec (:func:`homogeneous_fleet`, what ``--chips N
+--mode M`` means) must serve the same requests object for object.  The
+CLI equivalence at the bottom: a ``--fleet yoco:N`` invocation is
+indistinguishable from ``--chips N``.
 
 These are tier-1 tests: any behavioral drift in the serving stack —
 engine event ordering, cluster cost caching, metrics formatting — gates
@@ -27,31 +24,31 @@ import pathlib
 
 import pytest
 
+from repro.arch import yoco_spec
 from repro.cli import main
 from repro.serve import (
     FleetConfig,
-    FleetSpec,
     ServingConfig,
     WorkloadConfig,
     format_serving,
+    homogeneous_fleet,
     simulate_serving,
 )
-from repro.serve.fleet import fleet_group
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-#: scenario -> (legacy-path config, fleet-path FleetConfig).  The fleet
-#: path swaps the n_chips/spec/mode fleet group for the equivalent
-#: single-group FleetSpec; everything else stays identical.
+#: scenario -> (config on its fleet string, the FleetConfig that builds
+#: the same one-group fleet from a spec).  Tests swap the second in with
+#: ``_run(config, fleet)``; everything else stays identical.
 SCENARIOS = {
     "cnn_poisson": (
         ServingConfig(
             workload=WorkloadConfig(
                 models=("resnet18",), rps=2000.0, duration_s=0.1, seed=0
             ),
-            fleet=FleetConfig(n_chips=4),
+            fleet=FleetConfig(fleet="yoco:4"),
         ),
-        FleetConfig(fleet="yoco:4"),
+        FleetConfig(fleet=homogeneous_fleet(yoco_spec(), 4)),
     ),
     "llm_lognormal": (
         ServingConfig(
@@ -62,9 +59,9 @@ SCENARIOS = {
                 seed=0,
                 seqlen_dist="lognormal",
             ),
-            fleet=FleetConfig(n_chips=2),
+            fleet=FleetConfig(fleet="yoco:2"),
         ),
-        FleetConfig(fleet="yoco:2"),
+        FleetConfig(fleet=homogeneous_fleet(yoco_spec(), 2)),
     ),
     "mixed_partitioned_pipelined": (
         ServingConfig(
@@ -75,11 +72,11 @@ SCENARIOS = {
                 seed=1,
             ),
             fleet=FleetConfig(
-                n_chips=2, placement="partitioned", mode="pipelined"
+                fleet="yoco:2:pipelined", placement="partitioned"
             ),
         ),
         FleetConfig(
-            fleet=FleetSpec((fleet_group("yoco", 2, mode="pipelined"),)),
+            fleet=homogeneous_fleet(yoco_spec(), 2, "pipelined"),
             placement="partitioned",
         ),
     ),
@@ -118,7 +115,7 @@ def _golden_text(name: str) -> str:
 
 
 def _run(config, fleet=None):
-    """Serve ``config``, on the fleet path when ``fleet`` is given."""
+    """Serve ``config``, on the spec-built fleet when ``fleet`` is given."""
     if fleet is not None:
         config = dataclasses.replace(config, fleet=fleet)
     return simulate_serving(config=config)
@@ -126,27 +123,17 @@ def _run(config, fleet=None):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestGoldenDifferential:
-    def test_legacy_path_reproduces_pre_refactor_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, _ = SCENARIOS[scenario]
-        report, result = _run(legacy)
+    def test_fleet_path_reproduces_golden(self, scenario, golden_digests):
+        config, _ = SCENARIOS[scenario]
+        report, result = _run(config)
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
 
-    def test_fleet_path_is_bit_identical_to_legacy(
-        self, scenario, golden_digests
-    ):
-        legacy, overrides = SCENARIOS[scenario]
-        report, result = _run(legacy, overrides)
-        assert format_serving(report) == _golden_text(scenario)
-        assert served_digest(result) == golden_digests[scenario]
-
-    def test_fleet_and_legacy_agree_beyond_the_report(self, scenario):
+    def test_spec_built_fleet_serves_the_same_requests(self, scenario):
         """Same served tuples object-for-object, not just same digest."""
-        legacy, overrides = SCENARIOS[scenario]
-        _, a = _run(legacy)
-        _, b = _run(legacy, overrides)
+        config, spec_built = SCENARIOS[scenario]
+        _, a = _run(config)
+        _, b = _run(config, spec_built)
         assert a.served == b.served
         assert a.chip_busy_ns == b.chip_busy_ns
         assert a.makespan_ns == b.makespan_ns

@@ -34,7 +34,7 @@ from repro.serve.traces import fixed_trace, merge_traces
 
 @pytest.fixture(scope="module")
 def cluster():
-    return Cluster([get_workload("resnet18")], n_chips=1)
+    return Cluster([get_workload("resnet18")], fleet="yoco:1")
 
 
 def _assert_zero_report_is_sane(report):
@@ -76,7 +76,7 @@ class TestEmptyClosedLoop:
                     think_dist="fixed",
                     duration_s=0.001,
                 ),
-                fleet=FleetConfig(n_chips=1),
+                fleet=FleetConfig(fleet="yoco:1"),
             )
         )
         assert result.n_requests == 0

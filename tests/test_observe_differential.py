@@ -107,7 +107,7 @@ class TestObservedRunMatchesGolden:
 
 
 def _engine(n_chips=4, **kwargs):
-    cluster = Cluster([get_workload("resnet18")], n_chips=n_chips)
+    cluster = Cluster([get_workload("resnet18")], fleet=f"yoco:{n_chips}")
     policy = BatchingPolicy(max_batch_size=8, window_ns=200_000.0)
     return ServingEngine(cluster, policy, **kwargs)
 
@@ -217,7 +217,7 @@ class TestChromeTrace:
                     duration_s=0.05,
                     seed=0,
                 ),
-                fleet=FleetConfig(n_chips=4),
+                fleet=FleetConfig(fleet="yoco:4"),
                 observe=ObserveConfig(trace_file=str(path)),
             )
         )
@@ -247,7 +247,7 @@ class TestChromeTrace:
                 workload=WorkloadConfig(
                     models=("resnet18",), rps=2000.0, duration_s=0.02, seed=0
                 ),
-                fleet=FleetConfig(n_chips=2),
+                fleet=FleetConfig(fleet="yoco:2"),
                 observe=ObserveConfig(trace_file=str(path)),
             )
         )
@@ -266,7 +266,7 @@ class TestTraceSummaryAgreesWithReport:
         report, _ = simulate_serving(
             config=ServingConfig(
                 workload=WorkloadConfig(**workload),
-                fleet=FleetConfig(n_chips=n_chips),
+                fleet=FleetConfig(fleet=f"yoco:{n_chips}"),
                 policy=policy,
                 observe=ObserveConfig(trace_file=str(path)),
                 decode=decode,
@@ -379,7 +379,7 @@ class TestMetricsRecorder:
                 workload=WorkloadConfig(
                     models=("resnet18",), rps=rps, duration_s=0.05, seed=0
                 ),
-                fleet=FleetConfig(n_chips=n_chips, power=power),
+                fleet=FleetConfig(fleet=f"yoco:{n_chips}", power=power),
                 policy=PolicyConfig(admission=admission),
                 observe=ObserveConfig(metrics_file=str(path)),
             )

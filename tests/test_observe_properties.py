@@ -56,9 +56,9 @@ _MODES = {
             "bulk:batch:poisson@60000",
         ),
         policy=dict(scheduler="strict-priority", preemption=True),
-        fleet=dict(n_chips=1),
+        fleet=dict(fleet="yoco:1"),
     ),
-    "elastic": dict(fleet=dict(elastic="1:4", n_chips=4)),
+    "elastic": dict(fleet=dict(elastic="1:4", fleet="yoco:4")),
 }
 
 
@@ -72,7 +72,7 @@ def _config(mode, seed=0, rps=2000.0, admission=None):
             seed=seed,
             **groups.get("workload", {}),
         ),
-        fleet=FleetConfig(**{"n_chips": 2, **groups.get("fleet", {})}),
+        fleet=FleetConfig(**{"fleet": "yoco:2", **groups.get("fleet", {})}),
         policy=PolicyConfig(admission=admission, **groups.get("policy", {})),
     )
 
@@ -171,7 +171,7 @@ class TestPreemptionPairing:
                 workload=WorkloadConfig(
                     models=("resnet18",), rps=30_000.0, duration_s=0.05
                 ),
-                fleet=FleetConfig(n_chips=4, elastic="1:4"),
+                fleet=FleetConfig(fleet="yoco:4", elastic="1:4"),
             )
         )
         collector = SpanCollector(events)

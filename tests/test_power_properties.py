@@ -37,7 +37,7 @@ def _scenario(rps, seed, power=None):
         workload=WorkloadConfig(
             models=("resnet18",), rps=rps, duration_s=0.02, seed=seed
         ),
-        fleet=FleetConfig(n_chips=1, power=power),
+        fleet=FleetConfig(fleet="yoco:1", power=power),
         policy=PolicyConfig(max_batch_size=1, window_ms=0.0),
     )
 

@@ -88,7 +88,7 @@ def test_closed_loop_think_and_seqlen_streams_never_share_a_seed(monkeypatch):
             models=("mobilebert",), clients=200, think_time_ms=0.5,
             seqlen_dist="lognormal", duration_s=0.2, seed=0,
         ),
-        fleet=FleetConfig(n_chips=8),
+        fleet=FleetConfig(fleet="yoco:8"),
     ))
     assert len(drawn) > 9_000
     shared = [s for s, n in collections.Counter(drawn).items() if n > 1]

@@ -20,7 +20,7 @@ from repro.serve.cluster import DEFAULT_SLO_MULTIPLE
 
 @pytest.fixture(scope="module")
 def cluster():
-    return Cluster([get_workload("resnet18")], n_chips=2)
+    return Cluster([get_workload("resnet18")], fleet="yoco:2")
 
 
 class TestAcceptAll:

@@ -18,7 +18,7 @@ from repro.serve.clients import ClientPopulation, ClosedLoopDriver, RetryPolicy
 
 
 def _cluster(n_chips=2, model="resnet18"):
-    return Cluster([get_workload(model)], n_chips=n_chips)
+    return Cluster([get_workload(model)], fleet=f"yoco:{n_chips}")
 
 
 def _population(**kwargs):
@@ -188,7 +188,7 @@ def _closed_loop_run(model, **workload):
             workload=WorkloadConfig(
                 models=(model,), think_time_ms=0.5, seed=0, **workload
             ),
-            fleet=FleetConfig(n_chips=1),
+            fleet=FleetConfig(fleet="yoco:1"),
         )
     )
 
@@ -250,7 +250,7 @@ class TestSaturationEstimate:
 
     def test_defaults_to_every_cluster_model(self):
         cluster = Cluster(
-            [get_workload("resnet18"), get_workload("alexnet")], n_chips=2
+            [get_workload("resnet18"), get_workload("alexnet")], fleet="yoco:2"
         )
         both = estimated_saturation_clients(cluster, think_time_ms=1.0)
         one = estimated_saturation_clients(

@@ -67,7 +67,7 @@ class TestPlanning:
         for model in cluster.models:
             assert cluster.chips_for(model) == (0, 1, 2)
         with pytest.raises(ValueError):
-            Cluster(models, n_chips=3, placement="prefill-decode")
+            Cluster(models, fleet="yoco:3", placement="prefill-decode")
 
     def test_validation(self, resnet):
         with pytest.raises(ValueError):
@@ -82,21 +82,21 @@ class TestPlanning:
 
 class TestServiceCosts:
     def test_batch_one_matches_single_inference_roll_up(self, resnet):
-        cluster = Cluster([resnet], n_chips=2)
+        cluster = Cluster([resnet], fleet="yoco:2")
         run = ArchitectureSimulator(yoco_spec()).run(resnet)
         cost = cluster.service(0, "resnet18", 1)
         assert cost.latency_ns == pytest.approx(run.latency_ns)
         assert cost.energy_pj == pytest.approx(run.energy_pj)
 
     def test_energy_linear_latency_sublinear(self, resnet):
-        cluster = Cluster([resnet], n_chips=1)
+        cluster = Cluster([resnet], fleet="yoco:1")
         one = cluster.service(0, "resnet18", 1)
         eight = cluster.service(0, "resnet18", 8)
         assert eight.energy_pj == pytest.approx(8 * one.energy_pj)
         assert eight.latency_ns < 8 * one.latency_ns
 
     def test_overflowing_chip_pays_streaming_costs(self, llama):
-        cluster = Cluster([llama], n_chips=1)
+        cluster = Cluster([llama], fleet="yoco:1")
         resident = ArchitectureSimulator(yoco_spec(), weights_resident=True).run(llama)
         streaming = ArchitectureSimulator(yoco_spec(), weights_resident=False).run(
             llama
@@ -108,8 +108,8 @@ class TestServiceCosts:
     def test_colocated_models_split_capacity(self, resnet):
         """Two models sharing a die halve each other's replication budget."""
         alex = get_workload("alexnet")
-        shared = Cluster([resnet, alex], n_chips=1)
-        alone = Cluster([resnet], n_chips=1)
+        shared = Cluster([resnet, alex], fleet="yoco:1")
+        alone = Cluster([resnet], fleet="yoco:1")
         spec = yoco_spec()
         halved = dataclasses.replace(
             spec, weight_capacity_bytes=spec.weight_capacity_bytes // 2
@@ -126,7 +126,7 @@ class TestServiceCosts:
         """A pipelined chip whose model overflows capacity cannot finish
         inferences faster than it can re-stream the overflow weights."""
         gpt = get_workload("gpt_large")
-        cluster = Cluster([gpt], n_chips=1, mode="pipelined")
+        cluster = Cluster([gpt], homogeneous_fleet(yoco_spec(), 1, "pipelined"))
         streaming = ArchitectureSimulator(yoco_spec(), weights_resident=False).run(
             gpt
         )
@@ -137,7 +137,7 @@ class TestServiceCosts:
         assert cost.latency_ns >= 2 * stream_ns
 
     def test_pipelined_mode_uses_fill_plus_intervals(self, resnet):
-        cluster = Cluster([resnet], n_chips=1, mode="pipelined")
+        cluster = Cluster([resnet], homogeneous_fleet(yoco_spec(), 1, "pipelined"))
         stream = ArchitectureSimulator(yoco_spec()).run_layer_pipelined(resnet)
         cost = cluster.service(0, "resnet18", 4)
         assert cost.latency_ns == pytest.approx(
@@ -146,20 +146,18 @@ class TestServiceCosts:
         assert cost.energy_pj == pytest.approx(4 * stream.run.energy_pj)
 
     def test_service_rejects_non_hosting_chip(self, resnet, llama):
-        cluster = Cluster(
-            [resnet, llama], n_chips=2, placement="partitioned"
-        )
+        cluster = Cluster([resnet, llama], fleet="yoco:2", placement="partitioned")
         resnet_chip = cluster.chips_for("resnet18")[0]
         other = 1 - resnet_chip
         with pytest.raises(ValueError):
             cluster.service(other, "resnet18", 1)
 
     def test_unknown_mode_rejected(self, resnet):
-        with pytest.raises(ValueError):
-            Cluster([resnet], n_chips=1, mode="warp")
+        with pytest.raises(ValueError, match="unknown mode 'warp'"):
+            homogeneous_fleet(yoco_spec(), 1, "warp")
 
     def test_reference_latency_is_batch_one(self, resnet):
-        cluster = Cluster([resnet], n_chips=3)
+        cluster = Cluster([resnet], fleet="yoco:3")
         chip = cluster.chips_for("resnet18")[0]
         assert cluster.reference_latency_ns("resnet18") == pytest.approx(
             cluster.service(chip, "resnet18", 1).latency_ns

@@ -30,7 +30,7 @@ def _run(n_chips=4, rps=2000.0, seed=0, max_batch_size=8, mode="batched"):
     return simulate_serving(
         config=ServingConfig(
             workload=WorkloadConfig(models=("resnet18",), rps=rps, seed=seed),
-            fleet=FleetConfig(n_chips=n_chips, mode=mode),
+            fleet=FleetConfig(fleet=f"yoco:{n_chips}:{mode}"),
             policy=PolicyConfig(max_batch_size=max_batch_size),
         )
     )
@@ -105,7 +105,7 @@ class TestEnergyContract:
 
 class TestConservation:
     def test_every_request_served_once(self):
-        cluster = Cluster([get_workload("resnet18")], n_chips=2)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:2")
         trace = poisson_trace("resnet18", rps=5000, duration_s=0.05, seed=2)
         result = ServingEngine(cluster).run(trace)
         assert result.n_requests == len(trace)
@@ -115,7 +115,7 @@ class TestConservation:
 
     def test_latency_floor_and_busy_bounds(self):
         _, result = _run()
-        floor = Cluster([get_workload("resnet18")], n_chips=4).reference_latency_ns(
+        floor = Cluster([get_workload("resnet18")], fleet="yoco:4").reference_latency_ns(
             "resnet18"
         )
         for served in result.served:
@@ -149,8 +149,8 @@ class TestFairness:
             + poisson_trace("alexnet", rps=15000, duration_s=0.02, seed=2),
             key=lambda r: r.arrival_ns,
         )
-        forward = ServingEngine(Cluster(workloads, n_chips=1)).run(trace)
-        backward = ServingEngine(Cluster(workloads[::-1], n_chips=1)).run(trace)
+        forward = ServingEngine(Cluster(workloads, fleet="yoco:1")).run(trace)
+        backward = ServingEngine(Cluster(workloads[::-1], fleet="yoco:1")).run(trace)
 
         def mean_ms(result, model):
             served = result.for_model(model)
@@ -164,20 +164,20 @@ class TestFairness:
 
 class TestEdgeCases:
     def test_empty_trace(self):
-        cluster = Cluster([get_workload("resnet18")], n_chips=1)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:1")
         result = ServingEngine(cluster).run(())
         assert result.n_requests == 0
         assert result.makespan_ns == 0.0
         assert result.chip_utilization == (0.0,)
 
     def test_unknown_model_rejected(self):
-        cluster = Cluster([get_workload("resnet18")], n_chips=1)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:1")
         with pytest.raises(ValueError):
             ServingEngine(cluster).run(fixed_trace("vgg16", [0.0]))
 
     def test_final_partial_batch_flushes(self):
         """A lone request still dispatches once its window expires."""
-        cluster = Cluster([get_workload("resnet18")], n_chips=1)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:1")
         policy = BatchingPolicy(max_batch_size=64, window_ns=1e6)
         result = ServingEngine(cluster, policy).run(
             fixed_trace("resnet18", [100.0])
@@ -204,7 +204,7 @@ class TestSummary:
 
     def test_explicit_slo_controls_goodput(self):
         _, result = _run()
-        cluster = Cluster([get_workload("resnet18")], n_chips=4)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:4")
         generous = summarize(result, cluster, slo_ms=1e6)
         brutal = summarize(result, cluster, slo_ms=1e-6)
         assert generous.slo_attainment == pytest.approx(1.0)
@@ -285,7 +285,7 @@ class TestInputErrors:
         requests = self._requests(first, second, tenant=tenant)
         columns = self._columns(requests)
         assert columns == requests
-        cluster = Cluster([get_workload(m) for m in self.MODELS], n_chips=2)
+        cluster = Cluster([get_workload(m) for m in self.MODELS], fleet="yoco:2")
         errors = []
         for trace in (requests, columns):
             with pytest.raises(ValueError) as err:
@@ -304,7 +304,7 @@ class TestInputErrors:
                  ("mobilebert", 2e5), ("resnet18", 0.0)]
             )
         )
-        cluster = Cluster([get_workload(m) for m in self.MODELS], n_chips=1)
+        cluster = Cluster([get_workload(m) for m in self.MODELS], fleet="yoco:1")
         ordered = tuple(sorted(requests, key=lambda r: r.arrival_ns))
         expected = ServingEngine(cluster).run(ordered)
         assert ServingEngine(cluster).run(requests) == expected

@@ -1,6 +1,7 @@
 """Fleet specification, heterogeneous cluster mechanics, cache-key safety."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.serve import (
     simulate_serving,
 )
 from repro.serve.cluster import fleet_cost_table, plan_fleet
+from repro.serve.config import MSG_NEED_FLEET
 from repro.serve.fleet import (
     CHIP_TYPES,
     FleetGroup,
@@ -82,6 +84,7 @@ class TestFleetSpec:
         assert not fleet.heterogeneous
         assert fleet.n_chips == 4
         assert fleet.groups[0].mode == "pipelined"
+        assert fleet == parse_fleet("yoco:4:pipelined")
 
 
 class TestHeteroCluster:
@@ -124,17 +127,9 @@ class TestHeteroCluster:
             stream.fill_ns + 3 * stream.interval_ns
         )
 
-    def test_fleet_and_legacy_args_are_mutually_exclusive(self, resnet):
-        with pytest.raises(ValueError):
-            Cluster([resnet], spec=yoco_spec(), fleet="yoco:2")
-        with pytest.raises(ValueError):
-            Cluster([resnet], mode="pipelined", fleet="yoco:2")
-        with pytest.raises(ValueError):
-            Cluster([resnet], n_chips=3, fleet="yoco:2")
-        with pytest.raises(ValueError):
-            Cluster([resnet])  # no n_chips, no fleet
-        # A consistent n_chips is tolerated (callers that pass both).
-        assert Cluster([resnet], n_chips=2, fleet="yoco:2").n_chips == 2
+    def test_cluster_needs_a_fleet(self, resnet):
+        with pytest.raises(ValueError, match=f"^{re.escape(MSG_NEED_FLEET)}$"):
+            Cluster([resnet], None)
 
     def test_service_cache_cannot_cross_chip_types(self, resnet):
         """Regression: the per-(model, bucket) cost cache must key on the
@@ -285,7 +280,7 @@ class TestHeteroServing:
         assert used == {0, 1}  # low load: every chip free at each dispatch
 
     def test_unknown_routing_rejected(self, resnet):
-        cluster = Cluster([resnet], n_chips=1)
+        cluster = Cluster([resnet], fleet="yoco:1")
         with pytest.raises(ValueError):
             ServingEngine(cluster, routing="warp")
 
@@ -306,12 +301,7 @@ class TestHeteroServing:
         assert a.goodput_rps == b.goodput_rps
         assert a.slo_attainment == b.slo_attainment
 
-    def test_simulate_serving_rejects_contradictory_fleet_args(self):
-        """Fleet conflicts raise instead of being silently ignored."""
-        for fleet in (
-            FleetConfig(fleet="yoco:2", mode="pipelined"),
-            FleetConfig(fleet="yoco:2", n_chips=7),
-            FleetConfig(fleet="yoco:2", spec=yoco_spec()),
-        ):
-            with pytest.raises(ValueError):
-                simulate_serving(config=_resnet_on(fleet, rps=100.0))
+    def test_simulate_serving_needs_a_fleet(self):
+        """FleetConfig has no default fleet; the cluster's message says so."""
+        with pytest.raises(ValueError, match=f"^{re.escape(MSG_NEED_FLEET)}$"):
+            simulate_serving(config=_resnet_on(FleetConfig(), rps=100.0))

@@ -42,7 +42,7 @@ class TestPercentile:
 @pytest.fixture(scope="module")
 def small_run():
     """A fully deterministic scenario: uniform arrivals, FIFO serving."""
-    cluster = Cluster([get_workload("resnet18")], n_chips=2)
+    cluster = Cluster([get_workload("resnet18")], fleet="yoco:2")
     policy = BatchingPolicy(max_batch_size=1, window_ns=0.0)
     trace = uniform_trace("resnet18", rps=1000, duration_s=0.02)
     result = ServingEngine(cluster, policy).run(trace)
@@ -136,7 +136,7 @@ class TestPercentileSmallSamples:
 
 @pytest.fixture(scope="module")
 def one_chip_cluster():
-    return Cluster([get_workload("resnet18")], n_chips=1)
+    return Cluster([get_workload("resnet18")], fleet="yoco:1")
 
 
 class TestSummarizeEdgeCases:
@@ -190,7 +190,7 @@ class TestSummarizeEdgeCases:
         assert report.per_model[0].mean_seq_len == 0.0
 
     def test_seqlen_run_summarizes_tokens(self):
-        cluster = Cluster([get_workload("qdqbert")], n_chips=1)
+        cluster = Cluster([get_workload("qdqbert")], fleet="yoco:1")
         policy = BatchingPolicy(
             max_batch_size=2, window_ns=0.0, seqlen_buckets=(128, 256)
         )

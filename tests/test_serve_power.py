@@ -32,7 +32,7 @@ def _cluster(n_chips=2, fleet=None):
     workloads = [get_workload("resnet18")]
     if fleet is not None:
         return Cluster(workloads, fleet=fleet)
-    return Cluster(workloads, n_chips=n_chips)
+    return Cluster(workloads, fleet=f"yoco:{n_chips}")
 
 
 class TestThrottlePolicy:
@@ -263,7 +263,7 @@ def _serve(fleet, rps=20000.0):
 
 class TestEngineCoupling:
     def _run(self, power=None):
-        return _serve(FleetConfig(n_chips=4, power=power))
+        return _serve(FleetConfig(fleet="yoco:4", power=power))
 
     def test_unconstrained_governor_is_a_no_op(self):
         _, blind = self._run()
@@ -358,7 +358,7 @@ class TestEngineCoupling:
 
 class TestReportGating:
     def _run(self, power=None):
-        return _serve(FleetConfig(n_chips=2, power=power))
+        return _serve(FleetConfig(fleet="yoco:2", power=power))
 
     def test_unconstrained_run_renders_legacy_report(self):
         blind_report, _ = self._run()

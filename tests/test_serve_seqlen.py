@@ -199,7 +199,7 @@ class TestBuckets:
             Cluster, "service", lambda *a: priced.append(a) or service(*a)
         )
         engine = ServingEngine(
-            Cluster([get_workload("mobilebert")], n_chips=1),
+            Cluster([get_workload("mobilebert")], fleet="yoco:1"),
             BatchingPolicy(seqlen_buckets=(32, 64)),
         )
         path = tmp_path / "trace.jsonl"
@@ -267,7 +267,7 @@ class TestBucketedQueue:
     def test_long_request_latency_is_window_bounded_under_short_flood(self):
         """End-to-end: one long-context request inside a flood of short
         ones dispatches within its batching window, not after the flood."""
-        cluster = Cluster([get_workload("qdqbert")], n_chips=1)
+        cluster = Cluster([get_workload("qdqbert")], fleet="yoco:1")
         window_ns = 50_000.0
         policy = BatchingPolicy(
             max_batch_size=4, window_ns=window_ns, seqlen_buckets=(64, 512)
@@ -305,7 +305,7 @@ def _seqlen_run(models, n_chips, buckets=None, mode="batched", **workload):
     return simulate_serving(
         config=ServingConfig(
             workload=WorkloadConfig(models=models, **workload),
-            fleet=FleetConfig(n_chips=n_chips, mode=mode),
+            fleet=FleetConfig(fleet=f"yoco:{n_chips}:{mode}"),
             policy=PolicyConfig(seqlen_buckets=buckets),
         )
     )
@@ -354,7 +354,7 @@ class TestServingWithSeqlens:
 
     def test_longer_buckets_cost_more(self):
         gpt = get_workload("gpt_large")
-        cluster = Cluster([gpt], n_chips=1)
+        cluster = Cluster([gpt], fleet="yoco:1")
         short = cluster.service(0, "gpt_large", 1, 256)
         native = cluster.service(0, "gpt_large", 1, 0)
         long = cluster.service(0, "gpt_large", 1, 2048)
@@ -363,7 +363,7 @@ class TestServingWithSeqlens:
 
     def test_bucket_cost_table_is_cached(self):
         gpt = get_workload("gpt_large")
-        cluster = Cluster([gpt], n_chips=2)
+        cluster = Cluster([gpt], fleet="yoco:2")
         a = cluster.workload_at("gpt_large", 256)
         b = cluster.workload_at("gpt_large", 256)
         assert a is b
@@ -377,7 +377,7 @@ class TestServingWithSeqlens:
 
     def test_native_seq_len_accessor(self):
         cluster = Cluster(
-            [get_workload("gpt_large"), get_workload("resnet18")], n_chips=1
+            [get_workload("gpt_large"), get_workload("resnet18")], fleet="yoco:1"
         )
         assert cluster.native_seq_len("gpt_large") == 1024
         assert cluster.native_seq_len("resnet18") == 0
@@ -456,14 +456,14 @@ class TestValidation:
         assert all(s.padded_seq_len in (64, 128) for s in result.served)
 
     def test_engine_rejects_seqlen_beyond_buckets(self):
-        cluster = Cluster([get_workload("gpt_large")], n_chips=1)
+        cluster = Cluster([get_workload("gpt_large")], fleet="yoco:1")
         policy = BatchingPolicy(seqlen_buckets=(128,))
         trace = with_seqlens(fixed_trace("gpt_large", [0.0]), [512])
         with pytest.raises(ValueError):
             ServingEngine(cluster, policy).run(trace)
 
     def test_summarize_tokens_against_manual_roll_up(self):
-        cluster = Cluster([get_workload("qdqbert")], n_chips=1)
+        cluster = Cluster([get_workload("qdqbert")], fleet="yoco:1")
         policy = BatchingPolicy(
             max_batch_size=2, window_ns=0.0, seqlen_buckets=(128, 256)
         )

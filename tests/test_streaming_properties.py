@@ -35,9 +35,9 @@ from repro.serve import (
 
 DURATION_S = 0.01
 FLEETS = (
-    FleetConfig(n_chips=1),
-    FleetConfig(n_chips=2),
-    FleetConfig(n_chips=4),
+    FleetConfig(fleet="yoco:1"),
+    FleetConfig(fleet="yoco:2"),
+    FleetConfig(fleet="yoco:4"),
     FleetConfig(fleet="yoco:1,isaac:1"),
     FleetConfig(fleet="yoco:2,isaac:2"),
 )

@@ -81,7 +81,7 @@ class TestLatenciesViewCopy:
 
         stream = StreamingMetrics(progress_every=50, progress=hook)
         simulate_serving(
-            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+            config=_streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         )
         assert len(held) > 2
         assert all(np.array_equal(h, snap) for h, snap in held)
@@ -91,7 +91,7 @@ class TestLatenciesViewCopy:
     def test_returned_array_is_an_independent_copy(self):
         stream = StreamingMetrics()
         simulate_serving(
-            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+            config=_streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         )
         held = stream.latencies_ms()
         want = held.copy()
@@ -100,7 +100,7 @@ class TestLatenciesViewCopy:
 
     def test_selections_partition_the_column(self):
         stream = StreamingMetrics()
-        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = _streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         report, _ = simulate_serving(
             config=dataclasses.replace(
                 config,
@@ -127,7 +127,7 @@ class TestLatenciesViewCopy:
 
         stream = StreamingMetrics(progress_every=50, progress=hook)
         simulate_serving(
-            config=_streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+            config=_streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         )
         assert held  # the hook fired, and no landing ever raised
         assert all(len(h) > 0 for h in held)
@@ -138,7 +138,7 @@ class TestEmitBurst:
         lines = []
         sm = StreamingMetrics(progress_every=every, progress=lines.append)
         record = _record(sum(batch_sizes))
-        cluster = Cluster([get_workload("resnet18")], n_chips=1)
+        cluster = Cluster([get_workload("resnet18")], fleet="yoco:1")
         landed = sm._begin_run(lambda: record, cluster)
         n = 0
         for size in batch_sizes:
@@ -169,7 +169,7 @@ class TestEmitBurst:
         landed, lines, every = [], [], 6
         stream = StreamingMetrics(progress_every=every, progress=lines.append)
         _, _, events = traced_run(
-            _streamed(stream, FleetConfig(n_chips=2), rps=30000.0)
+            _streamed(stream, FleetConfig(fleet="yoco:2"), rps=30000.0)
         )
         for ev in events:
             if ev["ev"] == "cmp":
@@ -200,7 +200,7 @@ class TestStreamedResultQueries:
                         models=("resnet18", "mobilebert"), rps=4000.0,
                         duration_s=0.02, seed=0,
                     ),
-                    fleet=FleetConfig(n_chips=4),
+                    fleet=FleetConfig(fleet="yoco:4"),
                     observe=ObserveConfig(stream_metrics=stream),
                 )
             )[1]
@@ -237,7 +237,7 @@ class TestLiveReads:
             reads.append((stream.n_served, stream.latencies_ms()))
 
         stream = StreamingMetrics(progress_every=40, progress=hook)
-        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = _streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         _, result, events = traced_run(
             dataclasses.replace(
                 config,
@@ -277,7 +277,7 @@ class TestLiveReads:
         begun before the stream check would leave its file behind.
         """
         stream = StreamingMetrics()
-        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = _streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         config = dataclasses.replace(
             config,
             workload=dataclasses.replace(config.workload, models=models),
@@ -299,7 +299,7 @@ class TestLiveReads:
     def test_unwritable_trace_fails_before_any_landing(self, models, tmp_path):
         lines = []
         stream = StreamingMetrics(progress_every=1, progress=lines.append)
-        config = _streamed(stream, FleetConfig(n_chips=4), rps=20000.0)
+        config = _streamed(stream, FleetConfig(fleet="yoco:4"), rps=20000.0)
         config = dataclasses.replace(
             config,
             workload=dataclasses.replace(config.workload, models=models),
@@ -320,7 +320,7 @@ class TestStreamingComposition:
         # queue-cap:1 at 10x capacity sheds most arrivals; the stream
         # must account served + shed = offered without double counting.
         stream = StreamingMetrics()
-        config = _streamed(stream, FleetConfig(n_chips=2), rps=100000.0)
+        config = _streamed(stream, FleetConfig(fleet="yoco:2"), rps=100000.0)
         report, result = simulate_serving(
             config=dataclasses.replace(
                 config, policy=PolicyConfig(admission="queue-cap:1")
@@ -335,7 +335,7 @@ class TestStreamingComposition:
         stream = StreamingMetrics()
         report, result = simulate_serving(
             config=_streamed(
-                stream, FleetConfig(n_chips=4), clients=32, think_time_ms=1.0
+                stream, FleetConfig(fleet="yoco:4"), clients=32, think_time_ms=1.0
             )
         )
         assert result.n_clients == 32
@@ -346,7 +346,7 @@ class TestStreamingComposition:
         stream = StreamingMetrics()
         config = _streamed(
             stream,
-            FleetConfig(n_chips=4),
+            FleetConfig(fleet="yoco:4"),
             tenants="chat:interactive:w=4:poisson@20000,"
             "bulk:batch:poisson@20000",
         )
@@ -364,7 +364,7 @@ class TestStreamingComposition:
         report, result = simulate_serving(
             config=_streamed(
                 stream,
-                FleetConfig(n_chips=8, elastic="1:8"),
+                FleetConfig(fleet="yoco:8", elastic="1:8"),
                 rps=80000.0,
                 trace_kind="diurnal",
             )

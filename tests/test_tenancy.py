@@ -43,7 +43,7 @@ from repro.serve.batching import ModelQueue
 
 def _one_chip(workload, policy=PolicyConfig()):
     return ServingConfig(
-        workload=workload, fleet=FleetConfig(n_chips=1), policy=policy
+        workload=workload, fleet=FleetConfig(fleet="yoco:1"), policy=policy
     )
 
 
@@ -53,7 +53,7 @@ def _tag(trace, tenant):
 
 @pytest.fixture(scope="module")
 def cluster():
-    return Cluster([get_workload("resnet18")], n_chips=1)
+    return Cluster([get_workload("resnet18")], fleet="yoco:1")
 
 
 # -- grammar -------------------------------------------------------------------------
@@ -185,7 +185,7 @@ class TestSchedulers:
             scheduler="weighted-fair",
         )
         engine = ServingEngine(
-            Cluster([get_workload("resnet18")], n_chips=1), tenancy=config
+            Cluster([get_workload("resnet18")], fleet="yoco:1"), tenancy=config
         )
         result = engine.run(merge_traces(heavy, light))
         mean = {

@@ -128,7 +128,7 @@ def _two_tenant_config(deadline_ms=None, **policy):
         workload=WorkloadConfig(
             models=("resnet18",), duration_s=0.01, seed=0, tenants=tenants
         ),
-        fleet=FleetConfig(n_chips=1),
+        fleet=FleetConfig(fleet="yoco:1"),
         policy=PolicyConfig(**policy),
     )
 
@@ -205,7 +205,7 @@ def _noisy_neighbor_run(seed, n_chips, attack_multiple, protected=True):
                 seed=seed,
                 tenants=tenants,
             ),
-            fleet=FleetConfig(n_chips=n_chips),
+            fleet=FleetConfig(fleet=f"yoco:{n_chips}"),
             policy=PolicyConfig(
                 scheduler="weighted-fair" if protected else "fifo"
             ),

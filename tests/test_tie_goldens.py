@@ -70,7 +70,7 @@ def _elastic_diurnal():
                 models=("mobilebert",), rps=20000.0, duration_s=0.1,
                 trace_kind="diurnal", seed=0,
             ),
-            fleet=FleetConfig(n_chips=8, elastic="1:8"),
+            fleet=FleetConfig(fleet="yoco:8", elastic="1:8"),
         )
     )[1]
 
@@ -102,7 +102,7 @@ def _buckets_preempt_shed():
                     "bulk:batch:poisson@20000:seqlen=uniform"
                 ),
             ),
-            fleet=FleetConfig(n_chips=1),
+            fleet=FleetConfig(fleet="yoco:1"),
             policy=PolicyConfig(
                 scheduler="weighted-fair", preemption=True,
                 admission="slo-aware",
