@@ -15,8 +15,9 @@ from repro.experiments.fig6 import (
 )
 
 #: Full fidelity by default (30 Monte-Carlo seeds, full training); set
-#: YOCO_BENCH_QUICK=1 for a fast smoke pass.
-FULL = not bool(int(os.environ.get("YOCO_BENCH_QUICK", "0")))
+#: REPRO_BENCH_SMOKE=1 for the smoke pass (the CI tier-2 job): 3 seeds,
+#: quick training, every band still asserted.
+FULL = os.environ.get("REPRO_BENCH_SMOKE", "") in ("", "0")
 
 
 def test_fig6a_transfer_curve(benchmark):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,58 +127,103 @@ class VariationModel:
         return cls(corner=corner, temperature_c=temperature_c)
 
     # -- sampling ------------------------------------------------------------
-    def sample_unit_capacitors(
-        self, shape: Tuple[int, ...], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw a static map of unit capacitances (farads) of given shape."""
+    # Every capacitor and charge-share draw is a transform of standard
+    # normals.  The ``*_from`` methods read those normals from a batch's
+    # :class:`Normals` block; the ``sample_*``, ``charge_injection`` and
+    # ``ktc_noise`` methods are the same transforms on a batch of one drawn
+    # from ``rng``, and draw the same numbers as ``rng.normal`` would.
+    def mismatch_draws(self, n: int) -> int:
+        """Standard normals that ``n`` unit capacitors or group sums draw."""
+        return n if self.cap_mismatch_sigma > 0.0 else 0
+
+    def share_noise_draws(self, n: int) -> int:
+        """Standard normals that one bank of ``n`` charge shares draws: its
+        kT/C noise, then its charge injection, each only when enabled."""
+        return n * (int(self.enable_ktc_noise) + int(self.charge_injection_sigma_volt > 0.0))
+
+    def unit_capacitors_from(self, shape: Tuple[int, ...], normals: Normals) -> np.ndarray:
+        """A (k, *shape) map of unit capacitances (farads), one per batch row."""
         nominal = constants.CU_FARAD * self.corner.capacitance_scale
         if self.cap_mismatch_sigma == 0.0:
-            return np.full(shape, nominal)
-        caps = rng.normal(1.0, self.cap_mismatch_sigma, size=shape)
+            return np.full((normals.k,) + tuple(shape), nominal)
+        # In place on the batch's own block: no map-sized temporaries.
+        caps = normals.take(shape)
+        caps *= self.cap_mismatch_sigma
+        caps += 1.0
         # Capacitance cannot go negative: clip the far tail at 0.1 units.
-        # In place: one map-sized allocation per instance.
         np.maximum(caps, _UNIT_CAP_FLOOR, out=caps)
         caps *= nominal
         return caps
 
-    def sample_group_capacitances(
-        self, counts: np.ndarray, n_rows: int, rng: np.random.Generator
+    def group_capacitances_from(
+        self, counts: np.ndarray, n_rows: int, normals: Normals
     ) -> np.ndarray:
-        """Draw, per row, the total capacitance (farads) of each group of
-        ``counts[k]`` unit capacitors; returns shape ``(n_rows, len(counts))``.
+        """Per batch row and row, the total capacitance (farads) of each
+        group of ``counts[j]`` unit capacitors; shape ``(k, n_rows, len(counts))``.
 
         ``n`` iid ``N(1, sigma)`` units sum to ``N(n, sigma * sqrt(n))``, so
-        one draw per group stands for ``n`` :meth:`sample_unit_capacitors`
-        units.  The sum ignores the per-unit clip at 0.1 units, which sits
-        ``0.9 / sigma`` standard deviations out: 90 sigma at the default
-        ``sigma = 0.01``, where the unclipped sum is exact to any sample
-        size a simulation can draw.  A ``sigma`` that puts the clip closer
-        than 10 standard deviations is refused.
+        one draw per group stands for ``n`` unit capacitors.  The sum ignores
+        the per-unit clip at 0.1 units, which sits ``0.9 / sigma`` standard
+        deviations out: 90 sigma at the default ``sigma = 0.01``, where the
+        unclipped sum is exact to any sample size a simulation can draw.  A
+        ``sigma`` that puts the clip closer than 10 standard deviations is
+        refused.
         """
         counts = np.asarray(counts, dtype=float)
         nominal = constants.CU_FARAD * self.corner.capacitance_scale
         shape = (n_rows, counts.size)
         if self.cap_mismatch_sigma == 0.0:
-            return np.broadcast_to(counts * nominal, shape).copy()
+            return np.broadcast_to(counts * nominal, (normals.k,) + shape).copy()
         if (1.0 - _UNIT_CAP_FLOOR) / self.cap_mismatch_sigma < _GROUP_SUM_CLIP_SIGMAS:
             raise ValueError(
                 f"cap_mismatch_sigma {self.cap_mismatch_sigma} puts the unit "
                 f"capacitor clip within {_GROUP_SUM_CLIP_SIGMAS:g} sigma; group "
                 "sums would not match sample_unit_capacitors"
             )
-        # standard_normal: normal() with array arguments checks them per call.
-        sums = rng.standard_normal(shape)
-        sums *= self.cap_mismatch_sigma * nominal * np.sqrt(counts)
-        sums += counts * nominal
-        return sums
+        # Flat over (rows, groups), with the per-group factors tiled to match:
+        # the same products, without a short inner loop per row.
+        sums = normals.take((n_rows * counts.size,))
+        sums *= np.tile(self.cap_mismatch_sigma * nominal * np.sqrt(counts), n_rows)
+        sums += np.tile(counts * nominal, n_rows)
+        return sums.reshape((normals.k,) + shape)
+
+    def charge_injection_from(self, n: int, normals: Normals) -> np.ndarray:
+        """(k, n) voltage offsets injected by one bank of n switching events."""
+        if self.charge_injection_sigma_volt == 0.0:
+            return np.zeros((normals.k, n))
+        return normals.take((n,)) * self.charge_injection_sigma_volt
+
+    def ktc_noise_from(self, total_capacitance_farad: np.ndarray, normals: Normals) -> np.ndarray:
+        """(k, n) kT/C noise of charge shares with the given (n,) or (k, n)
+        total capacitances."""
+        total = np.asarray(total_capacitance_farad, dtype=float)
+        n = total.shape[-1]
+        if not self.enable_ktc_noise:
+            return np.zeros((normals.k, n))
+        return normals.take((n,)) * np.sqrt(constants.KT_JOULE / total)
+
+    def sample_unit_capacitors(
+        self, shape: Tuple[int, ...], rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw a static map of unit capacitances (farads) of given shape."""
+        normals = Normals.draw([rng], self.mismatch_draws(int(np.prod(shape))))
+        return self.unit_capacitors_from(shape, normals)[0]
+
+    def sample_group_capacitances(
+        self, counts: np.ndarray, n_rows: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw, per row, the total capacitance (farads) of each group of
+        ``counts[k]`` unit capacitors; see :meth:`group_capacitances_from`."""
+        normals = Normals.draw([rng], self.mismatch_draws(n_rows * np.size(counts)))
+        return self.group_capacitances_from(counts, n_rows, normals)[0]
 
     def charge_injection(
         self, shape: Tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
         """Voltage offsets injected by one bank of switching events."""
-        if self.charge_injection_sigma_volt == 0.0:
-            return np.zeros(shape)
-        return rng.normal(0.0, self.charge_injection_sigma_volt, size=shape)
+        n = int(np.prod(shape))
+        normals = Normals.draw([rng], n if self.charge_injection_sigma_volt > 0.0 else 0)
+        return self.charge_injection_from(n, normals).reshape(shape)
 
     def ktc_noise(
         self,
@@ -186,10 +231,9 @@ class VariationModel:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """kT/C noise for charge shares with the given total capacitances."""
-        if not self.enable_ktc_noise:
-            return np.zeros_like(np.asarray(total_capacitance_farad, dtype=float))
-        sigma = np.sqrt(constants.KT_JOULE / np.asarray(total_capacitance_farad, dtype=float))
-        return rng.normal(0.0, 1.0, size=sigma.shape) * sigma
+        total = np.asarray(total_capacitance_farad, dtype=float)
+        normals = Normals.draw([rng], total.size if self.enable_ktc_noise else 0)
+        return self.ktc_noise_from(total.reshape(-1), normals).reshape(total.shape)
 
     def sample_vtc_gains(
         self, count: int, nominal_gain_s_per_volt: float, rng: np.random.Generator
@@ -212,6 +256,39 @@ class VariationModel:
         if self.vtc_jitter_sigma_s == 0.0:
             return np.zeros(shape)
         return rng.normal(0.0, self.vtc_jitter_sigma_s, size=shape)
+
+
+class Normals:
+    """A batch's standard normals, handed out bank by bank.
+
+    Row ``i`` of the (k, n) block holds batch member ``i``'s draws in the
+    order its generator made them; :meth:`take` returns the next bank of
+    every row as a (k, *shape) view, which the caller may overwrite.  So a
+    batch kernel that takes its banks in the order a single read drew them
+    reproduces k single reads bit for bit.
+    """
+
+    def __init__(self, block: np.ndarray) -> None:
+        self._block = block
+        self._at = 0
+
+    @classmethod
+    def draw(cls, rngs: Sequence[np.random.Generator], n: int) -> "Normals":
+        """Draw ``n`` standard normals from each generator, one row each."""
+        block = np.empty((len(rngs), n))
+        for row, rng in zip(block, rngs):
+            rng.standard_normal(out=row)
+        return cls(block)
+
+    @property
+    def k(self) -> int:
+        return self._block.shape[0]
+
+    def take(self, shape: Tuple[int, ...]) -> np.ndarray:
+        n = int(np.prod(shape))
+        bank = self._block[:, self._at : self._at + n]
+        self._at += n
+        return bank.reshape((self.k,) + tuple(shape))
 
 
 def make_rng(seed: Optional[int]) -> np.random.Generator:

@@ -23,33 +23,43 @@ The ideal result of the sequence is
 which the closed-form :meth:`InChargeArray.ideal_vmm_voltages` exposes for
 error analysis.
 
-Each phase is one module-level kernel.  :class:`InChargeArray` runs them on
-a persistent instance; :func:`mac_voltage_trial` runs the same kernels for
-Monte-Carlo, where every trial is a fresh instance read on one compute bar,
-drawn as only the capacitances and noise that bar reads.
+Each phase is one module-level kernel over a batch.  :class:`InChargeArray`
+runs them on a persistent instance for a batch of input vectors;
+:func:`mac_voltage_trial` runs the same kernels for Monte-Carlo over a
+chunk of trials, where every trial is a fresh instance read on one compute
+bar, drawn as only the capacitances and noise that bar reads.  Every batch
+draws, member by member, the numbers that one read or trial at a time
+draws, so a batch returns what its members return alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro import constants
-from repro.analog.variation import VariationModel, make_rng
+from repro.analog.montecarlo import BatchTrial
+from repro.analog.variation import Normals, VariationModel, make_rng
 from repro.core.charge import group_index_map
 from repro.core.config import ArrayConfig
 
 
 @dataclasses.dataclass(frozen=True)
 class ArrayDiagnostics:
-    """Intermediate node voltages of one VMM (for circuit-level analysis)."""
+    """Intermediate node voltages of one VMM, or of a batch of k with a
+    leading k axis (for circuit-level analysis)."""
 
     input_voltages: np.ndarray  # (rows,) post-phase-1 row voltages
     column_voltages: np.ndarray  # (cols,) post-phase-3 column voltages
     mac_voltages: np.ndarray  # (n_cbs,) post-phase-4 CB outputs
+
+
+#: Reads per array kernel call: a chunk's (8, 128, 256) phase-1 charge map
+#: is 2 MB.
+_READ_CHUNK = 8
 
 
 # -- kernels shared by the array and the Monte-Carlo trial ---------------------------
@@ -81,10 +91,13 @@ def _column_caps(
     caps: np.ndarray, share_mask: np.ndarray, cb_cols: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Shared-node capacitances of the column and bar shares of ``caps``,
-    whose columns are whole compute bars: (per column, each column's phase-4
-    participating capacitance, per bar)."""
-    part = np.where(share_mask, caps, 0.0).sum(axis=0)
-    return caps.sum(axis=0), part, part.reshape(-1, cb_cols).sum(axis=1)
+    (..., rows, cols) whose columns are whole compute bars: (per column, each
+    column's phase-4 participating capacitance, per bar).  einsum adds the
+    rows in order, as ``caps.sum(axis=-2)`` does, with less overhead on a
+    batch of narrow bars."""
+    part = np.einsum("...rc->...c", np.where(share_mask, caps, 0.0))
+    bars = part.reshape(part.shape[:-1] + (-1, cb_cols)).sum(axis=-1)
+    return np.einsum("...rc->...c", caps), part, bars
 
 
 def _checked_weights(weights: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
@@ -99,9 +112,12 @@ def _checked_weights(weights: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
 
 
 def _checked_inputs(x: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Input codes of one read, (rows,), or of a batch, (k, rows)."""
     codes = np.asarray(x)
-    if codes.shape != (cfg.rows,):
-        raise ValueError(f"expected input of shape ({cfg.rows},), got {codes.shape}")
+    if codes.ndim not in (1, 2) or codes.shape[-1] != cfg.rows:
+        raise ValueError(
+            f"expected input of shape ({cfg.rows},) or (k, {cfg.rows}), got {codes.shape}"
+        )
     if np.any(codes < 0) or np.any(codes >= (1 << cfg.input_bits)):
         raise ValueError(f"input codes must be in [0, {(1 << cfg.input_bits) - 1}]")
     return codes.astype(np.int64)
@@ -115,50 +131,62 @@ def _bit_planes(weights: np.ndarray, layout: _Layout, cb_cols: int) -> np.ndarra
 
 
 def _input_bits(codes: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    return (codes[:, None] >> np.arange(cfg.input_bits)[None, :]) & 1
+    return (codes[..., None] >> np.arange(cfg.input_bits)) & 1
 
 
-def _group_voltages(codes: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Phase-1 (rows, groups) eDAC group voltages: group 0 pinned to VSS,
-    group k>=1 driven to VDD when input bit k-1 is set."""
+def _activations(bits: np.ndarray, cfg: ArrayConfig) -> int:
+    """MCC charging events of phase 1: every unit of each eDAC group whose
+    input bit is set; ``bits`` from :func:`_input_bits`."""
+    return int((bits * np.asarray(cfg.row_group_sizes[1:])).sum())
+
+
+def _group_voltages(bits: np.ndarray) -> np.ndarray:
+    """Phase-1 (..., rows, groups) eDAC group voltages from the input
+    ``bits``: group 0 pinned to VSS, group k>=1 driven to VDD when input bit
+    k-1 is set."""
     return np.concatenate(
-        [np.zeros((cfg.rows, 1)), _input_bits(codes, cfg) * constants.VDD_VOLT], axis=1
+        [np.zeros(bits.shape[:-1] + (1,)), bits * constants.VDD_VOLT], axis=-1
     )
 
 
-def _pre_share_voltages(
-    codes: np.ndarray, cfg: ArrayConfig, layout: _Layout
-) -> np.ndarray:
-    """Phase-1 (rows, cols) capacitor voltages before the row share."""
-    # take, not fancy indexing, which returns a Fortran-ordered array here
-    # (several times slower to multiply with the C-ordered capacitor map).
-    return _group_voltages(codes, cfg).take(layout.col_group, axis=1)
+def _row_share(charge: np.ndarray, total_cap: np.ndarray) -> np.ndarray:
+    """Phase 1: each row's nodes share their charge; ``charge`` holds the
+    (..., rows, nodes) product C * V of every node."""
+    return charge.sum(axis=-1) / total_cap
 
 
-def _share(
-    caps: np.ndarray, volts: np.ndarray, total_cap: np.ndarray, axis: int
+def _column_share(
+    v_rows: np.ndarray, cell_caps: np.ndarray, total_cap: np.ndarray
 ) -> np.ndarray:
-    """Noiseless voltage of charge shares along ``axis``: sum(C*V) / sum(C)."""
-    return (caps * volts).sum(axis=axis) / total_cap
+    """Phases 2 and 3: the RWL pulse keeps each (k, rows) row voltage where
+    the stored bit is 1 and discharges it where it is 0, and each column
+    shares the rows' charge.  ``cell_caps`` is each capacitor's capacitance
+    times its stored bit, (rows, cols) or (k, rows, cols).  einsum adds the
+    rows in order, as ``(caps * v_cells).sum(axis=0)`` does."""
+    subscripts = "kr,rc->kc" if cell_caps.ndim == 2 else "kr,krc->kc"
+    return np.einsum(subscripts, v_rows, cell_caps) / total_cap
 
 
 def _bar_share(
     part: np.ndarray, v_cols: np.ndarray, bars: np.ndarray, cb_cols: int
 ) -> np.ndarray:
-    """Phase 4: each compute bar's columns share their participating capacitors."""
-    return _share(part.reshape(-1, cb_cols), v_cols.reshape(-1, cb_cols), bars, axis=1)
+    """Phase 4: each compute bar's columns share their participating
+    capacitors; (k, cols) column voltages -> (k, n_cbs)."""
+    bar_shape = (v_cols.shape[-1] // cb_cols, cb_cols)
+    charge = part.reshape(part.shape[:-1] + bar_shape) * v_cols.reshape(len(v_cols), *bar_shape)
+    return charge.sum(axis=-1) / bars
 
 
 def _settle(
     v: np.ndarray,
     total_cap: np.ndarray,
     variation: VariationModel,
-    rng: np.random.Generator,
+    normals: Normals,
 ) -> np.ndarray:
-    """Add one bank of shares' kT/C and charge-injection noise and clip to
-    the rails."""
-    v = v + variation.ktc_noise(total_cap, rng)
-    v = v + variation.charge_injection(total_cap.shape, rng)
+    """Add one bank of (k, n) shares' kT/C and charge-injection noise, read
+    from ``normals`` in that order, and clip to the rails."""
+    v = v + variation.ktc_noise_from(total_cap, normals)
+    v = v + variation.charge_injection_from(v.shape[-1], normals)
     # np.clip, without its wrapper's cost on these short vectors.
     return np.minimum(np.maximum(v, constants.VSS_VOLT), constants.VDD_VOLT)
 
@@ -173,7 +201,7 @@ class InChargeArray:
     variation:
         Analog error model.  Mismatch maps are sampled once at construction
         (mismatch is static per fabricated instance); per-event noise (kT/C,
-        charge injection) is drawn per VMM.
+        charge injection) is drawn per read, in read order.
     seed:
         Seed for the instance's RNG.
     rng:
@@ -252,74 +280,74 @@ class InChargeArray:
         """The programmed (rows, n_cbs) unsigned weight matrix."""
         return self._weights.copy()
 
-    # -- phase 1: DAC-less input conversion ------------------------------------------
+    # -- reads ----------------------------------------------------------------------
     def convert_inputs(self, x: np.ndarray) -> np.ndarray:
-        """Row charge share converting digital inputs to analog voltages.
+        """Phase 1 alone: the row charge share converting digital inputs to
+        analog voltages.
 
         Parameters
         ----------
         x:
-            Unsigned input codes, shape (rows,), each in [0, 255].
+            Unsigned input codes, each in [0, 255]: one read of shape
+            (rows,) or a batch of shape (k, rows).
 
         Returns
         -------
-        Post-share row voltages, shape (rows,).
+        Post-share row voltages, shape (rows,) or (k, rows).
         """
-        pre_share = _pre_share_voltages(
-            _checked_inputs(x, self._config), self._config, self._layout
-        )
-        self._activation_count += int(np.count_nonzero(pre_share))
-        v_rows = _share(self._caps, pre_share, self._row_caps, axis=1)
-        return _settle(v_rows, self._row_caps, self._variation, self._rng)
+        (v_rows,) = self._read(x, vmm=False)
+        return v_rows
 
-    # -- phase 2: 1-bit multiplication ---------------------------------------------
-    def multiply(self, v_rows: np.ndarray) -> np.ndarray:
-        """RWL pulse: keep the row voltage where the stored bit is 1,
-        discharge to VSS where it is 0.  Returns (rows, cols) voltages."""
-        if not self._programmed:
-            raise RuntimeError("program_weights must be called before computing")
-        v = np.asarray(v_rows, dtype=float)
-        if v.shape != (self._config.rows,):
-            raise ValueError(f"expected ({self._config.rows},) row voltages")
-        return v[:, None] * self._weight_bits
-
-    # -- phase 3: parallel accumulation ----------------------------------------------
-    def accumulate_columns(self, v_cells: np.ndarray) -> np.ndarray:
-        """Column-wide charge share: (rows, cols) -> (cols,) voltages."""
-        cfg = self._config
-        if v_cells.shape != (cfg.rows, cfg.cols):
-            raise ValueError("cell voltage matrix has wrong shape")
-        v_cols = _share(self._caps, v_cells, self._col_caps, axis=0)
-        return _settle(v_cols, self._col_caps, self._variation, self._rng)
-
-    # -- phase 4: weighted summation ---------------------------------------------------
-    def weighted_sum(self, v_cols: np.ndarray) -> np.ndarray:
-        """Multi-column charge share inside each CB: (cols,) -> (n_cbs,).
-
-        Column ``b`` contributes ``2^b`` unit capacitors, realising the
-        binary shift-and-add as a capacitance-ratioed average.
-        """
-        cfg = self._config
-        if v_cols.shape != (cfg.cols,):
-            raise ValueError("column voltage vector has wrong shape")
-        v_mac = _bar_share(self._part_caps, v_cols, self._bar_caps, cfg.cb_cols)
-        return _settle(v_mac, self._bar_caps, self._variation, self._rng)
-
-    # -- full VMM -------------------------------------------------------------------
     def vmm_voltages(self, x: np.ndarray) -> np.ndarray:
-        """Run all four phases; returns the (n_cbs,) MAC voltages."""
+        """Run all four phases on an input of shape (rows,) or a batch of
+        shape (k, rows); returns the (n_cbs,) or (k, n_cbs) MAC voltages."""
         return self.vmm_diagnostics(x).mac_voltages
 
     def vmm_diagnostics(self, x: np.ndarray) -> ArrayDiagnostics:
-        """Run all four phases keeping every intermediate node voltage."""
-        v_rows = self.convert_inputs(x)
-        v_cells = self.multiply(v_rows)
-        v_cols = self.accumulate_columns(v_cells)
-        v_mac = self.weighted_sum(v_cols)
-        self._vmm_count += 1
-        return ArrayDiagnostics(
-            input_voltages=v_rows, column_voltages=v_cols, mac_voltages=v_mac
-        )
+        """Run all four phases keeping every intermediate node voltage.
+
+        A batch draws, read by read, the numbers that one read at a time
+        would, so it returns what ``k`` single reads return, bit for bit.
+        """
+        if not self._programmed:
+            raise RuntimeError("program_weights must be called before computing")
+        return ArrayDiagnostics(*self._read(x, vmm=True))
+
+    def _read(self, x: np.ndarray, vmm: bool) -> "list[np.ndarray]":
+        """Phase 1, and phases 2-4 when ``vmm``, _READ_CHUNK reads at a time;
+        returns the row voltages, and the column and MAC voltages when ``vmm``."""
+        codes = _checked_inputs(x, self._config)
+        batch = codes.reshape(-1, self._config.rows)
+        # An empty batch still runs one (empty) chunk, for its shapes.
+        chunks = [
+            self._read_chunk(batch[i : i + _READ_CHUNK], vmm)
+            for i in range(0, max(len(batch), 1), _READ_CHUNK)
+        ]
+        nodes = [np.concatenate(parts) for parts in zip(*chunks)]
+        if vmm:
+            self._vmm_count += len(batch)
+        return nodes if codes.ndim == 2 else [node[0] for node in nodes]
+
+    def _read_chunk(self, codes: np.ndarray, vmm: bool) -> "tuple[np.ndarray, ...]":
+        cfg, variation = self._config, self._variation
+        shares = cfg.rows + (cfg.cols + cfg.n_cbs if vmm else 0)
+        normals = Normals(self._rng.standard_normal(
+            (len(codes), variation.share_noise_draws(shares))
+        ))
+        bits = _input_bits(codes, cfg)
+        self._activation_count += _activations(bits, cfg)
+        # (k, rows, cols) capacitor voltages before the row share, then their
+        # charge.  take, not fancy indexing, which returns a Fortran-ordered
+        # array here.
+        charge = _group_voltages(bits).take(self._layout.col_group, axis=-1)
+        charge *= self._caps
+        v_rows = _settle(_row_share(charge, self._row_caps), self._row_caps, variation, normals)
+        if not vmm:
+            return (v_rows,)
+        v_cols = _column_share(v_rows, self._caps * self._weight_bits, self._col_caps)
+        v_cols = _settle(v_cols, self._col_caps, variation, normals)
+        v_mac = _bar_share(self._part_caps, v_cols, self._bar_caps, cfg.cb_cols)
+        return v_rows, v_cols, _settle(v_mac, self._bar_caps, variation, normals)
 
     def ideal_vmm_voltages(self, x: np.ndarray) -> np.ndarray:
         """Closed-form noiseless MAC voltages for the programmed weights."""
@@ -345,9 +373,7 @@ class InChargeArray:
         and TDAs bill per VMM.
         """
         cfg = self._config
-        bits = _input_bits(_checked_inputs(x, cfg), cfg)
-        group_sizes = np.asarray(cfg.row_group_sizes[1:])
-        activations = float((bits * group_sizes[None, :]).sum())
+        activations = float(_activations(_input_bits(_checked_inputs(x, cfg), cfg), cfg))
         return (
             activations * cfg.mcc_energy_fj * 1e-3
             + cfg.row_driver_count * cfg.row_driver_energy_fj * 1e-3
@@ -374,7 +400,9 @@ def _bar_operands(
     node per eDAC group's units outside the bar."""
     layout = _layout(cfg)
     planes = _bit_planes(_checked_weights(weights, cfg), layout, cfg.cb_cols)
-    group_volts = _group_voltages(_checked_inputs(x, cfg), cfg)
+    if np.ndim(x) != 1:
+        raise ValueError(f"a trial reads one input of shape ({cfg.rows},), got {np.shape(x)}")
+    group_volts = _group_voltages(_input_bits(_checked_inputs(x, cfg), cfg))
     if not 0 <= cb < cfg.n_cbs:
         raise ValueError(f"compute bar {cb} out of range [0, {cfg.n_cbs})")
     cols = slice(cb * cfg.cb_cols, (cb + 1) * cfg.cb_cols)
@@ -392,33 +420,55 @@ def _bar_operands(
     )
 
 
-def _bar_mac_voltage(
+def _bar_mac_voltages(
     bar_caps: np.ndarray,
     outside_caps: np.ndarray,
     ops: _BarOperands,
     variation: VariationModel,
-    rng: np.random.Generator,
-) -> float:
-    """Bar ``ops.cols``'s MAC voltage from its (rows, cb_cols) unit
-    capacitors and the (rows, m) total capacitance of each of
-    ``ops.outside_groups``'s units outside the bar in every row.
+    normals: Normals,
+) -> np.ndarray:
+    """Bar ``ops.cols``'s MAC voltage on each of k instances, from their
+    (k, rows, cb_cols) unit capacitors and the (k, rows, m) total
+    capacitance of each of ``ops.outside_groups``'s units outside the bar
+    in every row; returns (k,).
 
     Phase 1 shares each row over those nodes: a charge share needs only each
     node's capacitance and voltage, and an eDAC group's units outside the bar
     all sit at the group's voltage.  Phases 2-4 run on the bar's own
-    capacitors.  Noise is drawn for the shares read: every row, the bar's
-    columns and the bar.
+    capacitors.  Noise is read from ``normals`` for the shares read: every
+    row, the bar's columns and the bar.
     """
-    cb_cols = bar_caps.shape[1]
-    row_nodes = np.concatenate((bar_caps, outside_caps), axis=1)
-    row_caps = row_nodes.sum(axis=1)
-    v_rows = _share(row_nodes, ops.row_volts, row_caps, axis=1)
-    v_rows = _settle(v_rows, row_caps, variation, rng)
+    cb_cols = bar_caps.shape[-1]
+    row_nodes = np.concatenate((bar_caps, outside_caps), axis=-1)
+    row_caps = row_nodes.sum(axis=-1)
+    v_rows = _row_share(row_nodes * ops.row_volts, row_caps)
+    v_rows = _settle(v_rows, row_caps, variation, normals)
     col_caps, part_caps, bar_cap = _column_caps(bar_caps, ops.share_mask, cb_cols)
-    v_cols = _share(bar_caps, v_rows[:, None] * ops.planes, col_caps, axis=0)
-    v_cols = _settle(v_cols, col_caps, variation, rng)
+    v_cols = _column_share(v_rows, bar_caps * ops.planes, col_caps)
+    v_cols = _settle(v_cols, col_caps, variation, normals)
     v_mac = _bar_share(part_caps, v_cols, bar_cap, cb_cols)
-    return float(_settle(v_mac, bar_cap, variation, rng)[0])
+    return _settle(v_mac, bar_cap, variation, normals)[:, 0]
+
+
+class _BarTrial(BatchTrial):
+    """Bar ``ops.cols``'s MAC voltage on fresh array instances."""
+
+    def __init__(self, ops: _BarOperands, variation: VariationModel, cfg: ArrayConfig) -> None:
+        self._ops = ops
+        self._variation = variation
+        self._cfg = cfg
+        m = len(ops.outside_counts)
+        self._draws = variation.mismatch_draws(cfg.rows * (cfg.cb_cols + m))
+        self._draws += variation.share_noise_draws(cfg.rows + cfg.cb_cols + 1)
+
+    def batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        cfg, variation = self._cfg, self._variation
+        normals = Normals.draw(rngs, self._draws)
+        bar_caps = variation.unit_capacitors_from((cfg.rows, cfg.cb_cols), normals)
+        outside_caps = variation.group_capacitances_from(
+            self._ops.outside_counts, cfg.rows, normals
+        )
+        return _bar_mac_voltages(bar_caps, outside_caps, self._ops, variation, normals)
 
 
 def mac_voltage_trial(
@@ -426,7 +476,7 @@ def mac_voltage_trial(
     x: np.ndarray,
     variation: VariationModel,
     cb: int = 0,
-) -> Callable[[np.random.Generator], float]:
+) -> BatchTrial:
     """A Monte-Carlo trial: compute bar ``cb``'s MAC voltage on a fresh array.
 
     ``trial(rng)`` is distributed as the MAC voltage that
@@ -436,30 +486,27 @@ def mac_voltage_trial(
     samples only what bar ``cb`` reads:
 
     * the bar's (rows, cb_cols) unit capacitors, through
-      ``variation.sample_unit_capacitors``;
+      ``variation.unit_capacitors_from``;
     * per row, one total capacitance for each eDAC group's units outside the
-      bar, through ``variation.sample_group_capacitances``.  Phase 1 needs
+      bar, through ``variation.group_capacitances_from``.  Phase 1 needs
       no more, since those units share one voltage; bar 0 holds groups 0-3,
       so its rows need 8 + 5 capacitances instead of 256;
     * kT/C and charge-injection noise of every row share, the bar's column
       shares and the bar share, not of shares that are never read.
 
+    Each trial draws its numbers as one block of standard normals from its
+    own generator: for bar 0 at the default variation, 1,024 unit
+    capacitors, 640 group sums and 2 x (128 + 8 + 1) noise values.
+    ``trial.batch(rngs)`` evaluates a chunk of trials in one kernel and
+    returns what ``trial`` returns on each generator, bit for bit.
     Operands are validated once, with the array's error messages.  On a
-    shared 2-vCPU Xeon host a trial takes about 0.17 ms, against 0.7 ms for
-    the full (128, 256) map and 256-column banks an array instance draws.
+    shared 2-vCPU Xeon host a trial takes 65-105 us in 64-trial chunks, with
+    the host's load, about half of it its generator and its draws
+    (:func:`repro.experiments.fig6.run_fig6d`), against 0.7 ms for the full
+    (128, 256) map and 256-column banks an array instance draws.
     """
     cfg = ArrayConfig()
-    ops = _bar_operands(weights, x, cb, cfg)
-    bar_shape = (cfg.rows, cfg.cb_cols)
-
-    def trial(rng: np.random.Generator) -> float:
-        bar_caps = variation.sample_unit_capacitors(bar_shape, rng)
-        outside_caps = variation.sample_group_capacitances(
-            ops.outside_counts, cfg.rows, rng
-        )
-        return _bar_mac_voltage(bar_caps, outside_caps, ops, variation, rng)
-
-    return trial
+    return _BarTrial(_bar_operands(weights, x, cb, cfg), variation, cfg)
 
 
 def input_conversion_transfer_curve(
@@ -474,9 +521,6 @@ def input_conversion_transfer_curve(
     if not 0 <= row < cfg.rows:
         raise ValueError(f"row {row} out of range")
     codes = np.arange(n_codes)
-    voltages = np.empty(n_codes)
-    x = np.zeros(cfg.rows, dtype=np.int64)
-    for code in codes:
-        x[row] = code
-        voltages[code] = array.convert_inputs(x)[row]
-    return codes, voltages
+    x = np.zeros((n_codes, cfg.rows), dtype=np.int64)
+    x[:, row] = codes
+    return codes, array.convert_inputs(x)[:, row]

@@ -218,12 +218,9 @@ class YocoMatmulEngine:
         if self._mode == "ideal":
             return (x_tile.astype(np.int64) @ w_tile.astype(np.int64)).astype(float)
         unit, programmed = self._tile_unit(k_index, n_index, cfg, w_tile)
-        if self._mode == "fast":
-            if programmed and self._readout == "auto-window":
-                self._calibrate_window(unit, x_tile, w_tile)
-            return unit.vmm_dequantized_batch(x_tile)
-        rows = [unit.vmm_dequantized(x_tile[i]) for i in range(m)]
-        return np.stack(rows, axis=0)
+        if programmed and self._readout == "auto-window":
+            self._calibrate_window(unit, x_tile, w_tile)
+        return unit.vmm_dequantized_batch(x_tile)
 
     def _calibrate_window(self, unit: FastIMA, x_tile: np.ndarray, w_tile: np.ndarray) -> None:
         """Program per-column readout windows from the calibration batch.

@@ -134,26 +134,43 @@ class DetailedIMA:
         return None if self._weights is None else self._weights.copy()
 
     # -- compute --------------------------------------------------------------------
-    def vmm(self, x: np.ndarray) -> np.ndarray:
-        """One full VMM; returns (output_dim,) 8-bit codes."""
+    def vmm_batch(self, x_batch: np.ndarray) -> np.ndarray:
+        """Batched VMM: (m, input_dim) codes -> (m, output_dim) 8-bit codes.
+
+        Each array reads the whole batch in one call and the TDA chains
+        convert vector by vector, so every generator draws what ``m`` single
+        :meth:`vmm` calls draw and the codes are theirs, bit for bit.
+        """
         cfg = self._config
         if self._weights is None:
             raise RuntimeError("program_weights must be called before vmm")
-        codes_in = np.asarray(x)
-        if codes_in.shape != (cfg.input_dim,):
-            raise ValueError(f"expected input of shape ({cfg.input_dim},)")
+        x = np.asarray(x_batch)
+        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+            raise ValueError(f"expected (m, {cfg.input_dim}) inputs, got {x.shape}")
         rows_per = cfg.array.rows
-        # Stage voltages per chain: V[output, grid_row].
-        stage_volts = np.empty((cfg.output_dim, cfg.grid_rows))
+        cbs_per = cfg.array.n_cbs
+        # Stage voltages per chain: V[vector, output, grid_row].
+        stage_volts = np.empty((len(x), cfg.output_dim, cfg.grid_rows))
         for a, row in enumerate(self._arrays):
-            x_slice = codes_in[a * rows_per : (a + 1) * rows_per]
+            x_slice = x[:, a * rows_per : (a + 1) * rows_per]
             for c, array in enumerate(row):
-                v_mac = array.vmm_voltages(x_slice)  # (n_cbs,)
-                out = slice(c * cfg.array.n_cbs, (c + 1) * cfg.array.n_cbs)
-                stage_volts[out, a] = v_mac
-        delta_t = self._tda.accumulate(stage_volts)
-        self._vmm_count += 1
-        return self._tdc.quantize(delta_t)
+                stage_volts[:, c * cbs_per : (c + 1) * cbs_per, a] = array.vmm_voltages(x_slice)
+        codes = np.empty((len(x), cfg.output_dim), dtype=np.int64)
+        for i, volts in enumerate(stage_volts):
+            codes[i] = self._tdc.quantize(self._tda.accumulate(volts))
+        self._vmm_count += len(x)
+        return codes
+
+    def vmm(self, x: np.ndarray) -> np.ndarray:
+        """One full VMM; returns (output_dim,) 8-bit codes."""
+        codes_in = np.asarray(x)
+        if codes_in.shape != (self._config.input_dim,):
+            raise ValueError(f"expected input of shape ({self._config.input_dim},)")
+        return self.vmm_batch(codes_in[None, :])[0]
+
+    def vmm_dequantized_batch(self, x_batch: np.ndarray) -> np.ndarray:
+        """Batched VMM returning estimated integer dot products (codes rescaled)."""
+        return self.vmm_batch(x_batch).astype(float) * self.dot_product_per_code
 
     def vmm_dequantized(self, x: np.ndarray) -> np.ndarray:
         """VMM returning estimated integer dot products (codes rescaled)."""
@@ -168,8 +185,10 @@ class DetailedIMA:
         return np.clip(codes, 0, self._tdc.max_code)
 
     def code_error(self, x: np.ndarray) -> np.ndarray:
-        """Signed end-to-end error in code units (1 code = 1/256 full scale)."""
-        return self.vmm(x).astype(float) - self.ideal_codes(x).astype(float)
+        """Signed end-to-end error in code units (1 code = 1/256 full scale)
+        of one input, (input_dim,), or of a batch, (m, input_dim)."""
+        read = self.vmm_batch if np.ndim(x) == 2 else self.vmm
+        return read(x).astype(float) - self.ideal_codes(x).astype(float)
 
     # -- costs ----------------------------------------------------------------------
     @property

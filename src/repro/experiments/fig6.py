@@ -102,20 +102,17 @@ def run_fig6bc(seed: int = 0, step: int = 1) -> Fig6bcResult:
         w_volts.append(measured)
         w_err.append((measured - ideal) / array.full_scale_volt)
 
+    # The input sweep reads one programmed array: one batch of inputs.
     array.program_weights(np.full((cfg.rows, cfg.n_cbs), 255))
-    i_volts, i_err = [], []
-    for x in codes:
-        xv = np.full(cfg.rows, x)
-        measured = array.vmm_voltages(xv)[0]
-        ideal = array.ideal_vmm_voltages(xv)[0]
-        i_volts.append(measured)
-        i_err.append((measured - ideal) / array.full_scale_volt)
+    xs = np.repeat(codes[:, None], cfg.rows, axis=1)
+    i_volts = array.vmm_voltages(xs)[:, 0]
+    i_err = (i_volts - array.ideal_vmm_voltages(xs)[:, 0]) / array.full_scale_volt
 
     return Fig6bcResult(
         weight_sweep_voltages=np.asarray(w_volts),
-        input_sweep_voltages=np.asarray(i_volts),
+        input_sweep_voltages=i_volts,
         weight_sweep_error=np.asarray(w_err),
-        input_sweep_error=np.asarray(i_err),
+        input_sweep_error=i_err,
     )
 
 
@@ -125,12 +122,15 @@ def run_fig6d(n_samples: int = 2000, seed: int = 42) -> MonteCarloResult:
 
     Each trial is a fresh array instance read on compute bar 0, drawn by
     :func:`~repro.core.array.mac_voltage_trial` as bar 0's 1,024 unit
-    capacitors, 640 eDAC-group sums and the noise of the shares it reads.
-    On a shared 2-vCPU Xeon host 2,000 trials take about 0.34 s (0.17 ms a
+    capacitors, 640 eDAC-group sums and the noise of the shares it reads,
+    and evaluated 64 trials to a kernel call.  On a shared 2-vCPU Xeon
+    host 2,000 trials take 0.13-0.21 s with the host's load (65-105 us a
     trial; drawing all 32,768 unit capacitors of an instance took 1.39 s).
-    The capacitor and group draws are about a quarter of a trial, phases
-    1-4 with their noise about 45 %, and the trial's generator, the
-    harness loop and call overhead the rest.
+    Half of a trial is a floor that batching cannot lower: in a run at
+    105 us a trial, spawning and building the trial's generator took
+    20 us and drawing its 1,938 normals 33 us.  Phases 1-4 over the chunk
+    take the rest.  A further speed-up needs fewer draws, which would
+    change the samples.
     """
     rng = np.random.default_rng(0)
     weights = rng.integers(0, 256, (constants.ARRAY_ROWS, constants.CBS_PER_ARRAY))
@@ -159,12 +159,10 @@ def run_fig6e(seed: int = 0, n_vectors: int = 8) -> Fig6eResult:
     # Array-level MAC error over random vectors.
     array = InChargeArray(variation=VariationModel.typical(), seed=seed)
     array.program_weights(rng.integers(0, 256, (128, 32)))
-    mac_errors = []
-    for _ in range(n_vectors):
-        x = rng.integers(0, 256, 128)
-        err = (array.vmm_voltages(x) - array.ideal_vmm_voltages(x)) / array.full_scale_volt
-        mac_errors.append(err)
-    mac_percent = 100.0 * float(np.abs(np.concatenate(mac_errors)).max())
+    # One (n_vectors, 128) draw holds the codes n_vectors single draws would.
+    xs = rng.integers(0, 256, (n_vectors, 128))
+    mac_errors = (array.vmm_voltages(xs) - array.ideal_vmm_voltages(xs)) / array.full_scale_volt
+    mac_percent = 100.0 * float(np.abs(mac_errors).max())
 
     # TDA-only error.
     tda = TimeDomainAccumulator(n_chains=256, n_stages=8, seed=seed)
@@ -174,11 +172,8 @@ def run_fig6e(seed: int = 0, n_vectors: int = 8) -> Fig6eResult:
     # End-to-end IMA error (codes vs ideal integer codes).
     ima = DetailedIMA(seed=seed)
     ima.program_weights(rng.integers(0, 256, (1024, 256)))
-    code_errors = []
-    for _ in range(n_vectors):
-        x = rng.integers(0, 256, 1024)
-        code_errors.append(ima.code_error(x))
-    e2e_percent = 100.0 * float(np.abs(np.concatenate(code_errors)).max()) / 256.0
+    code_errors = ima.code_error(rng.integers(0, 256, (n_vectors, 1024)))
+    e2e_percent = 100.0 * float(np.abs(code_errors).max()) / 256.0
 
     return Fig6eResult(
         mac_error_percent=mac_percent,

@@ -5,9 +5,8 @@ Replays the PR 3 differential scenarios (``tests/test_hetero_differential``
 admission-enabled engine path with the explicit :class:`AcceptAll` policy.
 Admission then gates every arrival but rejects none, touches no float of
 the simulation, and the formatted reports plus the bit-exact per-request
-digests must match the pre-admission golden captures byte for byte — on
-both construction paths, and stacked under an *unconstrained* power
-governor (the PR 4 no-op invariant must survive the new layer too).
+digests must match the pre-admission golden captures byte for byte —
+alone, and stacked under an *unconstrained* power governor (the PR 4 no-op invariant must survive the new layer too).
 
 The counterweight classes prove the layer is genuinely wired in: a
 binding queue-depth cap must shed requests and change the digest, while
@@ -25,7 +24,7 @@ from test_hetero_differential import (
     served_digest,
 )
 
-from repro.serve import PowerConfig, format_serving
+from repro.serve import PowerConfig, format_serving, parse_fleet
 from repro.serve.admission import AcceptAll
 
 
@@ -41,28 +40,18 @@ def golden_digests():
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestAcceptAllGolden:
-    def test_legacy_path_with_accept_all_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, _ = SCENARIOS[scenario]
+    def test_accept_all_matches_golden(self, scenario, golden_digests):
+        config, spec_built = SCENARIOS[scenario]
+        # The fleet string names the spec-built fleet: one run covers both.
+        assert parse_fleet(config.fleet.fleet) == spec_built.fleet
         report, result = _run(
-            replace_in(legacy, "policy", admission=AcceptAll())
+            replace_in(config, "policy", admission=AcceptAll())
         )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # The layer ran (the result knows its policy) yet shed nothing.
         assert result.admission == "accept-all"
         assert result.rejected == () and result.n_rejections == 0
-
-    def test_fleet_path_with_accept_all_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, fleet = SCENARIOS[scenario]
-        report, result = _run(
-            replace_in(legacy, "policy", admission=AcceptAll()), fleet
-        )
-        assert format_serving(report) == _golden_text(scenario)
-        assert served_digest(result) == golden_digests[scenario]
 
     def test_accept_all_spec_string_matches_golden(
         self, scenario, golden_digests

@@ -52,7 +52,7 @@ class TestWeightProgramming:
     def test_compute_requires_programming(self):
         array = _ideal()
         with pytest.raises(RuntimeError):
-            array.multiply(np.zeros(128))
+            array.vmm_voltages(np.zeros(128, dtype=int))
 
 
 class TestPhase1InputConversion:

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro import constants
 from repro.analog.montecarlo import run_monte_carlo
-from repro.analog.variation import Corner, VariationModel
+from repro.analog.variation import Corner, Normals, VariationModel
 from repro.core.array import (
     InChargeArray,
-    _bar_mac_voltage,
+    _bar_mac_voltages,
     _bar_operands,
     _layout,
     mac_voltage_trial,
@@ -75,10 +75,13 @@ def test_kernel_equals_array_on_the_arrays_capacitors(seed, cb, corner, temperat
     cfg = array.config
     caps = array.capacitances
     ops = _bar_operands(weights, x, cb, cfg)
-    got = _bar_mac_voltage(
-        caps[:, ops.cols], _outside_sums(caps, ops, cfg), ops, variation, rng
+    # A batch of one instance: these shares draw no noise.
+    got = _bar_mac_voltages(
+        caps[None, :, ops.cols], _outside_sums(caps, ops, cfg)[None], ops, variation,
+        Normals(np.empty((1, 0))),
     )
-    np.testing.assert_allclose(got, array.vmm_voltages(x)[cb], rtol=1e-12, atol=0.0)
+    assert got.shape == (1,)
+    np.testing.assert_allclose(got[0], array.vmm_voltages(x)[cb], rtol=1e-12, atol=0.0)
 
 
 def test_bar_zero_reads_eight_units_and_five_groups_per_row():

@@ -6,8 +6,7 @@ Replays the PR 3 differential scenarios (``tests/test_hetero_differential``
 (``min == max == n_chips``).  No chip can ever join or leave, the engine
 collapses the config before the fast-path gate, and the formatted
 reports plus the bit-exact per-request digests must match the
-pre-elastic golden captures byte for byte — on both construction paths,
-and stacked under the other no-op layers (accept-all admission, an
+pre-elastic golden captures byte for byte — alone, and stacked under the other no-op layers (accept-all admission, an
 unconstrained governor) whose own golden guards must survive the new
 parameter.
 
@@ -16,7 +15,6 @@ scenarios under a *binding* band (``min_chips=1``) must produce scaling
 actions and a different chip-time bill.
 """
 
-import dataclasses
 import json
 import pathlib
 
@@ -53,27 +51,17 @@ def _static_band(legacy) -> ElasticConfig:
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestStaticBandGolden:
-    def test_legacy_path_with_static_band_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, _ = SCENARIOS[scenario]
+    def test_static_band_matches_golden(self, scenario, golden_digests):
+        config, spec_built = SCENARIOS[scenario]
+        # The fleet string names the spec-built fleet: one run covers both.
+        assert parse_fleet(config.fleet.fleet) == spec_built.fleet
         report, result = _run(
-            replace_in(legacy, "fleet", elastic=_static_band(legacy))
+            replace_in(config, "fleet", elastic=_static_band(config))
         )
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # The config collapsed to the inelastic path entirely.
         assert result.elastic is None
-
-    def test_fleet_path_with_static_band_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, fleet = SCENARIOS[scenario]
-        report, result = _run(
-            legacy, dataclasses.replace(fleet, elastic=_static_band(legacy))
-        )
-        assert format_serving(report) == _golden_text(scenario)
-        assert served_digest(result) == golden_digests[scenario]
 
     def test_static_band_stacks_with_accept_all(
         self, scenario, golden_digests

@@ -13,8 +13,6 @@ digest (the governor is genuinely wired into the event loop, not routed
 around), while still serving the identical request set.
 """
 
-import dataclasses
-
 import pytest
 
 from test_hetero_differential import (
@@ -25,7 +23,7 @@ from test_hetero_differential import (
     served_digest,
 )
 
-from repro.serve import PowerConfig, format_serving
+from repro.serve import PowerConfig, format_serving, parse_fleet
 
 
 @pytest.fixture(scope="module")
@@ -40,25 +38,15 @@ def golden_digests():
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestUncappedGovernorGolden:
-    def test_legacy_path_with_governor_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, _ = SCENARIOS[scenario]
-        report, result = _run(replace_in(legacy, "fleet", power=PowerConfig()))
+    def test_uncapped_governor_matches_golden(self, scenario, golden_digests):
+        config, spec_built = SCENARIOS[scenario]
+        # The fleet string names the spec-built fleet: one run covers both.
+        assert parse_fleet(config.fleet.fleet) == spec_built.fleet
+        report, result = _run(replace_in(config, "fleet", power=PowerConfig()))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # The trace rode along without perturbing a single float.
         assert result.power is not None and not result.power.constrained
-
-    def test_fleet_path_with_governor_matches_golden(
-        self, scenario, golden_digests
-    ):
-        legacy, fleet = SCENARIOS[scenario]
-        report, result = _run(
-            legacy, dataclasses.replace(fleet, power=PowerConfig())
-        )
-        assert format_serving(report) == _golden_text(scenario)
-        assert served_digest(result) == golden_digests[scenario]
 
     def test_thermal_tracing_alone_is_still_unconstrained(
         self, scenario, golden_digests

@@ -8,8 +8,8 @@ Two halves, mirroring the PR's headline promise:
    slot table degenerates to the legacy per-model layout.  Replaying the
    PR 3 differential scenarios (``tests/test_hetero_differential`` —
    imported, not copied) through ``tenants=`` must reproduce the golden
-   reports and the bit-exact per-request digests byte for byte, on both
-   construction paths and stacked under the PR 4/PR 5 no-op layers.
+   reports and the bit-exact per-request digests byte for byte, alone and
+   stacked under the PR 4/PR 5 no-op layers.
 
 2. **Noisy-neighbor isolation.**  With weighted-fair scheduling and a
    per-tenant token bucket at the attacker's declared rate, a tenant
@@ -44,6 +44,7 @@ from repro.serve import (
     Tenant,
     WorkloadConfig,
     format_serving,
+    parse_fleet,
     simulate_serving,
 )
 from repro.serve.admission import AcceptAll
@@ -73,9 +74,11 @@ def _tenant_twin(legacy):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestSingleTenantGolden:
-    def test_legacy_path_matches_golden(self, scenario, golden_digests):
-        legacy, _ = SCENARIOS[scenario]
-        report, result = _run(_tenant_twin(legacy))
+    def test_single_tenant_matches_golden(self, scenario, golden_digests):
+        config, spec_built = SCENARIOS[scenario]
+        # The fleet string names the spec-built fleet: one run covers both.
+        assert parse_fleet(config.fleet.fleet) == spec_built.fleet
+        report, result = _run(_tenant_twin(config))
         assert format_serving(report) == _golden_text(scenario)
         assert served_digest(result) == golden_digests[scenario]
         # Tenancy genuinely ran: the result is tagged, the report gated.
@@ -85,12 +88,6 @@ class TestSingleTenantGolden:
         (stats,) = report.per_tenant
         assert stats.tenant == "solo"
         assert stats.n_requests == result.n_requests
-
-    def test_fleet_path_matches_golden(self, scenario, golden_digests):
-        legacy, fleet = SCENARIOS[scenario]
-        report, result = _run(_tenant_twin(legacy), fleet)
-        assert format_serving(report) == _golden_text(scenario)
-        assert served_digest(result) == golden_digests[scenario]
 
     def test_stacked_noop_layers_match_golden(self, scenario, golden_digests):
         # Tenancy under accept-all admission and an unconstrained power
