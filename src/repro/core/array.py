@@ -205,8 +205,8 @@ class InChargeArray:
     seed:
         Seed for the instance's RNG.
     rng:
-        Alternatively, an externally managed generator (used by the
-        Monte-Carlo harness to give each instance an independent stream).
+        Alternatively, an externally managed generator (``DetailedIMA``
+        gives each of its arrays an independent stream this way).
     """
 
     def __init__(
