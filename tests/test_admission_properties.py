@@ -7,19 +7,11 @@ invariants, over randomized traces, cluster sizes and policy parameters:
   :class:`AcceptAll` policy is indistinguishable, object for object, from
   running with no admission layer at all;
 * **shedding never hurts the requests it accepts** — under a
-  zero-window batching policy (dispatch happens as soon as a chip frees)
-  and a *backlog-aware* shedding policy (queue-cap, slo-aware), the p99
-  latency of the *accepted* requests is bounded by the accept-all p99 of
-  those same requests, and no more accepted requests land above the
-  accept-all p99 than did without shedding.  The bare "accepted p99 <=
-  accept-all p99" is not a law: dropping one request from below the p99
-  shifts the interpolated rank of the smaller set up the order
-  statistics (slo-aware shedding on seed=24827, rps=92216, 3 chips sheds
-  one request, slows none, and still reads 17 ns over).  Nor is any
-  single survivor guaranteed to move earlier: shedding re-cuts the
-  size-greedy batches, and a survivor can finish ~150 ns later
-  (queue-cap-4 on seed=1, rps=20000, 1 chip).  Two scope restrictions
-  are essential, not cosmetic: with a
+  zero-window batching policy (dispatch happens as soon as a chip frees,
+  so removing load can only move the survivors earlier), the p99 latency
+  of the *accepted* requests under a *backlog-aware* shedding policy
+  (queue-cap, slo-aware) is bounded by the accept-all p99 over the same
+  trace.  Two scope restrictions are essential, not cosmetic: with a
   batching window, shedding one request out of a full batch can leave
   the rest waiting out the timer; and the token bucket is excluded
   because rate limiting reshapes batches (steady thinning yields
@@ -126,19 +118,9 @@ class TestSheddingNeverHurtsTheAccepted:
         shed = _run(chips, trace, admission=make_policy())
         if not shed.served:
             return  # everything shed: nothing to compare
-        full_ns = {s.request.request_id: s.latency_ns for s in full.served}
-        shed_ns = [s.latency_ns for s in shed.served]
-        p99_shed = percentile(shed_ns, 99)
-        # The accepted requests' own accept-all tail bounds theirs ...
-        p99_same = percentile(
-            [full_ns[s.request.request_id] for s in shed.served], 99
-        )
-        assert p99_shed <= p99_same * (1 + 1e-12)
-        # ... and shedding adds no request to the accept-all p99 tail.
-        p99_full = percentile(list(full_ns.values()), 99)
-        assert sum(ns > p99_full for ns in shed_ns) <= sum(
-            ns > p99_full for ns in full_ns.values()
-        )
+        p99_full = percentile([s.latency_ns for s in full.served], 99)
+        p99_shed = percentile([s.latency_ns for s in shed.served], 99)
+        assert p99_shed <= p99_full * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
