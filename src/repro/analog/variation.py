@@ -14,7 +14,7 @@ Error mechanisms modeled
   array instance, so a model samples one mismatch map and reuses it.  A
   Monte-Carlo trial that reads one compute bar draws, per row, one sum for
   each eDAC group's units outside the bar
-  (:meth:`VariationModel.sample_group_capacitances`) instead of those units.
+  (:meth:`VariationModel.group_capacitances_from`) instead of those units.
 * **Global process corner** — TT/FF/SS shift all capacitors and VTC gain
   systematically.
 * **Charge injection / clock feed-through** — each switching event injects a
@@ -129,22 +129,31 @@ class VariationModel:
     # -- sampling ------------------------------------------------------------
     # Every capacitor and charge-share draw is a transform of standard
     # normals.  The ``*_from`` methods read those normals from a batch's
-    # :class:`Normals` block; the ``sample_*``, ``charge_injection`` and
-    # ``ktc_noise`` methods are the same transforms on a batch of one drawn
+    # :class:`Normals` block, sized by the ``*_draws`` counts, which alone
+    # decide whether a bank draws at all.  ``sample_unit_capacitors`` and
+    # ``charge_injection`` are the same transforms on a batch of one drawn
     # from ``rng``, and draw the same numbers as ``rng.normal`` would.
     def mismatch_draws(self, n: int) -> int:
         """Standard normals that ``n`` unit capacitors or group sums draw."""
         return n if self.cap_mismatch_sigma > 0.0 else 0
 
+    def ktc_draws(self, n: int) -> int:
+        """Standard normals that the kT/C noise of ``n`` charge shares draws."""
+        return n if self.enable_ktc_noise else 0
+
+    def injection_draws(self, n: int) -> int:
+        """Standard normals that ``n`` switching events' injection draws."""
+        return n if self.charge_injection_sigma_volt > 0.0 else 0
+
     def share_noise_draws(self, n: int) -> int:
         """Standard normals that one bank of ``n`` charge shares draws: its
-        kT/C noise, then its charge injection, each only when enabled."""
-        return n * (int(self.enable_ktc_noise) + int(self.charge_injection_sigma_volt > 0.0))
+        kT/C noise, then its charge injection."""
+        return self.ktc_draws(n) + self.injection_draws(n)
 
     def unit_capacitors_from(self, shape: Tuple[int, ...], normals: Normals) -> np.ndarray:
         """A (k, *shape) map of unit capacitances (farads), one per batch row."""
         nominal = constants.CU_FARAD * self.corner.capacitance_scale
-        if self.cap_mismatch_sigma == 0.0:
+        if not self.mismatch_draws(int(np.prod(shape))):
             return np.full((normals.k,) + tuple(shape), nominal)
         # In place on the batch's own block: no map-sized temporaries.
         caps = normals.take(shape)
@@ -172,7 +181,7 @@ class VariationModel:
         counts = np.asarray(counts, dtype=float)
         nominal = constants.CU_FARAD * self.corner.capacitance_scale
         shape = (n_rows, counts.size)
-        if self.cap_mismatch_sigma == 0.0:
+        if not self.mismatch_draws(n_rows * counts.size):
             return np.broadcast_to(counts * nominal, (normals.k,) + shape).copy()
         if (1.0 - _UNIT_CAP_FLOOR) / self.cap_mismatch_sigma < _GROUP_SUM_CLIP_SIGMAS:
             raise ValueError(
@@ -189,7 +198,7 @@ class VariationModel:
 
     def charge_injection_from(self, n: int, normals: Normals) -> np.ndarray:
         """(k, n) voltage offsets injected by one bank of n switching events."""
-        if self.charge_injection_sigma_volt == 0.0:
+        if not self.injection_draws(n):
             return np.zeros((normals.k, n))
         return normals.take((n,)) * self.charge_injection_sigma_volt
 
@@ -198,7 +207,7 @@ class VariationModel:
         total capacitances."""
         total = np.asarray(total_capacitance_farad, dtype=float)
         n = total.shape[-1]
-        if not self.enable_ktc_noise:
+        if not self.ktc_draws(n):
             return np.zeros((normals.k, n))
         return normals.take((n,)) * np.sqrt(constants.KT_JOULE / total)
 
@@ -209,31 +218,13 @@ class VariationModel:
         normals = Normals.draw([rng], self.mismatch_draws(int(np.prod(shape))))
         return self.unit_capacitors_from(shape, normals)[0]
 
-    def sample_group_capacitances(
-        self, counts: np.ndarray, n_rows: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw, per row, the total capacitance (farads) of each group of
-        ``counts[k]`` unit capacitors; see :meth:`group_capacitances_from`."""
-        normals = Normals.draw([rng], self.mismatch_draws(n_rows * np.size(counts)))
-        return self.group_capacitances_from(counts, n_rows, normals)[0]
-
     def charge_injection(
         self, shape: Tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
         """Voltage offsets injected by one bank of switching events."""
         n = int(np.prod(shape))
-        normals = Normals.draw([rng], n if self.charge_injection_sigma_volt > 0.0 else 0)
+        normals = Normals.draw([rng], self.injection_draws(n))
         return self.charge_injection_from(n, normals).reshape(shape)
-
-    def ktc_noise(
-        self,
-        total_capacitance_farad: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """kT/C noise for charge shares with the given total capacitances."""
-        total = np.asarray(total_capacitance_farad, dtype=float)
-        normals = Normals.draw([rng], total.size if self.enable_ktc_noise else 0)
-        return self.ktc_noise_from(total.reshape(-1), normals).reshape(total.shape)
 
     def sample_vtc_gains(
         self, count: int, nominal_gain_s_per_volt: float, rng: np.random.Generator

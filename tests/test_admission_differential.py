@@ -6,7 +6,8 @@ admission-enabled engine path with the explicit :class:`AcceptAll` policy.
 Admission then gates every arrival but rejects none, touches no float of
 the simulation, and the formatted reports plus the bit-exact per-request
 digests must match the pre-admission golden captures byte for byte —
-alone, and stacked under an *unconstrained* power governor (the PR 4 no-op invariant must survive the new layer too).
+alone, and stacked under an *unconstrained* power governor (the PR 4
+no-op invariant must survive the new layer too).
 
 The counterweight classes prove the layer is genuinely wired in: a
 binding queue-depth cap must shed requests and change the digest, while

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.analog.variation import Corner, VariationModel, make_rng
+from repro.analog.variation import Corner, Normals, VariationModel, make_rng
+
+
+def _ktc_noise(model, total, rng):
+    """The kT/C noise of one bank of shares, drawn from ``rng``."""
+    normals = Normals.draw([rng], model.ktc_draws(total.size))
+    return model.ktc_noise_from(total, normals)[0]
 
 
 class TestIdealModel:
@@ -13,7 +19,7 @@ class TestIdealModel:
         caps = model.sample_unit_capacitors((16, 16), rng)
         assert np.all(caps == constants.CU_FARAD)
         assert np.all(model.charge_injection((8,), rng) == 0.0)
-        assert np.all(model.ktc_noise(np.full(5, 1e-13), rng) == 0.0)
+        assert np.all(_ktc_noise(model, np.full(5, 1e-13), rng) == 0.0)
         assert np.all(model.sample_vtc_offsets(4, rng) == 0.0)
         assert np.all(model.vtc_jitter((4,), rng) == 0.0)
 
@@ -38,8 +44,8 @@ class TestSampling:
 
     def test_ktc_scales_with_capacitance(self, rng):
         model = VariationModel.typical()
-        small = model.ktc_noise(np.full(4000, 2e-15), rng).std()
-        large = model.ktc_noise(np.full(4000, 512e-15), rng).std()
+        small = _ktc_noise(model, np.full(4000, 2e-15), rng).std()
+        large = _ktc_noise(model, np.full(4000, 512e-15), rng).std()
         assert small > large
 
     def test_charge_injection_sigma(self, rng):

@@ -112,14 +112,18 @@ def test_trial_samples_are_distributed_as_fresh_arrays(cb):
     assert abs(np.log(fast.std / ref.std)) < _LOG_STD_RATIO_BOUND
 
 
+def _group_sums(variation, counts, n_rows, rng):
+    """Per row, one capacitance sum per group of ``counts``, drawn from ``rng``."""
+    normals = Normals.draw([rng], variation.mismatch_draws(n_rows * len(counts)))
+    return variation.group_capacitances_from(counts, n_rows, normals)[0]
+
+
 class TestGroupSampler:
     counts = np.array([1, 5, 8, 128])
 
     def test_moments_match_summed_unit_capacitors(self):
         variation = VariationModel.typical(corner=Corner.FF)
-        sums = variation.sample_group_capacitances(
-            self.counts, 40_000, np.random.default_rng(0)
-        )
+        sums = _group_sums(variation, self.counts, 40_000, np.random.default_rng(0))
         nominal = constants.CU_FARAD * Corner.FF.capacitance_scale
         assert sums.shape == (40_000, self.counts.size)
         relative = sums / nominal
@@ -133,7 +137,7 @@ class TestGroupSampler:
     def test_matches_sums_of_unit_draws(self):
         variation = VariationModel(cap_mismatch_sigma=0.05)
         units = variation.sample_unit_capacitors((20_000, 128), np.random.default_rng(1))
-        sums = variation.sample_group_capacitances([128], 20_000, np.random.default_rng(2))
+        sums = _group_sums(variation, [128], 20_000, np.random.default_rng(2))
         # In units of the nominal capacitor: approx's 1e-12 absolute
         # tolerance would swallow any difference between farad values.
         unit_sums = units.sum(axis=1) / constants.CU_FARAD
@@ -145,17 +149,17 @@ class TestGroupSampler:
     def test_ideal_sums_are_nominal_and_draw_nothing(self):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        sums = VariationModel.ideal().sample_group_capacitances(self.counts, 4, rng)
+        sums = _group_sums(VariationModel.ideal(), self.counts, 4, rng)
         assert np.array_equal(sums, np.tile(self.counts * constants.CU_FARAD, (4, 1)))
         assert rng.bit_generator.state == state
 
     def test_refuses_sigma_where_the_unit_clip_could_bind(self):
         with pytest.raises(ValueError, match="clip"):
-            VariationModel(cap_mismatch_sigma=0.1).sample_group_capacitances(
-                self.counts, 4, np.random.default_rng(0)
+            _group_sums(
+                VariationModel(cap_mismatch_sigma=0.1), self.counts, 4, np.random.default_rng(0)
             )
-        VariationModel(cap_mismatch_sigma=0.09).sample_group_capacitances(
-            self.counts, 4, np.random.default_rng(0)
+        _group_sums(
+            VariationModel(cap_mismatch_sigma=0.09), self.counts, 4, np.random.default_rng(0)
         )
 
 

@@ -6,9 +6,9 @@ Replays the PR 3 differential scenarios (``tests/test_hetero_differential``
 (``min == max == n_chips``).  No chip can ever join or leave, the engine
 collapses the config before the fast-path gate, and the formatted
 reports plus the bit-exact per-request digests must match the
-pre-elastic golden captures byte for byte — alone, and stacked under the other no-op layers (accept-all admission, an
-unconstrained governor) whose own golden guards must survive the new
-parameter.
+pre-elastic golden captures byte for byte — alone, and stacked under
+the other no-op layers (accept-all admission, an unconstrained
+governor) whose own golden guards must survive the new parameter.
 
 The counterweight proves the machinery is genuinely wired in: the same
 scenarios under a *binding* band (``min_chips=1``) must produce scaling
