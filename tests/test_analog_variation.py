@@ -26,7 +26,7 @@ class TestIdealModel:
     def test_ideal_vtc_gains_are_nominal(self, rng):
         model = VariationModel.ideal()
         gains = model.sample_vtc_gains(10, 1e-10, rng)
-        assert np.allclose(gains, 1e-10)
+        assert np.allclose(gains, 1e-10, rtol=1e-12, atol=0.0)
 
 
 class TestSampling:

@@ -1,5 +1,6 @@
 """Chip deployment backend: accuracy + ledger from one simulation."""
 
+import numpy as np
 import pytest
 
 from repro.arch.deploy import ChipBackend
@@ -56,6 +57,44 @@ class TestChipBackend:
     def test_weights_allocated_on_chip(self, deployed):
         backend, _, _ = deployed
         assert backend.chip.allocated_bytes > 0
+
+
+class TestLedgerCounts:
+    def test_exact_counts_on_a_fixed_gemm_sequence(self):
+        """Every action the backend bills, counted exactly.
+
+        ``fc`` is programmed once and reused; ``scores`` is programmed, then
+        overwritten with a new matrix (a dynamic operand).  Per GEMM the
+        inputs are read from eDRAM and sent over the crossbar (8 bits per
+        input code), and each output code is requantized and written back.
+        """
+        rng = np.random.default_rng(7)
+        backend = ChipBackend(seed=0)
+        w_fc = rng.normal(size=(16, 8))
+        backend.matmul("fc", rng.normal(size=(3, 16)), w_fc)
+        backend.matmul("fc", rng.normal(size=(2, 16)), w_fc)
+        backend.matmul("scores", rng.normal(size=(3, 16)), rng.normal(size=(16, 4)))
+        backend.matmul("scores", rng.normal(size=(3, 16)), rng.normal(size=(16, 4)))
+
+        ledger = backend.chip.ledger
+        counts = {(e.component, e.action): e.count for e in ledger.entries()}
+        input_bits = (3 + 2 + 3 + 3) * 16 * 8
+        outputs = 3 * 8 + 2 * 8 + 3 * 4 + 3 * 4
+        assert counts == {
+            ("edram", "read_bit"): input_bits,
+            ("edram", "write_bit"): outputs * 8,
+            ("crossbar", "bit"): input_bits,
+            ("quant", "op"): outputs,
+            # First programming of fc and of scores: ReRAM writes.
+            ("sima", "write_weight_bit"): (16 * 8 + 16 * 4) * 8,
+            # The changed scores matrix: one SRAM rewrite.
+            ("dima", "write_weight_bit"): 16 * 4 * 8,
+        }
+        assert input_bits == 1408 and outputs == 64
+        assert backend.chip.allocated_bytes == 16 * 8 + 16 * 4
+        assert [a.layer_name for a in backend.chip.allocations] == ["fc", "scores"]
+        report = backend.report()
+        assert (report.static_layers, report.dynamic_layers) == (1, 1)
 
 
 class TestDynamicDetection:

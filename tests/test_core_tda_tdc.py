@@ -21,16 +21,17 @@ class TestTimeDomainAccumulator:
         tda = _ideal_tda()
         v = np.full((4, 8), 0.45)
         delta = tda.accumulate(v)
-        assert np.allclose(delta, tda.ideal_delta_s(v))
+        assert np.allclose(delta, tda.ideal_delta_s(v), rtol=1e-9, atol=0.0)
 
     def test_reference_cancels_base_delay(self):
         tda = _ideal_tda()
         zero = np.zeros((4, 8))
-        assert np.allclose(tda.accumulate(zero), 0.0)
+        residual = tda.accumulate(zero) / tda.full_scale_delta_s
+        assert np.allclose(residual, 0.0, rtol=0.0, atol=1e-12)
 
     def test_full_scale_delta(self):
         tda = _ideal_tda()
-        assert tda.full_scale_delta_s == pytest.approx(8 * 113e-12, rel=1e-6)
+        assert tda.full_scale_delta_s == pytest.approx(8 * 113e-12, rel=1e-6, abs=0.0)
 
     def test_additivity_across_stages(self):
         tda = _ideal_tda(n_chains=1, n_stages=8)
@@ -38,7 +39,7 @@ class TestTimeDomainAccumulator:
         b = np.zeros((1, 8)); b[0, 3] = 0.9
         ab = a + b
         assert tda.accumulate(ab)[0] == pytest.approx(
-            tda.accumulate(a)[0] + tda.accumulate(b)[0], rel=1e-9
+            tda.accumulate(a)[0] + tda.accumulate(b)[0], rel=1e-9, abs=0.0
         )
 
     def test_relative_error_within_paper_band(self):
