@@ -33,6 +33,18 @@ from repro.core.tda import TimeDomainAccumulator
 from repro.core.tdc import TimeToDigitalConverter
 
 
+def _checked_weights(weights: np.ndarray, cfg: IMAConfig) -> np.ndarray:
+    """An IMA's (input_dim, output_dim) weight matrix, refused whole unless
+    every value is an unsigned weight code."""
+    w = np.asarray(weights)
+    expected = (cfg.input_dim, cfg.output_dim)
+    if w.shape != expected:
+        raise ValueError(f"expected weights of shape {expected}, got {w.shape}")
+    if np.any(w < 0) or np.any(w >= (1 << cfg.array.weight_bits)):
+        raise ValueError("weights must be unsigned 8-bit")
+    return w
+
+
 class DetailedIMA:
     """Circuit-accurate IMA: 64 arrays + TDA chains + TDC bank.
 
@@ -115,19 +127,20 @@ class DetailedIMA:
 
     # -- programming ---------------------------------------------------------------
     def program_weights(self, weights: np.ndarray) -> None:
-        """Store an unsigned 8-bit weight matrix of shape (1024, 256)."""
+        """Store an unsigned 8-bit weight matrix of shape (1024, 256).
+
+        The whole matrix is checked before any array takes its block, so a
+        refused matrix leaves every array as it was.
+        """
         cfg = self._config
-        w = np.asarray(weights)
-        expected = (cfg.input_dim, cfg.output_dim)
-        if w.shape != expected:
-            raise ValueError(f"expected weights of shape {expected}, got {w.shape}")
+        w = _checked_weights(weights, cfg)
         rows_per = cfg.array.rows
         cbs_per = cfg.array.n_cbs
         for a, row in enumerate(self._arrays):
             for c, array in enumerate(row):
                 block = w[a * rows_per : (a + 1) * rows_per, c * cbs_per : (c + 1) * cbs_per]
                 array.program_weights(block)
-        self._weights = w.astype(np.int64).copy()
+        self._weights = w.astype(np.int64)
 
     @property
     def weights(self) -> Optional[np.ndarray]:
@@ -291,14 +304,7 @@ class FastIMA:
 
     def program_weights(self, weights: np.ndarray) -> None:
         """Store an unsigned 8-bit weight matrix of shape (1024, 256)."""
-        cfg = self._config
-        w = np.asarray(weights)
-        expected = (cfg.input_dim, cfg.output_dim)
-        if w.shape != expected:
-            raise ValueError(f"expected weights of shape {expected}, got {w.shape}")
-        if np.any(w < 0) or np.any(w >= (1 << cfg.array.weight_bits)):
-            raise ValueError("weights must be unsigned 8-bit")
-        self._weights = w.astype(np.int64).copy()
+        self._weights = _checked_weights(weights, self._config).astype(np.int64)
 
     @property
     def weights(self) -> Optional[np.ndarray]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog.variation import VariationModel
+from repro.core.config import IMAConfig
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 
 
@@ -23,6 +24,22 @@ class TestDetailedIMA:
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError):
             DetailedIMA(seed=0).program_weights(np.zeros((1024, 255), dtype=int))
+
+    def test_rejected_weights_leave_every_array_unchanged(self):
+        """An out-of-range value in the last block is refused before any
+        array takes the new matrix."""
+        ima = DetailedIMA(
+            config=IMAConfig(grid_rows=2, grid_cols=2),
+            variation=VariationModel.ideal(),
+            seed=0,
+        )
+        ima.program_weights(np.zeros((256, 64), dtype=int))
+        bad = np.full((256, 64), 200)
+        bad[-1, -1] = 300
+        with pytest.raises(ValueError, match="weights must be unsigned 8-bit"):
+            ima.program_weights(bad)
+        assert not ima.weights.any()
+        assert not ima.vmm(np.full(256, 255)).any()
 
     def test_ideal_instance_matches_integer_codes(self, rng):
         ima = DetailedIMA(variation=VariationModel.ideal(), seed=1)
