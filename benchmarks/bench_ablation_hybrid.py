@@ -10,6 +10,7 @@ import dataclasses
 
 from conftest import emit
 
+from repro import constants
 from repro.arch import ArchitectureSimulator, yoco_spec
 from repro.experiments.report import format_table
 from repro.models import TRANSFORMER_MODELS, get_workload
@@ -20,7 +21,7 @@ def _compare():
     all_reram = dataclasses.replace(
         hybrid,
         name="yoco-all-reram",
-        dynamic_write_pj_per_bit=2.0,  # ReRAM SET/RESET
+        dynamic_write_pj_per_bit=constants.RERAM_WRITE_PJ_PER_BIT,
         dynamic_write_ns_per_row=50.0,
     )
     rows = []

@@ -16,6 +16,7 @@ Run:  python examples/attention_pipeline.py
 
 import numpy as np
 
+from repro import constants
 from repro.arch.pipeline import AttentionGeometry, AttentionPipelineModel
 from repro.core.tile import Tile
 from repro.nn.attention import standard_attention, yoco_incremental_attention_step
@@ -26,7 +27,7 @@ N_TOKENS = 12
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    tile = Tile(seed=0)
+    tile = Tile()
 
     # Static projection weights live in SIMAs (programmed once).
     wq = rng.normal(0, 0.3, (DIM, DIM))
@@ -59,8 +60,8 @@ def main() -> None:
 
     print("\n=== The hybrid-memory argument ===")
     kv_bits = N_TOKENS * DIM * 8 * 2
-    sram_pj = kv_bits * 0.0012
-    reram_pj = kv_bits * 2.0
+    sram_pj = kv_bits * constants.SRAM_WRITE_PJ_PER_BIT
+    reram_pj = kv_bits * constants.RERAM_WRITE_PJ_PER_BIT
     print(f"K/V written per pass: {kv_bits} bits")
     print(f"  SRAM DIMA writes (hybrid YOCO): {sram_pj:10.1f} pJ")
     print(f"  ReRAM writes (single-memory):   {reram_pj:10.1f} pJ "

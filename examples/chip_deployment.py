@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Deploy a trained network onto the functional chip model.
 
-Trains a CNN, then classifies the test set with every GEMM executing on
-behavioral IMAs *inside the chip object*: tile eDRAM and crossbar traffic,
-weight programming (one-time SIMA ReRAM writes for the static conv/linear
-layers) and the analog compute are all billed to the chip's energy ledger.
-The result is accuracy and a component-resolved energy account from a
-single simulation — plus the chip's static-weight occupancy report.
+Trains a CNN, then classifies the test set through a ``ChipBackend``.
+Every GEMM runs on one of ``YocoBackend``'s per-layer engines (behavioral
+IMAs), which count the analog compute energy.  Around each GEMM the backend
+bills the chip's energy ledger for eDRAM and crossbar traffic, output
+requantization and weight programming (one-time SIMA ReRAM writes for the
+static conv/linear layers).  The result is accuracy and a
+component-resolved energy account from a single simulation — plus the
+chip's static-weight occupancy report.
 
 Run:  python examples/chip_deployment.py
 """

@@ -5,11 +5,11 @@ Package map
 -----------
 ``repro.core``
     The paper's contribution: in-charge computing arrays, time-domain
-    accumulation, IMAs, the hybrid-memory tile/chip and the quantized GEMM
-    engine.
-``repro.analog`` / ``repro.memory`` / ``repro.energy``
-    Behavioral substrates: variation & converter metrics, memory devices,
-    accelergy-style accounting with CACTI-lite.
+    accumulation, IMAs, the hybrid-memory tile/chip energy account and the
+    quantized GEMM engine.
+``repro.analog`` / ``repro.energy``
+    Behavioral substrates: variation & converter metrics, accelergy-style
+    energy accounting.
 ``repro.nn`` / ``repro.models``
     Trainable NN substrate with analog-error backends; the 10-model
     benchmark workload zoo.

@@ -6,7 +6,6 @@ behavioral models that keep the same error mechanisms: capacitor mismatch,
 switch charge injection, kT/C sampling noise, VTC jitter and PVT corners.
 """
 
-from repro.analog.converters import CapacitiveDac, SarAdc
 from repro.analog.metrics import (
     ErrorStats,
     TransferCurve,
@@ -19,11 +18,9 @@ from repro.analog.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.analog.variation import Corner, VariationModel
 
 __all__ = [
-    "CapacitiveDac",
     "Corner",
     "ErrorStats",
     "MonteCarloResult",
-    "SarAdc",
     "TransferCurve",
     "VariationModel",
     "differential_nonlinearity",

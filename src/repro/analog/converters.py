@@ -1,21 +1,12 @@
-"""Standalone behavioral ADC/DAC models.
+"""Analytic ADC/DAC conversion energies.
 
-The whole point of YOCO is *not* needing these per MAC — but the baselines
-do, and Fig. 9's overhead comparison quantifies exactly that.  These models
-give the comparison concrete behavioral counterparts: a SAR ADC with
-capacitor-mismatch-driven INL/DNL and sampling noise, and a binary-weighted
-capacitive DAC.  Energies follow :mod:`repro.baselines.base`'s analytic
-costs so circuit- and architecture-level numbers stay consistent.
+The whole point of YOCO is *not* needing converters per MAC — but the
+baselines do, and Fig. 9's overhead comparison quantifies exactly that.
+:mod:`repro.baselines.base` re-exports these formulas, and the baseline
+models price their readout with them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
-
-from repro import constants
-from repro.analog.variation import VariationModel, make_rng
 
 
 def sar_adc_energy_pj(bits: int, samples_per_second: float = 1.28e9) -> float:
@@ -43,126 +34,3 @@ def dac_energy_pj(bits: int) -> float:
     if bits <= 0 or bits > 14:
         raise ValueError("bits must be in [1, 14]")
     return 0.5 * (2.0**bits - 1.0) / 255.0
-
-
-class SarAdc:
-    """A successive-approximation ADC with static capacitor mismatch.
-
-    Parameters
-    ----------
-    bits:
-        Resolution (the baselines use 4-8 bits).
-    full_scale_volt:
-        Input voltage mapped to the top code.
-    variation:
-        Mismatch/noise model; the binary-weighted CDAC inherits per-unit
-        capacitor mismatch, which shows up as code-dependent INL.
-    """
-
-    def __init__(
-        self,
-        bits: int = 8,
-        full_scale_volt: float = constants.VDD_VOLT,
-        variation: Optional[VariationModel] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        if not 1 <= bits <= 14:
-            raise ValueError("bits must be in [1, 14]")
-        if full_scale_volt <= 0:
-            raise ValueError("full_scale_volt must be positive")
-        self._bits = bits
-        self._full_scale = full_scale_volt
-        self._variation = variation if variation is not None else VariationModel.typical()
-        self._rng = make_rng(seed)
-        # Binary-weighted CDAC: bit b uses 2^b unit capacitors.
-        weights = []
-        for b in range(bits):
-            units = self._variation.sample_unit_capacitors((1 << b,), self._rng)
-            weights.append(units.sum() / constants.CU_FARAD)
-        self._bit_weights = np.asarray(weights)  # ~2^b each
-        self._total_weight = self._bit_weights.sum() + 1.0  # + termination unit
-        self._conversion_count = 0
-
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    @property
-    def lsb_volt(self) -> float:
-        return self._full_scale / (1 << self._bits)
-
-    @property
-    def energy_pj_per_conversion(self) -> float:
-        return sar_adc_energy_pj(self._bits)
-
-    @property
-    def conversion_count(self) -> int:
-        return self._conversion_count
-
-    def convert(self, volts: np.ndarray) -> np.ndarray:
-        """Successive approximation with the mismatched CDAC."""
-        v = np.asarray(volts, dtype=float)
-        self._conversion_count += v.size
-        noise = self._variation.charge_injection(v.shape, self._rng)
-        target = np.clip(v + noise, 0.0, self._full_scale) / self._full_scale
-        codes = np.zeros(v.shape, dtype=np.int64)
-        residual = target * self._total_weight
-        for b in range(self._bits - 1, -1, -1):
-            trial = self._bit_weights[b]
-            take = residual >= trial
-            codes |= take.astype(np.int64) << b
-            residual = residual - np.where(take, trial, 0.0)
-        return codes
-
-    def transfer_curve(self, n_points: int = 1024) -> "tuple[np.ndarray, np.ndarray]":
-        """(input volts, output codes) over the full scale."""
-        volts = np.linspace(0.0, self._full_scale * (1 - 2 ** -self._bits), n_points)
-        return volts, self.convert(volts)
-
-
-class CapacitiveDac:
-    """A binary-weighted capacitive DAC with static mismatch."""
-
-    def __init__(
-        self,
-        bits: int = 8,
-        full_scale_volt: float = constants.VDD_VOLT,
-        variation: Optional[VariationModel] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        if not 1 <= bits <= 14:
-            raise ValueError("bits must be in [1, 14]")
-        self._bits = bits
-        self._full_scale = full_scale_volt
-        self._variation = variation if variation is not None else VariationModel.typical()
-        self._rng = make_rng(seed)
-        weights = []
-        for b in range(bits):
-            units = self._variation.sample_unit_capacitors((1 << b,), self._rng)
-            weights.append(units.sum() / constants.CU_FARAD)
-        self._bit_weights = np.asarray(weights)
-        self._total_weight = self._bit_weights.sum() + 1.0
-        self._conversion_count = 0
-
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    @property
-    def energy_pj_per_conversion(self) -> float:
-        return dac_energy_pj(self._bits)
-
-    @property
-    def conversion_count(self) -> int:
-        return self._conversion_count
-
-    def convert(self, codes: np.ndarray) -> np.ndarray:
-        """Digital codes -> analog voltages through the mismatched array."""
-        arr = np.asarray(codes, dtype=np.int64)
-        if np.any(arr < 0) or np.any(arr >= (1 << self._bits)):
-            raise ValueError(f"codes must be in [0, {(1 << self._bits) - 1}]")
-        self._conversion_count += arr.size
-        bits = (arr[..., None] >> np.arange(self._bits)) & 1
-        weight = (bits * self._bit_weights).sum(axis=-1)
-        volts = self._full_scale * weight / self._total_weight
-        return volts + self._variation.charge_injection(arr.shape, self._rng)

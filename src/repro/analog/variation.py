@@ -130,9 +130,9 @@ class VariationModel:
     # Every capacitor and charge-share draw is a transform of standard
     # normals.  The ``*_from`` methods read those normals from a batch's
     # :class:`Normals` block, sized by the ``*_draws`` counts, which alone
-    # decide whether a bank draws at all.  ``sample_unit_capacitors`` and
-    # ``charge_injection`` are the same transforms on a batch of one drawn
-    # from ``rng``, and draw the same numbers as ``rng.normal`` would.
+    # decide whether a bank draws at all.  ``sample_unit_capacitors`` is
+    # the same transform on a batch of one drawn from ``rng``, and draws
+    # the same numbers as ``rng.normal`` would.
     def mismatch_draws(self, n: int) -> int:
         """Standard normals that ``n`` unit capacitors or group sums draw."""
         return n if self.cap_mismatch_sigma > 0.0 else 0
@@ -217,14 +217,6 @@ class VariationModel:
         """Draw a static map of unit capacitances (farads) of given shape."""
         normals = Normals.draw([rng], self.mismatch_draws(int(np.prod(shape))))
         return self.unit_capacitors_from(shape, normals)[0]
-
-    def charge_injection(
-        self, shape: Tuple[int, ...], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Voltage offsets injected by one bank of switching events."""
-        n = int(np.prod(shape))
-        normals = Normals.draw([rng], self.injection_draws(n))
-        return self.charge_injection_from(n, normals).reshape(shape)
 
     def sample_vtc_gains(
         self, count: int, nominal_gain_s_per_volt: float, rng: np.random.Generator

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import constants
 from repro.core.config import ChipConfig, paper_config
 
 
@@ -111,7 +112,7 @@ def yoco_spec(config: "ChipConfig | None" = None) -> AcceleratorSpec:
         n_units=cfg.n_imas,
         power_gating=True,
         # SRAM DIMA write: cluster write energy per bit.
-        dynamic_write_pj_per_bit=0.0012,
+        dynamic_write_pj_per_bit=constants.SRAM_WRITE_PJ_PER_BIT,
         dynamic_write_ns_per_row=0.5,
         weight_capacity_bytes=cfg.sima_weight_capacity_bytes,
         edram_pj_per_bit=cfg.tile.edram_energy_pj_per_bit,

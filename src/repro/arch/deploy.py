@@ -62,7 +62,8 @@ class ChipBackend(YocoBackend):
     Layers are classified by observation: a named GEMM whose weight matrix
     never changes is *static* (SIMA-resident; programming billed once at
     ReRAM cost), one that changes between calls is *dynamic* (DIMA-resident;
-    SRAM programming billed per change).  Layers round-robin across tiles.
+    SRAM programming billed per change).  Every action is billed to the
+    chip's one ledger, which all of its tiles share.
 
     Parameters
     ----------
@@ -80,11 +81,9 @@ class ChipBackend(YocoBackend):
         seed: int = 0,
     ) -> None:
         super().__init__(mode=mode, seed=seed, readout=readout)
-        self._chip = chip if chip is not None else Chip(seed=seed)
-        self._layer_tile: Dict[str, int] = {}
+        self._chip = chip if chip is not None else Chip()
         self._layer_weights: Dict[str, np.ndarray] = {}
         self._layer_dynamic: Dict[str, bool] = {}
-        self._next_tile = 0
 
     # -- accessors -----------------------------------------------------------------
     @property
@@ -111,41 +110,29 @@ class ChipBackend(YocoBackend):
 
     def reset(self) -> None:
         super().reset()
-        self._layer_tile.clear()
         self._layer_weights.clear()
         self._layer_dynamic.clear()
-        self._next_tile = 0
 
     # -- YocoBackend hook --------------------------------------------------------------
     def _integer_matmul(
         self, name: str, x_codes: np.ndarray, w_codes: np.ndarray, zero_point: int
     ) -> np.ndarray:
-        tile_index = self._assign_tile(name)
-        tile = self._chip.tiles[tile_index]
         self._bill_weights(name, w_codes)
-
+        ledger = self._chip.ledger
+        outputs = x_codes.shape[0] * w_codes.shape[1]
         # Activation traffic: inputs staged from eDRAM, outputs written back.
         input_bits = float(x_codes.size * 8)
-        output_bits = float(x_codes.shape[0] * w_codes.shape[1] * 8)
-        tile.edram_read(input_bits)
-        tile.edram_write(output_bits)
+        ledger.record("edram", "read_bit", input_bits)
+        ledger.record("edram", "write_bit", float(outputs * 8))
         # Operand distribution to the IMA pool goes over the crossbar.
-        tile.crossbar_transfer(input_bits)
-        tile.quantize_outputs(x_codes.shape[0] * w_codes.shape[1])
+        ledger.record("crossbar", "bit", input_bits)
+        ledger.record("quant", "op", outputs)
         # Compute energy is tracked by the per-layer engine (power-gating
         # aware) and surfaced through `report()`; the chip ledger carries
         # the movement/programming actions billed above.
         return super()._integer_matmul(name, x_codes, w_codes, zero_point)
 
     # -- internals ------------------------------------------------------------------
-    def _assign_tile(self, name: str) -> int:
-        tile = self._layer_tile.get(name)
-        if tile is None:
-            tile = self._next_tile % self._chip.config.n_tiles
-            self._layer_tile[name] = tile
-            self._next_tile += 1
-        return tile
-
     def _bill_weights(self, name: str, w_codes: np.ndarray) -> None:
         """Bill programming when this layer's operand is new or changed."""
         previous = self._layer_weights.get(name)

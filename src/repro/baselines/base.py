@@ -8,8 +8,8 @@ number of A/D conversions per MAC is
 and each conversion costs ADC energy that scales ~4x per extra bit of
 resolution.  These helpers quantify that arithmetic; the per-design modules
 use them to justify their unit energies, and Fig. 9(b) uses them directly.
-The converter energy formulas live in :mod:`repro.analog.converters` (they
-also parameterise the behavioral ADC/DAC models) and are re-exported here.
+The converter energy formulas live in :mod:`repro.analog.converters` and
+are re-exported here.
 """
 
 from __future__ import annotations

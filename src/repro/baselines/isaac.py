@@ -24,6 +24,7 @@ programmed mid-inference — the weakness the hybrid design removes.
 
 from __future__ import annotations
 
+from repro import constants
 from repro.arch.accelerator import AcceleratorSpec
 from repro.baselines.base import dac_energy_pj, sar_adc_energy_pj
 
@@ -73,7 +74,7 @@ def isaac_spec() -> AcceleratorSpec:
         unit_vmm_latency_ns=unit_vmm_latency_ns(),
         n_units=55_000,
         power_gating=False,  # the shared ADC sweeps all bitlines regardless
-        dynamic_write_pj_per_bit=2.0,  # ReRAM SET/RESET
+        dynamic_write_pj_per_bit=constants.RERAM_WRITE_PJ_PER_BIT,
         dynamic_write_ns_per_row=50.0,
         # 55k crossbars x 128x128 x 2 b = 225 MB of 8-bit weights (the
         # crossbars *are* the storage, so capacity scales with units).

@@ -20,6 +20,7 @@ with a 15 % high-resolution replay rate.  ReRAM-only storage, as published.
 
 from __future__ import annotations
 
+from repro import constants
 from repro.arch.accelerator import AcceleratorSpec
 from repro.baselines.base import sar_adc_energy_pj
 
@@ -63,7 +64,7 @@ def raella_spec() -> AcceleratorSpec:
         unit_vmm_latency_ns=unit_vmm_latency_ns(),
         n_units=32_000,
         power_gating=False,
-        dynamic_write_pj_per_bit=2.0,  # ReRAM SET/RESET
+        dynamic_write_pj_per_bit=constants.RERAM_WRITE_PJ_PER_BIT,
         dynamic_write_ns_per_row=50.0,
         weight_capacity_bytes=32_000 * ARRAY_ROWS * OUTPUTS_PER_ARRAY,
         edram_pj_per_bit=0.1,

@@ -21,6 +21,7 @@ Area-normalized at 28 nm: bigger blocks amortize interfaces, ~5 200 units.
 
 from __future__ import annotations
 
+from repro import constants
 from repro.arch.accelerator import AcceleratorSpec
 
 #: Block geometry: TIMELY aggregates crossbars into large analog domains.
@@ -59,7 +60,7 @@ def timely_spec() -> AcceleratorSpec:
         unit_vmm_latency_ns=unit_vmm_latency_ns(),
         n_units=5_200,
         power_gating=False,
-        dynamic_write_pj_per_bit=2.0,  # ReRAM SET/RESET
+        dynamic_write_pj_per_bit=constants.RERAM_WRITE_PJ_PER_BIT,
         dynamic_write_ns_per_row=50.0,
         # 5.2k blocks x 256 x 64 8-bit weights = 85 MB; TIMELY's dense
         # sub-chip organisation roughly doubles effective capacity.

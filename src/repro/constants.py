@@ -45,6 +45,12 @@ RAM_CELL_AREA_UM2 = 0.096
 SRAM_BITS_PER_CLUSTER = 8
 RERAM_BITS_PER_CLUSTER = 32
 
+#: Weight-write energy per bit: an SRAM cluster bit (a DIMA write) against
+#: a ReRAM SET/RESET pulse (a SIMA write).  The three-orders-of-magnitude
+#: gap is the hybrid design's case for keeping dynamic operands in SRAM.
+SRAM_WRITE_PJ_PER_BIT = 0.0012
+RERAM_WRITE_PJ_PER_BIT = 2.0
+
 # --- Array geometry (Section III-C) -----------------------------------------
 #: Rows per in-charge computing array; each row carries one input element.
 ARRAY_ROWS = 128

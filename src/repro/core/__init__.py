@@ -18,10 +18,9 @@ from repro.core.components import build_component_library
 from repro.core.config import ArrayConfig, ChipConfig, IMAConfig, TileConfig, paper_config
 from repro.core.engine import YocoMatmulEngine
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
-from repro.core.mcc import MemoryComputeCell
 from repro.core.tda import TimeDomainAccumulator
 from repro.core.tdc import TimeToDigitalConverter
-from repro.core.tile import IMAKind, IMAUnit, SpecialFunctionUnit, Tile
+from repro.core.tile import SpecialFunctionUnit, Tile
 
 __all__ = [
     "ArrayConfig",
@@ -32,10 +31,7 @@ __all__ = [
     "FastIMA",
     "IMAConfig",
     "IMAErrorModel",
-    "IMAKind",
-    "IMAUnit",
     "InChargeArray",
-    "MemoryComputeCell",
     "SpecialFunctionUnit",
     "Tile",
     "TileConfig",

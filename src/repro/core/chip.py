@@ -30,19 +30,18 @@ class WeightAllocation:
 
 
 class Chip:
-    """A functional YOCO chip: tiles + interconnect + weight allocator."""
+    """A functional YOCO chip: tiles + interconnect + weight allocator.
 
-    def __init__(
-        self,
-        config: Optional[ChipConfig] = None,
-        seed: Optional[int] = None,
-    ) -> None:
+    Every tile bills the chip's one ledger.
+    """
+
+    def __init__(self, config: Optional[ChipConfig] = None) -> None:
         self._config = config if config is not None else ChipConfig()
         self._library = build_component_library(self._config)
         self._ledger = EnergyLedger(self._library)
         self._tiles: List[Tile] = [
-            Tile(self._config.tile, ledger=self._ledger, seed=None if seed is None else seed + i)
-            for i in range(self._config.n_tiles)
+            Tile(self._config.tile, ledger=self._ledger)
+            for _ in range(self._config.n_tiles)
         ]
         self._allocations: List[WeightAllocation] = []
         self._allocated_bytes = 0

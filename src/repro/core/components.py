@@ -1,13 +1,16 @@
 """Component library factory: Table II as an accelergy-style table.
 
 Builds a :class:`~repro.energy.component.ComponentLibrary` from a
-:class:`~repro.core.config.ChipConfig`, so both the functional models
-(:mod:`repro.core.tile`) and the architecture simulator (:mod:`repro.arch`)
-bill against the same numbers.
+:class:`~repro.core.config.ChipConfig`; the functional tile and chip
+(:mod:`repro.core.tile`, :mod:`repro.core.chip`) bill their ledgers against
+it.  The architecture simulator (:mod:`repro.arch`) prices from its
+:class:`~repro.arch.accelerator.AcceleratorSpec` instead; the weight-write
+energies both use come from :mod:`repro.constants`.
 """
 
 from __future__ import annotations
 
+from repro import constants
 from repro.core.config import ChipConfig
 from repro.energy.action import Action
 from repro.energy.component import Component, ComponentLibrary
@@ -46,11 +49,15 @@ def build_component_library(config: ChipConfig) -> ComponentLibrary:
     # Weight writes: SRAM cluster bit vs ReRAM SET/RESET bit.
     library.add(
         Component(name="dima", count=config.n_tiles * tile.n_dima)
-        .add_action(Action("write_weight_bit", energy_pj=0.0012, latency_ns=0.0))
+        .add_action(
+            Action("write_weight_bit", energy_pj=constants.SRAM_WRITE_PJ_PER_BIT, latency_ns=0.0)
+        )
     )
     library.add(
         Component(name="sima", count=config.n_tiles * tile.n_sima)
-        .add_action(Action("write_weight_bit", energy_pj=2.0, latency_ns=0.0))
+        .add_action(
+            Action("write_weight_bit", energy_pj=constants.RERAM_WRITE_PJ_PER_BIT, latency_ns=0.0)
+        )
     )
     library.add(
         Component(

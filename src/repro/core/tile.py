@@ -7,135 +7,23 @@ FFN matrices) through an internal crossbar switch.  A 128 KB eDRAM caches
 activations, a 128-lane SFU evaluates exp/max/scale for softmax, and a
 quantization circuit (32 KB) rescales 8-bit partial outputs.
 
-The tile model here is *functional*: IMAUnits actually compute (via
-:class:`~repro.core.ima.FastIMA`) while every action is billed to an
+The tile model here is an *energy account*: the SFU computes, and the SFU,
+crossbar, eDRAM and quantizer bill every action to an
 :class:`~repro.energy.ledger.EnergyLedger`, so examples can run real
 attention arithmetic and read off the paper-grade cost model at the end.
+GEMMs run on :class:`~repro.core.engine.YocoMatmulEngine`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.analog.variation import make_rng
 from repro.core.components import build_component_library
 from repro.core.config import ChipConfig, TileConfig
-from repro.core.ima import FastIMA, IMAErrorModel
 from repro.energy.ledger import EnergyLedger
-from repro.memory.edram import Edram
-
-
-class IMAKind(enum.Enum):
-    """Memory family backing an IMA's weight clusters."""
-
-    DYNAMIC = "dima"  # SRAM clusters: cheap writes, low density
-    STATIC = "sima"  # ReRAM clusters: expensive writes, 4x density
-
-
-class IMAUnit:
-    """One IMA slot inside a tile, tagged with its memory family.
-
-    The memory *cluster* under each MCC stores several selectable bit
-    contexts (8 SRAM bits in a DIMA, 32 1T1R bits in a SIMA), so one unit
-    can hold that many full weight matrices and switch between them with a
-    MUX select — no reprogramming.  :meth:`write_weights` programs into the
-    active context slot; :meth:`select_context` flips the MUX.
-    """
-
-    def __init__(
-        self,
-        kind: IMAKind,
-        config: TileConfig,
-        ledger: EnergyLedger,
-        seed: Optional[int] = None,
-        error_model: Optional[IMAErrorModel] = None,
-    ) -> None:
-        self._kind = kind
-        self._tile_config = config
-        self._ledger = ledger
-        self._ima = FastIMA(config=config.ima, error_model=error_model, seed=seed)
-        self._weight_writes = 0
-        self._context_weights: List[Optional[np.ndarray]] = [None] * self.contexts
-        self._active_context = 0
-        self._context_switches = 0
-
-    @property
-    def kind(self) -> IMAKind:
-        return self._kind
-
-    @property
-    def ima(self) -> FastIMA:
-        return self._ima
-
-    @property
-    def weight_write_count(self) -> int:
-        """Lifetime full-matrix weight writes (the endurance-relevant count)."""
-        return self._weight_writes
-
-    @property
-    def contexts(self) -> int:
-        """Weight matrices the cluster depth can hold simultaneously.
-
-        One cluster bit = one context of this cell's bit-plane position, so
-        the context count equals the cluster depth (8 SRAM / 32 ReRAM).
-        """
-        cfg = self._tile_config
-        return cfg.dima_contexts if self._kind is IMAKind.DYNAMIC else cfg.sima_contexts
-
-    @property
-    def active_context(self) -> int:
-        return self._active_context
-
-    @property
-    def context_switch_count(self) -> int:
-        return self._context_switches
-
-    def write_weights(self, weights_u8: np.ndarray, context: Optional[int] = None) -> None:
-        """Program a weight matrix into a context slot, billing the write."""
-        slot = self._active_context if context is None else context
-        self._check_context(slot)
-        w = np.asarray(weights_u8)
-        self._ima.program_weights(w)
-        self._context_weights[slot] = w.astype(np.int64).copy()
-        self._active_context = slot
-        self._weight_writes += 1
-        bits = w.size * self._tile_config.ima.array.weight_bits
-        self._ledger.record(self._kind.value, "write_weight_bit", bits)
-
-    def select_context(self, context: int) -> None:
-        """Flip the cluster MUX to a previously programmed context.
-
-        Costs only the MUX select (negligible energy, sub-ns), which is the
-        whole point of keeping several matrices resident per cell.
-        """
-        self._check_context(context)
-        stored = self._context_weights[context]
-        if stored is None:
-            raise ValueError(f"context {context} has not been programmed")
-        if context != self._active_context:
-            self._ima.program_weights(stored)  # behavioral: present the plane
-            self._active_context = context
-            self._context_switches += 1
-
-    def vmm_batch(self, x_batch: np.ndarray) -> np.ndarray:
-        """Run batched VMMs, billing one ``ima.vmm`` per vector."""
-        codes = self._ima.vmm_batch(x_batch)
-        self._ledger.record("ima", "vmm", x_batch.shape[0])
-        return codes
-
-    def vmm_dequantized_batch(self, x_batch: np.ndarray) -> np.ndarray:
-        codes = self.vmm_batch(np.asarray(x_batch))
-        return codes.astype(float) * self._ima.dot_product_per_code
-
-    def _check_context(self, context: int) -> None:
-        if not 0 <= context < self.contexts:
-            raise ValueError(
-                f"context {context} out of range [0, {self.contexts})"
-            )
 
 
 class SpecialFunctionUnit:
@@ -179,38 +67,19 @@ class SpecialFunctionUnit:
 
 
 class Tile:
-    """A functional tile: 4 DIMAs + 4 SIMAs + crossbar + SFU + eDRAM."""
+    """A tile's energy account: SFU + crossbar + eDRAM + quantizer."""
 
     def __init__(
         self,
         config: Optional[TileConfig] = None,
         ledger: Optional[EnergyLedger] = None,
-        seed: Optional[int] = None,
-        error_model: Optional[IMAErrorModel] = None,
     ) -> None:
         self._config = config if config is not None else TileConfig()
         if ledger is None:
             chip = ChipConfig(tile=self._config)
             ledger = EnergyLedger(build_component_library(chip))
         self._ledger = ledger
-        rng = make_rng(seed)
-        seeds = rng.integers(0, 2**31 - 1, size=self._config.n_imas)
-        self._dimas: List[IMAUnit] = [
-            IMAUnit(IMAKind.DYNAMIC, self._config, ledger, int(seeds[i]), error_model)
-            for i in range(self._config.n_dima)
-        ]
-        self._simas: List[IMAUnit] = [
-            IMAUnit(
-                IMAKind.STATIC,
-                self._config,
-                ledger,
-                int(seeds[self._config.n_dima + i]),
-                error_model,
-            )
-            for i in range(self._config.n_sima)
-        ]
         self._sfu = SpecialFunctionUnit(self._config, ledger)
-        self._edram = Edram(self._config.edram_bytes)
 
     # -- structure --------------------------------------------------------------
     @property
@@ -222,20 +91,8 @@ class Tile:
         return self._ledger
 
     @property
-    def dimas(self) -> List[IMAUnit]:
-        return list(self._dimas)
-
-    @property
-    def simas(self) -> List[IMAUnit]:
-        return list(self._simas)
-
-    @property
     def sfu(self) -> SpecialFunctionUnit:
         return self._sfu
-
-    @property
-    def edram(self) -> Edram:
-        return self._edram
 
     # -- interconnect -------------------------------------------------------------
     def crossbar_transfer(self, n_bits: float) -> float:
@@ -246,15 +103,13 @@ class Tile:
         windows = math.ceil(n_bits / 256.0)
         return windows * self._config.crossbar_latency_ns_per_256b
 
-    def edram_read(self, n_bits: float) -> float:
-        """Read activations from the tile cache; returns latency (ns)."""
+    def edram_read(self, n_bits: float) -> None:
+        """Bill an activation read from the tile cache."""
         self._ledger.record("edram", "read_bit", n_bits)
-        return self._edram.transfer_latency_ns(n_bits)
 
-    def edram_write(self, n_bits: float) -> float:
-        """Write activations to the tile cache; returns latency (ns)."""
+    def edram_write(self, n_bits: float) -> None:
+        """Bill an activation write to the tile cache."""
         self._ledger.record("edram", "write_bit", n_bits)
-        return self._edram.transfer_latency_ns(n_bits)
 
     def quantize_outputs(self, n_elements: int) -> None:
         """Bill the output requantization circuit."""

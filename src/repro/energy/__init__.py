@@ -1,14 +1,11 @@
 """Energy / area / latency modeling framework.
 
 A small accelergy-style accounting stack: components declare named actions
-with per-action energies, an :class:`~repro.energy.ledger.EnergyLedger`
-accumulates action counts during simulation, and :mod:`repro.energy.cacti`
-provides CACTI-lite analytic models for SRAM/eDRAM macros (the paper used
-CACTI 6.0 for buffers, eDRAM and interconnect).
+with per-action energies, and an :class:`~repro.energy.ledger.EnergyLedger`
+accumulates action counts during simulation.
 """
 
 from repro.energy.action import Action
-from repro.energy.cacti import CactiLite, MemoryMacroSpec, MemoryTechnology
 from repro.energy.component import Component, ComponentLibrary
 from repro.energy.ledger import EnergyLedger, LedgerEntry
 from repro.energy.units import (
@@ -28,7 +25,6 @@ from repro.energy.units import (
 
 __all__ = [
     "Action",
-    "CactiLite",
     "Component",
     "ComponentLibrary",
     "EnergyLedger",
@@ -36,8 +32,6 @@ __all__ = [
     "LedgerEntry",
     "MEGA",
     "MM2_PER_UM2",
-    "MemoryMacroSpec",
-    "MemoryTechnology",
     "fj_to_pj",
     "j_to_pj",
     "ns_to_s",

@@ -29,7 +29,6 @@ from repro.analog.variation import Corner, VariationModel
 from repro.core.array import mac_voltage_trial
 from repro.core.ima import IMAErrorModel
 from repro.experiments.report import format_table
-from repro.memory.reram import ReramCluster
 from repro.models import get_workload
 from repro.nn.backend import FloatBackend, YocoBackend
 from repro.nn.datasets import synthetic_images
@@ -270,8 +269,8 @@ def endurance_analysis(
     lifetime_s = endurance_cycles / inferences_per_second
     lifetime_days = lifetime_s / 86_400.0
     bits = dynamic_bytes * 8
-    sram_uj = bits * 0.0012 * 1e-6  # pJ -> uJ
-    reram_uj = bits * ReramCluster.WRITE_ENERGY_PJ * 1e-6
+    sram_uj = bits * constants.SRAM_WRITE_PJ_PER_BIT * 1e-6  # pJ -> uJ
+    reram_uj = bits * constants.RERAM_WRITE_PJ_PER_BIT * 1e-6
     return EnduranceResult(
         model=model_name,
         dynamic_bytes_per_inference=dynamic_bytes,

@@ -13,12 +13,18 @@ def _ktc_noise(model, total, rng):
     return model.ktc_noise_from(total, normals)[0]
 
 
+def _charge_injection(model, n, rng):
+    """The offsets of one bank of n switching events, drawn from ``rng``."""
+    normals = Normals.draw([rng], model.injection_draws(n))
+    return model.charge_injection_from(n, normals)[0]
+
+
 class TestIdealModel:
     def test_all_mechanisms_off(self, rng):
         model = VariationModel.ideal()
         caps = model.sample_unit_capacitors((16, 16), rng)
         assert np.all(caps == constants.CU_FARAD)
-        assert np.all(model.charge_injection((8,), rng) == 0.0)
+        assert np.all(_charge_injection(model, 8, rng) == 0.0)
         assert np.all(_ktc_noise(model, np.full(5, 1e-13), rng) == 0.0)
         assert np.all(model.sample_vtc_offsets(4, rng) == 0.0)
         assert np.all(model.vtc_jitter((4,), rng) == 0.0)
@@ -50,7 +56,7 @@ class TestSampling:
 
     def test_charge_injection_sigma(self, rng):
         model = VariationModel(charge_injection_sigma_volt=1e-3)
-        noise = model.charge_injection((5000,), rng)
+        noise = _charge_injection(model, 5000, rng)
         assert noise.std() == pytest.approx(1e-3, rel=0.1)
 
 

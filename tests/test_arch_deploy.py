@@ -107,14 +107,6 @@ class TestDynamicDetection:
         assert report.dynamic_layers == 1
         assert backend.chip.ledger.count("dima", "write_weight_bit") > 0
 
-    def test_layers_round_robin_across_tiles(self, rng):
-        backend = ChipBackend(seed=2)
-        x = rng.normal(size=(1, 8))
-        for i in range(6):
-            backend.matmul(f"layer{i}", x, rng.normal(size=(8, 4)))
-        tiles = set(backend._layer_tile.values())
-        assert tiles == {0, 1, 2, 3}
-
     def test_reset_clears_state(self, rng):
         backend = ChipBackend(seed=3)
         backend.matmul("l", rng.normal(size=(1, 8)), rng.normal(size=(8, 4)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog.variation import VariationModel
-from repro.core import DetailedIMA, InChargeArray, Tile, YocoMatmulEngine
+from repro.core import DetailedIMA, InChargeArray, YocoMatmulEngine
 from repro.nn import (
     FloatBackend,
     QuantizedBackend,
@@ -47,18 +47,6 @@ class TestArrayToIMAConsistency:
         # Stage sum = single array voltage; code = v * 256/(8*VDD) rounded.
         expected = np.clip(np.rint(v * 256 / (8 * 0.9)), 0, 255)
         assert np.array_equal(codes[:32], expected)
-
-
-class TestEngineOnTileUnits:
-    def test_tile_unit_and_engine_share_semantics(self, rng):
-        tile = Tile(seed=0)
-        unit = tile.simas[0]
-        weights = rng.integers(0, 256, (1024, 256))
-        unit.write_weights(weights)
-        x = rng.integers(0, 256, (2, 1024))
-        dots = unit.vmm_dequantized_batch(x)
-        exact = (x @ weights).astype(float)
-        assert np.abs(dots - exact).max() / (1024 * 255) < 3.0
 
 
 class TestQuantizedInferencePipeline:
