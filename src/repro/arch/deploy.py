@@ -1,15 +1,16 @@
 """Chip deployment: run a real network on the functional chip model.
 
 :class:`ChipBackend` is an inference backend (pluggable into
-``Module.infer``) that executes every GEMM on behavioral IMAs *and* bills
+``Module.infer``) that executes every GEMM on behavioral IMAs, whose
+engines count the analog compute energy (power-gating aware), *and* bills
 the surrounding chip activity to the chip's energy ledger:
 
 * activations read from / written to tile eDRAM,
 * operand distribution over the intra-tile crossbar,
+* output requantization,
 * weight programming — cheap SRAM writes when a layer's matrix changes
   between calls (a *dynamic* operand on a DIMA), expensive one-time ReRAM
-  writes for static layers on SIMAs,
-* the analog compute itself (IMA VMM actions, power-gating aware).
+  writes for static layers on SIMAs.
 
 One evaluation pass therefore yields classification accuracy *and* a
 component-resolved energy account — the two sides of the paper's story —
