@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import constants
 from repro.arch.deploy import ChipBackend
+from repro.core.chip import Chip
 from repro.nn import evaluate, synthetic_images, train_classifier
 from repro.nn.backend import FloatBackend
 from repro.nn.zoo import build_cnn_small
@@ -112,3 +114,24 @@ class TestDynamicDetection:
         backend.matmul("l", rng.normal(size=(1, 8)), rng.normal(size=(8, 4)))
         backend.reset()
         assert backend.report().vmm_count == 0
+
+    def test_returning_to_an_earlier_matrix_is_another_write(self, rng):
+        backend = ChipBackend(seed=4)
+        x = rng.normal(size=(1, 16))
+        w_a, w_b = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
+        for w in (w_a, w_b, w_a):
+            backend.matmul("scores", x, w)
+        ledger = backend.chip.ledger
+        assert ledger.count("sima", "write_weight_bit") == 16 * 4 * 8
+        assert ledger.count("dima", "write_weight_bit") == 2 * 16 * 4 * 8
+
+    def test_given_chip_carries_the_bill(self, rng):
+        chip = Chip()
+        backend = ChipBackend(chip=chip, seed=5)
+        backend.matmul("fc", rng.normal(size=(2, 16)), rng.normal(size=(16, 8)))
+        assert backend.chip is chip
+        bits = 16 * 8 * 8
+        assert backend.report().weight_write_energy_pj == pytest.approx(
+            bits * constants.RERAM_WRITE_PJ_PER_BIT, rel=1e-12
+        )
+        assert chip.allocated_bytes == 16 * 8

@@ -5,6 +5,10 @@ import math
 import pytest
 
 from repro import constants
+from repro.arch.accelerator import yoco_spec
+from repro.baselines import isaac_spec, raella_spec, timely_spec
+from repro.core.config import ArrayConfig
+from repro.experiments.extensions import endurance_analysis
 
 
 class TestResolutionAnchors:
@@ -45,3 +49,41 @@ class TestKtcNoise:
     def test_rejects_nonpositive_capacitance(self):
         with pytest.raises(ValueError):
             constants.ktc_noise_sigma_volt(0.0)
+
+
+class TestMemoryAndComputeCell:
+    def test_activation_energy_matches_the_array_config(self):
+        # Table II: 1.62 fJ per MCC activation.
+        assert ArrayConfig().mcc_energy_fj == pytest.approx(
+            constants.MCC_ENERGY_PER_ACT_J * 1e15, rel=1e-12
+        )
+
+    def test_area_is_the_capacitor_footprint(self):
+        assert ArrayConfig().mcc_area_um2 == constants.MCC_AREA_UM2
+
+    def test_sram_cluster_fits_under_the_capacitor(self):
+        # The MOM capacitor stacks over the 8-bit SRAM cluster (Table II).
+        cluster = constants.SRAM_BITS_PER_CLUSTER * constants.RAM_CELL_AREA_UM2
+        assert cluster <= constants.MCC_AREA_UM2
+
+    def test_reram_cluster_holds_four_times_the_contexts(self):
+        assert constants.RERAM_BITS_PER_CLUSTER == 4 * constants.SRAM_BITS_PER_CLUSTER
+
+
+class TestWeightWriteEnergies:
+    def test_reram_write_costs_three_orders_more(self):
+        ratio = constants.RERAM_WRITE_PJ_PER_BIT / constants.SRAM_WRITE_PJ_PER_BIT
+        assert 1000 < ratio < 10000
+
+    def test_yoco_writes_dynamic_operands_to_sram(self):
+        assert yoco_spec().dynamic_write_pj_per_bit == constants.SRAM_WRITE_PJ_PER_BIT
+
+    @pytest.mark.parametrize("spec", [isaac_spec, timely_spec, raella_spec])
+    def test_reram_baselines_write_dynamic_operands_to_reram(self, spec):
+        assert spec().dynamic_write_pj_per_bit == constants.RERAM_WRITE_PJ_PER_BIT
+
+    def test_endurance_analysis_prices_the_same_gap(self):
+        result = endurance_analysis("qdqbert")
+        assert result.energy_ratio == pytest.approx(
+            constants.RERAM_WRITE_PJ_PER_BIT / constants.SRAM_WRITE_PJ_PER_BIT, rel=1e-12
+        )

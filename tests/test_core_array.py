@@ -218,3 +218,47 @@ class TestEnergyAccounting:
         before = array.activation_count
         array.vmm_voltages(np.full(128, 255))
         assert array.activation_count > before
+
+
+class TestCellSemantics:
+    """What one MCC does, read through the array's diagnostics and energy."""
+
+    def test_stored_one_keeps_the_row_voltage_and_zero_discharges(self):
+        array = _ideal()
+        weights = np.zeros((128, 32), dtype=int)
+        weights[0, 0] = 0b11111111
+        weights[0, 1] = 0b00000001
+        array.program_weights(weights)
+        x = np.zeros(128, dtype=int)
+        x[0] = 128
+        cols = array.vmm_diagnostics(x).column_voltages
+        # Row 0 holds VDD/2; each column shares it over all 128 rows.
+        kept = constants.VDD_VOLT / 2 / 128
+        assert cols[:9] == pytest.approx(np.full(9, kept), rel=1e-12, abs=0)
+        assert np.all(cols[9:] == 0.0)
+
+    @pytest.mark.parametrize("code", [0, 1, 128, 255])
+    def test_activations_equal_the_input_code(self, code):
+        # Binary-ratioed groups: code c charges exactly c unit capacitors.
+        array = _ideal()
+        array.program_weights(np.zeros((128, 32), dtype=int))
+        array.vmm_voltages(np.full(128, code))
+        assert array.activation_count == 128 * code
+
+    def test_each_activation_costs_the_table2_mcc_energy(self):
+        array = _ideal()
+        x = np.zeros(128, dtype=int)
+        idle = array.energy_pj_per_vmm(x)
+        x[5] = 1
+        assert array.energy_pj_per_vmm(x) - idle == pytest.approx(1.62e-3, rel=1e-9)
+
+    def test_discharged_cells_cost_nothing(self):
+        array = _ideal()
+        cfg = array.config
+        fixed = (
+            cfg.row_driver_count * cfg.row_driver_energy_fj
+            + cfg.tda_count * cfg.tda_energy_fj
+        ) * 1e-3
+        assert array.energy_pj_per_vmm(np.zeros(128, dtype=int)) == pytest.approx(
+            fixed, rel=1e-12
+        )

@@ -5,6 +5,7 @@ import pytest
 
 from repro import constants
 from repro.analog.variation import VariationModel
+from repro.core.charge import dac_voltage
 from repro.core.tda import TimeDomainAccumulator
 from repro.core.tdc import TimeToDigitalConverter
 
@@ -110,3 +111,42 @@ class TestTimeToDigitalConverter:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             TimeToDigitalConverter(bits=0, full_scale_s=1e-9)
+
+    def test_rejects_resolution_above_16_bits(self):
+        with pytest.raises(ValueError):
+            TimeToDigitalConverter(bits=17, full_scale_s=1e-9)
+
+    @pytest.mark.parametrize("full_scale_s", [0.0, -1e-9])
+    def test_rejects_nonpositive_full_scale(self, full_scale_s):
+        with pytest.raises(ValueError, match="full_scale_s"):
+            TimeToDigitalConverter(bits=8, full_scale_s=full_scale_s)
+
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    def test_codes_span_full_range(self, bits):
+        tdc = TimeToDigitalConverter(bits=bits, full_scale_s=1e-9)
+        codes = tdc.quantize(np.linspace(0.0, 1e-9, 4 << bits))
+        assert np.array_equal(np.unique(codes), np.arange(tdc.max_code + 1))
+
+    def test_rounds_to_nearest_code(self):
+        tdc = TimeToDigitalConverter(bits=8, full_scale_s=256e-12)
+        codes = tdc.quantize(np.array([41.4e-12, 41.6e-12]))
+        assert codes.tolist() == [41, 42]
+
+
+class TestConversionChain:
+    """Input code -> eDAC voltage -> VTC delay -> TDC code, all ideal."""
+
+    def test_single_stage_roundtrip_recovers_every_code(self):
+        tda = _ideal_tda(n_chains=256, n_stages=1)
+        codes = np.arange(256)
+        volts = np.array([dac_voltage(int(c), 8, constants.VDD_VOLT) for c in codes])
+        delays = np.maximum(tda.accumulate(volts[:, None]), 0.0)
+        tdc = TimeToDigitalConverter(bits=8, full_scale_s=tda.full_scale_delta_s)
+        assert np.array_equal(tdc.quantize(delays), codes)
+
+    def test_chain_reads_the_mean_code_of_its_stages(self):
+        tda = _ideal_tda(n_chains=1, n_stages=8)
+        codes = np.array([0, 16, 32, 48, 64, 80, 96, 112])
+        volts = np.array([[dac_voltage(int(c), 8, constants.VDD_VOLT) for c in codes]])
+        tdc = TimeToDigitalConverter(bits=8, full_scale_s=tda.full_scale_delta_s)
+        assert tdc.quantize(np.maximum(tda.accumulate(volts), 0.0))[0] == codes.mean()
