@@ -29,33 +29,25 @@ Quickstart
 """
 
 from repro import constants
-from repro.core import (
-    ArrayConfig,
-    Chip,
-    ChipConfig,
-    DetailedIMA,
-    FastIMA,
-    IMAConfig,
-    InChargeArray,
-    Tile,
-    TileConfig,
-    YocoMatmulEngine,
-    paper_config,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArrayConfig",
-    "Chip",
-    "ChipConfig",
-    "DetailedIMA",
-    "FastIMA",
-    "IMAConfig",
-    "InChargeArray",
-    "Tile",
-    "TileConfig",
-    "YocoMatmulEngine",
-    "constants",
-    "paper_config",
-]
+_EXPORTS = {
+    "core": (
+        "ArrayConfig",
+        "Chip",
+        "ChipConfig",
+        "DetailedIMA",
+        "FastIMA",
+        "IMAConfig",
+        "InChargeArray",
+        "Tile",
+        "TileConfig",
+        "YocoMatmulEngine",
+        "paper_config",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["constants", *__all__]

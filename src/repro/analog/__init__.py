@@ -6,26 +6,19 @@ behavioral models that keep the same error mechanisms: capacitor mismatch,
 switch charge injection, kT/C sampling noise, VTC jitter and PVT corners.
 """
 
-from repro.analog.metrics import (
-    ErrorStats,
-    TransferCurve,
-    differential_nonlinearity,
-    error_stats,
-    integral_nonlinearity,
-    mac_error_fraction,
-)
-from repro.analog.montecarlo import MonteCarloResult, run_monte_carlo
-from repro.analog.variation import Corner, VariationModel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Corner",
-    "ErrorStats",
-    "MonteCarloResult",
-    "TransferCurve",
-    "VariationModel",
-    "differential_nonlinearity",
-    "error_stats",
-    "integral_nonlinearity",
-    "mac_error_fraction",
-    "run_monte_carlo",
-]
+_EXPORTS = {
+    "metrics": (
+        "ErrorStats",
+        "TransferCurve",
+        "differential_nonlinearity",
+        "error_stats",
+        "integral_nonlinearity",
+        "mac_error_fraction",
+    ),
+    "montecarlo": ("MonteCarloResult", "run_monte_carlo"),
+    "variation": ("Corner", "VariationModel"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

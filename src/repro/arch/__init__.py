@@ -1,41 +1,21 @@
 """Architecture-level simulation: mapper, cost model and pipeline study."""
 
-from repro.arch.accelerator import AcceleratorSpec, yoco_spec
-from repro.arch.deploy import ChipBackend, DeploymentReport
-from repro.arch.mapper import MappingPlan, map_layer, map_workload
-from repro.arch.pipeline import (
-    FIG10_GEOMETRIES,
-    AttentionGeometry,
-    AttentionPipelineModel,
-    PipelineResult,
-    TokenStages,
-    geometry_for_workload,
-)
-from repro.arch.result import LayerResult, RunResult, geometric_mean
-from repro.arch.simulator import (
-    ArchitectureSimulator,
-    BatchRunResult,
-    PipelinedRunResult,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AcceleratorSpec",
-    "ArchitectureSimulator",
-    "BatchRunResult",
-    "AttentionGeometry",
-    "AttentionPipelineModel",
-    "ChipBackend",
-    "DeploymentReport",
-    "FIG10_GEOMETRIES",
-    "LayerResult",
-    "MappingPlan",
-    "PipelineResult",
-    "PipelinedRunResult",
-    "RunResult",
-    "TokenStages",
-    "geometric_mean",
-    "geometry_for_workload",
-    "map_layer",
-    "map_workload",
-    "yoco_spec",
-]
+_EXPORTS = {
+    "accelerator": ("AcceleratorSpec", "yoco_spec"),
+    "deploy": ("ChipBackend", "DeploymentReport"),
+    "mapper": ("MappingPlan", "map_layer", "map_workload"),
+    "pipeline": (
+        "FIG10_GEOMETRIES",
+        "AttentionGeometry",
+        "AttentionPipelineModel",
+        "PipelineResult",
+        "TokenStages",
+        "geometry_for_workload",
+    ),
+    "result": ("LayerResult", "RunResult", "geometric_mean"),
+    "simulator": ("ArchitectureSimulator", "BatchRunResult", "PipelinedRunResult"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -80,21 +80,9 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.arch.accelerator import yoco_spec
-from repro.experiments import (
-    format_fig10,
-    format_fig1c,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_fig9,
-    format_table1,
-    format_table2,
-    run_fig6a,
-    run_fig6bc,
-    run_fig6d,
-    run_fig6e,
-    run_fig6f,
-)
+# The package resolves each driver on first use, so a command imports
+# only its own figure driver and ``serve`` imports none.
+from repro import experiments
 from repro.experiments.report import section
 from repro.serve import (
     ADMISSION_POLICIES,
@@ -451,53 +439,59 @@ def _trace_summary(args: argparse.Namespace) -> str:
 
 
 def _table1(args: argparse.Namespace) -> str:
-    return format_table1()
+    return experiments.format_table1()
 
 
 def _table2(args: argparse.Namespace) -> str:
-    return format_table2()
+    return experiments.format_table2()
 
 
 def _fig1c(args: argparse.Namespace) -> str:
-    return format_fig1c()
+    return experiments.format_fig1c()
 
 
 def _fig6a(args: argparse.Namespace) -> str:
-    return format_fig6(a=run_fig6a(seed=args.seed))
+    return experiments.format_fig6(a=experiments.run_fig6a(seed=args.seed))
 
 
 def _fig6bc(args: argparse.Namespace) -> str:
     step = 4 if args.quick else 1
-    return format_fig6(bc=run_fig6bc(seed=args.seed, step=step))
+    return experiments.format_fig6(
+        bc=experiments.run_fig6bc(seed=args.seed, step=step)
+    )
 
 
 def _fig6d(args: argparse.Namespace) -> str:
     n = 400 if args.quick else 2000
-    return format_fig6(d=run_fig6d(n_samples=n, seed=args.seed))
+    return experiments.format_fig6(
+        d=experiments.run_fig6d(n_samples=n, seed=args.seed)
+    )
 
 
 def _fig6e(args: argparse.Namespace) -> str:
-    return format_fig6(e=run_fig6e(seed=args.seed))
+    return experiments.format_fig6(e=experiments.run_fig6e(seed=args.seed))
 
 
 def _fig6f(args: argparse.Namespace) -> str:
-    return format_fig6(f=run_fig6f(quick=args.quick, seed=args.seed))
+    return experiments.format_fig6(
+        f=experiments.run_fig6f(quick=args.quick, seed=args.seed)
+    )
 
 
 def _fig7(args: argparse.Namespace) -> str:
-    return format_fig7()
+    return experiments.format_fig7()
 
 
 def _fig8(args: argparse.Namespace) -> str:
-    return format_fig8()
+    return experiments.format_fig8()
 
 
 def _fig9(args: argparse.Namespace) -> str:
-    return format_fig9()
+    return experiments.format_fig9()
 
 
 def _fig10(args: argparse.Namespace) -> str:
-    return format_fig10()
+    return experiments.format_fig10()
 
 
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {

@@ -6,99 +6,63 @@ three inference backends (float / int8-exact / YOCO analog), synthetic
 datasets and trainable stand-in models.
 """
 
-from repro.nn.attention import (
-    IncrementalAttentionState,
-    flash_attention,
-    standard_attention,
-    yoco_incremental_attention,
-    yoco_incremental_attention_step,
-)
-from repro.nn.autograd import Tensor
-from repro.nn.backend import (
-    FloatBackend,
-    InferenceContext,
-    MatmulBackend,
-    QuantizedBackend,
-    YocoBackend,
-)
-from repro.nn.datasets import Dataset, synthetic_images, synthetic_sequences
-from repro.nn.graph import Module, Sequential
-from repro.nn.layers import (
-    Conv2d,
-    Embedding,
-    Flatten,
-    GELU,
-    GlobalAvgPool2d,
-    LayerNorm,
-    Linear,
-    MaxPool2d,
-    MultiHeadSelfAttention,
-    ReLU,
-    ResidualBlock,
-    TransformerBlock,
-)
-from repro.nn.quant import (
-    ActivationQuant,
-    WeightQuant,
-    calibrate_activation,
-    calibrate_weight,
-    quantization_error,
-)
-from repro.nn.train import Adam, TrainHistory, evaluate, evaluate_float_forward, train_classifier
-from repro.nn.zoo import (
-    TransformerClassifier,
-    build_cnn_compact,
-    build_cnn_deep,
-    build_cnn_small,
-    build_cnn_wide,
-    build_transformer_small,
-    build_transformer_tiny,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ActivationQuant",
-    "Adam",
-    "Conv2d",
-    "Dataset",
-    "Embedding",
-    "Flatten",
-    "FloatBackend",
-    "GELU",
-    "GlobalAvgPool2d",
-    "IncrementalAttentionState",
-    "InferenceContext",
-    "LayerNorm",
-    "Linear",
-    "MatmulBackend",
-    "MaxPool2d",
-    "Module",
-    "MultiHeadSelfAttention",
-    "QuantizedBackend",
-    "ReLU",
-    "ResidualBlock",
-    "Sequential",
-    "Tensor",
-    "TrainHistory",
-    "TransformerBlock",
-    "TransformerClassifier",
-    "WeightQuant",
-    "YocoBackend",
-    "build_cnn_compact",
-    "build_cnn_deep",
-    "build_cnn_small",
-    "build_cnn_wide",
-    "build_transformer_small",
-    "build_transformer_tiny",
-    "calibrate_activation",
-    "calibrate_weight",
-    "evaluate",
-    "evaluate_float_forward",
-    "flash_attention",
-    "quantization_error",
-    "standard_attention",
-    "synthetic_images",
-    "synthetic_sequences",
-    "train_classifier",
-    "yoco_incremental_attention",
-    "yoco_incremental_attention_step",
-]
+_EXPORTS = {
+    "attention": (
+        "IncrementalAttentionState",
+        "flash_attention",
+        "standard_attention",
+        "yoco_incremental_attention",
+        "yoco_incremental_attention_step",
+    ),
+    "autograd": ("Tensor",),
+    "backend": (
+        "FloatBackend",
+        "InferenceContext",
+        "MatmulBackend",
+        "QuantizedBackend",
+        "YocoBackend",
+    ),
+    "datasets": ("Dataset", "synthetic_images", "synthetic_sequences"),
+    "graph": ("Module", "Sequential"),
+    "layers": (
+        "Conv2d",
+        "Embedding",
+        "Flatten",
+        "GELU",
+        "GlobalAvgPool2d",
+        "LayerNorm",
+        "Linear",
+        "MaxPool2d",
+        "MultiHeadSelfAttention",
+        "ReLU",
+        "ResidualBlock",
+        "TransformerBlock",
+    ),
+    "quant": (
+        "ActivationQuant",
+        "WeightQuant",
+        "calibrate_activation",
+        "calibrate_weight",
+        "quantization_error",
+    ),
+    "train": (
+        "Adam",
+        "TrainHistory",
+        "evaluate",
+        "evaluate_float_forward",
+        "train_classifier",
+    ),
+    "zoo": (
+        "TransformerClassifier",
+        "build_cnn_compact",
+        "build_cnn_deep",
+        "build_cnn_small",
+        "build_cnn_wide",
+        "build_transformer_small",
+        "build_transformer_tiny",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
