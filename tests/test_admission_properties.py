@@ -7,17 +7,23 @@ invariants, over randomized traces, cluster sizes and policy parameters:
   :class:`AcceptAll` policy is indistinguishable, object for object, from
   running with no admission layer at all;
 * **shedding never hurts the requests it accepts** — under a
-  zero-window batching policy (dispatch happens as soon as a chip frees,
-  so removing load can only move the survivors earlier), the p99 latency
-  of the *accepted* requests under a *backlog-aware* shedding policy
-  (queue-cap, slo-aware) is bounded by the accept-all p99 over the same
-  trace.  Two scope restrictions are essential, not cosmetic: with a
-  batching window, shedding one request out of a full batch can leave
-  the rest waiting out the timer; and the token bucket is excluded
-  because rate limiting reshapes batches (steady thinning yields
-  smaller, less wave-amortized batches) instead of trimming backlog —
-  hypothesis finds real sub-percent p99 regressions for it, which is a
-  finding about eager size-greedy batching, not a bug;
+  zero-window batching policy (dispatch happens as soon as a chip frees),
+  the p99 latency of the *accepted* requests under a *backlog-aware*
+  shedding policy (queue-cap, slo-aware) is bounded by the accept-all
+  latencies of the same trace, interpolated at the accepted set's p99
+  rank moved up by the number of requests shed.  The accept-all p99
+  itself is no bound: shedding a request from below the p99 moves the
+  smaller set's interpolated rank up the order statistics.  The mapped
+  bound is exact while no accepted request is slowed, and shedding can
+  still reshape the greedy batches enough to break it on rare draws (4
+  of 20,000 random queue-cap runs, all on 3 chips; see ROADMAP's
+  standing invariants).  Two scope restrictions are essential, not
+  cosmetic: with a batching window, shedding one request out of a full
+  batch can leave the rest waiting out the timer; and the token bucket
+  is excluded because rate limiting reshapes batches (steady thinning
+  yields smaller, less wave-amortized batches) instead of trimming
+  backlog — hypothesis finds real sub-percent p99 regressions for it,
+  which is a finding about eager size-greedy batching, not a bug;
 * conservation — every offered request is served or dropped, exactly
   once, under every policy; since PR 6 also *per tenant*, under every
   scheduler, with the preemption requeue path in play;
@@ -29,7 +35,7 @@ tolerance anywhere except the float-safe p99 comparison).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
@@ -87,6 +93,27 @@ class TestAcceptAllIsTheNoOp:
         assert gated.rejected == () and gated.n_rejections == 0
 
 
+def _mapped_p99(accept_all: list, n_accepted: int) -> float:
+    """The accept-all order statistic the accepted set's p99 rank maps to.
+
+    With ``n_shed`` requests shed and none slowed, the accepted set's
+    ``i``-th smallest latency is at most the accept-all ``(i + n_shed)``-th,
+    so its p99, interpolated at rank ``0.99 * (n_accepted - 1)``, is at
+    most the sorted accept-all latencies interpolated at that rank plus
+    ``n_shed``.  The fractional part is the accepted set's own, so the
+    interpolation weights match :func:`percentile`'s bit for bit.
+    """
+    n_shed = len(accept_all) - n_accepted
+    rank = 0.99 * (n_accepted - 1)
+    lower = int(rank)
+    frac = rank - lower
+    upper = min(lower + 1, n_accepted - 1)
+    return (
+        float(accept_all[lower + n_shed]) * (1.0 - frac)
+        + float(accept_all[upper + n_shed]) * frac
+    )
+
+
 #: Backlog-aware shedders: reject only what queueing already condemned.
 _BACKLOG_AWARE = [
     ("queue-cap-4", lambda: QueueDepthCap(max_depth=4)),
@@ -106,9 +133,15 @@ _ALL_POLICIES = _BACKLOG_AWARE + [
     ids=[name for name, _ in _BACKLOG_AWARE],
 )
 class TestSheddingNeverHurtsTheAccepted:
+    # Draws where the accepted p99 exceeds the accept-all p99 itself, each
+    # with one request shed from below the p99 and none slowed: queue-cap-16,
+    # queue-cap-4 and slo-aware found them.  Each runs under every policy.
+    @example(seed=1784441, rps=67073.0, chips=3)
+    @example(seed=34058, rps=20000.0, chips=1)
+    @example(seed=24827, rps=92216.0, chips=3)
     @given(seed=_SEEDS, rps=_RPS, chips=_CHIPS)
     @settings(max_examples=15, deadline=None)
-    def test_accepted_p99_bounded_by_accept_all_p99(
+    def test_accepted_p99_bounded_by_mapped_accept_all_rank(
         self, make_policy, seed, rps, chips
     ):
         trace = poisson_trace("resnet18", rps, _DURATION_S, seed=seed)
@@ -118,9 +151,12 @@ class TestSheddingNeverHurtsTheAccepted:
         shed = _run(chips, trace, admission=make_policy())
         if not shed.served:
             return  # everything shed: nothing to compare
-        p99_full = percentile([s.latency_ns for s in full.served], 99)
         p99_shed = percentile([s.latency_ns for s in shed.served], 99)
-        assert p99_shed <= p99_full * (1 + 1e-12)
+        bound = _mapped_p99(
+            sorted(s.latency_ns for s in full.served),
+            n_accepted=len(shed.served),
+        )
+        assert p99_shed <= bound * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
