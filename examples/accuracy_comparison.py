@@ -15,8 +15,6 @@ classifying the test set — accuracy and energy from one simulation.
 Run:  python examples/accuracy_comparison.py
 """
 
-import time
-
 from repro.nn import (
     FloatBackend,
     QuantizedBackend,
@@ -33,21 +31,19 @@ def main() -> None:
     print("=== CNN benchmark (synthetic image classification) ===")
     image_ds = synthetic_images(n_train=1024, n_test=512, noise=1.2, seed=0)
     cnn = build_cnn_deep(n_classes=image_ds.n_classes, seed=1)
-    t0 = time.time()
     history = train_classifier(cnn, image_ds, epochs=10, batch_size=64, lr=2e-3, seed=2)
-    print(f"trained {cnn.n_parameters()} parameters in {time.time() - t0:.0f} s "
+    print(f"trained {cnn.n_parameters()} parameters "
           f"(final loss {history.final_loss:.3f})")
     _compare(cnn, image_ds.x_test, image_ds.y_test)
 
     print("\n=== Transformer benchmark (synthetic motif detection) ===")
     seq_ds = synthetic_sequences(n_train=1024, n_test=512, corruption=0.25, seed=3)
     transformer = build_transformer_small(n_classes=seq_ds.n_classes, seed=4)
-    t0 = time.time()
     history = train_classifier(
         transformer, seq_ds, epochs=18, batch_size=64, lr=3e-3, seed=5
     )
-    print(f"trained {transformer.n_parameters()} parameters in "
-          f"{time.time() - t0:.0f} s (final loss {history.final_loss:.3f})")
+    print(f"trained {transformer.n_parameters()} parameters "
+          f"(final loss {history.final_loss:.3f})")
     _compare(transformer, seq_ds.x_test, seq_ds.y_test)
 
 
