@@ -3,7 +3,8 @@
 Quantifies what the per-column programmable TDC windows buy: GEMM error
 with full-scale readout vs auto-calibrated windows, on a realistic signed
 layer shape.  This is the design choice that lets 8-bit readout survive
-network inference (see DESIGN.md).
+network inference (see ``YocoMatmulEngine._calibrate_window`` in
+``repro/core/engine.py``).
 """
 
 import numpy as np

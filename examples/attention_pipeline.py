@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""IMC-friendly attention: the Fig. 5 dataflow running on a tile.
+"""IMC-friendly attention: the Fig. 5 dataflow on YOCO.
 
 Demonstrates the hybrid-memory attention flow end to end:
 
 * WQ/WK/WV pinned as *static* weights in SIMAs (ReRAM);
-* per-token Q/K/V streamed into *dynamic* DIMAs (SRAM) via the crossbar;
+* per-token Q/K/V streamed into *dynamic* DIMAs (SRAM);
 * the token-by-token incremental softmax (flash-attention style) producing
   outputs numerically equal to standard attention;
-* the tile's energy ledger showing where the picojoules went — including
-  why the same flow on ReRAM-only hardware would drown in write energy;
+* the architecture simulator's per-layer energy of the pass's three GEMMs
+  (the prices Fig. 8 uses) — and why the same flow on ReRAM-only hardware
+  would drown in write energy;
 * the Fig. 10 pipeline model quantifying the token-pipelining speedup.
 
 Run:  python examples/attention_pipeline.py
@@ -18,7 +19,8 @@ import numpy as np
 
 from repro import constants
 from repro.arch.pipeline import AttentionGeometry, AttentionPipelineModel
-from repro.core.tile import Tile
+from repro.arch.simulator import ArchitectureSimulator
+from repro.models.workload import GemmShape, LayerKind, LayerSpec
 from repro.nn.attention import standard_attention, yoco_incremental_attention_step
 
 DIM = 64
@@ -27,7 +29,6 @@ N_TOKENS = 12
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    tile = Tile()
 
     # Static projection weights live in SIMAs (programmed once).
     wq = rng.normal(0, 0.3, (DIM, DIM))
@@ -41,12 +42,8 @@ def main() -> None:
         # SIMA stage: project the embedded token (float math here; the
         # quantized path is exercised in examples/accuracy_comparison.py).
         q_new, k_new, v_new = tokens[t] @ wq, tokens[t] @ wk, tokens[t] @ wv
-        # Crossbar stage: move q/k/v into the DIMAs (billed to the ledger).
-        tile.crossbar_transfer(3 * DIM * 8)
         # SFU + DIMA stages: incremental flash-style update.
         state = yoco_incremental_attention_step(state, q_new, k_new, v_new, causal=True)
-        tile.sfu.exp(np.zeros(t + 1))  # bill the exp of the fresh score row
-        tile.edram_write((t + 1) * 8)  # running normalizer/max spill
     incremental = state.output()
 
     q, k, v = tokens @ wq, tokens @ wk, tokens @ wv
@@ -55,8 +52,25 @@ def main() -> None:
     print(f"max |incremental - standard attention|: "
           f"{np.abs(incremental - reference).max():.2e}  (exact recurrence)")
 
-    print("\n=== Tile energy ledger for the attention pass ===")
-    print(tile.ledger.breakdown())
+    print("\n=== Simulator's per-layer energy for the attention pass ===")
+    layers = (
+        LayerSpec("qkv_projection", LayerKind.PROJECTION,
+                  GemmShape(N_TOKENS, DIM, 3 * DIM)),
+        LayerSpec("scores (Q K^T)", LayerKind.ATTENTION_SCORE,
+                  GemmShape(N_TOKENS, DIM, N_TOKENS), static_weights=False),
+        LayerSpec("context (A V)", LayerKind.ATTENTION_CONTEXT,
+                  GemmShape(N_TOKENS, N_TOKENS, DIM), static_weights=False),
+    )
+    simulator = ArchitectureSimulator()
+    print(f"{'layer':16s} {'VMMs':>5s} {'compute pJ':>11s} "
+          f"{'writes pJ':>10s} {'movement pJ':>12s}")
+    total = 0.0
+    for spec in layers:
+        cost = simulator.simulate_layer(spec)
+        total += cost.energy_pj
+        print(f"{spec.name:16s} {cost.vmm_count:5d} {cost.compute_energy_pj:11.1f} "
+              f"{cost.weight_write_energy_pj:10.1f} {cost.data_movement_energy_pj:12.1f}")
+    print(f"total energy of the pass: {total:.1f} pJ")
 
     print("\n=== The hybrid-memory argument ===")
     kv_bits = N_TOKENS * DIM * 8 * 2

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Deploy a trained network onto the functional chip model.
+"""Deploy a trained network onto the YOCO chip model.
 
 Trains a CNN, then classifies the test set through a ``ChipBackend``.
 Every GEMM runs on one of ``YocoBackend``'s per-layer engines (behavioral
-IMAs), which count the analog compute energy.  Around each GEMM the backend
-bills the chip's energy ledger for eDRAM and crossbar traffic, output
-requantization and weight programming (one-time SIMA ReRAM writes for the
-static conv/linear layers).  The result is accuracy and a
-component-resolved energy account from a single simulation — plus the
-chip's static-weight occupancy report.
+IMAs).  The backend's report prices the GEMMs it observed with the
+architecture simulator's per-layer terms, the same prices Fig. 8 uses:
+power-gated compute, and activations through eDRAM and the on-chip network.
+Weight programming comes from the backend's own observation (one-time SIMA
+ReRAM writes for the static conv/linear layers).  The result is accuracy
+and an energy account from a single simulation, plus the static weight
+bytes against the chip's SIMA capacity.
 
 Run:  python examples/chip_deployment.py
 """
 
 from repro.arch.deploy import ChipBackend
+from repro.core.config import ChipConfig
 from repro.nn import evaluate, synthetic_images, train_classifier
 from repro.nn.backend import FloatBackend
 from repro.nn.zoo import build_cnn_deep
@@ -44,12 +46,10 @@ def main() -> None:
     per_inf = report.total_energy_pj / len(ds.x_test) / 1e6
     print(f"energy per inference: {per_inf:.3f} uJ")
 
-    chip = backend.chip
-    print(f"\n=== Chip occupancy ===")
-    print(f"static weights pinned: {chip.allocated_bytes / 1024:.1f} KB "
-          f"of {chip.sima_capacity_bytes / 1e6:.0f} MB SIMA capacity")
-    print("chip-level movement/programming ledger (top 6):")
-    print(chip.ledger.breakdown(top=6))
+    capacity = ChipConfig().sima_weight_capacity_bytes
+    print("\n=== Chip occupancy ===")
+    print(f"static weights pinned: {report.static_weight_bytes / 1024:.1f} KB "
+          f"of {capacity / 1e6:.0f} MB SIMA capacity")
 
 
 if __name__ == "__main__":

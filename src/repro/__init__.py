@@ -5,11 +5,12 @@ Package map
 -----------
 ``repro.core``
     The paper's contribution: in-charge computing arrays, time-domain
-    accumulation, IMAs, the hybrid-memory tile/chip energy account and the
-    quantized GEMM engine.
+    accumulation, IMAs, the Table II configuration (with the one price of
+    a power-gated VMM, ``gated_vmm_energy_pj``) and the quantized GEMM
+    engine.
 ``repro.analog`` / ``repro.energy``
-    Behavioral substrates: variation & converter metrics, accelergy-style
-    energy accounting.
+    Behavioral substrates: variation & converter metrics; energy, time
+    and area unit helpers.
 ``repro.nn`` / ``repro.models``
     Trainable NN substrate with analog-error backends; the 10-model
     benchmark workload zoo.
@@ -36,13 +37,11 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "core": (
         "ArrayConfig",
-        "Chip",
         "ChipConfig",
         "DetailedIMA",
         "FastIMA",
         "IMAConfig",
         "InChargeArray",
-        "Tile",
         "TileConfig",
         "YocoMatmulEngine",
         "paper_config",

@@ -1,30 +1,35 @@
-"""Chip deployment: run a real network on the functional chip model.
+"""Chip deployment: run a real network and bill it at the simulator's prices.
 
 :class:`ChipBackend` is an inference backend (pluggable into
-``Module.infer``) that executes every GEMM on behavioral IMAs, whose
-engines count the analog compute energy (power-gating aware), *and* bills
-the surrounding chip activity to the chip's energy ledger:
+``Module.infer``) that executes every GEMM on behavioral IMAs and records
+the GEMM's shape.  Its :meth:`~ChipBackend.report` prices what it observed
+with the same rules as the architecture simulator:
 
-* activations read from / written to tile eDRAM,
-* operand distribution over the intra-tile crossbar,
-* output requantization,
-* weight programming — cheap SRAM writes when a layer's matrix changes
-  between calls (a *dynamic* operand on a DIMA), expensive one-time ReRAM
-  writes for static layers on SIMAs.
+* compute and activation movement are
+  :meth:`~repro.arch.simulator.ArchitectureSimulator.simulate_layer`
+  summed over the observed GEMMs: the power-gated VMM energy of
+  :func:`~repro.core.config.gated_vmm_energy_pj`, and inputs plus outputs
+  through eDRAM and the on-chip network;
+* weight programming follows the backend's own observation: one-time
+  ReRAM writes for a layer whose matrix never changes (static, on a SIMA),
+  cheap SRAM writes each time a layer's matrix changes (a *dynamic*
+  operand on a DIMA), at the write energies of :mod:`repro.constants`.
 
-One evaluation pass therefore yields classification accuracy *and* a
-component-resolved energy account — the two sides of the paper's story —
-from the same simulation.
+One evaluation pass therefore yields classification accuracy *and* an
+energy account with the same per-GEMM prices as Fig. 8 and the serving
+cost tables — the two sides of the paper's story — from one simulation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.chip import Chip
+from repro import constants
+from repro.arch.simulator import ArchitectureSimulator
+from repro.models.workload import GemmShape, LayerKind, LayerSpec
 from repro.nn.backend import YocoBackend
 
 
@@ -38,6 +43,7 @@ class DeploymentReport:
     vmm_count: int
     static_layers: int
     dynamic_layers: int
+    static_weight_bytes: int
 
     @property
     def total_energy_pj(self) -> float:
@@ -56,97 +62,93 @@ class DeploymentReport:
 
 
 class ChipBackend(YocoBackend):
-    """A :class:`YocoBackend` bound to a functional :class:`Chip`.
+    """A :class:`YocoBackend` whose GEMMs are billed at YOCO's one price list.
 
-    Each GEMM runs on the parent's per-layer engines after this backend
-    bills its data movement and weight programming to the chip's ledger.
-    Layers are classified by observation: a named GEMM whose weight matrix
-    never changes is *static* (SIMA-resident; programming billed once at
-    ReRAM cost), one that changes between calls is *dynamic* (DIMA-resident;
-    SRAM programming billed per change).  Every action is billed to the
-    chip's one ledger, which all of its tiles share.
+    Each GEMM runs on the parent's per-layer engines; the backend counts
+    every ``(m, k, n)`` shape it sees and classifies layers by observation:
+    a named GEMM whose weight matrix never changes is *static*
+    (SIMA-resident; programming billed once at ReRAM cost), one that
+    changes between calls is *dynamic* (DIMA-resident; SRAM programming
+    billed per change).
 
     Parameters
     ----------
-    chip:
-        The functional chip (defaults to the paper configuration).
     mode / readout / seed:
         As for :class:`YocoBackend`.
     """
 
     def __init__(
         self,
-        chip: Optional[Chip] = None,
         mode: str = "fast",
         readout: str = "auto-window",
         seed: int = 0,
     ) -> None:
         super().__init__(mode=mode, seed=seed, readout=readout)
-        self._chip = chip if chip is not None else Chip()
+        self._simulator = ArchitectureSimulator()
+        self._gemms: Dict[Tuple[int, int, int], int] = {}
         self._layer_weights: Dict[str, np.ndarray] = {}
         self._layer_dynamic: Dict[str, bool] = {}
-
-    # -- accessors -----------------------------------------------------------------
-    @property
-    def chip(self) -> Chip:
-        return self._chip
+        self._reram_write_bits = 0
+        self._sram_write_bits = 0
 
     def report(self) -> DeploymentReport:
-        """Summarize everything billed so far."""
-        ledger = self._chip.ledger
-        by_component = ledger.energy_by_component_pj()
-        movement = sum(
-            by_component.get(name, 0.0) for name in ("edram", "crossbar", "noc")
-        )
-        writes = by_component.get("dima", 0.0) + by_component.get("sima", 0.0)
+        """Price everything observed so far."""
+        compute = movement = 0.0
+        vmm_count = 0
+        for (m, k, n), calls in self._gemms.items():
+            layer = self._simulator.simulate_layer(
+                LayerSpec("gemm", LayerKind.FC, GemmShape(m, k, n))
+            )
+            compute += calls * layer.compute_energy_pj
+            movement += calls * layer.data_movement_energy_pj
+            vmm_count += calls * layer.vmm_count
         dynamic = sum(1 for flag in self._layer_dynamic.values() if flag)
         return DeploymentReport(
-            compute_energy_pj=self.total_energy_pj,
+            compute_energy_pj=compute,
             movement_energy_pj=movement,
-            weight_write_energy_pj=writes,
-            vmm_count=self.total_vmm_count,
+            weight_write_energy_pj=(
+                self._reram_write_bits * constants.RERAM_WRITE_PJ_PER_BIT
+                + self._sram_write_bits * constants.SRAM_WRITE_PJ_PER_BIT
+            ),
+            vmm_count=vmm_count,
             static_layers=len(self._layer_dynamic) - dynamic,
             dynamic_layers=dynamic,
+            static_weight_bytes=sum(
+                w.size
+                for name, w in self._layer_weights.items()
+                if not self._layer_dynamic[name]
+            ),
         )
 
     def reset(self) -> None:
         super().reset()
+        self._gemms.clear()
         self._layer_weights.clear()
         self._layer_dynamic.clear()
+        self._reram_write_bits = 0
+        self._sram_write_bits = 0
 
     # -- YocoBackend hook --------------------------------------------------------------
     def _integer_matmul(
         self, name: str, x_codes: np.ndarray, w_codes: np.ndarray, zero_point: int
     ) -> np.ndarray:
         self._bill_weights(name, w_codes)
-        ledger = self._chip.ledger
-        outputs = x_codes.shape[0] * w_codes.shape[1]
-        # Activation traffic: inputs staged from eDRAM, outputs written back.
-        input_bits = float(x_codes.size * 8)
-        ledger.record("edram", "read_bit", input_bits)
-        ledger.record("edram", "write_bit", float(outputs * 8))
-        # Operand distribution to the IMA pool goes over the crossbar.
-        ledger.record("crossbar", "bit", input_bits)
-        ledger.record("quant", "op", outputs)
-        # Compute energy is tracked by the per-layer engine (power-gating
-        # aware) and surfaced through `report()`; the chip ledger carries
-        # the movement/programming actions billed above.
+        shape = (x_codes.shape[0], x_codes.shape[1], w_codes.shape[1])
+        self._gemms[shape] = self._gemms.get(shape, 0) + 1
         return super()._integer_matmul(name, x_codes, w_codes, zero_point)
 
     # -- internals ------------------------------------------------------------------
     def _bill_weights(self, name: str, w_codes: np.ndarray) -> None:
-        """Bill programming when this layer's operand is new or changed."""
+        """Count programming when this layer's operand is new or changed."""
         previous = self._layer_weights.get(name)
         if previous is not None and np.array_equal(previous, w_codes):
             return
         changed = previous is not None
         self._layer_weights[name] = w_codes.copy()
-        bits = float(w_codes.size * 8)
+        # An observed mutation is a dynamic operand on a DIMA (SRAM);
+        # a first programming pins the matrix in a SIMA (ReRAM).
+        self._layer_dynamic[name] = changed
         if changed:
-            # Observed mutation: this is a dynamic operand on a DIMA.
-            self._layer_dynamic[name] = True
-            self._chip.ledger.record("dima", "write_weight_bit", bits)
+            self._sram_write_bits += w_codes.size * 8
         else:
-            self._layer_dynamic[name] = False
-            self._chip.ledger.record("sima", "write_weight_bit", bits)
-            self._chip.allocate_weights(name, w_codes.size)
+            self._reram_write_bits += w_codes.size * 8

@@ -5,7 +5,9 @@ The timeloop/accelergy stand-in.  For each layer the simulator combines the
 mapper's plan with the accelerator's cost coefficients:
 
 * **compute** — unit-VMM count x per-VMM energy, scaled by the active
-  fraction when the design power-gates partial tiles;
+  fraction when the design power-gates partial tiles
+  (:func:`repro.core.config.gated_vmm_energy_pj`, YOCO's one price of a
+  partly used IMA);
 * **weight writes** — dynamic operands (attention K/Q/V) are programmed
   into units every inference at the design's write cost; static weights are
   programmed once and amortized away (all designs), but static weights
@@ -45,6 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from repro.arch.accelerator import AcceleratorSpec, yoco_spec
 from repro.arch.mapper import MappingPlan, map_layer
 from repro.arch.result import LayerResult, RunResult
+from repro.core.config import gated_vmm_energy_pj
 from repro.models.workload import LayerSpec, WorkloadSpec
 
 
@@ -369,13 +372,11 @@ class ArchitectureSimulator:
     # -- cost components ---------------------------------------------------------------
     def _compute_energy_pj(self, plan: MappingPlan) -> float:
         spec = self._spec
-        per_vmm = spec.unit_vmm_energy_pj
         if spec.power_gating:
-            # Power gating cannot drop below one active array row/column,
-            # so floor the scaling at the per-unit minimum granularity.
-            fraction = max(plan.active_mac_fraction, 1.0 / 64.0)
-            per_vmm = per_vmm * fraction
-        return plan.vmm_count * per_vmm
+            return gated_vmm_energy_pj(
+                spec.unit_vmm_energy_pj, plan.active_mac_fraction, plan.vmm_count
+            )
+        return plan.vmm_count * spec.unit_vmm_energy_pj
 
     def _weight_write_energy_pj(self, layer: LayerSpec) -> float:
         if layer.static_weights:

@@ -3,7 +3,7 @@
 All values trace back to the paper (Table II and Section IV-A) or to basic
 physics.  Everything is expressed in SI units unless the name carries an
 explicit unit suffix (``_pj``, ``_ns``, ``_um2`` ...), matching the unit
-conventions used throughout :mod:`repro.energy`.
+conventions of :mod:`repro.energy.units`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """YOCO core: the paper's primary contribution.
 
-Hierarchy (Section III-C): MCC -> in-charge computing array -> IMA -> tile
--> chip, plus the time-domain accumulation readout and the quantized GEMM
-engine that lets networks run on IMA grain.
+Hierarchy (Section III-C): MCC -> in-charge computing array -> IMA, with
+the tile and chip as configurations (:mod:`repro.core.config`), plus the
+time-domain accumulation readout and the quantized GEMM engine that lets
+networks run on IMA grain.
 """
 
 from repro._exports import lazy_exports
@@ -16,14 +17,11 @@ _EXPORTS = {
         "group_index_map",
         "shared_charge",
     ),
-    "chip": ("Chip", "WeightAllocation"),
-    "components": ("build_component_library",),
     "config": ("ArrayConfig", "ChipConfig", "IMAConfig", "TileConfig", "paper_config"),
     "engine": ("YocoMatmulEngine",),
     "ima": ("DetailedIMA", "FastIMA", "IMAErrorModel"),
     "tda": ("TimeDomainAccumulator",),
     "tdc": ("TimeToDigitalConverter",),
-    "tile": ("SpecialFunctionUnit", "Tile"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -12,13 +12,15 @@ quantization circuit):
    + zx * 128 * K                           <- constant
 
 Oversized operands are tiled to the IMA's 1024x256 grain and partial results
-accumulate digitally across K-tiles.  Small or ragged tiles exploit the
+accumulate digitally across K-tiles.  Small or ragged GEMMs exploit the
 paper's *power gating*: "Each array is controlled by power gating, allowing
 the computational scale of IMA to be reconfigurable and energy-saving"
-(Section III-C).  A tile covering only ``k`` input rows activates
-``ceil(k/128)`` grid rows (and analogously grid columns), which both saves
-energy and keeps the 8-bit readout scaled to the *active* dot-product range
-instead of the full 1024-row range.
+(Section III-C).  Each call bills its VMMs once, on the whole GEMM's
+active-MAC fraction, through :func:`~repro.core.config.gated_vmm_energy_pj`,
+the price the architecture simulator charges for the same GEMM.  A tile
+covering only ``k`` input rows reads out through ``ceil(k/128)`` grid rows
+(and analogously grid columns), which keeps the 8-bit readout scaled to the
+*active* dot-product range instead of the full 1024-row range.
 
 Fidelity modes:
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro import seeds
 from repro.analog.variation import VariationModel
-from repro.core.config import IMAConfig
+from repro.core.config import IMAConfig, gated_vmm_energy_pj
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 
 _MODES = ("ideal", "fast", "detailed")
@@ -81,7 +83,8 @@ class YocoMatmulEngine:
         if readout == "auto-window" and mode == "detailed":
             raise ValueError(
                 "auto-window readout is modeled on the fast path only; "
-                "use mode='fast' (see DESIGN.md, quantization circuit)"
+                "use mode='fast' (see repro.core.engine, "
+                "YocoMatmulEngine._calibrate_window)"
             )
         self._mode = mode
         self._config = config if config is not None else IMAConfig()
@@ -114,7 +117,8 @@ class YocoMatmulEngine:
 
     @property
     def total_energy_pj(self) -> float:
-        """Compute energy of all VMMs issued so far (power-gating aware)."""
+        """Compute energy of all VMMs issued so far (power-gating aware,
+        :func:`~repro.core.config.gated_vmm_energy_pj` once per GEMM)."""
         return self._energy_pj
 
     @property
@@ -140,15 +144,19 @@ class YocoMatmulEngine:
         n_grain = self._config.output_dim
         m, k = x.shape
         n = w.shape[1]
+        self._bill(m, k, n)
         result = np.zeros((m, n), dtype=float)
         for k0 in range(0, k, k_grain):
             k_span = min(k_grain, k - k0)
+            x_rows = x[:, k0 : k0 + k_span].astype(np.int64)
             for n0 in range(0, n, n_grain):
                 n_span = min(n_grain, n - n0)
                 cfg = self._gated_config(k_span, n_span)
-                x_tile = _pad_axis(x[:, k0 : k0 + k_span], 1, cfg.input_dim)
+                x_tile = _pad_axis(x_rows, 1, cfg.input_dim)
                 w_tile = _pad_block(
-                    w[k0 : k0 + k_span, n0 : n0 + n_span], cfg.input_dim, cfg.output_dim
+                    w[k0 : k0 + k_span, n0 : n0 + n_span].astype(np.int64),
+                    cfg.input_dim,
+                    cfg.output_dim,
                 )
                 estimates = self._tile_vmm(
                     k0 // k_grain, n0 // n_grain, cfg, x_tile, w_tile
@@ -188,8 +196,24 @@ class YocoMatmulEngine:
         )
 
     # -- internals ---------------------------------------------------------------------
+    def _bill(self, m: int, k: int, n: int) -> None:
+        """Bill an (m, k, n) GEMM's VMMs, energy and serial latency."""
+        k_tiles = math.ceil(k / self._config.input_dim)
+        n_tiles = math.ceil(n / self._config.output_dim)
+        vmm_count = m * k_tiles * n_tiles
+        provisioned = k_tiles * n_tiles * self._config.input_dim * self._config.output_dim
+        self._vmm_count += vmm_count
+        self._energy_pj += gated_vmm_energy_pj(
+            self._config.vmm_energy_pj, min(1.0, k * n / provisioned), vmm_count
+        )
+        self._latency_ns += vmm_count * self._config.vmm_period_ns
+
     def _gated_config(self, k_span: int, n_span: int) -> IMAConfig:
-        """Power-gated IMA configuration covering a (k_span, n_span) tile."""
+        """Power-gated IMA configuration covering a (k_span, n_span) tile.
+
+        It sets the tile's readout range; the energy is billed per GEMM
+        by :meth:`_bill`.
+        """
         array = self._config.array
         rows_needed = math.ceil(k_span / array.rows)
         cols_needed = math.ceil(n_span / array.n_cbs)
@@ -211,10 +235,6 @@ class YocoMatmulEngine:
         w_tile: np.ndarray,
     ) -> np.ndarray:
         """Run one (k, n) tile for a whole input batch; returns estimates."""
-        m = x_tile.shape[0]
-        self._vmm_count += m
-        self._energy_pj += m * cfg.vmm_energy_pj
-        self._latency_ns += m * cfg.vmm_period_ns
         if self._mode == "ideal":
             return (x_tile.astype(np.int64) @ w_tile.astype(np.int64)).astype(float)
         unit, programmed = self._tile_unit(k_index, n_index, cfg, w_tile)
@@ -266,12 +286,13 @@ class YocoMatmulEngine:
 
     @staticmethod
     def _check_operand(arr: np.ndarray, name: str, limit: int) -> np.ndarray:
+        """Validate a 2-D code operand; tiles are cast to int64 as they are cut."""
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-        if np.any(a < 0) or np.any(a >= limit):
+        if a.size and (a.min() < 0 or a.max() >= limit):
             raise ValueError(f"{name} values must be in [0, {limit - 1}]")
-        return a.astype(np.int64)
+        return a
 
 
 def _pad_axis(arr: np.ndarray, axis: int, size: int) -> np.ndarray:

@@ -205,18 +205,8 @@ class DetailedIMA:
 
     # -- costs ----------------------------------------------------------------------
     @property
-    def vmm_energy_pj(self) -> float:
-        """Energy per VMM from the Table II component roll-up."""
-        return self._config.vmm_energy_pj
-
-    @property
     def vmm_latency_ns(self) -> float:
         return self._config.vmm_latency_ns
-
-    @property
-    def total_energy_pj(self) -> float:
-        """Lifetime compute energy."""
-        return self._vmm_count * self.vmm_energy_pj
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,7 +366,3 @@ class FastIMA:
         if self._window_lo is not None:
             return codes * self._code_step()[None, :] + self._window_lo[None, :]
         return codes * self.dot_product_per_code
-
-    @property
-    def total_energy_pj(self) -> float:
-        return self._vmm_count * self._config.vmm_energy_pj

@@ -1,16 +1,13 @@
-"""Energy / area / latency modeling framework.
+"""Energy / area / latency unit helpers (:mod:`repro.energy.units`).
 
-A small accelergy-style accounting stack: components declare named actions
-with per-action energies, and an :class:`~repro.energy.ledger.EnergyLedger`
-accumulates action counts during simulation.
+Prices live elsewhere: the architecture simulator (:mod:`repro.arch`)
+costs every layer, and :func:`repro.core.config.gated_vmm_energy_pj` is the
+one price of a power-gated YOCO VMM.
 """
 
 from repro._exports import lazy_exports
 
 _EXPORTS = {
-    "action": ("Action",),
-    "component": ("Component", "ComponentLibrary"),
-    "ledger": ("EnergyLedger", "LedgerEntry"),
     "units": (
         "GIGA",
         "MEGA",

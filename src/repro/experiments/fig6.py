@@ -33,17 +33,6 @@ from repro.core.ima import DetailedIMA
 from repro.core.tda import TimeDomainAccumulator
 from repro.experiments.data import FIG6E_PRIOR_ERRORS, FIG6E_YOCO_PAPER_PERCENT
 from repro.experiments.report import format_table
-from repro.nn.backend import FloatBackend, YocoBackend
-from repro.nn.datasets import synthetic_images, synthetic_sequences
-from repro.nn.train import evaluate, train_classifier
-from repro.nn.zoo import (
-    build_cnn_compact,
-    build_cnn_deep,
-    build_cnn_small,
-    build_cnn_wide,
-    build_transformer_small,
-    build_transformer_tiny,
-)
 
 
 # -- Fig. 6(a) -----------------------------------------------------------------------
@@ -209,18 +198,6 @@ class Fig6fResult:
         return max(c.loss_percent for c in self.comparisons if c.family == "transformer")
 
 
-_CNN_BUILDERS = {
-    "cnn-small (AlexNet-class)": build_cnn_small,
-    "cnn-deep (VGG/ResNet-class)": build_cnn_deep,
-    "cnn-wide (MobileNet-class)": build_cnn_wide,
-    "cnn-compact (DenseNet-class)": build_cnn_compact,
-}
-_TRANSFORMER_BUILDERS = {
-    "transformer-small (BERT-class)": build_transformer_small,
-    "transformer-tiny (ViT-class)": build_transformer_tiny,
-}
-
-
 def run_fig6f(quick: bool = False, seed: int = 0) -> Fig6fResult:
     """Train the 6 stand-in benchmarks; compare float vs YOCO inference.
 
@@ -231,6 +208,31 @@ def run_fig6f(quick: bool = False, seed: int = 0) -> Fig6fResult:
     ``benchmarks/bench_fig6.py`` bounds both losses by 1.0 % in full mode
     and 8.0 % in quick mode.
     """
+    # The NN stack loads here, so the circuit figures (a)-(e) never pay
+    # for importing it.
+    from repro.nn.backend import FloatBackend, YocoBackend
+    from repro.nn.datasets import synthetic_images, synthetic_sequences
+    from repro.nn.train import evaluate, train_classifier
+    from repro.nn.zoo import (
+        build_cnn_compact,
+        build_cnn_deep,
+        build_cnn_small,
+        build_cnn_wide,
+        build_transformer_small,
+        build_transformer_tiny,
+    )
+
+    cnn_builders = {
+        "cnn-small (AlexNet-class)": build_cnn_small,
+        "cnn-deep (VGG/ResNet-class)": build_cnn_deep,
+        "cnn-wide (MobileNet-class)": build_cnn_wide,
+        "cnn-compact (DenseNet-class)": build_cnn_compact,
+    }
+    transformer_builders = {
+        "transformer-small (BERT-class)": build_transformer_small,
+        "transformer-tiny (ViT-class)": build_transformer_tiny,
+    }
+
     n_train = 512 if quick else 1024
     n_test = 256 if quick else 512
     epochs_cnn = 6 if quick else 10
@@ -238,7 +240,7 @@ def run_fig6f(quick: bool = False, seed: int = 0) -> Fig6fResult:
     comparisons: List[AccuracyComparison] = []
 
     image_ds = synthetic_images(n_train=n_train, n_test=n_test, noise=1.2, seed=seed)
-    for i, (name, builder) in enumerate(_CNN_BUILDERS.items()):
+    for i, (name, builder) in enumerate(cnn_builders.items()):
         model = builder(n_classes=image_ds.n_classes, channels=1, seed=seed + i)
         train_classifier(model, image_ds, epochs=epochs_cnn, batch_size=64, lr=2e-3, seed=seed + i)
         original = evaluate(model, image_ds.x_test, image_ds.y_test, FloatBackend())
@@ -248,7 +250,7 @@ def run_fig6f(quick: bool = False, seed: int = 0) -> Fig6fResult:
         comparisons.append(AccuracyComparison(name, "cnn", original, yoco))
 
     seq_ds = synthetic_sequences(n_train=n_train, n_test=n_test, corruption=0.25, seed=seed + 50)
-    for i, (name, builder) in enumerate(_TRANSFORMER_BUILDERS.items()):
+    for i, (name, builder) in enumerate(transformer_builders.items()):
         model = builder(n_classes=seq_ds.n_classes, seed=seed + 100 + i)
         train_classifier(model, seq_ds, epochs=epochs_tf, batch_size=64, lr=3e-3, seed=seed + i)
         original = evaluate(model, seq_ds.x_test, seq_ds.y_test, FloatBackend())

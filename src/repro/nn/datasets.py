@@ -2,8 +2,8 @@
 
 The paper evaluates accuracy on pretrained ImageNet/GLUE-class models; those
 weights and datasets are not available offline, so Fig. 6(f) runs on small
-stand-in networks *trained from scratch* on synthetic tasks (see DESIGN.md's
-substitution table).  The tasks are built to have real structure — class
+stand-in networks *trained from scratch* on synthetic tasks (the benchmark
+each stands for is named in :func:`repro.experiments.fig6.run_fig6f`).  The tasks are built to have real structure — class
 templates distorted by noise, token motifs embedded in random sequences —
 so trained networks sit meaningfully below 100 % accuracy and analog error
 can actually move the needle.

@@ -14,6 +14,7 @@ from repro.arch import (
 )
 from repro.arch.pipeline import AttentionGeometry, geometry_for_workload
 from repro.baselines import isaac_spec
+from repro.core.config import TileConfig
 from repro.models import get_workload
 from repro.models.workload import GemmShape, LayerKind, LayerSpec
 
@@ -123,6 +124,16 @@ class TestSimulator:
         run = sim.run(get_workload("llama3_7b"))
         assert any(l.data_latency_ns > 0.0 for l in run.layers)
 
+    def test_overflow_weights_stream_at_the_hyperlink_rate(self):
+        # 64 weight bytes at 6.4 GB/s take 10 ns and 512 bits x 1.6 pJ.
+        sim = ArchitectureSimulator(yoco_spec())
+        resident = sim.simulate_layer(_layer(1, 8, 8))
+        streamed = sim.simulate_layer(_layer(1, 8, 8), static_overflow=True)
+        assert streamed.data_latency_ns == pytest.approx(10.0, rel=1e-12)
+        assert streamed.data_movement_energy_pj - resident.data_movement_energy_pj == (
+            pytest.approx(512 * 1.6, rel=1e-12)
+        )
+
     def test_run_result_rollups(self):
         sim = ArchitectureSimulator(yoco_spec())
         run = sim.run(get_workload("resnet18"))
@@ -178,6 +189,28 @@ class TestPipeline:
         late = model.token_stages(geom, geom.seq_len - 1)
         assert late.score_ns >= early.score_ns
         assert late.av_ns >= early.av_ns
+
+    @pytest.mark.parametrize(
+        "dim, kv_dim, windows",
+        # 8 bits per q/k/v element: 192, 256 and 272 bits.
+        [(8, 8, 1), (16, 8, 1), (16, 9, 2)],
+    )
+    def test_crossbar_stage_counts_256_bit_windows(self, dim, kv_dim, windows):
+        geom = AttentionGeometry("x", dim, kv_dim, 1, 1, causal=True)
+        stages = AttentionPipelineModel().token_stages(geom, 0)
+        # Plus one 0.5 ns SRAM row write for the appended key.
+        assert stages.xfer_ns == pytest.approx(windows * 0.25 + 0.5)
+
+    @pytest.mark.parametrize(
+        "sfu_count, token_index, waves",
+        # Three SFU passes (exp, max, normalizer) per fresh causal score.
+        [(128, 0, 1), (128, 41, 1), (128, 42, 2), (64, 21, 2)],
+    )
+    def test_sfu_stage_counts_lane_waves(self, sfu_count, token_index, waves):
+        model = AttentionPipelineModel(TileConfig(sfu_count=sfu_count))
+        geom = AttentionGeometry("x", 8, 8, 1, 64, causal=True)
+        stages = model.token_stages(geom, token_index)
+        assert stages.sfu_ns == pytest.approx(waves * 0.1)
 
     def test_geometry_lookup(self):
         geom = geometry_for_workload(get_workload("vit"))

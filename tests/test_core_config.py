@@ -1,9 +1,12 @@
 """Table II consistency: every derived roll-up must match the paper."""
 
 import dataclasses
+import functools
 
 import pytest
 
+from repro import constants
+from repro.arch.accelerator import yoco_spec
 from repro.core.config import ArrayConfig, ChipConfig, IMAConfig, TileConfig, paper_config
 
 
@@ -99,3 +102,49 @@ class TestTileAndChip:
 
     def test_paper_config_is_default(self):
         assert paper_config() == ChipConfig()
+
+    def test_tile_holds_four_dynamic_and_four_static_imas(self):
+        tile = TileConfig()
+        assert (tile.n_dima, tile.n_sima, tile.n_imas) == (4, 4, 8)
+
+    def test_context_depths(self):
+        tile = TileConfig()
+        assert tile.dima_contexts == constants.SRAM_BITS_PER_CLUSTER == 8
+        assert tile.sima_contexts == constants.RERAM_BITS_PER_CLUSTER == 32
+
+    @pytest.mark.parametrize(
+        "path, anchor",
+        [
+            ("tile.ima.buffer_energy_pj_per_256b", 2.9),
+            ("tile.ima.buffer_latency_ns_per_256b", 0.112),
+            ("tile.sfu_energy_pj", 0.6),
+            ("tile.sfu_latency_ns", 0.1),
+            ("tile.sfu_count", 128),
+            ("tile.edram_energy_pj_per_bit", 0.1),
+            ("tile.crossbar_latency_ns_per_256b", 0.25),
+            ("noc_energy_pj_per_bit", 0.08),
+            ("hyperlink_energy_pj_per_bit", 1.6),
+            ("hyperlink_bandwidth_gbps", 6.4),
+        ],
+    )
+    def test_table_ii_cost_anchors(self, path, anchor):
+        value = functools.reduce(getattr, path.split("."), ChipConfig())
+        assert value == pytest.approx(anchor, rel=1e-12)
+
+    def test_unit_counts(self):
+        cfg = ChipConfig()
+        tile = cfg.tile
+        assert cfg.n_tiles * tile.n_dima == cfg.n_tiles * tile.n_sima == 16
+        assert cfg.n_tiles * tile.sfu_count == 512
+
+    def test_counts_follow_the_config(self):
+        half = ChipConfig(n_tiles=2)
+        assert half.n_imas == 16
+        assert 2 * half.sima_weight_capacity_bytes == ChipConfig().sima_weight_capacity_bytes
+
+    def test_yoco_prices_weight_writes_from_constants(self):
+        # The hybrid gap: ReRAM SIMA writes cost three orders more than
+        # SRAM DIMA writes, and the simulator's YOCO spec reads the SRAM one.
+        assert constants.RERAM_WRITE_PJ_PER_BIT == pytest.approx(2.0, rel=1e-12)
+        assert constants.SRAM_WRITE_PJ_PER_BIT == pytest.approx(0.0012, rel=1e-12)
+        assert yoco_spec().dynamic_write_pj_per_bit == constants.SRAM_WRITE_PJ_PER_BIT

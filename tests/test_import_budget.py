@@ -2,8 +2,8 @@
 
 Package re-exports resolve on first use (:mod:`repro._exports`), so a
 serving run imports no circuit, NN or figure-driver module, the CLI
-imports a figure driver only when its command runs, and a figure driver
-imports no serving code.  Each check runs in a fresh interpreter, because
+imports a figure driver only when its command runs, a figure driver
+imports no serving code, and the circuit figures import no NN code.  Each check runs in a fresh interpreter, because
 the test session itself has long since imported everything.
 """
 
@@ -98,3 +98,9 @@ def test_cli_import_loads_no_figure_driver():
 def test_figure_driver_imports_no_serving_code():
     modules = loaded_modules("import repro.experiments.fig6")
     assert [m for m in modules if m.split(".")[:2] == ["repro", "serve"]] == []
+
+
+def test_circuit_figures_import_no_nn_stack():
+    # Only Fig. 6(f) trains networks; it imports ``repro.nn`` when it runs.
+    modules = loaded_modules("import repro.experiments.fig6")
+    assert [m for m in modules if m.split(".")[:2] == ["repro", "nn"]] == []
