@@ -103,6 +103,42 @@ class TestReportPrices:
         assert report.static_weight_bytes == 16 * 8
 
 
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [(1, 16, 8), (4, 64, 3), (2, 1024, 256), (1, 1025, 10), (3, 100, 257)],
+    )
+    def test_one_gemm_is_priced_as_simulate_layer(self, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        backend = ChipBackend(seed=0)
+        backend.matmul("fc", rng.normal(size=(m, k)), rng.normal(size=(k, n)))
+        layer = _simulated(m, k, n)
+        report = backend.report()
+        assert report.vmm_count == layer.vmm_count == backend.total_vmm_count
+        assert report.compute_energy_pj == pytest.approx(
+            layer.compute_energy_pj, rel=1e-12
+        )
+        assert report.movement_energy_pj == pytest.approx(
+            layer.data_movement_energy_pj, rel=1e-12
+        )
+        # A first programming pins the matrix in ReRAM.
+        assert report.static_weight_bytes == k * n
+        assert report.weight_write_energy_pj == pytest.approx(
+            k * n * 8 * constants.RERAM_WRITE_PJ_PER_BIT, rel=1e-12
+        )
+
+    def test_breakdown_names_each_term(self):
+        rng = np.random.default_rng(11)
+        backend = ChipBackend(seed=0)
+        backend.matmul("fc", rng.normal(size=(2, 32)), rng.normal(size=(32, 8)))
+        report = backend.report()
+        assert report.breakdown() == {
+            "compute": report.compute_energy_pj,
+            "data_movement": report.movement_energy_pj,
+            "weight_writes": report.weight_write_energy_pj,
+        }
+        assert report.total_energy_pj == sum(report.breakdown().values())
+
+
 class TestDynamicDetection:
     def test_changing_operand_marks_dynamic(self, rng):
         backend = ChipBackend(seed=1)
@@ -133,3 +169,31 @@ class TestDynamicDetection:
             + 2 * bits * constants.SRAM_WRITE_PJ_PER_BIT,
             rel=1e-12,
         )
+
+    def test_reused_matrix_is_programmed_once(self, rng):
+        backend = ChipBackend(seed=5)
+        w = rng.normal(size=(16, 8))
+        for _ in range(3):
+            backend.matmul("fc", rng.normal(size=(2, 16)), w)
+        report = backend.report()
+        assert (report.static_layers, report.dynamic_layers) == (1, 0)
+        assert report.weight_write_energy_pj == pytest.approx(
+            16 * 8 * 8 * constants.RERAM_WRITE_PJ_PER_BIT, rel=1e-12
+        )
+        # Every call still computes: three GEMMs of one shape.
+        layer = _simulated(2, 16, 8)
+        assert report.vmm_count == 3 * layer.vmm_count
+        assert report.compute_energy_pj == pytest.approx(
+            3 * layer.compute_energy_pj, rel=1e-12
+        )
+
+    def test_layers_are_classified_independently(self, rng):
+        backend = ChipBackend(seed=6)
+        x = rng.normal(size=(1, 16))
+        w_fc = rng.normal(size=(16, 8))
+        for _ in range(2):
+            backend.matmul("fc", x, w_fc)
+            backend.matmul("scores", x, rng.normal(size=(16, 4)))
+        report = backend.report()
+        assert (report.static_layers, report.dynamic_layers) == (1, 1)
+        assert report.static_weight_bytes == 16 * 8

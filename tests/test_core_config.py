@@ -148,3 +148,28 @@ class TestTileAndChip:
         assert constants.RERAM_WRITE_PJ_PER_BIT == pytest.approx(2.0, rel=1e-12)
         assert constants.SRAM_WRITE_PJ_PER_BIT == pytest.approx(0.0012, rel=1e-12)
         assert yoco_spec().dynamic_write_pj_per_bit == constants.SRAM_WRITE_PJ_PER_BIT
+
+    def test_one_ima_context_holds_1024_by_256_weights(self):
+        assert TileConfig().weights_per_ima == 1024 * 256
+
+    def test_dima_capacity_per_tile_is_8_mb(self):
+        # 4 DIMAs x (1024x256 weights) x 8 SRAM contexts.
+        assert TileConfig().dima_weight_capacity_bytes == 4 * 1024 * 256 * 8
+
+    @pytest.mark.parametrize("n_tiles", [1, 2, 4, 8])
+    def test_sima_capacity_scales_with_tiles(self, n_tiles):
+        cfg = ChipConfig(n_tiles=n_tiles)
+        assert cfg.sima_weight_capacity_bytes == n_tiles * 32 * 1024 * 1024
+        assert cfg.n_imas == 8 * n_tiles
+
+    def test_chip_peak_throughput_rolls_up(self):
+        # 32 IMAs, each at the 34.9 TOPS headline.
+        cfg = ChipConfig()
+        assert cfg.peak_throughput_tops == pytest.approx(
+            32 * cfg.tile.ima.throughput_tops, rel=1e-12
+        )
+        assert cfg.peak_throughput_tops == pytest.approx(32 * 34.9, rel=0.005)
+
+    def test_area_with_links_adds_the_hyperlink_phy(self):
+        cfg = ChipConfig()
+        assert cfg.area_with_links_um2 - cfg.area_um2 == pytest.approx(5.7e6)
