@@ -14,7 +14,11 @@ branch the loop takes:
 * power-capped runs, uniform and mixed, where routing prices the
   throttle-stretched latency;
 * ``round-robin`` on the mixed fleet, unified and ``prefill-decode``,
-  where prefill batches and decode iterations rotate over their hosts.
+  where prefill batches and decode iterations rotate over their hosts;
+* two models under a small batch cap and a long window, on ``yoco:4``
+  and on the priced ``yoco:2,isaac:2``, so a decode completion sometimes
+  meets another ready queue or an overfull FIFO and goes through the
+  full dispatch scan, and otherwise re-dispatches its FIFO directly.
 
 Regenerate the goldens only on an intentional behaviour change::
 
@@ -35,7 +39,12 @@ from repro.serve import (
     format_serving,
     simulate_serving,
 )
-from repro.serve.config import FleetConfig, ServingConfig, WorkloadConfig
+from repro.serve.config import (
+    FleetConfig,
+    PolicyConfig,
+    ServingConfig,
+    WorkloadConfig,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = DATA / "golden_decode_digests.json"
@@ -92,6 +101,20 @@ SCENARIOS = {
             routing="round-robin",
         ),
     ),
+    "two_models_yoco4": (
+        dict(models=["mobilebert", "qdqbert"], rps=3000.0, duration_s=0.05),
+        dict(fleet="yoco:4"),
+    ),
+    "two_models_hetero": (
+        dict(models=["mobilebert", "qdqbert"], rps=3000.0, duration_s=0.05),
+        dict(fleet="yoco:2,isaac:2"),
+    ),
+}
+
+#: scenario -> PolicyConfig kwargs (the default policy otherwise).
+POLICIES = {
+    "two_models_yoco4": dict(max_batch_size=2, window_ms=0.5),
+    "two_models_hetero": dict(max_batch_size=2, window_ms=0.5),
 }
 
 
@@ -102,6 +125,7 @@ def _run(scenario: str):
         config=ServingConfig(
             workload=WorkloadConfig(**workload),
             fleet=FleetConfig(**fleet),
+            policy=PolicyConfig(**POLICIES.get(scenario, {})),
             decode=DECODE,
         )
     )
