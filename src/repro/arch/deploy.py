@@ -12,8 +12,9 @@ with the same rules as the architecture simulator:
   through eDRAM and the on-chip network;
 * weight programming follows the backend's own observation: one-time
   ReRAM writes for a layer whose matrix never changes (static, on a SIMA),
-  cheap SRAM writes each time a layer's matrix changes (a *dynamic*
-  operand on a DIMA), at the write energies of :mod:`repro.constants`.
+  cheap SRAM writes for every programming of a layer whose matrix changes
+  (a *dynamic* operand on a DIMA, its first write included), at the write
+  energies of :mod:`repro.constants`.
 
 One evaluation pass therefore yields classification accuracy *and* an
 energy account with the same per-GEMM prices as Fig. 8 and the serving
@@ -68,8 +69,8 @@ class ChipBackend(YocoBackend):
     every ``(m, k, n)`` shape it sees and classifies layers by observation:
     a named GEMM whose weight matrix never changes is *static*
     (SIMA-resident; programming billed once at ReRAM cost), one that
-    changes between calls is *dynamic* (DIMA-resident; SRAM programming
-    billed per change).
+    changes between calls is *dynamic* (DIMA-resident; every programming,
+    the first included, billed at SRAM cost once the change is seen).
 
     Parameters
     ----------
@@ -143,12 +144,16 @@ class ChipBackend(YocoBackend):
         previous = self._layer_weights.get(name)
         if previous is not None and np.array_equal(previous, w_codes):
             return
-        changed = previous is not None
         self._layer_weights[name] = w_codes.copy()
-        # An observed mutation is a dynamic operand on a DIMA (SRAM);
-        # a first programming pins the matrix in a SIMA (ReRAM).
-        self._layer_dynamic[name] = changed
-        if changed:
-            self._sram_write_bits += w_codes.size * 8
-        else:
+        if previous is None:
+            # A first programming pins the matrix in a SIMA (ReRAM).
+            self._layer_dynamic[name] = False
             self._reram_write_bits += w_codes.size * 8
+            return
+        # An observed mutation is a dynamic operand on a DIMA (SRAM), so
+        # the first programming was an SRAM write too: re-bill it there.
+        if not self._layer_dynamic[name]:
+            self._layer_dynamic[name] = True
+            self._reram_write_bits -= previous.size * 8
+            self._sram_write_bits += previous.size * 8
+        self._sram_write_bits += w_codes.size * 8

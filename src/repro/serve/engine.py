@@ -240,9 +240,12 @@ class EngineStats:
     model) slot examinations the dispatch scan performed — the dirty
     slots on a round's first pass, then only the previous pass's
     candidates — the quantity that used to grow as events x slots and
-    must now grow linearly with the event count.  ``profile`` carries
-    the per-event-kind breakdown when the engine ran with
-    ``profile=True`` (``--profile-engine``).
+    must now grow linearly with the event count.  A decode completion
+    that re-dispatches its own FIFO without the scan counts the round
+    and the slot scans that scan would have made, so every counter (and
+    the profile) is the same either way.  ``profile`` carries the
+    per-event-kind breakdown when the engine ran with ``profile=True``
+    (``--profile-engine``).
     """
 
     n_events: int  # heap, cursor and pending-slot events (arrivals incl.)
@@ -1001,7 +1004,8 @@ class ServingEngine:
             rotates the set's cursor over its hosts; otherwise the free
             host with the smallest phase-supplied routing ``key`` wins.
             Every key ends in the chip id, so ties break toward the
-            lowest id for determinism.
+            lowest id for determinism.  A uniform set reads no key, so its
+            caller may pass ``None``.
             """
             hosts = set_hosts[k]
             if set_uniform[k]:
@@ -1173,8 +1177,12 @@ class ServingEngine:
             nonlocal n_decode_iters
             model = model_order[mi]
             dq = decode_queues[mi]
-            take = min(len(dq), max_batch)
-            entries = [dq.popleft() for _ in range(take)]
+            if len(dq) <= max_batch:
+                entries = list(dq)
+                dq.clear()
+            else:
+                entries = [dq.popleft() for _ in range(max_batch)]
+            take = len(entries)
             per_tok = kv_per_token[model]
             ctx_pad = 0
             footprints = []
@@ -1186,7 +1194,7 @@ class ServingEngine:
             total_kv = float(sum(footprints))
             k = n_models + mi
             table = set_table[k]
-            chip = route(k, lambda c: routing_key(
+            chip = route(k, None if set_uniform[k] else lambda c: routing_key(
                 c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
             ))
             cost, overflow = decode_price(table, chip, take, ctx_pad, total_kv)
@@ -1219,6 +1227,10 @@ class ServingEngine:
             A pass rescans only the previous pass's candidates: free-host
             counts only fall within a round, a pop fills no other queue,
             and re-arming a window timer is idempotent.
+
+            A decode completion skips this scan when it could pick only
+            the completion's own FIFO (:func:`redispatch_decode`), and
+            counts what the scan would have counted.
             """
             nonlocal seq, n_dispatch_rounds, n_slot_scans
             n_dispatch_rounds += 1
@@ -1275,6 +1287,49 @@ class ServingEngine:
                     commit_batch(
                         index, queue_list[index].pop_batch(now, policy), now
                     )
+
+        def redispatch_decode(mi: int, now: float) -> bool:
+            """Launch model ``mi``'s next decode iteration without the scan.
+
+            Called at a decode completion of model ``mi``, whose freed chip
+            has dirtied this decode slot.  Valid — and then exactly what
+            :func:`dispatch` would do — when the scan could pick only this
+            slot, once: its FIFO is non-empty, fits one batch and has a
+            free host, and every other dirty slot is one the scan skips
+            without a side effect (no free host, empty, or a prefill queue
+            that is not ready and whose window timer is armed for its
+            current deadline).  The work counters then grow as that scan's
+            would: one round over the dirty set and a second pass over the
+            lone candidate.  Returns False, touching nothing, when the
+            scan must run.
+            """
+            nonlocal n_dispatch_rounds, n_slot_scans
+            slot = n_pslots + mi
+            dq = decode_queues[mi]
+            if not dq or len(dq) > max_batch or not set_free[slot_set[slot]]:
+                return False
+            for index in dirty:
+                if index == slot or not set_free[slot_set[index]]:
+                    continue
+                if index >= n_pslots:
+                    if decode_queues[index - n_pslots]:
+                        return False
+                    continue
+                queue = queue_list[index]
+                if queue._size and (
+                    queue.ready(now, policy)
+                    or window_armed.get(index)
+                    != queue.window_deadline_ns(policy)
+                ):
+                    return False
+            n_dispatch_rounds += 1
+            size = len(dirty)
+            n_slot_scans += size + 1
+            if profiling:
+                scan_sizes[size] = scan_sizes.get(size, 0) + 1
+            dispatch_decode(mi, now)
+            dirty.clear()
+            return True
 
         def enqueue(row: int, index: int, now: float) -> None:
             """Admitted arrival ``row`` enters its slot ``index``'s queue."""
@@ -1548,7 +1603,7 @@ class ServingEngine:
                         tick(len(landed))
                     if requeued:
                         dirty.add(n_pslots + mi)
-                    if dirty:
+                    if dirty and not redispatch_decode(mi, now):
                         dispatch(now)
                     continue
                 if inflight.key in cancelled:

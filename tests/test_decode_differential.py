@@ -15,16 +15,19 @@ branch the loop takes:
   throttle-stretched latency;
 * ``round-robin`` on the mixed fleet, unified and ``prefill-decode``,
   where prefill batches and decode iterations rotate over their hosts;
-* two models under a small batch cap and a long window, on ``yoco:4``
-  and on the priced ``yoco:2,isaac:2``, so a decode completion sometimes
-  meets another ready queue or an overfull FIFO and goes through the
-  full dispatch scan, and otherwise re-dispatches its FIFO directly.
+* two models under a batch cap of 2 and a 0.5 ms window: on ``yoco:4``,
+  on the priced ``yoco:2,isaac:2``, and on a busy ``yoco:2`` where the
+  two decode FIFOs wait for the same chips.  A decode completion
+  re-dispatches its own FIFO directly when the dispatch scan could pick
+  nothing else, and runs the full scan when a prefill queue is ready,
+  the other FIFO waits, or its own FIFO holds more than one batch.
 
 Regenerate the goldens only on an intentional behaviour change::
 
     PYTHONPATH=src python tests/test_decode_differential.py --write
 """
 
+import collections
 import functools
 import hashlib
 import json
@@ -41,6 +44,7 @@ from repro.serve import (
 )
 from repro.serve.config import (
     FleetConfig,
+    ObserveConfig,
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
@@ -109,12 +113,17 @@ SCENARIOS = {
         dict(models=["mobilebert", "qdqbert"], rps=3000.0, duration_s=0.05),
         dict(fleet="yoco:2,isaac:2"),
     ),
+    "two_models_yoco2_busy": (
+        dict(models=["mobilebert", "qdqbert"], rps=6000.0, duration_s=0.05),
+        dict(fleet="yoco:2"),
+    ),
 }
 
 #: scenario -> PolicyConfig kwargs (the default policy otherwise).
 POLICIES = {
     "two_models_yoco4": dict(max_batch_size=2, window_ms=0.5),
     "two_models_hetero": dict(max_batch_size=2, window_ms=0.5),
+    "two_models_yoco2_busy": dict(max_batch_size=2, window_ms=0.5),
 }
 
 
@@ -201,6 +210,53 @@ class TestScenariosCoverTheirBranch:
     def test_power_cap_binds(self, scenario):
         _, result = _run(scenario)
         assert result.power.total_stall_ns > 0
+
+    @pytest.mark.parametrize(
+        "scenario", ["two_models_hetero", "two_models_yoco2_busy"]
+    )
+    def test_decode_completions_hand_chips_to_other_slots(
+        self, scenario, tmp_path
+    ):
+        """At a decode completion the full scan runs when another slot
+        could take the freed chip, and the chip may then go to that slot:
+        a ready prefill queue or, on the busy fleet, the other model's
+        waiting FIFO.  A direct re-dispatch only ever launches the
+        completion's own FIFO, so these launches show the scan ran.
+        Instants with an arrival or a prefill completion are left out."""
+        workload, fleet = SCENARIOS[scenario]
+        path = tmp_path / "trace.jsonl"
+        simulate_serving(
+            config=ServingConfig(
+                workload=WorkloadConfig(**workload),
+                fleet=FleetConfig(**fleet),
+                policy=PolicyConfig(**POLICIES[scenario]),
+                decode=DECODE,
+                observe=ObserveConfig(trace_file=str(path)),
+            )
+        )
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        finished = collections.defaultdict(set)
+        launched = collections.defaultdict(list)
+        other = set()
+        for e in events:
+            if e["ev"] == "dit":
+                finished[e["fin"]].add(e["m"])
+            if e["ev"] in ("dit", "dsp"):
+                launched[e["t"]].append(e)
+            elif e["ev"] in ("arr", "cmp"):
+                other.add(e["t"])
+        to_prefill = to_other_model = 0
+        for t, models in finished.items():
+            if t in other:
+                continue
+            for e in launched[t]:
+                if e["ev"] == "dsp":
+                    to_prefill += 1
+                elif e["m"] not in models:
+                    to_other_model += 1
+        assert to_prefill > 0
+        if scenario == "two_models_yoco2_busy":
+            assert to_other_model > 0
 
 
 def _write() -> None:

@@ -1,6 +1,6 @@
 """Golden guard for the engine's work counters and self-profile.
 
-Six short profiled runs, each pinned field for field on ``result.stats``:
+Seven short profiled runs, each pinned field for field on ``result.stats``:
 the four :class:`~repro.serve.engine.EngineStats` counters and the
 :class:`~repro.serve.engine.EngineProfile` (``events_by_kind``,
 ``dispatch_scan_hist``, ``heap_peak``).  Together they cover both engine
@@ -10,9 +10,13 @@ loops and every event source the profile counts:
 * ``wfq_preempt`` — weighted-fair tenants with preemption, so tombstoned
   completions pop as events;
 * ``decode`` — a decode loop, whose iterations complete as events;
-* ``decode_two_models`` — two models' decode FIFOs under a batch cap of
-  2 and a 0.5 ms window, so a decode completion either re-dispatches its
-  own FIFO directly or falls back to the full dispatch scan;
+* ``decode_two_models`` and ``decode_two_models_busy`` — two models'
+  decode FIFOs under a batch cap of 2 and a 0.5 ms window, on ``yoco:4``
+  and on a busy ``yoco:2``.  A decode completion either re-dispatches
+  its own FIFO directly or runs the full dispatch scan, and both must
+  count the same work; on the busy fleet the scan also meets ready
+  prefill queues, unarmed windows, overfull FIFOs and the other model's
+  waiting FIFO;
 * ``clients_retries`` — closed-loop sessions under a queue cap, so
   rejected requests re-arrive as retries;
 * ``elastic`` — a ``1:8`` autoscaled run with controller evaluations and
@@ -79,6 +83,16 @@ SCENARIOS = {
             seed=0,
         ),
         fleet=FleetConfig(fleet="yoco:4"),
+        policy=PolicyConfig(max_batch_size=2, window_ms=0.5),
+        observe=PROFILE,
+        decode=DecodeConfig(dist="lognormal", mean_tokens=16),
+    ),
+    "decode_two_models_busy": ServingConfig(
+        workload=WorkloadConfig(
+            models=("mobilebert", "qdqbert"), rps=6000.0, duration_s=0.05,
+            seed=0,
+        ),
+        fleet=FleetConfig(fleet="yoco:2"),
         policy=PolicyConfig(max_batch_size=2, window_ms=0.5),
         observe=PROFILE,
         decode=DecodeConfig(dist="lognormal", mean_tokens=16),

@@ -1,12 +1,16 @@
 """Golden guard for same-timestamp ordering in the general event loop.
 
-Four runs whose events pile up at identical instants, pinned bit for bit
+Five runs whose events pile up at identical instants, pinned bit for bit
 by a sha256 digest over every served record, the per-chip busy time, the
 preemption records, the rejected requests and the elastic scaling trace:
 
 * ``decode_bursts`` — a ``yoco:4`` decode run with fixed output lengths
   and arrivals in bursts at identical timestamps, so several chips finish
   their prefill batches and decode iterations at the same instant;
+* ``decode_overfull_ties`` — eight decode requests at one instant on
+  ``yoco:2`` under a batch cap of 1, so both chips finish decode
+  iterations together while the decode FIFO holds more than one batch:
+  the first completion of the instant must re-form two iterations;
 * ``elastic_diurnal`` — a diurnal ``1:8`` autoscaled run whose
   controller drains chips while they are still busy (they park at their
   completion instant);
@@ -63,6 +67,16 @@ def _decode_bursts():
     return engine.run(trace)
 
 
+def _decode_overfull_ties():
+    trace = [Request(i, "mobilebert", 0.0, decode_tokens=6) for i in range(8)]
+    engine = ServingEngine(
+        Cluster([get_workload("mobilebert")], fleet="yoco:2"),
+        BatchingPolicy(max_batch_size=1, window_ns=0.0),
+        decode=DecodeConfig(dist="fixed", mean_tokens=6),
+    )
+    return engine.run(trace)
+
+
 def _elastic_diurnal():
     return simulate_serving(
         ServingConfig(
@@ -114,6 +128,7 @@ def _buckets_preempt_shed():
 SCENARIOS = {
     "buckets_preempt_shed": _buckets_preempt_shed,
     "decode_bursts": _decode_bursts,
+    "decode_overfull_ties": _decode_overfull_ties,
     "elastic_diurnal": _elastic_diurnal,
     "wfq_preempt_mixed": _wfq_preempt_mixed,
 }
@@ -168,6 +183,16 @@ class TestScenariosStressTies:
             stamps[key] = stamps.get(key, 0) + 1
         assert max(stamps.values()) > 2
         assert result.n_decode_iters > 0
+
+    def test_decode_iterations_finish_together_on_both_chips(self):
+        # A batch cap of 1 makes each iteration one request, so requests
+        # finishing at one instant on both chips are tied iterations.
+        result = _run("decode_overfull_ties")
+        chips_at = {}
+        for s in result.served:
+            chips_at.setdefault(s.finish_ns, set()).add(s.chip_id)
+        assert {0, 1} in chips_at.values()
+        assert result.n_decode_iters == 8 * 6
 
     def test_elastic_run_drains_busy_chips(self):
         # An idle drained chip parks at the decision instant; a busy one
