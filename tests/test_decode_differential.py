@@ -127,17 +127,20 @@ POLICIES = {
 }
 
 
+def _config(scenario: str, observe=ObserveConfig()) -> ServingConfig:
+    workload, fleet = SCENARIOS[scenario]
+    return ServingConfig(
+        workload=WorkloadConfig(**workload),
+        fleet=FleetConfig(**fleet),
+        policy=PolicyConfig(**POLICIES.get(scenario, {})),
+        observe=observe,
+        decode=DECODE,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _run(scenario: str):
-    workload, fleet = SCENARIOS[scenario]
-    return simulate_serving(
-        config=ServingConfig(
-            workload=WorkloadConfig(**workload),
-            fleet=FleetConfig(**fleet),
-            policy=PolicyConfig(**POLICIES.get(scenario, {})),
-            decode=DECODE,
-        )
-    )
+    return simulate_serving(config=_config(scenario))
 
 
 def decode_digest(result) -> str:
@@ -223,16 +226,9 @@ class TestScenariosCoverTheirBranch:
         waiting FIFO.  A direct re-dispatch only ever launches the
         completion's own FIFO, so these launches show the scan ran.
         Instants with an arrival or a prefill completion are left out."""
-        workload, fleet = SCENARIOS[scenario]
         path = tmp_path / "trace.jsonl"
         simulate_serving(
-            config=ServingConfig(
-                workload=WorkloadConfig(**workload),
-                fleet=FleetConfig(**fleet),
-                policy=PolicyConfig(**POLICIES[scenario]),
-                decode=DECODE,
-                observe=ObserveConfig(trace_file=str(path)),
-            )
+            config=_config(scenario, ObserveConfig(trace_file=str(path)))
         )
         events = [json.loads(line) for line in path.read_text().splitlines()]
         finished = collections.defaultdict(set)
