@@ -196,14 +196,21 @@ class ModelQueue:
 
     def ready(self, now_ns: float, policy: BatchingPolicy) -> bool:
         """Would a batch dispatch right now under this policy?"""
-        if not self._size:
-            return False
+        return bool(self._size) and self.window_wait(now_ns, policy) is None
+
+    def window_wait(
+        self, now_ns: float, policy: BatchingPolicy
+    ) -> Optional[float]:
+        """The window deadline a non-empty queue still waits for at
+        ``now_ns``; None once a batch would dispatch (a bucket at the
+        batch cap, or the window expired)."""
         if self._longest >= policy.max_batch_size:
-            return True
+            return None
         # Compare against the *same float expression* the engine schedules
         # its window event with, so the event firing at the deadline always
         # observes a ready queue (no one-ULP re-arm loops).
-        return now_ns >= self.window_deadline_ns(policy)
+        deadline = self.window_deadline_ns(policy)
+        return None if now_ns >= deadline else deadline
 
     def window_deadline_ns(self, policy: BatchingPolicy) -> float:
         """When the oldest queued row's batching window expires."""

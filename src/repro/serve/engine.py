@@ -69,6 +69,7 @@ import numpy as np
 from typing import (
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -81,7 +82,7 @@ from repro.serve.batching import BatchingPolicy, ModelQueue, bucket_for
 from repro.serve.clients import ClientPopulation, ClosedLoopDriver
 from repro.serve.cluster import ChipService, Cluster
 from repro.serve.config import check_composition
-from repro.serve.decode import DecodeConfig, page_round
+from repro.serve.decode import DecodeConfig
 from repro.serve.elastic import (
     ElasticConfig,
     ElasticController,
@@ -184,27 +185,23 @@ class _DecodeEntry:
         self.prefill = prefill
 
 
-@dataclasses.dataclass
-class _DecodeInFlight:
+class _DecodeInFlight(NamedTuple):
     """One decode iteration occupying a chip (a completion-event payload).
 
     ``footprints`` carries each member's paged KV footprint for the
     iteration (the per-entry share key for the batch's ``overflow``
     bytes); all floats were fixed at dispatch, exactly like
-    :class:`_InFlight`.
+    :class:`_InFlight`; an iteration completed in place is a plain tuple
+    of the same fields (``dispatch_decode``).
     """
 
-    __slots__ = ("entries", "model_index", "chip_id", "dispatch_ns",
-                 "finish_ns", "busy_ns", "share_pj", "footprints", "total_kv",
-                 "overflow")
-    entries: List[_DecodeEntry]
-    model_index: int
-    chip_id: int
-    dispatch_ns: float
     finish_ns: float
+    chip_id: int
+    model_index: int
+    entries: List[_DecodeEntry]
+    footprints: List[float]
     busy_ns: float
     share_pj: float  # per-request energy share of the iteration
-    footprints: List[float]
     total_kv: float
     overflow: float  # KV bytes past on-chip capacity, streamed off-chip
 
@@ -240,12 +237,13 @@ class EngineStats:
     model) slot examinations the dispatch scan performed — the dirty
     slots on a round's first pass, then only the previous pass's
     candidates — the quantity that used to grow as events x slots and
-    must now grow linearly with the event count.  A decode completion
-    that re-dispatches its own FIFO without the scan counts the round
-    and the slot scans that scan would have made, so every counter (and
-    the profile) is the same either way.  ``profile`` carries the
-    per-event-kind breakdown when the engine ran with ``profile=True``
-    (``--profile-engine``).
+    must now grow linearly with the event count.  A decode iteration
+    relaunched on a kept chip counts the scan it skipped, and one
+    completed in place counts its event (its pop would see the heap
+    unchanged), so every counter (and the profile) is the same as on
+    the per-iteration path.  ``profile``
+    carries the per-event-kind breakdown when the engine ran with
+    ``profile=True`` (``--profile-engine``).
     """
 
     n_events: int  # heap, cursor and pending-slot events (arrivals incl.)
@@ -828,6 +826,7 @@ class ServingEngine:
                 cluster.kv_capacity_bytes(c) for c in range(cluster.n_chips)
             ]
             page = decode_cfg.page_tokens
+            walk = log is None and governor is None  # see dispatch_decode
         # A uniform set — one cost key and, for decode, one KV capacity —
         # prices every host identically, so the cost-aware policies tie on
         # every chip and take the lowest free host id, unpriced.  Throttle
@@ -1054,7 +1053,8 @@ class ServingEngine:
             ``pending`` slot instead of both heaps.
             """
             nonlocal seq, pending
-            claim_chip(chip)
+            if is_free[chip]:  # a kept decode chip was never freed
+                claim_chip(chip)
             chip_free[chip] = finish
             event = (finish, _COMPLETION, seq, inflight)
             seq += 1
@@ -1162,7 +1162,9 @@ class ServingEngine:
                 svc.energy_pj + spill.energy_pj,
             ), overflow
 
-        def dispatch_decode(mi: int, now: float) -> None:
+        def dispatch_decode(
+            mi: int, now: float, chip: int = -1
+        ) -> Optional[tuple]:
             """Form, route and launch one decode iteration for model ``mi``.
 
             Continuous batching: the batch is whatever the decode FIFO
@@ -1173,8 +1175,14 @@ class ServingEngine:
             capacity streams at the overflow-weights cost — which
             cost-aware routing prices per candidate, so ``fastest`` steers
             toward chips with KV headroom.
+
+            A ``chip`` given was kept by :func:`keep_decode`, where the
+            route would land.  With no log or governor attached, a kept
+            iteration that is the loop's next event — it finishes strictly
+            before the held completion, the heap top and the next trace
+            arrival — is returned unlaunched, to be completed in place.
             """
-            nonlocal n_decode_iters
+            nonlocal n_decode_iters, seq
             model = model_order[mi]
             dq = decode_queues[mi]
             if len(dq) <= max_batch:
@@ -1187,30 +1195,39 @@ class ServingEngine:
             ctx_pad = 0
             footprints = []
             for e in entries:
-                rounded = page_round(e.ctx, page)
+                rounded = (e.ctx + page - 1) // page * page  # page_round
                 if rounded > ctx_pad:
                     ctx_pad = rounded
                 footprints.append(per_tok * rounded)
             total_kv = float(sum(footprints))
             k = n_models + mi
             table = set_table[k]
-            chip = route(k, None if set_uniform[k] else lambda c: routing_key(
-                c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
-            ))
+            kept = chip >= 0
+            if not kept:
+                key = None if set_uniform[k] else lambda c: routing_key(
+                    c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
+                )
+                chip = route(k, key)
             cost, overflow = decode_price(table, chip, take, ctx_pad, total_kv)
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
                 service_ns = cost.latency_ns
             finish = now + service_ns
-            # Positional: this runs once per generated token.
-            launch(chip, finish, _DecodeInFlight(
-                entries, mi, chip, now, finish, service_ns,
-                cost.energy_pj / take, footprints, total_kv, overflow,
-            ))
             n_decode_iters += 1
             if log is not None:
                 log.append((DIT, now, chip, model, take, ctx_pad, finish))
+            step = (finish, chip, mi, entries, footprints, service_ns,
+                    cost.energy_pj / take, total_kv, overflow)
+            if kept and walk and (pending is None or finish < pending[0]) and (
+                not events or finish < events[0][0]
+            ) and (cursor >= trace_n or finish < arrival_of[cursor]):
+                chip_free[chip] = finish
+                seq += 1
+                return step
+            # tuple.__new__ is _make without its frame (once per token).
+            launch(chip, finish, tuple.__new__(_DecodeInFlight, step))
+            return None
 
         def dispatch(now: float) -> None:
             """Scan the dirty slots (ascending index) and dispatch winners.
@@ -1228,9 +1245,10 @@ class ServingEngine:
             counts only fall within a round, a pop fills no other queue,
             and re-arming a window timer is idempotent.
 
-            A decode completion skips this scan when it could pick only
-            the completion's own FIFO (:func:`redispatch_decode`), and
-            counts what the scan would have counted.
+            A decode completion skips the scan when it would only launch
+            the completion's FIFO back on its chip (:func:`keep_decode`),
+            and counts one round over the dirty set and one lone-candidate
+            pass, as the scan would.
             """
             nonlocal seq, n_dispatch_rounds, n_slot_scans
             n_dispatch_rounds += 1
@@ -1261,8 +1279,8 @@ class ServingEngine:
                         queue = queue_list[index]
                         if not queue._size:
                             continue
-                        if not queue.ready(now, policy):
-                            deadline = queue.window_deadline_ns(policy)
+                        deadline = queue.window_wait(now, policy)
+                        if deadline is not None:
                             if window_armed.get(index) != deadline:
                                 heapq.heappush(
                                     events, (deadline, _WINDOW, seq, index)
@@ -1288,48 +1306,61 @@ class ServingEngine:
                         index, queue_list[index].pop_batch(now, policy), now
                     )
 
-        def redispatch_decode(mi: int, now: float) -> bool:
-            """Launch model ``mi``'s next decode iteration without the scan.
-
-            Called at a decode completion of model ``mi``, whose freed chip
-            has dirtied this decode slot.  Valid — and then exactly what
-            :func:`dispatch` would do — when the scan could pick only this
-            slot, once: its FIFO is non-empty, fits one batch and has a
-            free host, and every other dirty slot is one the scan skips
-            without a side effect (no free host, empty, or a prefill queue
-            that is not ready and whose window timer is armed for its
-            current deadline).  The work counters then grow as that scan's
-            would: one round over the dirty set and a second pass over the
-            lone candidate.  Returns False, touching nothing, when the
-            scan must run.
-            """
+        def keep_decode(mi: int, chip: int, now: float, walked: bool) -> bool:
+            """May model ``mi``'s next decode iteration keep ``chip``, whose
+            release its completion's pop deferred (:func:`release_popped`)?
+            Yes when releasing it and scanning would launch only this FIFO,
+            back on ``chip``: the FIFO fits one batch; the host set is
+            uniform with no lower-id host free; no earlier event of this
+            instant freed the chip; and every other dirty slot is empty or
+            a not-ready prefill queue with its window timer armed.  After an
+            iteration completed in place (``walked``) only the FIFO changed.
+            The counters grow as the scan's would (see :func:`dispatch`)."""
             nonlocal n_dispatch_rounds, n_slot_scans
-            slot = n_pslots + mi
             dq = decode_queues[mi]
-            if not dq or len(dq) > max_batch or not set_free[slot_set[slot]]:
+            if not dq:
                 return False
-            for index in dirty:
-                if index == slot or not set_free[slot_set[index]]:
-                    continue
-                if index >= n_pslots:
-                    if decode_queues[index - n_pslots]:
-                        return False
-                    continue
-                queue = queue_list[index]
-                if queue._size and (
-                    queue.ready(now, policy)
-                    or window_armed.get(index)
-                    != queue.window_deadline_ns(policy)
+            if walked:
+                size = len(slots_by_chip[chip])
+            else:
+                k = n_models + mi
+                if (
+                    len(dq) > max_batch or not set_uniform[k]
+                    or is_free[chip] or chip_free[chip] > now
                 ):
                     return False
+                for c in set_hosts[k]:
+                    if c == chip:
+                        break
+                    if is_free[c]:
+                        return False
+                dirty.update(slots_by_chip[chip])
+                for index in dirty:
+                    j = index - n_pslots  # a decode slot's model
+                    if j >= 0:
+                        if j != mi and decode_queues[j]:
+                            return False
+                        continue
+                    queue = queue_list[index]
+                    if queue._size:
+                        wait = queue.window_wait(now, policy)
+                        if wait is None or window_armed.get(index) != wait:
+                            return False
+                size = len(dirty)
             n_dispatch_rounds += 1
-            size = len(dirty)
             n_slot_scans += size + 1
             if profiling:
                 scan_sizes[size] = scan_sizes.get(size, 0) + 1
-            dispatch_decode(mi, now)
             dirty.clear()
             return True
+
+        def release_popped(finish: float, chip: int, now: float) -> None:
+            """:func:`release` at an event pop, less the popped decode
+            completion's own chip: its handler releases or keeps it."""
+            if type(payload) is not _DecodeInFlight or payload.chip_id != chip:
+                release(finish, chip, now)
+
+        drain = release_popped if decode_on else release
 
         def enqueue(row: int, index: int, now: float) -> None:
             """Admitted arrival ``row`` enters its slot ``index``'s queue."""
@@ -1466,7 +1497,7 @@ class ServingEngine:
             ):
                 now, kind, _, payload = pending
                 pending = None
-                release(now, payload.chip_id, now)
+                drain(now, payload.chip_id, now)
             elif cursor < trace_n:
                 arrival = arrival_of[cursor]
                 if events:
@@ -1494,9 +1525,10 @@ class ServingEngine:
             # index.  A held completion is never among them: it was strictly
             # earlier than every event queued at its launch, and later
             # events carry larger seqs, so it is the first pop of its
-            # instant and frees its chip there (above).
+            # instant and frees its chip there (above).  A popped decode
+            # completion's own chip is left to its handler (keep_decode).
             while free_heap and free_heap[0][0] <= now:
-                release(*heapq.heappop(free_heap), now)
+                drain(*heapq.heappop(free_heap), now)
             if governor is not None:
                 # Power is piecewise constant between events, so advancing
                 # the governor exactly here makes the integration exact.
@@ -1564,47 +1596,57 @@ class ServingEngine:
                     # decode-accumulated energy/KV); the rest
                     # requeue at the FIFO tail, and the slot re-dirties
                     # so the next iteration's batch re-forms at once.
-                    chip_busy[inflight.chip_id] += inflight.busy_ns
-                    if inflight.finish_ns > makespan:
-                        makespan = inflight.finish_ns
                     mi = inflight.model_index
                     dq = decode_queues[mi]
-                    share = inflight.share_pj
-                    total_kv = inflight.total_kv
-                    batch_overflow = inflight.overflow
-                    requeued = False
-                    for entry, footprint in zip(
-                        inflight.entries, inflight.footprints
-                    ):
-                        entry.ctx += 1
-                        entry.remaining -= 1
-                        entry.energy_pj += share
-                        entry.kv_bytes += footprint
-                        if batch_overflow:
-                            entry.kv_overflow += batch_overflow * (
-                                footprint / total_kv
-                            )
-                        if entry.remaining == 0:
-                            kv_total += entry.kv_bytes
-                            kv_overflow_total += entry.kv_overflow
-                            prefill = entry.prefill
-                            landed.append(entry.row)
-                            table_rows.append((
-                                len(landed), inflight.chip_id,
-                                len(prefill.rows), prefill.dispatch_ns,
-                                inflight.finish_ns, entry.energy_pj,
-                                prefill.padded, prefill.finish_ns,
-                                entry.kv_bytes, entry.kv_overflow,
-                            ))
-                        else:
-                            dq.append(entry)
-                            requeued = True
-                    if tick is not None:
-                        tick(len(landed))
-                    if requeued:
-                        dirty.add(n_pslots + mi)
-                    if dirty and not redispatch_decode(mi, now):
-                        dispatch(now)
+                    step = inflight
+                    while True:
+                        (now, chip, _, entries, footprints, busy_ns, share,
+                         total_kv, batch_overflow) = step
+                        chip_busy[chip] += busy_ns
+                        if now > makespan:
+                            makespan = now
+                        requeued = False
+                        for entry, footprint in zip(entries, footprints):
+                            entry.ctx += 1
+                            entry.remaining -= 1
+                            entry.energy_pj += share
+                            entry.kv_bytes += footprint
+                            if batch_overflow:
+                                entry.kv_overflow += batch_overflow * (
+                                    footprint / total_kv
+                                )
+                            if entry.remaining == 0:
+                                kv_total += entry.kv_bytes
+                                kv_overflow_total += entry.kv_overflow
+                                prefill = entry.prefill
+                                landed.append(entry.row)
+                                table_rows.append((
+                                    len(landed), chip,
+                                    len(prefill.rows), prefill.dispatch_ns,
+                                    now, entry.energy_pj,
+                                    prefill.padded, prefill.finish_ns,
+                                    entry.kv_bytes, entry.kv_overflow,
+                                ))
+                            else:
+                                dq.append(entry)
+                                requeued = True
+                        if tick is not None:
+                            tick(len(landed))
+                        if requeued:
+                            dirty.add(n_pslots + mi)
+                        walked = step is not inflight
+                        if not keep_decode(mi, chip, now, walked):
+                            release(now, chip, now)
+                            if dirty:
+                                dispatch(now)
+                            break
+                        step = dispatch_decode(mi, now, chip)
+                        if step is None:
+                            break
+                        # The iteration is the loop's next event: pop it.
+                        # Nothing was queued since the last pop, so the
+                        # heap peak stands.
+                        n_events += 1
                     continue
                 if inflight.key in cancelled:
                     # Preempted mid-service: the wasted time was charged

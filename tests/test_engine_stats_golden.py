@@ -1,6 +1,6 @@
 """Golden guard for the engine's work counters and self-profile.
 
-Seven short profiled runs, each pinned field for field on ``result.stats``:
+Eight short profiled runs, each pinned field for field on ``result.stats``:
 the four :class:`~repro.serve.engine.EngineStats` counters and the
 :class:`~repro.serve.engine.EngineProfile` (``events_by_kind``,
 ``dispatch_scan_hist``, ``heap_peak``).  Together they cover both engine
@@ -17,6 +17,12 @@ loops and every event source the profile counts:
   count the same work; on the busy fleet the scan also meets ready
   prefill queues, unarmed windows, overfull FIFOs and the other model's
   waiting FIFO;
+* ``decode_walk_ties`` — the tie golden's decode trace
+  (``tests/test_tie_goldens.py``), whose decode completions share their
+  instant with an arrival, a window timer, a lower-id chip's prefill
+  completion and a second decode stream's completion; a completion
+  whose chip an earlier event of its instant already freed must count
+  the dispatch scan that instant leaves;
 * ``clients_retries`` — closed-loop sessions under a queue cap, so
   rejected requests re-arrive as retries;
 * ``elastic`` — a ``1:8`` autoscaled run with controller evaluations and
@@ -42,6 +48,7 @@ from repro.serve.config import (
     ServingConfig,
     WorkloadConfig,
 )
+from test_tie_goldens import decode_walk_ties
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_engine_stats.json"
 
@@ -97,6 +104,7 @@ SCENARIOS = {
         observe=PROFILE,
         decode=DecodeConfig(dist="lognormal", mean_tokens=16),
     ),
+    "decode_walk_ties": functools.partial(decode_walk_ties, profile=True),
     "clients_retries": ServingConfig(
         workload=WorkloadConfig(
             models=("mobilebert",), duration_s=0.05, seed=0, clients=64,
@@ -119,7 +127,10 @@ SCENARIOS = {
 
 @functools.lru_cache(maxsize=None)
 def _run(scenario: str):
-    return simulate_serving(SCENARIOS[scenario])[1]
+    config = SCENARIOS[scenario]
+    if callable(config):
+        return config()
+    return simulate_serving(config)[1]
 
 
 def stats_record(stats) -> dict:
