@@ -275,7 +275,9 @@ def _layer_at_seq_len(layer: LayerSpec, old_seq: int, new_seq: int) -> LayerSpec
         new_gemm = GemmShape(m=new_seq, k=new_seq, n=gemm.n)
     else:
         return layer
-    return dataclasses.replace(layer, gemm=new_gemm)
+    return LayerSpec(
+        layer.name, layer.kind, new_gemm, layer.static_weights, layer.repeat
+    )
 
 
 def at_seq_len(workload: WorkloadSpec, seq_len: int) -> WorkloadSpec:
@@ -332,7 +334,9 @@ def _layer_at_decode(layer: LayerSpec, native: LayerSpec, native_seq: int, ctx_l
         new_gemm = GemmShape(m=1, k=ctx_len, n=gemm.n)
     else:
         return layer
-    return dataclasses.replace(layer, gemm=new_gemm)
+    return LayerSpec(
+        layer.name, layer.kind, new_gemm, layer.static_weights, layer.repeat
+    )
 
 
 def at_decode_step(workload: WorkloadSpec, context_len: int) -> WorkloadSpec:

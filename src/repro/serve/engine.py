@@ -192,7 +192,11 @@ class _DecodeInFlight(NamedTuple):
     iteration (the per-entry share key for the batch's ``overflow``
     bytes); all floats were fixed at dispatch, exactly like
     :class:`_InFlight`; an iteration completed in place is a plain tuple
-    of the same fields (``dispatch_decode``).
+    of the same fields (``dispatch_decode``).  ``life`` counts the
+    further iterations whose members all stay on their KV pages, before
+    one finishes or crosses a page; while no request joins, a kept chip
+    reuses the record (members, footprints, ``cost``, ``ctx_pad``,
+    ``total_kv``, ``overflow``, share) that long.
     """
 
     finish_ns: float
@@ -204,6 +208,9 @@ class _DecodeInFlight(NamedTuple):
     share_pj: float  # per-request energy share of the iteration
     total_kv: float
     overflow: float  # KV bytes past on-chip capacity, streamed off-chip
+    cost: ChipService
+    ctx_pad: int
+    life: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -796,6 +803,13 @@ class ServingEngine:
                 for m in model_order
             }
             ref_ns = {m: cluster.reference_latency_ns(m) for m in model_order}
+        # Slots whose arrivals may preempt: a preempting SLO class with a
+        # finite deadline (see maybe_preempt).
+        slot_preempts = [
+            preempting and tenancy.tenant(t).slo.preempts
+            and not math.isinf(deadlines[(t, m)])
+            for t, m in slots
+        ]
         backlog: Dict[str, int] = {t: 0 for t in tenant_order}
         chip_free = [0.0] * cluster.n_chips
         chip_busy = [0.0] * cluster.n_chips
@@ -1163,7 +1177,7 @@ class ServingEngine:
             ), overflow
 
         def dispatch_decode(
-            mi: int, now: float, chip: int = -1
+            mi: int, now: float, chip: int = -1, record: tuple = ()
         ) -> Optional[tuple]:
             """Form, route and launch one decode iteration for model ``mi``.
 
@@ -1177,38 +1191,58 @@ class ServingEngine:
             toward chips with KV headroom.
 
             A ``chip`` given was kept by :func:`keep_decode`, where the
-            route would land.  With no log or governor attached, a kept
-            iteration that is the loop's next event — it finishes strictly
-            before the held completion, the heap top and the next trace
-            arrival — is returned unlaunched, to be completed in place.
+            route would land.  A ``record`` given is the stream's
+            previous iteration on that chip, with ``life`` left and no
+            request waiting to join: the same members on the same KV
+            pages, so the batch, footprints, price and shares carry over
+            and only the finish instant is new.  With no log or governor
+            attached, a kept iteration that is the loop's next event — it
+            finishes strictly before the held completion, the heap top and
+            the next trace arrival — is returned unlaunched, to be
+            completed in place.
             """
             nonlocal n_decode_iters, seq
-            model = model_order[mi]
-            dq = decode_queues[mi]
-            if len(dq) <= max_batch:
-                entries = list(dq)
-                dq.clear()
-            else:
-                entries = [dq.popleft() for _ in range(max_batch)]
-            take = len(entries)
-            per_tok = kv_per_token[model]
-            ctx_pad = 0
-            footprints = []
-            for e in entries:
-                rounded = (e.ctx + page - 1) // page * page  # page_round
-                if rounded > ctx_pad:
-                    ctx_pad = rounded
-                footprints.append(per_tok * rounded)
-            total_kv = float(sum(footprints))
-            k = n_models + mi
-            table = set_table[k]
             kept = chip >= 0
-            if not kept:
-                key = None if set_uniform[k] else lambda c: routing_key(
-                    c, decode_price(table, c, take, ctx_pad, total_kv)[0], True
+            if record:
+                (_, _, _, entries, footprints, _, share, total_kv,
+                 overflow, cost, ctx_pad, life) = record
+                life -= 1
+            else:
+                dq = decode_queues[mi]
+                if len(dq) <= max_batch:
+                    entries = list(dq)
+                    dq.clear()
+                else:
+                    entries = [dq.popleft() for _ in range(max_batch)]
+                take = len(entries)
+                per_tok = kv_per_token[model_order[mi]]
+                ctx_pad = 0
+                life = page  # more than any member's page slack
+                footprints = []
+                for e in entries:
+                    rounded = (e.ctx + page - 1) // page * page  # page_round
+                    if rounded > ctx_pad:
+                        ctx_pad = rounded
+                    footprints.append(per_tok * rounded)
+                    # Iterations until this member crosses its page or
+                    # finishes: the record stays exact that long.
+                    if rounded - e.ctx < life:
+                        life = rounded - e.ctx
+                    if e.remaining <= life:
+                        life = e.remaining - 1
+                total_kv = float(sum(footprints))
+                k = n_models + mi
+                table = set_table[k]
+                if not kept:
+                    key = None if set_uniform[k] else lambda c: routing_key(
+                        c, decode_price(table, c, take, ctx_pad, total_kv)[0],
+                        True,
+                    )
+                    chip = route(k, key)
+                cost, overflow = decode_price(
+                    table, chip, take, ctx_pad, total_kv
                 )
-                chip = route(k, key)
-            cost, overflow = decode_price(table, chip, take, ctx_pad, total_kv)
+                share = cost.energy_pj / take
             if governor is not None:
                 service_ns = governor.admit(chip, now, cost)
             else:
@@ -1216,9 +1250,12 @@ class ServingEngine:
             finish = now + service_ns
             n_decode_iters += 1
             if log is not None:
-                log.append((DIT, now, chip, model, take, ctx_pad, finish))
-            step = (finish, chip, mi, entries, footprints, service_ns,
-                    cost.energy_pj / take, total_kv, overflow)
+                log.append((
+                    DIT, now, chip, model_order[mi], len(entries), ctx_pad,
+                    finish,
+                ))
+            step = (finish, chip, mi, entries, footprints, service_ns, share,
+                    total_kv, overflow, cost, ctx_pad, life)
             if kept and walk and (pending is None or finish < pending[0]) and (
                 not events or finish < events[0][0]
             ) and (cursor >= trace_n or finish < arrival_of[cursor]):
@@ -1306,7 +1343,9 @@ class ServingEngine:
                         index, queue_list[index].pop_batch(now, policy), now
                     )
 
-        def keep_decode(mi: int, chip: int, now: float, walked: bool) -> bool:
+        def keep_decode(
+            mi: int, chip: int, now: float, walked: bool, reuse: bool
+        ) -> bool:
             """May model ``mi``'s next decode iteration keep ``chip``, whose
             release its completion's pop deferred (:func:`release_popped`)?
             Yes when releasing it and scanning would launch only this FIFO,
@@ -1315,10 +1354,12 @@ class ServingEngine:
             instant freed the chip; and every other dirty slot is empty or
             a not-ready prefill queue with its window timer armed.  After an
             iteration completed in place (``walked``) only the FIFO changed.
-            The counters grow as the scan's would (see :func:`dispatch`)."""
+            With ``reuse`` the stream's members, one batch, are held outside
+            the FIFO.  The counters grow as the scan's would (see
+            :func:`dispatch`)."""
             nonlocal n_dispatch_rounds, n_slot_scans
             dq = decode_queues[mi]
-            if not dq:
+            if not (dq or reuse):
                 return False
             if walked:
                 size = len(slots_by_chip[chip])
@@ -1383,13 +1424,14 @@ class ServingEngine:
                 backlog[tenant] += 1
                 if backlog[tenant] == 1:
                     scheduler.on_activate(tenant)
-                if preempting:
+                if slot_preempts[index]:
                     maybe_preempt(row, index, now)
 
         def maybe_preempt(row: int, index: int, now: float) -> None:
             """Kill a lower-priority batch if waiting would miss a deadline.
 
-            Fires only for preempting SLO classes, only when every hosting
+            Called only for a slot whose SLO class preempts with a finite
+            deadline (``slot_preempts``).  Fires only when every hosting
             chip is busy, and only when the deadline arithmetic says the
             earliest natural free instant is too late while an immediate
             preemptive dispatch (re-dispatch overhead included) is not.
@@ -1402,15 +1444,10 @@ class ServingEngine:
             """
             nonlocal total_queued
             tenant_name, model = slots[index]
-            if not tenancy.tenant(tenant_name).slo.preempts:
-                return
-            limit = deadlines[(tenant_name, model)]
-            if math.isinf(limit):
-                return
             model_hosts = set_hosts[model_index[model]]
             if any(chip_free[c] <= now for c in model_hosts):
                 return  # a free host exists; the normal dispatch handles it
-            deadline_at = arrival_of[row] + limit
+            deadline_at = arrival_of[row] + deadlines[(tenant_name, model)]
             ref = ref_ns[model]
             overhead = tenancy.preemption_overhead_ns
             if min(chip_free[c] for c in model_hosts) + ref <= deadline_at:
@@ -1601,11 +1638,15 @@ class ServingEngine:
                     step = inflight
                     while True:
                         (now, chip, _, entries, footprints, busy_ns, share,
-                         total_kv, batch_overflow) = step
+                         total_kv, batch_overflow, _, _, life) = step
                         chip_busy[chip] += busy_ns
                         if now > makespan:
                             makespan = now
-                        requeued = False
+                        # No member finishes or crosses a page (``life``)
+                        # and none joined: a kept chip reuses the record,
+                        # and the members skip the FIFO.
+                        reuse = life > 0 and not dq
+                        requeued = reuse
                         for entry, footprint in zip(entries, footprints):
                             entry.ctx += 1
                             entry.remaining -= 1
@@ -1627,7 +1668,7 @@ class ServingEngine:
                                     prefill.padded, prefill.finish_ns,
                                     entry.kv_bytes, entry.kv_overflow,
                                 ))
-                            else:
+                            elif not reuse:
                                 dq.append(entry)
                                 requeued = True
                         if tick is not None:
@@ -1635,12 +1676,16 @@ class ServingEngine:
                         if requeued:
                             dirty.add(n_pslots + mi)
                         walked = step is not inflight
-                        if not keep_decode(mi, chip, now, walked):
+                        if not keep_decode(mi, chip, now, walked, reuse):
+                            if reuse:
+                                dq.extend(entries)
                             release(now, chip, now)
                             if dirty:
                                 dispatch(now)
                             break
-                        step = dispatch_decode(mi, now, chip)
+                        step = dispatch_decode(
+                            mi, now, chip, step if reuse else ()
+                        )
                         if step is None:
                             break
                         # The iteration is the loop's next event: pop it.

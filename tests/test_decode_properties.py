@@ -5,16 +5,25 @@ Hypothesis sweeps the decode knob space the way
 (determinism, clamping, flooring, page rounding) hold for *any* knob
 combination, and short end-to-end runs conserve tokens and keep every
 per-request timing stamp ordered regardless of distribution, seed or
-batching cap.
+batching cap.  Every served request's KV bytes are its own context's
+paged footprint summed over its tokens, on the in-place and the logged
+per-iteration decode paths alike.
 """
+
+import dataclasses
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import get_workload
 from repro.serve import (
     DECODE_DISTS,
+    Cluster,
     DecodeConfig,
     FleetConfig,
+    ObserveConfig,
     PolicyConfig,
     ServingConfig,
     WorkloadConfig,
@@ -113,3 +122,55 @@ class TestRunInvariants:
         for s in served:
             assert s.request.arrival_ns <= s.first_token_ns <= s.finish_ns
             assert s.ttft_ns >= 0 and s.itl_ns >= 0
+
+
+def _paged_kv_bytes(per_token: int, ctx0: int, tokens: int, page: int) -> float:
+    """One request's KV bytes: each token reads its context's paged KV."""
+    total = 0.0
+    for i in range(tokens):
+        total += per_token * page_round(ctx0 + i, page)
+    return total
+
+
+class TestKvBytes:
+    @given(
+        fleet=st.sampled_from(("yoco:2", "yoco:4")),
+        page=st.sampled_from((1, 2, 16, 64)),
+        max_batch=st.sampled_from((1, 2, 4)),
+        seqlen=st.sampled_from((None, "lognormal")),
+        load=st.floats(0.2, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_each_request_pays_its_own_paged_context(
+        self, fleet, page, max_batch, seqlen, load, seed
+    ):
+        chips = int(fleet.split(":")[1])
+        config = ServingConfig(
+            workload=WorkloadConfig(
+                models=("mobilebert",), rps=load * 3000.0 * chips,
+                duration_s=0.01, seed=seed, seqlen_dist=seqlen,
+            ),
+            fleet=FleetConfig(fleet=fleet),
+            policy=PolicyConfig(max_batch_size=max_batch),
+            decode=DecodeConfig(
+                dist="lognormal", mean_tokens=16, page_tokens=page
+            ),
+        )
+        cluster = Cluster([get_workload("mobilebert")], fleet=fleet)
+        per_token = cluster.kv_bytes_per_token("mobilebert")
+        native = cluster.native_seq_len("mobilebert")
+        # An event log turns the in-place decode walk off.
+        with tempfile.TemporaryDirectory() as tmp:
+            logged = dataclasses.replace(
+                config,
+                observe=ObserveConfig(trace_file=os.path.join(tmp, "t.jsonl")),
+            )
+            runs = [simulate_serving(c)[1] for c in (config, logged)]
+        for result in runs:
+            assert result.n_decode_tokens > 0
+            for s in result.served:
+                ctx0 = s.request.seq_len or native
+                assert s.kv_bytes == _paged_kv_bytes(
+                    per_token, ctx0, s.decode_tokens, page
+                )

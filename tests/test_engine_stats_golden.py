@@ -1,6 +1,6 @@
 """Golden guard for the engine's work counters and self-profile.
 
-Eight short profiled runs, each pinned field for field on ``result.stats``:
+Nine short profiled runs, each pinned field for field on ``result.stats``:
 the four :class:`~repro.serve.engine.EngineStats` counters and the
 :class:`~repro.serve.engine.EngineProfile` (``events_by_kind``,
 ``dispatch_scan_hist``, ``heap_peak``).  Together they cover both engine
@@ -23,6 +23,10 @@ loops and every event source the profile counts:
   completion and a second decode stream's completion; a completion
   whose chip an earlier event of its instant already freed must count
   the dispatch scan that instant leaves;
+* ``decode_page_edges`` — the tie golden's 2-token-page decode trace,
+  whose stream meets a page edge, a leaver and a joiner at one instant,
+  then a joiner mid-iteration; a stream that keeps its batch between
+  such edges must count the same rounds and scans;
 * ``clients_retries`` — closed-loop sessions under a queue cap, so
   rejected requests re-arrive as retries;
 * ``elastic`` — a ``1:8`` autoscaled run with controller evaluations and
@@ -48,7 +52,7 @@ from repro.serve.config import (
     ServingConfig,
     WorkloadConfig,
 )
-from test_tie_goldens import decode_walk_ties
+from test_tie_goldens import decode_page_edges, decode_walk_ties
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_engine_stats.json"
 
@@ -105,6 +109,7 @@ SCENARIOS = {
         decode=DecodeConfig(dist="lognormal", mean_tokens=16),
     ),
     "decode_walk_ties": functools.partial(decode_walk_ties, profile=True),
+    "decode_page_edges": functools.partial(decode_page_edges, profile=True),
     "clients_retries": ServingConfig(
         workload=WorkloadConfig(
             models=("mobilebert",), duration_s=0.05, seed=0, clients=64,

@@ -1,6 +1,6 @@
 """Golden guard for same-timestamp ordering in the general event loop.
 
-Seven runs whose events pile up at identical instants, pinned bit for bit
+Eight runs whose events pile up at identical instants, pinned bit for bit
 by a sha256 digest over every served record, the per-chip busy time, the
 preemption records, the rejected requests and the elastic scaling trace:
 
@@ -19,6 +19,12 @@ preemption records, the rejected requests and the elastic scaling trace:
   and then a short decode iteration under ``prefill-decode`` on
   ``yoco:1,yoco:1``, so the iteration's completion pops before the
   held prefill completion, which its decode stream must not run past;
+* ``decode_page_edges`` — one decode stream under 2-token KV pages on
+  a ``prefill-decode`` ``yoco:1,yoco:1`` fleet: at one instant a member
+  crosses a page, another finishes and a prefill completion adds a
+  joiner; later a joiner arrives mid-iteration of a one-member stream
+  that no page edge or leaver would otherwise re-form
+  (:func:`decode_page_edges`);
 * ``elastic_diurnal`` — a diurnal ``1:8`` autoscaled run whose
   controller drains chips while they are still busy (they park at their
   completion instant);
@@ -161,6 +167,44 @@ def _decode_walk_pending():
     return engine.run(trace)
 
 
+#: (arrival ns, decode tokens) of the ``decode_page_edges`` mobilebert
+#: trace, at the native 128-token context.
+_PAGE_EDGES = (
+    # A pair prefills on chip 0 until 234,240 ns, then decodes on chip 1
+    # with both contexts on one parity, so every other iteration crosses
+    # a 2-token page for both.
+    (0, 24),
+    # Leaves at its 15th iteration's completion, 359,328 ns, where the
+    # partner's context crosses from the 142- to the 144-token page.
+    (0, 15),
+    # Alone, prefills on chip 0 from its window's end (242,208 ns) to
+    # 359,328 ns, and joins the FIFO at the same instant.
+    (194_208, 30),
+    # Prefills from 367,880 ns to 485,000 ns and joins mid-iteration of
+    # the previous request's one-member stream, which holds an odd
+    # context: no page edge and no leaver re-form that stream's batch.
+    (319_880, 8),
+)
+
+
+def decode_page_edges(profile: bool = False, log=None):
+    """Run the ``decode_page_edges`` trace (see :data:`_PAGE_EDGES`)."""
+    trace = [
+        Request(i, "mobilebert", float(t), decode_tokens=tokens)
+        for i, (t, tokens) in enumerate(_PAGE_EDGES)
+    ]
+    engine = ServingEngine(
+        Cluster(
+            [get_workload("mobilebert")],
+            fleet="yoco:1,yoco:1", placement="prefill-decode",
+        ),
+        BatchingPolicy(max_batch_size=2, window_ns=48_000.0),
+        profile=profile,
+        decode=DecodeConfig(dist="fixed", mean_tokens=8, page_tokens=2),
+    )
+    return engine.run(trace, log=log)
+
+
 def _elastic_diurnal():
     return simulate_serving(
         ServingConfig(
@@ -213,6 +257,7 @@ SCENARIOS = {
     "buckets_preempt_shed": _buckets_preempt_shed,
     "decode_bursts": _decode_bursts,
     "decode_overfull_ties": _decode_overfull_ties,
+    "decode_page_edges": decode_page_edges,
     "decode_walk_pending": _decode_walk_pending,
     "decode_walk_ties": decode_walk_ties,
     "elastic_diurnal": _elastic_diurnal,
@@ -315,6 +360,29 @@ class TestScenariosStressTies:
         # qdqbert's own decode takes chip 1 only later.
         assert pair.chip_id == qdq.chip_id == 1
         assert qdq.first_token_ns == 465_888.0 < pair.finish_ns
+
+    def test_decode_stream_meets_page_edges_leavers_and_joiners(self):
+        events = _Events()
+        assert decode_page_edges(log=EventLog([events])) == _run(
+            "decode_page_edges"
+        )
+        # DIT events: (kind, start, chip, model, take, ctx_pad, finish).
+        iters = [e for e in events.events if e[0] == DIT]
+        a, b, c, d = _run("decode_page_edges").served
+        # At 359,328 ns the pair's iteration at the 142-token page ends:
+        # one member leaves, the other's next iteration pads to 144, and
+        # a prefill completion adds a joiner.
+        edge = b.finish_ns
+        assert edge == c.first_token_ns == 359_328.0
+        (ended,) = [e for e in iters if e[6] == edge]
+        assert ended[4] == 2 and ended[5] == 142
+        assert [e[5] for e in iters if e[1] > edge and e[4] == 2][0] == 144
+        # The last joiner lands strictly inside a one-member iteration and
+        # enters the very next one.
+        (during,) = [e for e in iters if e[1] < d.first_token_ns < e[6]]
+        (after,) = [e for e in iters if e[1] == during[6]]
+        assert during[4] == 1 and after[4] == 2
+        assert a.finish_ns < d.first_token_ns
 
     def test_elastic_run_drains_busy_chips(self):
         # An idle drained chip parks at the decision instant; a busy one
