@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.arch.accelerator import AcceleratorSpec, yoco_spec
 from repro.arch.mapper import MappingPlan, map_layer
@@ -130,14 +132,23 @@ class _WorkloadCosts(NamedTuple):
     """Everything the simulator derives from one workload, computed once.
 
     ``workload`` anchors the identity key: the record keeps its workload
-    alive, so the ``id`` it is filed under cannot be reused.
+    alive, so the ``id`` it is filed under cannot be reused.  ``columns``
+    holds :meth:`ArchitectureSimulator.run_batch`'s per-layer inputs, one
+    column per layer in workload order and one row per quantity: the
+    layer's VMM count, the units its waves issue over, its dynamic-operand
+    rows written per inference (0 for static weights), its data latency,
+    its batch-1 energy and the off-chip energy of its overflow weights (0
+    unless it overflows).  Every count is far below 2**53, so float64
+    holds it exactly.
     """
 
     workload: WorkloadSpec
     run: RunResult
     replicas: int
     overflow: Set[str]
-    plans: List[MappingPlan]
+    plans: Tuple[MappingPlan, ...]
+    columns: np.ndarray
+
 
 
 class ArchitectureSimulator:
@@ -159,8 +170,19 @@ class ArchitectureSimulator:
     instance prices every distinct thing once: a layer shape (every
     :class:`LayerSpec` field but ``name``, plus its overflow flag and
     replica budget), a mapping plan per ``(gemm, repeat)``, and a
-    workload's batch-1 roll-up.  The memo lives and dies with the
-    instance.
+    workload's batch-1 roll-up plus its :meth:`run_batch` cost columns.
+    A workload that shares layer objects with the last one costed from
+    the same first layer (a decode context shares all but its attention
+    layers with the contexts before it) copies their costs and columns
+    instead of re-costing them.  Each record holds its workload, so an
+    ``id`` it is filed under is never recycled.  The memo lives and dies
+    with the instance.
+
+    Whole-workload sums run left to right in layer order, in :meth:`run`
+    (``RunResult``'s ``sum``) as in :meth:`run_batch`
+    (``np.add.accumulate``, never pairwise ``np.sum`` or a compensated
+    ``sum``), so ``run_batch(w, 1) == run(w)`` holds bit for bit and a
+    cost never depends on how it was summed.
     """
 
     def __init__(
@@ -172,6 +194,9 @@ class ArchitectureSimulator:
         self._weights_resident = weights_resident
         self._layer_costs: Dict[tuple, tuple] = {}
         self._plans: Dict[tuple, MappingPlan] = {}
+        # The last workload costed per first-layer object (its record
+        # holds the workload, so the id is never recycled).
+        self._by_first_layer: Dict[int, _WorkloadCosts] = {}
         self._workloads: Dict[int, _WorkloadCosts] = {}
 
     @property
@@ -241,31 +266,88 @@ class ArchitectureSimulator:
         return self._costs(workload).run
 
     def _costs(self, workload: WorkloadSpec) -> _WorkloadCosts:
-        """The workload's memo record, built on first use."""
+        """The workload's memo record, built on first use.
+
+        Workloads derived from one template — every decode context of a
+        model — start with the same layer object and share every layer
+        their context does not change.  So a workload whose first layer
+        starts the last workload costed under the same replica budget and
+        overflow set copies that workload's per-layer costs wherever the
+        two hold the very same layer object, and costs only the rest.
+        Workloads that share no first layer (CNNs, prefill sequence
+        lengths) cost every layer.
+        """
         costs = self._workloads.get(id(workload))
         if costs is not None and costs.workload is workload:
             return costs
         overflow = self._overflow_layers(workload)
         replicas = self._replication_budget(workload)
+        layers = workload.layers
+        n = len(layers)
+        kin = self._by_first_layer.get(id(layers[0]))
+        if (
+            kin is not None
+            and len(kin.plans) == n
+            and kin.replicas == replicas
+            and kin.overflow == overflow
+        ):
+            shared = kin.workload.layers
+            results, plans = list(kin.run.layers), list(kin.plans)
+            columns = kin.columns.copy()
+        else:
+            shared = (None,) * n
+            results, plans = [None] * n, [None] * n
+            columns = np.empty((6, n))
+        fresh = [i for i, layer in enumerate(layers) if layer is not shared[i]]
+        rows = []
+        for i in fresh:
+            layer = layers[i]
+            static_overflow = layer.name in overflow
+            result = results[i] = self.simulate_layer(
+                layer, static_overflow, replicas
+            )
+            plan = plans[i] = self._plan(layer)
+            rows.append(
+                self._column_entries(layer, result, plan, static_overflow, replicas)
+            )
+        if rows:
+            columns[:, fresh] = np.array(rows, dtype=np.float64).T
         run = RunResult(
             accelerator=self._spec.name,
             workload=workload.name,
             total_ops=workload.total_ops,
-            layers=tuple(
-                self.simulate_layer(
-                    layer,
-                    static_overflow=(layer.name in overflow),
-                    max_replicas=replicas,
-                )
-                for layer in workload.layers
-            ),
+            layers=tuple(results),
         )
         costs = _WorkloadCosts(
-            workload, run, replicas, overflow,
-            [self._plan(layer) for layer in workload.layers],
+            workload, run, replicas, overflow, tuple(plans), columns
         )
         self._workloads[id(workload)] = costs
+        self._by_first_layer[id(layers[0])] = costs
         return costs
+
+    def _column_entries(
+        self,
+        layer: LayerSpec,
+        result: LayerResult,
+        plan: MappingPlan,
+        static_overflow: bool,
+        replicas: int,
+    ) -> tuple:
+        """One layer's :meth:`run_batch` inputs, in ``columns`` row order."""
+        spec = self._spec
+        static = layer.static_weights
+        units = min(
+            spec.n_units,
+            plan.tiles_per_instance * (max(1, replicas) if static else 1),
+        )
+        write_rows = 0 if static else min(layer.gemm.k, spec.unit_input_dim)
+        offchip_pj = 0.0
+        if static_overflow:
+            offchip_pj = layer.weight_bytes * 8 * spec.offchip_pj_per_bit
+        return (
+            plan.vmm_count, units, write_rows, result.data_latency_ns,
+            result.energy_pj, offchip_pj,
+        )
 
     def _replication_budget(self, workload: WorkloadSpec) -> int:
         """Weight copies the chip can pin: floor(capacity / model weights)."""
@@ -296,40 +378,37 @@ class ArchitectureSimulator:
         makes batching pay for LLM-scale models.  ``run_batch(w, 1)``
         reproduces :meth:`run` exactly — the contract the serving engine's
         energy accounting relies on.
+
+        Priced with numpy from the workload's cost columns, elementwise in
+        the same float operations as one layer at a time, then summed left
+        to right in layer order (``np.add.accumulate``; pairwise
+        ``np.sum`` or a compensated ``sum`` would round differently), so
+        every batch size prices bit for bit like a per-layer loop.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         spec = self._spec
         costs = self._costs(workload)
-        run, replicas, overflow = costs.run, costs.replicas, costs.overflow
-        latency = 0.0
-        energy = 0.0
-        for layer, plan, cost in zip(workload.layers, costs.plans, run.layers):
-            layer_replicas = replicas if layer.static_weights else 1
-            effective_units = min(
-                spec.n_units, plan.tiles_per_instance * max(1, layer_replicas)
-            )
-            waves = math.ceil(batch_size * plan.vmm_count / effective_units)
-            compute_ns = waves * spec.unit_vmm_latency_ns
-            if not layer.static_weights:
-                rows = min(layer.gemm.k, spec.unit_input_dim)
-                compute_ns += batch_size * rows * spec.dynamic_write_ns_per_row
-            # Off-chip overflow weights: fetched once, reused batch-wide.
-            offchip_pj = 0.0
-            if layer.name in overflow:
-                weight_bits = layer.weight_bytes * 8
-                offchip_pj = weight_bits * spec.offchip_pj_per_bit
-            latency += max(compute_ns, cost.data_latency_ns)
-            # B*e - (B-1)*o, not B*(e-o)+o: algebraically identical, but
-            # this form collapses to exactly ``cost.energy_pj`` at B=1, so
-            # the run_batch(w, 1) == run(w) contract is exact by
-            # construction instead of by floating-point coincidence.
-            energy += batch_size * cost.energy_pj - (batch_size - 1) * offchip_pj
+        vmm, units, write_rows, data_ns, energy_pj, offchip_pj = costs.columns
+        # ceil of the true quotient, as math.ceil(B * vmm / units): both
+        # operands are exact in float64, so the division rounds alike.
+        compute_ns = np.ceil(batch_size * vmm / units) * spec.unit_vmm_latency_ns
+        # Dynamic operands are written per inference (0 rows when static).
+        compute_ns += (batch_size * write_rows) * spec.dynamic_write_ns_per_row
+        latency = np.add.accumulate(np.maximum(compute_ns, data_ns))[-1]
+        # B*e - (B-1)*o, not B*(e-o)+o: algebraically identical, but this
+        # form collapses to exactly the layer's energy at B=1, so the
+        # run_batch(w, 1) == run(w) contract is exact by construction
+        # instead of by floating-point coincidence.  Off-chip overflow
+        # weights are fetched once and reused batch-wide.
+        energy = np.add.accumulate(
+            batch_size * energy_pj - (batch_size - 1) * offchip_pj
+        )[-1]
         return BatchRunResult(
-            run=run,
+            run=costs.run,
             batch_size=batch_size,
-            latency_ns=latency,
-            energy_pj=energy,
+            latency_ns=float(latency),
+            energy_pj=float(energy),
         )
 
     # -- streaming execution -------------------------------------------------------

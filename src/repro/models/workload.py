@@ -307,59 +307,88 @@ def at_seq_len(workload: WorkloadSpec, seq_len: int) -> WorkloadSpec:
     return dataclasses.replace(workload, layers=layers, seq_len=seq_len)
 
 
-def _layer_at_decode(layer: LayerSpec, native: LayerSpec, native_seq: int, ctx_len: int) -> LayerSpec:
-    """Rebuild one layer's GEMM for a single-token decode step.
+class DecodeTemplate:
+    """One decode iteration of a transformer with its context left open.
 
-    The new token contributes one row to every token-axis product while
-    attention still reads the full ``ctx_len``-deep KV cache:
+    A decode step computes exactly one new token against the cached
+    context, so only the attention operands depend on the context length
+    (YOCO's attention flow keeps every static weight where it is):
 
-    * projections / FFNs shrink to ``m = 1`` (one new token);
+    * projections / FFNs process the one new token (``m = 1``; ``k``/``n``
+      are trained-weight shapes and stay put) — context-free;
     * attention score is ``(1 x head_dim) @ (head_dim x ctx)``;
     * attention context is ``(1 x ctx) @ (ctx x head_dim)``;
-    * everything else carries no token axis and is untouched.
+    * everything else carries no token axis and is the native layer.
 
     Whether a projection row count is a token axis is decided against the
-    *native* layer (``native.gemm.m == native_seq``), never by matching the
-    derived value — the same MobileBERT hazard :func:`_layer_at_seq_len`
-    documents.
+    *native* layer (``gemm.m == seq_len``), never by matching a derived
+    value — the MobileBERT hazard :func:`_layer_at_seq_len` documents.
+    The template builds every context-free layer once; :meth:`at` creates
+    only the attention layers, so all contexts of one template share every
+    other :class:`LayerSpec` object.  Layer order is the native order:
+    the simulator sums per-layer costs left to right in that order, and
+    its floats are exact only for that order.
     """
-    gemm = layer.gemm
-    if layer.kind in (LayerKind.PROJECTION, LayerKind.FFN):
-        if native.gemm.m != native_seq:
-            return layer
-        new_gemm = GemmShape(m=1, k=gemm.k, n=gemm.n)
-    elif layer.kind == LayerKind.ATTENTION_SCORE:
-        new_gemm = GemmShape(m=1, k=gemm.k, n=ctx_len)
-    elif layer.kind == LayerKind.ATTENTION_CONTEXT:
-        new_gemm = GemmShape(m=1, k=ctx_len, n=gemm.n)
-    else:
-        return layer
-    return LayerSpec(
-        layer.name, layer.kind, new_gemm, layer.static_weights, layer.repeat
-    )
+
+    __slots__ = ("_native", "_layers", "_attention")
+
+    def __init__(self, workload: WorkloadSpec) -> None:
+        if workload.kind != ModelKind.TRANSFORMER or workload.seq_len == 0:
+            raise ValueError(
+                f"workload {workload.name!r} has no token axis; "
+                "decode steps need a transformer workload"
+            )
+        native_seq = workload.seq_len
+        layers: List[LayerSpec] = []
+        attention: List[int] = []
+        for layer in workload.layers:
+            kind, gemm = layer.kind, layer.gemm
+            if kind in (LayerKind.ATTENTION_SCORE, LayerKind.ATTENTION_CONTEXT):
+                attention.append(len(layers))
+            elif (
+                kind in (LayerKind.PROJECTION, LayerKind.FFN)
+                and gemm.m == native_seq
+            ):
+                layer = LayerSpec(
+                    layer.name, kind, GemmShape(m=1, k=gemm.k, n=gemm.n),
+                    layer.static_weights, layer.repeat,
+                )
+            layers.append(layer)
+        self._native = workload
+        self._layers = layers
+        self._attention = attention
+
+    def at(self, context_len: int) -> WorkloadSpec:
+        """The decode step at ``context_len``: new attention layers only."""
+        if context_len < 1:
+            raise ValueError(f"decode context_len must be >= 1, got {context_len}")
+        layers = list(self._layers)
+        for i in self._attention:
+            layer = layers[i]
+            gemm = layer.gemm
+            if layer.kind == LayerKind.ATTENTION_SCORE:
+                new_gemm = GemmShape(m=1, k=gemm.k, n=context_len)
+            else:
+                new_gemm = GemmShape(m=1, k=context_len, n=gemm.n)
+            layers[i] = LayerSpec(
+                layer.name, layer.kind, new_gemm, layer.static_weights,
+                layer.repeat,
+            )
+        return dataclasses.replace(
+            self._native, layers=tuple(layers), seq_len=context_len
+        )
 
 
 def at_decode_step(workload: WorkloadSpec, context_len: int) -> WorkloadSpec:
     """Derive one autoregressive decode iteration at a given context length.
 
-    Rides on :func:`at_seq_len`: the workload is first re-derived at
-    ``context_len`` (so attention operand depths match the KV cache), then
-    every token-axis ``m`` collapses to 1 — a decode step computes exactly
-    one new token against the cached context.  Trained weight shapes are
-    untouched, so ``total_weight_bytes`` stays invariant and the serving
-    cluster's placement / replication / overflow decisions carry over
-    from prefill unchanged.
+    One pass over the native layers (:class:`DecodeTemplate`): every
+    token-axis ``m`` is 1 — a decode step computes exactly one new token —
+    while attention reads the full ``context_len``-deep KV cache.  Trained
+    weight shapes are untouched, so ``total_weight_bytes`` stays invariant
+    and the serving cluster's placement / replication / overflow decisions
+    carry over from prefill unchanged.  Layers keep the native order, the
+    order in which the simulator sums their costs.  Callers that derive
+    many contexts of one model keep the template (``Cluster`` does).
     """
-    if context_len < 1:
-        raise ValueError(f"decode context_len must be >= 1, got {context_len}")
-    if workload.kind != ModelKind.TRANSFORMER or workload.seq_len == 0:
-        raise ValueError(
-            f"workload {workload.name!r} has no token axis; "
-            "decode steps need a transformer workload"
-        )
-    ctx = at_seq_len(workload, context_len)
-    layers = tuple(
-        _layer_at_decode(layer, native, workload.seq_len, context_len)
-        for layer, native in zip(ctx.layers, workload.layers)
-    )
-    return dataclasses.replace(ctx, layers=layers, seq_len=context_len)
+    return DecodeTemplate(workload).at(context_len)

@@ -43,7 +43,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.accelerator import AcceleratorSpec
 from repro.arch.simulator import ArchitectureSimulator
-from repro.models.workload import LayerKind, WorkloadSpec, at_decode_step, at_seq_len
+from repro.models.workload import (
+    DecodeTemplate, LayerKind, WorkloadSpec, at_seq_len,
+)
 from repro.serve.fleet import FleetGroup, FleetSpec, backend_for, parse_fleet
 
 PLACEMENTS = (
@@ -443,9 +445,11 @@ class Cluster:
         # a bucketed LLM run costs one derivation per (model, bucket), not
         # one per batch.
         self._seqlen_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
-        # Decode-phase caches: single-token iteration workloads per
-        # (model, page-rounded context) and each model's KV bytes per
+        # Decode-phase caches: each model's context-free decode template,
+        # the single-token iteration workloads derived from it per
+        # (model, page-rounded context), and each model's KV bytes per
         # cached token.
+        self._decode_templates: Dict[str, DecodeTemplate] = {}
         self._decode_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
         self._kv_per_token: Dict[str, int] = {}
 
@@ -541,15 +545,23 @@ class Cluster:
     def decode_workload(self, model: str, context_len: int) -> WorkloadSpec:
         """One decode iteration of ``model`` at ``context_len`` (cached).
 
-        Rides the same :func:`at_seq_len` re-derivation as prefill
-        buckets, then collapses the token axis to a single new token
-        (:func:`repro.models.workload.at_decode_step`) — weight bytes
-        are invariant, so placement never changes between phases.
+        Built from the model's :class:`~repro.models.workload.DecodeTemplate`
+        (one per model, made on first use): the token axis collapses to a
+        single new token and only the attention layers are new per
+        context, so every context shares the template's other layer
+        objects and the simulator re-costs only what the context changes.
+        Weight bytes are invariant, so placement never changes between
+        phases.  Layers keep the native order, the order in which the
+        simulator sums their costs bit for bit.
         """
         key = (model, context_len)
         derived = self._decode_workloads.get(key)
         if derived is None:
-            derived = at_decode_step(self._workloads[model], context_len)
+            template = self._decode_templates.get(model)
+            if template is None:
+                template = DecodeTemplate(self._workloads[model])
+                self._decode_templates[model] = template
+            derived = template.at(context_len)
             self._decode_workloads[key] = derived
         return derived
 

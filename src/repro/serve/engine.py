@@ -1656,7 +1656,16 @@ class ServingEngine:
                                 entry.kv_overflow += batch_overflow * (
                                     footprint / total_kv
                                 )
-                            if entry.remaining == 0:
+                            if entry.remaining <= 0:
+                                if entry.remaining:
+                                    # Landed already: a record carried it
+                                    # past its last token, and requeuing
+                                    # it would loop forever.
+                                    raise RuntimeError(
+                                        f"decode entry of row {entry.row} "
+                                        "ran past its last token "
+                                        f"(remaining {entry.remaining})"
+                                    )
                                 kv_total += entry.kv_bytes
                                 kv_overflow_total += entry.kv_overflow
                                 prefill = entry.prefill

@@ -14,8 +14,11 @@ import pytest
 
 import repro.arch.simulator as simulator_module
 from repro.arch import ArchitectureSimulator
-from repro.models import BENCHMARK_MODELS, get_workload
-from repro.models.workload import GemmShape, LayerKind, LayerSpec, at_seq_len
+from repro.models import BENCHMARK_MODELS, TRANSFORMER_MODELS, get_workload
+from repro.models.workload import (
+    DecodeTemplate, GemmShape, LayerKind, LayerSpec, ModelKind, WorkloadSpec,
+    at_seq_len,
+)
 from repro.serve.fleet import CHIP_TYPES
 
 BATCH_SIZES = (1, 3, 8)
@@ -70,6 +73,74 @@ def test_warm_simulator_matches_fresh(chip_type, resident):
         expected = _price(fresh, workload)
         assert _price(warm, workload) == expected
         assert _price(warm, dataclasses.replace(workload)) == expected
+
+
+@pytest.mark.parametrize("resident", (True, False), ids=("resident", "streaming"))
+@pytest.mark.parametrize("chip_type", sorted(CHIP_TYPES))
+@pytest.mark.parametrize("name", TRANSFORMER_MODELS)
+def test_warm_decode_contexts_price_a_new_context_like_fresh(
+    name, chip_type, resident
+):
+    # Decode contexts of one template share every layer object but the
+    # attention layers, so a simulator warm from other contexts copies
+    # the shared layers' costs; a new context must still price exactly as
+    # on a fresh simulator, also after prefill shapes came in between.
+    spec = CHIP_TYPES[chip_type]()
+    native = get_workload(name)
+    template = DecodeTemplate(native)
+    warm = ArchitectureSimulator(spec, weights_resident=resident)
+    for context_len in (1, 64, native.seq_len, 3 * native.seq_len):
+        _price(warm, template.at(context_len))
+    _price(warm, native)
+    _price(warm, at_seq_len(native, native.seq_len // 2))
+    for context_len in (2, native.seq_len + 1):
+        workload = template.at(context_len)
+        fresh = ArchitectureSimulator(spec, weights_resident=resident)
+        assert _price(warm, workload) == _price(fresh, workload)
+
+
+@pytest.mark.parametrize("resident", (True, False), ids=("resident", "streaming"))
+def test_a_shared_first_layer_under_another_budget_is_costed_afresh(resident):
+    # Two workloads that start with one layer object but differ in total
+    # weights get different replica budgets (and overflow sets), so the
+    # second may copy nothing from the first.
+    first = LayerSpec("l0", LayerKind.FC, GemmShape(4096, 256, 256))
+    small = WorkloadSpec("w", ModelKind.CNN, (
+        first, LayerSpec("l1", LayerKind.FC, GemmShape(1, 256, 256)),
+    ))
+    large = WorkloadSpec("w", ModelKind.CNN, (
+        first, LayerSpec("l1", LayerKind.FC, GemmShape(1, 16384, 16384)),
+        LayerSpec("l2", LayerKind.FC, GemmShape(1, 16384, 16384)),
+    ))
+    same_length = dataclasses.replace(large, layers=large.layers[:2])
+    warm = ArchitectureSimulator(weights_resident=resident)
+    assert warm.replication_budget(small) != warm.replication_budget(large)
+    # The budget changes the first layer's own cost.
+    assert warm.simulate_layer(first, False, warm.replication_budget(small)) != (
+        warm.simulate_layer(first, False, warm.replication_budget(large))
+    )
+    for workload in (small, large, same_length, dataclasses.replace(small)):
+        fresh = ArchitectureSimulator(weights_resident=resident)
+        assert _price(warm, workload) == _price(fresh, workload)
+
+
+def test_a_new_decode_context_costs_only_its_attention_layers(monkeypatch):
+    native = get_workload("mobilebert")
+    template = DecodeTemplate(native)
+    sim = ArchitectureSimulator()
+    sim.run_batch(template.at(64), 2)
+    costed = []
+    real = sim.simulate_layer
+
+    def counting(layer, *args):
+        costed.append(layer.kind)
+        return real(layer, *args)
+
+    monkeypatch.setattr(sim, "simulate_layer", counting)
+    sim.run_batch(template.at(65), 2)
+    attention = {LayerKind.ATTENTION_SCORE, LayerKind.ATTENTION_CONTEXT}
+    assert set(costed) == attention
+    assert len(costed) == sum(layer.kind in attention for layer in native.layers)
 
 
 def test_run_batch_one_is_run_on_a_warm_simulator():
